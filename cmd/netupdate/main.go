@@ -3,9 +3,9 @@
 // Usage:
 //
 //	netupdate -list
-//	netupdate -experiment fig6 [-seed 1] [-quick] [-csv dir] [-seeds n] [-probes n]
+//	netupdate -experiment fig6 [-seed 1] [-quick] [-csv dir] [-seeds n]
 //	          [-trace-out trace.jsonl]
-//	netupdate -all [-seed 1] [-quick] [-csv dir] [-probes n]
+//	netupdate -all [-seed 1] [-quick] [-csv dir]
 //
 // With -trace-out, every event-level simulation run writes its
 // scheduling trace (arrivals, per-round decisions, event lifecycle
@@ -54,7 +54,6 @@ func run(args []string) int {
 		quick    = fs.Bool("quick", false, "shrink experiments for a fast smoke run")
 		csv      = fs.String("csv", "", "also write each table as CSV into this directory")
 		seeds    = fs.Int("seeds", 1, "repeat the experiment under this many consecutive seeds and summarize headlines")
-		probes   = fs.Int("probes", 0, "scheduler probe concurrency: 0 = GOMAXPROCS, 1 = serial (results identical; only planning wall-time changes)")
 		traceOut = fs.String("trace-out", "", "write scheduling traces of all simulated runs to this JSONL file")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -88,7 +87,7 @@ func run(args []string) int {
 		return 0
 	case *all:
 		for _, e := range experiments.All() {
-			if err := runOne(e, *seed, *quick, *probes, *csv, tracer); err != nil {
+			if err := runOne(e, *seed, *quick, *csv, tracer); err != nil {
 				fmt.Fprintf(os.Stderr, "netupdate: %s: %v\n", e.Name, err)
 				return 1
 			}
@@ -101,13 +100,13 @@ func run(args []string) int {
 			return 2
 		}
 		if *seeds > 1 {
-			if err := runSeeds(e, *seed, *seeds, *quick, *probes, tracer); err != nil {
+			if err := runSeeds(e, *seed, *seeds, *quick, tracer); err != nil {
 				fmt.Fprintf(os.Stderr, "netupdate: %s: %v\n", e.Name, err)
 				return 1
 			}
 			return 0
 		}
-		if err := runOne(e, *seed, *quick, *probes, *csv, tracer); err != nil {
+		if err := runOne(e, *seed, *quick, *csv, tracer); err != nil {
 			fmt.Fprintf(os.Stderr, "netupdate: %s: %v\n", e.Name, err)
 			return 1
 		}
@@ -118,9 +117,9 @@ func run(args []string) int {
 	}
 }
 
-func runOne(e experiments.Experiment, seed int64, quick bool, probes int, csvDir string, tracer *obs.Tracer) error {
+func runOne(e experiments.Experiment, seed int64, quick bool, csvDir string, tracer *obs.Tracer) error {
 	start := time.Now()
-	rep, err := e.Run(experiments.Options{Seed: seed, Quick: quick, Probes: probes, Trace: tracer})
+	rep, err := e.Run(experiments.Options{Seed: seed, Quick: quick, Trace: tracer})
 	if err != nil {
 		return err
 	}
@@ -138,14 +137,14 @@ func runOne(e experiments.Experiment, seed int64, quick bool, probes int, csvDir
 
 // runSeeds repeats the experiment under n consecutive seeds and prints a
 // mean/min/max summary of every headline metric.
-func runSeeds(e experiments.Experiment, seed int64, n int, quick bool, probes int, tracer *obs.Tracer) error {
+func runSeeds(e experiments.Experiment, seed int64, n int, quick bool, tracer *obs.Tracer) error {
 	sums := make(map[string]float64)
 	mins := make(map[string]float64)
 	maxs := make(map[string]float64)
 	counts := make(map[string]int)
 	var order []string
 	for i := 0; i < n; i++ {
-		rep, err := e.Run(experiments.Options{Seed: seed + int64(i), Quick: quick, Probes: probes, Trace: tracer})
+		rep, err := e.Run(experiments.Options{Seed: seed + int64(i), Quick: quick, Trace: tracer})
 		if err != nil {
 			return fmt.Errorf("seed %d: %w", seed+int64(i), err)
 		}

@@ -44,9 +44,9 @@ type ExecResult struct {
 	// Evals counts planning work (feasibility evaluations), used for
 	// plan-time accounting.
 	Evals int
-	// Touched aggregates the links the event's admissions read, when the
-	// migration planner has touched-link tracking enabled (may contain
-	// duplicates). See migration.Result.Touched.
+	// Touched aggregates the links the event's admissions read (may
+	// contain duplicates); only a tracked trial records it. See
+	// migration.Result.Touched.
 	Touched []topology.LinkID
 }
 
@@ -62,15 +62,14 @@ type Estimate struct {
 	// Evals counts planning work performed for the probe.
 	Evals int
 	// Touched lists the links whose reservation state the probe read
-	// (duplicates possible), when touched-link tracking is enabled on the
-	// migration planner. While none of them change, re-probing the same
-	// event is guaranteed to reproduce this estimate.
+	// (duplicates possible); set on ProbeEngine's cache misses only. While
+	// none of them change, re-probing the same event is guaranteed to
+	// reproduce this estimate.
 	Touched []topology.LinkID
 	// FromCache reports that a ProbeEngine answered this estimate from
 	// its epoch cache instead of replanning. Purely observational: a hit
 	// carries the same Cost/Feasible/Admittable/Evals a fresh probe
-	// would, and whether an estimate is a hit is itself deterministic
-	// (the cache is checked serially regardless of probe concurrency).
+	// would, and whether an estimate is a hit is itself deterministic.
 	FromCache bool
 }
 
@@ -102,7 +101,7 @@ func (p *Planner) Migration() *migration.Planner { return p.mig }
 // recorded on the event and skipped; under FailAbort the event is fully
 // rolled back and ErrEventAborted returned.
 func (p *Planner) Execute(ev *Event) (*ExecResult, error) {
-	res, err := p.run(ev, true)
+	res, err := p.run(ev, modeCommit)
 	if err != nil {
 		return nil, err
 	}
@@ -111,11 +110,12 @@ func (p *Planner) Execute(ev *Event) (*ExecResult, error) {
 }
 
 // Probe trial-plans the event and rolls everything back, returning the
-// cost the event would incur right now. The network state is unchanged.
-// This is the "calculate the update cost" step LMTF performs for each
-// sampled candidate (Section IV-B).
+// cost the event would incur right now. The network is left exactly as
+// it was — reservations, flow IDs, graph epoch, link versions and change
+// journal included (see run). This is the "calculate the update cost"
+// step LMTF performs for each sampled candidate (Section IV-B).
 func (p *Planner) Probe(ev *Event) (*Estimate, error) {
-	res, err := p.run(ev, false)
+	res, err := p.run(ev, modeTrial)
 	if err != nil {
 		return nil, err
 	}
@@ -157,13 +157,35 @@ func (p *Planner) RollbackExec(res *ExecResult) error {
 	return nil
 }
 
-// run admits the event's flows in order. When commit is false, all
-// admissions are rolled back before returning (in reverse order, restoring
-// the exact prior state) and the event's bookkeeping fields are untouched.
-func (p *Planner) run(ev *Event, commit bool) (*ExecResult, error) {
+// runMode says what run does with the plan it builds.
+type runMode int
+
+const (
+	// modeCommit leaves the plan applied.
+	modeCommit runMode = iota
+	// modeTrial rolls the plan back inside a trial bracket.
+	modeTrial
+	// modeTrackedTrial is modeTrial that also records the links the plan
+	// read in ExecResult.Touched — the read set ProbeEngine caches by.
+	modeTrackedTrial
+)
+
+// run admits the event's flows in order. In the trial modes it runs
+// inside the network's trial bracket (netstate.Network.BeginTrial): all
+// admissions are rolled back before returning (in reverse order,
+// restoring the exact prior state), the event's bookkeeping fields are
+// untouched, and the bracket guarantees the trial left no trace — no
+// epoch, link version or journal entry minted, flow IDs rewound — or
+// panics. Every cost probe in the system goes through here.
+func (p *Planner) run(ev *Event, mode runMode) (*ExecResult, error) {
 	net := p.mig.Network()
 	res := &ExecResult{Event: ev}
 	var flows []*flow.Flow
+	commit := mode == modeCommit
+	if !commit {
+		net.BeginTrial()
+		p.mig.SetTrackTouched(mode == modeTrackedTrial)
+	}
 
 	rollbackAll := func() {
 		for i := len(res.Admitted) - 1; i >= 0; i-- {
@@ -175,6 +197,10 @@ func (p *Planner) run(ev *Event, commit bool) (*ExecResult, error) {
 			if err := net.Remove(flows[i]); err != nil {
 				panic(fmt.Sprintf("core: event rollback remove failed: %v", err))
 			}
+		}
+		if !commit {
+			p.mig.SetTrackTouched(false)
+			net.EndTrial()
 		}
 	}
 

@@ -3,14 +3,10 @@ package core
 import (
 	"container/heap"
 	"fmt"
-	"runtime"
-	"sort"
-	"sync"
 	"time"
 
 	"netupdate/internal/flow"
 	"netupdate/internal/migration"
-	"netupdate/internal/netstate"
 	"netupdate/internal/topology"
 )
 
@@ -21,7 +17,7 @@ type ProbeStats struct {
 	Hits   int
 	Misses int
 	// Cold and Incremental split Misses by cause: Cold counts probes of
-	// events never cached (or probed live in data-plane mode), while
+	// events never cached (every probe in data-plane mode), while
 	// Incremental counts re-plans of events whose cached estimate was
 	// invalidated by a link change. Misses == Cold + Incremental always.
 	Cold        int
@@ -30,10 +26,6 @@ type ProbeStats struct {
 	// longer covered the gap since the last scan, forcing the engine to
 	// treat every cached entry as potentially dirty.
 	JournalMisses int
-	// Forks counts fork lanes created; Resyncs counts times an existing
-	// lane was refreshed from live state.
-	Forks   int
-	Resyncs int
 	// ProbeTime is the wall-clock time spent inside ProbeAll.
 	ProbeTime time.Duration
 }
@@ -52,12 +44,6 @@ func (s ProbeStats) HitRate() float64 {
 		return 0
 	}
 	return float64(s.Hits) / float64(total)
-}
-
-// forkLane is one worker's scratch network plus the planner bound to it.
-type forkLane struct {
-	net     *netstate.Network
-	planner *Planner
 }
 
 // probeEntry is one cached cost estimate together with its validity
@@ -90,35 +76,22 @@ type probeEntry struct {
 	gen   uint64
 }
 
-// ProbeEngine answers event cost probes (Planner.Probe) for schedulers,
-// adding two optimizations over probing the live network directly:
+// ProbeEngine answers event cost probes for schedulers: an epoch cache in
+// front of the planner's one trial path. A miss trial-plans the event on
+// the live network exactly as Planner.Probe does (Planner.run inside the
+// trial bracket, which leaves no trace) and is stored with the link set
+// the plan read and those links' max version. A later probe of the same
+// event whose links are all unchanged returns the cached estimate with
+// zero planning work — common across scheduling rounds, because
+// committing one event perturbs only a few links of a large fabric.
 //
-//   - Parallelism: cache misses fan out over a bounded pool of fork lanes
-//     (Network.Fork scratch copies), so the α+1 probes of an LMTF round
-//     run concurrently instead of serially. Forks are probe-only; the
-//     live network is never written, which is why probing in parallel
-//     preserves the exact estimates (and therefore decisions) of serial
-//     probing.
-//   - Epoch caching: each fresh estimate is stored with the link set the
-//     plan read and those links' max version. A later probe of the same
-//     event whose links are all unchanged returns the cached estimate
-//     with zero planning work — common across scheduling rounds, because
-//     committing one event perturbs only a few links of a large fabric.
+// With a data plane attached the cache is skipped — rule-table state is
+// not covered by link versions — and every probe is a trial.
 //
-// When the live network has a data plane attached, fork probing and
-// caching are both disabled (rule-table state is neither forked nor
-// covered by link versions) and the engine degrades to serial probes on
-// the live network — exactly the pre-engine behavior.
-//
-// A ProbeEngine is bound to one Planner and must be used from a single
-// goroutine; the parallelism is internal.
+// A ProbeEngine is bound to one Planner and must be used from the
+// goroutine that owns the planner's network.
 type ProbeEngine struct {
 	planner *Planner
-	workers int
-
-	lanes       []*forkLane
-	syncedEpoch uint64
-	synced      bool
 
 	cache map[flow.EventID]*probeEntry
 	stats ProbeStats
@@ -135,6 +108,10 @@ type ProbeEngine struct {
 	minHeap      costHeap
 	dirtyScratch []topology.LinkID
 	dirtyObs     DirtyObserver
+	// seen[l] == seenGen marks link l as already kept by the dedupLinks
+	// call in progress.
+	seen    []uint64
+	seenGen uint64
 }
 
 // costNode is one lazy min-cost heap node. It is stale — skipped on
@@ -148,7 +125,7 @@ type costNode struct {
 }
 
 // costHeap implements container/heap ordered by (cost, event ID); the
-// ID tie-break keeps CheapestValid deterministic across probe modes.
+// ID tie-break keeps CheapestValid deterministic.
 type costHeap []costNode
 
 func (h costHeap) Len() int { return len(h) }
@@ -168,16 +145,10 @@ func (h *costHeap) Pop() any {
 	return x
 }
 
-// NewProbeEngine returns an engine over the given planner with the given
-// worker count. workers <= 0 selects GOMAXPROCS; workers == 1 probes
-// serially (but still on a fork, and still cached).
-func NewProbeEngine(planner *Planner, workers int) *ProbeEngine {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+// NewProbeEngine returns an engine over the given planner.
+func NewProbeEngine(planner *Planner) *ProbeEngine {
 	return &ProbeEngine{
 		planner: planner,
-		workers: workers,
 		cache:   make(map[flow.EventID]*probeEntry),
 		byLink:  make(map[topology.LinkID]map[*probeEntry]struct{}),
 	}
@@ -190,9 +161,6 @@ func (pe *ProbeEngine) SetDirtyObserver(o DirtyObserver) { pe.dirtyObs = o }
 
 // Planner returns the live planner the engine probes on behalf of.
 func (pe *ProbeEngine) Planner() *Planner { return pe.planner }
-
-// Workers returns the configured probe concurrency.
-func (pe *ProbeEngine) Workers() int { return pe.workers }
 
 // Stats returns a snapshot of the engine's counters.
 func (pe *ProbeEngine) Stats() ProbeStats { return pe.stats }
@@ -250,9 +218,9 @@ func (pe *ProbeEngine) pushNode(e *probeEntry) {
 // refresh consumes the graph's change journal since the last scan,
 // marking dirty exactly the cached entries whose read sets intersect the
 // changed links. When the journal cannot cover the gap (the engine fell
-// more than journalCap epochs behind, or the graph was synced wholesale)
-// every entry is conservatively marked dirty — recovering the pre-index
-// behavior of revalidating each entry at its next probe.
+// more than journalCap epochs behind) every entry is conservatively
+// marked dirty — recovering the pre-index behavior of revalidating each
+// entry at its next probe.
 func (pe *ProbeEngine) refresh(g *topology.Graph) {
 	epoch := g.Epoch()
 	if epoch == pe.scanEpoch {
@@ -277,7 +245,7 @@ func (pe *ProbeEngine) refresh(g *topology.Graph) {
 		pe.scanEpoch = epoch
 		return
 	}
-	changes = dedupLinks(changes)
+	changes = pe.dedupLinks(g, changes)
 	for _, l := range changes {
 		for e := range pe.byLink[l] {
 			if e.valid {
@@ -305,32 +273,23 @@ func (pe *ProbeEngine) Probe(ev *Event) (*Estimate, error) {
 // estimates in input order. Cache hits report the Evals a fresh probe
 // would have performed (so simulated plan-time accounting is unchanged by
 // caching) while doing none of that work for real; misses report the full
-// planning cost, exactly as Planner.Probe would. The live network is
-// never modified, and the results are independent of the worker count.
+// planning cost, exactly as Planner.Probe would. The live network is left
+// as it was.
 func (pe *ProbeEngine) ProbeAll(evs []*Event) ([]*Estimate, error) {
 	start := time.Now()
 	defer func() { pe.stats.ProbeTime += time.Since(start) }()
 
 	out := make([]*Estimate, len(evs))
 	live := pe.planner.Network()
-	if live.DataPlane() != nil {
-		// Rule-table admission constraints are not captured by forks or
-		// link versions; stay faithful by probing live, serially.
-		for i, ev := range evs {
-			est, err := pe.planner.Probe(ev)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = est
-			pe.stats.Misses++
-			pe.stats.Cold++
-		}
-		return out, nil
-	}
-
 	g := live.Graph()
-	pe.refresh(g)
-	var misses []int
+	// Rule-table admission constraints are not captured by link versions:
+	// with a data plane attached nothing is cached, so every probe misses.
+	cached := live.DataPlane() == nil
+	mode := modeTrial
+	if cached {
+		mode = modeTrackedTrial
+		pe.refresh(g)
+	}
 	for i, ev := range evs {
 		entry, ok := pe.cache[ev.ID]
 		if ok && (entry.valid || pe.revalidate(g, entry)) {
@@ -357,119 +316,77 @@ func (pe *ProbeEngine) ProbeAll(evs []*Event) ([]*Estimate, error) {
 			pe.stats.Hits++
 			continue
 		}
+		pe.stats.Misses++
 		if ok {
 			pe.stats.Incremental++
 		} else {
 			pe.stats.Cold++
 		}
-		misses = append(misses, i)
-	}
-	if len(misses) == 0 {
-		return out, nil
-	}
-	pe.stats.Misses += len(misses)
-
-	lanes := pe.ensureLanes(min(pe.workers, len(misses)))
-	results := make([]*ExecResult, len(evs))
-	errs := make([]error, len(evs))
-	if len(lanes) == 1 {
-		for _, i := range misses {
-			results[i], errs[i] = lanes[0].planner.run(evs[i], false)
-			if errs[i] != nil {
-				break
-			}
-		}
-	} else {
-		var wg sync.WaitGroup
-		for w := range lanes {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for j := w; j < len(misses); j += len(lanes) {
-					i := misses[j]
-					results[i], errs[i] = lanes[w].planner.run(evs[i], false)
-					if errs[i] != nil {
-						return
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
-	for _, i := range misses {
-		if errs[i] != nil {
-			// A failed probe may leave its lane only partially rolled
-			// back in theory; force a resync before the pool is reused.
-			pe.synced = false
-			return nil, fmt.Errorf("probe %v: %w", evs[i], errs[i])
-		}
-	}
-
-	// Record fresh entries against live link versions. The live graph is
-	// unchanged since the cache check above (probes only write forks), so
-	// these versions describe exactly the state the estimates were
-	// computed against.
-	hashDesired := pe.planner.mig.DesiredPolicy() == migration.DesiredHash
-	for _, i := range misses {
-		res := results[i]
-		if res == nil {
-			continue // event skipped by an error path that didn't set errs
+		res, err := pe.planner.run(ev, mode)
+		if err != nil {
+			return nil, fmt.Errorf("probe %v: %w", ev, err)
 		}
 		out[i] = res.estimate()
-		links := dedupLinks(out[i].Touched)
-		if old, ok := pe.cache[evs[i].ID]; ok {
-			pe.dropEntry(old)
+		if cached {
+			pe.store(g, res, out[i])
 		}
-		entry := &probeEntry{
-			id:         evs[i].ID,
-			est:        *out[i],
-			links:      links,
-			maxVersion: g.MaxVersion(links),
-			valid:      true,
-			gen:        1,
-		}
-		if hashDesired && res.Failed == 0 {
-			// Every flow landed on its hash-pinned desired path (the slow
-			// path places on the desired path too, after migrations).
-			// Record how much the event loads each of those links;
-			// revalidate re-admits by headroom instead of replanning.
-			entry.need = make(map[topology.LinkID]topology.Bandwidth)
-			for _, adm := range res.Admitted {
-				for _, l := range adm.Path.Links() {
-					entry.need[l] += adm.Flow.Demand
-				}
-				// An all-fast-path replay evaluates each flow's candidate
-				// set once (candidate sets are static topology).
-				entry.cleanEvals += len(live.Candidates(adm.Flow))
-			}
-		}
-		pe.cache[evs[i].ID] = entry
-		for _, l := range links {
-			set, ok := pe.byLink[l]
-			if !ok {
-				set = make(map[*probeEntry]struct{})
-				pe.byLink[l] = set
-			}
-			set[entry] = struct{}{}
-		}
-		pe.pushNode(entry)
 	}
 	return out, nil
 }
 
+// store caches a fresh estimate against live link versions. The trial
+// that produced it minted none, so these versions describe exactly the
+// state the estimate was computed against.
+func (pe *ProbeEngine) store(g *topology.Graph, res *ExecResult, est *Estimate) {
+	id := res.Event.ID
+	links := pe.dedupLinks(g, est.Touched)
+	if old, ok := pe.cache[id]; ok {
+		pe.dropEntry(old)
+	}
+	entry := &probeEntry{
+		id:         id,
+		est:        *est,
+		links:      links,
+		maxVersion: g.MaxVersion(links),
+		valid:      true,
+		gen:        1,
+	}
+	if pe.planner.mig.DesiredPolicy() == migration.DesiredHash && res.Failed == 0 {
+		// Every flow landed on its hash-pinned desired path (the slow
+		// path places on the desired path too, after migrations).
+		// Record how much the event loads each of those links;
+		// revalidate re-admits by headroom instead of replanning.
+		entry.need = make(map[topology.LinkID]topology.Bandwidth)
+		for _, adm := range res.Admitted {
+			for _, l := range adm.Path.Links() {
+				entry.need[l] += adm.Flow.Demand
+			}
+			// An all-fast-path replay evaluates each flow's candidate
+			// set once (candidate sets are static topology).
+			entry.cleanEvals += len(pe.planner.Network().Candidates(adm.Flow))
+		}
+	}
+	pe.cache[id] = entry
+	for _, l := range links {
+		set, ok := pe.byLink[l]
+		if !ok {
+			set = make(map[*probeEntry]struct{})
+			pe.byLink[l] = set
+		}
+		set[entry] = struct{}{}
+	}
+	pe.pushNode(entry)
+}
+
 // CheapestValid returns the event ID and cost of the cheapest currently
 // valid cached estimate, ordered by (cost, event ID). ok is false when
-// no valid entry exists — nothing probed yet, everything dirtied, or the
-// engine is in data-plane (cacheless) mode. The caller typically runs
-// ProbeAll over its candidate set first, which validates every entry it
-// can and replans the rest, making the subsequent pop authoritative for
-// that set.
+// no valid entry exists — nothing probed yet, everything dirtied, or a
+// data plane is attached, so nothing is ever cached. The caller typically
+// runs ProbeAll over its candidate set first, which validates every entry
+// it can and replans the rest, making the subsequent pop authoritative
+// for that set.
 func (pe *ProbeEngine) CheapestValid() (flow.EventID, topology.Bandwidth, bool) {
-	live := pe.planner.Network()
-	if live.DataPlane() != nil {
-		return 0, 0, false
-	}
-	pe.refresh(live.Graph())
+	pe.refresh(pe.planner.Network().Graph())
 	for len(pe.minHeap) > 0 {
 		n := pe.minHeap[0]
 		if n.gen == n.entry.gen && n.entry.valid && pe.cache[n.id] == n.entry {
@@ -522,46 +439,17 @@ func (pe *ProbeEngine) revalidate(g *topology.Graph, e *probeEntry) bool {
 	return true
 }
 
-// ensureLanes returns n ready fork lanes, creating or resyncing them so
-// each one mirrors the live network's current state. Lanes left behind by
-// a previous round need a resync only when the live epoch moved: probes
-// roll themselves back, so an un-moved live network means every lane
-// still matches it exactly.
-func (pe *ProbeEngine) ensureLanes(n int) []*forkLane {
-	live := pe.planner.Network()
-	epoch := live.Graph().Epoch()
-	if !pe.synced || pe.syncedEpoch != epoch {
-		// Refresh every existing lane, not just the first n: a stale lane
-		// handed out later would silently probe against old state.
-		for _, lane := range pe.lanes {
-			lane.net.SyncFrom(live)
-			pe.stats.Resyncs++
-		}
+// dedupLinks compacts a link list in place to its distinct members, in
+// first-seen order.
+func (pe *ProbeEngine) dedupLinks(g *topology.Graph, links []topology.LinkID) []topology.LinkID {
+	if len(pe.seen) < g.NumLinks() {
+		pe.seen = make([]uint64, g.NumLinks())
 	}
-	for len(pe.lanes) < n {
-		fnet := live.Fork() // a fresh fork is in sync by construction
-		fmig := pe.planner.mig.CloneFor(fnet)
-		fmig.SetTrackTouched(true)
-		pe.lanes = append(pe.lanes, &forkLane{
-			net:     fnet,
-			planner: NewPlanner(fmig, pe.planner.policy),
-		})
-		pe.stats.Forks++
-	}
-	pe.synced = true
-	pe.syncedEpoch = epoch
-	return pe.lanes[:n]
-}
-
-// dedupLinks sorts and deduplicates a touched-link list in place.
-func dedupLinks(links []topology.LinkID) []topology.LinkID {
-	if len(links) < 2 {
-		return links
-	}
-	sort.Slice(links, func(i, j int) bool { return links[i] < links[j] })
-	out := links[:1]
-	for _, l := range links[1:] {
-		if l != out[len(out)-1] {
+	pe.seenGen++
+	out := links[:0]
+	for _, l := range links {
+		if pe.seen[l] != pe.seenGen {
+			pe.seen[l] = pe.seenGen
 			out = append(out, l)
 		}
 	}

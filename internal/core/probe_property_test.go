@@ -2,20 +2,77 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"netupdate/internal/flow"
 	"netupdate/internal/migration"
+	"netupdate/internal/netstate"
 	"netupdate/internal/topology"
 )
+
+// liveState is everything a probe could disturb on the live network:
+// the ledger, the graph's change history and the flow registry.
+type liveState struct {
+	Epoch     uint64
+	Reserved  []topology.Bandwidth
+	Version   []uint64
+	Down      []bool
+	FlowsOn   []int
+	Journal   []topology.LinkID
+	JournalOK bool
+	Registry  flow.Mark
+	FlowIDs   []flow.ID
+	Paths     [][]topology.LinkID
+}
+
+// captureLive snapshots the network; the journal is read from epoch
+// since, which must be the same on both sides of a comparison.
+func captureLive(n *netstate.Network, since uint64) liveState {
+	g, reg := n.Graph(), n.Registry()
+	st := liveState{Epoch: g.Epoch(), Registry: reg.Mark()}
+	for i := 0; i < g.NumLinks(); i++ {
+		l := g.Link(topology.LinkID(i))
+		st.Reserved = append(st.Reserved, l.Reserved())
+		st.Version = append(st.Version, l.Version())
+		st.Down = append(st.Down, l.Down())
+		st.FlowsOn = append(st.FlowsOn, reg.NumFlowsOn(l.ID))
+	}
+	st.Journal, st.JournalOK = g.AppendChangesSince(nil, since)
+	for _, f := range reg.All() {
+		st.FlowIDs = append(st.FlowIDs, f.ID)
+		st.Paths = append(st.Paths, f.Path().Links())
+	}
+	return st
+}
+
+// requireEqual fails the test unless the live state is field-for-field
+// what it was before op.
+func (before liveState) requireEqual(t *testing.T, after liveState, op string) {
+	t.Helper()
+	if reflect.DeepEqual(before, after) {
+		return
+	}
+	bv, av := reflect.ValueOf(before), reflect.ValueOf(after)
+	for i := 0; i < bv.NumField(); i++ {
+		if !reflect.DeepEqual(bv.Field(i).Interface(), av.Field(i).Interface()) {
+			t.Errorf("%s changed live %s:\n before %v\n after  %v",
+				op, bv.Type().Field(i).Name, bv.Field(i).Interface(), av.Field(i).Interface())
+		}
+	}
+	t.FailNow()
+}
 
 // TestProbeEngineIncrementalOracle drives the incremental probe core
 // through random interleavings of submissions, scheduling rounds, link
 // faults and repairs, and demands that every estimate it serves — and
 // every min-cost pop — matches a from-scratch probe of the live
-// network. This is the correctness contract of the dirty-set design:
-// the journal, the reverse index, and the lazy heap are all invisible
-// to callers except in how much work they save.
+// network, and that every ProbeAll leaves the whole live state (ledger,
+// epoch, versions, journal, registry) exactly as it found it. This is
+// the correctness contract of the dirty-set design: the journal, the
+// reverse index, and the lazy heap are all invisible to callers except
+// in how much work they save — and of the trial bracket, which must
+// earn on the live network the isolation a fork gave for free.
 func TestProbeEngineIncrementalOracle(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 1234} {
 		seed := seed
@@ -29,7 +86,7 @@ func runProbeOracle(t *testing.T, seed int64, ops int) {
 	t.Helper()
 	s := newCoreScenario(t, 800*topology.Mbps)
 	p := s.planner(FailSkip)
-	pe := NewProbeEngine(p, 2)
+	pe := NewProbeEngine(p)
 	rng := rand.New(rand.NewSource(seed))
 
 	hosts := []topology.NodeID{s.a, s.b, s.c, s.d}
@@ -70,13 +127,15 @@ func runProbeOracle(t *testing.T, seed int64, ops int) {
 		for i, id := range order {
 			evs[i] = live[id]
 		}
+		since := s.g.Epoch() - min(s.g.Epoch(), 64)
+		before := captureLive(s.net, since)
 		got, err := pe.ProbeAll(evs)
 		if err != nil {
 			t.Fatalf("seed %d: ProbeAll: %v", seed, err)
 		}
+		before.requireEqual(t, captureLive(s.net, since), "ProbeAll")
 		// Oracle: probe each event from scratch on a fork of the live
-		// network. (Probing the live network directly would bump its
-		// epoch and dirty the very cache under test.)
+		// network, a copy the engine under test has never touched.
 		oracle := NewPlanner(migration.NewPlanner(s.net.Fork(), 0), FailSkip)
 		for i, ev := range evs {
 			want, err := oracle.Probe(ev)

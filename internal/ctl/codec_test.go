@@ -300,7 +300,7 @@ func TestPipelineServerGone(t *testing.T) {
 // startCodecServer brings up a server over its own deterministically
 // seeded network for the trace-parity test. Extra server options (e.g.
 // a span sink) are applied as given.
-func startCodecServer(t *testing.T, probes int, opts ...ServerOption) string {
+func startCodecServer(t *testing.T, opts ...ServerOption) string {
 	t.Helper()
 	ft, err := topology.NewFatTree(4, topology.Gbps)
 	if err != nil {
@@ -315,7 +315,7 @@ func startCodecServer(t *testing.T, probes int, opts ...ServerOption) string {
 		t.Fatal(err)
 	}
 	planner := core.NewPlanner(migration.NewPlanner(net1, 0), core.FailSkip)
-	srv := NewServer(planner, sched.NewLMTF(4, 99), sim.Config{InstallTime: time.Millisecond, Probes: probes}, opts...)
+	srv := NewServer(planner, sched.NewLMTF(4, 99), sim.Config{InstallTime: time.Millisecond}, opts...)
 
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -335,10 +335,10 @@ func startCodecServer(t *testing.T, probes int, opts ...ServerOption) string {
 }
 
 // TestCodecTraceParity runs the same workload through {JSON v1, binary
-// v2} x {serial, parallel} probing x {spans off, spans on} and demands
-// byte-identical virtual-clock traces: the codec, the probe concurrency
-// and the latency span pipeline are transport/observability knobs and
-// must not leak into scheduling decisions. Stage records go to their
+// v2} x {spans off, spans on} and demands byte-identical virtual-clock
+// traces: the codec and the latency span pipeline are
+// transport/observability knobs and must not leak into scheduling
+// decisions. Stage records go to their
 // own span channel, never the trace ring, so even with a span sink
 // attached the main trace must not move.
 func TestCodecTraceParity(t *testing.T) {
@@ -351,18 +351,13 @@ func TestCodecTraceParity(t *testing.T) {
 	type combo struct {
 		name   string
 		binary bool
-		probes int
 		spans  bool
 	}
 	combos := []combo{
-		{"v1-serial", false, 1, false},
-		{"v1-parallel", false, 4, false},
-		{"v2-serial", true, 1, false},
-		{"v2-parallel", true, 4, false},
-		{"v1-serial-spans", false, 1, true},
-		{"v1-parallel-spans", false, 4, true},
-		{"v2-serial-spans", true, 1, true},
-		{"v2-parallel-spans", true, 4, true},
+		{"v1", false, false},
+		{"v2", true, false},
+		{"v1-spans", false, true},
+		{"v2-spans", true, true},
 	}
 	traces := make(map[string]string)
 	for _, cb := range combos {
@@ -371,7 +366,7 @@ func TestCodecTraceParity(t *testing.T) {
 		if cb.spans {
 			opts = append(opts, WithSpanSink(obs.NewJSONLSink(&spanBuf)))
 		}
-		addr := startCodecServer(t, cb.probes, opts...)
+		addr := startCodecServer(t, opts...)
 		var client *Client
 		var err error
 		if cb.binary {

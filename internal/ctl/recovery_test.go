@@ -580,3 +580,37 @@ func TestRecoveryRejectsMismatchedWorld(t *testing.T) {
 		t.Errorf("mismatch error %q does not name both schedulers", err)
 	}
 }
+
+// TestRecoveryLoadsCheckpointWithForkCounters: checkpoints written while
+// probes still ran on fork lanes carry "forks" and "resyncs" counts in
+// the engine's probe baseline. Such a checkpoint must restore to the
+// same state as one without them.
+func TestRecoveryLoadsCheckpointWithForkCounters(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	srvA, clientA, _, ft := startWALServer(t, dir, 5)
+	for _, ch := range walWorkload(ft, 6, 3, 4) {
+		playChunk(t, clientA, ch)
+	}
+	image := filepath.Join(t.TempDir(), "image")
+	copyDir(t, dir, image)
+
+	path := filepath.Join(image, "checkpoint.json")
+	ckpt, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("no checkpoint in the crash image: %v", err)
+	}
+	const probe = `"probe":{`
+	if n := strings.Count(string(ckpt), probe); n != 1 {
+		t.Fatalf("checkpoint has %d %s objects, want 1", n, probe)
+	}
+	old := strings.Replace(string(ckpt), probe, probe+`"forks":3,"resyncs":17,`, 1)
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srvB, clientB, rec, _ := startWALServer(t, image, 5)
+	if !rec.Recovered || rec.CheckpointSeq == 0 {
+		t.Fatalf("recovery = %+v, want a restore from the checkpoint", *rec)
+	}
+	diffDigest(t, captureDigest(t, srvA, clientA), captureDigest(t, srvB, clientB))
+}

@@ -60,7 +60,7 @@ func TestServerSpanPipeline(t *testing.T) {
 	planner := core.NewPlanner(migration.NewPlanner(net1, 0), core.FailSkip)
 	var spanOut syncBuffer
 	srv := NewServer(planner, sched.NewLMTF(4, 99),
-		sim.Config{InstallTime: time.Millisecond, Probes: 2},
+		sim.Config{InstallTime: time.Millisecond},
 		WithSpanSink(obs.NewJSONLSink(&spanOut)))
 
 	l, err := net.Listen("tcp", "127.0.0.1:0")

@@ -30,20 +30,15 @@ type Options struct {
 	// Quick shrinks the experiment (smaller fat-tree, fewer events and
 	// sweep points) for tests and benchmarks.
 	Quick bool
-	// Probes is the scheduler probe concurrency (sim.Config.Probes):
-	// 0 = GOMAXPROCS, 1 = serial. Results are identical at every setting;
-	// only real planning wall-time changes.
-	Probes int
 	// Trace, when non-nil, receives lifecycle and round records from
 	// every simulated scheduler run. Runs within an experiment share the
 	// tracer; each run's leading "run" record delimits its stream.
 	Trace *obs.Tracer
 }
 
-// apply threads run-wide knobs (probe concurrency, tracer) into a
-// figure's Setup; call it on every Setup that feeds a simulation.
+// apply threads the run-wide tracer into a figure's Setup; call it on
+// every Setup that feeds a simulation.
 func (o Options) apply(s Setup) Setup {
-	s.Config.Probes = o.Probes
 	s.Tracer = o.Trace
 	return s
 }

@@ -31,8 +31,8 @@ func Fig6(opts Options) (*Report, error) {
 		"events", "fifo", "lmtf", "p-lmtf", "lmtf red.", "p-lmtf red.")
 	planTable := metrics.NewTable("Fig 6(d): total plan time (seconds) and ratio vs FIFO",
 		"events", "fifo", "lmtf", "p-lmtf", "lmtf ratio", "p-lmtf ratio")
-	probeTable := metrics.NewTable("Fig 6(e): probe engine (epoch-cache hit rate, forks, real probe wall-time ms)",
-		"events", "lmtf hit", "p-lmtf hit", "lmtf forks", "p-lmtf forks", "lmtf ms", "p-lmtf ms")
+	probeTable := metrics.NewTable("Fig 6(e): probe engine (epoch-cache hit rate, real probe wall-time ms)",
+		"events", "lmtf hit", "p-lmtf hit", "lmtf ms", "p-lmtf ms")
 
 	rep := &Report{
 		Name:        "fig6",
@@ -76,7 +76,6 @@ func Fig6(opts Options) (*Report, error) {
 			ratio(lmtf.PlanTime, fifo.PlanTime), ratio(plmtf.PlanTime, fifo.PlanTime))
 		probeTable.AddRow(n,
 			lmtf.ProbeHitRate(), plmtf.ProbeHitRate(),
-			lmtf.ProbeForks, plmtf.ProbeForks,
 			lmtf.ProbeWallTime.Seconds()*1e3, plmtf.ProbeWallTime.Seconds()*1e3)
 		hitRateL += lmtf.ProbeHitRate()
 		hitRateP += plmtf.ProbeHitRate()

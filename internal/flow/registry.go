@@ -126,12 +126,36 @@ func (r *Registry) Remove(f *Flow) error {
 	return nil
 }
 
-// Fork returns a scratch copy of the registry for trial planning: every
-// flow is cloned (so Bind/Unbind on the fork never mutate the parent's
-// flows) and the link index is rebuilt over the clones. Paths are shared:
-// a Path's link slice is never mutated in place, only replaced. The ID
-// counter is carried over so fork-minted IDs stay in the parent's ID
-// order.
+// Mark is a registry position — the next flow ID and the flow count —
+// taken before a trial plan and handed back to Rewind after it.
+type Mark struct {
+	next  ID
+	flows int
+}
+
+// Mark returns the registry's current position.
+func (r *Registry) Mark() Mark { return Mark{next: r.next, flows: len(r.flows)} }
+
+// Rewind resets the ID counter to m, so the IDs a trial plan minted
+// after m and removed again are handed out afresh: a rolled-back trial
+// leaves no gap in the ID sequence. It panics if the flow count differs
+// from m's — a trial flow still registered would collide with the next
+// Add — or if the counter is behind m.
+func (r *Registry) Rewind(m Mark) {
+	if len(r.flows) != m.flows || r.next < m.next {
+		panic(fmt.Sprintf("flow: rewind to %+v with %d flows registered, next ID %d",
+			m, len(r.flows), int64(r.next)))
+	}
+	r.next = m.next
+}
+
+// Fork returns a scratch copy of the registry: every flow is cloned (so
+// Bind/Unbind on the fork never mutate the parent's flows) and the link
+// index is rebuilt over the clones. Paths are shared: a Path's link
+// slice is never mutated in place, only replaced. The ID counter is
+// carried over so fork-minted IDs stay in the parent's ID order. Like
+// topology.Graph.Fork its only callers are the test oracle and bench/,
+// which fix its signature.
 func (r *Registry) Fork() *Registry {
 	nr := &Registry{
 		next:   r.next,

@@ -259,3 +259,33 @@ func TestRegistryIndexConsistency(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestRewindReusesTrialIDs: flows added after a Mark and removed again
+// leave no gap once the registry is rewound; rewinding over a flow that
+// is still registered panics.
+func TestRewindReusesTrialIDs(t *testing.T) {
+	_, _, _, hosts := testNet(t)
+	r := NewRegistry()
+	kept := addFlow(t, r, hosts[0], hosts[2])
+	m := r.Mark()
+
+	trial := addFlow(t, r, hosts[0], hosts[2])
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Rewind over a registered trial flow did not panic")
+			}
+		}()
+		r.Rewind(m)
+	}()
+	if err := r.Remove(trial); err != nil {
+		t.Fatal(err)
+	}
+	r.Rewind(m)
+	if r.Mark() != m {
+		t.Errorf("position after rewind = %+v, want %+v", r.Mark(), m)
+	}
+	if next := addFlow(t, r, hosts[0], hosts[2]); next.ID != kept.ID+1 {
+		t.Errorf("flow after rewind got ID %d, want %d", next.ID, kept.ID+1)
+	}
+}

@@ -68,10 +68,6 @@ type Collector struct {
 	ProbeCold          int
 	ProbeIncremental   int
 	ProbeJournalMisses int
-	// ProbeForks counts scratch-network forks created for parallel probing;
-	// ProbeResyncs counts fork refreshes after live-state commits.
-	ProbeForks   int
-	ProbeResyncs int
 	// ProbeWallTime is real (not simulated) wall-clock time spent probing.
 	ProbeWallTime time.Duration
 	// FaultsInjected counts fault injections applied to the run.

@@ -142,26 +142,13 @@ func (p *Planner) SetDesiredPolicy(policy DesiredPolicy) { p.desired = policy }
 func (p *Planner) DesiredPolicy() DesiredPolicy { return p.desired }
 
 // SetTrackTouched enables recording of the links each admission reads in
-// Result.Touched. Probe engines turn this on for their fork planners so
-// cached cost estimates can be invalidated precisely.
+// Result.Touched. core.Planner turns it on for the duration of a probe
+// engine's trial plans, so cached cost estimates can be invalidated
+// precisely, and leaves it off for commits.
 func (p *Planner) SetTrackTouched(track bool) { p.trackTouched = track }
 
 // Network returns the planner's network.
 func (p *Planner) Network() *netstate.Network { return p.net }
-
-// CloneFor returns a planner with this planner's exact configuration
-// (greedy strategy, desired-path policy, split and tracking settings)
-// bound to a different network — typically a probe fork of this
-// planner's network.
-func (p *Planner) CloneFor(net *netstate.Network) *Planner {
-	return &Planner{
-		net:          net,
-		strategy:     p.strategy,
-		desired:      p.desired,
-		allowSplit:   p.allowSplit,
-		trackTouched: p.trackTouched,
-	}
-}
 
 // Admit places f into the network, applying migrations if its candidate
 // paths lack capacity. On success the returned Result reflects the applied

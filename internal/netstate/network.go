@@ -34,6 +34,8 @@ type Network struct {
 	// dataplane, when attached, mirrors every placement into per-switch
 	// rule tables via per-packet-consistent plans.
 	dataplane *rules.Manager
+	// trial is the registry position at BeginTrial.
+	trial flow.Mark
 }
 
 // ErrDataPlaneNotEmpty is returned by AttachDataPlane when flows are
@@ -57,17 +59,16 @@ func New(g *topology.Graph, provider routing.Provider, selector routing.Selector
 // Graph returns the underlying graph (shared, live state).
 func (n *Network) Graph() *topology.Graph { return n.graph }
 
-// Fork returns a scratch copy of the network for trial planning: the
-// graph's reservation ledger and the flow registry are copied, while the
-// immutable topology, the routing provider (with its path cache) and the
-// selector are shared. Mutations on the fork never touch the live
-// network, so cost probes can run on forks concurrently with each other
-// (each probe owns its fork) and with reads of the live state.
+// Fork returns a scratch copy of the network: the graph's reservation
+// ledger and the flow registry are copied, while the immutable topology,
+// the routing provider (with its path cache) and the selector are shared.
+// Mutations on the fork never touch the live network. The data plane is
+// not carried over.
 //
-// The data plane is deliberately NOT carried onto forks: rule tables have
-// their own mutable state that forking does not capture. Callers that
-// need probe results faithful to rule-table admission (DataPlane() !=
-// nil) must probe the live network serially instead.
+// Fork is on no product path (cost probes run on the live network inside
+// BeginTrial/EndTrial). Its signature is fixed by its two callers: the
+// probe-cache property tests use a fork as their reference oracle and
+// bench/ times it as netstate.fork_ms.
 func (n *Network) Fork() *Network {
 	return &Network{
 		graph:    n.graph.Fork(),
@@ -77,12 +78,23 @@ func (n *Network) Fork() *Network {
 	}
 }
 
-// SyncFrom resets a fork's mutable state to match src: reservations are
-// copied in place and the flow registry is re-forked. The topology must
-// match (it panics otherwise, via Graph.SyncFrom).
-func (n *Network) SyncFrom(src *Network) {
-	n.graph.SyncFrom(src.graph)
-	n.reg = src.reg.Fork()
+// BeginTrial opens the bracket around a plan that will be rolled back in
+// full (core.Planner's cost probes): the graph stops minting epochs,
+// versions and journal entries (topology.Graph.BeginTrial) and the
+// registry's position is marked. Place, Reroute, Withdraw, AddFlow and
+// Remove work as usual in between.
+func (n *Network) BeginTrial() {
+	n.graph.BeginTrial()
+	n.trial = n.reg.Mark()
+}
+
+// EndTrial closes the bracket after the rollback: the flow-ID counter is
+// rewound to where the trial began, so the trial leaves no trace in the
+// graph's change history or in the ID sequence. It panics if bandwidth or
+// flows of the trial are still in place.
+func (n *Network) EndTrial() {
+	n.graph.EndTrial()
+	n.reg.Rewind(n.trial)
 }
 
 // Provider returns the routing provider.
@@ -304,8 +316,7 @@ func (n *Network) FlowsAcross(links []topology.LinkID, exclude flow.EventID) []*
 // many links actually changed state. The flows are NOT withdrawn: their
 // reservations still sit on the dead links, and the caller (the fault
 // layer) decides whether to reroute, re-admit or drop them. Marking a
-// link down bumps the graph epoch, so probe caches and forks
-// self-invalidate.
+// link down bumps the graph epoch, so probe caches self-invalidate.
 func (n *Network) FailLinks(links []topology.LinkID) (affected []*flow.Flow, changed int) {
 	affected = n.FlowsAcross(links, flow.NoEvent)
 	for _, l := range links {

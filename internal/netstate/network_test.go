@@ -322,3 +322,41 @@ func TestRemoveUnknownFlow(t *testing.T) {
 		t.Error("Remove(ghost) succeeded")
 	}
 }
+
+// TestTrialBracketRestoresEverything: a placement made and removed inside
+// BeginTrial/EndTrial leaves the ledger, the graph's change history and
+// the flow-ID sequence as they were.
+func TestTrialBracketRestoresEverything(t *testing.T) {
+	n, ft := newTestNetwork(t)
+	kept := mustAdd(t, n, ft.Host(0, 0, 0), ft.Host(1, 0, 0), 100*topology.Mbps)
+	if _, err := n.PlaceBest(kept); err != nil {
+		t.Fatal(err)
+	}
+	g := n.Graph()
+	epoch, pos, util := g.Epoch(), n.Registry().Mark(), g.Utilization()
+
+	n.BeginTrial()
+	trial := mustAdd(t, n, ft.Host(0, 0, 0), ft.Host(1, 0, 0), 200*topology.Mbps)
+	path, err := n.PlaceBest(trial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Link(path.Links()[0]).Reserved() < 200*topology.Mbps {
+		t.Error("trial placement reserved nothing")
+	}
+	if err := n.Remove(trial); err != nil {
+		t.Fatal(err)
+	}
+	n.EndTrial()
+
+	if g.Epoch() != epoch || n.Registry().Mark() != pos || g.Utilization() != util {
+		t.Errorf("after trial: epoch %d (want %d), registry %+v (want %+v), utilization %v (want %v)",
+			g.Epoch(), epoch, n.Registry().Mark(), pos, g.Utilization(), util)
+	}
+	if changes, ok := g.AppendChangesSince(nil, epoch); !ok || len(changes) != 0 {
+		t.Errorf("journal after trial = %v, %v; want none", changes, ok)
+	}
+	if next := mustAdd(t, n, ft.Host(0, 0, 0), ft.Host(1, 0, 0), topology.Mbps); next.ID != kept.ID+1 {
+		t.Errorf("flow after trial got ID %d, want %d", next.ID, kept.ID+1)
+	}
+}

@@ -21,20 +21,17 @@ const DefaultAlpha = 4
 // overtake a heavy head (no head-of-line blocking) while un-sampled events
 // keep their FIFO positions (bounded unfairness).
 //
-// Cost probes go through a core.ProbeEngine: the α+1 probes fan out over
-// forked scratch networks (bounded by the Probes knob) and repeat probes
-// of unchanged candidates are answered from the engine's epoch cache.
-// Neither changes the decision — probes are read-isolated and the winner
-// is still the (cost, arrival-order) minimum over the same sampled set —
-// so serial and parallel configurations pick identical schedules.
+// Cost probes go through a core.ProbeEngine: repeat probes of unchanged
+// candidates are answered from the engine's epoch cache, the rest are
+// trial-planned on the live network and rolled back. The cache does not
+// change the decision — a hit carries exactly the estimate a fresh probe
+// would, and the winner is still the (cost, arrival-order) minimum over
+// the same sampled set.
 type LMTF struct {
 	// Alpha is the sample size (>= 1).
 	Alpha int
 	rng   *rand.Rand
 	src   *detrand.CountedSource
-	// probes is the requested probe concurrency (0 = GOMAXPROCS,
-	// 1 = serial).
-	probes int
 	// eng is the probe engine, bound lazily to the planner Pick receives.
 	eng *core.ProbeEngine
 	// record makes Pick report per-candidate probe outcomes in
@@ -50,8 +47,7 @@ var _ CostProber = (*LMTF)(nil)
 var _ ProbeRecorder = (*LMTF)(nil)
 
 // NewLMTF returns an LMTF scheduler with the given sample size (0 means
-// DefaultAlpha) and RNG seed. Probe concurrency defaults to GOMAXPROCS;
-// override with SetProbes.
+// DefaultAlpha) and RNG seed.
 func NewLMTF(alpha int, seed int64) *LMTF {
 	if alpha == 0 {
 		alpha = DefaultAlpha
@@ -70,20 +66,6 @@ func (s *LMTF) RestoreRNG(draws int64) { s.src.Restore(draws) }
 // Name implements Scheduler.
 func (s *LMTF) Name() string { return fmt.Sprintf("lmtf(a=%d)", s.Alpha) }
 
-// SetProbes implements CostProber: n is the maximum number of concurrent
-// cost probes (0 = GOMAXPROCS, 1 = serial probing).
-//
-// Deprecated: prefer constructing with sched.New(name, WithProbes(n)).
-// The method remains because the simulator retunes concurrency from
-// sim.Config after construction.
-func (s *LMTF) SetProbes(n int) {
-	if s.probes == n {
-		return
-	}
-	s.probes = n
-	s.eng = nil // rebuilt with the new width on next Pick
-}
-
 // SetRecordProbes implements ProbeRecorder.
 //
 // Deprecated: prefer constructing with sched.New(name,
@@ -95,7 +77,7 @@ func (s *LMTF) SetRecordProbes(on bool) { s.record = on }
 // given planner (rebinding if the planner changed since the last round).
 func (s *LMTF) ProbeEngine(planner *core.Planner) *core.ProbeEngine {
 	if s.eng == nil || s.eng.Planner() != planner {
-		s.eng = core.NewProbeEngine(planner, s.probes)
+		s.eng = core.NewProbeEngine(planner)
 	}
 	return s.eng
 }

@@ -16,12 +16,10 @@ import (
 // instead of recomputed by a scan. A steady-state round over an
 // unchanged queue therefore performs zero full trial-plans.
 //
-// Ties are broken by event ID (stable across probe modes and runs),
+// Ties are broken by event ID (stable across runs),
 // unlike Reorder's queue-position tie-break — with unique IDs the two
 // policies pick the same event whenever costs are distinct.
 type MinCost struct {
-	// probes is the requested probe concurrency (0 = GOMAXPROCS).
-	probes int
 	// eng is the probe engine, bound lazily to the planner Pick receives.
 	eng *core.ProbeEngine
 	// record makes Pick report per-candidate probe outcomes in
@@ -36,21 +34,11 @@ var _ Scheduler = (*MinCost)(nil)
 var _ CostProber = (*MinCost)(nil)
 var _ ProbeRecorder = (*MinCost)(nil)
 
-// NewMinCost returns a min-cost scheduler. Probe concurrency defaults to
-// GOMAXPROCS; override with SetProbes.
+// NewMinCost returns a min-cost scheduler.
 func NewMinCost() *MinCost { return &MinCost{} }
 
 // Name implements Scheduler.
 func (s *MinCost) Name() string { return "min-cost" }
-
-// SetProbes implements CostProber.
-func (s *MinCost) SetProbes(n int) {
-	if s.probes == n {
-		return
-	}
-	s.probes = n
-	s.eng = nil // rebuilt with the new width on next Pick
-}
 
 // SetRecordProbes implements ProbeRecorder.
 func (s *MinCost) SetRecordProbes(on bool) { s.record = on }
@@ -59,7 +47,7 @@ func (s *MinCost) SetRecordProbes(on bool) { s.record = on }
 // given planner (rebinding if the planner changed since the last round).
 func (s *MinCost) ProbeEngine(planner *core.Planner) *core.ProbeEngine {
 	if s.eng == nil || s.eng.Planner() != planner {
-		s.eng = core.NewProbeEngine(planner, s.probes)
+		s.eng = core.NewProbeEngine(planner)
 	}
 	return s.eng
 }

@@ -60,13 +60,6 @@ func (s *PLMTF) RestoreRNG(draws int64) { s.inner.RestoreRNG(draws) }
 // Deprecated: prefer constructing with sched.New("p-lmtf", WithScanAll()).
 func (s *PLMTF) SetScanAll(all bool) { s.scanAll = all }
 
-// SetProbes implements CostProber, delegating to the inner LMTF.
-//
-// Deprecated: prefer constructing with sched.New(name, WithProbes(n)).
-// The method remains because the simulator retunes concurrency from
-// sim.Config after construction.
-func (s *PLMTF) SetProbes(n int) { s.inner.SetProbes(n) }
-
 // SetRecordProbes implements ProbeRecorder, delegating to the inner LMTF.
 //
 // Deprecated: prefer constructing with sched.New(name,
@@ -106,7 +99,7 @@ func (s *PLMTF) Pick(q *Queue, planner *core.Planner) (Decision, error) {
 			}
 		}
 		// Batch the un-sampled events through the probe engine so the
-		// full-queue scan also gets fork parallelism and epoch caching.
+		// full-queue scan also gets epoch caching.
 		ests, err := s.ProbeEngine(planner).ProbeAll(unprobed)
 		if err != nil {
 			return Decision{}, err

@@ -16,7 +16,6 @@ type Option func(*config)
 type config struct {
 	alpha        int
 	seed         int64
-	probes       int
 	recordProbes bool
 	scanAll      bool
 }
@@ -26,10 +25,6 @@ func WithAlpha(alpha int) Option { return func(c *config) { c.alpha = alpha } }
 
 // WithSeed sets the sampling RNG seed (default 1).
 func WithSeed(seed int64) Option { return func(c *config) { c.seed = seed } }
-
-// WithProbes sets the cost-probe concurrency (0 = GOMAXPROCS,
-// 1 = serial). It replaces the post-construction SetProbes mutator.
-func WithProbes(n int) Option { return func(c *config) { c.probes = n } }
 
 // WithRecordProbes enables per-candidate probe reporting in
 // Decision.Probes from the first round. It replaces the
@@ -56,9 +51,9 @@ func (e *UnknownSchedulerError) Error() string {
 }
 
 // Builder constructs a scheduler from the resolved option set. The
-// registry applies the cross-cutting knobs (probes, probe recording)
-// through the CostProber/ProbeRecorder interfaces after the builder
-// returns, so builders only consume policy-specific fields.
+// registry applies the cross-cutting knob (probe recording) through the
+// ProbeRecorder interface after the builder returns, so builders only
+// consume policy-specific fields.
 type Builder func(alpha int, seed int64) Scheduler
 
 var (
@@ -111,9 +106,6 @@ func New(name string, opts ...Option) (Scheduler, error) {
 		return nil, &UnknownSchedulerError{Name: name, Registered: Names()}
 	}
 	s := b(c.alpha, c.seed)
-	if cp, isCP := s.(CostProber); isCP && c.probes != 0 {
-		cp.SetProbes(c.probes)
-	}
 	if pr, isPR := s.(ProbeRecorder); isPR && c.recordProbes {
 		pr.SetRecordProbes(true)
 	}

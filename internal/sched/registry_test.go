@@ -67,16 +67,13 @@ func TestNewUnknownScheduler(t *testing.T) {
 }
 
 func TestNewOptions(t *testing.T) {
-	s, err := New("lmtf", WithAlpha(7), WithSeed(3), WithProbes(1), WithRecordProbes())
+	s, err := New("lmtf", WithAlpha(7), WithSeed(3), WithRecordProbes())
 	if err != nil {
 		t.Fatal(err)
 	}
 	l := s.(*LMTF)
 	if l.Alpha != 7 {
 		t.Errorf("Alpha = %d, want 7", l.Alpha)
-	}
-	if l.probes != 1 {
-		t.Errorf("probes = %d, want 1", l.probes)
 	}
 	if !l.record {
 		t.Error("WithRecordProbes did not enable probe recording")
@@ -94,7 +91,7 @@ func TestNewOptions(t *testing.T) {
 	}
 
 	// Options that do not apply to the policy are ignored, not fatal.
-	if _, err := New("fifo", WithScanAll(), WithProbes(4)); err != nil {
+	if _, err := New("fifo", WithScanAll(), WithAlpha(4)); err != nil {
 		t.Errorf("New(fifo, inapplicable options): %v", err)
 	}
 }

@@ -69,14 +69,11 @@ type Scheduler interface {
 }
 
 // CostProber is implemented by schedulers whose cost probes run through a
-// core.ProbeEngine (LMTF and P-LMTF). The simulator uses it to thread the
-// Probes concurrency knob through, to route its own opportunistic
-// re-probes via the same engine (sharing the cache), and to read probe
-// statistics at the end of a run.
+// core.ProbeEngine (LMTF, P-LMTF and min-cost). The simulator uses it to
+// route its own opportunistic re-probes via the same engine (sharing the
+// cache) and to read probe statistics at the end of a run.
 type CostProber interface {
 	Scheduler
-	// SetProbes sets the probe concurrency (0 = GOMAXPROCS, 1 = serial).
-	SetProbes(n int)
 	// ProbeEngine returns the engine bound to the given planner.
 	ProbeEngine(planner *core.Planner) *core.ProbeEngine
 }

@@ -37,7 +37,7 @@ func incrementalRun(t *testing.T, mk func() sched.Scheduler, batchSize int) []by
 
 	var buf bytes.Buffer
 	tr := obs.NewTracer(obs.NewJSONLSink(&buf), nil)
-	eng := sim.NewEngine(planner, mk(), sim.Config{Probes: 1})
+	eng := sim.NewEngine(planner, mk(), sim.Config{})
 	eng.SetTracer(tr)
 
 	if batchSize <= 1 {

@@ -83,12 +83,6 @@ type Config struct {
 	// finishes, modeling finite update flows (default true; set
 	// KeepFlows to retain them forever instead).
 	KeepFlows bool
-	// Probes is the scheduler's cost-probe concurrency: how many candidate
-	// events may be trial-planned at once on forked network state
-	// (0 = GOMAXPROCS, 1 = serial probing). This is real controller
-	// parallelism, not simulated time — the schedule is identical at every
-	// setting; only wall-clock planning speed changes.
-	Probes int
 	// InstallRetryBase and InstallRetryCap shape the capped exponential
 	// backoff after a timed-out rule install: retry i waits
 	// min(Base << (i-1), Cap) before re-attempting (defaults 25ms / 200ms).

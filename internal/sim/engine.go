@@ -69,9 +69,6 @@ type Engine struct {
 // NewEngine builds an engine. The planner owns the (pre-filled) network;
 // cfg zero fields take documented defaults.
 func NewEngine(planner *core.Planner, scheduler sched.Scheduler, cfg Config) *Engine {
-	if cp, ok := scheduler.(sched.CostProber); ok {
-		cp.SetProbes(cfg.Probes)
-	}
 	return &Engine{
 		cfg:       cfg.withDefaults(),
 		planner:   planner,
@@ -460,8 +457,6 @@ func (e *Engine) syncProbeStats() {
 	e.collector.ProbeCold = e.probeBase.Cold + st.Cold
 	e.collector.ProbeIncremental = e.probeBase.Incremental + st.Incremental
 	e.collector.ProbeJournalMisses = e.probeBase.JournalMisses + st.JournalMisses
-	e.collector.ProbeForks = e.probeBase.Forks + st.Forks
-	e.collector.ProbeResyncs = e.probeBase.Resyncs + st.Resyncs
 	e.collector.ProbeWallTime = time.Duration(e.probeBase.WallTimeNs) + st.ProbeTime
 	if e.obs != nil {
 		if m := e.obs.Metrics(); m != nil {

@@ -32,7 +32,7 @@ func minCostEngine(t *testing.T) (*sim.Engine, *obs.SimMetrics, []*core.Event) {
 		t.Fatal(err)
 	}
 	planner := core.NewPlanner(migration.NewPlanner(net, 0), core.FailSkip)
-	eng := sim.NewEngine(planner, sched.NewMinCost(), sim.Config{InstallTime: time.Millisecond, Probes: 2})
+	eng := sim.NewEngine(planner, sched.NewMinCost(), sim.Config{InstallTime: time.Millisecond})
 	reg := obs.NewRegistry()
 	met := obs.NewSimMetrics(reg)
 	eng.SetTracer(obs.NewTracer(nil, met))

@@ -19,7 +19,7 @@ import (
 
 // tracedRun simulates a fixed workload with a JSONL tracer attached and
 // returns the raw trace bytes.
-func tracedRun(t *testing.T, mk func() sched.Scheduler, probes int) []byte {
+func tracedRun(t *testing.T, mk func() sched.Scheduler) []byte {
 	t.Helper()
 	ft, err := topology.NewFatTree(4, topology.Gbps)
 	if err != nil {
@@ -38,7 +38,7 @@ func tracedRun(t *testing.T, mk func() sched.Scheduler, probes int) []byte {
 
 	var buf bytes.Buffer
 	tr := obs.NewTracer(obs.NewJSONLSink(&buf), nil)
-	eng := sim.NewEngine(planner, mk(), sim.Config{Probes: probes})
+	eng := sim.NewEngine(planner, mk(), sim.Config{})
 	eng.SetTracer(tr)
 	if _, err := eng.Run(events); err != nil {
 		t.Fatal(err)
@@ -50,10 +50,8 @@ func tracedRun(t *testing.T, mk func() sched.Scheduler, probes int) []byte {
 }
 
 // TestTraceDeterminism checks the obs acceptance criterion: the same seed
-// and config produce byte-identical JSONL traces, both across repeated
-// runs and across serial (Probes=1) vs parallel (Probes=4) probing —
-// virtual-clock stamps only, no wall-clock leakage, cache behavior
-// independent of probe concurrency.
+// and config produce byte-identical JSONL traces across repeated runs —
+// virtual-clock stamps only, no wall-clock leakage.
 func TestTraceDeterminism(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -63,17 +61,13 @@ func TestTraceDeterminism(t *testing.T) {
 		{"plmtf", func() sched.Scheduler { return sched.NewPLMTF(4, 1) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			serial := tracedRun(t, tc.mk, 1)
-			serial2 := tracedRun(t, tc.mk, 1)
-			parallel := tracedRun(t, tc.mk, 4)
-			if len(serial) == 0 {
+			first := tracedRun(t, tc.mk)
+			second := tracedRun(t, tc.mk)
+			if len(first) == 0 {
 				t.Fatal("empty trace")
 			}
-			if !bytes.Equal(serial, serial2) {
-				t.Error("two serial runs with the same seed produced different trace bytes")
-			}
-			if !bytes.Equal(serial, parallel) {
-				t.Error("serial and parallel probing produced different trace bytes")
+			if !bytes.Equal(first, second) {
+				t.Error("two runs with the same seed produced different trace bytes")
 			}
 		})
 	}
@@ -84,7 +78,7 @@ func TestTraceDeterminism(t *testing.T) {
 // whose claims include the head, with candidates carrying the sampled
 // probe outcomes.
 func TestTraceContents(t *testing.T) {
-	raw := tracedRun(t, func() sched.Scheduler { return sched.NewPLMTF(4, 1) }, 1)
+	raw := tracedRun(t, func() sched.Scheduler { return sched.NewPLMTF(4, 1) })
 	lines := bytes.Split(bytes.TrimSpace(raw), []byte("\n"))
 	var (
 		runs, arrivals, spans, rounds int

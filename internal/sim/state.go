@@ -36,14 +36,14 @@ type TimeoutState struct {
 // a checkpoint. A recovered engine's probe caches start cold, so its
 // own probe counters restart at zero; syncProbeStats adds this baseline
 // back, keeping the collector's run totals continuous across restarts.
+// Older checkpoints also carry "forks" and "resyncs" counts here;
+// decoding ignores them.
 type ProbeBase struct {
 	Hits          int   `json:"hits"`
 	Misses        int   `json:"misses"`
 	Cold          int   `json:"cold"`
 	Incremental   int   `json:"incremental"`
 	JournalMisses int   `json:"journal_misses"`
-	Forks         int   `json:"forks"`
-	Resyncs       int   `json:"resyncs"`
 	WallTimeNs    int64 `json:"wall_time_ns"`
 }
 
@@ -83,8 +83,6 @@ func (e *Engine) ExportState() EngineState {
 			Cold:          e.collector.ProbeCold,
 			Incremental:   e.collector.ProbeIncremental,
 			JournalMisses: e.collector.ProbeJournalMisses,
-			Forks:         e.collector.ProbeForks,
-			Resyncs:       e.collector.ProbeResyncs,
 			WallTimeNs:    int64(e.collector.ProbeWallTime),
 		},
 	}
@@ -144,8 +142,6 @@ func (e *Engine) RestoreState(st EngineState, flows []*flow.Flow) error {
 	e.collector.ProbeCold = st.Probe.Cold
 	e.collector.ProbeIncremental = st.Probe.Incremental
 	e.collector.ProbeJournalMisses = st.Probe.JournalMisses
-	e.collector.ProbeForks = st.Probe.Forks
-	e.collector.ProbeResyncs = st.Probe.Resyncs
 	e.collector.ProbeWallTime = time.Duration(st.Probe.WallTimeNs)
 	return nil
 }

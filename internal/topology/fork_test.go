@@ -88,13 +88,68 @@ func TestGraphForkIsolatesReservations(t *testing.T) {
 	if got := f.Link(l1).Reserved(); got != 100*Mbps {
 		t.Errorf("fork l1 reserved = %v after live write, want 100Mbps", got)
 	}
-	// SyncFrom realigns the fork with the live ledger wholesale.
-	f.SyncFrom(g)
-	if f.Epoch() != g.Epoch() {
-		t.Errorf("fork epoch after sync = %d, want %d", f.Epoch(), g.Epoch())
+}
+
+// TestTrialBracketLeavesNoTrace: Reserve/Release pairs inside a trial
+// move bandwidth (and still enforce capacity) but mint no epoch, version
+// or journal entry; an unbalanced or nested bracket panics.
+func TestTrialBracketLeavesNoTrace(t *testing.T) {
+	g, l1, l2 := forkGraph(t)
+	if err := g.Reserve(l1, 100*Mbps); err != nil {
+		t.Fatal(err)
 	}
-	if f.Link(l1).Reserved() != 150*Mbps || f.Link(l2).Reserved() != 0 {
-		t.Errorf("fork ledger after sync = (%v, %v), want (150Mbps, 0)",
-			f.Link(l1).Reserved(), f.Link(l2).Reserved())
+	epoch, v1, v2 := g.Epoch(), g.Link(l1).Version(), g.Link(l2).Version()
+
+	g.BeginTrial()
+	if err := g.Reserve(l1, 200*Mbps); err != nil {
+		t.Fatal(err)
 	}
+	if err := g.Reserve(l2, 300*Mbps); err != nil {
+		t.Fatal(err)
+	}
+	if got := g.Link(l1).Reserved(); got != 300*Mbps {
+		t.Errorf("trial reserve invisible to the trial: l1 reserved %v, want 300Mbps", got)
+	}
+	if err := g.Reserve(l1, 2*Gbps); err == nil {
+		t.Error("trial reserve past capacity succeeded")
+	}
+	if err := g.Release(l2, 300*Mbps); err != nil {
+		t.Fatal(err)
+	}
+	mustPanic(t, "EndTrial with bandwidth outstanding", g.EndTrial)
+	mustPanic(t, "nested BeginTrial", g.BeginTrial)
+	if err := g.Release(l1, 200*Mbps); err != nil {
+		t.Fatal(err)
+	}
+	g.EndTrial()
+
+	if g.Epoch() != epoch || g.Link(l1).Version() != v1 || g.Link(l2).Version() != v2 {
+		t.Errorf("trial minted history: epoch %d->%d, l1 v%d->v%d, l2 v%d->v%d",
+			epoch, g.Epoch(), v1, g.Link(l1).Version(), v2, g.Link(l2).Version())
+	}
+	if got, ok := g.AppendChangesSince(nil, epoch); !ok || len(got) != 0 {
+		t.Errorf("journal after trial = %v, %v; want none", got, ok)
+	}
+	if g.Link(l1).Reserved() != 100*Mbps || g.Link(l2).Reserved() != 0 {
+		t.Errorf("ledger after trial = (%v, %v), want (100Mbps, 0)",
+			g.Link(l1).Reserved(), g.Link(l2).Reserved())
+	}
+	// Outside the bracket changes are recorded again.
+	if err := g.Reserve(l2, Mbps); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := g.AppendChangesSince(nil, epoch); !ok || len(got) != 1 || got[0] != l2 || g.Epoch() != epoch+1 {
+		t.Errorf("post-trial change: journal %v, %v, epoch %d; want [%v], true, %d", got, ok, g.Epoch(), l2, epoch+1)
+	}
+	mustPanic(t, "EndTrial without BeginTrial", g.EndTrial)
+}
+
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	f()
 }

@@ -35,10 +35,13 @@ type Graph struct {
 	// journalLo is the smallest epoch still retained in the ring; changes
 	// at or before journalLo-1 have been overwritten (or never recorded).
 	journalLo uint64
-	// journalOff disables journaling entirely. Set on forks: trial
-	// planning churns a fork's epoch at the hottest rate in the system,
-	// and nobody subscribes to a fork's change stream.
+	// journalOff disables journaling entirely. Set on forks: nobody
+	// subscribes to a fork's change stream.
 	journalOff bool
+	// trial is set between BeginTrial and EndTrial; trialNet is the
+	// bandwidth reserved minus released inside the open bracket.
+	trial    bool
+	trialNet Bandwidth
 }
 
 // journalCap bounds the change journal. 4096 epochs of history is far
@@ -167,9 +170,11 @@ func (g *Graph) Reserve(id LinkID, bw Bandwidth) error {
 			bw, l, l.Residual(), ErrInsufficientBandwidth)
 	}
 	l.reserved += bw
-	g.epoch++
-	l.version = g.epoch
-	g.recordChange(id)
+	if g.trial {
+		g.trialNet += bw
+	} else {
+		g.stamp(id)
+	}
 	return nil
 }
 
@@ -186,10 +191,38 @@ func (g *Graph) Release(id LinkID, bw Bandwidth) error {
 			bw, l, l.reserved, ErrOverRelease)
 	}
 	l.reserved -= bw
-	g.epoch++
-	l.version = g.epoch
-	g.recordChange(id)
+	if g.trial {
+		g.trialNet -= bw
+	} else {
+		g.stamp(id)
+	}
 	return nil
+}
+
+// BeginTrial opens a trial bracket for a plan that will be rolled back
+// in full: until EndTrial, Reserve and Release still move (and check)
+// reserved bandwidth, but mint no epoch, link version or journal entry.
+// Once the trial's reservations are reversed the graph is therefore
+// indistinguishable from one that was never probed — probe caches keyed
+// on versions stay valid and change-journal readers see nothing.
+// Capacity and link up/down changes are not trial operations. It panics
+// if a bracket is already open.
+func (g *Graph) BeginTrial() {
+	if g.trial {
+		panic("topology: BeginTrial inside an open trial")
+	}
+	g.trial, g.trialNet = true, 0
+}
+
+// EndTrial closes the bracket. Like the other ledger-corruption checks
+// it panics rather than limping on if the trial's reservations and
+// releases do not cancel: bandwidth a trial left behind would be a live
+// change that no epoch records.
+func (g *Graph) EndTrial() {
+	if !g.trial || g.trialNet != 0 {
+		panic(fmt.Sprintf("topology: EndTrial with trial open=%v, %v still reserved", g.trial, g.trialNet))
+	}
+	g.trial = false
 }
 
 // SetCapacity rewrites a link's capacity, e.g. when a sharded deployment
@@ -212,9 +245,7 @@ func (g *Graph) SetCapacity(id LinkID, c Bandwidth) error {
 		return nil
 	}
 	l.Capacity = c
-	g.epoch++
-	l.version = g.epoch
-	g.recordChange(id)
+	g.stamp(id)
 	return nil
 }
 
@@ -255,17 +286,14 @@ func (g *Graph) SwitchUtilization() float64 {
 // and reports whether the state actually changed. A change bumps the
 // graph epoch and the link's version exactly like a reservation change,
 // so probe-cost caches whose read sets include the link revalidate
-// instead of replaying stale estimates, and probe forks resync before
-// their next use.
+// instead of replaying stale estimates.
 func (g *Graph) SetLinkDown(id LinkID, down bool) bool {
 	l := &g.links[id]
 	if l.down == down {
 		return false
 	}
 	l.down = down
-	g.epoch++
-	l.version = g.epoch
-	g.recordChange(id)
+	g.stamp(id)
 	return true
 }
 
@@ -289,15 +317,17 @@ func (g *Graph) IncidentLinks(n NodeID) []LinkID {
 	return out
 }
 
-// Epoch returns the graph-wide reservation-change counter. It increases
-// by exactly one on every successful Reserve or Release (and on every
-// link up/down transition), so an unchanged epoch guarantees unchanged
-// residual bandwidth on every link.
+// Epoch returns the graph-wide reservation-change counter. Outside a
+// trial bracket it increases by exactly one on every successful Reserve
+// or Release (and on every capacity or link up/down change), so an
+// unchanged epoch guarantees unchanged residual bandwidth on every link.
 func (g *Graph) Epoch() uint64 { return g.epoch }
 
-// recordChange appends the link just stamped with the current epoch to
-// the change journal. Must be called immediately after an epoch bump.
-func (g *Graph) recordChange(id LinkID) {
+// stamp mints the next epoch for a change to link id: it becomes the
+// link's version and the journal's newest entry.
+func (g *Graph) stamp(id LinkID) {
+	g.epoch++
+	g.links[id].version = g.epoch
 	if g.journalOff {
 		return
 	}
@@ -315,10 +345,9 @@ func (g *Graph) recordChange(id LinkID) {
 // epoch since (one entry per epoch bump, so a link changed k times
 // appears k times) and reports whether the journal covered the whole
 // gap. A false return means history was lost — the caller observed
-// since too long ago, journaling is off (forks), or the journal was
-// invalidated — and the caller must fall back to revalidating all of
-// its state. since >= the current epoch trivially succeeds with no
-// appends.
+// since too long ago, or journaling is off (forks) — and the caller
+// must fall back to revalidating all of its state. since >= the current
+// epoch trivially succeeds with no appends.
 func (g *Graph) AppendChangesSince(buf []LinkID, since uint64) ([]LinkID, bool) {
 	if since >= g.epoch {
 		return buf, true
@@ -346,47 +375,30 @@ func (g *Graph) MaxVersion(links []LinkID) uint64 {
 	return max
 }
 
-// Fork returns a scratch copy of the graph for trial planning: the
-// mutable per-link reservation state is copied, while the immutable
-// topology (nodes, adjacency, pair index) is shared with the parent.
-// Reserve/Release on the fork never touch the parent.
+// Fork returns a scratch copy of the graph: the mutable per-link
+// reservation state is copied, while the immutable topology (nodes,
+// adjacency, pair index) is shared with the parent. Reserve/Release on
+// the fork never touch the parent.
 //
-// Forks are probe-only: growing a fork's topology (AddNode/AddLink) is
-// not supported, because the shared adjacency slices would alias the
-// parent's.
+// Fork is on no product path: cost probes trial-plan on the live graph
+// inside BeginTrial/EndTrial. Its signature is fixed by its two callers,
+// the probe-cache property tests (a fork is their reference oracle) and
+// bench/ (which times netstate.Network.Fork).
+//
+// Growing a fork's topology (AddNode/AddLink) is not supported, because
+// the shared adjacency slices would alias the parent's.
 func (g *Graph) Fork() *Graph {
 	links := make([]Link, len(g.links))
 	copy(links, g.links)
 	return &Graph{
-		nodes:  g.nodes,
-		links:  links,
-		out:    g.out,
-		in:     g.in,
-		byPair: g.byPair,
-		epoch:  g.epoch,
-		// Trial planning hammers a fork's Reserve/Release; journaling
-		// there would only slow the hottest path for a stream nobody
-		// subscribes to.
+		nodes:      g.nodes,
+		links:      links,
+		out:        g.out,
+		in:         g.in,
+		byPair:     g.byPair,
+		epoch:      g.epoch,
 		journalOff: true,
 	}
-}
-
-// SyncFrom resets a fork's reservation state (and epoch) to match src,
-// reusing the fork's link storage. Both graphs must describe the same
-// topology (same link count); it panics otherwise, since that indicates
-// the fork and its parent diverged structurally.
-func (g *Graph) SyncFrom(src *Graph) {
-	if len(g.links) != len(src.links) {
-		panic(fmt.Sprintf("topology: SyncFrom across different topologies (%d vs %d links)",
-			len(g.links), len(src.links)))
-	}
-	copy(g.links, src.links)
-	g.epoch = src.epoch
-	// The epoch just jumped without per-change entries; drop any journal
-	// history so AppendChangesSince reports the gap instead of serving
-	// entries that never described this graph's transitions.
-	g.journal = nil
-	g.journalLo = 0
 }
 
 // validNode reports whether id is in range.

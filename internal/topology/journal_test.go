@@ -95,29 +95,3 @@ func TestChangeJournalOffOnForks(t *testing.T) {
 		t.Fatal("fork allocated a journal ring")
 	}
 }
-
-func TestChangeJournalInvalidatedBySyncFrom(t *testing.T) {
-	g, ab, _ := journalGraph(t)
-	if err := g.Reserve(ab, 100*Mbps); err != nil {
-		t.Fatal(err)
-	}
-	other, _, _ := journalGraph(t)
-	for i := 0; i < 5; i++ {
-		if err := other.Reserve(ab, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	g.SyncFrom(other)
-	if _, ok := g.AppendChangesSince(nil, 0); ok {
-		t.Fatal("journal survived SyncFrom; the epoch jump has no entries")
-	}
-	// Journaling resumes after the next mutation.
-	base := g.Epoch()
-	if err := g.Reserve(ab, 0); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := g.AppendChangesSince(nil, base)
-	if !ok || len(got) != 1 || got[0] != ab {
-		t.Fatalf("post-sync changes = %v, %v; want [%v], true", got, ok, ab)
-	}
-}

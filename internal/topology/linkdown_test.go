@@ -66,7 +66,7 @@ func TestDownLinkRejectsReserveButReleases(t *testing.T) {
 	}
 }
 
-func TestForkAndSyncFromCarryDownState(t *testing.T) {
+func TestForkCarriesDownState(t *testing.T) {
 	g, _, _, l := twoNodeGraph(t)
 	g.SetLinkDown(l, true)
 
@@ -75,17 +75,10 @@ func TestForkAndSyncFromCarryDownState(t *testing.T) {
 		t.Error("fork of a graph with a down link lost the down state")
 	}
 
-	// Flip state on the parent only; the fork resyncs via SyncFrom.
+	// Flipping state on the parent does not reach the fork.
 	g.SetLinkDown(l, false)
 	if !f.Link(l).Down() {
-		t.Error("fork state changed without SyncFrom")
-	}
-	f.SyncFrom(g)
-	if f.Link(l).Down() {
-		t.Error("SyncFrom did not clear the fork's down state")
-	}
-	if f.Epoch() != g.Epoch() {
-		t.Errorf("fork epoch = %d, want %d", f.Epoch(), g.Epoch())
+		t.Error("fork state changed with its parent's")
 	}
 }
 
