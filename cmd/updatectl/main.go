@@ -141,10 +141,7 @@ func run(args []string, stdout io.Writer) int {
 		fmt.Fprintf(stdout, "plan time      %v\n", stats.PlanTime)
 		fmt.Fprintf(stdout, "virtual clock  %v\n", stats.VirtualClock)
 		fmt.Fprintf(stdout, "rounds         %d\n", stats.Rounds)
-		fmt.Fprintf(stdout, "probe cache    %d hits / %d misses (%.2f hit rate)\n",
-			stats.ProbeCacheHits, stats.ProbeCacheMisses, stats.ProbeHitRate)
-		fmt.Fprintf(stdout, "probe plans    %d cold, %d incremental replans\n",
-			stats.ProbeColdPlans, stats.ProbeIncrementalReplans)
+		fmt.Fprintf(stdout, "probes         %d\n", stats.Probes)
 		fmt.Fprintf(stdout, "codec          %d v2 conns, %d v1 frames, %d v2 frames\n",
 			stats.CodecV2Conns, stats.FramesV1, stats.FramesV2)
 		fmt.Fprintf(stdout, "faults         %d injected, %d links down, %d repair events, %d flows disrupted\n",

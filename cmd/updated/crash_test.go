@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"netupdate/internal/ctl"
-	"netupdate/internal/obs"
 	"netupdate/internal/topology"
 )
 
@@ -284,8 +283,6 @@ func compareDaemons(t *testing.T, ref, got *ctl.Client) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stripCacheHits(refTrace)
-	stripCacheHits(gotTrace)
 	if len(gotTrace) == 0 || len(gotTrace) > len(refTrace) {
 		t.Fatalf("recovered trace has %d records, reference %d", len(gotTrace), len(refTrace))
 	}
@@ -367,17 +364,4 @@ func scrapeMetrics(t *testing.T, url string) map[string]string {
 		out[name] = value
 	}
 	return out
-}
-
-func stripCacheHits(recs []obs.Record) {
-	for i := range recs {
-		if r := recs[i].Round; r != nil {
-			for j := range r.Candidates {
-				r.Candidates[j].CacheHit = false
-			}
-			for j := range r.CoScheduled {
-				r.CoScheduled[j].Probe.CacheHit = false
-			}
-		}
-	}
 }

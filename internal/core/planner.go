@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"netupdate/internal/flow"
 	"netupdate/internal/migration"
@@ -44,10 +45,6 @@ type ExecResult struct {
 	// Evals counts planning work (feasibility evaluations), used for
 	// plan-time accounting.
 	Evals int
-	// Touched aggregates the links the event's admissions read (may
-	// contain duplicates); only a tracked trial records it. See
-	// migration.Result.Touched.
-	Touched []topology.LinkID
 }
 
 // Estimate is a non-committal cost probe of an event against the current
@@ -61,16 +58,14 @@ type Estimate struct {
 	Admittable int
 	// Evals counts planning work performed for the probe.
 	Evals int
-	// Touched lists the links whose reservation state the probe read
-	// (duplicates possible); set on ProbeEngine's cache misses only. While
-	// none of them change, re-probing the same event is guaranteed to
-	// reproduce this estimate.
-	Touched []topology.LinkID
-	// FromCache reports that a ProbeEngine answered this estimate from
-	// its epoch cache instead of replanning. Purely observational: a hit
-	// carries the same Cost/Feasible/Admittable/Evals a fresh probe
-	// would, and whether an estimate is a hit is itself deterministic.
-	FromCache bool
+}
+
+// ProbeStats counts the cost probes a Planner has run.
+type ProbeStats struct {
+	// Probes is the number of trial plans.
+	Probes int
+	// WallTime is the real (not simulated) time spent inside them.
+	WallTime time.Duration
 }
 
 // Planner plans and executes update events against a network, one flow at
@@ -79,6 +74,7 @@ type Estimate struct {
 type Planner struct {
 	mig    *migration.Planner
 	policy FailPolicy
+	probes ProbeStats
 }
 
 // NewPlanner wraps a migration planner. policy 0 defaults to FailSkip.
@@ -101,7 +97,7 @@ func (p *Planner) Migration() *migration.Planner { return p.mig }
 // recorded on the event and skipped; under FailAbort the event is fully
 // rolled back and ErrEventAborted returned.
 func (p *Planner) Execute(ev *Event) (*ExecResult, error) {
-	res, err := p.run(ev, modeCommit)
+	res, err := p.run(ev, true)
 	if err != nil {
 		return nil, err
 	}
@@ -111,27 +107,29 @@ func (p *Planner) Execute(ev *Event) (*ExecResult, error) {
 
 // Probe trial-plans the event and rolls everything back, returning the
 // cost the event would incur right now. The network is left exactly as
-// it was — reservations, flow IDs, graph epoch, link versions and change
-// journal included (see run). This is the "calculate the update cost"
-// step LMTF performs for each sampled candidate (Section IV-B).
+// it was, reservations and flow IDs included (see run). This is the
+// "calculate the update cost" step LMTF performs for each sampled
+// candidate (Section IV-B), and the only way an event is priced: every
+// scheduler and the simulator's co-schedule check call it, so its
+// counters (ProbeStats) cover every probe in the system.
 func (p *Planner) Probe(ev *Event) (*Estimate, error) {
-	res, err := p.run(ev, modeTrial)
+	start := time.Now()
+	res, err := p.run(ev, false)
+	p.probes.Probes++
+	p.probes.WallTime += time.Since(start)
 	if err != nil {
 		return nil, err
 	}
-	return res.estimate(), nil
+	return &Estimate{
+		Cost:       res.Cost,
+		Feasible:   res.Failed == 0,
+		Admittable: len(res.Admitted),
+		Evals:      res.Evals,
+	}, nil
 }
 
-// estimate condenses a trial run into the Estimate schedulers compare.
-func (r *ExecResult) estimate() *Estimate {
-	return &Estimate{
-		Cost:       r.Cost,
-		Feasible:   r.Failed == 0,
-		Admittable: len(r.Admitted),
-		Evals:      r.Evals,
-		Touched:    r.Touched,
-	}
-}
+// ProbeStats returns the planner's cumulative probe counters.
+func (p *Planner) ProbeStats() ProbeStats { return p.probes }
 
 // RollbackExec undoes a committed Execute: each admission's migrations
 // are reverted in reverse order, then the event's own flows are withdrawn
@@ -157,34 +155,19 @@ func (p *Planner) RollbackExec(res *ExecResult) error {
 	return nil
 }
 
-// runMode says what run does with the plan it builds.
-type runMode int
-
-const (
-	// modeCommit leaves the plan applied.
-	modeCommit runMode = iota
-	// modeTrial rolls the plan back inside a trial bracket.
-	modeTrial
-	// modeTrackedTrial is modeTrial that also records the links the plan
-	// read in ExecResult.Touched — the read set ProbeEngine caches by.
-	modeTrackedTrial
-)
-
-// run admits the event's flows in order. In the trial modes it runs
-// inside the network's trial bracket (netstate.Network.BeginTrial): all
-// admissions are rolled back before returning (in reverse order,
-// restoring the exact prior state), the event's bookkeeping fields are
-// untouched, and the bracket guarantees the trial left no trace — no
-// epoch, link version or journal entry minted, flow IDs rewound — or
-// panics. Every cost probe in the system goes through here.
-func (p *Planner) run(ev *Event, mode runMode) (*ExecResult, error) {
+// run admits the event's flows in order and, when commit is set, leaves
+// the plan applied. Otherwise it is a trial inside the network's trial
+// bracket (netstate.Network.BeginTrial): all admissions are rolled back
+// before returning (in reverse order, restoring the exact prior state),
+// the event's bookkeeping fields are untouched, and the bracket
+// guarantees the trial left no trace — reservations cancelled, flow IDs
+// rewound — or panics.
+func (p *Planner) run(ev *Event, commit bool) (*ExecResult, error) {
 	net := p.mig.Network()
 	res := &ExecResult{Event: ev}
 	var flows []*flow.Flow
-	commit := mode == modeCommit
 	if !commit {
 		net.BeginTrial()
-		p.mig.SetTrackTouched(mode == modeTrackedTrial)
 	}
 
 	rollbackAll := func() {
@@ -199,7 +182,6 @@ func (p *Planner) run(ev *Event, mode runMode) (*ExecResult, error) {
 			}
 		}
 		if !commit {
-			p.mig.SetTrackTouched(false)
 			net.EndTrial()
 		}
 	}
@@ -215,7 +197,6 @@ func (p *Planner) run(ev *Event, mode runMode) (*ExecResult, error) {
 		admit, err := p.mig.Admit(f)
 		if admit != nil {
 			res.Evals += admit.Evals
-			res.Touched = append(res.Touched, admit.Touched...)
 		}
 		if err != nil {
 			switch {

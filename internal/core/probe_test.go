@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"netupdate/internal/flow"
+	"netupdate/internal/migration"
 	"netupdate/internal/topology"
 )
 
@@ -18,109 +19,52 @@ func probeScenarioEvents(s *coreScenario) []*Event {
 	}
 }
 
-// TestProbeEngineMatchesDirectProbe: the engine must return exactly what
-// Planner.Probe on the live network returns, and neither may leave a
-// trace on the live network.
+// forkOracle returns a planner over a fork of the scenario's network: a
+// copy no probe under test has ever touched.
+func forkOracle(s *coreScenario) *Planner {
+	return NewPlanner(migration.NewPlanner(s.net.Fork(), 0), FailSkip)
+}
+
+// TestProbeEngineMatchesDirectProbe: a probe on the live network must
+// return exactly what the same probe returns on an untouched fork, leave
+// no trace on the live network, and be counted once.
 func TestProbeEngineMatchesDirectProbe(t *testing.T) {
 	s := newCoreScenario(t, 800*topology.Mbps)
 	p := s.planner(0)
 	evs := probeScenarioEvents(s)
-	before := captureLive(s.net, 0)
+	before := captureLive(s.net)
+	oracle := forkOracle(s)
 
-	want := make([]*Estimate, len(evs))
 	for i, ev := range evs {
-		est, err := p.Probe(ev)
+		got, err := p.Probe(ev)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = est
-	}
-	if want[0].Cost == 0 {
-		t.Fatal("scenario too tame: the 500Mbps probe must migrate the victim")
-	}
-	before.requireEqual(t, captureLive(s.net, 0), "Planner.Probe")
-
-	pe := NewProbeEngine(p)
-	got, err := pe.ProbeAll(evs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range evs {
-		if got[i].Cost != want[i].Cost || got[i].Feasible != want[i].Feasible ||
-			got[i].Admittable != want[i].Admittable || got[i].Evals != want[i].Evals {
-			t.Errorf("ev%d: engine estimate %+v, direct probe %+v", i, *got[i], *want[i])
+		want, err := oracle.Probe(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *got != *want {
+			t.Errorf("ev%d: live probe %+v, fork probe %+v", i, *got, *want)
+		}
+		if i == 0 && got.Cost == 0 {
+			t.Fatal("scenario too tame: the 500Mbps probe must migrate the victim")
 		}
 	}
-	before.requireEqual(t, captureLive(s.net, 0), "ProbeAll")
-	if st := pe.Stats(); st.Misses != len(evs) || st.Hits != 0 {
-		t.Errorf("stats = %+v, want %d cold misses", st, len(evs))
-	}
-}
-
-// TestProbeEngineCaches: re-probing with unchanged links must hit the
-// cache (Evals 0, same numbers); a live commit that touches the probed
-// links must invalidate, and Forget must evict.
-func TestProbeEngineCaches(t *testing.T) {
-	s := newCoreScenario(t, 800*topology.Mbps)
-	p := s.planner(0)
-	pe := NewProbeEngine(p)
-	evs := probeScenarioEvents(s)
-
-	first, err := pe.ProbeAll(evs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := pe.ProbeAll(evs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := pe.Stats(); st.Hits != len(evs) || st.Misses != len(evs) {
-		t.Fatalf("stats after repeat = %+v, want %d hits / %d misses", st, len(evs), len(evs))
-	}
-	for i := range evs {
-		if second[i].Cost != first[i].Cost || second[i].Admittable != first[i].Admittable {
-			t.Errorf("ev%d: cached estimate %+v differs from fresh %+v", i, *second[i], *first[i])
-		}
-		if second[i].Evals != first[i].Evals {
-			t.Errorf("ev%d: cache hit reported Evals=%d, want %d (a replay's work)",
-				i, second[i].Evals, first[i].Evals)
-		}
-	}
-
-	// Committing 100Mbps on the bottleneck leaves 100Mbps residual. That
-	// bumps every entry's version, but headroom revalidation keeps the
-	// small events (100Mbps and 50+50Mbps: residual still covers their
-	// desired paths) — only the 500Mbps event must be replanned.
-	commit := NewEvent(9, "commit", 0, []flow.Spec{{Src: s.a, Dst: s.b, Demand: 100 * topology.Mbps}})
-	if _, err := p.Execute(commit); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pe.ProbeAll(evs); err != nil {
-		t.Fatal(err)
-	}
-	if st := pe.Stats(); st.Misses != len(evs)+1 || st.Hits != 2*len(evs)-1 {
-		t.Errorf("stats after commit = %+v, want %d misses / %d hits",
-			pe.Stats(), len(evs)+1, 2*len(evs)-1)
-	}
-
-	pe.Forget(evs[0].ID)
-	if _, err := pe.Probe(evs[0]); err != nil {
-		t.Fatal(err)
-	}
-	if st := pe.Stats(); st.Misses != len(evs)+2 {
-		t.Errorf("misses after Forget = %d, want %d", st.Misses, len(evs)+2)
+	before.requireEqual(t, captureLive(s.net), "Planner.Probe")
+	if st := p.ProbeStats(); st.Probes != len(evs) || st.WallTime <= 0 {
+		t.Errorf("stats = %+v, want %d probes with wall time recorded", st, len(evs))
 	}
 }
 
 // TestProbeAfterCommitSeesCommit: a probe after a live commit must reflect
-// the committed state, not the estimate cached before it.
+// the committed state.
 func TestProbeAfterCommitSeesCommit(t *testing.T) {
 	s := newCoreScenario(t, 0)
 	p := s.planner(0)
-	pe := NewProbeEngine(p)
 	ev := NewEvent(1, "probe", 0, []flow.Spec{{Src: s.a, Dst: s.b, Demand: 600 * topology.Mbps}})
 
-	est, err := pe.Probe(ev)
+	est, err := p.Probe(ev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,21 +77,20 @@ func TestProbeAfterCommitSeesCommit(t *testing.T) {
 	if _, err := p.Execute(commit); err != nil {
 		t.Fatal(err)
 	}
-	est, err = pe.Probe(ev)
+	est, err = p.Probe(ev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if est.Feasible || est.FromCache {
-		t.Errorf("probe after commit = %+v, want a fresh infeasible estimate", *est)
+	if est.Feasible {
+		t.Errorf("probe after commit = %+v, want an infeasible estimate", *est)
 	}
 }
 
 // TestProbeEngineStress drives many rounds of probes interleaved with
-// live commits that invalidate part of the cache.
+// live commits; every probe must leave the live state as it found it.
 func TestProbeEngineStress(t *testing.T) {
 	s := newCoreScenario(t, 800*topology.Mbps)
 	p := s.planner(0)
-	pe := NewProbeEngine(p)
 	var evs []*Event
 	for i := 0; i < 24; i++ {
 		demand := topology.Bandwidth(i%7+1) * 20 * topology.Mbps
@@ -160,10 +103,14 @@ func TestProbeEngineStress(t *testing.T) {
 		}))
 	}
 	for round := 0; round < 5; round++ {
-		if _, err := pe.ProbeAll(evs); err != nil {
-			t.Fatal(err)
+		before := captureLive(s.net)
+		for _, ev := range evs {
+			if _, err := p.Probe(ev); err != nil {
+				t.Fatal(err)
+			}
 		}
-		// Perturb live state between rounds to force invalidation.
+		before.requireEqual(t, captureLive(s.net), "Planner.Probe")
+		// Perturb live state between rounds.
 		commit := NewEvent(flow.EventID(100+round), "commit", 0, []flow.Spec{
 			{Src: s.a, Dst: s.b, Demand: 10 * topology.Mbps},
 		})
@@ -171,8 +118,7 @@ func TestProbeEngineStress(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := pe.Stats()
-	if st.Hits == 0 {
-		t.Error("stress run produced no cache hits")
+	if st := p.ProbeStats(); st.Probes != 5*len(evs) {
+		t.Errorf("counted %d probes, want %d", st.Probes, 5*len(evs))
 	}
 }

@@ -606,7 +606,24 @@ func TestTraceOp(t *testing.T) {
 	if stats.Rounds == 0 {
 		t.Error("stats rounds = 0 after scheduling")
 	}
-	if stats.ProbeCacheHits+stats.ProbeCacheMisses == 0 {
+	if stats.Probes == 0 {
 		t.Error("stats show no probes after scheduling")
+	}
+
+	// Reorder prices the queue through the same Planner.Probe, so its
+	// probes are counted as well: one round over a one-event queue.
+	reorder, ft := startServer(t, sched.Reorder{})
+	id, err := reorder.Submit(eventSpec(ft, 3, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reorder.WaitDone(id, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if stats, err = reorder.Stats(); err != nil {
+		t.Fatal(err)
+	}
+	if stats.Probes != 1 {
+		t.Errorf("reorder stats show %d probes after one single-event round, want 1", stats.Probes)
 	}
 }

@@ -242,16 +242,18 @@ type Stats struct {
 	AvgQueuingDelay time.Duration `json:"avg_queuing_delay_ns"`
 	PlanTime        time.Duration `json:"plan_time_ns"`
 	VirtualClock    time.Duration `json:"virtual_clock_ns"`
-	// Probe-cache telemetry (Section IV-B probing cost): hits answered
-	// from the engine's epoch cache vs full replans, and the hit rate.
-	ProbeCacheHits   int64   `json:"probe_cache_hits"`
-	ProbeCacheMisses int64   `json:"probe_cache_misses"`
-	ProbeHitRate     float64 `json:"probe_hit_rate"`
-	// ProbeColdPlans and ProbeIncrementalReplans split the misses: full
-	// trial-plans of never-cached events vs. re-plans of cache entries
-	// invalidated by link changes (dirty-set maintenance).
-	ProbeColdPlans          int64 `json:"probe_cold_plans"`
-	ProbeIncrementalReplans int64 `json:"probe_incremental_replans"`
+	// Probes counts cost probes (Section IV-B probing cost): every trial
+	// plan a scheduler or the co-schedule check ran.
+	Probes int64 `json:"probes"`
+	// Deprecated: the probe cache is gone; the five fields below are kept
+	// for bench/ (phases.go reads them) until the benchmark PR that
+	// retires netstate.fork_*. ProbeCacheMisses and ProbeColdPlans equal
+	// Probes; the other three read 0.
+	ProbeCacheHits          int64   `json:"probe_cache_hits"`
+	ProbeCacheMisses        int64   `json:"probe_cache_misses"`
+	ProbeHitRate            float64 `json:"probe_hit_rate"`
+	ProbeColdPlans          int64   `json:"probe_cold_plans"`
+	ProbeIncrementalReplans int64   `json:"probe_incremental_replans"`
 	// Rounds is the number of scheduling rounds executed so far.
 	Rounds int64 `json:"rounds"`
 	// Fault-injection and recovery telemetry.

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -18,7 +19,6 @@ import (
 	"netupdate/internal/core"
 	"netupdate/internal/migration"
 	"netupdate/internal/netstate"
-	"netupdate/internal/obs"
 	"netupdate/internal/routing"
 	"netupdate/internal/sched"
 	"netupdate/internal/sim"
@@ -279,25 +279,6 @@ func captureDigest(t *testing.T, srv *Server, client *Client) runDigest {
 	return runDigest{Stats: st, Results: results, Snap: raw, Metrics: metrics}
 }
 
-// normTrace strips probe-cache hit flags from round records: a
-// recovered engine re-plans what the uncrashed one answered from cache,
-// with identical simulated cost (hits report the evals a fresh probe
-// would have spent), so CacheHit is the one trace field allowed to
-// differ.
-func normTrace(recs []obs.Record) []obs.Record {
-	for i := range recs {
-		if r := recs[i].Round; r != nil {
-			for j := range r.Candidates {
-				r.Candidates[j].CacheHit = false
-			}
-			for j := range r.CoScheduled {
-				r.CoScheduled[j].Probe.CacheHit = false
-			}
-		}
-	}
-	return recs
-}
-
 func diffDigest(t *testing.T, want, got runDigest) {
 	t.Helper()
 	if !reflect.DeepEqual(want.Stats, got.Stats) {
@@ -392,8 +373,6 @@ func TestCrashRecoveryConverges(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Trace: %v", err)
 				}
-				normTrace(traceA)
-				normTrace(traceB)
 				if len(traceB) == 0 || len(traceB) > len(traceA) {
 					t.Fatalf("recovered trace has %d records, baseline %d", len(traceB), len(traceA))
 				}
@@ -581,10 +560,11 @@ func TestRecoveryRejectsMismatchedWorld(t *testing.T) {
 	}
 }
 
-// TestRecoveryLoadsCheckpointWithForkCounters: checkpoints written while
-// probes still ran on fork lanes carry "forks" and "resyncs" counts in
-// the engine's probe baseline. Such a checkpoint must restore to the
-// same state as one without them.
+// TestRecoveryLoadsCheckpointWithForkCounters: a checkpoint written by an
+// older build — its probe baseline split into cache "hits" and "misses"
+// beside "cold", "incremental", "journal_misses", "forks" and "resyncs"
+// counts, and a "probe_dirty_links" histogram among the metrics — must
+// restore to the same state, probe total included, as one written today.
 func TestRecoveryLoadsCheckpointWithForkCounters(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
 	srvA, clientA, _, ft := startWALServer(t, dir, 5)
@@ -599,11 +579,23 @@ func TestRecoveryLoadsCheckpointWithForkCounters(t *testing.T) {
 	if err != nil {
 		t.Fatalf("no checkpoint in the crash image: %v", err)
 	}
-	const probe = `"probe":{`
-	if n := strings.Count(string(ckpt), probe); n != 1 {
-		t.Fatalf("checkpoint has %d %s objects, want 1", n, probe)
+	probe := regexp.MustCompile(`"probe":\{"probes":(\d+),`)
+	m := probe.FindSubmatch(ckpt)
+	if m == nil || len(probe.FindAll(ckpt, -1)) != 1 {
+		t.Fatalf("checkpoint has no single %v object", probe)
 	}
-	old := strings.Replace(string(ckpt), probe, probe+`"forks":3,"resyncs":17,`, 1)
+	probes, err := strconv.Atoi(string(m[1]))
+	if err != nil || probes < 2 {
+		t.Fatalf("checkpointed probe total %q, want at least 2 to split", m[1])
+	}
+	old := probe.ReplaceAllString(string(ckpt), fmt.Sprintf(
+		`"probe":{"hits":2,"misses":%d,"cold":%d,"incremental":0,"journal_misses":1,"forks":3,"resyncs":17,`,
+		probes-2, probes-2))
+	const ect = `"ect":{`
+	if n := strings.Count(old, ect); n != 1 {
+		t.Fatalf("checkpoint has %d %s objects, want 1", n, ect)
+	}
+	old = strings.Replace(old, ect, `"probe_dirty_links":{"counts":[0,1],"sum":2,"count":1},`+ect, 1)
 	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
 		t.Fatal(err)
 	}

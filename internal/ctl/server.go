@@ -618,46 +618,44 @@ func (s *Server) handleRequest(req Request) Response {
 		net := s.planner.Network()
 		met := s.engine.Tracer().Metrics()
 		st := &Stats{
-			Scheduler:               s.scheduler,
-			Utilization:             net.Utilization(),
-			FlowsPlaced:             len(net.Registry().Placed()),
-			EventsQueued:            s.engine.QueueLen(),
-			EventsDone:              col.Len(),
-			TotalCostBps:            int64(col.TotalCost()),
-			AvgECT:                  col.AvgECT(),
-			TailECT:                 col.TailECT(),
-			AvgQueuingDelay:         col.AvgQueuingDelay(),
-			PlanTime:                col.PlanTime,
-			VirtualClock:            s.engine.Clock(),
-			ProbeCacheHits:          met.ProbeHits.Value(),
-			ProbeCacheMisses:        met.ProbeMisses.Value(),
-			ProbeHitRate:            met.ProbeHitRate.Value(),
-			ProbeColdPlans:          met.ProbeCold.Value(),
-			ProbeIncrementalReplans: met.ProbeIncremental.Value(),
-			Rounds:                  met.Rounds.Value(),
-			FaultsInjected:          col.FaultsInjected,
-			LinksDown:               s.engine.LinksDown(),
-			RepairEvents:            col.RepairEvents,
-			FlowsDisrupted:          col.FlowsDisrupted,
-			InstallRetries:          col.InstallRetries,
-			InstallRollbacks:        col.InstallRollbacks,
-			IngestWatermark:         s.watermark,
-			IngestAccepted:          s.ingest.Accepted.Value(),
-			IngestRejected:          s.ingest.Rejected.Value(),
-			IngestRetried:           s.ingest.Retried.Value(),
-			IngestBatches:           s.ingest.Batches.Value(),
-			CodecV2Conns:            s.ingest.CodecV2Conns.Value(),
-			FramesV1:                s.ingest.FramesV1.Value(),
-			FramesV2:                s.ingest.FramesV2.Value(),
-			LatencyE2EP50Ns:         s.lat.E2E.Percentile(50),
-			LatencyE2EP95Ns:         s.lat.E2E.Percentile(95),
-			LatencyE2EP99Ns:         s.lat.E2E.Percentile(99),
-			LatencyE2EP999Ns:        s.lat.E2E.Percentile(99.9),
-			LatencyQueueP50Ns:       s.lat.Queue.Percentile(50),
-			LatencyQueueP99Ns:       s.lat.Queue.Percentile(99),
-			LatencyRoundsP50Ns:      s.lat.Rounds.Percentile(50),
-			LatencyRoundsP99Ns:      s.lat.Rounds.Percentile(99),
-			SpansDropped:            s.lat.SpansDropped.Value(),
+			Scheduler:          s.scheduler,
+			Utilization:        net.Utilization(),
+			FlowsPlaced:        len(net.Registry().Placed()),
+			EventsQueued:       s.engine.QueueLen(),
+			EventsDone:         col.Len(),
+			TotalCostBps:       int64(col.TotalCost()),
+			AvgECT:             col.AvgECT(),
+			TailECT:            col.TailECT(),
+			AvgQueuingDelay:    col.AvgQueuingDelay(),
+			PlanTime:           col.PlanTime,
+			VirtualClock:       s.engine.Clock(),
+			Probes:             met.Probes.Value(),
+			ProbeCacheMisses:   met.Probes.Value(),
+			ProbeColdPlans:     met.Probes.Value(),
+			Rounds:             met.Rounds.Value(),
+			FaultsInjected:     col.FaultsInjected,
+			LinksDown:          s.engine.LinksDown(),
+			RepairEvents:       col.RepairEvents,
+			FlowsDisrupted:     col.FlowsDisrupted,
+			InstallRetries:     col.InstallRetries,
+			InstallRollbacks:   col.InstallRollbacks,
+			IngestWatermark:    s.watermark,
+			IngestAccepted:     s.ingest.Accepted.Value(),
+			IngestRejected:     s.ingest.Rejected.Value(),
+			IngestRetried:      s.ingest.Retried.Value(),
+			IngestBatches:      s.ingest.Batches.Value(),
+			CodecV2Conns:       s.ingest.CodecV2Conns.Value(),
+			FramesV1:           s.ingest.FramesV1.Value(),
+			FramesV2:           s.ingest.FramesV2.Value(),
+			LatencyE2EP50Ns:    s.lat.E2E.Percentile(50),
+			LatencyE2EP95Ns:    s.lat.E2E.Percentile(95),
+			LatencyE2EP99Ns:    s.lat.E2E.Percentile(99),
+			LatencyE2EP999Ns:   s.lat.E2E.Percentile(99.9),
+			LatencyQueueP50Ns:  s.lat.Queue.Percentile(50),
+			LatencyQueueP99Ns:  s.lat.Queue.Percentile(99),
+			LatencyRoundsP50Ns: s.lat.Rounds.Percentile(50),
+			LatencyRoundsP99Ns: s.lat.Rounds.Percentile(99),
+			SpansDropped:       s.lat.SpansDropped.Value(),
 		}
 		if s.shardID > 0 {
 			st.ShardID = s.shardID

@@ -138,9 +138,8 @@ type simMetricState struct {
 	InstallRetries   int64 `json:"install_retries"`
 	InstallRollbacks int64 `json:"install_rollbacks"`
 
-	ECT             obs.HistogramState `json:"ect"`
-	QueuingDelay    obs.HistogramState `json:"queuing_delay"`
-	ProbeDirtyLinks obs.HistogramState `json:"probe_dirty_links"`
+	ECT          obs.HistogramState `json:"ect"`
+	QueuingDelay obs.HistogramState `json:"queuing_delay"`
 }
 
 // checkpointDoc is the state document a checkpoint freezes: everything
@@ -453,9 +452,8 @@ func (s *Server) buildCheckpoint() *checkpointDoc {
 			InstallRetries:   met.InstallRetries.Value(),
 			InstallRollbacks: met.InstallRollbacks.Value(),
 
-			ECT:             met.ECT.State(),
-			QueuingDelay:    met.QueuingDelay.State(),
-			ProbeDirtyLinks: met.ProbeDirtyLinks.State(),
+			ECT:          met.ECT.State(),
+			QueuingDelay: met.QueuingDelay.State(),
 		},
 	}
 	for _, ev := range s.engine.QueueEvents() {
@@ -572,7 +570,6 @@ func (s *Server) restoreCheckpoint(ckpt *wal.Checkpoint) error {
 	met.InstallRollbacks.Add(doc.Sim.InstallRollbacks)
 	met.ECT.Restore(doc.Sim.ECT)
 	met.QueuingDelay.Restore(doc.Sim.QueuingDelay)
-	met.ProbeDirtyLinks.Restore(doc.Sim.ProbeDirtyLinks)
 
 	if rc, ok := s.sched.(rngCarrier); ok {
 		rc.RestoreRNG(doc.RNG.Scheduler)
@@ -586,13 +583,10 @@ func (s *Server) restoreCheckpoint(ckpt *wal.Checkpoint) error {
 // refreshGauges recomputes the instantaneous gauges from current state.
 func (s *Server) refreshGauges() {
 	met := s.engine.Tracer().Metrics()
-	col := s.engine.Collector()
 	met.QueueDepth.Set(int64(s.engine.QueueLen()))
 	met.VirtualClock.Set(int64(s.engine.Clock()))
 	met.Utilization.Set(s.planner.Network().Utilization())
 	met.LinksDown.Set(int64(s.engine.LinksDown()))
-	met.SetProbeStats(int64(col.ProbeCacheHits), int64(col.ProbeCacheMisses))
-	met.SetProbeDetail(int64(col.ProbeCold), int64(col.ProbeIncremental))
 }
 
 // replayRecord re-admits one log record during recovery: step the

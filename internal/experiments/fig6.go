@@ -31,8 +31,8 @@ func Fig6(opts Options) (*Report, error) {
 		"events", "fifo", "lmtf", "p-lmtf", "lmtf red.", "p-lmtf red.")
 	planTable := metrics.NewTable("Fig 6(d): total plan time (seconds) and ratio vs FIFO",
 		"events", "fifo", "lmtf", "p-lmtf", "lmtf ratio", "p-lmtf ratio")
-	probeTable := metrics.NewTable("Fig 6(e): probe engine (epoch-cache hit rate, real probe wall-time ms)",
-		"events", "lmtf hit", "p-lmtf hit", "lmtf ms", "p-lmtf ms")
+	probeTable := metrics.NewTable("Fig 6(e): real probe wall-time (ms)",
+		"events", "lmtf ms", "p-lmtf ms")
 
 	rep := &Report{
 		Name:        "fig6",
@@ -42,7 +42,6 @@ func Fig6(opts Options) (*Report, error) {
 		minAvgRedP, maxAvgRedP   = 2.0, -2.0
 		minTailRedP, maxTailRedP = 2.0, -2.0
 		planRatioL, planRatioP   float64
-		hitRateL, hitRateP       float64
 	)
 	for i, n := range counts {
 		setup := opts.apply(Setup{K: k, Utilization: util, Seed: opts.Seed*1000 + 600 + int64(i)})
@@ -75,10 +74,7 @@ func Fig6(opts Options) (*Report, error) {
 			seconds(fifo.PlanTime), seconds(lmtf.PlanTime), seconds(plmtf.PlanTime),
 			ratio(lmtf.PlanTime, fifo.PlanTime), ratio(plmtf.PlanTime, fifo.PlanTime))
 		probeTable.AddRow(n,
-			lmtf.ProbeHitRate(), plmtf.ProbeHitRate(),
 			lmtf.ProbeWallTime.Seconds()*1e3, plmtf.ProbeWallTime.Seconds()*1e3)
-		hitRateL += lmtf.ProbeHitRate()
-		hitRateP += plmtf.ProbeHitRate()
 
 		redAvg := metrics.Reduction(fifo.AvgECT(), plmtf.AvgECT())
 		if redAvg < minAvgRedP {
@@ -104,8 +100,6 @@ func Fig6(opts Options) (*Report, error) {
 	rep.headline("p-lmtf max tail-ECT reduction (paper 0.48)", maxTailRedP)
 	rep.headline("lmtf mean plan-time ratio (paper ~4.5)", planRatioL/float64(len(counts)))
 	rep.headline("p-lmtf mean plan-time ratio (paper ~2)", planRatioP/float64(len(counts)))
-	rep.headline("lmtf mean probe-cache hit rate", hitRateL/float64(len(counts)))
-	rep.headline("p-lmtf mean probe-cache hit rate", hitRateP/float64(len(counts)))
 	return rep, nil
 }
 

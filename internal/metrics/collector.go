@@ -56,18 +56,9 @@ type Collector struct {
 	PlanTime time.Duration
 	// Makespan is the virtual time at which the run finished.
 	Makespan time.Duration
-	// ProbeCacheHits and ProbeCacheMisses count scheduler cost probes
-	// answered from the epoch-based probe cache versus freshly planned.
-	ProbeCacheHits   int
-	ProbeCacheMisses int
-	// ProbeCold and ProbeIncremental split the misses: full trial-plans
-	// of never-cached events versus re-plans of cache entries invalidated
-	// by link changes. ProbeJournalMisses counts times the probe engine
-	// fell behind the graph's change journal and had to treat every
-	// cached entry as dirty.
-	ProbeCold          int
-	ProbeIncremental   int
-	ProbeJournalMisses int
+	// Probes counts cost probes: every trial plan a scheduler or the
+	// co-schedule check ran (core.Planner.Probe).
+	Probes int
 	// ProbeWallTime is real (not simulated) wall-clock time spent probing.
 	ProbeWallTime time.Duration
 	// FaultsInjected counts fault injections applied to the run.
@@ -82,15 +73,6 @@ type Collector struct {
 	// after exhausting the retry budget.
 	InstallRetries   int
 	InstallRollbacks int
-}
-
-// ProbeHitRate returns the probe cache hit rate, 0 when no probes ran.
-func (c *Collector) ProbeHitRate() float64 {
-	total := c.ProbeCacheHits + c.ProbeCacheMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.ProbeCacheHits) / float64(total)
 }
 
 // NewCollector returns an empty collector.

@@ -109,17 +109,6 @@ func TestPercentileSingleSample(t *testing.T) {
 	}
 }
 
-func TestProbeHitRate(t *testing.T) {
-	c := NewCollector()
-	if got := c.ProbeHitRate(); got != 0 {
-		t.Errorf("ProbeHitRate with no probes = %v, want 0", got)
-	}
-	c.ProbeCacheHits, c.ProbeCacheMisses = 3, 1
-	if got := c.ProbeHitRate(); got != 0.75 {
-		t.Errorf("ProbeHitRate = %v, want 0.75", got)
-	}
-}
-
 func TestSortedByArrival(t *testing.T) {
 	c := NewCollector()
 	// Completion order 3, 1, 2; arrival order 1, 2, 3 (2 and 3 tie on

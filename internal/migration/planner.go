@@ -103,15 +103,6 @@ type Result struct {
 	// Evals counts path/flow feasibility evaluations performed while
 	// planning; the simulator charges plan time proportional to it.
 	Evals int
-	// Touched, when touched-link tracking is enabled (SetTrackTouched),
-	// conservatively over-approximates the links whose reservation state
-	// this admission read: every link of every candidate path of the
-	// triggering flow, plus every link of every candidate path of each
-	// migration victim considered. If none of these links changed, a
-	// repeat of the admission plan is guaranteed to produce the same
-	// result — the soundness condition of the probe-cost cache. Entries
-	// may repeat; callers dedup.
-	Touched []topology.LinkID
 }
 
 // Planner admits flows into a Network, migrating existing flows when
@@ -121,9 +112,6 @@ type Planner struct {
 	strategy   Strategy
 	desired    DesiredPolicy
 	allowSplit bool
-	// trackTouched makes Admit record the links it reads in
-	// Result.Touched (probe-cost caching needs the read set).
-	trackTouched bool
 }
 
 // NewPlanner returns a Planner over the given network. strategy 0 defaults
@@ -141,12 +129,6 @@ func (p *Planner) SetDesiredPolicy(policy DesiredPolicy) { p.desired = policy }
 // DesiredPolicy returns the active desired-path policy.
 func (p *Planner) DesiredPolicy() DesiredPolicy { return p.desired }
 
-// SetTrackTouched enables recording of the links each admission reads in
-// Result.Touched. core.Planner turns it on for the duration of a probe
-// engine's trial plans, so cached cost estimates can be invalidated
-// precisely, and leaves it off for commits.
-func (p *Planner) SetTrackTouched(track bool) { p.trackTouched = track }
-
 // Network returns the planner's network.
 func (p *Planner) Network() *netstate.Network { return p.net }
 
@@ -161,11 +143,6 @@ func (p *Planner) Admit(f *flow.Flow) (*Result, error) {
 
 	candidates := p.net.Candidates(f)
 	res.Evals += len(candidates)
-	if p.trackTouched {
-		for _, q := range candidates {
-			res.Touched = append(res.Touched, q.Links()...)
-		}
-	}
 	if len(candidates) == 0 {
 		return res, fmt.Errorf("admit %v: no candidate paths: %w", f, netstate.ErrNoFeasiblePath)
 	}
@@ -253,14 +230,6 @@ func (p *Planner) freeCapacity(f *flow.Flow, desired routing.Path, res *Result) 
 	// utilization and are exactly the unfixable case.
 	usable := make([]*flow.Flow, 0, len(candidates))
 	for _, cand := range candidates {
-		if p.trackTouched {
-			// Every candidate victim's candidate-path links are read below
-			// (detour scans) and their occupancy determined which victims
-			// appeared at all; record them for cache invalidation.
-			for _, q := range p.net.Candidates(cand) {
-				res.Touched = append(res.Touched, q.Links()...)
-			}
-		}
 		if p.detourable(cand, congested, res) {
 			usable = append(usable, cand)
 		}

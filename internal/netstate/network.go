@@ -67,7 +67,7 @@ func (n *Network) Graph() *topology.Graph { return n.graph }
 //
 // Fork is on no product path (cost probes run on the live network inside
 // BeginTrial/EndTrial). Its signature is fixed by its two callers: the
-// probe-cache property tests use a fork as their reference oracle and
+// probe property tests use a fork as their reference oracle and
 // bench/ times it as netstate.fork_ms.
 func (n *Network) Fork() *Network {
 	return &Network{
@@ -79,10 +79,10 @@ func (n *Network) Fork() *Network {
 }
 
 // BeginTrial opens the bracket around a plan that will be rolled back in
-// full (core.Planner's cost probes): the graph stops minting epochs,
-// versions and journal entries (topology.Graph.BeginTrial) and the
-// registry's position is marked. Place, Reroute, Withdraw, AddFlow and
-// Remove work as usual in between.
+// full (core.Planner's cost probes): the graph starts summing the
+// trial's reservations (topology.Graph.BeginTrial) and the registry's
+// position is marked. Place, Reroute, Withdraw, AddFlow and Remove work
+// as usual in between.
 func (n *Network) BeginTrial() {
 	n.graph.BeginTrial()
 	n.trial = n.reg.Mark()
@@ -90,8 +90,8 @@ func (n *Network) BeginTrial() {
 
 // EndTrial closes the bracket after the rollback: the flow-ID counter is
 // rewound to where the trial began, so the trial leaves no trace in the
-// graph's change history or in the ID sequence. It panics if bandwidth or
-// flows of the trial are still in place.
+// ID sequence. It panics if bandwidth or flows of the trial are still in
+// place.
 func (n *Network) EndTrial() {
 	n.graph.EndTrial()
 	n.reg.Rewind(n.trial)
@@ -315,8 +315,7 @@ func (n *Network) FlowsAcross(links []topology.LinkID, exclude flow.EventID) []*
 // were traversing any of them (deduplicated, ID-sorted) together with how
 // many links actually changed state. The flows are NOT withdrawn: their
 // reservations still sit on the dead links, and the caller (the fault
-// layer) decides whether to reroute, re-admit or drop them. Marking a
-// link down bumps the graph epoch, so probe caches self-invalidate.
+// layer) decides whether to reroute, re-admit or drop them.
 func (n *Network) FailLinks(links []topology.LinkID) (affected []*flow.Flow, changed int) {
 	affected = n.FlowsAcross(links, flow.NoEvent)
 	for _, l := range links {

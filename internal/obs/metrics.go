@@ -391,8 +391,8 @@ func (d *Distribution) writeProm(w io.Writer) {
 func formatFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
 
 // SimMetrics is the live metric set the engine maintains: queue depth,
-// virtual clock, utilization, round/event counters, probe-cache
-// effectiveness, the ECT and queuing-delay histograms, and the current
+// virtual clock, utilization, round/event counters, the probe count,
+// the ECT and queuing-delay histograms, and the current
 // link-utilization distribution.
 type SimMetrics struct {
 	QueueDepth   *Gauge
@@ -404,18 +404,8 @@ type SimMetrics struct {
 	FlowsAdmitted *Counter
 	FlowsFailed   *Counter
 
-	ProbeHits    *Gauge
-	ProbeMisses  *Gauge
-	ProbeHitRate *FloatGauge
-	// ProbeCold and ProbeIncremental split the misses: full trial-plans
-	// of never-cached events vs. re-plans of invalidated entries. A
-	// steady-state round on an unchanged queue moves neither.
-	ProbeCold        *Gauge
-	ProbeIncremental *Gauge
-	// ProbeDirtyLinks observes the distinct dirty-link count of each
-	// journal batch the probe engine consumes (one sample per epoch-bump
-	// group processed).
-	ProbeDirtyLinks *Histogram
+	// Probes is the run total of cost probes (trial plans).
+	Probes *Gauge
 
 	ECT          *Histogram
 	QueuingDelay *Histogram
@@ -433,14 +423,6 @@ type SimMetrics struct {
 // "netupdate_" prefix.
 func NewSimMetrics(r *Registry) *SimMetrics {
 	utilBounds := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0}
-	// Power-of-two dirty-set buckets 1..4096: one committed event dirties
-	// a handful of links, a fault cascade dirties hundreds.
-	dirtyBounds := make([]int64, 13)
-	db := int64(1)
-	for i := range dirtyBounds {
-		dirtyBounds[i] = db
-		db *= 2
-	}
 	return &SimMetrics{
 		QueueDepth:   r.NewGauge("netupdate_queue_depth", "Events waiting in the update queue."),
 		VirtualClock: r.NewGauge("netupdate_virtual_clock_ns", "Simulation virtual clock in nanoseconds."),
@@ -451,12 +433,7 @@ func NewSimMetrics(r *Registry) *SimMetrics {
 		FlowsAdmitted: r.NewCounter("netupdate_flows_admitted_total", "Event flows admitted."),
 		FlowsFailed:   r.NewCounter("netupdate_flows_failed_total", "Event flow specs that could not be admitted."),
 
-		ProbeHits:        r.NewGauge("netupdate_probe_cache_hits", "Cost probes answered from the epoch cache (run total)."),
-		ProbeMisses:      r.NewGauge("netupdate_probe_cache_misses", "Cost probes freshly planned (run total)."),
-		ProbeHitRate:     r.NewFloatGauge("netupdate_probe_hit_rate", "Probe cache hit rate, 0 when no probes ran."),
-		ProbeCold:        r.NewGauge("netupdate_probe_cold_plans", "Full trial-plans of never-cached events (run total)."),
-		ProbeIncremental: r.NewGauge("netupdate_probe_incremental_replans", "Re-plans of cache entries invalidated by link changes (run total)."),
-		ProbeDirtyLinks:  r.NewHistogram("netupdate_probe_dirty_links", "Distinct dirty links per consumed change-journal batch.", dirtyBounds),
+		Probes: r.NewGauge("netupdate_probe_trial_plans", "Cost probes trial-planned on the live network (run total)."),
 
 		ECT:          r.NewDurationHistogram("netupdate_ect_ns", "Event completion time (completion - arrival), ns."),
 		QueuingDelay: r.NewDurationHistogram("netupdate_queuing_delay_ns", "Event queuing delay (start - arrival), ns."),
@@ -702,21 +679,4 @@ func NewLatencyMetrics(r *Registry) *LatencyMetrics {
 	r.NewQuantiles("netupdate_latency_e2e_quantile_ns",
 		"End-to-end event latency percentiles, wall ns.", m.E2E, 50, 95, 99, 99.9)
 	return m
-}
-
-// SetProbeDetail refreshes the miss-split gauges from run totals.
-func (m *SimMetrics) SetProbeDetail(cold, incremental int64) {
-	m.ProbeCold.Set(cold)
-	m.ProbeIncremental.Set(incremental)
-}
-
-// SetProbeStats refreshes the probe-cache gauges from run totals.
-func (m *SimMetrics) SetProbeStats(hits, misses int64) {
-	m.ProbeHits.Set(hits)
-	m.ProbeMisses.Set(misses)
-	if total := hits + misses; total > 0 {
-		m.ProbeHitRate.Set(float64(hits) / float64(total))
-	} else {
-		m.ProbeHitRate.Set(0)
-	}
 }

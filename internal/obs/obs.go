@@ -94,14 +94,10 @@ type ProbeOutcome struct {
 	Event int64 `json:"event"`
 	// CostBps is the probed Cost(U) in bits/s.
 	CostBps int64 `json:"cost_bps"`
-	// Evals is the planning work the probe reported (cache hits report
-	// the work a fresh probe would have done).
+	// Evals is the planning work the probe reported.
 	Evals int `json:"evals"`
 	// Admittable counts the event's flows that could be admitted.
 	Admittable int `json:"admittable"`
-	// CacheHit reports whether the probe was answered from the probe
-	// engine's epoch cache instead of freshly planned.
-	CacheHit bool `json:"cache_hit,omitempty"`
 }
 
 // CoSchedule reports one opportunistic co-scheduling attempt of a round

@@ -185,7 +185,7 @@ func TestSimMetricsAndHandler(t *testing.T) {
 	reg := NewRegistry()
 	m := NewSimMetrics(reg)
 	m.QueueDepth.Set(7)
-	m.SetProbeStats(3, 1)
+	m.Probes.Set(4)
 	m.ECT.Observe(int64(2 * time.Millisecond))
 	m.LinkUtil.Update([]float64{0.3, 0.8})
 	m.Utilization.Set(0.55)
@@ -195,7 +195,7 @@ func TestSimMetricsAndHandler(t *testing.T) {
 	for path, wants := range map[string][]string{
 		"/metrics": {
 			"netupdate_queue_depth 7",
-			"netupdate_probe_hit_rate 0.75",
+			"netupdate_probe_trial_plans 4",
 			"netupdate_ect_ns_count 1",
 			"netupdate_link_utilization_bucket",
 			"netupdate_utilization 0.55",

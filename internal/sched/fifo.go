@@ -46,7 +46,7 @@ func (Reorder) Pick(q *Queue, planner *core.Planner) (Decision, error) {
 	best := -1
 	var bestCost float64
 	for i := 0; i < q.Len(); i++ {
-		est, err := probeCost(planner, q.At(i))
+		est, err := planner.Probe(q.At(i))
 		if err != nil {
 			return Decision{}, err
 		}
@@ -56,7 +56,6 @@ func (Reorder) Pick(q *Queue, planner *core.Planner) (Decision, error) {
 			Cost:       est.Cost,
 			Admittable: est.Admittable,
 			Evals:      est.Evals,
-			CacheHit:   est.FromCache,
 		})
 		if best == -1 || float64(est.Cost) < bestCost {
 			best, bestCost = i, float64(est.Cost)

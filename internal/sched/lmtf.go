@@ -21,19 +21,13 @@ const DefaultAlpha = 4
 // overtake a heavy head (no head-of-line blocking) while un-sampled events
 // keep their FIFO positions (bounded unfairness).
 //
-// Cost probes go through a core.ProbeEngine: repeat probes of unchanged
-// candidates are answered from the engine's epoch cache, the rest are
-// trial-planned on the live network and rolled back. The cache does not
-// change the decision — a hit carries exactly the estimate a fresh probe
-// would, and the winner is still the (cost, arrival-order) minimum over
-// the same sampled set.
+// Each probe is a trial plan on the live network, rolled back
+// (core.Planner.Probe); sampling, not caching, is what keeps it cheap.
 type LMTF struct {
 	// Alpha is the sample size (>= 1).
 	Alpha int
 	rng   *rand.Rand
 	src   *detrand.CountedSource
-	// eng is the probe engine, bound lazily to the planner Pick receives.
-	eng *core.ProbeEngine
 	// record makes Pick report per-candidate probe outcomes in
 	// Decision.Probes (see ProbeRecorder); off by default.
 	record bool
@@ -43,7 +37,6 @@ type LMTF struct {
 }
 
 var _ Scheduler = (*LMTF)(nil)
-var _ CostProber = (*LMTF)(nil)
 var _ ProbeRecorder = (*LMTF)(nil)
 
 // NewLMTF returns an LMTF scheduler with the given sample size (0 means
@@ -73,15 +66,6 @@ func (s *LMTF) Name() string { return fmt.Sprintf("lmtf(a=%d)", s.Alpha) }
 // recording when a tracer is attached after construction.
 func (s *LMTF) SetRecordProbes(on bool) { s.record = on }
 
-// ProbeEngine implements CostProber, returning the engine bound to the
-// given planner (rebinding if the planner changed since the last round).
-func (s *LMTF) ProbeEngine(planner *core.Planner) *core.ProbeEngine {
-	if s.eng == nil || s.eng.Planner() != planner {
-		s.eng = core.NewProbeEngine(planner)
-	}
-	return s.eng
-}
-
 // Pick implements Scheduler.
 func (s *LMTF) Pick(q *Queue, planner *core.Planner) (Decision, error) {
 	cands, d, err := s.selectCandidates(q, planner)
@@ -109,32 +93,17 @@ func (s *LMTF) selectCandidates(q *Queue, planner *core.Planner) ([]candidate, D
 	}
 	d := Decision{}
 	indices := s.sampleIndices(q.Len(), s.Alpha)
-	evs := make([]*core.Event, len(indices))
-	for j, i := range indices {
-		evs[j] = q.At(i)
-	}
-	ests, err := s.ProbeEngine(planner).ProbeAll(evs)
-	if err != nil {
-		return nil, Decision{}, err
-	}
 	cands := make([]candidate, 0, len(indices))
-	for j, i := range indices {
-		est := ests[j]
-		d.Evals += est.Evals
-		cands = append(cands, candidate{ev: evs[j], index: i, cost: est.Cost, admittable: est.Admittable})
-	}
 	if s.record {
-		d.Probes = make([]ProbeRecord, len(indices))
-		for j := range indices {
-			est := ests[j]
-			d.Probes[j] = ProbeRecord{
-				Event:      evs[j],
-				Cost:       est.Cost,
-				Admittable: est.Admittable,
-				Evals:      est.Evals,
-				CacheHit:   est.FromCache,
-			}
+		d.Probes = make([]ProbeRecord, 0, len(indices))
+	}
+	for _, i := range indices {
+		ev := q.At(i)
+		est, err := s.probe(planner, ev, &d)
+		if err != nil {
+			return nil, Decision{}, err
 		}
+		cands = append(cands, candidate{ev: ev, index: i, cost: est.Cost, admittable: est.Admittable})
 	}
 	// Move the winner to the front; keep everyone else in arrival order.
 	best := 0
@@ -149,6 +118,25 @@ func (s *LMTF) selectCandidates(q *Queue, planner *core.Planner) ([]candidate, D
 		cands = append([]candidate{winner}, cands...)
 	}
 	return cands, d, nil
+}
+
+// probe prices one event for decision d: it charges the probe's planning
+// work to d.Evals and, when recording, reports it in d.Probes.
+func (s *LMTF) probe(planner *core.Planner, ev *core.Event, d *Decision) (*core.Estimate, error) {
+	est, err := planner.Probe(ev)
+	if err != nil {
+		return nil, fmt.Errorf("probe %v: %w", ev, err)
+	}
+	d.Evals += est.Evals
+	if s.record {
+		d.Probes = append(d.Probes, ProbeRecord{
+			Event:      ev,
+			Cost:       est.Cost,
+			Admittable: est.Admittable,
+			Evals:      est.Evals,
+		})
+	}
+	return est, nil
 }
 
 // sampleIndices returns {0} ∪ α distinct random indices from [1, n), in

@@ -25,7 +25,6 @@ type PLMTF struct {
 }
 
 var _ Scheduler = (*PLMTF)(nil)
-var _ CostProber = (*PLMTF)(nil)
 var _ ProbeRecorder = (*PLMTF)(nil)
 
 // NewPLMTF returns a P-LMTF scheduler with the given sample size (0 means
@@ -67,12 +66,6 @@ func (s *PLMTF) SetScanAll(all bool) { s.scanAll = all }
 // recording when a tracer is attached after construction.
 func (s *PLMTF) SetRecordProbes(on bool) { s.inner.SetRecordProbes(on) }
 
-// ProbeEngine implements CostProber, delegating to the inner LMTF so both
-// the selection probes and the full-queue scan share one cache.
-func (s *PLMTF) ProbeEngine(planner *core.Planner) *core.ProbeEngine {
-	return s.inner.ProbeEngine(planner)
-}
-
 // Pick implements Scheduler: the LMTF winner plus the remaining
 // candidates, in arrival order, as opportunistic co-runners.
 func (s *PLMTF) Pick(q *Queue, planner *core.Planner) (Decision, error) {
@@ -90,32 +83,16 @@ func (s *PLMTF) Pick(q *Queue, planner *core.Planner) (Decision, error) {
 		for _, c := range cands {
 			byEvent[c.ev] = c.admittable
 		}
-		var unprobed []*core.Event
 		for i := 0; i < q.Len(); i++ {
-			if ev := q.At(i); ev != d.Head {
-				if _, ok := byEvent[ev]; !ok {
-					unprobed = append(unprobed, ev)
-				}
+			ev := q.At(i)
+			if _, ok := byEvent[ev]; ok {
+				continue
 			}
-		}
-		// Batch the un-sampled events through the probe engine so the
-		// full-queue scan also gets epoch caching.
-		ests, err := s.ProbeEngine(planner).ProbeAll(unprobed)
-		if err != nil {
-			return Decision{}, err
-		}
-		for j, ev := range unprobed {
-			d.Evals += ests[j].Evals
-			byEvent[ev] = ests[j].Admittable
-			if s.inner.record {
-				d.Probes = append(d.Probes, ProbeRecord{
-					Event:      ev,
-					Cost:       ests[j].Cost,
-					Admittable: ests[j].Admittable,
-					Evals:      ests[j].Evals,
-					CacheHit:   ests[j].FromCache,
-				})
+			est, err := s.inner.probe(planner, ev, &d)
+			if err != nil {
+				return Decision{}, err
 			}
+			byEvent[ev] = est.Admittable
 		}
 		rest := make([]Candidate, 0, q.Len()-1)
 		for i := 0; i < q.Len(); i++ {

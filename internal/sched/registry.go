@@ -59,11 +59,10 @@ type Builder func(alpha int, seed int64) Scheduler
 var (
 	registryMu sync.RWMutex
 	registry   = map[string]Builder{
-		"fifo":     func(int, int64) Scheduler { return FIFO{} },
-		"reorder":  func(int, int64) Scheduler { return Reorder{} },
-		"lmtf":     func(alpha int, seed int64) Scheduler { return NewLMTF(alpha, seed) },
-		"p-lmtf":   func(alpha int, seed int64) Scheduler { return NewPLMTF(alpha, seed) },
-		"min-cost": func(int, int64) Scheduler { return NewMinCost() },
+		"fifo":    func(int, int64) Scheduler { return FIFO{} },
+		"reorder": func(int, int64) Scheduler { return Reorder{} },
+		"lmtf":    func(alpha int, seed int64) Scheduler { return NewLMTF(alpha, seed) },
+		"p-lmtf":  func(alpha int, seed int64) Scheduler { return NewPLMTF(alpha, seed) },
 	}
 )
 

@@ -38,30 +38,35 @@ func typeName(s Scheduler) string {
 	}
 }
 
+// TestNewUnknownScheduler: an unregistered name — a typo, or "min-cost",
+// which old WAL metas may still name — is refused with the registered
+// names listed.
 func TestNewUnknownScheduler(t *testing.T) {
-	_, err := New("bogus")
-	if err == nil {
-		t.Fatal("New(bogus) succeeded")
-	}
-	var unknown *UnknownSchedulerError
-	if !errors.As(err, &unknown) {
-		t.Fatalf("error %T is not *UnknownSchedulerError", err)
-	}
-	if unknown.Name != "bogus" {
-		t.Errorf("Name = %q, want bogus", unknown.Name)
-	}
-	for _, want := range []string{"fifo", "lmtf", "p-lmtf", "reorder"} {
-		found := false
-		for _, name := range unknown.Registered {
-			if name == want {
-				found = true
+	for _, bad := range []string{"bogus", "min-cost"} {
+		_, err := New(bad)
+		if err == nil {
+			t.Fatalf("New(%s) succeeded", bad)
+		}
+		var unknown *UnknownSchedulerError
+		if !errors.As(err, &unknown) {
+			t.Fatalf("error %T is not *UnknownSchedulerError", err)
+		}
+		if unknown.Name != bad {
+			t.Errorf("Name = %q, want %s", unknown.Name, bad)
+		}
+		for _, want := range []string{"fifo", "lmtf", "p-lmtf", "reorder"} {
+			found := false
+			for _, name := range unknown.Registered {
+				if name == want {
+					found = true
+				}
 			}
-		}
-		if !found {
-			t.Errorf("Registered %v misses %q", unknown.Registered, want)
-		}
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error message %q does not list %q", err, want)
+			if !found {
+				t.Errorf("Registered %v misses %q", unknown.Registered, want)
+			}
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error message %q does not list %q", err, want)
+			}
 		}
 	}
 }

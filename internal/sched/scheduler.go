@@ -39,9 +39,6 @@ type ProbeRecord struct {
 	Cost       topology.Bandwidth
 	Admittable int
 	Evals      int
-	// CacheHit reports whether the probe engine answered from its epoch
-	// cache instead of replanning.
-	CacheHit bool
 }
 
 // Candidate is an event offered for opportunistic co-scheduling together
@@ -68,16 +65,6 @@ type Scheduler interface {
 	Pick(q *Queue, planner *core.Planner) (Decision, error)
 }
 
-// CostProber is implemented by schedulers whose cost probes run through a
-// core.ProbeEngine (LMTF, P-LMTF and min-cost). The simulator uses it to
-// route its own opportunistic re-probes via the same engine (sharing the
-// cache) and to read probe statistics at the end of a run.
-type CostProber interface {
-	Scheduler
-	// ProbeEngine returns the engine bound to the given planner.
-	ProbeEngine(planner *core.Planner) *core.ProbeEngine
-}
-
 // ProbeRecorder is implemented by schedulers that can report their
 // per-candidate probe outcomes in Decision.Probes. Recording defaults to
 // off so that untraced hot paths stay allocation-identical; the
@@ -85,15 +72,4 @@ type CostProber interface {
 type ProbeRecorder interface {
 	// SetRecordProbes enables or disables Decision.Probes reporting.
 	SetRecordProbes(on bool)
-}
-
-// probeCost estimates an event's current update cost, tolerating
-// infeasible events (their cost still orders them; infeasibility at probe
-// time does not exclude an event from being scheduled later).
-func probeCost(planner *core.Planner, ev *core.Event) (*core.Estimate, error) {
-	est, err := planner.Probe(ev)
-	if err != nil {
-		return nil, err
-	}
-	return est, nil
 }

@@ -374,10 +374,7 @@ func mergeStats(per []ctl.Stats) *ctl.Stats {
 		if p.VirtualClock > agg.VirtualClock {
 			agg.VirtualClock = p.VirtualClock
 		}
-		agg.ProbeCacheHits += p.ProbeCacheHits
-		agg.ProbeCacheMisses += p.ProbeCacheMisses
-		agg.ProbeColdPlans += p.ProbeColdPlans
-		agg.ProbeIncrementalReplans += p.ProbeIncrementalReplans
+		agg.Probes += p.Probes
 		agg.Rounds += p.Rounds
 		agg.FaultsInjected += p.FaultsInjected
 		agg.LinksDown += p.LinksDown
@@ -428,8 +425,6 @@ func mergeStats(per []ctl.Stats) *ctl.Stats {
 		agg.AvgECT = time.Duration(ectWeighted / int64(agg.EventsDone))
 		agg.AvgQueuingDelay = time.Duration(queueWeighted / int64(agg.EventsDone))
 	}
-	if total := agg.ProbeCacheHits + agg.ProbeCacheMisses; total > 0 {
-		agg.ProbeHitRate = float64(agg.ProbeCacheHits) / float64(total)
-	}
+	agg.ProbeCacheMisses, agg.ProbeColdPlans = agg.Probes, agg.Probes
 	return agg
 }

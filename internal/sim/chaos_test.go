@@ -73,7 +73,6 @@ func TestChaosTraceDeterminism(t *testing.T) {
 	}{
 		{"lmtf", func() sched.Scheduler { return sched.NewLMTF(4, 1) }},
 		{"plmtf", func() sched.Scheduler { return sched.NewPLMTF(4, 1) }},
-		{"min-cost", func() sched.Scheduler { return sched.NewMinCost() }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			first, col := chaosRun(t, tc.mk, script, nil)

@@ -46,7 +46,7 @@ type Engine struct {
 	repairSeq int64
 
 	// probeBase is the probe-counter baseline restored from a checkpoint
-	// (zero otherwise): the recovered probe engine counts from zero, so
+	// (zero otherwise): the recovered planner counts from zero, so
 	// syncProbeStats adds the pre-crash totals back in.
 	probeBase ProbeBase
 
@@ -81,7 +81,7 @@ func NewEngine(planner *core.Planner, scheduler sched.Scheduler, cfg Config) *En
 // SetTracer attaches an observability tracer (nil detaches). Call before
 // Run or the first Step. Attaching also turns on per-candidate probe
 // recording for schedulers that support it, so round records carry the
-// sampled candidates' costs and cache hits.
+// sampled candidates' costs.
 func (e *Engine) SetTracer(t *obs.Tracer) {
 	e.obs = t
 	if pr, ok := e.scheduler.(sched.ProbeRecorder); ok {
@@ -96,15 +96,6 @@ func (e *Engine) Tracer() *obs.Tracer { return e.obs }
 // ctl server attaches it after WAL replay, so replayed rounds emit no
 // span records and recovery stays byte-deterministic.
 func (e *Engine) SetSpans(sr *obs.SpanRecorder) { e.spans = sr }
-
-// probeEngine returns the scheduler's probe engine, or nil for schedulers
-// (FIFO, Reorder) that probe the live network directly.
-func (e *Engine) probeEngine() *core.ProbeEngine {
-	if cp, ok := e.scheduler.(sched.CostProber); ok {
-		return cp.ProbeEngine(e.planner)
-	}
-	return nil
-}
 
 // Run simulates the given events to completion and returns the collected
 // metrics. Events may arrive at any time; the common experimental setup
@@ -291,28 +282,8 @@ func (e *Engine) drainReleases() {
 	e.processReleases(1<<62 - 1)
 }
 
-// Plan runs the scheduler's decision step over the current queue without
-// executing anything: a dry run that prices the queue (warming and
-// revalidating the probe engine's cost cache) and syncs probe counters,
-// leaving queue and network untouched. Introspection and testing hook —
-// note that sampling schedulers (LMTF) consume RNG on every decision, so
-// interleaving Plan with Step changes their subsequent samples.
-func (e *Engine) Plan() (sched.Decision, error) {
-	d, err := e.scheduler.Pick(e.queue, e.planner)
-	if err != nil {
-		return sched.Decision{}, fmt.Errorf("sim: planning: %w", err)
-	}
-	e.syncProbeStats()
-	return d, nil
-}
-
 // runRound performs one scheduling round.
 func (e *Engine) runRound() error {
-	if pe := e.probeEngine(); pe != nil && e.obs != nil {
-		if m := e.obs.Metrics(); m != nil {
-			pe.SetDirtyObserver(m.ProbeDirtyLinks)
-		}
-	}
 	decision, err := e.scheduler.Pick(e.queue, e.planner)
 	if err != nil {
 		return fmt.Errorf("sim: scheduling: %w", err)
@@ -337,7 +308,6 @@ func (e *Engine) runRound() error {
 					CostBps:    int64(p.Cost),
 					Evals:      p.Evals,
 					Admittable: p.Admittable,
-					CacheHit:   p.CacheHit,
 				}
 			}
 		}
@@ -368,18 +338,8 @@ func (e *Engine) runRound() error {
 	// candidate whose admission is not degraded by what this round has
 	// already committed — running together must not interfere (flows that
 	// fail either way, e.g. on saturated access links, do not block it).
-	pe := e.probeEngine()
 	for _, cand := range decision.Opportunistic {
-		// Re-probe through the scheduler's probe engine when it has one, so
-		// a candidate untouched by this round's commits is answered from
-		// the epoch cache instead of replanned.
-		var est *core.Estimate
-		var err error
-		if pe != nil {
-			est, err = pe.Probe(cand.Event)
-		} else {
-			est, err = e.planner.Probe(cand.Event)
-		}
+		est, err := e.planner.Probe(cand.Event)
 		if err != nil {
 			return fmt.Errorf("sim: opportunistic probe of %v: %w", cand.Event, err)
 		}
@@ -396,7 +356,6 @@ func (e *Engine) runRound() error {
 					CostBps:    int64(est.Cost),
 					Evals:      est.Evals,
 					Admittable: est.Admittable,
-					CacheHit:   est.FromCache,
 				},
 				AloneAdmittable: cand.AloneAdmittable,
 				Committed:       committed,
@@ -443,25 +402,15 @@ func (e *Engine) syncTelemetry() {
 	m.LinkUtil.Update(e.utilScratch)
 }
 
-// syncProbeStats copies the probe engine's cumulative counters into the
-// collector (assignment, not addition — the engine's counters are already
-// totals for the run).
+// syncProbeStats publishes the run's probe totals — the planner's
+// counters on top of probeBase — to the collector and the live gauge.
 func (e *Engine) syncProbeStats() {
-	pe := e.probeEngine()
-	if pe == nil {
-		return
-	}
-	st := pe.Stats()
-	e.collector.ProbeCacheHits = e.probeBase.Hits + st.Hits
-	e.collector.ProbeCacheMisses = e.probeBase.Misses + st.Misses
-	e.collector.ProbeCold = e.probeBase.Cold + st.Cold
-	e.collector.ProbeIncremental = e.probeBase.Incremental + st.Incremental
-	e.collector.ProbeJournalMisses = e.probeBase.JournalMisses + st.JournalMisses
-	e.collector.ProbeWallTime = time.Duration(e.probeBase.WallTimeNs) + st.ProbeTime
+	st := e.planner.ProbeStats()
+	e.collector.Probes = e.probeBase.Probes + st.Probes
+	e.collector.ProbeWallTime = time.Duration(e.probeBase.WallTimeNs) + st.WallTime
 	if e.obs != nil {
 		if m := e.obs.Metrics(); m != nil {
-			m.SetProbeStats(int64(e.collector.ProbeCacheHits), int64(e.collector.ProbeCacheMisses))
-			m.SetProbeDetail(int64(e.collector.ProbeCold), int64(e.collector.ProbeIncremental))
+			m.Probes.Set(int64(e.collector.Probes))
 		}
 	}
 }
@@ -479,9 +428,6 @@ func (e *Engine) runLane(ev *core.Event, laneStart time.Duration) (time.Duration
 	res, err := e.planner.Execute(ev)
 	if err != nil {
 		return 0, fmt.Errorf("sim: executing %v: %w", ev, err)
-	}
-	if pe := e.probeEngine(); pe != nil {
-		pe.Forget(ev.ID) // executed events are never probed again
 	}
 	lanePlan := e.cfg.planTime(res.Evals)
 	e.collector.PlanTime += lanePlan

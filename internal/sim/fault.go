@@ -65,11 +65,10 @@ func (e *Engine) applyDueFaults() error {
 // current virtual time. Link and switch failures withdraw the placed
 // flows crossing the dead links and convert them into a repair update
 // event queued through the normal scheduling path (the paper's
-// event abstraction: a failure IS an update event); marking links down
-// bumps the graph epoch, so probe-cache entries and probe forks reading
-// those links self-invalidate. Install timeouts arm the retry/rollback
-// machinery in runLane. The ctl server calls this directly for
-// operator-driven injection; scripted runs go through SetFaults.
+// event abstraction: a failure IS an update event). Install timeouts
+// arm the retry/rollback machinery in runLane. The ctl server calls this
+// directly for operator-driven injection; scripted runs go through
+// SetFaults.
 func (e *Engine) InjectFault(inj fault.Injection) (*FaultOutcome, error) {
 	net := e.planner.Network()
 	g := net.Graph()

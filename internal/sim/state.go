@@ -2,6 +2,7 @@ package sim
 
 import (
 	"container/heap"
+	"encoding/json"
 	"fmt"
 	"sort"
 	"time"
@@ -32,19 +33,29 @@ type TimeoutState struct {
 	Times int   `json:"times"`
 }
 
-// ProbeBase carries the probe-engine counter totals accumulated before
-// a checkpoint. A recovered engine's probe caches start cold, so its
-// own probe counters restart at zero; syncProbeStats adds this baseline
+// ProbeBase carries the probe totals accumulated before a checkpoint. A
+// recovered planner counts from zero; syncProbeStats adds this baseline
 // back, keeping the collector's run totals continuous across restarts.
-// Older checkpoints also carry "forks" and "resyncs" counts here;
-// decoding ignores them.
 type ProbeBase struct {
-	Hits          int   `json:"hits"`
-	Misses        int   `json:"misses"`
-	Cold          int   `json:"cold"`
-	Incremental   int   `json:"incremental"`
-	JournalMisses int   `json:"journal_misses"`
-	WallTimeNs    int64 `json:"wall_time_ns"`
+	Probes     int   `json:"probes"`
+	WallTimeNs int64 `json:"wall_time_ns"`
+}
+
+// UnmarshalJSON also reads checkpoints written while probes went through
+// a cache: those split the total into "hits" and "misses" (their other
+// probe keys are ignored).
+func (b *ProbeBase) UnmarshalJSON(data []byte) error {
+	var doc struct {
+		Probes     int   `json:"probes"`
+		Hits       int   `json:"hits"`
+		Misses     int   `json:"misses"`
+		WallTimeNs int64 `json:"wall_time_ns"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		return err
+	}
+	*b = ProbeBase{Probes: doc.Probes + doc.Hits + doc.Misses, WallTimeNs: doc.WallTimeNs}
+	return nil
 }
 
 // EngineState is the engine's checkpointable run state.
@@ -78,12 +89,8 @@ func (e *Engine) ExportState() EngineState {
 		Rounds:    e.rounds,
 		RepairSeq: e.repairSeq,
 		Probe: ProbeBase{
-			Hits:          e.collector.ProbeCacheHits,
-			Misses:        e.collector.ProbeCacheMisses,
-			Cold:          e.collector.ProbeCold,
-			Incremental:   e.collector.ProbeIncremental,
-			JournalMisses: e.collector.ProbeJournalMisses,
-			WallTimeNs:    int64(e.collector.ProbeWallTime),
+			Probes:     e.collector.Probes,
+			WallTimeNs: int64(e.collector.ProbeWallTime),
 		},
 	}
 	index := make(map[flow.ID]int)
@@ -137,12 +144,7 @@ func (e *Engine) RestoreState(st EngineState, flows []*flow.Flow) error {
 	e.probeBase = st.Probe
 	// Publish the baseline immediately so a scrape between recovery and
 	// the first round already sees continuous probe totals.
-	e.collector.ProbeCacheHits = st.Probe.Hits
-	e.collector.ProbeCacheMisses = st.Probe.Misses
-	e.collector.ProbeCold = st.Probe.Cold
-	e.collector.ProbeIncremental = st.Probe.Incremental
-	e.collector.ProbeJournalMisses = st.Probe.JournalMisses
-	e.collector.ProbeWallTime = time.Duration(st.Probe.WallTimeNs)
+	e.syncProbeStats()
 	return nil
 }
 

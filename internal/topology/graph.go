@@ -21,34 +21,11 @@ type Graph struct {
 	// byPair maps an ordered (from,to) pair to its link, enforcing simple
 	// directed edges (at most one link per ordered pair).
 	byPair map[[2]NodeID]LinkID
-	// epoch counts reservation-state changes across the whole graph. Each
-	// Reserve/Release increments it and stamps the new value onto the
-	// touched link's version, so link versions are globally unique and
-	// monotonically increasing.
-	epoch uint64
-	// journal is a ring of the links touched by recent epoch bumps: the
-	// change minted at epoch v sits at journal[(v-1)%journalCap]. It backs
-	// AppendChangesSince, letting probe caches dirty exactly the entries
-	// whose read sets intersect recent changes instead of revalidating
-	// every entry. Allocated lazily on the first recorded change.
-	journal []LinkID
-	// journalLo is the smallest epoch still retained in the ring; changes
-	// at or before journalLo-1 have been overwritten (or never recorded).
-	journalLo uint64
-	// journalOff disables journaling entirely. Set on forks: nobody
-	// subscribes to a fork's change stream.
-	journalOff bool
 	// trial is set between BeginTrial and EndTrial; trialNet is the
 	// bandwidth reserved minus released inside the open bracket.
 	trial    bool
 	trialNet Bandwidth
 }
-
-// journalCap bounds the change journal. 4096 epochs of history is far
-// more than the gap between scheduler rounds (a round commits one event,
-// touching tens of links); readers that fall further behind take the
-// revalidate-everything slow path.
-const journalCap = 4096
 
 // NewGraph returns an empty graph.
 func NewGraph() *Graph {
@@ -172,8 +149,6 @@ func (g *Graph) Reserve(id LinkID, bw Bandwidth) error {
 	l.reserved += bw
 	if g.trial {
 		g.trialNet += bw
-	} else {
-		g.stamp(id)
 	}
 	return nil
 }
@@ -193,18 +168,13 @@ func (g *Graph) Release(id LinkID, bw Bandwidth) error {
 	l.reserved -= bw
 	if g.trial {
 		g.trialNet -= bw
-	} else {
-		g.stamp(id)
 	}
 	return nil
 }
 
 // BeginTrial opens a trial bracket for a plan that will be rolled back
-// in full: until EndTrial, Reserve and Release still move (and check)
-// reserved bandwidth, but mint no epoch, link version or journal entry.
-// Once the trial's reservations are reversed the graph is therefore
-// indistinguishable from one that was never probed — probe caches keyed
-// on versions stay valid and change-journal readers see nothing.
+// in full: until EndTrial the graph sums the bandwidth reserved minus
+// released, so the close can check that the trial cancelled itself.
 // Capacity and link up/down changes are not trial operations. It panics
 // if a bracket is already open.
 func (g *Graph) BeginTrial() {
@@ -216,8 +186,8 @@ func (g *Graph) BeginTrial() {
 
 // EndTrial closes the bracket. Like the other ledger-corruption checks
 // it panics rather than limping on if the trial's reservations and
-// releases do not cancel: bandwidth a trial left behind would be a live
-// change that no epoch records.
+// releases do not cancel: bandwidth a trial left behind would be a
+// reservation no flow owns.
 func (g *Graph) EndTrial() {
 	if !g.trial || g.trialNet != 0 {
 		panic(fmt.Sprintf("topology: EndTrial with trial open=%v, %v still reserved", g.trial, g.trialNet))
@@ -229,9 +199,7 @@ func (g *Graph) EndTrial() {
 // splits core-layer links across per-shard worlds. It fails with
 // ErrNegativeBandwidth for c < 0 and with ErrInsufficientBandwidth when
 // the link already has more than c reserved (shrinking below the
-// committed load would make the residual negative). A successful change
-// bumps the graph epoch and the link's version exactly like Reserve, so
-// probe caches revalidate.
+// committed load would make the residual negative).
 func (g *Graph) SetCapacity(id LinkID, c Bandwidth) error {
 	if c < 0 {
 		return fmt.Errorf("set capacity on %v: %w", id, ErrNegativeBandwidth)
@@ -241,11 +209,7 @@ func (g *Graph) SetCapacity(id LinkID, c Bandwidth) error {
 		return fmt.Errorf("set capacity %v on %v (reserved %v): %w",
 			c, l, l.reserved, ErrInsufficientBandwidth)
 	}
-	if l.Capacity == c {
-		return nil
-	}
 	l.Capacity = c
-	g.stamp(id)
 	return nil
 }
 
@@ -283,17 +247,13 @@ func (g *Graph) SwitchUtilization() float64 {
 }
 
 // SetLinkDown marks a link failed (down=true) or repaired (down=false)
-// and reports whether the state actually changed. A change bumps the
-// graph epoch and the link's version exactly like a reservation change,
-// so probe-cost caches whose read sets include the link revalidate
-// instead of replaying stale estimates.
+// and reports whether the state actually changed.
 func (g *Graph) SetLinkDown(id LinkID, down bool) bool {
 	l := &g.links[id]
 	if l.down == down {
 		return false
 	}
 	l.down = down
-	g.stamp(id)
 	return true
 }
 
@@ -317,64 +277,6 @@ func (g *Graph) IncidentLinks(n NodeID) []LinkID {
 	return out
 }
 
-// Epoch returns the graph-wide reservation-change counter. Outside a
-// trial bracket it increases by exactly one on every successful Reserve
-// or Release (and on every capacity or link up/down change), so an
-// unchanged epoch guarantees unchanged residual bandwidth on every link.
-func (g *Graph) Epoch() uint64 { return g.epoch }
-
-// stamp mints the next epoch for a change to link id: it becomes the
-// link's version and the journal's newest entry.
-func (g *Graph) stamp(id LinkID) {
-	g.epoch++
-	g.links[id].version = g.epoch
-	if g.journalOff {
-		return
-	}
-	if g.journal == nil {
-		g.journal = make([]LinkID, journalCap)
-		g.journalLo = g.epoch
-	}
-	g.journal[(g.epoch-1)%journalCap] = id
-	if g.epoch-g.journalLo >= journalCap {
-		g.journalLo = g.epoch - journalCap + 1
-	}
-}
-
-// AppendChangesSince appends to buf the ID of every link changed after
-// epoch since (one entry per epoch bump, so a link changed k times
-// appears k times) and reports whether the journal covered the whole
-// gap. A false return means history was lost — the caller observed
-// since too long ago, or journaling is off (forks) — and the caller
-// must fall back to revalidating all of its state. since >= the current
-// epoch trivially succeeds with no appends.
-func (g *Graph) AppendChangesSince(buf []LinkID, since uint64) ([]LinkID, bool) {
-	if since >= g.epoch {
-		return buf, true
-	}
-	if g.journalOff || g.journal == nil || since+1 < g.journalLo {
-		return buf, false
-	}
-	for v := since + 1; v <= g.epoch; v++ {
-		buf = append(buf, g.journal[(v-1)%journalCap])
-	}
-	return buf, true
-}
-
-// MaxVersion returns the largest link version across the given links.
-// Because versions are minted from the single graph epoch, the max over a
-// fixed set increases iff some link of the set changed — the validity
-// check of probe-cost caches.
-func (g *Graph) MaxVersion(links []LinkID) uint64 {
-	var max uint64
-	for _, id := range links {
-		if v := g.links[id].version; v > max {
-			max = v
-		}
-	}
-	return max
-}
-
 // Fork returns a scratch copy of the graph: the mutable per-link
 // reservation state is copied, while the immutable topology (nodes,
 // adjacency, pair index) is shared with the parent. Reserve/Release on
@@ -382,7 +284,7 @@ func (g *Graph) MaxVersion(links []LinkID) uint64 {
 //
 // Fork is on no product path: cost probes trial-plan on the live graph
 // inside BeginTrial/EndTrial. Its signature is fixed by its two callers,
-// the probe-cache property tests (a fork is their reference oracle) and
+// the probe property tests (a fork is their reference oracle) and
 // bench/ (which times netstate.Network.Fork).
 //
 // Growing a fork's topology (AddNode/AddLink) is not supported, because
@@ -391,13 +293,11 @@ func (g *Graph) Fork() *Graph {
 	links := make([]Link, len(g.links))
 	copy(links, g.links)
 	return &Graph{
-		nodes:      g.nodes,
-		links:      links,
-		out:        g.out,
-		in:         g.in,
-		byPair:     g.byPair,
-		epoch:      g.epoch,
-		journalOff: true,
+		nodes:  g.nodes,
+		links:  links,
+		out:    g.out,
+		in:     g.in,
+		byPair: g.byPair,
 	}
 }
 

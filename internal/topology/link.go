@@ -51,26 +51,14 @@ type Link struct {
 	// It is manipulated exclusively through Graph.Reserve / Graph.Release
 	// so that all mutation funnels through invariant checks.
 	reserved Bandwidth
-	// version is the graph epoch at which the link's reservation state
-	// last changed. Epochs are minted by a single graph-wide counter, so
-	// versions are globally unique and strictly increasing: the max
-	// version over any link set changes iff some link in the set changed.
-	// Probe-cost caches rely on this to validate cached estimates.
-	version uint64
 	// down marks a failed link (fault injection). A down link reports zero
 	// residual and rejects reservations; existing reservations persist
-	// until the failure handler withdraws the affected flows. State
-	// changes go through Graph.SetLinkDown so they bump the epoch like any
-	// other reservation-visible change.
+	// until the failure handler withdraws the affected flows.
 	down bool
 }
 
 // Reserved returns the bandwidth currently reserved on the link.
 func (l *Link) Reserved() Bandwidth { return l.reserved }
-
-// Version returns the graph epoch of the link's last reservation change
-// (zero if it was never touched).
-func (l *Link) Version() uint64 { return l.version }
 
 // Down reports whether the link is currently failed.
 func (l *Link) Down() bool { return l.down }
