@@ -1,9 +1,10 @@
 // Package netupdate_test benchmarks the reproduction: one benchmark per
 // figure of the paper's evaluation (each iteration regenerates the figure
 // in quick mode; run `go run ./cmd/netupdate -all` for the full-scale
-// versions) plus micro-benchmarks of the hot paths (path enumeration,
-// admission with migration, event cost probes, scheduler decisions) and
-// the ablation studies DESIGN.md calls out.
+// versions), the ablation studies DESIGN.md calls out, whole-simulation
+// runs and the two ledger / registry micro-benchmarks bench/layers.go has
+// no row for. Per-layer timings (topology build, path lookup, admission,
+// probe, decision, fork) live in the bench/ module's layer pass.
 package netupdate_test
 
 import (
@@ -81,141 +82,6 @@ func benchEnv(b *testing.B, util float64) (*netstate.Network, *topology.FatTree,
 	return net, ft, gen
 }
 
-// BenchmarkFatTreePaths measures ECMP path-set enumeration (cold cache).
-func BenchmarkFatTreePaths(b *testing.B) {
-	ft, err := topology.NewFatTree(8, topology.Gbps)
-	if err != nil {
-		b.Fatal(err)
-	}
-	hosts := ft.Hosts()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		prov := routing.NewFatTreeProvider(ft)
-		_ = prov.Paths(hosts[i%64], hosts[64+i%64])
-	}
-}
-
-// BenchmarkFatTreePathsCached measures the hot (cached) lookup.
-func BenchmarkFatTreePathsCached(b *testing.B) {
-	ft, err := topology.NewFatTree(8, topology.Gbps)
-	if err != nil {
-		b.Fatal(err)
-	}
-	prov := routing.NewFatTreeProvider(ft)
-	hosts := ft.Hosts()
-	prov.Paths(hosts[0], hosts[100])
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = prov.Paths(hosts[0], hosts[100])
-	}
-}
-
-// BenchmarkBuildFatTree measures substrate construction.
-func BenchmarkBuildFatTree(b *testing.B) {
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := topology.NewFatTree(8, topology.Gbps); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFillBackground measures loading the fabric to 60%.
-func BenchmarkFillBackground(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		ft, err := topology.NewFatTree(8, topology.Gbps)
-		if err != nil {
-			b.Fatal(err)
-		}
-		net := netstate.New(ft.Graph(), routing.NewFatTreeProvider(ft), routing.NewRandomFit(7))
-		gen, err := trace.NewGenerator(int64(i+1), trace.YahooLike{}, ft.Hosts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		if _, err := trace.FillBackground(net, gen, 0.6, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAdmitFlow measures one admission (fast or slow path) at 70%
-// utilization, with rollback so every iteration sees the same state.
-func BenchmarkAdmitFlow(b *testing.B) {
-	net, _, gen := benchEnv(b, 0.7)
-	mig := migration.NewPlanner(net, 0)
-	specs := gen.Specs(1024)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		spec := specs[i%len(specs)]
-		spec.Event = 1
-		f, err := net.AddFlow(spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, admitErr := mig.Admit(f)
-		if admitErr == nil {
-			if err := mig.Rollback(res); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := net.Remove(f); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkProbeEvent measures the LMTF cost probe of a 50-flow event.
-func BenchmarkProbeEvent(b *testing.B) {
-	net, _, gen := benchEnv(b, 0.7)
-	planner := core.NewPlanner(migration.NewPlanner(net, 0), core.FailSkip)
-	ev := gen.Event(1, "bench", 0, 50, 50)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := planner.Probe(ev); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDecision measures one scheduling decision over a 30-event queue
-// for each policy.
-func BenchmarkDecision(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		mk   func() sched.Scheduler
-	}{
-		{"fifo", func() sched.Scheduler { return sched.FIFO{} }},
-		{"lmtf", func() sched.Scheduler { return sched.NewLMTF(4, 1) }},
-		{"plmtf", func() sched.Scheduler { return sched.NewPLMTF(4, 1) }},
-		{"reorder", func() sched.Scheduler { return sched.Reorder{} }},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			net, _, gen := benchEnv(b, 0.6)
-			planner := core.NewPlanner(migration.NewPlanner(net, 0), core.FailSkip)
-			q := sched.NewQueue()
-			for _, ev := range gen.Events(30, 10, 40) {
-				q.Push(ev)
-			}
-			s := tc.mk()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.Pick(q, planner); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkEndToEnd measures a whole simulation (10 events, k=8, 60%).
 func BenchmarkEndToEnd(b *testing.B) {
 	for _, tc := range []struct {
@@ -247,8 +113,7 @@ func BenchmarkEndToEnd(b *testing.B) {
 // simulation: the same P-LMTF run untraced (the nil fast path the <5%
 // decision-bench criterion guards), with the in-memory ring sink
 // (cmd/updated's always-on configuration) and with a JSONL sink
-// (netupdate -trace-out). scripts/bench.sh records the off-vs-ring
-// delta in BENCH_<date>.json.
+// (netupdate -trace-out).
 func BenchmarkTraceOverhead(b *testing.B) {
 	for _, tc := range []struct {
 		name string
@@ -333,17 +198,5 @@ func BenchmarkRegistryFlowsOn(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = net.Registry().FlowsOn(busiest)
-	}
-}
-
-// BenchmarkNetworkFork measures the scratch-state copy behind parallel
-// probing: per-link reservations plus flow placements on a loaded fabric
-// (topology and path caches are shared, not copied).
-func BenchmarkNetworkFork(b *testing.B) {
-	net, _, _ := benchEnv(b, 0.6)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = net.Fork()
 	}
 }

@@ -14,10 +14,8 @@
 // With -addr, events target an already-running daemon; host endpoints
 // are discovered from its snapshot. With -selfhost, loadgen spins up an
 // in-process controller (same construction as cmd/updated) and drives
-// it over loopback — handy for smoke tests and benchmarks. Selfhost
-// runs can journal into a WAL (-wal-dir, -wal-sync) to measure append
-// overhead, and reopening the same directory measures restart recovery
-// (the summary's server stats carry wal_recovery_ms).
+// it over loopback — handy for smoke tests. (The durable, replicated and
+// recovering deployments are measured by bench/, `bash bench/run.sh`.)
 //
 // Being open-loop, the arrival process never waits for the server: if
 // every connection is busy when a batch becomes due, the batch is shed
@@ -59,10 +57,8 @@ import (
 	"netupdate/internal/routing"
 	"netupdate/internal/sched"
 	"netupdate/internal/shard"
-	"netupdate/internal/sim"
 	"netupdate/internal/topology"
 	"netupdate/internal/trace"
-	"netupdate/internal/wal"
 )
 
 func main() {
@@ -70,7 +66,7 @@ func main() {
 }
 
 // summary is the generator's end-of-run report, printed as JSON with
-// -json (the shape scripts/bench.sh embeds) or as text otherwise.
+// -json or as text otherwise.
 type summary struct {
 	RateTarget  float64 `json:"rate_target"`
 	DurationSec float64 `json:"duration_sec"`
@@ -155,8 +151,6 @@ func run(args []string, stdout io.Writer) int {
 		k         = fs.Int("k", 4, "selfhost: fat-tree arity")
 		util      = fs.Float64("util", 0.3, "selfhost: background utilization target")
 		watermark = fs.Int("watermark", ctl.DefaultHighWatermark, "selfhost: queue high-watermark")
-		walDir    = fs.String("wal-dir", "", "selfhost: write-ahead log directory (empty = off); reopening a directory recovers first")
-		walSync   = fs.String("wal-sync", "group", "selfhost: WAL durability policy (always, group, off)")
 		shards    = fs.Int("shards", 1, "selfhost: partition the controller into this many pod-sharded engines behind an in-process gateway")
 		crossFrac = fs.Float64("cross-pool-frac", 0, "selfhost: core capacity fraction reserved for cross-shard events (0 = default 0.25; -shards > 1 only)")
 	)
@@ -220,10 +214,9 @@ func run(args []string, stdout io.Writer) int {
 			svc, laddr, err = startSelfhostSharded(shard.WorldConfig{
 				K: *k, Util: *util, Scheduler: *schedName, Alpha: *alpha, Seed: *seed,
 				Watermark: *watermark, Shards: *shards, CrossPoolFrac: *crossFrac,
-				WALDir: *walDir, WALSync: *walSync,
 			})
 		} else {
-			svc, laddr, err = startSelfhost(*schedName, *alpha, *k, *util, *watermark, *seed, *walDir, *walSync, spanSink)
+			svc, laddr, err = startSelfhost(*schedName, *alpha, *k, *util, *watermark, *seed, spanSink)
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "loadgen: selfhost: %v\n", err)
@@ -500,29 +493,12 @@ func discoverHosts(addr string) ([]int, error) {
 	return hosts, nil
 }
 
-// startSelfhost builds an in-process controller (the cmd/updated
-// construction) listening on an ephemeral loopback port. With walDir
-// set, the controller journals admissions there and recovers from any
-// existing history first — which is how scripts/bench.sh measures both
-// append overhead and restart-recovery time.
-func startSelfhost(schedName string, alpha, k int, util float64, watermark int, seed int64, walDir, walSync string, spanSink obs.Sink) (*ctl.Server, string, error) {
+// startSelfhost builds an in-process, memory-only controller (the
+// cmd/updated construction) listening on an ephemeral loopback port.
+func startSelfhost(schedName string, alpha, k int, util float64, watermark int, seed int64, spanSink obs.Sink) (*ctl.Server, string, error) {
 	scheduler, err := sched.New(schedName, sched.WithAlpha(alpha), sched.WithSeed(seed))
 	if err != nil {
 		return nil, "", err
-	}
-	opts := []ctl.ServerOption{ctl.WithHighWatermark(watermark)}
-	if spanSink != nil {
-		opts = append(opts, ctl.WithSpanSink(spanSink))
-	}
-	var walLog *wal.Log
-	if walDir != "" {
-		policy, err := wal.ParseSyncPolicy(walSync)
-		if err != nil {
-			return nil, "", err
-		}
-		if walLog, err = wal.Open(walDir, wal.WithSync(policy)); err != nil {
-			return nil, "", err
-		}
 	}
 	ft, err := topology.NewFatTree(k, topology.Gbps)
 	if err != nil {
@@ -533,35 +509,19 @@ func startSelfhost(schedName string, alpha, k int, util float64, watermark int, 
 	if err != nil {
 		return nil, "", err
 	}
-	restoring := walLog != nil && walLog.Checkpoint() != nil
-	if util > 0 && !restoring {
+	if util > 0 {
 		if _, err := trace.FillBackground(net, gen, util, 0); err != nil && !errors.Is(err, trace.ErrTargetUnreachable) {
 			return nil, "", err
 		}
 	}
-	planner := core.NewPlanner(migration.NewPlanner(net, 0), core.FailSkip)
-	var srv *ctl.Server
-	if walLog != nil {
-		meta := &wal.Meta{
-			Format:    wal.FormatVersion,
-			Scheduler: scheduler.Name(),
-			Seed:      seed,
-			K:         k,
-			Util:      util,
-			Watermark: watermark,
-		}
-		var rec *ctl.RecoveryInfo
-		srv, rec, err = ctl.NewServerWithWAL(planner, scheduler, sim.Config{},
-			ctl.WALConfig{Log: walLog, Meta: meta}, opts...)
-		if err != nil {
-			return nil, "", err
-		}
-		if rec.Recovered {
-			fmt.Fprintf(os.Stderr, "loadgen: selfhost recovered from WAL: %d records replayed in %v\n",
-				rec.ReplayedRecords, rec.Elapsed.Round(time.Millisecond))
-		}
-	} else {
-		srv = ctl.NewServer(planner, scheduler, sim.Config{}, opts...)
+	srv, _, err := ctl.New(ctl.Config{
+		Planner:   core.NewPlanner(migration.NewPlanner(net, 0), core.FailSkip),
+		Scheduler: scheduler,
+		Watermark: watermark,
+		SpanSink:  spanSink,
+	})
+	if err != nil {
+		return nil, "", err
 	}
 	l, err := netpkg.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

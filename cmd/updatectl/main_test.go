@@ -29,7 +29,10 @@ func startDaemon(t *testing.T) (addr string, ft *topology.FatTree) {
 	}
 	n := netstate.New(ft.Graph(), routing.NewFatTreeProvider(ft), routing.WidestFit{})
 	planner := core.NewPlanner(migration.NewPlanner(n, 0), core.FailSkip)
-	srv := ctl.NewServer(planner, sched.NewPLMTF(2, 1), sim.Config{InstallTime: time.Millisecond})
+	srv, _, err := ctl.New(ctl.Config{Planner: planner, Scheduler: sched.NewPLMTF(2, 1), Sim: sim.Config{InstallTime: time.Millisecond}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

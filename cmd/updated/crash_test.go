@@ -273,8 +273,7 @@ func compareDaemons(t *testing.T, ref, got *ctl.Client) {
 		}
 	}
 
-	// The recovered trace must be a suffix of the reference trace,
-	// modulo probe-cache warmth (a recovered engine probes cold).
+	// The recovered trace must be a suffix of the reference trace.
 	refTrace, err := ref.Trace(0)
 	if err != nil {
 		t.Fatal(err)
@@ -325,8 +324,8 @@ func normalizedStats(t *testing.T, client *ctl.Client) ctl.Stats {
 }
 
 // scrapeMetrics fetches /metrics and keeps the deterministic counters:
-// everything under netupdate_ except WAL bookkeeping, probe-cache
-// warmth and per-connection codec traffic.
+// everything under netupdate_ except WAL bookkeeping, the probe series
+// and per-connection codec traffic.
 func scrapeMetrics(t *testing.T, url string) map[string]string {
 	t.Helper()
 	// The daemon prints the full URL ("updated: telemetry on http://...").

@@ -245,7 +245,7 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) int {
 	}
 
 	planner := core.NewPlanner(migration.NewPlanner(net, 0), core.FailSkip)
-	opts := []ctl.ServerOption{ctl.WithHighWatermark(*watermark)}
+	var spanSink obs.Sink
 	if *spanOut != "" {
 		f, err := os.Create(*spanOut)
 		if err != nil {
@@ -259,47 +259,39 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) int {
 				fmt.Fprintf(os.Stderr, "updated: span-out close: %v\n", err)
 			}
 		}()
-		opts = append(opts, ctl.WithSpanSink(obs.NewJSONLSink(f)))
+		spanSink = obs.NewJSONLSink(f)
 		fmt.Fprintf(stdout, "updated: stage spans to %s\n", *spanOut)
 	}
 	var srv *ctl.Server
-	switch {
-	case followSess != nil:
-		var rec *ctl.RecoveryInfo
-		srv, rec, err = ctl.NewFollower(planner, scheduler, sim.Config{}, followCfg, followSess, opts...)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "updated: follower recovery: %v\n", err)
-			return 1
+	var rec *ctl.RecoveryInfo
+	if followSess != nil {
+		srv, rec, err = ctl.NewFollower(planner, scheduler, sim.Config{}, followCfg, followSess,
+			ctl.WithHighWatermark(*watermark), ctl.WithSpanSink(spanSink))
+	} else {
+		cfg := ctl.Config{Planner: planner, Scheduler: scheduler, Watermark: *watermark, SpanSink: spanSink}
+		if walLog != nil {
+			cfg.WAL = &ctl.WALConfig{Log: walLog, Meta: meta, CheckpointEvery: *walCkpt}
+			cfg.Replication.MaxFollowers = *maxFoll
 		}
+		srv, rec, err = ctl.New(cfg)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "updated: controller: %v\n", err)
+		return 1
+	}
+	if rec != nil {
 		if rec.Recovered {
 			fmt.Fprintf(stdout, "updated: recovered from WAL: checkpoint seq %d, %d records replayed, last seq %d (%v)\n",
 				rec.CheckpointSeq, rec.ReplayedRecords, rec.LastSeq, rec.Elapsed.Round(time.Millisecond))
 		}
 		fmt.Fprintf(stdout, "updated: wal in %s (sync=%s)\n", *walDir, *walSync)
+	}
+	if followSess != nil {
 		if *promote > 0 {
 			fmt.Fprintf(stdout, "updated: following %s (auto-promote after %v)\n", *follow, *promote)
 		} else {
 			fmt.Fprintf(stdout, "updated: following %s (manual promotion only)\n", *follow)
 		}
-	case walLog != nil:
-		if *maxFoll > 0 {
-			opts = append(opts, ctl.WithReplication(ctl.ReplicationConfig{MaxFollowers: *maxFoll}))
-		}
-		var rec *ctl.RecoveryInfo
-		srv, rec, err = ctl.NewServerWithWAL(planner, scheduler, sim.Config{},
-			ctl.WALConfig{Log: walLog, Meta: meta, CheckpointEvery: *walCkpt},
-			opts...)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "updated: wal recovery: %v\n", err)
-			return 1
-		}
-		if rec.Recovered {
-			fmt.Fprintf(stdout, "updated: recovered from WAL: checkpoint seq %d, %d records replayed, last seq %d (%v)\n",
-				rec.CheckpointSeq, rec.ReplayedRecords, rec.LastSeq, rec.Elapsed.Round(time.Millisecond))
-		}
-		fmt.Fprintf(stdout, "updated: wal in %s (sync=%s)\n", *walDir, *walSync)
-	default:
-		srv = ctl.NewServer(planner, scheduler, sim.Config{}, opts...)
 	}
 
 	if *telemetry != "" {

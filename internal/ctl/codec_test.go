@@ -315,7 +315,7 @@ func startCodecServer(t *testing.T, opts ...ServerOption) string {
 		t.Fatal(err)
 	}
 	planner := core.NewPlanner(migration.NewPlanner(net1, 0), core.FailSkip)
-	srv := NewServer(planner, sched.NewLMTF(4, 99), sim.Config{InstallTime: time.Millisecond}, opts...)
+	srv := mustNew(t, Config{Planner: planner, Scheduler: sched.NewLMTF(4, 99), Sim: sim.Config{InstallTime: time.Millisecond}}, opts...)
 
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -10,60 +10,115 @@ import (
 )
 
 // ShardIdentity places a server in a sharded deployment: shard ID (1-
-// based) of Count engines. The zero value is the unsharded default.
+// based) of Count engines. Event IDs stride by Count starting at ID, so
+// every shard mints from a disjoint ID lattice, submit verdicts carry
+// the shard, and the WAL meta records the placement. The zero value is
+// the unsharded default.
 type ShardIdentity struct {
 	ID    int
 	Count int
 }
 
-// Config collects everything a controller needs at construction. It
-// replaces the positional NewServer/NewServerWithWAL split: one struct,
-// one constructor, optional durability. The zero values of the optional
-// fields (Watermark, SpanSink, Shard, WAL) select the unsharded,
-// memory-only defaults.
+// Config collects everything a controller needs at construction: one
+// struct, one constructor, optional durability. The zero values of the
+// optional fields (Watermark, SpanSink, Shard, WAL, Replication) select
+// the unsharded, memory-only defaults.
 type Config struct {
 	// Planner owns the prepared network; Scheduler orders events; Sim is
-	// the virtual timing model. All three are required.
+	// the virtual timing model used to compute per-event metrics. Planner
+	// and Scheduler are required.
 	Planner   *core.Planner
 	Scheduler sched.Scheduler
 	Sim       sim.Config
 
-	// Watermark bounds the intake queue; <= 0 keeps
-	// DefaultHighWatermark.
+	// Watermark bounds the intake queue: submissions arriving when the
+	// update queue holds this many events or more are answered with a
+	// typed overload response carrying the queue depth and a retry-after
+	// hint. <= 0 keeps DefaultHighWatermark.
 	Watermark int
 
-	// SpanSink, when set, receives stage-level latency span records (see
-	// WithSpanSink).
+	// SpanSink, when set, receives stage-level latency span records
+	// (obs.KindStage), e.g. an obs.JSONLSink over a span file. The server
+	// wraps the sink in a bounded async stage so span emission never
+	// blocks the state loop; overflow drops records and counts them in
+	// obs_spans_dropped_total. The sink receives records from a
+	// background goroutine and is flushed and released by Server.Close.
 	SpanSink obs.Sink
 
-	// Shard places this server in a sharded deployment (see WithShard).
+	// Shard places this server in a sharded deployment. ID must lie in
+	// 1..Count unless both are zero.
 	Shard ShardIdentity
 
-	// WAL, when set, attaches a durable log: history is replayed at
-	// construction and every admitted mutation is appended before its
-	// ack (see NewServerWithWAL).
+	// WAL, when set, attaches a durable log. Any recorded history is
+	// recovered before the state loop starts — the checkpoint (if any) is
+	// thawed into the planner's network and engine, then the log suffix
+	// is folded through the same admit / inject functions live requests
+	// take — and from then on every admitted mutation is appended before
+	// its ack. When the log holds no checkpoint, the planner's network
+	// must be in the genesis state the original run started from (same
+	// topology, same background fill): replay folds the full log against
+	// it.
 	WAL *WALConfig
+
+	// Replication tunes the leader side of WAL replication. Replication
+	// itself needs no opt-in: every WAL-backed server accepts follower
+	// sessions up to MaxFollowers. Ignored without a WAL.
+	Replication ReplicationConfig
+}
+
+func (c *Config) validate() error {
+	if c.Planner == nil || c.Scheduler == nil {
+		return fmt.Errorf("ctl: Config needs Planner and Scheduler")
+	}
+	if c.WAL != nil && c.WAL.Log == nil {
+		return fmt.Errorf("ctl: WALConfig.Log is nil")
+	}
+	if sh := c.Shard; sh != (ShardIdentity{}) && (sh.ID < 1 || sh.ID > sh.Count) {
+		return fmt.Errorf("ctl: shard %d outside 1..%d", sh.ID, sh.Count)
+	}
+	return nil
+}
+
+// ServerOption adjusts the Config that the positional NewFollower
+// constructor builds from its arguments.
+type ServerOption func(*Config)
+
+// WithSpanSink sets Config.SpanSink.
+func WithSpanSink(sink obs.Sink) ServerOption {
+	return func(c *Config) { c.SpanSink = sink }
+}
+
+// WithHighWatermark sets Config.Watermark.
+func WithHighWatermark(n int) ServerOption {
+	return func(c *Config) { c.Watermark = n }
 }
 
 // New builds and starts a controller from one Config. The returned
 // RecoveryInfo is non-nil only when cfg.WAL was set and describes what
 // was replayed.
 func New(cfg Config) (*Server, *RecoveryInfo, error) {
-	if cfg.Planner == nil || cfg.Scheduler == nil {
-		return nil, nil, fmt.Errorf("ctl: Config needs Planner and Scheduler")
+	s, info, err := build(cfg)
+	if err != nil {
+		return nil, nil, err
 	}
-	var opts []ServerOption
-	if cfg.Watermark > 0 {
-		opts = append(opts, WithHighWatermark(cfg.Watermark))
+	s.start()
+	return s, info, nil
+}
+
+// build validates cfg and assembles a server whose state loop has not
+// started, recovering the WAL (if any) while the engine is still
+// single-threaded.
+func build(cfg Config) (*Server, *RecoveryInfo, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, nil, err
 	}
-	if cfg.SpanSink != nil {
-		opts = append(opts, WithSpanSink(cfg.SpanSink))
-	}
-	if cfg.Shard.ID > 0 {
-		opts = append(opts, WithShard(cfg.Shard.ID, cfg.Shard.Count))
-	}
+	s := newServer(cfg)
 	if cfg.WAL == nil {
-		return NewServer(cfg.Planner, cfg.Scheduler, cfg.Sim, opts...), nil, nil
+		return s, nil, nil
 	}
-	return NewServerWithWAL(cfg.Planner, cfg.Scheduler, cfg.Sim, *cfg.WAL, opts...)
+	info, err := s.initWAL(*cfg.WAL)
+	if err != nil {
+		return nil, nil, err
+	}
+	return s, info, nil
 }

@@ -21,6 +21,19 @@ import (
 	"netupdate/internal/trace"
 )
 
+// mustNew is New with opts applied to cfg, for worlds that must build.
+func mustNew(t *testing.T, cfg Config, opts ...ServerOption) *Server {
+	t.Helper()
+	for _, opt := range opts {
+		opt(&cfg)
+	}
+	srv, _, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	return srv
+}
+
 // startServer brings up a controller over a loaded k=4 fat-tree on an
 // ephemeral port and returns a connected client. Everything is torn down
 // by t.Cleanup.
@@ -39,7 +52,7 @@ func startServer(t *testing.T, scheduler sched.Scheduler, opts ...ServerOption) 
 		t.Fatal(err)
 	}
 	planner := core.NewPlanner(migration.NewPlanner(net1, 0), core.FailSkip)
-	srv := NewServer(planner, scheduler, sim.Config{InstallTime: time.Millisecond}, opts...)
+	srv := mustNew(t, Config{Planner: planner, Scheduler: scheduler, Sim: sim.Config{InstallTime: time.Millisecond}}, opts...)
 
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -303,7 +316,7 @@ func TestServerCloseIdempotent(t *testing.T) {
 	}
 	net1 := netstate.New(ft.Graph(), routing.NewFatTreeProvider(ft), routing.WidestFit{})
 	planner := core.NewPlanner(migration.NewPlanner(net1, 0), core.FailSkip)
-	srv := NewServer(planner, sched.FIFO{}, sim.Config{})
+	srv := mustNew(t, Config{Planner: planner, Scheduler: sched.FIFO{}})
 	if err := srv.Close(); err != nil {
 		t.Fatalf("first Close: %v", err)
 	}
@@ -326,7 +339,7 @@ func TestCloseUnderLoadNoDeadlock(t *testing.T) {
 	}
 	net1 := netstate.New(ft.Graph(), routing.NewFatTreeProvider(ft), routing.WidestFit{})
 	planner := core.NewPlanner(migration.NewPlanner(net1, 0), core.FailSkip)
-	srv := NewServer(planner, sched.FIFO{}, sim.Config{InstallTime: time.Millisecond})
+	srv := mustNew(t, Config{Planner: planner, Scheduler: sched.FIFO{}, Sim: sim.Config{InstallTime: time.Millisecond}})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -625,5 +638,33 @@ func TestTraceOp(t *testing.T) {
 	}
 	if stats.Probes != 1 {
 		t.Errorf("reorder stats show %d probes after one single-event round, want 1", stats.Probes)
+	}
+}
+
+// TestNewRejectsBadConfig: every malformed Config is a returned error,
+// not a panic or a silently different deployment.
+func TestNewRejectsBadConfig(t *testing.T) {
+	planner, scheduler, _ := buildWALWorld(t, false)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"no planner", Config{Scheduler: scheduler}, "Planner"},
+		{"no scheduler", Config{Planner: planner}, "Scheduler"},
+		{"wal without log", Config{Planner: planner, Scheduler: scheduler, WAL: &WALConfig{}}, "Log is nil"},
+		{"shard id zero", Config{Planner: planner, Scheduler: scheduler, Shard: ShardIdentity{ID: 0, Count: 4}}, "shard 0 outside 1..4"},
+		{"shard id past count", Config{Planner: planner, Scheduler: scheduler, Shard: ShardIdentity{ID: 5, Count: 4}}, "shard 5 outside 1..4"},
+		{"shard without count", Config{Planner: planner, Scheduler: scheduler, Shard: ShardIdentity{ID: 1}}, "shard 1 outside 1..0"},
+	} {
+		srv, _, err := New(tc.cfg)
+		if err == nil {
+			srv.Close()
+			t.Errorf("%s: New succeeded", tc.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
 	}
 }

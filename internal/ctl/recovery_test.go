@@ -68,10 +68,12 @@ func startWALServer(t *testing.T, dir string, ckptEvery int, opts ...wal.Option)
 		t.Fatalf("wal.Open(%s): %v", dir, err)
 	}
 	planner, scheduler, ft := buildWALWorld(t, log.Checkpoint() == nil)
-	srv, rec, err := NewServerWithWAL(planner, scheduler, sim.Config{InstallTime: time.Millisecond},
-		WALConfig{Log: log, CheckpointEvery: ckptEvery})
+	srv, rec, err := New(Config{
+		Planner: planner, Scheduler: scheduler, Sim: sim.Config{InstallTime: time.Millisecond},
+		WAL: &WALConfig{Log: log, CheckpointEvery: ckptEvery},
+	})
 	if err != nil {
-		t.Fatalf("NewServerWithWAL: %v", err)
+		t.Fatalf("New: %v", err)
 	}
 
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -215,10 +217,10 @@ type runDigest struct {
 
 // captureDigest reads the externally visible end state of a server,
 // normalizing the few fields that legitimately depend on process
-// history rather than admitted inputs: probe-cache warmth (a recovered
-// engine probes cold), wire-codec frame counts (the recovered server
-// saw only the suffix of client requests), and WAL bookkeeping that
-// counts per-process work. WALLastSeq is deliberately kept: replay
+// history rather than admitted inputs: the deprecated probe-cache
+// fields (kept zeroed so a digest compares against older captures),
+// wire-codec frame counts (the recovered server saw only the suffix of
+// client requests), and WAL bookkeeping that counts per-process work. WALLastSeq is deliberately kept: replay
 // never re-appends, so both runs must agree on the final sequence.
 func captureDigest(t *testing.T, srv *Server, client *Client) runDigest {
 	t.Helper()
@@ -269,9 +271,9 @@ func captureDigest(t *testing.T, srv *Server, client *Client) runDigest {
 			strings.HasPrefix(k, "netupdate_latency_"),
 			strings.HasPrefix(k, "netupdate_repl_"),
 			strings.HasPrefix(k, "obs_spans_dropped"):
-			// Process-local: cache warmth, per-connection codec traffic
-			// and wall-clock latency timings do not survive a crash and
-			// are not supposed to.
+			// Process-local: per-connection codec traffic, per-process
+			// WAL / replication work and wall-clock latency timings do
+			// not survive a crash and are not supposed to.
 			continue
 		}
 		metrics[k] = v
@@ -364,7 +366,7 @@ func TestCrashRecoveryConverges(t *testing.T) {
 				diffDigest(t, a, b)
 
 				// The recovered trace must be a suffix of the baseline
-				// trace, modulo probe-cache warmth.
+				// trace.
 				traceA, err := clientA.Trace(0)
 				if err != nil {
 					t.Fatalf("Trace: %v", err)
@@ -388,6 +390,50 @@ func TestCrashRecoveryConverges(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestForceCheckpointWithNothingAppended covers a checkpoint at the
+// current segment's base: on a fresh server, twice in a row, and
+// straight after an automatic one. It used to close the writer, fail on
+// the segment file that already exists, and leave the next submit to
+// panic the state loop. It must be a successful no-op: submits after it
+// are acked and a crash image taken after it recovers and converges.
+func TestForceCheckpointWithNothingAppended(t *testing.T) {
+	const perChunk = 3
+	baseDir := filepath.Join(t.TempDir(), "wal")
+	crashDir := filepath.Join(t.TempDir(), "wal-crash")
+	// The cadence equals the chunk size, so an automatic checkpoint
+	// lands on the sequence the forced ones below ask for again.
+	srvA, clientA, _, ft := startWALServer(t, baseDir, perChunk)
+	forceTwice := func() {
+		t.Helper()
+		for i := 0; i < 2; i++ {
+			if err := srvA.ForceCheckpoint(); err != nil {
+				t.Fatalf("ForceCheckpoint #%d: %v", i+1, err)
+			}
+		}
+	}
+	forceTwice() // fresh log, seq 0
+	work := walWorkload(ft, 7, 2, perChunk)
+	playChunk(t, clientA, work[0])
+	st, err := clientA.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.WALLastSeq != perChunk || st.WALCheckpointSeq != st.WALLastSeq {
+		t.Fatalf("after chunk 0: last seq %d, checkpoint seq %d; want an automatic checkpoint at %d",
+			st.WALLastSeq, st.WALCheckpointSeq, perChunk)
+	}
+	forceTwice() // straight after the automatic checkpoint
+	copyDir(t, baseDir, crashDir)
+	playChunk(t, clientA, work[1])
+
+	srvB, clientB, recB, _ := startWALServer(t, crashDir, perChunk)
+	if !recB.Recovered || recB.CheckpointSeq != perChunk || recB.ReplayedRecords != 0 {
+		t.Fatalf("recovery = %+v, want the checkpoint at seq %d and an empty suffix", recB, perChunk)
+	}
+	playChunk(t, clientB, work[1])
+	diffDigest(t, captureDigest(t, srvA, clientA), captureDigest(t, srvB, clientB))
 }
 
 // archivedCheckpoint is one checkpoint archived by wal.WithKeepSegments.
@@ -550,7 +596,7 @@ func TestRecoveryRejectsMismatchedWorld(t *testing.T) {
 		t.Fatal(err)
 	}
 	planner, _, _ := buildWALWorld(t, true)
-	srv, _, err := NewServerWithWAL(planner, sched.FIFO{}, sim.Config{}, WALConfig{Log: log})
+	srv, _, err := New(Config{Planner: planner, Scheduler: sched.FIFO{}, WAL: &WALConfig{Log: log}})
 	if err == nil {
 		srv.Close()
 		t.Fatal("a p-lmtf log recovered into a fifo server")

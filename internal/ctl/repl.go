@@ -98,7 +98,8 @@ const (
 	replBatchBytes = 256 << 10
 )
 
-// ReplicationConfig tunes the leader side of WAL replication.
+// ReplicationConfig tunes the leader side of WAL replication
+// (Config.Replication).
 type ReplicationConfig struct {
 	// MaxFollowers caps registered sessions (0 = DefaultMaxFollowers).
 	MaxFollowers int
@@ -107,13 +108,6 @@ type ReplicationConfig struct {
 	AckTimeout time.Duration
 	// HeartbeatEvery is the liveness beacon cadence (0 = default).
 	HeartbeatEvery time.Duration
-}
-
-// WithReplication overrides the leader-side replication tunables.
-// Replication itself needs no opt-in: every WAL-backed server accepts
-// follower sessions up to MaxFollowers.
-func WithReplication(rc ReplicationConfig) ServerOption {
-	return func(s *Server) { s.replCfg = &rc }
 }
 
 // errFoldFailed marks a follower-side apply error (sequence gap, replay
@@ -711,14 +705,8 @@ func (s *Server) handlePromote() Response {
 	}
 	started := time.Now()
 	r.stopFollowing()
-	for {
-		worked, err := s.engine.Step()
-		if err != nil {
-			return Response{OK: false, Error: fmt.Sprintf("ctl: promote drain: %v", err)}
-		}
-		if !worked {
-			break
-		}
+	if err := s.stepUntil(quiescence); err != nil {
+		return Response{OK: false, Error: fmt.Sprintf("ctl: promote drain: %v", err)}
 	}
 	newTerm := r.term + 1
 	if lt := r.leaderTerm.Load(); lt >= newTerm {
@@ -1017,16 +1005,22 @@ func dialFollowerSession(cfg *FollowerConfig, term uint64, afterSeq int64, boots
 
 // NewFollower builds a read-only server that continuously folds the
 // leader's WAL stream. It recovers the follower's own log first (the
-// same initWAL path NewServerWithWAL takes — a bootstrap checkpoint
-// installed by FollowerBootstrap restores like any other), then applies
-// frames from sess as they arrive. Writes are answered with a typed
-// not-leader rejection until promotion.
+// same build path New takes — a bootstrap checkpoint installed by
+// FollowerBootstrap restores like any other), then applies frames from
+// sess as they arrive. Writes are answered with a typed not-leader
+// rejection until promotion.
 func NewFollower(planner *core.Planner, scheduler sched.Scheduler, simCfg sim.Config, cfg FollowerConfig, sess *FollowerSession, opts ...ServerOption) (*Server, *RecoveryInfo, error) {
 	if sess == nil {
 		return nil, nil, fmt.Errorf("ctl: NewFollower needs the session from FollowerBootstrap")
 	}
-	s := newServer(planner, scheduler, simCfg, opts...)
-	info, err := s.initWAL(WALConfig{Log: cfg.Log, Meta: cfg.Meta, CheckpointEvery: cfg.CheckpointEvery, followerBoot: true})
+	c := Config{
+		Planner: planner, Scheduler: scheduler, Sim: simCfg,
+		WAL: &WALConfig{Log: cfg.Log, Meta: cfg.Meta, CheckpointEvery: cfg.CheckpointEvery, followerBoot: true},
+	}
+	for _, opt := range opts {
+		opt(&c)
+	}
+	s, info, err := build(c)
 	if err != nil {
 		_ = sess.conn.Close()
 		return nil, nil, err

@@ -32,11 +32,13 @@ func startReplLeader(t *testing.T, dir string, ckptEvery int, wopts ...wal.Optio
 		t.Fatalf("wal.Open(%s): %v", dir, err)
 	}
 	planner, scheduler, ft := buildWALWorld(t, log.Checkpoint() == nil)
-	srv, _, err := NewServerWithWAL(planner, scheduler, sim.Config{InstallTime: time.Millisecond},
-		WALConfig{Log: log, CheckpointEvery: ckptEvery},
-		WithReplication(ReplicationConfig{HeartbeatEvery: 50 * time.Millisecond}))
+	srv, _, err := New(Config{
+		Planner: planner, Scheduler: scheduler, Sim: sim.Config{InstallTime: time.Millisecond},
+		WAL:         &WALConfig{Log: log, CheckpointEvery: ckptEvery},
+		Replication: ReplicationConfig{HeartbeatEvery: 50 * time.Millisecond},
+	})
 	if err != nil {
-		t.Fatalf("NewServerWithWAL: %v", err)
+		t.Fatalf("New: %v", err)
 	}
 	client, addr := serveAndDial(t, srv)
 	return srv, client, addr, ft
@@ -62,7 +64,7 @@ func startReplFollower(t *testing.T, dir, leaderAddr string, meta wal.Meta, ckpt
 	}
 	planner, scheduler, _ := buildWALWorld(t, log.Checkpoint() == nil)
 	srv, _, err := NewFollower(planner, scheduler, sim.Config{InstallTime: time.Millisecond}, cfg, sess,
-		WithReplication(ReplicationConfig{HeartbeatEvery: 50 * time.Millisecond}))
+		func(c *Config) { c.Replication.HeartbeatEvery = 50 * time.Millisecond })
 	if err != nil {
 		t.Fatalf("NewFollower: %v", err)
 	}
@@ -495,7 +497,7 @@ func TestReplAttachRejections(t *testing.T) {
 
 	// A server running without a WAL has nothing to replicate.
 	planner, scheduler, _ := buildWALWorld(t, true)
-	plain := NewServer(planner, scheduler, sim.Config{InstallTime: time.Millisecond})
+	plain := mustNew(t, Config{Planner: planner, Scheduler: scheduler, Sim: sim.Config{InstallTime: time.Millisecond}})
 	_, plainAddr := serveAndDial(t, plain)
 	sess, err = dialFollowerSession(&FollowerConfig{LeaderAddr: plainAddr, Meta: &meta}, 1, 0, true)
 	if err != nil {
@@ -519,17 +521,22 @@ func TestReplAttachRejections(t *testing.T) {
 // same clock as the fold. This one never waits between batches, so
 // every batch after the first is admitted while earlier events are
 // still executing, and it fires faults mid-flight for the same reason.
+//
+// The log is grown past ten checkpoint intervals before the leader is
+// dropped, so both sides rotate many times and the promotion's reported
+// failover time and lag are checked on a follower with real history.
 func TestReplFollowerFoldsPipelinedBatches(t *testing.T) {
 	leaderDir := filepath.Join(t.TempDir(), "leader")
 	followerDir := filepath.Join(t.TempDir(), "follower")
 
 	// ckptEvery 4 forces rotations while the cascade is still running.
-	leaderSrv, leaderClient, leaderAddr, ft := startReplLeader(t, leaderDir, 4)
-	followerSrv, followerClient := startReplFollower(t, followerDir, leaderAddr, leaderSrv.walMeta, 4, 0)
+	const ckptEvery = 4
+	leaderSrv, leaderClient, leaderAddr, ft := startReplLeader(t, leaderDir, ckptEvery)
+	followerSrv, followerClient := startReplFollower(t, followerDir, leaderAddr, leaderSrv.walMeta, ckptEvery, 0)
 
 	// Flatten a chunked workload into back-to-back submissions: batch,
 	// fault, batch, ... with no WaitDone anywhere in between.
-	chunks := walWorkload(ft, 29, 3, 4)
+	chunks := walWorkload(ft, 29, 10, 4)
 	var ids, repairs []int64
 	for _, ch := range chunks {
 		got, err := leaderClient.SubmitBatchRetry(ch.specs, 5)
@@ -569,6 +576,26 @@ func TestReplFollowerFoldsPipelinedBatches(t *testing.T) {
 		}
 		return info.LastSeq >= leaderStats.WALLastSeq
 	})
+	if leaderStats.WALLastSeq < 10*ckptEvery {
+		t.Fatalf("log ends at seq %d, want at least %d", leaderStats.WALLastSeq, 10*ckptEvery)
+	}
+	// A follower checkpoints only on the leader's announcement, so both
+	// logs must have rotated the same number of times, last at one seq.
+	waitFor(t, 10*time.Second, "follower to fold the last checkpoint announcement", func() bool {
+		st, err := followerClient.Stats()
+		if err != nil {
+			t.Fatalf("Stats: %v", err)
+		}
+		return st.WALCheckpointSeq == leaderStats.WALCheckpointSeq
+	})
+	followerStats, err := followerClient.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if leaderStats.WALCheckpoints < 5 || followerStats.WALCheckpoints != leaderStats.WALCheckpoints {
+		t.Fatalf("rotations: leader %d, follower %d; want several, at identical sequences",
+			leaderStats.WALCheckpoints, followerStats.WALCheckpoints)
+	}
 
 	// The promoted follower must be the quiesced leader's state, exactly.
 	want := captureDigest(t, leaderSrv, leaderClient)
@@ -584,4 +611,17 @@ func TestReplFollowerFoldsPipelinedBatches(t *testing.T) {
 	}
 	got := captureDigest(t, followerSrv, followerClient)
 	diffDigest(t, want, got)
+
+	// Both views of the promotion agree: how long it took, and that a
+	// leader has no lag.
+	promoted, err := followerClient.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pInfo.FailoverMs < 0 || pInfo.FailoverMs != promoted.ReplFailoverMs {
+		t.Errorf("failover time: repl status %d ms, stats %d ms", pInfo.FailoverMs, promoted.ReplFailoverMs)
+	}
+	if pInfo.LagRecords != 0 || promoted.ReplLagRecords != 0 {
+		t.Errorf("promoted leader reports lag: repl status %d, stats %d", pInfo.LagRecords, promoted.ReplLagRecords)
+	}
 }

@@ -43,7 +43,7 @@ type Server struct {
 	// even when no span sink is configured.
 	lat       *obs.LatencyMetrics
 	spans     *obs.SpanRecorder
-	spanSink  obs.Sink // as configured by WithSpanSink (nil = none)
+	spanSink  obs.Sink // Config.SpanSink (nil = none)
 	spanAsync *obs.AsyncSink
 
 	// watermark bounds the update queue: submissions arriving at or past
@@ -74,7 +74,7 @@ type Server struct {
 	// WAL replication hub (nil without a WAL). Role and term are state-
 	// loop confined; see repl.go for the full confinement story.
 	repl    *replState
-	replCfg *ReplicationConfig
+	replCfg ReplicationConfig
 
 	// shardID and idStride place this engine in a sharded deployment:
 	// shard s of N mints event IDs s, s+N, s+2N, … so IDs are globally
@@ -133,79 +133,34 @@ const cmdBacklog = 1024
 // a stuck consumer costs bounded memory (overflow drops and counts).
 const spanSinkDepth = 8192
 
-// ServerOption configures a Server at construction.
-type ServerOption func(*Server)
-
-// WithSpanSink routes stage-level latency span records (obs.KindStage)
-// to sink, e.g. an obs.JSONLSink over a span file. The server wraps the
-// sink in a bounded async stage so span emission never blocks the state
-// loop; overflow drops records and counts them in
-// obs_spans_dropped_total. The sink receives records from a background
-// goroutine and is flushed and released by Server.Close.
-func WithSpanSink(sink obs.Sink) ServerOption {
-	return func(s *Server) { s.spanSink = sink }
-}
-
-// WithHighWatermark sets the intake bound: submissions arriving when the
-// update queue holds n or more events are answered with a typed
-// overload response carrying the queue depth and a retry-after hint.
-// n <= 0 keeps DefaultHighWatermark.
-func WithHighWatermark(n int) ServerOption {
-	return func(s *Server) {
-		if n > 0 {
-			s.watermark = n
-		}
-	}
-}
-
-// WithShard places the server in a sharded deployment as shard id (1-
-// based) of count engines: event IDs stride by count starting at id, so
-// every shard mints from a disjoint ID lattice, submit verdicts carry
-// the shard, and the WAL meta records the placement. id/count outside
-// 1 <= id <= count are ignored (the unsharded default).
-func WithShard(id, count int) ServerOption {
-	return func(s *Server) {
-		if id < 1 || count < 1 || id > count {
-			return
-		}
-		s.shardID = id
-		s.idStride = int64(count)
-		s.nextID = int64(id)
-	}
-}
-
-// NewServer wraps a planner (owning a prepared network) and a scheduler.
-// cfg is the virtual timing model used to compute per-event metrics.
-//
-// Deprecated: use New with a Config; this remains as a thin wrapper for
-// existing callers.
-func NewServer(planner *core.Planner, scheduler sched.Scheduler, cfg sim.Config, opts ...ServerOption) *Server {
-	s := newServer(planner, scheduler, cfg, opts...)
-	s.start()
-	return s
-}
-
-// newServer builds a server without starting its state loop, so WAL
-// recovery (NewServerWithWAL) can replay history into the engine while
+// newServer builds a server from a validated Config without starting its
+// state loop, so WAL recovery can replay history into the engine while
 // it is still single-threaded.
-func newServer(planner *core.Planner, scheduler sched.Scheduler, cfg sim.Config, opts ...ServerOption) *Server {
+func newServer(cfg Config) *Server {
 	s := &Server{
-		engine:    sim.NewEngine(planner, scheduler, cfg),
-		planner:   planner,
-		sched:     scheduler,
-		scheduler: scheduler.Name(),
-		numNodes:  planner.Network().Graph().NumNodes(),
+		engine:    sim.NewEngine(cfg.Planner, cfg.Scheduler, cfg.Sim),
+		planner:   cfg.Planner,
+		sched:     cfg.Scheduler,
+		scheduler: cfg.Scheduler.Name(),
+		numNodes:  cfg.Planner.Network().Graph().NumNodes(),
 		registry:  obs.NewRegistry(),
 		ring:      obs.NewRingSink(traceRingSize),
 		watermark: DefaultHighWatermark,
+		spanSink:  cfg.SpanSink,
+		replCfg:   cfg.Replication,
 		events:    make(map[int64]*core.Event),
 		nextID:    1,
 		idStride:  1,
 		cmds:      make(chan command, cmdBacklog),
 		loopStop:  make(chan struct{}),
 	}
-	for _, opt := range opts {
-		opt(s)
+	if cfg.Watermark > 0 {
+		s.watermark = cfg.Watermark
+	}
+	if sh := cfg.Shard; sh.ID > 0 {
+		s.shardID = sh.ID
+		s.idStride = int64(sh.Count)
+		s.nextID = int64(sh.ID)
 	}
 	s.ingest = obs.NewIngestMetrics(s.registry)
 	s.ingest.Watermark.Set(int64(s.watermark))
@@ -456,10 +411,12 @@ func (s *Server) handleBatch(batch []command) {
 
 // stageSubmit validates and stages the events of one submit or
 // submit-batch request, applying the watermark policy against the
-// effective depth (queued plus already staged). It returns the response
-// to send once the staged events have been enqueued. ingestWall is the
-// wall clock stamped when the request came off the wire; it opens each
-// accepted event's latency span.
+// effective depth (queued plus already staged). It decides first — one
+// log record per accepted event — then logs each record and applies it
+// through admit, the fold recovery and followers take. It returns the
+// response to send once the staged events have been enqueued.
+// ingestWall is the wall clock stamped when the request came off the
+// wire; it opens each accepted event's latency span.
 func (s *Server) stageSubmit(req Request, ingestWall int64, staged *[]*core.Event) Response {
 	// Only the leader admits writes: a follower's state is a fold of the
 	// leader's log, and a deposed leader writing would dual-write.
@@ -470,16 +427,19 @@ func (s *Server) stageSubmit(req Request, ingestWall int64, staged *[]*core.Even
 	if req.Op == OpSubmit {
 		specs = []EventSpec{*req.Event}
 	}
+	var sc obs.SpanContext
+	if req.Span != nil {
+		sc = *req.Span
+	}
 	verdicts := make([]SubmitVerdict, len(specs))
 	var overload *OverloadInfo
-	var accepted int64
-	var recs []wal.Record
+	recs := make([]wal.Record, 0, len(specs))
 	for i := range specs {
 		if err := specs[i].Validate(s.numNodes); err != nil {
 			verdicts[i] = SubmitVerdict{Error: err.Error()}
 			continue
 		}
-		if depth := s.engine.QueueLen() + len(*staged); depth >= s.watermark {
+		if depth := s.engine.QueueLen() + len(*staged) + len(recs); depth >= s.watermark {
 			if overload == nil {
 				overload = s.overloadInfo(depth)
 			}
@@ -487,72 +447,45 @@ func (s *Server) stageSubmit(req Request, ingestWall int64, staged *[]*core.Even
 			s.ingest.Rejected.Inc()
 			continue
 		}
-		id := s.nextID
-		s.nextID += s.idStride
-		flows := make([]flow.Spec, len(specs[i].Flows))
+		e := &wal.EventRecord{
+			EventID:      s.nextID + int64(len(recs))*s.idStride,
+			Kind:         specs[i].Kind,
+			Retry:        req.Retry,
+			Flows:        make([]wal.FlowSpec, len(specs[i].Flows)),
+			Origin:       sc.Origin,
+			SubmitWallNs: sc.SubmitWallNs,
+		}
+		if e.Kind == "" {
+			e.Kind = "submitted"
+		}
 		for j, f := range specs[i].Flows {
-			flows[j] = flow.Spec{
-				Src:    topology.NodeID(f.Src),
-				Dst:    topology.NodeID(f.Dst),
-				Demand: topology.Bandwidth(f.DemandBps),
-				Size:   f.SizeBytes,
+			e.Flows[j] = wal.FlowSpec{
+				Src: f.Src, Dst: f.Dst,
+				DemandBps: f.DemandBps, SizeBytes: f.SizeBytes,
 			}
 		}
-		kind := specs[i].Kind
-		if kind == "" {
-			kind = "submitted"
-		}
-		ev := core.NewEvent(flow.EventID(id), kind, s.engine.Clock(), flows)
-		s.events[id] = ev
-		s.order = append(s.order, id)
-		*staged = append(*staged, ev)
-		verdicts[i] = SubmitVerdict{OK: true, EventID: id, Shard: s.shardID}
-		accepted++
-		var sc obs.SpanContext
-		if req.Span != nil {
-			sc = *req.Span
-		}
-		s.spans.Opened(id, sc, ingestWall, int64(ev.Arrival))
-		if s.wal != nil {
-			rec := wal.Record{
-				Type:   wal.TypeEvent,
-				ID:     wal.ID{VT: int64(ev.Arrival)},
-				Rounds: s.engine.Rounds(),
-				Event: &wal.EventRecord{
-					EventID:      id,
-					Kind:         kind,
-					Retry:        req.Retry,
-					Flows:        make([]wal.FlowSpec, len(specs[i].Flows)),
-					Origin:       sc.Origin,
-					SubmitWallNs: sc.SubmitWallNs,
-				},
-			}
-			for j, f := range specs[i].Flows {
-				rec.Event.Flows[j] = wal.FlowSpec{
-					Src: f.Src, Dst: f.Dst,
-					DemandBps: f.DemandBps, SizeBytes: f.SizeBytes,
-				}
-			}
-			recs = append(recs, rec)
-		}
-	}
-	if accepted > 0 {
-		s.ingest.Accepted.Add(accepted)
-		s.ingest.Batches.Inc()
-		s.ingest.BatchSize.Observe(accepted)
-		if req.Retry {
-			s.ingest.Retried.Add(accepted)
-		}
+		recs = append(recs, wal.Record{
+			Type:   wal.TypeEvent,
+			ID:     wal.ID{VT: int64(s.engine.Clock())},
+			Rounds: s.engine.Rounds(),
+			Event:  e,
+		})
+		verdicts[i] = SubmitVerdict{OK: true, EventID: e.EventID, Shard: s.shardID}
 	}
 	if len(recs) > 0 {
 		// One request, one batch stamp: the first record carries how many
-		// events the request admitted, so replay can restore the batch
-		// counters. Sequence numbers are assigned at append time — the
-		// state loop is the only appender, so the records land contiguous.
-		recs[0].Event.BatchSize = int(accepted)
-		for i := range recs {
+		// events the request admitted, which is what admit counts batches
+		// by. Sequence numbers are assigned at append time — the state
+		// loop is the only appender, so the records land contiguous.
+		recs[0].Event.BatchSize = len(recs)
+	}
+	for i := range recs {
+		if s.wal != nil {
 			s.walAppend(&recs[i])
 		}
+		ev := s.admit(recs[i].Event)
+		*staged = append(*staged, ev)
+		s.spans.Opened(int64(ev.ID), sc, ingestWall, int64(ev.Arrival))
 	}
 	if req.Op == OpSubmit {
 		v := verdicts[0]
@@ -564,6 +497,63 @@ func (s *Server) stageSubmit(req Request, ingestWall int64, staged *[]*core.Even
 	// Batch responses are request-level OK even when individual events
 	// were rejected; per-event outcomes live in the verdicts.
 	return Response{OK: true, Verdicts: verdicts, Overload: overload}
+}
+
+// admit folds one admitted-event record into state: the event joins the
+// event table at the current virtual time, the ID lattice advances and
+// the ingest counters move. It is the only way an event is admitted —
+// live submissions (stageSubmit), crash replay and the follower fold
+// (replayRecord) all come through here, so live and recovered state
+// cannot drift. The caller enqueues the returned event.
+func (s *Server) admit(e *wal.EventRecord) *core.Event {
+	specs := make([]flow.Spec, len(e.Flows))
+	for i, f := range e.Flows {
+		specs[i] = flow.Spec{
+			Src:    topology.NodeID(f.Src),
+			Dst:    topology.NodeID(f.Dst),
+			Demand: topology.Bandwidth(f.DemandBps),
+			Size:   f.SizeBytes,
+		}
+	}
+	ev := core.NewEvent(flow.EventID(e.EventID), e.Kind, s.engine.Clock(), specs)
+	s.events[e.EventID] = ev
+	s.order = append(s.order, e.EventID)
+	s.nextID += s.idStride
+	s.ingest.Accepted.Inc()
+	if e.Retry {
+		s.ingest.Retried.Inc()
+	}
+	if e.BatchSize > 0 {
+		s.ingest.Batches.Inc()
+		s.ingest.BatchSize.Observe(int64(e.BatchSize))
+	}
+	return ev
+}
+
+// inject folds one fault record into state — the injection itself plus
+// tabling the repair event it may mint, so status/results report the
+// recovery like any submitted event. Shared by OpFault and replayRecord.
+// It returns the outcome and the minted repair event's ID (0 when none),
+// which is the caller's to record in f.RepairEventID (live) or compare
+// with it (replay).
+func (s *Server) inject(f *wal.FaultRecord) (out *sim.FaultOutcome, repairID int64, err error) {
+	out, err = s.engine.InjectFault(fault.Injection{
+		At:     s.engine.Clock(),
+		Action: fault.Action(f.Action),
+		Link:   f.Link,
+		Node:   f.Node,
+		Event:  f.Event,
+		Times:  f.Times,
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	if ev := out.RepairEvent; ev != nil {
+		repairID = int64(ev.ID)
+		s.events[repairID] = ev
+		s.order = append(s.order, repairID)
+	}
+	return out, repairID, nil
 }
 
 // overloadInfo builds the rejection payload for a submission refused at
@@ -700,14 +690,19 @@ func (s *Server) handleRequest(req Request) Response {
 		if r := s.repl; r != nil && r.role != roleLeader {
 			return s.notLeaderResponse()
 		}
-		out, err := s.engine.InjectFault(fault.Injection{
-			At:     s.engine.Clock(),
-			Action: fault.Action(req.Fault.Action),
-			Link:   req.Fault.Link,
-			Node:   req.Fault.Node,
-			Event:  req.Fault.Event,
-			Times:  req.Fault.Times,
-		})
+		rec := wal.Record{
+			Type:   wal.TypeFault,
+			ID:     wal.ID{VT: int64(s.engine.Clock())},
+			Rounds: s.engine.Rounds(),
+			Fault: &wal.FaultRecord{
+				Action: req.Fault.Action,
+				Link:   req.Fault.Link,
+				Node:   req.Fault.Node,
+				Event:  req.Fault.Event,
+				Times:  req.Fault.Times,
+			},
+		}
+		out, repairID, err := s.inject(rec.Fault)
 		if err != nil {
 			return Response{OK: false, Error: fmt.Sprintf("%v: %v", ErrBadRequest, err)}
 		}
@@ -716,29 +711,12 @@ func (s *Server) handleRequest(req Request) Response {
 			LinksChanged:  out.LinksChanged,
 			FlowsAffected: out.FlowsAffected,
 			LinksDown:     out.LinksDown,
-		}
-		// A minted repair event joins the event table so status/results
-		// report its recovery like any submitted event.
-		if ev := out.RepairEvent; ev != nil {
-			id := int64(ev.ID)
-			s.events[id] = ev
-			s.order = append(s.order, id)
-			res.RepairEventID = id
+			RepairEventID: repairID,
 		}
 		if s.wal != nil {
-			rec := wal.Record{
-				Type:   wal.TypeFault,
-				ID:     wal.ID{VT: int64(s.engine.Clock())},
-				Rounds: s.engine.Rounds(),
-				Fault: &wal.FaultRecord{
-					Action:        string(out.Action),
-					Link:          req.Fault.Link,
-					Node:          req.Fault.Node,
-					Event:         req.Fault.Event,
-					Times:         req.Fault.Times,
-					RepairEventID: res.RepairEventID,
-				},
-			}
+			// The minted repair ID is an outcome, so the record is only
+			// complete — and only logged — once the injection succeeded.
+			rec.Fault.RepairEventID = repairID
 			s.walAppend(&rec)
 			// Faults reply directly (not through flush), so commit here:
 			// the injection already mutated live state and must survive a

@@ -20,15 +20,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"netupdate/internal/core"
-	"netupdate/internal/fault"
 	"netupdate/internal/flow"
 	"netupdate/internal/metrics"
 	"netupdate/internal/obs"
 	"netupdate/internal/repl"
-	"netupdate/internal/sched"
 	"netupdate/internal/sim"
 	"netupdate/internal/snapshot"
 	"netupdate/internal/topology"
@@ -75,7 +74,7 @@ type WALConfig struct {
 	followerBoot bool
 }
 
-// RecoveryInfo reports what NewServerWithWAL rebuilt.
+// RecoveryInfo reports what WAL recovery rebuilt.
 type RecoveryInfo struct {
 	// Recovered is true when any state was restored (checkpoint or
 	// replayed records).
@@ -169,36 +168,11 @@ type checkpointDoc struct {
 	RNG     rngState           `json:"rng"`
 }
 
-// NewServerWithWAL builds a server attached to a write-ahead log,
-// recovering any recorded history before the state loop starts: the
-// checkpoint (if any) is thawed into the planner's network and engine,
-// the log suffix is replayed through the same admission path live
-// requests take, and only then does the server begin serving.
-//
-// When cfg.Log holds no checkpoint, the planner's network must be in
-// the same genesis state the original run started from (same topology,
-// same background fill) — the replay folds the full log against it.
-//
-// Deprecated: use New with Config.WAL set; this remains as a thin
-// wrapper for existing callers.
-func NewServerWithWAL(planner *core.Planner, scheduler sched.Scheduler, simCfg sim.Config, cfg WALConfig, opts ...ServerOption) (*Server, *RecoveryInfo, error) {
-	s := newServer(planner, scheduler, simCfg, opts...)
-	info, err := s.initWAL(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	s.start()
-	return s, info, nil
-}
-
 // initWAL attaches an opened log to a not-yet-started server and
-// recovers its history; shared by NewServerWithWAL and NewFollower. On
+// recovers its history (build, for New and NewFollower alike). On
 // success the server carries a replication hub (leader role by
 // default; NewFollower flips it before start).
 func (s *Server) initWAL(cfg WALConfig) (*RecoveryInfo, error) {
-	if cfg.Log == nil {
-		return nil, fmt.Errorf("ctl: WALConfig.Log is nil")
-	}
 	s.walLog = cfg.Log
 	s.walMet = obs.NewWALMetrics(s.registry)
 	s.ckptEvery = cfg.CheckpointEvery
@@ -262,14 +236,8 @@ func (s *Server) initWAL(cfg WALConfig) (*RecoveryInfo, error) {
 	// against its own mid-cascade rounds, so the fold has to resume from
 	// exactly the replayed state. The drain happens at promotion instead.
 	if !cfg.followerBoot {
-		for {
-			worked, err := s.engine.Step()
-			if err != nil {
-				return nil, fmt.Errorf("ctl: draining replayed backlog: %w", err)
-			}
-			if !worked {
-				break
-			}
+		if err := s.stepUntil(quiescence); err != nil {
+			return nil, fmt.Errorf("ctl: draining replayed backlog: %w", err)
 		}
 	}
 
@@ -298,11 +266,7 @@ func (s *Server) initWAL(cfg WALConfig) (*RecoveryInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	rc := ReplicationConfig{}
-	if s.replCfg != nil {
-		rc = *s.replCfg
-	}
-	s.repl = newReplState(s, term, rc)
+	s.repl = newReplState(s, term, s.replCfg)
 	s.repl.wg.Add(1)
 	go s.replHeartbeats()
 	return info, nil
@@ -393,6 +357,11 @@ func (s *Server) doCheckpoint() error {
 		// Rotate closed the old writer; the server cannot append anymore.
 		// Surface the error — the next append will be fail-stop.
 		return err
+	}
+	if w == s.wal {
+		// Nothing appended since the segment's base: the log kept its
+		// writer and its checkpoint, and there is nothing to announce.
+		return nil
 	}
 	s.wal = w
 	s.attachFsyncObserver()
@@ -589,13 +558,20 @@ func (s *Server) refreshGauges() {
 	met.LinksDown.Set(int64(s.engine.LinksDown()))
 }
 
-// replayRecord re-admits one log record during recovery: step the
-// engine to the record's round stamp, check the logical clock, and take
-// the same admission path a live request would — the fold that defines
-// what the state must be.
+// replayRecord folds one log record during crash recovery or on a
+// follower: step the engine to the record's round stamp, check the
+// logical clock, and apply the record through admit / inject — the same
+// functions a live request goes through, so the fold that defines what
+// the state must be exists once.
 func (s *Server) replayRecord(rec *wal.Record) error {
-	if err := s.stepTo(rec.Rounds); err != nil {
-		return err
+	if err := s.stepUntil(rec.Rounds); err != nil {
+		return fmt.Errorf("ctl: replay round: %w", err)
+	}
+	// A stall short of the stamp means the replayed world has less work
+	// than the recorded one did.
+	if got := s.engine.Rounds(); got < rec.Rounds {
+		return fmt.Errorf("%w: engine stalled at round %d short of recorded round %d",
+			ErrReplayDiverged, got, rec.Rounds)
 	}
 	if vt := int64(s.engine.Clock()); vt != rec.ID.VT {
 		return fmt.Errorf("%w: record seq %d stamped vt=%d, engine at vt=%d",
@@ -603,58 +579,22 @@ func (s *Server) replayRecord(rec *wal.Record) error {
 	}
 	switch rec.Type {
 	case wal.TypeEvent:
-		e := rec.Event
-		if e.EventID != s.nextID {
+		if rec.Event.EventID != s.nextID {
 			return fmt.Errorf("%w: record seq %d admits event %d, expected %d",
-				ErrReplayDiverged, rec.ID.Seq, e.EventID, s.nextID)
+				ErrReplayDiverged, rec.ID.Seq, rec.Event.EventID, s.nextID)
 		}
-		specs := make([]flow.Spec, len(e.Flows))
-		for i, f := range e.Flows {
-			specs[i] = flow.Spec{
-				Src:    topology.NodeID(f.Src),
-				Dst:    topology.NodeID(f.Dst),
-				Demand: topology.Bandwidth(f.DemandBps),
-				Size:   f.SizeBytes,
-			}
-		}
-		ev := core.NewEvent(flow.EventID(e.EventID), e.Kind, s.engine.Clock(), specs)
-		s.events[e.EventID] = ev
-		s.order = append(s.order, e.EventID)
-		s.engine.Enqueue(ev)
-		s.nextID += s.idStride
-		s.ingest.Accepted.Inc()
-		if e.Retry {
-			s.ingest.Retried.Inc()
-		}
-		if e.BatchSize > 0 {
-			s.ingest.Batches.Inc()
-			s.ingest.BatchSize.Observe(int64(e.BatchSize))
-		}
+		s.engine.Enqueue(s.admit(rec.Event))
 		return nil
 
 	case wal.TypeFault:
-		f := rec.Fault
-		out, err := s.engine.InjectFault(fault.Injection{
-			At:     s.engine.Clock(),
-			Action: fault.Action(f.Action),
-			Link:   f.Link,
-			Node:   f.Node,
-			Event:  f.Event,
-			Times:  f.Times,
-		})
+		_, repairID, err := s.inject(rec.Fault)
 		if err != nil {
 			return fmt.Errorf("%w: record seq %d fault %q failed: %v",
-				ErrReplayDiverged, rec.ID.Seq, f.Action, err)
+				ErrReplayDiverged, rec.ID.Seq, rec.Fault.Action, err)
 		}
-		var repairID int64
-		if ev := out.RepairEvent; ev != nil {
-			repairID = int64(ev.ID)
-			s.events[repairID] = ev
-			s.order = append(s.order, repairID)
-		}
-		if repairID != f.RepairEventID {
+		if repairID != rec.Fault.RepairEventID {
 			return fmt.Errorf("%w: record seq %d fault minted repair event %d, log recorded %d",
-				ErrReplayDiverged, rec.ID.Seq, repairID, f.RepairEventID)
+				ErrReplayDiverged, rec.ID.Seq, repairID, rec.Fault.RepairEventID)
 		}
 		return nil
 
@@ -664,18 +604,16 @@ func (s *Server) replayRecord(rec *wal.Record) error {
 	}
 }
 
-// stepTo runs scheduling rounds until the engine reaches the target
-// round count. A stall short of the target means the replayed world has
-// less work than the recorded one did — a divergence.
-func (s *Server) stepTo(rounds int64) error {
-	for s.engine.Rounds() < rounds {
+// quiescence as a stepUntil target runs the queue dry.
+const quiescence = math.MaxInt64
+
+// stepUntil runs scheduling rounds until the engine has completed target
+// rounds or has no work left, whichever comes first.
+func (s *Server) stepUntil(target int64) error {
+	for s.engine.Rounds() < target {
 		worked, err := s.engine.Step()
-		if err != nil {
-			return fmt.Errorf("ctl: replay round: %w", err)
-		}
-		if !worked {
-			return fmt.Errorf("%w: engine stalled at round %d short of recorded round %d",
-				ErrReplayDiverged, s.engine.Rounds(), rounds)
+		if err != nil || !worked {
+			return err
 		}
 	}
 	return nil

@@ -130,9 +130,15 @@ func AblationBatch(opts Options) (*Report, error) {
 		Description: "sampled vs full-queue opportunistic co-scheduling",
 	}
 	for _, full := range []bool{false, true} {
+		opts := []sched.Option{sched.WithAlpha(4), sched.WithSeed(setup.Seed)}
+		if full {
+			opts = append(opts, sched.WithScanAll())
+		}
 		mk := func() sched.Scheduler {
-			s := sched.NewPLMTF(4, setup.Seed)
-			s.SetScanAll(full)
+			s, err := sched.New("p-lmtf", opts...)
+			if err != nil {
+				panic(err) // "p-lmtf" is a built-in policy
+			}
 			return s
 		}
 		name := "sampled (alpha=4)"

@@ -98,9 +98,9 @@ func TestFig1SuccessDropsWithUtilization(t *testing.T) {
 }
 
 // TestDeterministicReports: equal options must give byte-identical output.
-// The one exception is the probe-engine table, whose wall-time columns are
-// real (not simulated) time by design; it is dropped before comparing, and
-// its deterministic parts (the hit rates) are checked via the headlines.
+// The one exception is the Fig 6(e) probe table, which holds real (not
+// simulated) wall time by design; it is dropped before comparing. Every
+// headline is simulated and must match.
 func TestDeterministicReports(t *testing.T) {
 	a, err := Fig6(Options{Seed: 9, Quick: true})
 	if err != nil {

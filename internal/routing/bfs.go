@@ -10,7 +10,8 @@ import (
 // arbitrary graph, up to a configurable cap per pair. It serves as the
 // general-graph fallback for topologies without a closed-form ECMP set
 // (e.g. the degraded graphs of the link-failure example). The cache is
-// lock-guarded so concurrent probes on forked networks can share it.
+// lock-guarded so networks sharing the provider may query it from
+// different goroutines.
 type BFSProvider struct {
 	g *topology.Graph
 	// maxPaths caps the number of shortest paths enumerated per pair to

@@ -16,8 +16,9 @@ import (
 //
 // Path sets are computed lazily and cached; the provider is therefore
 // cheap to query repeatedly for the same pair, which the migration planner
-// does heavily. The cache is guarded by a read-write lock so concurrent
-// probes on forked networks can share one provider (and one warm cache).
+// does heavily. The cache is guarded by a read-write lock so networks
+// that share one provider and its warm cache (Network.Fork hands its
+// copy the same one) may query it from different goroutines.
 type FatTreeProvider struct {
 	ft    *topology.FatTree
 	mu    sync.RWMutex

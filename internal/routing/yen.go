@@ -16,8 +16,8 @@ import (
 type KShortestProvider struct {
 	g *topology.Graph
 	k int
-	// cache memoizes per-pair path sets; lock-guarded so concurrent
-	// probes on forked networks can share it.
+	// cache memoizes per-pair path sets; lock-guarded so networks
+	// sharing the provider may query it from different goroutines.
 	mu    sync.RWMutex
 	cache map[[2]topology.NodeID][]Path
 }

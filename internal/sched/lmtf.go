@@ -60,10 +60,6 @@ func (s *LMTF) RestoreRNG(draws int64) { s.src.Restore(draws) }
 func (s *LMTF) Name() string { return fmt.Sprintf("lmtf(a=%d)", s.Alpha) }
 
 // SetRecordProbes implements ProbeRecorder.
-//
-// Deprecated: prefer constructing with sched.New(name,
-// WithRecordProbes()). The method remains because the simulator flips
-// recording when a tracer is attached after construction.
 func (s *LMTF) SetRecordProbes(on bool) { s.record = on }
 
 // Pick implements Scheduler.

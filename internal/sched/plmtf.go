@@ -20,7 +20,8 @@ type PLMTF struct {
 	inner *LMTF
 	// scanAll offers the entire queue (not just the α sampled candidates)
 	// for co-scheduling — the costlier alternative Section IV-C rejects,
-	// kept for the batch-width ablation.
+	// kept for the batch-width ablation (WithScanAll). The executor probes
+	// each offered event, so it multiplies planning work by queue length.
 	scanAll bool
 }
 
@@ -51,19 +52,7 @@ func (s *PLMTF) RNGDraws() int64 { return s.inner.RNGDraws() }
 // (checkpoint recovery).
 func (s *PLMTF) RestoreRNG(draws int64) { s.inner.RestoreRNG(draws) }
 
-// SetScanAll makes the scheduler offer every queued event for
-// opportunistic co-scheduling instead of only the sampled candidates.
-// The executor probes each offered event, so this multiplies planning
-// work by the queue length — the overhead the paper's design avoids.
-//
-// Deprecated: prefer constructing with sched.New("p-lmtf", WithScanAll()).
-func (s *PLMTF) SetScanAll(all bool) { s.scanAll = all }
-
 // SetRecordProbes implements ProbeRecorder, delegating to the inner LMTF.
-//
-// Deprecated: prefer constructing with sched.New(name,
-// WithRecordProbes()). The method remains because the simulator flips
-// recording when a tracer is attached after construction.
 func (s *PLMTF) SetRecordProbes(on bool) { s.inner.SetRecordProbes(on) }
 
 // Pick implements Scheduler: the LMTF winner plus the remaining

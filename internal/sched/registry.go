@@ -14,10 +14,9 @@ type Option func(*config)
 // config collects the construction-time knobs the registry's builders
 // consult.
 type config struct {
-	alpha        int
-	seed         int64
-	recordProbes bool
-	scanAll      bool
+	alpha   int
+	seed    int64
+	scanAll bool
 }
 
 // WithAlpha sets the LMTF/P-LMTF sample size (0 means DefaultAlpha).
@@ -26,15 +25,9 @@ func WithAlpha(alpha int) Option { return func(c *config) { c.alpha = alpha } }
 // WithSeed sets the sampling RNG seed (default 1).
 func WithSeed(seed int64) Option { return func(c *config) { c.seed = seed } }
 
-// WithRecordProbes enables per-candidate probe reporting in
-// Decision.Probes from the first round. It replaces the
-// post-construction SetRecordProbes mutator.
-func WithRecordProbes() Option { return func(c *config) { c.recordProbes = true } }
-
 // WithScanAll makes P-LMTF offer the entire queue (not just the sampled
 // candidates) for co-scheduling — the costlier alternative Section IV-C
-// rejects, kept for ablations. It replaces the post-construction
-// SetScanAll mutator and is ignored by other policies.
+// rejects, kept for ablations. Other policies ignore it.
 func WithScanAll() Option { return func(c *config) { c.scanAll = true } }
 
 // UnknownSchedulerError is returned by New for a name no builder is
@@ -50,10 +43,7 @@ func (e *UnknownSchedulerError) Error() string {
 	return fmt.Sprintf("sched: unknown scheduler %q (registered: %v)", e.Name, e.Registered)
 }
 
-// Builder constructs a scheduler from the resolved option set. The
-// registry applies the cross-cutting knob (probe recording) through the
-// ProbeRecorder interface after the builder returns, so builders only
-// consume policy-specific fields.
+// Builder constructs a scheduler from the resolved sample size and seed.
 type Builder func(alpha int, seed int64) Scheduler
 
 var (
@@ -105,11 +95,8 @@ func New(name string, opts ...Option) (Scheduler, error) {
 		return nil, &UnknownSchedulerError{Name: name, Registered: Names()}
 	}
 	s := b(c.alpha, c.seed)
-	if pr, isPR := s.(ProbeRecorder); isPR && c.recordProbes {
-		pr.SetRecordProbes(true)
-	}
-	if p, isP := s.(*PLMTF); isP && c.scanAll {
-		p.SetScanAll(true)
+	if p, isP := s.(*PLMTF); isP {
+		p.scanAll = c.scanAll
 	}
 	return s, nil
 }

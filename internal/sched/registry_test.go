@@ -72,7 +72,7 @@ func TestNewUnknownScheduler(t *testing.T) {
 }
 
 func TestNewOptions(t *testing.T) {
-	s, err := New("lmtf", WithAlpha(7), WithSeed(3), WithRecordProbes())
+	s, err := New("lmtf", WithAlpha(7), WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,8 +80,8 @@ func TestNewOptions(t *testing.T) {
 	if l.Alpha != 7 {
 		t.Errorf("Alpha = %d, want 7", l.Alpha)
 	}
-	if !l.record {
-		t.Error("WithRecordProbes did not enable probe recording")
+	if l.record {
+		t.Error("probe recording on without a tracer attached")
 	}
 
 	p, err := New("p-lmtf", WithAlpha(2), WithScanAll())

@@ -402,7 +402,7 @@ func TestPLMTFScanAll(t *testing.T) {
 		q.Push(ev)
 	}
 	s := NewPLMTF(2, 5)
-	s.SetScanAll(true)
+	s.scanAll = true
 	if s.Name() != "p-lmtf-full(a=2)" {
 		t.Errorf("Name = %q", s.Name())
 	}

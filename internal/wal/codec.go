@@ -218,38 +218,43 @@ func decodeEventBody(body []byte) (*EventRecord, error) {
 	return ev, nil
 }
 
-// ReadFrame reads one frame from r. It returns io.EOF at a clean record
-// boundary and io.ErrUnexpectedEOF when the stream ends inside a frame
-// (a torn tail). A CRC mismatch or malformed record is ErrCorrupt.
-// On success the returned scratch slice is exactly the payload read, so
-// len(scratch) is the frame's payload length; pass it back in to reuse
-// the allocation.
-func ReadFrame(r io.Reader, scratch []byte) (*Record, []byte, error) {
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// ReadFrame reads one frame from r and decodes its payload. It returns
+// io.EOF at a clean record boundary and io.ErrUnexpectedEOF when the
+// stream ends inside a frame (a torn tail). A CRC mismatch or malformed
+// record is ErrCorrupt. On success the returned buffer is exactly the
+// frame read — header and payload, the bytes replication re-emits — so
+// its length is the frame's size on disk; pass it back in to reuse the
+// allocation.
+func ReadFrame(r io.Reader, buf []byte) (*Record, []byte, error) {
+	if cap(buf) < frameHeaderSize {
+		buf = make([]byte, frameHeaderSize, 4096)
+	}
+	buf = buf[:frameHeaderSize]
+	if _, err := io.ReadFull(r, buf); err != nil {
 		if err == io.EOF {
-			return nil, scratch, io.EOF
+			return nil, buf, io.EOF
 		}
-		return nil, scratch, io.ErrUnexpectedEOF
+		return nil, buf, io.ErrUnexpectedEOF
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	want := binary.LittleEndian.Uint32(hdr[4:])
+	n := binary.LittleEndian.Uint32(buf)
+	want := binary.LittleEndian.Uint32(buf[4:])
 	if n > maxFramePayload {
-		return nil, scratch, fmt.Errorf("%w: frame length %d exceeds cap %d", ErrCorrupt, n, maxFramePayload)
+		return nil, buf, fmt.Errorf("%w: frame length %d exceeds cap %d", ErrCorrupt, n, maxFramePayload)
 	}
-	if cap(scratch) < int(n) {
-		scratch = make([]byte, n)
+	total := frameHeaderSize + int(n)
+	if cap(buf) < total {
+		grown := make([]byte, total)
+		copy(grown, buf)
+		buf = grown
 	}
-	payload := scratch[:n]
+	buf = buf[:total]
+	payload := buf[frameHeaderSize:]
 	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, scratch, io.ErrUnexpectedEOF
+		return nil, buf, io.ErrUnexpectedEOF
 	}
 	if got := crc32.Checksum(payload, castagnoli); got != want {
-		return nil, scratch, fmt.Errorf("%w: crc mismatch (stored %08x, computed %08x)", ErrCorrupt, want, got)
+		return nil, buf, fmt.Errorf("%w: crc mismatch (stored %08x, computed %08x)", ErrCorrupt, want, got)
 	}
 	rec, err := DecodePayload(payload)
-	if err != nil {
-		return nil, payload, err
-	}
-	return rec, payload, nil
+	return rec, buf, err
 }

@@ -7,9 +7,7 @@ package wal
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 )
@@ -71,20 +69,14 @@ func emitSegment(seg *SegmentInfo, emitted *int64, upTo int64, fn func([]byte, *
 	br := bufio.NewReaderSize(f, 1<<16)
 	var frame []byte
 	for *emitted < upTo {
-		frame, err = readRawFrame(br, frame)
-		if err == io.EOF {
-			return nil
-		}
-		if err == io.ErrUnexpectedEOF {
+		var rec *Record
+		rec, frame, err = ReadFrame(br, frame)
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			// A torn tail can only trail the frames we need (those were
 			// committed before the snapshot), so reaching it means this
 			// segment is exhausted.
 			return nil
 		}
-		if err != nil {
-			return err
-		}
-		rec, err := DecodePayload(frame[frameHeaderSize:])
 		if err != nil {
 			return err
 		}
@@ -100,38 +92,4 @@ func emitSegment(seg *SegmentInfo, emitted *int64, upTo int64, fn func([]byte, *
 		*emitted = rec.ID.Seq
 	}
 	return nil
-}
-
-// readRawFrame reads one whole frame — header and payload — into buf,
-// verifying the CRC. The same EOF conventions as ReadFrame apply.
-func readRawFrame(r io.Reader, buf []byte) ([]byte, error) {
-	if cap(buf) < frameHeaderSize {
-		buf = make([]byte, frameHeaderSize, 4096)
-	}
-	buf = buf[:frameHeaderSize]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		if err == io.EOF {
-			return buf, io.EOF
-		}
-		return buf, io.ErrUnexpectedEOF
-	}
-	n := binary.LittleEndian.Uint32(buf)
-	want := binary.LittleEndian.Uint32(buf[4:])
-	if n > maxFramePayload {
-		return buf, fmt.Errorf("%w: frame length %d exceeds cap %d", ErrCorrupt, n, maxFramePayload)
-	}
-	total := frameHeaderSize + int(n)
-	if cap(buf) < total {
-		grown := make([]byte, total)
-		copy(grown, buf)
-		buf = grown
-	}
-	buf = buf[:total]
-	if _, err := io.ReadFull(r, buf[frameHeaderSize:]); err != nil {
-		return buf, io.ErrUnexpectedEOF
-	}
-	if got := crc32.Checksum(buf[frameHeaderSize:], castagnoli); got != want {
-		return buf, fmt.Errorf("%w: crc mismatch (stored %08x, computed %08x)", ErrCorrupt, want, got)
-	}
-	return buf, nil
 }

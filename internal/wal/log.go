@@ -213,13 +213,13 @@ func scanSegment(seg *SegmentInfo, tolerateTail bool) error {
 
 	var (
 		off     int64
-		scratch []byte
+		frame   []byte
 		sawMeta bool
 	)
 	seg.LastSeq = seg.Base
 	for {
 		var rec *Record
-		rec, scratch, err = ReadFrame(br, scratch)
+		rec, frame, err = ReadFrame(br, frame)
 		if err == io.EOF {
 			break
 		}
@@ -251,7 +251,7 @@ func scanSegment(seg *SegmentInfo, tolerateTail bool) error {
 			seg.LastSeq = rec.ID.Seq
 			seg.Records++
 		}
-		off += frameHeaderSize + int64(len(scratch))
+		off += int64(len(frame))
 		seg.FrameEnds = append(seg.FrameEnds, off)
 	}
 	return nil
@@ -477,7 +477,17 @@ func (l *Log) createSegment(id ID, rounds int64) (*Writer, error) {
 // Crash safety: the old segments are removed only after the new
 // checkpoint is durable, so every instant has either (old checkpoint +
 // full suffix) or (new checkpoint + empty suffix) on disk.
+//
+// With nothing appended since the active segment's base (a fresh log,
+// or a second checkpoint at one sequence) there is nothing to truncate
+// and the segment Rotate would create already exists: w is returned
+// still open and the disk is left alone. What the base already stands
+// for — genesis, or the checkpoint that created the segment — plus an
+// empty suffix recovers to the same fold.
 func (l *Log) Rotate(w *Writer, state []byte, id ID, rounds int64) (*Writer, error) {
+	if n := len(l.segments); w != nil && n > 0 && l.segments[n-1].Base == id.Seq {
+		return w, nil
+	}
 	if w != nil {
 		if err := w.Close(); err != nil {
 			return nil, err

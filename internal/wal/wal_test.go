@@ -368,6 +368,56 @@ func TestCheckpointRotateAndPurge(t *testing.T) {
 	}
 }
 
+// A checkpoint with nothing appended since the current segment's base
+// (a fresh log at seq 0, or two rotations at one ID) must leave the
+// writer open and usable: the segment it would create already exists.
+func TestRotateTwiceAtOneID(t *testing.T) {
+	dir := t.TempDir()
+	recs := testRecords(10)
+	l, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := l.OpenWriter(testMeta(), ID{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if same, err := l.Rotate(w, []byte(`{}`), ID{}, 0); err != nil || same != w {
+		t.Fatalf("Rotate on a fresh log = (%p, %v), want the open writer %p", same, err, w)
+	}
+	if l.Checkpoint() != nil {
+		t.Fatal("no-op rotation wrote a checkpoint")
+	}
+	appendAll(t, w, recs[:6])
+
+	state := []byte(`{"folded":6}`)
+	w2, err := l.Rotate(w, state, ID{VT: 6000, Seq: 6}, 3)
+	if err != nil {
+		t.Fatalf("Rotate: %v", err)
+	}
+	again, err := l.Rotate(w2, []byte(`{"folded":"later"}`), ID{VT: 7000, Seq: 6}, 4)
+	if err != nil || again != w2 {
+		t.Fatalf("second Rotate at seq 6 = (%p, %v), want the open writer %p", again, err, w2)
+	}
+	appendAll(t, again, recs[6:])
+	if err := again.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	l2, err := Open(dir)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	ck := l2.Checkpoint()
+	if ck == nil || ck.ID.Seq != 6 || string(ck.State) != string(state) {
+		t.Fatalf("Checkpoint = %+v, want the first one taken at seq 6", ck)
+	}
+	got, _ := replayAll(t, l2, ck.ID.Seq)
+	if !reflect.DeepEqual(got, recs[6:]) {
+		t.Fatal("suffix replay after the repeated rotation differs")
+	}
+}
+
 func TestKeepSegmentsArchivesHistory(t *testing.T) {
 	dir := t.TempDir()
 	recs := testRecords(10)
