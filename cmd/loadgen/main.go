@@ -49,16 +49,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"netupdate/internal/core"
 	"netupdate/internal/ctl"
-	"netupdate/internal/migration"
-	"netupdate/internal/netstate"
 	"netupdate/internal/obs"
-	"netupdate/internal/routing"
-	"netupdate/internal/sched"
 	"netupdate/internal/shard"
 	"netupdate/internal/topology"
-	"netupdate/internal/trace"
 )
 
 func main() {
@@ -207,23 +201,16 @@ func run(args []string, stdout io.Writer) int {
 			}()
 			spanSink = obs.NewJSONLSink(f)
 		}
-		var svc interface{ Close() error }
-		var laddr string
-		var err error
-		if *shards > 1 {
-			svc, laddr, err = startSelfhostSharded(shard.WorldConfig{
-				K: *k, Util: *util, Scheduler: *schedName, Alpha: *alpha, Seed: *seed,
-				Watermark: *watermark, Shards: *shards, CrossPoolFrac: *crossFrac,
-			})
-		} else {
-			svc, laddr, err = startSelfhost(*schedName, *alpha, *k, *util, *watermark, *seed, spanSink)
-		}
+		stopSelfhost, laddr, err := startSelfhost(shard.WorldConfig{
+			K: *k, Util: *util, Scheduler: *schedName, Alpha: *alpha, Seed: *seed,
+			Watermark: *watermark, Shards: *shards, CrossPoolFrac: *crossFrac, SpanSink: spanSink,
+		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "loadgen: selfhost: %v\n", err)
 			return 1
 		}
 		defer func() {
-			if err := svc.Close(); err != nil {
+			if err := stopSelfhost(); err != nil {
 				fmt.Fprintf(os.Stderr, "loadgen: selfhost close: %v\n", err)
 			}
 		}()
@@ -493,88 +480,46 @@ func discoverHosts(addr string) ([]int, error) {
 	return hosts, nil
 }
 
-// startSelfhost builds an in-process, memory-only controller (the
-// cmd/updated construction) listening on an ephemeral loopback port.
-func startSelfhost(schedName string, alpha, k int, util float64, watermark int, seed int64, spanSink obs.Sink) (*ctl.Server, string, error) {
-	scheduler, err := sched.New(schedName, sched.WithAlpha(alpha), sched.WithSeed(seed))
-	if err != nil {
-		return nil, "", err
+// startSelfhost stands up an in-process, memory-only controller on an
+// ephemeral loopback port — the engine itself, or with cfg.Shards > 1 the
+// cluster-behind-a-gateway of `updated -shards N` — and returns what
+// stops it (the wire before the engines) and its address.
+func startSelfhost(cfg shard.WorldConfig) (func() error, string, error) {
+	var stop func() error
+	var svc interface {
+		Serve(netpkg.Listener) error
+		Close() error
 	}
-	ft, err := topology.NewFatTree(k, topology.Gbps)
-	if err != nil {
-		return nil, "", err
-	}
-	net := netstate.New(ft.Graph(), routing.NewFatTreeProvider(ft), routing.NewRandomFit(seed+7))
-	gen, err := trace.NewGenerator(seed, trace.YahooLike{}, ft.Hosts())
-	if err != nil {
-		return nil, "", err
-	}
-	if util > 0 {
-		if _, err := trace.FillBackground(net, gen, util, 0); err != nil && !errors.Is(err, trace.ErrTargetUnreachable) {
+	if cfg.Shards > 1 {
+		cl, err := shard.NewCluster(cfg)
+		if err != nil {
 			return nil, "", err
 		}
-	}
-	srv, _, err := ctl.New(ctl.Config{
-		Planner:   core.NewPlanner(migration.NewPlanner(net, 0), core.FailSkip),
-		Scheduler: scheduler,
-		Watermark: watermark,
-		SpanSink:  spanSink,
-	})
-	if err != nil {
-		return nil, "", err
+		gw, err := shard.NewGateway(cl.Part, cl.Ref.Graph(), cl.Cross, cl.Backends())
+		if err != nil {
+			_ = cl.Close()
+			return nil, "", err
+		}
+		svc = gw
+		stop = func() error { return errors.Join(gw.Close(), cl.Close()) }
+	} else {
+		w, err := shard.NewWorld(cfg, 0)
+		if err != nil {
+			return nil, "", err
+		}
+		svc, stop = w.Server, w.Server.Close
 	}
 	l, err := netpkg.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		_ = srv.Close()
+		_ = stop()
 		return nil, "", err
 	}
 	go func() {
-		if err := srv.Serve(l); err != nil && !errors.Is(err, ctl.ErrServerClosed) {
+		if err := svc.Serve(l); err != nil && !errors.Is(err, ctl.ErrServerClosed) {
 			fmt.Fprintf(os.Stderr, "loadgen: selfhost serve: %v\n", err)
 		}
 	}()
-	return srv, l.Addr().String(), nil
-}
-
-// shardedSelfhost owns an in-process shard cluster plus the gateway
-// fronting it; Close tears the wire down before the engines.
-type shardedSelfhost struct {
-	cl *shard.Cluster
-	gw *shard.Gateway
-}
-
-func (s *shardedSelfhost) Close() error {
-	err := s.gw.Close()
-	if cerr := s.cl.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// startSelfhostSharded builds the -shards selfhost controller: the same
-// cluster-behind-a-gateway construction as `updated -shards N`, on an
-// ephemeral loopback port.
-func startSelfhostSharded(cfg shard.WorldConfig) (*shardedSelfhost, string, error) {
-	cl, err := shard.NewCluster(cfg)
-	if err != nil {
-		return nil, "", err
-	}
-	gw, err := shard.NewGateway(cl.Part, cl.Ref.Graph(), cl.Cross, cl.Backends())
-	if err != nil {
-		_ = cl.Close()
-		return nil, "", err
-	}
-	l, err := netpkg.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		_ = cl.Close()
-		return nil, "", err
-	}
-	go func() {
-		if err := gw.Serve(l); err != nil && !errors.Is(err, ctl.ErrServerClosed) {
-			fmt.Fprintf(os.Stderr, "loadgen: selfhost serve: %v\n", err)
-		}
-	}()
-	return &shardedSelfhost{cl: cl, gw: gw}, l.Addr().String(), nil
+	return stop, l.Addr().String(), nil
 }
 
 // latencyRecorder accumulates client-observed submit latencies across

@@ -11,27 +11,31 @@
 //	        [-span-out /var/log/updated/spans.jsonl]
 //	        [-follow leader:7421] [-promote-after 2s]
 //
-// With -follow set (requires -wal-dir), the daemon boots as a warm
-// follower: it replicates the leader's WAL over the ctl port, folds
-// every committed record into the same deterministic state, and
-// rejects writes with a not-leader hint until promoted. Promotion is
-// manual (`updatectl repl promote`) or automatic once the leader has
-// been unreachable for -promote-after. The follower must be started
-// with the same world flags as the leader (scheduler, seed, k, util,
-// watermark, tables); the leader refuses mismatched followers at
-// handshake. See DESIGN.md §15.
+// The daemon runs in one of three modes; the two that build an engine
+// build it through one function (shard.NewWorld, DESIGN.md §16):
 //
-// With -shards N (N > 1), the control plane is partitioned: N engines
-// each own a contiguous range of pods and an equal slice of the core
-// layer, behind an in-process gateway that speaks the ordinary ctl
-// protocol, routes each event by the pods its flows touch, and
-// aggregates stats, metrics and traces. Cross-shard events reserve
-// core capacity from a shared pool (-cross-pool-frac) via two-phase
-// admission. With -shard-addrs a1,a2,... the daemon is only the
-// gateway, fronting already-running remote engines; start each of
-// those with -shard-id i -shard-of N (and the same -k and world flags
-// as the gateway) so it builds its slot of the same partition and
-// mints strided event IDs. See DESIGN.md §16.
+//   - One engine (the default): the whole fabric, or with -shard-id i
+//     -shard-of N slot i of a pod partition, built exactly as the cluster
+//     would build it (core capacity split, pod-local fill, strided event
+//     IDs, the WAL bound to the slot) to sit behind a -shard-addrs
+//     gateway started with the same -k and world flags.
+//   - A cluster (-shards N > 1): N such slots in one process behind an
+//     in-process gateway that speaks the ordinary ctl protocol, routes
+//     each event by the pods its flows touch, aggregates stats, metrics
+//     and traces, and admits cross-shard events in two phases against a
+//     shared core pool (-cross-pool-frac).
+//   - A gateway only (-shard-addrs a1,a2,...) fronting running slots.
+//
+// With -follow set (requires -wal-dir), the one-engine daemon boots as a
+// warm follower: it replicates the leader's WAL over the ctl port, folds
+// every committed record into the same deterministic state, and rejects
+// writes with a not-leader hint until promoted. Promotion is manual
+// (`updatectl repl promote`) or automatic once the leader has been
+// unreachable for -promote-after. The follower must be started with the
+// same world flags as the leader (scheduler, seed, k, util, watermark,
+// tables); the leader refuses mismatched followers at handshake. See
+// DESIGN.md §15. -follow, -span-out and -tables are for the plain engine
+// only; the sharded modes refuse them.
 //
 // With -span-out set, every event's stage-level latency span (submit,
 // ingest, admit, wal_commit, probed rounds, exec, complete) is written
@@ -55,7 +59,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	netpkg "net" // aliased: the local network state below is named net
+	netpkg "net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -63,19 +67,10 @@ import (
 	"syscall"
 	"time"
 
-	"netupdate/internal/core"
 	"netupdate/internal/ctl"
-	"netupdate/internal/migration"
-	"netupdate/internal/netstate"
 	"netupdate/internal/obs"
-	"netupdate/internal/routing"
-	"netupdate/internal/rules"
-	"netupdate/internal/sched"
 	"netupdate/internal/shard"
-	"netupdate/internal/sim"
 	"netupdate/internal/topology"
-	"netupdate/internal/trace"
-	"netupdate/internal/wal"
 )
 
 func main() {
@@ -116,10 +111,6 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *follow != "" && *walDir == "" {
-		fmt.Fprintln(os.Stderr, "updated: -follow requires -wal-dir (the follower persists the replicated log)")
-		return 2
-	}
 	if (*shardID != 0) != (*shardOf != 0) {
 		fmt.Fprintln(os.Stderr, "updated: -shard-id and -shard-of must be set together")
 		return 2
@@ -128,184 +119,132 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) int {
 		fmt.Fprintln(os.Stderr, "updated: -shard-id is a standalone engine slot; it cannot combine with -shards or -shard-addrs")
 		return 2
 	}
-	if *shards > 1 || *shardAddr != "" || *shardID != 0 {
-		for name, set := range map[string]bool{
-			"-follow":   *follow != "",
-			"-span-out": *spanOut != "",
-			"-tables":   *tables >= 0,
-		} {
-			if set {
-				fmt.Fprintf(os.Stderr, "updated: %s is not supported in sharded mode\n", name)
-				return 2
-			}
-		}
-		if *shardID != 0 {
-			return runShardEngine(stdout, stop, *addr, *telemetry, shard.WorldConfig{
-				K: *k, Util: *util, Scheduler: *schedName, Alpha: *alpha, Seed: *seed,
-				Watermark: *watermark, Shards: *shardOf, CrossPoolFrac: *crossFrac,
-				WALDir: *walDir, WALSync: *walSync, CheckpointEvery: *walCkpt,
-			}, *shardID)
-		}
-		if *shardAddr != "" {
-			return runGateway(stdout, stop, *addr, *telemetry, *k, *crossFrac, strings.Split(*shardAddr, ","))
-		}
-		return runShardedCluster(stdout, stop, *addr, *telemetry, shard.WorldConfig{
-			K: *k, Util: *util, Scheduler: *schedName, Alpha: *alpha, Seed: *seed,
-			Watermark: *watermark, Shards: *shards, CrossPoolFrac: *crossFrac,
-			WALDir: *walDir, WALSync: *walSync, CheckpointEvery: *walCkpt,
-		})
+
+	cfg := shard.WorldConfig{
+		K: *k, Util: *util, Scheduler: *schedName, Alpha: *alpha, Seed: *seed,
+		Watermark: *watermark, Shards: *shards, CrossPoolFrac: *crossFrac,
+		WALDir: *walDir, WALSync: *walSync, CheckpointEvery: *walCkpt, MaxFollowers: *maxFoll,
+		Tables: *tables >= 0, TableCap: max(*tables, 0),
+		Follow: *follow, PromoteAfter: *promote,
+	}
+	// The slot whose rules the flags are held to: the engine's own, or —
+	// a cluster builds and a gateway fronts every slot of the partition —
+	// the first.
+	slot := *shardID
+	var shardAddrs []string
+	switch {
+	case slot != 0:
+		cfg.Shards = *shardOf
+	case *shardAddr != "":
+		shardAddrs = strings.Split(*shardAddr, ",")
+		cfg.Shards, slot = len(shardAddrs), 1
+	case *shards > 1:
+		slot = 1
+	}
+	// Validated with a stand-in sink: the span file is created only for a
+	// configuration that is accepted.
+	check := cfg
+	if *spanOut != "" {
+		check.SpanSink = obs.NilSink{}
+	}
+	if err := check.Validate(slot); err != nil {
+		return fail(err)
 	}
 
-	scheduler, err := sched.New(*schedName, sched.WithAlpha(*alpha), sched.WithSeed(*seed))
-	if err != nil {
-		// The typed error lists every registered scheduler.
-		fmt.Fprintf(os.Stderr, "updated: %v\n", err)
+	switch {
+	case shardAddrs != nil:
+		return runGateway(stdout, stop, *addr, *telemetry, *k, *crossFrac, shardAddrs)
+	case *shards > 1:
+		return runShardedCluster(stdout, stop, *addr, *telemetry, cfg)
+	}
+	return runEngine(stdout, stop, *addr, *telemetry, cfg, *shardID, *spanOut)
+}
+
+// fail reports why a world could not be stood up. A configuration only
+// the operator can fix is a usage error, in every mode.
+func fail(err error) int {
+	fmt.Fprintf(os.Stderr, "updated: %v\n", err)
+	if errors.Is(err, shard.ErrConfig) {
 		return 2
 	}
+	return 1
+}
 
-	// Open the WAL before building the world: whether it holds a
-	// checkpoint decides whether the background fill runs (a checkpoint
-	// restores its own flows; replay without one folds against the
-	// freshly filled genesis network).
-	var walLog *wal.Log
-	if *walDir != "" {
-		policy, err := wal.ParseSyncPolicy(*walSync)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "updated: %v\n", err)
-			return 2
-		}
-		walLog, err = wal.Open(*walDir, wal.WithSync(policy))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "updated: wal: %v\n", err)
-			return 1
-		}
+// reportWorld prints what standing w up found and did; a shard's lines
+// carry its slot.
+func reportWorld(stdout io.Writer, w *shard.World, util float64) {
+	pre := "updated: "
+	if w.ID != 0 {
+		pre = fmt.Sprintf("updated: shard %d: ", w.ID)
 	}
-	var meta *wal.Meta
-	if walLog != nil {
-		meta = &wal.Meta{
-			Format:    wal.FormatVersion,
-			Scheduler: scheduler.Name(),
-			Seed:      *seed,
-			K:         *k,
-			Util:      *util,
-			Watermark: *watermark,
-			Tables:    *tables,
-		}
+	switch {
+	case w.Restored:
+		fmt.Fprintf(stdout, "%sbackground fill skipped, restoring from checkpoint\n", pre)
+	case util > 0:
+		fmt.Fprintf(stdout, "%sbackground %d flows, utilization %.3f\n", pre, w.BgFlows, w.BgUtil)
 	}
+	if rec := w.Recovery; rec != nil && rec.Recovered {
+		fmt.Fprintf(stdout, "%srecovered from WAL: checkpoint seq %d, %d records replayed, last seq %d (%v)\n",
+			pre, rec.CheckpointSeq, rec.ReplayedRecords, rec.LastSeq, rec.Elapsed.Round(time.Millisecond))
+	}
+}
 
-	// A follower handshakes before the world is built: if the leader
-	// ships a bootstrap checkpoint it is installed into the empty log
-	// now, so the `restoring` decision below sees it exactly as it
-	// would a locally written checkpoint.
-	var followCfg ctl.FollowerConfig
-	var followSess *ctl.FollowerSession
-	if *follow != "" {
-		followCfg = ctl.FollowerConfig{
-			Log:             walLog,
-			Meta:            meta,
-			LeaderAddr:      *follow,
-			CheckpointEvery: *walCkpt,
-			PromoteAfter:    *promote,
-		}
-		followSess, err = ctl.FollowerBootstrap(followCfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "updated: follow %s: %v\n", *follow, err)
-			return 1
-		}
-	}
-
-	ft, err := topology.NewFatTree(*k, topology.Gbps)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "updated: %v\n", err)
-		return 1
-	}
-	net := netstate.New(ft.Graph(), routing.NewFatTreeProvider(ft), routing.NewRandomFit(*seed+7))
-	if *tables >= 0 {
-		if err := net.AttachDataPlane(rules.NewManager(ft.Graph(), *tables)); err != nil {
-			fmt.Fprintf(os.Stderr, "updated: rule tables: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "updated: two-phase rule tables attached (capacity %d per switch)\n", *tables)
-	}
-	gen, err := trace.NewGenerator(*seed, trace.YahooLike{}, ft.Hosts())
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "updated: %v\n", err)
-		return 1
-	}
-	restoring := walLog != nil && walLog.Checkpoint() != nil
-	if *util > 0 && !restoring {
-		placed, err := trace.FillBackground(net, gen, *util, 0)
-		if err != nil && !errors.Is(err, trace.ErrTargetUnreachable) {
-			fmt.Fprintf(os.Stderr, "updated: background: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "updated: background %d flows, utilization %.3f\n", len(placed), net.Utilization())
-	} else if restoring {
-		fmt.Fprintf(stdout, "updated: background fill skipped, restoring from checkpoint\n")
-	}
-
-	planner := core.NewPlanner(migration.NewPlanner(net, 0), core.FailSkip)
-	var spanSink obs.Sink
-	if *spanOut != "" {
-		f, err := os.Create(*spanOut)
+// runEngine is the one-engine mode: the unsharded daemon (slot 0), or
+// with -shard-id/-shard-of one slot of a pod partition, built exactly
+// as the in-process cluster would build it and meant to sit behind a
+// -shard-addrs gateway started with the same -k.
+func runEngine(stdout io.Writer, stop <-chan os.Signal, addr, telemetry string, cfg shard.WorldConfig, slot int, spanOut string) int {
+	if spanOut != "" {
+		f, err := os.Create(spanOut)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "updated: span-out: %v\n", err)
 			return 1
 		}
-		// Registered before the server exists, so it runs after srv.Close
-		// below has drained the async span sink into the file.
+		// Registered before the server exists, so it runs after the
+		// server's Close has drained the async span sink into the file.
 		defer func() {
 			if err := f.Close(); err != nil {
 				fmt.Fprintf(os.Stderr, "updated: span-out close: %v\n", err)
 			}
 		}()
-		spanSink = obs.NewJSONLSink(f)
-		fmt.Fprintf(stdout, "updated: stage spans to %s\n", *spanOut)
+		cfg.SpanSink = obs.NewJSONLSink(f)
+		fmt.Fprintf(stdout, "updated: stage spans to %s\n", spanOut)
 	}
-	var srv *ctl.Server
-	var rec *ctl.RecoveryInfo
-	if followSess != nil {
-		srv, rec, err = ctl.NewFollower(planner, scheduler, sim.Config{}, followCfg, followSess,
-			ctl.WithHighWatermark(*watermark), ctl.WithSpanSink(spanSink))
-	} else {
-		cfg := ctl.Config{Planner: planner, Scheduler: scheduler, Watermark: *watermark, SpanSink: spanSink}
-		if walLog != nil {
-			cfg.WAL = &ctl.WALConfig{Log: walLog, Meta: meta, CheckpointEvery: *walCkpt}
-			cfg.Replication.MaxFollowers = *maxFoll
-		}
-		srv, rec, err = ctl.New(cfg)
-	}
+	w, err := shard.NewWorld(cfg, slot)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "updated: controller: %v\n", err)
-		return 1
+		return fail(err)
 	}
-	if rec != nil {
-		if rec.Recovered {
-			fmt.Fprintf(stdout, "updated: recovered from WAL: checkpoint seq %d, %d records replayed, last seq %d (%v)\n",
-				rec.CheckpointSeq, rec.ReplayedRecords, rec.LastSeq, rec.Elapsed.Round(time.Millisecond))
-		}
-		fmt.Fprintf(stdout, "updated: wal in %s (sync=%s)\n", *walDir, *walSync)
+	if cfg.Tables {
+		fmt.Fprintf(stdout, "updated: two-phase rule tables attached (capacity %d per switch)\n", cfg.TableCap)
 	}
-	if followSess != nil {
-		if *promote > 0 {
-			fmt.Fprintf(stdout, "updated: following %s (auto-promote after %v)\n", *follow, *promote)
-		} else {
-			fmt.Fprintf(stdout, "updated: following %s (manual promotion only)\n", *follow)
+	reportWorld(stdout, w, cfg.Util)
+	if cfg.WALDir != "" {
+		dir := cfg.WALDir
+		if slot != 0 {
+			dir = fmt.Sprintf("%s/shard-%d", dir, slot)
 		}
+		fmt.Fprintf(stdout, "updated: wal in %s (sync=%s)\n", dir, cfg.WALSync)
+	}
+	switch {
+	case cfg.Follow == "":
+	case cfg.PromoteAfter > 0:
+		fmt.Fprintf(stdout, "updated: following %s (auto-promote after %v)\n", cfg.Follow, cfg.PromoteAfter)
+	default:
+		fmt.Fprintf(stdout, "updated: following %s (manual promotion only)\n", cfg.Follow)
 	}
 
-	if *telemetry != "" {
-		stopTelemetry, err := startTelemetry(stdout, *telemetry, obs.Handler(srv.Registry()))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "updated: telemetry: %v\n", err)
-			return 1
+	return serveCtl(stdout, stop, addr, telemetry, obs.Handler(w.Server.Registry()), w.Server, func(l netpkg.Listener) {
+		if slot != 0 {
+			fmt.Fprintf(stdout, "updated: engine shard %d of %d on %s, owns pods %v (k=%d, %s scheduler)\n",
+				slot, cfg.Shards, l.Addr(), w.Pods, cfg.K, cfg.Scheduler)
+			return
 		}
-		defer stopTelemetry()
-	}
-
-	return serveCtl(stdout, stop, *addr, srv, func(l netpkg.Listener) {
+		policy := cfg.Scheduler
+		if st, err := w.Server.Stats(); err == nil {
+			policy = st.Scheduler // the resolved name, e.g. "lmtf(a=4)"
+		}
 		fmt.Fprintf(stdout, "updated: %s scheduler on %s (k=%d, %d hosts)\n",
-			scheduler.Name(), l.Addr(), *k, ft.NumHosts())
+			policy, l.Addr(), cfg.K, w.FT.NumHosts())
 	})
 }
 
@@ -317,8 +256,7 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) int {
 func runShardedCluster(stdout io.Writer, stop <-chan os.Signal, addr, telemetry string, cfg shard.WorldConfig) int {
 	cl, err := shard.NewCluster(cfg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "updated: %v\n", err)
-		return 1
+		return fail(err)
 	}
 	defer func() {
 		if err := cl.Close(); err != nil {
@@ -330,61 +268,28 @@ func runShardedCluster(stdout io.Writer, stop <-chan os.Signal, addr, telemetry 
 		fmt.Fprintf(os.Stderr, "updated: %v\n", err)
 		return 1
 	}
+	for _, w := range cl.Worlds {
+		reportWorld(stdout, w, cfg.Util)
+	}
 
-	if telemetry != "" {
-		mux := http.NewServeMux()
-		mux.Handle("/", obs.Handler(gw.Registry()))
-		for _, w := range cl.Worlds {
-			reg := w.Server.Registry()
-			mux.HandleFunc(fmt.Sprintf("/metrics/shard/%d", w.ID), func(rw http.ResponseWriter, _ *http.Request) {
-				rw.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-				reg.WritePrometheus(rw)
-			})
-		}
-		stopTelemetry, err := startTelemetry(stdout, telemetry, mux)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "updated: telemetry: %v\n", err)
-			return 1
-		}
-		defer stopTelemetry()
+	mux := http.NewServeMux()
+	mux.Handle("/", obs.Handler(gw.Registry()))
+	for _, w := range cl.Worlds {
+		reg := w.Server.Registry()
+		mux.HandleFunc(fmt.Sprintf("/metrics/shard/%d", w.ID), func(rw http.ResponseWriter, _ *http.Request) {
+			rw.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+			reg.WritePrometheus(rw)
+		})
 	}
 	if cfg.WALDir != "" {
 		fmt.Fprintf(stdout, "updated: per-shard wal under %s\n", cfg.WALDir)
 	}
-	return serveCtl(stdout, stop, addr, gw, func(l netpkg.Listener) {
+	return serveCtl(stdout, stop, addr, telemetry, mux, gw, func(l netpkg.Listener) {
 		for _, w := range cl.Worlds {
 			fmt.Fprintf(stdout, "updated: shard %d owns pods %v\n", w.ID, cl.Part.PodsOf(w.ID))
 		}
 		fmt.Fprintf(stdout, "updated: gateway for %d shards on %s (k=%d, %s scheduler)\n",
 			len(cl.Worlds), l.Addr(), cfg.K, cfg.Scheduler)
-	})
-}
-
-// runShardEngine is the -shard-id/-shard-of mode: one standalone
-// engine owning a single slot of a pod partition, built exactly as the
-// in-process cluster would build it (core capacity split, pod-local
-// fill, strided event IDs, WAL bound to the slot), meant to sit behind
-// a -shard-addrs gateway started with the same -k.
-func runShardEngine(stdout io.Writer, stop <-chan os.Signal, addr, telemetry string, cfg shard.WorldConfig, id int) int {
-	w, err := shard.NewShardWorld(cfg, id)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "updated: %v\n", err)
-		return 1
-	}
-	if telemetry != "" {
-		stopTelemetry, err := startTelemetry(stdout, telemetry, obs.Handler(w.Server.Registry()))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "updated: telemetry: %v\n", err)
-			return 1
-		}
-		defer stopTelemetry()
-	}
-	if cfg.WALDir != "" {
-		fmt.Fprintf(stdout, "updated: wal in %s/shard-%d (sync=%s)\n", cfg.WALDir, id, cfg.WALSync)
-	}
-	return serveCtl(stdout, stop, addr, w.Server, func(l netpkg.Listener) {
-		fmt.Fprintf(stdout, "updated: engine shard %d of %d on %s, owns pods %v (k=%d, %s scheduler)\n",
-			id, cfg.Shards, l.Addr(), w.Pods, cfg.K, cfg.Scheduler)
 	})
 }
 
@@ -465,15 +370,7 @@ func runGateway(stdout io.Writer, stop <-chan os.Signal, addr, telemetry string,
 		fmt.Fprintf(os.Stderr, "updated: %v\n", err)
 		return 1
 	}
-	if telemetry != "" {
-		stopTelemetry, err := startTelemetry(stdout, telemetry, obs.Handler(gw.Registry()))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "updated: telemetry: %v\n", err)
-			return 1
-		}
-		defer stopTelemetry()
-	}
-	return serveCtl(stdout, stop, addr, gw, func(l netpkg.Listener) {
+	return serveCtl(stdout, stop, addr, telemetry, obs.Handler(gw.Registry()), gw, func(l netpkg.Listener) {
 		fmt.Fprintf(stdout, "updated: gateway for %d remote shards on %s (k=%d)\n",
 			len(shardAddrs), l.Addr(), k)
 	})
@@ -510,8 +407,17 @@ func startTelemetry(stdout io.Writer, addr string, h http.Handler) (func(), erro
 
 // serveCtl binds addr before serving — so a taken address fails fast
 // and the printed address is the real one even for ":0" — then serves
-// s until a stop signal or a serve error.
-func serveCtl(stdout io.Writer, stop <-chan os.Signal, addr string, s ctlService, banner func(l netpkg.Listener)) int {
+// s until a stop signal or a serve error, with metrics on the telemetry
+// address when one is set.
+func serveCtl(stdout io.Writer, stop <-chan os.Signal, addr, telemetry string, metrics http.Handler, s ctlService, banner func(l netpkg.Listener)) int {
+	if telemetry != "" {
+		stopTelemetry, err := startTelemetry(stdout, telemetry, metrics)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "updated: telemetry: %v\n", err)
+			return 1
+		}
+		defer stopTelemetry()
+	}
 	l, err := netpkg.Listen("tcp", addr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "updated: listen: %v\n", err)

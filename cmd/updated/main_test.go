@@ -2,9 +2,12 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"io"
+	"io/fs"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -133,5 +136,78 @@ func TestDaemonBadFlags(t *testing.T) {
 	}
 	if code := run([]string{"-k", "3"}, io.Discard, stop); code != 1 {
 		t.Errorf("odd arity exit = %d, want 1", code)
+	}
+	// A usage error is a usage error in every mode.
+	for _, mode := range [][]string{
+		nil,
+		{"-shards", "2"},
+		{"-shard-id", "2", "-shard-of", "2"},
+	} {
+		for _, bad := range [][]string{
+			{"-scheduler", "bogus"},
+			{"-wal-dir", t.TempDir(), "-wal-sync", "sometimes"},
+		} {
+			args := append(append([]string{"-k", "4"}, mode...), bad...)
+			if code := run(args, io.Discard, stop); code != 2 {
+				t.Errorf("run(%v) = %d, want 2", args, code)
+			}
+		}
+	}
+}
+
+// TestDaemonModesWriteTheirOwnLogs pins, per engine-building mode, where
+// the WAL lands and the meta its first segment opens with — literals
+// captured before the modes shared one builder, so a log written then
+// still passes wal.Meta.Check (whole-struct equality) now.
+func TestDaemonModesWriteTheirOwnLogs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mode []string
+		logs map[string]string // directory under -wal-dir → meta JSON
+	}{
+		{"plain", nil, map[string]string{
+			".": `{"format":1,"scheduler":"fifo","seed":1,"k":4,"util":0.2,"watermark":4096,"tables":-1}`,
+		}},
+		{"plain with tables", []string{"-tables", "0"}, map[string]string{
+			".": `{"format":1,"scheduler":"fifo","seed":1,"k":4,"util":0.2,"watermark":4096,"tables":0}`,
+		}},
+		{"cluster", []string{"-shards", "2"}, map[string]string{
+			"shard-1": `{"format":1,"scheduler":"fifo","seed":1,"k":4,"util":0.2,"watermark":4096,"tables":0,"shard":1,"shards":2}`,
+			"shard-2": `{"format":1,"scheduler":"fifo","seed":1,"k":4,"util":0.2,"watermark":4096,"tables":0,"shard":2,"shards":2}`,
+		}},
+		{"slot", []string{"-shard-id", "2", "-shard-of", "2"}, map[string]string{
+			"shard-2": `{"format":1,"scheduler":"fifo","seed":1,"k":4,"util":0.2,"watermark":4096,"tables":0,"shard":2,"shards":2}`,
+		}},
+	} {
+		dir := t.TempDir()
+		_, _, stop, done := bootDaemon(t, append([]string{
+			"-addr", "127.0.0.1:0", "-k", "4", "-util", "0.2", "-scheduler", "fifo", "-wal-dir", dir,
+		}, tc.mode...))
+		shutdownDaemon(t, stop, done)
+
+		var segments []string
+		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err == nil && !d.IsDir() {
+				segments = append(segments, path)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(segments) != len(tc.logs) {
+			t.Errorf("%s: files under -wal-dir = %v, want one segment in each of %d directories", tc.name, segments, len(tc.logs))
+		}
+		for sub, meta := range tc.logs {
+			seg := filepath.Join(dir, sub, "wal-0000000000000000.log")
+			raw, err := os.ReadFile(seg)
+			if err != nil {
+				t.Errorf("%s: %v", tc.name, err)
+				continue
+			}
+			if !bytes.Contains(raw, []byte(meta)) {
+				t.Errorf("%s: %s does not open with meta %s", tc.name, seg, meta)
+			}
+		}
 	}
 }

@@ -18,6 +18,14 @@ import (
 // chan). The pipe keeps draining after the addresses are seen.
 func bootDaemon(t *testing.T, args []string) (string, string, chan os.Signal, chan int) {
 	t.Helper()
+	_, addr, telemetryURL, stop, done := bootDaemonLines(t, args)
+	return addr, telemetryURL, stop, done
+}
+
+// bootDaemonLines is bootDaemon that also returns everything the daemon
+// printed up to and including its listening line.
+func bootDaemonLines(t *testing.T, args []string) ([]string, string, string, chan os.Signal, chan int) {
+	t.Helper()
 	pr, pw := io.Pipe()
 	stop := make(chan os.Signal, 1)
 	done := make(chan int, 1)
@@ -45,7 +53,7 @@ func bootDaemon(t *testing.T, args []string) (string, string, chan os.Signal, ch
 		t.Fatalf("daemon never reported its address; startup output:\n%s", strings.Join(startup, "\n"))
 	}
 	go func() { _, _ = io.Copy(io.Discard, pr) }()
-	return addr, telemetryURL, stop, done
+	return startup, addr, telemetryURL, stop, done
 }
 
 func shutdownDaemon(t *testing.T, stop chan os.Signal, done chan int) {
@@ -66,14 +74,23 @@ func shutdownDaemon(t *testing.T, stop chan os.Signal, done chan int) {
 // the aggregated stats and per-shard telemetry endpoints, and shuts
 // down cleanly.
 func TestDaemonShardedSmoke(t *testing.T) {
-	addr, telemetryURL, stop, done := bootDaemon(t, []string{
+	args := []string{
 		"-addr", "127.0.0.1:0",
 		"-k", "4",
 		"-util", "0.2",
 		"-scheduler", "p-lmtf",
 		"-shards", "2",
 		"-telemetry-addr", "127.0.0.1:0",
-	})
+		"-wal-dir", t.TempDir(),
+		"-wal-checkpoint-every", "2",
+	}
+	startup, addr, telemetryURL, stop, done := bootDaemonLines(t, args)
+	// A fresh sharded daemon says what each engine filled.
+	for _, want := range []string{"updated: shard 1: background ", "updated: shard 2: background "} {
+		if !hasLinePrefix(startup, want) {
+			t.Errorf("first boot printed no %q line:\n%s", want, strings.Join(startup, "\n"))
+		}
+	}
 	if telemetryURL == "" {
 		t.Fatal("daemon never reported its telemetry address")
 	}
@@ -176,6 +193,37 @@ func TestDaemonShardedSmoke(t *testing.T) {
 	}
 
 	shutdownDaemon(t, stop, done)
+
+	// Restarted on the same -wal-dir it says what each engine recovered:
+	// shard 1 logged three events and shard 2 two, and at a checkpoint
+	// every two records each holds one, which restores the flows instead
+	// of the fill.
+	startup, _, _, stop, done = bootDaemonLines(t, args)
+	for shardID, lastSeq := range map[string]string{"1": "3", "2": "2"} {
+		pre := "updated: shard " + shardID + ": "
+		if !hasLinePrefix(startup, pre+"background fill skipped, restoring from checkpoint") {
+			t.Errorf("restart: shard %s printed no fill-skipped line:\n%s", shardID, strings.Join(startup, "\n"))
+		}
+		recovered := false
+		for _, l := range startup {
+			if strings.HasPrefix(l, pre+"recovered from WAL: checkpoint seq ") && strings.Contains(l, " records replayed, last seq "+lastSeq+" (") {
+				recovered = true
+			}
+		}
+		if !recovered {
+			t.Errorf("restart: shard %s printed no recovery line ending at seq %s:\n%s", shardID, lastSeq, strings.Join(startup, "\n"))
+		}
+	}
+	shutdownDaemon(t, stop, done)
+}
+
+func hasLinePrefix(lines []string, prefix string) bool {
+	for _, l := range lines {
+		if strings.HasPrefix(l, prefix) {
+			return true
+		}
+	}
+	return false
 }
 
 // TestDaemonRemoteGateway boots two engine daemons and one -shard-addrs

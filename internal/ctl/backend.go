@@ -47,36 +47,70 @@ func (s *Server) Do(req Request) Response {
 	return s.dispatch(req)
 }
 
-// Ping checks the server is accepting requests.
-func (s *Server) Ping() error {
-	resp := s.dispatch(Request{Op: OpPing})
-	return respError(OpPing, &resp)
+// call is the Server's request function for the typed methods.
+func (s *Server) call(req Request) (Response, error) {
+	resp := s.dispatch(req)
+	return resp, respError(req.Op, &resp)
 }
 
-// Features reports the optional protocol capabilities the server
-// advertises.
-func (s *Server) Features() ([]string, error) {
-	resp := s.dispatch(Request{Op: OpPing})
-	if err := respError(OpPing, &resp); err != nil {
+// typed is the typed half of Backend, written once over a request
+// function that maps refusals to the protocol's typed errors
+// (respError). *Server and *Client embed it, each supplying its own.
+type typed struct {
+	request func(Request) (Response, error)
+}
+
+// need unwraps the payload a successful response to op must carry.
+func need[T any](op Op, v *T, err error) (T, error) {
+	if err == nil && v == nil {
+		err = fmt.Errorf("ctl: %s: empty response", op)
+	}
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return *v, nil
+}
+
+// Ping checks the controller is alive and accepting requests.
+func (t typed) Ping() error {
+	_, err := t.request(Request{Op: OpPing})
+	return err
+}
+
+// Features reports the optional protocol capabilities the controller
+// advertises on a ping (empty for pre-feature servers).
+func (t typed) Features() ([]string, error) {
+	resp, err := t.request(Request{Op: OpPing})
+	if err != nil {
 		return nil, err
 	}
 	return resp.Features, nil
 }
 
 // Submit enqueues an update event and returns its ID.
-func (s *Server) Submit(event EventSpec) (int64, error) {
-	resp := s.dispatch(Request{Op: OpSubmit, Event: &event})
-	if err := respError(OpSubmit, &resp); err != nil {
+func (t typed) Submit(event EventSpec) (int64, error) {
+	resp, err := t.request(Request{Op: OpSubmit, Event: &event})
+	if err != nil {
 		return 0, err
 	}
 	return resp.EventID, nil
 }
 
 // SubmitBatch submits many events in one request and returns one verdict
-// per event, in submission order (see Client.SubmitBatch).
-func (s *Server) SubmitBatch(events []EventSpec) ([]SubmitVerdict, *OverloadInfo, error) {
-	resp := s.dispatch(Request{Op: OpSubmitBatch, Events: events})
-	if err := respError(OpSubmitBatch, &resp); err != nil {
+// per event, in submission order. Verdicts may mix accepted events
+// (OK with an ID), validation rejections, and overload rejections; when
+// any event was refused for overload the returned OverloadInfo carries
+// the server's queue depth and retry-after hint.
+func (t typed) SubmitBatch(events []EventSpec) ([]SubmitVerdict, *OverloadInfo, error) {
+	return t.submitBatch(events, false)
+}
+
+// submitBatch is SubmitBatch with the backoff-resubmission mark
+// (Request.Retry) that Client.SubmitBatchRetry sets.
+func (t typed) submitBatch(events []EventSpec, retry bool) ([]SubmitVerdict, *OverloadInfo, error) {
+	resp, err := t.request(Request{Op: OpSubmitBatch, Events: events, Retry: retry})
+	if err != nil {
 		return nil, nil, err
 	}
 	if len(resp.Verdicts) != len(events) {
@@ -86,68 +120,48 @@ func (s *Server) SubmitBatch(events []EventSpec) ([]SubmitVerdict, *OverloadInfo
 }
 
 // Status reports one event's scheduling state.
-func (s *Server) Status(eventID int64) (EventStatus, error) {
-	resp := s.dispatch(Request{Op: OpStatus, EventID: eventID})
-	if err := respError(OpStatus, &resp); err != nil {
-		return EventStatus{}, err
-	}
-	if resp.Status == nil {
-		return EventStatus{}, fmt.Errorf("ctl: status: empty response")
-	}
-	return *resp.Status, nil
+func (t typed) Status(eventID int64) (EventStatus, error) {
+	resp, err := t.request(Request{Op: OpStatus, EventID: eventID})
+	return need(OpStatus, resp.Status, err)
 }
 
 // Results lists all completed events in completion order.
-func (s *Server) Results() ([]EventStatus, error) {
-	resp := s.dispatch(Request{Op: OpResults})
-	if err := respError(OpResults, &resp); err != nil {
+func (t typed) Results() ([]EventStatus, error) {
+	resp, err := t.request(Request{Op: OpResults})
+	if err != nil {
 		return nil, err
 	}
 	return resp.Results, nil
 }
 
 // Stats reports controller-wide aggregates.
-func (s *Server) Stats() (Stats, error) {
-	resp := s.dispatch(Request{Op: OpStats})
-	if err := respError(OpStats, &resp); err != nil {
-		return Stats{}, err
-	}
-	if resp.Stats == nil {
-		return Stats{}, fmt.Errorf("ctl: stats: empty response")
-	}
-	return *resp.Stats, nil
+func (t typed) Stats() (Stats, error) {
+	resp, err := t.request(Request{Op: OpStats})
+	return need(OpStats, resp.Stats, err)
 }
 
-// Fault injects a fault into the running schedule.
-func (s *Server) Fault(spec FaultSpec) (FaultResult, error) {
-	resp := s.dispatch(Request{Op: OpFault, Fault: &spec})
-	if err := respError(OpFault, &resp); err != nil {
-		return FaultResult{}, err
-	}
-	if resp.Fault == nil {
-		return FaultResult{}, fmt.Errorf("ctl: fault: empty response")
-	}
-	return *resp.Fault, nil
+// Fault injects a fault into the running schedule and reports what it
+// disrupted (links flipped, flows withdrawn, the repair event minted).
+func (t typed) Fault(spec FaultSpec) (FaultResult, error) {
+	resp, err := t.request(Request{Op: OpFault, Fault: &spec})
+	return need(OpFault, resp.Fault, err)
 }
 
 // Trace fetches the most recent n scheduling-trace records (oldest
 // first); n <= 0 fetches everything the ring retains.
-func (s *Server) Trace(n int) ([]obs.Record, error) {
-	resp := s.dispatch(Request{Op: OpTrace, N: n})
-	if err := respError(OpTrace, &resp); err != nil {
+func (t typed) Trace(n int) ([]obs.Record, error) {
+	resp, err := t.request(Request{Op: OpTrace, N: n})
+	if err != nil {
 		return nil, err
 	}
 	return resp.Trace, nil
 }
 
-// Snapshot captures the full network state.
-func (s *Server) Snapshot() (*snapshot.Snapshot, error) {
-	resp := s.dispatch(Request{Op: OpSnapshot})
-	if err := respError(OpSnapshot, &resp); err != nil {
-		return nil, err
+// Snapshot captures the controller's full network state.
+func (t typed) Snapshot() (*snapshot.Snapshot, error) {
+	resp, err := t.request(Request{Op: OpSnapshot})
+	if err == nil && resp.Snapshot == nil {
+		err = fmt.Errorf("ctl: snapshot: empty response")
 	}
-	if resp.Snapshot == nil {
-		return nil, fmt.Errorf("ctl: snapshot: empty response")
-	}
-	return resp.Snapshot, nil
+	return resp.Snapshot, err
 }

@@ -11,13 +11,14 @@ import (
 	"time"
 
 	"netupdate/internal/obs"
-	"netupdate/internal/snapshot"
 )
 
 // Client talks the controller protocol over one TCP connection, in
 // either codec. It is safe for concurrent use; calls are serialized on
 // the connection.
 type Client struct {
+	typed // the typed Backend methods, over roundTrip
+
 	mu   sync.Mutex
 	conn net.Conn
 	enc  *json.Encoder
@@ -58,21 +59,25 @@ func DialBinary(addr string) (*Client, error) {
 
 // NewClient wraps an established connection with the JSON v1 codec.
 func NewClient(conn net.Conn) *Client {
-	return &Client{
+	c := &Client{
 		conn: conn,
 		enc:  json.NewEncoder(conn),
 		dec:  json.NewDecoder(conn),
 	}
+	c.typed.request = c.roundTrip
+	return c
 }
 
 // NewBinaryClient wraps an established connection with the binary v2
 // codec.
 func NewBinaryClient(conn net.Conn) *Client {
-	return &Client{
+	c := &Client{
 		conn:   conn,
 		binary: true,
 		br:     bufio.NewReader(conn),
 	}
+	c.typed.request = c.roundTrip
+	return c
 }
 
 // Close closes the connection.
@@ -109,16 +114,6 @@ func readResponseFrame(br *bufio.Reader, scratch []byte) (*Response, []byte, err
 	}
 	resp, err := decodeResponseFrame(scratch)
 	return resp, scratch, err
-}
-
-// Features reports the optional protocol capabilities the server
-// advertised on a ping (empty for pre-feature servers).
-func (c *Client) Features() ([]string, error) {
-	resp, err := c.roundTrip(Request{Op: OpPing})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Features, nil
 }
 
 // EnableSpans attaches a latency span context (origin identity + submit
@@ -194,7 +189,7 @@ func (c *Client) roundTrip(req Request) (Response, error) {
 
 // respError maps a failed response to the protocol's typed errors. It is
 // the one place the wire-level failure taxonomy is interpreted, shared by
-// the remote Client and the in-process Server's Backend methods.
+// the remote Client's and the in-process Server's request functions.
 func respError(op Op, resp *Response) error {
 	if resp.OK {
 		return nil
@@ -228,41 +223,6 @@ func (c *Client) Do(req Request) Response {
 		return Response{OK: false, Error: err.Error()}
 	}
 	return resp
-}
-
-// Ping checks the controller is alive.
-func (c *Client) Ping() error {
-	_, err := c.roundTrip(Request{Op: OpPing})
-	return err
-}
-
-// Submit enqueues an update event and returns its ID.
-func (c *Client) Submit(event EventSpec) (int64, error) {
-	resp, err := c.roundTrip(Request{Op: OpSubmit, Event: &event})
-	if err != nil {
-		return 0, err
-	}
-	return resp.EventID, nil
-}
-
-// SubmitBatch submits many events in one request and returns one verdict
-// per event, in submission order. Verdicts may mix accepted events
-// (OK with an ID), validation rejections, and overload rejections; when
-// any event was refused for overload the returned OverloadInfo carries
-// the server's queue depth and retry-after hint.
-func (c *Client) SubmitBatch(events []EventSpec) ([]SubmitVerdict, *OverloadInfo, error) {
-	return c.submitBatch(events, false)
-}
-
-func (c *Client) submitBatch(events []EventSpec, retry bool) ([]SubmitVerdict, *OverloadInfo, error) {
-	resp, err := c.roundTrip(Request{Op: OpSubmitBatch, Events: events, Retry: retry})
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(resp.Verdicts) != len(events) {
-		return nil, nil, fmt.Errorf("ctl: submit-batch: %d verdicts for %d events", len(resp.Verdicts), len(events))
-	}
-	return resp.Verdicts, resp.Overload, nil
 }
 
 // Backoff bounds for SubmitBatchRetry: each round waits the larger of
@@ -349,64 +309,12 @@ func (c *Client) SubmitBatchRetry(events []EventSpec, maxAttempts int) ([]int64,
 	return ids, nil
 }
 
-// Status reports one event's scheduling state.
-func (c *Client) Status(eventID int64) (EventStatus, error) {
-	resp, err := c.roundTrip(Request{Op: OpStatus, EventID: eventID})
-	if err != nil {
-		return EventStatus{}, err
-	}
-	if resp.Status == nil {
-		return EventStatus{}, fmt.Errorf("ctl: status: empty response")
-	}
-	return *resp.Status, nil
-}
-
-// Results lists all completed events in completion order.
-func (c *Client) Results() ([]EventStatus, error) {
-	resp, err := c.roundTrip(Request{Op: OpResults})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Results, nil
-}
-
-// Stats reports controller-wide aggregates.
-func (c *Client) Stats() (Stats, error) {
-	resp, err := c.roundTrip(Request{Op: OpStats})
-	if err != nil {
-		return Stats{}, err
-	}
-	if resp.Stats == nil {
-		return Stats{}, fmt.Errorf("ctl: stats: empty response")
-	}
-	return *resp.Stats, nil
-}
-
-// Fault injects a fault into the running schedule and reports what it
-// disrupted (links flipped, flows withdrawn, the repair event minted).
-func (c *Client) Fault(spec FaultSpec) (FaultResult, error) {
-	resp, err := c.roundTrip(Request{Op: OpFault, Fault: &spec})
-	if err != nil {
-		return FaultResult{}, err
-	}
-	if resp.Fault == nil {
-		return FaultResult{}, fmt.Errorf("ctl: fault: empty response")
-	}
-	return *resp.Fault, nil
-}
-
 // ReplStatus reports the server's replication state: role, term, log
 // position, registered followers (on a leader) or leader address and
 // lag (on a follower).
 func (c *Client) ReplStatus() (ReplInfo, error) {
 	resp, err := c.roundTrip(Request{Op: OpReplStatus})
-	if err != nil {
-		return ReplInfo{}, err
-	}
-	if resp.Repl == nil {
-		return ReplInfo{}, fmt.Errorf("ctl: repl status: empty response")
-	}
-	return *resp.Repl, nil
+	return need(OpReplStatus, resp.Repl, err)
 }
 
 // Promote asks a follower to take over as leader: it stops streaming,
@@ -415,35 +323,7 @@ func (c *Client) ReplStatus() (ReplInfo, error) {
 // leader is a no-op; a deposed leader refuses.
 func (c *Client) Promote() (ReplInfo, error) {
 	resp, err := c.roundTrip(Request{Op: OpReplPromote})
-	if err != nil {
-		return ReplInfo{}, err
-	}
-	if resp.Repl == nil {
-		return ReplInfo{}, fmt.Errorf("ctl: promote: empty response")
-	}
-	return *resp.Repl, nil
-}
-
-// Trace fetches the most recent n scheduling-trace records (oldest
-// first); n <= 0 fetches everything the server's ring retains.
-func (c *Client) Trace(n int) ([]obs.Record, error) {
-	resp, err := c.roundTrip(Request{Op: OpTrace, N: n})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Trace, nil
-}
-
-// Snapshot fetches the controller's full network state.
-func (c *Client) Snapshot() (*snapshot.Snapshot, error) {
-	resp, err := c.roundTrip(Request{Op: OpSnapshot})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Snapshot == nil {
-		return nil, fmt.Errorf("ctl: snapshot: empty response")
-	}
-	return resp.Snapshot, nil
+	return need(OpReplPromote, resp.Repl, err)
 }
 
 // WaitDone polls until the event completes or the timeout elapses,

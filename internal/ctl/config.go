@@ -80,18 +80,9 @@ func (c *Config) validate() error {
 }
 
 // ServerOption adjusts the Config that the positional NewFollower
-// constructor builds from its arguments.
+// constructor builds from its arguments (watermark, span sink,
+// replication, shard identity — whatever New takes in its Config).
 type ServerOption func(*Config)
-
-// WithSpanSink sets Config.SpanSink.
-func WithSpanSink(sink obs.Sink) ServerOption {
-	return func(c *Config) { c.SpanSink = sink }
-}
-
-// WithHighWatermark sets Config.Watermark.
-func WithHighWatermark(n int) ServerOption {
-	return func(c *Config) { c.Watermark = n }
-}
 
 // New builds and starts a controller from one Config. The returned
 // RecoveryInfo is non-nil only when cfg.WAL was set and describes what

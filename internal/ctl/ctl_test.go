@@ -21,6 +21,16 @@ import (
 	"netupdate/internal/trace"
 )
 
+// WithSpanSink sets Config.SpanSink.
+func WithSpanSink(sink obs.Sink) ServerOption {
+	return func(c *Config) { c.SpanSink = sink }
+}
+
+// WithHighWatermark sets Config.Watermark.
+func WithHighWatermark(n int) ServerOption {
+	return func(c *Config) { c.Watermark = n }
+}
+
 // mustNew is New with opts applied to cfg, for worlds that must build.
 func mustNew(t *testing.T, cfg Config, opts ...ServerOption) *Server {
 	t.Helper()

@@ -23,6 +23,8 @@ import (
 // handlers communicate with it through a command channel, so the sim
 // engine and network never see concurrent access.
 type Server struct {
+	typed // the typed Backend methods, over call
+
 	engine    *sim.Engine
 	planner   *core.Planner
 	sched     sched.Scheduler
@@ -154,6 +156,7 @@ func newServer(cfg Config) *Server {
 		cmds:      make(chan command, cmdBacklog),
 		loopStop:  make(chan struct{}),
 	}
+	s.typed.request = s.call
 	if cfg.Watermark > 0 {
 		s.watermark = cfg.Watermark
 	}

@@ -1,15 +1,19 @@
 package shard
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"path/filepath"
+	"time"
 
 	"netupdate/internal/core"
 	"netupdate/internal/ctl"
 	"netupdate/internal/migration"
 	"netupdate/internal/netstate"
+	"netupdate/internal/obs"
 	"netupdate/internal/routing"
+	"netupdate/internal/rules"
 	"netupdate/internal/sched"
 	"netupdate/internal/sim"
 	"netupdate/internal/topology"
@@ -17,8 +21,10 @@ import (
 	"netupdate/internal/wal"
 )
 
-// WorldConfig describes the cluster every shard world is a slice of:
-// one k-ary fat-tree, partitioned over Shards engines.
+// WorldConfig describes one deterministic world: a k-ary fat-tree under
+// background load, scheduled by one engine (NewWorld with slot 0) or
+// partitioned over Shards engines (NewCluster, or NewWorld with a slot
+// in 1..Shards). The zero value of every optional field is "off".
 type WorldConfig struct {
 	K         int
 	Util      float64
@@ -31,20 +37,91 @@ type WorldConfig struct {
 	// cross-shard traffic; <= 0 selects DefaultCrossPoolFrac. Ignored
 	// (forced to 0) for a single shard, which has no cross traffic.
 	CrossPoolFrac float64
-	// WALDir, when set, gives every shard a durable log in
-	// WALDir/shard-<id>; WALSync is a wal.ParseSyncPolicy name (empty =
-	// "group"), CheckpointEvery as in ctl.WALConfig.
+	// WALDir, when set, makes admission durable: the unsharded world logs
+	// in WALDir itself, shard <id> in WALDir/shard-<id>. WALSync is a
+	// wal.ParseSyncPolicy name (empty = "group"), CheckpointEvery as in
+	// ctl.WALConfig, MaxFollowers as in ctl.ReplicationConfig.
 	WALDir          string
 	WALSync         string
 	CheckpointEvery int
+	MaxFollowers    int
+
+	// The rest is for the unsharded world only (see Validate).
+
+	// Tables attaches two-phase per-switch rule tables holding TableCap
+	// rules each (0 = unlimited).
+	Tables   bool
+	TableCap int
+	// SpanSink receives the engine's stage latency spans (ctl.Config.SpanSink).
+	SpanSink obs.Sink
+	// Follow boots the world as a warm follower of the leader at this ctl
+	// address (requires WALDir); PromoteAfter as in ctl.FollowerConfig.
+	Follow       string
+	PromoteAfter time.Duration
 }
 
-// World is one shard's engine plus the topology slice it schedules on.
+// ErrConfig marks a configuration only its author can fix — an unknown
+// scheduler or sync policy, an option the requested mode does not take —
+// as opposed to a world that failed to come up.
+var ErrConfig = errors.New("shard: invalid configuration")
+
+// Validate checks everything about building slot id of c that can be
+// checked without building anything. Slot 0 is the unsharded world;
+// NewWorld and NewCluster validate for themselves.
+func (c WorldConfig) Validate(id int) error {
+	sharded := id != 0 || c.Shards > 1
+	if sharded {
+		if c.K < 4 {
+			return fmt.Errorf("shard: fat-tree arity %d too small", c.K)
+		}
+		if id < 1 || id > c.Shards {
+			return fmt.Errorf("shard: slot %d outside 1..%d", id, c.Shards)
+		}
+		// One engine of several has no leader to follow as a unit, no
+		// single span stream, and no rule tables sized for a core slice.
+		for _, opt := range []struct {
+			name string
+			set  bool
+		}{
+			{"Follow", c.Follow != ""},
+			{"SpanSink", c.SpanSink != nil},
+			{"Tables", c.Tables},
+		} {
+			if opt.set {
+				return fmt.Errorf("%w: %s is not supported in sharded mode", ErrConfig, opt.name)
+			}
+		}
+	}
+	if c.Follow != "" && c.WALDir == "" {
+		return fmt.Errorf("%w: Follow requires WALDir (the follower persists the replicated log)", ErrConfig)
+	}
+	if _, err := sched.New(c.Scheduler); err != nil {
+		// The typed error lists every registered scheduler.
+		return fmt.Errorf("%w: %w", ErrConfig, err)
+	}
+	if _, err := wal.ParseSyncPolicy(cmp.Or(c.WALSync, "group")); err != nil {
+		return fmt.Errorf("%w: %w", ErrConfig, err)
+	}
+	return nil
+}
+
+// World is one engine plus the topology it schedules on, and what
+// standing it up found and did.
 type World struct {
-	ID     int
-	Pods   []int // pods this shard owns, ascending
+	ID     int   // shard slot, 0 for the unsharded world
+	Pods   []int // pods this world owns, ascending
 	Server *ctl.Server
 	FT     *topology.FatTree
+	// Recovery is what the WAL restored (nil without a WAL). Restored
+	// reports that a checkpoint supplied the placed flows, so the
+	// background fill was skipped; otherwise the fill placed BgFlows flows
+	// and reached utilization BgUtil.
+	Recovery *ctl.RecoveryInfo
+	Restored bool
+	BgFlows  int
+	BgUtil   float64
+
+	net *netstate.Network
 }
 
 // Cluster is a set of shard worlds over one partition, plus the
@@ -69,11 +146,11 @@ type Cluster struct {
 //     proportionally scaled utilization target, so each world carries
 //     its share of the cluster load and nothing else.
 //
-// With Shards == 1 the single world is byte-for-byte the unsharded
-// daemon's (full core capacity, full fill).
+// With Shards == 1 the single world's network is byte-for-byte the
+// unsharded one (full core capacity, full fill).
 func NewCluster(cfg WorldConfig) (*Cluster, error) {
-	if cfg.K < 4 {
-		return nil, fmt.Errorf("shard: fat-tree arity %d too small", cfg.K)
+	if err := cfg.Validate(1); err != nil {
+		return nil, err
 	}
 	ref, err := topology.NewFatTree(cfg.K, topology.Gbps)
 	if err != nil {
@@ -87,47 +164,16 @@ func NewCluster(cfg WorldConfig) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	cross := CrossPoolFor(ref, part, frac)
-
-	cl := &Cluster{Part: part, Ref: ref, Cross: cross}
+	cl := &Cluster{Part: part, Ref: ref, Cross: CrossPoolFor(ref, part, frac)}
 	for id := 1; id <= cfg.Shards; id++ {
-		w, err := newWorld(cfg, part, id, frac)
+		w, err := NewWorld(cfg, id)
 		if err != nil {
 			cl.Close()
-			return nil, err
+			return nil, fmt.Errorf("shard %d: %w", id, err)
 		}
 		cl.Worlds = append(cl.Worlds, w)
 	}
 	return cl, nil
-}
-
-// NewShardWorld builds the single world for shard id of cfg.Shards —
-// the standalone-engine entry point for running one slot of a sharded
-// deployment in its own process behind a -shard-addrs gateway. The
-// world is exactly what NewCluster would build for the slot: same core
-// capacity split, pod-restricted fill, strided event IDs, and WAL slot
-// binding under cfg.WALDir/shard-<id> — so a gateway fronting N such
-// engines behaves like the in-process cluster.
-func NewShardWorld(cfg WorldConfig, id int) (*World, error) {
-	if cfg.K < 4 {
-		return nil, fmt.Errorf("shard: fat-tree arity %d too small", cfg.K)
-	}
-	if id < 1 || id > cfg.Shards {
-		return nil, fmt.Errorf("shard: slot %d outside 1..%d", id, cfg.Shards)
-	}
-	ref, err := topology.NewFatTree(cfg.K, topology.Gbps)
-	if err != nil {
-		return nil, fmt.Errorf("shard: %w", err)
-	}
-	part, err := NewPartition(ref, cfg.Shards)
-	if err != nil {
-		return nil, err
-	}
-	frac, err := ResolveCrossPoolFrac(cfg.Shards, cfg.CrossPoolFrac)
-	if err != nil {
-		return nil, err
-	}
-	return newWorld(cfg, part, id, frac)
 }
 
 // ResolveCrossPoolFrac applies the cross-pool defaults: <= 0 selects
@@ -161,17 +207,50 @@ func CrossPoolFor(ref *topology.FatTree, part *Partition, frac float64) *CrossAd
 	return NewCrossAdmitter(part.N(), topology.Bandwidth(float64(coreCap)*frac)/topology.Bandwidth(part.N()))
 }
 
-func newWorld(cfg WorldConfig, part *Partition, id int, frac float64) (*World, error) {
+// NewWorld is the one recipe that turns a configuration into a running
+// engine. Slot 0 is the unsharded world — the whole fabric, no shard
+// identity, the log in cfg.WALDir itself. A slot in 1..cfg.Shards is
+// that shard of the partition, exactly as NewCluster builds it — core
+// capacity split, pod-restricted fill, strided event IDs, the log bound
+// to the slot under cfg.WALDir/shard-<id> — so a gateway fronting N such
+// engines in their own processes behaves like the in-process cluster.
+//
+// Every process that replays, follows or fronts a world rebuilds it
+// through here, and state is a fold of one log over one genesis, so the
+// steps and their order are the contract:
+//
+//	fat-tree → core split (Shards > 1) → netstate.New → rule tables →
+//	open the WAL → follower handshake → background fill, unless a
+//	checkpoint restores → planner → ctl.New or ctl.NewFollower
+//
+// The log opens and the follower handshakes before the fill because
+// both can put a checkpoint in the log, and a checkpoint carries its own
+// placed flows: filling first would place them twice.
+func NewWorld(cfg WorldConfig, id int) (*World, error) {
+	if err := cfg.Validate(id); err != nil {
+		return nil, err
+	}
 	scheduler, err := sched.New(cfg.Scheduler, sched.WithAlpha(cfg.Alpha), sched.WithSeed(cfg.Seed))
 	if err != nil {
-		return nil, fmt.Errorf("shard %d: %w", id, err)
+		return nil, err
 	}
 	ft, err := topology.NewFatTree(cfg.K, topology.Gbps)
 	if err != nil {
-		return nil, fmt.Errorf("shard %d: %w", id, err)
+		return nil, err
+	}
+	// The unsharded world is slot 1 of a one-shard partition: every pod,
+	// every host, the full core.
+	n, slot := max(cfg.Shards, 1), max(id, 1)
+	part, err := NewPartition(ft, n)
+	if err != nil {
+		return nil, err
 	}
 	g := ft.Graph()
-	if cfg.Shards > 1 {
+	if n > 1 {
+		frac, err := ResolveCrossPoolFrac(n, cfg.CrossPoolFrac)
+		if err != nil {
+			return nil, err
+		}
 		// This world's core slice: equal share of what the cross pool
 		// leaves behind.
 		for lid := 0; lid < g.NumLinks(); lid++ {
@@ -179,81 +258,111 @@ func newWorld(cfg WorldConfig, part *Partition, id int, frac float64) (*World, e
 			if part.LinkOwner(l.From, l.To) != 0 {
 				continue
 			}
-			slice := topology.Bandwidth(float64(l.Capacity)*(1-frac)) / topology.Bandwidth(cfg.Shards)
+			slice := topology.Bandwidth(float64(l.Capacity)*(1-frac)) / topology.Bandwidth(n)
 			if err := g.SetCapacity(topology.LinkID(lid), slice); err != nil {
-				return nil, fmt.Errorf("shard %d: core split: %w", id, err)
+				return nil, fmt.Errorf("core split: %w", err)
 			}
 		}
 	}
 	net := netstate.New(g, routing.NewFatTreeProvider(ft), routing.NewRandomFit(cfg.Seed+7))
-
-	// Open the WAL before filling: a checkpoint restores its own flows.
-	var walLog *wal.Log
-	var walCfg *ctl.WALConfig
-	if cfg.WALDir != "" {
-		syncName := cfg.WALSync
-		if syncName == "" {
-			syncName = "group"
-		}
-		policy, err := wal.ParseSyncPolicy(syncName)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", id, err)
-		}
-		walLog, err = wal.Open(filepath.Join(cfg.WALDir, fmt.Sprintf("shard-%d", id)), wal.WithSync(policy))
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: wal: %w", id, err)
-		}
-		walCfg = &ctl.WALConfig{
-			Log: walLog,
-			Meta: &wal.Meta{
-				Format:    wal.FormatVersion,
-				Scheduler: scheduler.Name(),
-				Seed:      cfg.Seed,
-				K:         cfg.K,
-				Util:      cfg.Util,
-				Watermark: cfg.Watermark,
-				Shard:     id,
-				Shards:    cfg.Shards,
-			},
-			CheckpointEvery: cfg.CheckpointEvery,
+	if cfg.Tables {
+		if err := net.AttachDataPlane(rules.NewManager(g, cfg.TableCap)); err != nil {
+			return nil, fmt.Errorf("rule tables: %w", err)
 		}
 	}
 
-	pods := part.PodsOf(id)
-	restoring := walLog != nil && walLog.Checkpoint() != nil
-	if cfg.Util > 0 && !restoring {
+	var walLog *wal.Log
+	var walCfg *ctl.WALConfig
+	var follow ctl.FollowerConfig
+	var sess *ctl.FollowerSession
+	if cfg.WALDir != "" {
+		// The meta is compared whole against the log's, so each mode keeps
+		// writing what it always wrote: the unsharded daemon its -tables
+		// value (-1 = off), a shard its slot and no table capacity.
+		dir := cfg.WALDir
+		meta := &wal.Meta{
+			Format:    wal.FormatVersion,
+			Scheduler: scheduler.Name(),
+			Seed:      cfg.Seed,
+			K:         cfg.K,
+			Util:      cfg.Util,
+			Watermark: cfg.Watermark,
+		}
+		switch {
+		case id != 0:
+			dir = filepath.Join(dir, fmt.Sprintf("shard-%d", id))
+			meta.Shard, meta.Shards = id, cfg.Shards
+		case cfg.Tables:
+			meta.Tables = cfg.TableCap
+		default:
+			meta.Tables = -1
+		}
+		policy, _ := wal.ParseSyncPolicy(cmp.Or(cfg.WALSync, "group")) // Validate parsed it
+		if walLog, err = wal.Open(dir, wal.WithSync(policy)); err != nil {
+			return nil, fmt.Errorf("wal: %w", err)
+		}
+		walCfg = &ctl.WALConfig{Log: walLog, Meta: meta, CheckpointEvery: cfg.CheckpointEvery}
+		if cfg.Follow != "" {
+			// If the leader ships a bootstrap checkpoint it is installed
+			// into the empty log now, and restores below like a local one.
+			follow = ctl.FollowerConfig{
+				Log: walLog, Meta: meta, CheckpointEvery: cfg.CheckpointEvery,
+				LeaderAddr: cfg.Follow, PromoteAfter: cfg.PromoteAfter,
+			}
+			if sess, err = ctl.FollowerBootstrap(follow); err != nil {
+				return nil, fmt.Errorf("follow %s: %w", cfg.Follow, err)
+			}
+		}
+	}
+
+	w := &World{ID: id, Pods: part.PodsOf(slot), FT: ft, net: net}
+	w.Restored = walLog != nil && walLog.Checkpoint() != nil
+	if cfg.Util > 0 && !w.Restored {
 		var hosts []topology.NodeID
 		for _, h := range ft.Hosts() {
-			if part.OfPod(ft.PodOf(h)) == id {
+			if part.OfPod(ft.PodOf(h)) == slot {
 				hosts = append(hosts, h)
 			}
 		}
-		// Fill only this shard's pods, toward this shard's proportional
-		// share of the cluster-wide utilization target; with a fraction
-		// of the hosts the target may be unreachable, which is fine.
-		gen, err := trace.NewGenerator(cfg.Seed+int64(id-1), trace.YahooLike{}, hosts)
+		// Fill only this world's pods, toward its proportional share of
+		// the cluster-wide utilization target; with a fraction of the
+		// hosts the target may be unreachable, which is fine.
+		gen, err := trace.NewGenerator(cfg.Seed+int64(slot-1), trace.YahooLike{}, hosts)
 		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", id, err)
+			return nil, err
 		}
-		target := cfg.Util * float64(len(pods)) / float64(ft.NumPods())
-		if _, err := trace.FillBackground(net, gen, target, 0); err != nil && !errors.Is(err, trace.ErrTargetUnreachable) {
-			return nil, fmt.Errorf("shard %d: background: %w", id, err)
+		target := cfg.Util
+		if n > 1 {
+			target = cfg.Util * float64(len(w.Pods)) / float64(ft.NumPods())
 		}
+		placed, err := trace.FillBackground(net, gen, target, 0)
+		if err != nil && !errors.Is(err, trace.ErrTargetUnreachable) {
+			return nil, fmt.Errorf("background: %w", err)
+		}
+		w.BgFlows, w.BgUtil = len(placed), net.Utilization()
 	}
 
 	planner := core.NewPlanner(migration.NewPlanner(net, 0), core.FailSkip)
-	srv, _, err := ctl.New(ctl.Config{
-		Planner:   planner,
-		Scheduler: scheduler,
-		Sim:       sim.Config{},
-		Watermark: cfg.Watermark,
-		Shard:     ctl.ShardIdentity{ID: id, Count: cfg.Shards},
-		WAL:       walCfg,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("shard %d: %w", id, err)
+	// What the engine takes beyond planner, scheduler and log, in either role.
+	common := func(c *ctl.Config) {
+		c.Watermark = cfg.Watermark
+		c.SpanSink = cfg.SpanSink
+		c.Replication.MaxFollowers = cfg.MaxFollowers
+		if id != 0 {
+			c.Shard = ctl.ShardIdentity{ID: id, Count: cfg.Shards}
+		}
 	}
-	return &World{ID: id, Pods: pods, Server: srv, FT: ft}, nil
+	if sess != nil {
+		w.Server, w.Recovery, err = ctl.NewFollower(planner, scheduler, sim.Config{}, follow, sess, common)
+	} else {
+		c := ctl.Config{Planner: planner, Scheduler: scheduler, WAL: walCfg}
+		common(&c)
+		w.Server, w.Recovery, err = ctl.New(c)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("controller: %w", err)
+	}
+	return w, nil
 }
 
 // Backends returns the worlds' engines as the unified Backend surface,
