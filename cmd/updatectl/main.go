@@ -8,7 +8,7 @@
 //	updatectl -addr host:7421 submit trace.jsonl   # events from cmd/tracegen
 //	updatectl -addr host:7421 -batch 64 submit trace.jsonl
 //	updatectl -addr host:7421 status <event-id>
-//	updatectl -addr host:7421 results
+//	updatectl -addr host:7421 results              # the retained window, completion order
 //	updatectl -addr host:7421 snapshot > state.json
 //	updatectl -addr host:7421 trace [n] > trace.jsonl
 //	updatectl -addr host:7421 fault link-down -link 12
@@ -29,6 +29,14 @@
 // submits every event, waits for completion, and prints per-event metrics.
 // With -batch n > 1 it groups events into submit-batch requests and backs
 // off on overload rejections, honoring the server's retry-after hint.
+//
+// status and results read the daemon's memory of finished events, which
+// is bounded: the last 8192 completions are kept one by one (stats shows
+// how many, "last M retained"), older ones only in the stats totals. An
+// ID that completed longer ago answers "unknown", like an ID never
+// admitted — which is also what submit's wait reports for the head of a
+// trace file much longer than the window; cmd/loadgen is the tool for
+// volume.
 //
 // fault injects a failure into the running schedule: link-down/link-up
 // take -link, switch-down/switch-up take -node, install-timeout takes
@@ -133,7 +141,7 @@ func run(args []string, stdout io.Writer) int {
 		fmt.Fprintf(stdout, "utilization    %.3f\n", stats.Utilization)
 		fmt.Fprintf(stdout, "flows placed   %d\n", stats.FlowsPlaced)
 		fmt.Fprintf(stdout, "events queued  %d\n", stats.EventsQueued)
-		fmt.Fprintf(stdout, "events done    %d\n", stats.EventsDone)
+		fmt.Fprintf(stdout, "events done    %d (last %d retained)\n", stats.EventsDone, stats.EventsRetained)
 		fmt.Fprintf(stdout, "total cost     %.1f Mbps\n", float64(stats.TotalCostBps)/1e6)
 		fmt.Fprintf(stdout, "avg ECT        %v\n", stats.AvgECT)
 		fmt.Fprintf(stdout, "tail ECT       %v\n", stats.TailECT)

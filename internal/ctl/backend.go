@@ -125,7 +125,8 @@ func (t typed) Status(eventID int64) (EventStatus, error) {
 	return need(OpStatus, resp.Status, err)
 }
 
-// Results lists all completed events in completion order.
+// Results lists the completed events the server still retains (its last
+// completions, up to the done window) in completion order.
 func (t typed) Results() ([]EventStatus, error) {
 	resp, err := t.request(Request{Op: OpResults})
 	if err != nil {

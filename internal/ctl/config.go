@@ -64,6 +64,11 @@ type Config struct {
 	// itself needs no opt-in: every WAL-backed server accepts follower
 	// sessions up to MaxFollowers. Ignored without a WAL.
 	Replication ReplicationConfig
+
+	// doneWindow shrinks the done window for in-package tests, which need
+	// evictions after a few dozen events; 0 — all any caller outside the
+	// package can say — is the doneWindow constant.
+	doneWindow int
 }
 
 func (c *Config) validate() error {

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"net"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -44,10 +46,9 @@ func mustNew(t *testing.T, cfg Config, opts ...ServerOption) *Server {
 	return srv
 }
 
-// startServer brings up a controller over a loaded k=4 fat-tree on an
-// ephemeral port and returns a connected client. Everything is torn down
-// by t.Cleanup.
-func startServer(t *testing.T, scheduler sched.Scheduler, opts ...ServerOption) (*Client, *topology.FatTree) {
+// testWorld is the memory-only Config of the tests' standard world: a
+// k=4 fat-tree filled to 30 % with seeded background traffic.
+func testWorld(t *testing.T, scheduler sched.Scheduler) (Config, *topology.FatTree) {
 	t.Helper()
 	ft, err := topology.NewFatTree(4, topology.Gbps)
 	if err != nil {
@@ -62,7 +63,16 @@ func startServer(t *testing.T, scheduler sched.Scheduler, opts ...ServerOption) 
 		t.Fatal(err)
 	}
 	planner := core.NewPlanner(migration.NewPlanner(net1, 0), core.FailSkip)
-	srv := mustNew(t, Config{Planner: planner, Scheduler: scheduler, Sim: sim.Config{InstallTime: time.Millisecond}}, opts...)
+	return Config{Planner: planner, Scheduler: scheduler, Sim: sim.Config{InstallTime: time.Millisecond}}, ft
+}
+
+// startServer brings up a controller over a loaded k=4 fat-tree on an
+// ephemeral port and returns a connected client. Everything is torn down
+// by t.Cleanup.
+func startServer(t *testing.T, scheduler sched.Scheduler, opts ...ServerOption) (*Client, *topology.FatTree) {
+	t.Helper()
+	cfg, ft := testWorld(t, scheduler)
+	srv := mustNew(t, cfg, opts...)
 
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -136,40 +146,106 @@ func TestSubmitAndWait(t *testing.T) {
 	}
 }
 
+// TestSubmitManyAndResults: Results lists every completed event, in the
+// order the engine completed them — the order of the trace's completion
+// records — which under a cost-aware scheduler is not admission order.
 func TestSubmitManyAndResults(t *testing.T) {
-	client, ft := startServer(t, sched.NewLMTF(2, 1))
-	const n = 8
-	ids := make([]int64, n)
-	for i := range ids {
-		id, err := client.Submit(eventSpec(ft, 3+i%4, 5))
-		if err != nil {
-			t.Fatalf("Submit %d: %v", i, err)
-		}
-		ids[i] = id
-	}
-	for _, id := range ids {
-		if _, err := client.WaitDone(id, 5*time.Second); err != nil {
-			t.Fatalf("WaitDone(%d): %v", id, err)
-		}
-	}
-	results, err := client.Results()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != n {
-		t.Fatalf("results = %d, want %d", len(results), n)
-	}
-	seen := map[int64]bool{}
-	for _, r := range results {
-		if r.State != StateDone {
-			t.Errorf("result %d state = %s", r.EventID, r.State)
-		}
-		seen[r.EventID] = true
-	}
-	for _, id := range ids {
-		if !seen[id] {
-			t.Errorf("event %d missing from results", id)
-		}
+	for _, tc := range []struct {
+		name      string
+		scheduler sched.Scheduler
+		submit    func(t *testing.T, client *Client, ft *topology.FatTree) []int64
+		// overtakes: the input is built so a later event completes first.
+		overtakes bool
+	}{
+		{
+			name: "lmtf, one at a time", scheduler: sched.NewLMTF(2, 1),
+			submit: func(t *testing.T, client *Client, ft *topology.FatTree) []int64 {
+				ids := make([]int64, 8)
+				for i := range ids {
+					id, err := client.Submit(eventSpec(ft, 3+i%4, 5))
+					if err != nil {
+						t.Fatalf("Submit %d: %v", i, err)
+					}
+					ids[i] = id
+				}
+				return ids
+			},
+		},
+		{
+			// One batch, so both events are queued before the first round:
+			// the cross-pod event has to migrate traffic, the one-flow event
+			// behind it is free, and p-lmtf runs the free one first.
+			name: "p-lmtf, second event overtakes the first", scheduler: sched.NewPLMTF(2, 1), overtakes: true,
+			submit: func(t *testing.T, client *Client, ft *topology.FatTree) []int64 {
+				hosts := ft.Hosts()
+				heavy := EventSpec{Kind: "heavy"}
+				for i := 0; i < 6; i++ {
+					heavy.Flows = append(heavy.Flows, FlowSpec{
+						Src: int(hosts[i]), Dst: int(hosts[len(hosts)-1-i]), DemandBps: 300e6,
+					})
+				}
+				verdicts, _, err := client.SubmitBatch([]EventSpec{heavy, eventSpec(ft, 1, 1)})
+				if err != nil {
+					t.Fatalf("SubmitBatch: %v", err)
+				}
+				ids := make([]int64, len(verdicts))
+				for i, v := range verdicts {
+					if !v.OK {
+						t.Fatalf("event %d rejected: %s", i, v.Error)
+					}
+					ids[i] = v.EventID
+				}
+				return ids
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			client, ft := startServer(t, tc.scheduler)
+			ids := tc.submit(t, client, ft)
+			for _, id := range ids {
+				if _, err := client.WaitDone(id, 5*time.Second); err != nil {
+					t.Fatalf("WaitDone(%d): %v", id, err)
+				}
+			}
+			results, err := client.Results()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(results) != len(ids) {
+				t.Fatalf("results = %d, want %d", len(results), len(ids))
+			}
+			seen := map[int64]bool{}
+			var order []int64
+			for _, r := range results {
+				if r.State != StateDone {
+					t.Errorf("result %d state = %s", r.EventID, r.State)
+				}
+				seen[r.EventID] = true
+				order = append(order, r.EventID)
+			}
+			for _, id := range ids {
+				if !seen[id] {
+					t.Errorf("event %d missing from results", id)
+				}
+			}
+
+			records, err := client.Trace(0)
+			if err != nil {
+				t.Fatalf("Trace: %v", err)
+			}
+			var completed []int64
+			for _, r := range records {
+				if r.Kind == obs.KindSpan {
+					completed = append(completed, r.Span.Event)
+				}
+			}
+			if !reflect.DeepEqual(order, completed) {
+				t.Errorf("results list events %v, the engine completed them in order %v", order, completed)
+			}
+			if tc.overtakes && sort.SliceIsSorted(order, func(i, j int) bool { return order[i] < order[j] }) {
+				t.Errorf("events completed in admission order %v: the input no longer exercises an overtake", order)
+			}
+		})
 	}
 }
 

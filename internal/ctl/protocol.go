@@ -242,6 +242,9 @@ type Stats struct {
 	AvgQueuingDelay time.Duration `json:"avg_queuing_delay_ns"`
 	PlanTime        time.Duration `json:"plan_time_ns"`
 	VirtualClock    time.Duration `json:"virtual_clock_ns"`
+	// EventsRetained is how many of the EventsDone the server still holds
+	// as records, for status and results (at most its done window).
+	EventsRetained int `json:"events_retained,omitempty"`
 	// Probes counts cost probes (Section IV-B probing cost): every trial
 	// plan a scheduler or the co-schedule check ran.
 	Probes int64 `json:"probes"`
@@ -382,7 +385,8 @@ type Response struct {
 	Overload *OverloadInfo `json:"overload,omitempty"`
 	// Status answers OpStatus.
 	Status *EventStatus `json:"status,omitempty"`
-	// Results answers OpResults (completed events, completion order).
+	// Results answers OpResults: the retained completed events (the done
+	// window), in completion order.
 	Results []EventStatus `json:"results,omitempty"`
 	// Stats answers OpStats.
 	Stats *Stats `json:"stats,omitempty"`

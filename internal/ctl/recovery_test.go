@@ -63,6 +63,14 @@ func buildWALWorld(t *testing.T, fill bool) (*core.Planner, sched.Scheduler, *to
 // history. Teardown mirrors startServer.
 func startWALServer(t *testing.T, dir string, ckptEvery int, opts ...wal.Option) (*Server, *Client, *RecoveryInfo, *topology.FatTree) {
 	t.Helper()
+	return startWALServerWindow(t, dir, ckptEvery, 0, opts...)
+}
+
+// startWALServerWindow is startWALServer with the done window shrunk to
+// window completions (0 keeps doneWindow), for tests that need evictions
+// after a few dozen events.
+func startWALServerWindow(t *testing.T, dir string, ckptEvery, window int, opts ...wal.Option) (*Server, *Client, *RecoveryInfo, *topology.FatTree) {
+	t.Helper()
 	log, err := wal.Open(dir, opts...)
 	if err != nil {
 		t.Fatalf("wal.Open(%s): %v", dir, err)
@@ -70,7 +78,8 @@ func startWALServer(t *testing.T, dir string, ckptEvery int, opts ...wal.Option)
 	planner, scheduler, ft := buildWALWorld(t, log.Checkpoint() == nil)
 	srv, rec, err := New(Config{
 		Planner: planner, Scheduler: scheduler, Sim: sim.Config{InstallTime: time.Millisecond},
-		WAL: &WALConfig{Log: log, CheckpointEvery: ckptEvery},
+		WAL:        &WALConfig{Log: log, CheckpointEvery: ckptEvery},
+		doneWindow: window,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)

@@ -27,6 +27,13 @@ import (
 // lag/liveness machinery runs within test timescales.
 func startReplLeader(t *testing.T, dir string, ckptEvery int, wopts ...wal.Option) (*Server, *Client, string, *topology.FatTree) {
 	t.Helper()
+	return startReplLeaderWindow(t, dir, ckptEvery, 0, wopts...)
+}
+
+// startReplLeaderWindow is startReplLeader with the done window shrunk
+// to window completions (0 keeps doneWindow).
+func startReplLeaderWindow(t *testing.T, dir string, ckptEvery, window int, wopts ...wal.Option) (*Server, *Client, string, *topology.FatTree) {
+	t.Helper()
 	log, err := wal.Open(dir, wopts...)
 	if err != nil {
 		t.Fatalf("wal.Open(%s): %v", dir, err)
@@ -36,6 +43,7 @@ func startReplLeader(t *testing.T, dir string, ckptEvery int, wopts ...wal.Optio
 		Planner: planner, Scheduler: scheduler, Sim: sim.Config{InstallTime: time.Millisecond},
 		WAL:         &WALConfig{Log: log, CheckpointEvery: ckptEvery},
 		Replication: ReplicationConfig{HeartbeatEvery: 50 * time.Millisecond},
+		doneWindow:  window,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -48,6 +56,13 @@ func startReplLeader(t *testing.T, dir string, ckptEvery int, wopts ...wal.Optio
 // journaling into its own dir. promoteAfter 0 means manual promotion
 // only.
 func startReplFollower(t *testing.T, dir, leaderAddr string, meta wal.Meta, ckptEvery int, promoteAfter time.Duration) (*Server, *Client) {
+	t.Helper()
+	return startReplFollowerWindow(t, dir, leaderAddr, meta, ckptEvery, 0, promoteAfter)
+}
+
+// startReplFollowerWindow is startReplFollower with the done window
+// shrunk to window completions (0 keeps doneWindow).
+func startReplFollowerWindow(t *testing.T, dir, leaderAddr string, meta wal.Meta, ckptEvery, window int, promoteAfter time.Duration) (*Server, *Client) {
 	t.Helper()
 	log, err := wal.Open(dir)
 	if err != nil {
@@ -64,7 +79,10 @@ func startReplFollower(t *testing.T, dir, leaderAddr string, meta wal.Meta, ckpt
 	}
 	planner, scheduler, _ := buildWALWorld(t, log.Checkpoint() == nil)
 	srv, _, err := NewFollower(planner, scheduler, sim.Config{InstallTime: time.Millisecond}, cfg, sess,
-		func(c *Config) { c.Replication.HeartbeatEvery = 50 * time.Millisecond })
+		func(c *Config) {
+			c.Replication.HeartbeatEvery = 50 * time.Millisecond
+			c.doneWindow = window
+		})
 	if err != nil {
 		t.Fatalf("NewFollower: %v", err)
 	}
@@ -529,10 +547,12 @@ func TestReplFollowerFoldsPipelinedBatches(t *testing.T) {
 	leaderDir := filepath.Join(t.TempDir(), "leader")
 	followerDir := filepath.Join(t.TempDir(), "follower")
 
-	// ckptEvery 4 forces rotations while the cascade is still running.
-	const ckptEvery = 4
-	leaderSrv, leaderClient, leaderAddr, ft := startReplLeader(t, leaderDir, ckptEvery)
-	followerSrv, followerClient := startReplFollower(t, followerDir, leaderAddr, leaderSrv.walMeta, ckptEvery, 0)
+	// ckptEvery 4 forces rotations while the cascade is still running; a
+	// done window a third of the workload makes both sides evict while
+	// they fold, so the digests below compare two windows that wrapped.
+	const ckptEvery, window = 4, 12
+	leaderSrv, leaderClient, leaderAddr, ft := startReplLeaderWindow(t, leaderDir, ckptEvery, window)
+	followerSrv, followerClient := startReplFollowerWindow(t, followerDir, leaderAddr, leaderSrv.walMeta, ckptEvery, window, 0)
 
 	// Flatten a chunked workload into back-to-back submissions: batch,
 	// fault, batch, ... with no WaitDone anywhere in between.
@@ -554,16 +574,16 @@ func TestReplFollowerFoldsPipelinedBatches(t *testing.T) {
 			}
 		}
 	}
-	for _, id := range append(ids, repairs...) {
-		if _, err := leaderClient.WaitDone(id, 15*time.Second); err != nil {
-			t.Fatalf("WaitDone(%d): %v", id, err)
+	// Wait on the totals, not per event: the first completions leave the
+	// shrunk window long before the last one lands.
+	var leaderStats Stats
+	waitFor(t, 15*time.Second, "the leader to drain the workload", func() bool {
+		var err error
+		if leaderStats, err = leaderClient.Stats(); err != nil {
+			t.Fatalf("Stats: %v", err)
 		}
-	}
-
-	leaderStats, err := leaderClient.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
+		return leaderStats.EventsQueued == 0 && leaderStats.EventsDone == len(ids)+len(repairs)
+	})
 	// Fail fast on a fold error instead of timing out on catch-up: a
 	// diverged follower stops applying, so its seq would stall forever.
 	waitFor(t, 15*time.Second, fmt.Sprintf("follower to fold through seq %d", leaderStats.WALLastSeq), func() bool {
@@ -611,6 +631,19 @@ func TestReplFollowerFoldsPipelinedBatches(t *testing.T) {
 	}
 	got := captureDigest(t, followerSrv, followerClient)
 	diffDigest(t, want, got)
+	// ... and that state is a wrapped window on both: the totals count
+	// every event, the last `window` are listed in one completion order,
+	// and the first one submitted has left both memories.
+	if want.Stats.EventsDone < len(ids) || want.Stats.EventsRetained != window || len(want.Results) != window {
+		t.Errorf("leader: %d events done, %d retained, %d results; want >= %d done and a full window of %d",
+			want.Stats.EventsDone, want.Stats.EventsRetained, len(want.Results), len(ids), window)
+	}
+	if st, err := followerClient.Status(ids[0]); err != nil || st.State != StateUnknown {
+		t.Errorf("promoted follower: status of the oldest event = %+v, %v; want unknown", st, err)
+	}
+	if st, err := followerClient.Status(want.Results[0].EventID); err != nil || st != want.Results[0] {
+		t.Errorf("promoted follower: status of the oldest retained event = %+v, %v; the leader listed %+v", st, err, want.Results[0])
+	}
 
 	// Both views of the promotion agree: how long it took, and that a
 	// leader has no lag.

@@ -52,11 +52,13 @@ type Server struct {
 	// it are rejected with a typed overload response instead of queued.
 	watermark int
 
-	// Event table: every event the server ever admitted (or minted from a
-	// fault), in admission order. State-loop confined once the loop runs;
-	// fields (not loop locals) so WAL recovery can seed them beforehand.
+	// Event table: the queued events — admitted or minted from a fault,
+	// not yet executed. The round that completes an event retires it into
+	// done, the window of the last doneWindow completions (done.go).
+	// State-loop confined once the loop runs; fields (not loop locals) so
+	// WAL recovery can seed them beforehand.
 	events map[int64]*core.Event
-	order  []int64
+	done   *doneRing
 	nextID int64
 
 	// Durable write-ahead log (nil when disabled). State-loop confined
@@ -165,6 +167,7 @@ func newServer(cfg Config) *Server {
 		s.idStride = int64(sh.Count)
 		s.nextID = int64(sh.ID)
 	}
+	s.done = newDoneRing(cfg.doneWindow, s.registry)
 	s.ingest = obs.NewIngestMetrics(s.registry)
 	s.ingest.Watermark.Set(int64(s.watermark))
 	s.wire = &WireServer{
@@ -314,7 +317,7 @@ func (s *Server) stateLoop() {
 				s.drainOnClose()
 				return
 			default:
-				if _, err := s.engine.Step(); err != nil {
+				if _, err := s.step(); err != nil {
 					// An executing event hit a hard error (invalid spec got
 					// through validation, ledger bug): surface it loudly
 					// rather than dying silently.
@@ -520,7 +523,6 @@ func (s *Server) admit(e *wal.EventRecord) *core.Event {
 	}
 	ev := core.NewEvent(flow.EventID(e.EventID), e.Kind, s.engine.Clock(), specs)
 	s.events[e.EventID] = ev
-	s.order = append(s.order, e.EventID)
 	s.nextID += s.idStride
 	s.ingest.Accepted.Inc()
 	if e.Retry {
@@ -554,7 +556,6 @@ func (s *Server) inject(f *wal.FaultRecord) (out *sim.FaultOutcome, repairID int
 	if ev := out.RepairEvent; ev != nil {
 		repairID = int64(ev.ID)
 		s.events[repairID] = ev
-		s.order = append(s.order, repairID)
 	}
 	return out, repairID, nil
 }
@@ -587,19 +588,21 @@ func (s *Server) handleRequest(req Request) Response {
 		return Response{OK: true, Features: []string{FeatureSpanContext, FeatureShardVerdicts}}
 
 	case OpStatus:
-		ev, ok := s.events[req.EventID]
-		if !ok {
-			return Response{OK: true, Status: &EventStatus{EventID: req.EventID, State: StateUnknown}}
+		// Queued events are in the table, the last doneWindow completions
+		// in the ring; anything else — never admitted, or completed longer
+		// ago than the window reaches — is unknown.
+		st := EventStatus{EventID: req.EventID, State: StateUnknown}
+		if ev, ok := s.events[req.EventID]; ok {
+			st = EventStatus{EventID: req.EventID, State: StateQueued, Kind: ev.Kind, Flows: ev.NumFlows()}
+		} else if r, ok := s.done.get(req.EventID); ok {
+			st = doneStatus(r)
 		}
-		st := statusOf(req.EventID, ev)
 		return Response{OK: true, Status: &st}
 
 	case OpResults:
 		var results []EventStatus
-		for _, id := range s.order {
-			if ev := s.events[id]; ev.Done {
-				results = append(results, statusOf(id, ev))
-			}
+		for _, r := range s.done.ordered() {
+			results = append(results, doneStatus(r))
 		}
 		return Response{OK: true, Results: results}
 
@@ -613,9 +616,10 @@ func (s *Server) handleRequest(req Request) Response {
 		st := &Stats{
 			Scheduler:          s.scheduler,
 			Utilization:        net.Utilization(),
-			FlowsPlaced:        len(net.Registry().Placed()),
+			FlowsPlaced:        net.Registry().NumPlaced(),
 			EventsQueued:       s.engine.QueueLen(),
 			EventsDone:         col.Len(),
+			EventsRetained:     s.done.len(),
 			TotalCostBps:       int64(col.TotalCost()),
 			AvgECT:             col.AvgECT(),
 			TailECT:            col.TailECT(),
@@ -749,23 +753,4 @@ func (s *Server) handleRequest(req Request) Response {
 	default:
 		return Response{OK: false, Error: fmt.Sprintf("%v: unknown op %q", ErrBadRequest, req.Op)}
 	}
-}
-
-// statusOf renders an event's current status.
-func statusOf(id int64, ev *core.Event) EventStatus {
-	st := EventStatus{
-		EventID: id,
-		State:   StateQueued,
-		Kind:    ev.Kind,
-		Flows:   ev.NumFlows(),
-	}
-	if ev.Done {
-		st.State = StateDone
-		st.Admitted = len(ev.Flows)
-		st.Failed = len(ev.FailedSpecs)
-		st.CostBps = int64(ev.CostAtExec)
-		st.QueuingDelay = ev.QueuingDelay()
-		st.ECT = ev.ECT()
-	}
-	return st
 }

@@ -141,17 +141,44 @@ type simMetricState struct {
 	QueuingDelay obs.HistogramState `json:"queuing_delay"`
 }
 
+// doneTotals is the collector's running totals as the checkpoint spells
+// them. They are written under "order", the key documents from before
+// the done window used for their admission-order ID list, on purpose: a
+// binary of that age decodes the key into []int64 and so refuses this
+// document outright, where it would otherwise restore — silently — Stats
+// over the window alone and empty Results. Reading goes the other way:
+// an ID list (or nothing) under the key leaves present unset, which
+// marks the document as one whose Done list is the whole history.
+type doneTotals struct {
+	metrics.Totals
+	present bool
+}
+
+func (t doneTotals) MarshalJSON() ([]byte, error) { return json.Marshal(t.Totals) }
+
+func (t *doneTotals) UnmarshalJSON(data []byte) error {
+	if len(data) == 0 || data[0] != '{' {
+		return nil
+	}
+	t.present = true
+	return json.Unmarshal(data, &t.Totals)
+}
+
 // checkpointDoc is the state document a checkpoint freezes: everything
 // needed to rebuild a server whose externally-visible behavior is
-// indistinguishable from one that never restarted.
+// indistinguishable from one that never restarted. Its size follows the
+// live work — queue, placed flows, scheduled releases — plus at most
+// doneWindow records, not the number of events ever completed.
 type checkpointDoc struct {
-	NextID int64   `json:"next_id"`
-	Order  []int64 `json:"order"`
+	NextID int64 `json:"next_id"`
 
-	Queue []queuedEvent         `json:"queue,omitempty"`
-	Done  []metrics.EventRecord `json:"done,omitempty"`
+	Queue []queuedEvent `json:"queue,omitempty"`
+	// Totals folds every completed event; Done lists the done window,
+	// the last completions in completion order.
+	Totals doneTotals            `json:"order"`
+	Done   []metrics.EventRecord `json:"done,omitempty"`
 
-	// Collector scalars not covered by Engine.Probe or Done.
+	// Collector scalars not covered by Engine.Probe or Totals.
 	DecisionEvals    int   `json:"decision_evals"`
 	PlanTimeNs       int64 `json:"plan_time_ns"`
 	MakespanNs       int64 `json:"makespan_ns"`
@@ -388,8 +415,8 @@ func (s *Server) buildCheckpoint() *checkpointDoc {
 	met := s.engine.Tracer().Metrics()
 	doc := &checkpointDoc{
 		NextID:  s.nextID,
-		Order:   append([]int64(nil), s.order...),
-		Done:    col.Records(),
+		Totals:  doneTotals{Totals: col.Totals()},
+		Done:    s.done.ordered(),
 		Engine:  s.engine.ExportState(),
 		Network: snapshot.Capture(net),
 
@@ -450,8 +477,8 @@ func (s *Server) buildCheckpoint() *checkpointDoc {
 }
 
 // restoreCheckpoint thaws a checkpoint into the freshly built server:
-// network flows, engine run state, event table, queue, metrics and RNG
-// positions. Runs before the state loop starts.
+// network flows, engine run state, event table, queue, done window,
+// metrics and RNG positions. Runs before the state loop starts.
 func (s *Server) restoreCheckpoint(ckpt *wal.Checkpoint) error {
 	if ckpt.Format != wal.FormatVersion {
 		return fmt.Errorf("ctl: checkpoint format %d, want %d", ckpt.Format, wal.FormatVersion)
@@ -474,10 +501,8 @@ func (s *Server) restoreCheckpoint(ckpt *wal.Checkpoint) error {
 	}
 
 	// Event table: queued events are rebuilt whole (they still need to
-	// execute); done events are rebuilt as shells carrying exactly the
-	// fields status/results render.
+	// execute).
 	s.nextID = doc.NextID
-	s.order = append(s.order[:0], doc.Order...)
 	queueEvs := make([]*core.Event, len(doc.Queue))
 	for i, qe := range doc.Queue {
 		specs := make([]flow.Spec, len(qe.Flows))
@@ -494,24 +519,20 @@ func (s *Server) restoreCheckpoint(ckpt *wal.Checkpoint) error {
 		s.events[qe.ID] = ev
 	}
 	s.engine.RestoreQueue(queueEvs)
-	for _, r := range doc.Done {
-		s.events[int64(r.Event)] = &core.Event{
-			ID:          r.Event,
-			Kind:        r.Kind,
-			Specs:       make([]flow.Spec, r.Flows+r.Failed),
-			Arrival:     r.Arrival,
-			Start:       r.Start,
-			Completion:  r.Completion,
-			Started:     true,
-			Done:        true,
-			CostAtExec:  r.Cost,
-			Flows:       make([]*flow.Flow, r.Flows),
-			FailedSpecs: make([]flow.Spec, r.Failed),
-		}
-	}
 
+	// Done events refill the window through the fold a live completion
+	// takes. In a current document the list is only the window and Totals
+	// replaces the fold's sums; a document from before the window lists
+	// every completed event and no totals, so the fold of its list is the
+	// totals and the window keeps the last doneWindow of them.
 	col := s.engine.Collector()
-	col.Restore(doc.Done)
+	for _, r := range doc.Done {
+		col.Add(r)
+	}
+	s.retire()
+	if doc.Totals.present {
+		col.RestoreTotals(doc.Totals.Totals)
+	}
 	col.DecisionEvals = doc.DecisionEvals
 	col.PlanTime = time.Duration(doc.PlanTimeNs)
 	col.Makespan = time.Duration(doc.MakespanNs)
@@ -611,7 +632,7 @@ const quiescence = math.MaxInt64
 // rounds or has no work left, whichever comes first.
 func (s *Server) stepUntil(target int64) error {
 	for s.engine.Rounds() < target {
-		worked, err := s.engine.Step()
+		worked, err := s.step()
 		if err != nil || !worked {
 			return err
 		}

@@ -29,6 +29,8 @@ type Registry struct {
 	flows map[ID]*Flow
 	// onLink indexes flows by every link of their placed path.
 	onLink map[topology.LinkID]map[ID]*Flow
+	// placed counts the flows holding a path; Bind and Unbind keep it.
+	placed int
 }
 
 // NewRegistry returns an empty registry.
@@ -80,6 +82,7 @@ func (r *Registry) Bind(f *Flow, path routing.Path) error {
 	}
 	f.path = path
 	f.placed = true
+	r.placed++
 	for _, l := range path.Links() {
 		m := r.onLink[l]
 		if m == nil {
@@ -108,6 +111,7 @@ func (r *Registry) Unbind(f *Flow) error {
 	}
 	f.path = routing.Path{}
 	f.placed = false
+	r.placed--
 	return nil
 }
 
@@ -126,25 +130,30 @@ func (r *Registry) Remove(f *Flow) error {
 	return nil
 }
 
-// Mark is a registry position — the next flow ID and the flow count —
-// taken before a trial plan and handed back to Rewind after it.
+// Mark is a registry position — the next flow ID and the registered and
+// placed flow counts — taken before a trial plan and handed back to
+// Rewind after it.
 type Mark struct {
-	next  ID
-	flows int
+	next   ID
+	flows  int
+	placed int
 }
 
 // Mark returns the registry's current position.
-func (r *Registry) Mark() Mark { return Mark{next: r.next, flows: len(r.flows)} }
+func (r *Registry) Mark() Mark {
+	return Mark{next: r.next, flows: len(r.flows), placed: r.placed}
+}
 
 // Rewind resets the ID counter to m, so the IDs a trial plan minted
 // after m and removed again are handed out afresh: a rolled-back trial
-// leaves no gap in the ID sequence. It panics if the flow count differs
-// from m's — a trial flow still registered would collide with the next
-// Add — or if the counter is behind m.
+// leaves no gap in the ID sequence. It panics if the registered or placed
+// flow count differs from m's — a trial flow still registered would
+// collide with the next Add, a placement left behind or lost would skew
+// NumPlaced — or if the counter is behind m.
 func (r *Registry) Rewind(m Mark) {
-	if len(r.flows) != m.flows || r.next < m.next {
-		panic(fmt.Sprintf("flow: rewind to %+v with %d flows registered, next ID %d",
-			m, len(r.flows), int64(r.next)))
+	if len(r.flows) != m.flows || r.placed != m.placed || r.next < m.next {
+		panic(fmt.Sprintf("flow: rewind to %+v with %d flows registered, %d placed, next ID %d",
+			m, len(r.flows), r.placed, int64(r.next)))
 	}
 	r.next = m.next
 }
@@ -161,6 +170,7 @@ func (r *Registry) Fork() *Registry {
 		next:   r.next,
 		flows:  make(map[ID]*Flow, len(r.flows)),
 		onLink: make(map[topology.LinkID]map[ID]*Flow, len(r.onLink)),
+		placed: r.placed,
 	}
 	for id, f := range r.flows {
 		cp := *f
@@ -205,6 +215,10 @@ func (r *Registry) All() []*Flow {
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
+
+// NumPlaced returns how many flows hold a path: len(Placed()) without
+// building the list.
+func (r *Registry) NumPlaced() int { return r.placed }
 
 // Placed returns every placed flow sorted by ID.
 func (r *Registry) Placed() []*Flow {

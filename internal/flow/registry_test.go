@@ -2,6 +2,7 @@ package flow
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -288,4 +289,119 @@ func TestRewindReusesTrialIDs(t *testing.T) {
 	if next := addFlow(t, r, hosts[0], hosts[2]); next.ID != kept.ID+1 {
 		t.Errorf("flow after rewind got ID %d, want %d", next.ID, kept.ID+1)
 	}
+}
+
+// TestNumPlacedMatchesPlaced: across a seeded mix of placements,
+// migrations (unbind + bind on another path), removals and trial brackets
+// (Mark, place new flows and move an existing one, undo, Rewind) the
+// running placed count equals len(Placed()) after every step, a bracket
+// leaves it where it found it, and a fork carries it over.
+func TestNumPlacedMatchesPlaced(t *testing.T) {
+	_, full, prefix, hosts := testNet(t)
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		r := NewRegistry()
+		var flows []*Flow
+		check := func(step int, what string) {
+			t.Helper()
+			if got, want := r.NumPlaced(), len(r.Placed()); got != want {
+				t.Fatalf("seed %d step %d (%s): NumPlaced = %d, len(Placed()) = %d", seed, step, what, got, want)
+			}
+		}
+		pick := func() *Flow { return flows[rng.Intn(len(flows))] }
+		path := func() routing.Path {
+			if rng.Intn(2) == 0 {
+				return prefix
+			}
+			return full
+		}
+		for step := 0; step < 400; step++ {
+			switch op := rng.Intn(5); {
+			case op == 0 || len(flows) == 0: // place a new flow
+				f := addFlow(t, r, hosts[0], hosts[2])
+				flows = append(flows, f)
+				if err := r.Bind(f, path()); err != nil {
+					t.Fatal(err)
+				}
+				check(step, "place")
+			case op == 1: // migrate
+				if f := pick(); f.Placed() {
+					if err := r.Unbind(f); err != nil {
+						t.Fatal(err)
+					}
+					check(step, "migrate, unbound")
+					if err := r.Bind(f, path()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				check(step, "migrate")
+			case op == 2: // withdraw, or place again
+				if f := pick(); f.Placed() {
+					if err := r.Unbind(f); err != nil {
+						t.Fatal(err)
+					}
+				} else if err := r.Bind(f, path()); err != nil {
+					t.Fatal(err)
+				}
+				check(step, "withdraw/replace")
+			case op == 3: // remove
+				i := rng.Intn(len(flows))
+				if err := r.Remove(flows[i]); err != nil {
+					t.Fatal(err)
+				}
+				flows = append(flows[:i], flows[i+1:]...)
+				check(step, "remove")
+			default: // trial and rollback
+				before, m := r.NumPlaced(), r.Mark()
+				trial := addFlow(t, r, hosts[0], hosts[2])
+				if err := r.Bind(trial, path()); err != nil {
+					t.Fatal(err)
+				}
+				victim := pick()
+				moved, old := victim.Placed(), victim.Path()
+				if moved {
+					if err := r.Unbind(victim); err != nil {
+						t.Fatal(err)
+					}
+					if err := r.Bind(victim, path()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				check(step, "inside trial")
+				if moved {
+					if err := r.Unbind(victim); err != nil {
+						t.Fatal(err)
+					}
+					if err := r.Bind(victim, old); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := r.Remove(trial); err != nil {
+					t.Fatal(err)
+				}
+				r.Rewind(m)
+				check(step, "after trial")
+				if r.NumPlaced() != before {
+					t.Fatalf("seed %d step %d: trial bracket moved NumPlaced %d -> %d", seed, step, before, r.NumPlaced())
+				}
+			}
+		}
+		if fork := r.Fork(); fork.NumPlaced() != len(fork.Placed()) || fork.NumPlaced() != r.NumPlaced() {
+			t.Errorf("seed %d: fork counts %d placed, lists %d, parent %d", seed, fork.NumPlaced(), len(fork.Placed()), r.NumPlaced())
+		}
+	}
+
+	// A trial that leaves a placement behind is caught at Rewind.
+	r := NewRegistry()
+	f := addFlow(t, r, hosts[0], hosts[2])
+	m := r.Mark()
+	if err := r.Bind(f, full); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Rewind over a placement the trial left behind did not panic")
+		}
+	}()
+	r.Rewind(m)
 }

@@ -45,10 +45,27 @@ func (r EventRecord) ECT() time.Duration { return r.Completion - r.Arrival }
 // QueuingDelay is the time spent waiting in the update queue.
 func (r EventRecord) QueuingDelay() time.Duration { return r.Start - r.Arrival }
 
+// Totals are the exact running aggregates over every record a Collector
+// was ever given: what its O(1) accessors answer from, and what a
+// checkpoint carries in place of the records themselves. All integers,
+// folded one record at a time, so each equals the value recomputed from
+// the full record list bit for bit.
+type Totals struct {
+	Count     int                `json:"count"`
+	Cost      topology.Bandwidth `json:"cost_bps"`
+	ECT       time.Duration      `json:"ect_ns"`
+	MaxECT    time.Duration      `json:"max_ect_ns"`
+	Delay     time.Duration      `json:"queuing_delay_ns"`
+	MaxDelay  time.Duration      `json:"max_queuing_delay_ns"`
+	Failed    int                `json:"failed"`
+	PlanEvals int                `json:"plan_evals"`
+}
+
 // Collector accumulates event records and scheduler-level counters over
 // one simulation run.
 type Collector struct {
 	records []EventRecord
+	totals  Totals
 	// DecisionEvals counts planning work spent inside scheduler decisions
 	// (LMTF/P-LMTF probes, Reorder scans).
 	DecisionEvals int
@@ -78,20 +95,44 @@ type Collector struct {
 // NewCollector returns an empty collector.
 func NewCollector() *Collector { return &Collector{} }
 
-// Add appends a completed event record.
-func (c *Collector) Add(r EventRecord) { c.records = append(c.records, r) }
-
-// Restore replaces the record list with a checkpointed one (completion
-// order preserved). Scalar counters are exported fields and are
-// restored by direct assignment; this covers the unexported records.
-func (c *Collector) Restore(records []EventRecord) {
-	c.records = append(c.records[:0], records...)
+// Add appends a completed event record and folds it into the totals.
+func (c *Collector) Add(r EventRecord) {
+	c.records = append(c.records, r)
+	t := &c.totals
+	t.Count++
+	t.Cost += r.Cost
+	t.ECT += r.ECT()
+	t.MaxECT = max(t.MaxECT, r.ECT())
+	t.Delay += r.QueuingDelay()
+	t.MaxDelay = max(t.MaxDelay, r.QueuingDelay())
+	t.Failed += r.Failed
+	t.PlanEvals += r.PlanEvals
 }
 
-// Len returns the number of recorded events.
-func (c *Collector) Len() int { return len(c.records) }
+// Drain hands over the records added since the last Drain, in completion
+// order, and forgets them; the totals keep counting them. It is how a
+// long-lived caller (the ctl server) keeps the collector from growing
+// with its uptime. The simulator never drains, so its per-record views
+// cover the whole run.
+func (c *Collector) Drain() []EventRecord {
+	out := c.records
+	c.records = nil
+	return out
+}
 
-// Records returns a copy of all records in completion order.
+// Totals returns the running aggregates over every record ever added.
+func (c *Collector) Totals() Totals { return c.totals }
+
+// RestoreTotals replaces the running aggregates with checkpointed ones.
+// Scalar counters are exported fields and are restored by direct
+// assignment; this covers the unexported totals.
+func (c *Collector) RestoreTotals(t Totals) { c.totals = t }
+
+// Len returns the number of events ever recorded.
+func (c *Collector) Len() int { return c.totals.Count }
+
+// Records returns a copy of the held records (every record, unless the
+// caller drains) in completion order.
 func (c *Collector) Records() []EventRecord {
 	out := make([]EventRecord, len(c.records))
 	copy(out, c.records)
@@ -99,33 +140,17 @@ func (c *Collector) Records() []EventRecord {
 }
 
 // TotalCost sums Cost(U) over all events (Fig. 6a).
-func (c *Collector) TotalCost() topology.Bandwidth {
-	var total topology.Bandwidth
-	for _, r := range c.records {
-		total += r.Cost
-	}
-	return total
-}
+func (c *Collector) TotalCost() topology.Bandwidth { return c.totals.Cost }
 
 // TotalPlanEvals sums per-event planning work plus decision probes.
-func (c *Collector) TotalPlanEvals() int {
-	total := c.DecisionEvals
-	for _, r := range c.records {
-		total += r.PlanEvals
-	}
-	return total
-}
+func (c *Collector) TotalPlanEvals() int { return c.DecisionEvals + c.totals.PlanEvals }
 
 // AvgECT is the mean event completion time (Figs. 4–7).
-func (c *Collector) AvgECT() time.Duration {
-	return meanDuration(c.ects())
-}
+func (c *Collector) AvgECT() time.Duration { return mean(c.totals.ECT, c.totals.Count) }
 
 // TailECT is the maximum event completion time. With the paper's queue
 // sizes (10–50 events) the tail is effectively the worst case.
-func (c *Collector) TailECT() time.Duration {
-	return maxDuration(c.ects())
-}
+func (c *Collector) TailECT() time.Duration { return c.totals.MaxECT }
 
 // PercentileECT returns the p-th percentile of ECTs using nearest-rank
 // on the sorted sample. p is meaningful on (0, 100]; p <= 0 returns 0
@@ -135,14 +160,10 @@ func (c *Collector) PercentileECT(p float64) time.Duration {
 }
 
 // AvgQueuingDelay is the mean event queuing delay (Fig. 8).
-func (c *Collector) AvgQueuingDelay() time.Duration {
-	return meanDuration(c.delays())
-}
+func (c *Collector) AvgQueuingDelay() time.Duration { return mean(c.totals.Delay, c.totals.Count) }
 
 // WorstQueuingDelay is the maximum event queuing delay (Fig. 8).
-func (c *Collector) WorstQueuingDelay() time.Duration {
-	return maxDuration(c.delays())
-}
+func (c *Collector) WorstQueuingDelay() time.Duration { return c.totals.MaxDelay }
 
 // SortedByArrival returns a copy of all records sorted by arrival time
 // (ties broken by event ID). Callers that need arrival-ordered views
@@ -170,13 +191,7 @@ func (c *Collector) QueuingDelays() []time.Duration {
 }
 
 // TotalFailed counts flows that could not be admitted across all events.
-func (c *Collector) TotalFailed() int {
-	total := 0
-	for _, r := range c.records {
-		total += r.Failed
-	}
-	return total
-}
+func (c *Collector) TotalFailed() int { return c.totals.Failed }
 
 func (c *Collector) ects() []time.Duration {
 	out := make([]time.Duration, len(c.records))
@@ -186,33 +201,12 @@ func (c *Collector) ects() []time.Duration {
 	return out
 }
 
-func (c *Collector) delays() []time.Duration {
-	out := make([]time.Duration, len(c.records))
-	for i, r := range c.records {
-		out[i] = r.QueuingDelay()
-	}
-	return out
-}
-
-func meanDuration(ds []time.Duration) time.Duration {
-	if len(ds) == 0 {
+// mean is total/n truncated toward zero, 0 for an empty sample.
+func mean(total time.Duration, n int) time.Duration {
+	if n == 0 {
 		return 0
 	}
-	var total time.Duration
-	for _, d := range ds {
-		total += d
-	}
-	return total / time.Duration(len(ds))
-}
-
-func maxDuration(ds []time.Duration) time.Duration {
-	var max time.Duration
-	for _, d := range ds {
-		if d > max {
-			max = d
-		}
-	}
-	return max
+	return total / time.Duration(n)
 }
 
 // percentile is the nearest-rank percentile of ds. The contract: an

@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -211,5 +213,107 @@ func TestTableWriteCSV(t *testing.T) {
 	want := "a,b\n\"x,with comma\",1.500\ny,2\n"
 	if got != want {
 		t.Errorf("WriteCSV = %q, want %q", got, want)
+	}
+}
+
+// reference recomputes every aggregate from the record list with the
+// loops the accessors ran before the collector kept running totals: a
+// pass over the records per metric, means as truncated integer division,
+// maxima from zero. The O(1) accessors must agree with it bit for bit.
+type reference struct {
+	len, failed, planEvals int
+	cost                   topology.Bandwidth
+	avgECT, tailECT        time.Duration
+	avgDelay, worstDelay   time.Duration
+}
+
+func recompute(records []EventRecord, decisionEvals int) reference {
+	ref := reference{len: len(records), planEvals: decisionEvals}
+	var ectSum, delaySum time.Duration
+	for _, r := range records {
+		ref.cost += r.Cost
+		ref.planEvals += r.PlanEvals
+		ref.failed += r.Failed
+		ectSum += r.ECT()
+		delaySum += r.QueuingDelay()
+		if d := r.ECT(); d > ref.tailECT {
+			ref.tailECT = d
+		}
+		if d := r.QueuingDelay(); d > ref.worstDelay {
+			ref.worstDelay = d
+		}
+	}
+	if n := time.Duration(len(records)); n > 0 {
+		ref.avgECT, ref.avgDelay = ectSum/n, delaySum/n
+	}
+	return ref
+}
+
+func observed(c *Collector) reference {
+	return reference{
+		len: c.Len(), failed: c.TotalFailed(), planEvals: c.TotalPlanEvals(),
+		cost:   c.TotalCost(),
+		avgECT: c.AvgECT(), tailECT: c.TailECT(),
+		avgDelay: c.AvgQueuingDelay(), worstDelay: c.WorstQueuingDelay(),
+	}
+}
+
+// TestTotalsAreExact: for seeded random record streams — ordinary events
+// mixed with zero-cost, failed-only and rolled-back ones — every O(1)
+// accessor equals the recomputation from Records() after every Add, and
+// keeps doing so once the records are drained or the totals restored
+// into a fresh collector.
+func TestTotalsAreExact(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		c := NewCollector()
+		c.DecisionEvals = rng.Intn(1000)
+		if got, want := observed(c), recompute(nil, c.DecisionEvals); got != want {
+			t.Fatalf("seed %d: empty collector reads %+v, want %+v", seed, got, want)
+		}
+		n := 1 + rng.Intn(300)
+		for i := 0; i < n; i++ {
+			arrival := time.Duration(rng.Int63n(int64(time.Hour)))
+			start := arrival + time.Duration(rng.Int63n(int64(10*time.Minute)))
+			r := EventRecord{
+				Event: flow.EventID(i + 1), Kind: "prop",
+				Flows: 1 + rng.Intn(100), Failed: rng.Intn(3),
+				Arrival: arrival, Start: start,
+				Completion: start + time.Duration(rng.Int63n(int64(time.Minute))),
+				Cost:       topology.Bandwidth(rng.Int63n(int64(40 * topology.Gbps))),
+				PlanEvals:  rng.Intn(5000),
+			}
+			switch rng.Intn(6) {
+			case 0: // nothing to migrate, executed the instant it arrived
+				r.Cost, r.Start, r.Completion = 0, arrival, arrival
+			case 1: // every spec failed
+				r.Flows, r.Failed, r.Cost = 0, 1+rng.Intn(50), 0
+			case 2: // installs exhausted the retry budget
+				r.Failed, r.Flows, r.Cost = r.Flows+r.Failed, 0, 0
+				r.Retries, r.RolledBack = 3, true
+			}
+			c.Add(r)
+			if got, want := observed(c), recompute(c.Records(), c.DecisionEvals); got != want {
+				t.Fatalf("seed %d after %d records:\n totals    %+v\n recompute %+v", seed, i+1, got, want)
+			}
+		}
+
+		all := c.Records()
+		want := recompute(all, c.DecisionEvals)
+		if drained := c.Drain(); !reflect.DeepEqual(drained, all) {
+			t.Fatalf("seed %d: Drain returned %d records, want the %d added", seed, len(drained), len(all))
+		}
+		if len(c.Records()) != 0 || len(c.Drain()) != 0 {
+			t.Fatalf("seed %d: records survive a Drain", seed)
+		}
+		if got := observed(c); got != want {
+			t.Fatalf("seed %d: Drain moved the totals:\n after  %+v\n before %+v", seed, got, want)
+		}
+		fresh := NewCollector()
+		fresh.DecisionEvals = c.DecisionEvals
+		fresh.RestoreTotals(c.Totals())
+		if got := observed(fresh); got != want {
+			t.Fatalf("seed %d: restored totals read %+v, want %+v", seed, got, want)
+		}
 	}
 }

@@ -114,7 +114,7 @@ func (n *Network) Registry() *flow.Registry { return n.reg }
 // becomes a real admission constraint. Must be called before any flow is
 // placed.
 func (n *Network) AttachDataPlane(m *rules.Manager) error {
-	if len(n.reg.Placed()) > 0 {
+	if n.reg.NumPlaced() > 0 {
 		return ErrDataPlaneNotEmpty
 	}
 	n.dataplane = m

@@ -364,6 +364,7 @@ func mergeStats(per []ctl.Stats) *ctl.Stats {
 		agg.FlowsPlaced += p.FlowsPlaced
 		agg.EventsQueued += p.EventsQueued
 		agg.EventsDone += p.EventsDone
+		agg.EventsRetained += p.EventsRetained
 		agg.TotalCostBps += p.TotalCostBps
 		ectWeighted += int64(p.AvgECT) * int64(p.EventsDone)
 		queueWeighted += int64(p.AvgQueuingDelay) * int64(p.EventsDone)

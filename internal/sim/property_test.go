@@ -105,3 +105,66 @@ func checkRunInvariants(t *testing.T, s sched.Scheduler, seed int64, faults bool
 		}
 	}
 }
+
+// TestCollectorTotalsMatchRecords is the differential check on the
+// collector's running totals: one seeded event stream under each
+// scheduler, and the headline metrics the engine's collector answers in
+// O(1) must equal the values recomputed from its record list.
+func TestCollectorTotalsMatchRecords(t *testing.T) {
+	schedulers := map[string]sched.Scheduler{
+		"fifo":    sched.FIFO{},
+		"reorder": sched.Reorder{},
+		"lmtf":    sched.NewLMTF(4, 9),
+		"p-lmtf":  sched.NewPLMTF(4, 9),
+	}
+	for name, s := range schedulers {
+		t.Run(name, func(t *testing.T) {
+			ft, err := topology.NewFatTree(4, topology.Gbps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			net := netstate.New(ft.Graph(), routing.NewFatTreeProvider(ft), routing.NewRandomFit(9))
+			gen, err := trace.NewGenerator(9, trace.YahooLike{}, ft.Hosts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := trace.FillBackground(net, gen, 0.6, 0); err != nil {
+				t.Fatal(err)
+			}
+			planner := core.NewPlanner(migration.NewPlanner(net, 0), core.FailSkip)
+			col, err := sim.NewEngine(planner, s, sim.Config{}).Run(gen.Events(40, 2, 10))
+			if err != nil {
+				t.Fatalf("run: %v", err)
+			}
+
+			records := col.Records()
+			if len(records) != 40 || col.Len() != 40 {
+				t.Fatalf("%d records, Len %d, want 40 each", len(records), col.Len())
+			}
+			var ectSum, tail time.Duration
+			var cost topology.Bandwidth
+			evals := col.DecisionEvals
+			for _, r := range records {
+				ectSum += r.ECT()
+				tail = max(tail, r.ECT())
+				cost += r.Cost
+				evals += r.PlanEvals
+			}
+			if got, want := col.AvgECT(), ectSum/time.Duration(len(records)); got != want {
+				t.Errorf("AvgECT = %v, records give %v", got, want)
+			}
+			if got := col.TailECT(); got != tail {
+				t.Errorf("TailECT = %v, records give %v", got, tail)
+			}
+			if got := col.TotalCost(); got != cost {
+				t.Errorf("TotalCost = %v, records give %v", got, cost)
+			}
+			if got := col.TotalPlanEvals(); got != evals {
+				t.Errorf("TotalPlanEvals = %d, records give %d", got, evals)
+			}
+			if cost == 0 {
+				t.Error("the stream never migrated anything; the cost check checked nothing")
+			}
+		})
+	}
+}
