@@ -112,7 +112,7 @@ func build(cfg Config) (*Server, *RecoveryInfo, error) {
 	if cfg.WAL == nil {
 		return s, nil, nil
 	}
-	info, err := s.initWAL(*cfg.WAL)
+	info, err := s.initWAL(*cfg.WAL, cfg.Replication)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -406,10 +406,6 @@ type Response struct {
 	// or promote landed on a server that cannot serve writes (follower
 	// or deposed leader).
 	NotLeader *NotLeaderInfo `json:"not_leader,omitempty"`
-
-	// repl answers internal replication commands (never serialized; nil
-	// on every wire response).
-	repl *replReply
 }
 
 // ReplInfo answers OpReplStatus: the server's replication role and

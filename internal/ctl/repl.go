@@ -4,31 +4,25 @@ package ctl
 // followers; a follower folds them through the crash-recovery replay
 // path and can be promoted when the leader is lost.
 //
-// The wire protocol and term discipline live in internal/repl; this
-// file owns the server wiring on both sides:
+// The wire protocol and term discipline live in internal/repl; the
+// journal (journal.go) decides what is replicated and when. This file
+// holds what runs beside the state loop:
 //
-//   - Leader: walAppend stages each record's frame bytes when followers
-//     are registered; walCommit publishes the staged frames to every
-//     follower outbox and then gates the reply release on synced
+//   - Leader: the hub — the registered sessions and their outboxes. The
+//     journal stages each appended record's frame, publishes the staged
+//     frames at commit and then gates the reply release on synced
 //     followers' acks (group commit) — an acked event is durable on the
 //     follower too, so promotion loses nothing a client was told
 //     succeeded. A follower that overflows its outbox or misses the ack
 //     deadline is dropped and the leader continues solo (availability
 //     over replication; the drop is counted and visible in Stats).
 //   - Follower: a session goroutine reads frames off the leader
-//     connection and hands them to the state loop, which appends them
-//     to the follower's own WAL and folds them through replayRecord —
-//     the exact path recovery takes, so a promoted follower is the
-//     state a never-crashed server holding the same prefix would be in.
-//     Checkpoints are taken only on the leader's announcement, keeping
-//     both logs rotating at the same sequences.
-//
-// Session ordering makes the stream gap-free: attach is a state-loop
-// command, so it observes a sequence point S with every frame ≤ S
-// committed (the batch flushes before non-submit commands) and nothing
-// published past S yet. The session then reads (afterSeq, S] straight
-// from the segment files (wal.EmitFrames) while the outbox accumulates
-// (S, ∞) — exact order, no gaps, no duplicates.
+//     connection and hands them to the state loop (Server.onLoop), which
+//     appends them to the follower's own WAL and folds them through
+//     replayRecord — the exact path recovery takes, so a promoted
+//     follower is the state a never-crashed server holding the same
+//     prefix would be in. Checkpoints are taken only on the leader's
+//     announcement, keeping both logs rotating at the same sequences.
 
 import (
 	"bufio"
@@ -37,7 +31,6 @@ import (
 	"net"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"netupdate/internal/core"
@@ -58,16 +51,7 @@ const (
 )
 
 // roleCode maps a role to its metric encoding.
-func roleCode(role string) int64 {
-	switch role {
-	case roleFollower:
-		return 1
-	case roleDeposed:
-		return 2
-	default:
-		return 0
-	}
-}
+var roleCode = map[string]int64{roleLeader: 0, roleFollower: 1, roleDeposed: 2}
 
 // Replication tunables.
 const (
@@ -85,6 +69,9 @@ const (
 	// DefaultDialTimeout bounds the follower's TCP connect.
 	DefaultDialTimeout = 5 * time.Second
 
+	// replStreamMagic is the first byte that routes a connection to
+	// serveRepl.
+	replStreamMagic = repl.StreamMagic
 	// replHandshakeTimeout bounds each handshake read (Hello, Welcome,
 	// bootstrap checkpoint) so a stalled peer cannot pin a session.
 	replHandshakeTimeout = 30 * time.Second
@@ -103,9 +90,6 @@ const (
 type ReplicationConfig struct {
 	// MaxFollowers caps registered sessions (0 = DefaultMaxFollowers).
 	MaxFollowers int
-	// AckTimeout bounds the group-commit wait on synced followers
-	// (0 = DefaultAckTimeout).
-	AckTimeout time.Duration
 	// HeartbeatEvery is the liveness beacon cadence (0 = default).
 	HeartbeatEvery time.Duration
 }
@@ -118,147 +102,50 @@ var errFoldFailed = errors.New("ctl: replication fold failed")
 // errPromoted ends a follower session because this server was promoted.
 var errPromoted = errors.New("ctl: promoted")
 
-// replState is the per-server replication hub. role and term are state-
-// loop confined; the atomic mirrors serve connection handlers, the
-// heartbeater and /metrics.
-type replState struct {
-	s   *Server
-	met *obs.ReplMetrics
-
-	// State-loop confined.
-	role string
-	term uint64
-
-	// Atomic mirrors.
-	roleA      atomic.Int64
-	termA      atomic.Uint64
-	nFollowers atomic.Int64
-	nSynced    atomic.Int64
-	failoverMs atomic.Int64
-
+// replHub is the leader's fan-out: the registered sessions behind one
+// mutex, and the publish pipeline in front of them. How many sessions
+// are registered, and how many of those synced, is kept once — in the
+// met.Followers / met.SyncedFollowers gauges, which change only under mu.
+type replHub struct {
+	met          *obs.ReplMetrics
 	maxFollowers int
-	ackTimeout   time.Duration
 	hbEvery      time.Duration
 
 	mu        sync.Mutex
 	acked     *sync.Cond // signaled on acks, drops and detaches
 	followers map[*replFollower]struct{}
-	lastErr   string
-	fconn     net.Conn // live follower-side leader connection
 
-	// Leader publish pipeline: walAppend stages raw frame bytes here,
-	// walCommit wraps them in KindRecords frames and fans them out.
-	// State-loop confined.
+	// Publish pipeline, state-loop confined: stage copies raw frame
+	// bytes here, publish wraps them in KindRecords frames and fans them
+	// out.
 	pending     []byte
 	chunks      [][]byte
 	pendingRecs int64
-
-	// Follower side.
-	fcfg         *FollowerConfig
-	leaderAddr   string
-	promoteAfter time.Duration
-	backoff      time.Duration
-	dialTimeout  time.Duration
-	leaderTerm   atomic.Uint64
-	leaderSeq    atomic.Int64
-	stopFollow   chan struct{}
-	stopOnce     sync.Once
-
-	wg sync.WaitGroup
 }
 
-func newReplState(s *Server, term uint64, rc ReplicationConfig) *replState {
-	r := &replState{
-		s:            s,
-		met:          obs.NewReplMetrics(s.registry),
-		term:         term,
+func newReplHub(met *obs.ReplMetrics, rc ReplicationConfig) *replHub {
+	h := &replHub{
+		met:          met,
 		maxFollowers: rc.MaxFollowers,
-		ackTimeout:   rc.AckTimeout,
 		hbEvery:      rc.HeartbeatEvery,
 		followers:    make(map[*replFollower]struct{}),
-		backoff:      DefaultReconnectEvery,
-		dialTimeout:  DefaultDialTimeout,
-		stopFollow:   make(chan struct{}),
 	}
-	if r.maxFollowers <= 0 {
-		r.maxFollowers = DefaultMaxFollowers
+	if h.maxFollowers <= 0 {
+		h.maxFollowers = DefaultMaxFollowers
 	}
-	if r.ackTimeout <= 0 {
-		r.ackTimeout = DefaultAckTimeout
+	if h.hbEvery <= 0 {
+		h.hbEvery = DefaultHeartbeatEvery
 	}
-	if r.hbEvery <= 0 {
-		r.hbEvery = DefaultHeartbeatEvery
-	}
-	r.acked = sync.NewCond(&r.mu)
-	r.termA.Store(term)
-	r.met.Term.Set(int64(term))
-	r.setRole(roleLeader)
-	return r
-}
-
-// setRole flips the replication role (state loop, or before start).
-func (r *replState) setRole(role string) {
-	r.role = role
-	r.roleA.Store(roleCode(role))
-	r.met.Role.Set(roleCode(role))
-}
-
-// stepDown makes a deposed leader read-only after observing a higher
-// term. Never called on followers.
-func (r *replState) stepDown() {
-	if r.role == roleLeader {
-		r.setRole(roleDeposed)
-	}
-}
-
-func (r *replState) setLastErr(err error) {
-	r.mu.Lock()
-	if err == nil {
-		r.lastErr = ""
-	} else {
-		r.lastErr = err.Error()
-	}
-	r.mu.Unlock()
+	h.acked = sync.NewCond(&h.mu)
+	return h
 }
 
 // wake broadcasts the ack condition. Taking the mutex first is what
 // prevents a lost wakeup between gate's predicate check and its Wait.
-func (r *replState) wake() {
-	r.mu.Lock()
-	r.acked.Broadcast()
-	r.mu.Unlock()
-}
-
-// stopped reports whether following was stopped (promotion or Close).
-func (r *replState) stopped() bool {
-	select {
-	case <-r.stopFollow:
-		return true
-	default:
-		return false
-	}
-}
-
-// stopFollowing ends the follower loop: no reconnects, no auto-promote.
-func (r *replState) stopFollowing() {
-	r.stopOnce.Do(func() { close(r.stopFollow) })
-	r.mu.Lock()
-	if r.fconn != nil {
-		_ = r.fconn.Close()
-	}
-	r.mu.Unlock()
-}
-
-// setConn tracks the live leader connection so stopFollowing can
-// interrupt a blocked read.
-func (r *replState) setConn(c net.Conn) {
-	r.mu.Lock()
-	r.fconn = c
-	stopped := r.stopped()
-	r.mu.Unlock()
-	if stopped && c != nil {
-		_ = c.Close()
-	}
+func (h *replHub) wake() {
+	h.mu.Lock()
+	h.acked.Broadcast()
+	h.mu.Unlock()
 }
 
 // replFollower is one registered replication session on the leader.
@@ -267,466 +154,243 @@ type replFollower struct {
 	conn net.Conn
 	// out carries encoded stream frames from the state loop (and the
 	// heartbeater) to the session's writer goroutine.
-	out  chan []byte
+	out chan []byte
+	// done is closed when the hub drops the session.
 	done chan struct{}
-	once sync.Once
 
-	acked atomic.Int64
-	// syncTarget is the leader's walSeq at registration: acking through
-	// it makes the follower synced, joining the group-commit gate.
+	// Guarded by the hub's mu. syncTarget is the leader's sequence at
+	// registration: acking through it makes the follower synced, joining
+	// the group-commit gate.
+	acked      int64
 	syncTarget int64
-	synced     atomic.Bool
-	failed     atomic.Bool
+	synced     bool
 }
 
-// shut closes the session exactly once.
-func (f *replFollower) shut() {
-	f.once.Do(func() {
-		_ = f.conn.Close()
-		close(f.done)
-	})
+func newReplFollower(conn net.Conn) *replFollower {
+	return &replFollower{
+		addr: conn.RemoteAddr().String(),
+		conn: conn,
+		out:  make(chan []byte, replOutboxDepth),
+		done: make(chan struct{}),
+	}
 }
 
-// fail marks the session dead (drop, ack error) and shuts it.
-func (f *replFollower) fail() {
-	f.failed.Store(true)
-	f.shut()
+// register admits a session that holds the log through afterSeq while
+// the leader stands at seq (state loop, from journal.attach).
+func (h *replHub) register(f *replFollower, afterSeq, seq int64) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	f.syncTarget = seq
+	h.followers[f] = struct{}{}
+	h.met.Followers.Add(1)
+	if afterSeq >= seq {
+		// Already caught up at attach (idle leader, exact resume): acks
+		// only flow after records do, so flip synced now or a quiet
+		// leader would never admit the follower to the gate.
+		f.acked = afterSeq
+		f.synced = true
+		h.met.SyncedFollowers.Add(1)
+	}
 }
 
-// detach unregisters a session (any goroutine).
-func (r *replState) detach(f *replFollower) {
-	r.mu.Lock()
-	_, present := r.followers[f]
-	delete(r.followers, f)
-	r.mu.Unlock()
-	f.shut()
-	if !present {
+// detach unregisters a session and shuts it (any goroutine): its
+// connection handler returning, its ack reader failing.
+func (h *replHub) detach(f *replFollower) {
+	h.mu.Lock()
+	h.drop(f)
+	h.mu.Unlock()
+}
+
+// drop is detach for a caller that holds mu. A session is registered or
+// it is gone — connection closed, writer told — so dropping one twice
+// does nothing.
+func (h *replHub) drop(f *replFollower) {
+	if _, ok := h.followers[f]; !ok {
 		return
 	}
-	r.met.Followers.Set(r.nFollowers.Add(-1))
-	if f.synced.Load() {
-		r.met.SyncedFollowers.Set(r.nSynced.Add(-1))
+	delete(h.followers, f)
+	h.met.Followers.Add(-1)
+	if f.synced {
+		h.met.SyncedFollowers.Add(-1)
 	}
-	r.wake()
+	h.acked.Broadcast()
+	_ = f.conn.Close()
+	close(f.done)
 }
 
-// stage buffers one just-appended record's frame bytes for publication
-// at the next commit (state loop, from walAppend). No-op without
+// ack records a follower's durability mark (the session's ack reader).
+// Acking through the attach point makes the follower synced. An ack read
+// after the session was detached — it can sit in the reader's buffer
+// across an outbox overflow or a gate timeout — counts for nothing:
+// nobody would be left to take it back.
+func (h *replHub) ack(f *replFollower, seq int64) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if _, ok := h.followers[f]; !ok {
+		return
+	}
+	f.acked = seq
+	h.met.AcksReceived.Inc()
+	if !f.synced && seq >= f.syncTarget {
+		f.synced = true
+		h.met.SyncedFollowers.Add(1)
+	}
+	h.acked.Broadcast()
+}
+
+// stage buffers one just-appended record's frame for publication at the
+// next commit (state loop, from journal.append). No-op without
 // registered followers — they will read the frames from the segment
 // files at attach instead.
-func (r *replState) stage(rec *wal.Record) {
-	if r.role != roleLeader || r.nFollowers.Load() == 0 {
+func (h *replHub) stage(frame []byte) {
+	if h.met.Followers.Value() == 0 {
 		return
 	}
-	buf, err := wal.AppendFrame(r.pending, rec)
-	if err != nil {
-		// The WAL writer just encoded this same record successfully.
-		panic(fmt.Sprintf("ctl: repl stage: %v", err))
-	}
-	r.pending = buf
-	r.pendingRecs++
-	if len(r.pending) >= replBatchBytes {
-		r.chunks = append(r.chunks, r.pending)
-		r.pending = nil
+	h.pending = append(h.pending, frame...)
+	h.pendingRecs++
+	if len(h.pending) >= replBatchBytes {
+		h.chunks = append(h.chunks, h.pending)
+		h.pending = nil
 	}
 }
 
 // publish fans the staged frames out to every follower outbox (state
-// loop, from walCommit after the records became durable — a follower
-// must never hold records the leader could still lose).
-func (r *replState) publish() {
-	if r.pendingRecs == 0 {
-		return
+// loop, from journal.commit after the records became durable — a
+// follower must never hold records the leader could still lose).
+func (h *replHub) publish() error {
+	if h.pendingRecs == 0 {
+		return nil
 	}
-	for _, chunk := range r.chunks {
-		r.fanoutRecords(chunk)
-	}
-	if len(r.pending) > 0 {
-		r.fanoutRecords(r.pending)
-	}
-	r.met.RecordsSent.Add(r.pendingRecs)
-	r.chunks = nil
-	r.pending = r.pending[:0]
-	r.pendingRecs = 0
-}
-
-func (r *replState) fanoutRecords(frames []byte) {
-	buf, err := repl.AppendRecords(nil, frames)
-	if err != nil {
-		panic(fmt.Sprintf("ctl: repl publish: %v", err))
-	}
-	r.fanout(buf)
-}
-
-// fanout offers one encoded stream frame to every live follower; an
-// outbox overflow means the follower cannot keep up even with 8k frames
-// of slack, so it is dropped rather than blocking the state loop.
-func (r *replState) fanout(frame []byte) {
-	r.mu.Lock()
-	for f := range r.followers {
-		if f.failed.Load() {
+	for _, frames := range append(h.chunks, h.pending) {
+		if len(frames) == 0 {
 			continue
 		}
+		buf, err := repl.AppendRecords(nil, frames)
+		if err != nil {
+			return err
+		}
+		h.fanout(buf)
+	}
+	h.met.RecordsSent.Add(h.pendingRecs)
+	h.chunks = nil
+	h.pending = h.pending[:0]
+	h.pendingRecs = 0
+	return nil
+}
+
+// fanout offers one encoded stream frame to every follower and returns
+// how many took it; an outbox overflow means the follower cannot keep up
+// even with 8k frames of slack, so it is dropped rather than blocking
+// the caller.
+func (h *replHub) fanout(frame []byte) (sent int) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for f := range h.followers {
 		select {
 		case f.out <- frame:
+			sent++
 		default:
-			f.fail()
-			r.met.FollowerDrops.Inc()
+			h.drop(f)
+			h.met.FollowerDrops.Inc()
 		}
 	}
-	r.acked.Broadcast()
-	r.mu.Unlock()
+	h.acked.Broadcast()
+	return sent
 }
 
 // announce tells followers the leader checkpointed at id (state loop,
-// from doCheckpoint). The staged buffer is always empty here — every
-// path into doCheckpoint runs after a flush.
-func (r *replState) announce(id wal.ID, rounds int64) {
+// from journal.checkpoint). The staged buffer is always empty here —
+// every path into a checkpoint runs after a flush.
+func (h *replHub) announce(id wal.ID, rounds int64) error {
+	if h.met.Followers.Value() == 0 {
+		return nil
+	}
 	ck := &wal.Checkpoint{Format: wal.FormatVersion, ID: id, Rounds: rounds}
 	buf, err := repl.AppendCheckpoint(nil, ck, false)
 	if err != nil {
-		panic(fmt.Sprintf("ctl: repl announce: %v", err))
+		return err
 	}
-	r.fanout(buf)
+	h.fanout(buf)
+	return nil
 }
 
 // gate blocks the state loop until every synced follower has acked
 // through seq, or the ack timeout drops the laggards (state loop, from
-// walCommit after publish). This is the group-commit fence: replies
+// journal.commit after publish). This is the group-commit fence: replies
 // held behind it are released only once the acked events are durable on
 // every synced follower.
-func (r *replState) gate(seq int64) {
-	if r.nSynced.Load() == 0 {
+func (h *replHub) gate(seq int64) {
+	if h.met.SyncedFollowers.Value() == 0 {
 		return
 	}
-	deadline := time.Now().Add(r.ackTimeout)
+	deadline := time.Now().Add(DefaultAckTimeout)
 	// The timer broadcasts under the mutex: it cannot fire between the
 	// predicate check and Wait, so the wakeup is never lost.
-	timer := time.AfterFunc(r.ackTimeout, r.wake)
+	timer := time.AfterFunc(DefaultAckTimeout, h.wake)
 	defer timer.Stop()
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	for {
+		// Availability over replication: past the deadline the laggards
+		// are dropped and the leader continues solo. The drop is counted
+		// and visible in Stats.
+		late := !time.Now().Before(deadline)
 		waiting := false
-		for f := range r.followers {
-			if f.synced.Load() && !f.failed.Load() && f.acked.Load() < seq {
-				waiting = true
-				break
-			}
-		}
-		if !waiting {
-			return
-		}
-		if !time.Now().Before(deadline) {
-			// Availability over replication: drop the laggards and
-			// continue solo. The drop is counted and visible in Stats.
-			for f := range r.followers {
-				if f.synced.Load() && !f.failed.Load() && f.acked.Load() < seq {
-					f.fail()
-					r.met.FollowerDrops.Inc()
-				}
-			}
-			return
-		}
-		r.acked.Wait()
-	}
-}
-
-// replHeartbeats is the leader's beacon loop: liveness for follower
-// watchdogs plus lag bookkeeping, both ways off the heartbeat cadence.
-func (s *Server) replHeartbeats() {
-	r := s.repl
-	defer r.wg.Done()
-	t := time.NewTicker(r.hbEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.closing:
-			return
-		case <-t.C:
-		}
-		if r.roleA.Load() != roleCode(roleLeader) || r.nFollowers.Load() == 0 {
-			continue
-		}
-		last := s.walMet.LastSeq.Value()
-		frame, err := repl.AppendHeartbeat(nil, r.termA.Load(), last)
-		if err != nil {
-			continue
-		}
-		var worst int64
-		r.mu.Lock()
-		for f := range r.followers {
-			if f.failed.Load() {
+		for f := range h.followers {
+			if !f.synced || f.acked >= seq {
 				continue
 			}
-			select {
-			case f.out <- frame:
-				r.met.HeartbeatsSent.Inc()
-			default:
-				f.fail()
-				r.met.FollowerDrops.Inc()
+			waiting = true
+			if late {
+				h.drop(f)
+				h.met.FollowerDrops.Inc()
 			}
-			lag := max(0, last-f.acked.Load())
-			r.met.Lag.Observe(lag)
-			worst = max(worst, lag)
 		}
-		r.mu.Unlock()
-		r.met.LagRecords.Set(worst)
+		if !waiting || late {
+			return
+		}
+		h.acked.Wait()
 	}
 }
 
-// replCmd kinds routed through the state loop.
-type replCmdKind int
-
-const (
-	replAttach replCmdKind = iota
-	replApply
-	replCkpt
-)
-
-// replCmd is an internal replication command carried by the command
-// channel alongside wire requests.
-type replCmd struct {
-	kind     replCmdKind
-	hello    *repl.Hello
-	follower *replFollower
-	recs     []*wal.Record
-	ckptSeq  int64
-}
-
-// replReply is the state loop's answer to a replCmd.
-type replReply struct {
-	verdict repl.Verdict
-	term    uint64
-	walSeq  int64
-	ckptSeq int64
-	segs    []wal.SegmentInfo
-	ckpt    *wal.Checkpoint
-
-	appliedSeq int64
-}
-
-// dispatchRepl routes an internal replication command to the state loop.
-func (s *Server) dispatchRepl(rc *replCmd) (*replReply, error) {
-	select {
-	case <-s.closing:
-		return nil, ErrServerClosed
-	default:
+// heartbeat beacons (term, last) to every session and takes the lag
+// readings (the heartbeater goroutine).
+func (h *replHub) heartbeat(term uint64, last int64) {
+	if h.met.Followers.Value() == 0 {
+		return
 	}
-	cmd := command{repl: rc, reply: make(chan Response, 1)}
-	select {
-	case s.cmds <- cmd:
-		resp := <-cmd.reply
-		if !resp.OK {
-			return nil, errors.New(resp.Error)
-		}
-		return resp.repl, nil
-	case <-s.closing:
-		return nil, ErrServerClosed
+	frame, err := repl.AppendHeartbeat(nil, term, last)
+	if err != nil {
+		return
 	}
-}
-
-// handleReplCmd executes one replication command (state loop only; the
-// batch was flushed first, so every record ≤ walSeq is committed and
-// the publish buffer is empty).
-func (s *Server) handleReplCmd(rc *replCmd) Response {
-	r := s.repl
-	switch rc.kind {
-	case replAttach:
-		if r == nil || s.wal == nil {
-			return Response{OK: true, repl: &replReply{verdict: repl.Verdict{
-				Code: repl.CodeNoWAL, Detail: "server runs without a WAL",
-			}}}
-		}
-		var ckptSeq int64
-		ckpt := s.walLog.Checkpoint()
-		if ckpt != nil {
-			ckptSeq = ckpt.ID.Seq
-		}
-		if r.role != roleLeader {
-			return Response{OK: true, repl: &replReply{verdict: repl.Verdict{
-				Code:   repl.CodeNotLeader,
-				Detail: fmt.Sprintf("server is a %s at term %d", r.role, r.term),
-			}, term: r.term}}
-		}
-		v := repl.Judge(r.term, s.walSeq, ckptSeq, &s.walMeta,
-			int(r.nFollowers.Load()), r.maxFollowers, rc.hello)
-		if v.Deposed {
-			r.stepDown()
-		}
-		if v.Code != "" {
-			return Response{OK: true, repl: &replReply{verdict: v, term: r.term}}
-		}
-		f := rc.follower
-		f.syncTarget = s.walSeq
-		if rc.hello.AfterSeq >= s.walSeq {
-			// Already caught up at attach (idle leader, exact resume):
-			// acks only flow after records do, so flip synced now or a
-			// quiet leader would never admit the follower to the gate.
-			f.acked.Store(rc.hello.AfterSeq)
-			f.synced.Store(true)
-		}
-		r.mu.Lock()
-		r.followers[f] = struct{}{}
-		r.mu.Unlock()
-		r.met.Followers.Set(r.nFollowers.Add(1))
-		if f.synced.Load() {
-			r.met.SyncedFollowers.Set(r.nSynced.Add(1))
-		}
-		rep := &replReply{
-			verdict: v, term: r.term, walSeq: s.walSeq, ckptSeq: ckptSeq,
-			segs: append([]wal.SegmentInfo(nil), s.walLog.Segments()...),
-		}
-		if v.SendCheckpoint {
-			rep.ckpt = ckpt
-		}
-		return Response{OK: true, repl: rep}
-
-	case replApply:
-		if r == nil || r.role != roleFollower {
-			return Response{OK: false, Error: fmt.Sprintf("ctl: repl apply on a %s", replRoleOf(r))}
-		}
-		for _, rec := range rc.recs {
-			if rec.ID.Seq != s.walSeq+1 {
-				return Response{OK: false, Error: fmt.Sprintf(
-					"%v: record seq %d after applied prefix %d", repl.ErrSeqGap, rec.ID.Seq, s.walSeq)}
-			}
-			s.walAppend(rec)
-			if err := s.replayRecord(rec); err != nil {
-				return Response{OK: false, Error: err.Error()}
-			}
-			r.met.RecordsApplied.Inc()
-		}
-		// Durable before acked: the commit below is what the ack the
-		// session sends back will attest to.
-		s.walCommit()
-		return Response{OK: true, repl: &replReply{appliedSeq: s.walSeq}}
-
-	case replCkpt:
-		if r == nil || r.role != roleFollower {
-			return Response{OK: false, Error: fmt.Sprintf("ctl: repl checkpoint on a %s", replRoleOf(r))}
-		}
-		// Stream ordering guarantees the announce arrives exactly at the
-		// rotation point; anything else means the session lost frames.
-		if rc.ckptSeq != s.walSeq {
-			return Response{OK: false, Error: fmt.Sprintf(
-				"%v: checkpoint announced at seq %d, follower applied %d", repl.ErrSeqGap, rc.ckptSeq, s.walSeq)}
-		}
-		if err := s.doCheckpoint(); err != nil {
-			return Response{OK: false, Error: fmt.Sprintf("ctl: follower checkpoint: %v", err)}
-		}
-		return Response{OK: true, repl: &replReply{appliedSeq: s.walSeq}}
-
-	default:
-		return Response{OK: false, Error: fmt.Sprintf("ctl: unknown repl command %d", rc.kind)}
+	h.met.HeartbeatsSent.Add(int64(h.fanout(frame)))
+	var worst int64
+	h.mu.Lock()
+	for f := range h.followers {
+		lag := max(0, last-f.acked)
+		h.met.Lag.Observe(lag)
+		worst = max(worst, lag)
 	}
+	h.mu.Unlock()
+	h.met.LagRecords.Set(worst)
 }
 
-func replRoleOf(r *replState) string {
-	if r == nil {
-		return "server without replication"
-	}
-	return r.role
-}
-
-// replFolding reports whether the engine may only advance through the
-// replicated fold (state loop only). True exactly while following: the
-// leader stamps each record with its round count at admission, and the
-// follower reconstructs state by stepping to that stamp, so rounds run
-// anywhere else overshoot the next record's stamp — the leader admits
-// mid-cascade under pipelined load — and fail the fold's clock
-// assertion. Promotion drains the backlog and flips the role, which
-// re-enables free-running rounds.
-func (s *Server) replFolding() bool {
-	return s.repl != nil && s.repl.role == roleFollower
-}
-
-// notLeaderResponse is the typed rejection for writes landing on a
-// follower or deposed leader.
-func (s *Server) notLeaderResponse() Response {
-	r := s.repl
-	info := &NotLeaderInfo{Role: r.role, Term: r.term}
-	if r.role == roleFollower {
-		info.LeaderAddr = r.leaderAddr
-	}
-	err := &NotLeaderError{Role: info.Role, Term: info.Term, LeaderAddr: info.LeaderAddr}
-	return Response{OK: false, Error: err.Error(), NotLeader: info}
-}
-
-// replInfo renders the OpReplStatus payload (state loop only).
-func (s *Server) replInfo() *ReplInfo {
-	r := s.repl
-	info := &ReplInfo{Role: r.role, Term: r.term, LastSeq: s.walSeq, FailoverMs: r.failoverMs.Load()}
-	switch r.role {
-	case roleFollower:
-		info.LeaderAddr = r.leaderAddr
-		info.LagRecords = max(0, r.leaderSeq.Load()-s.walSeq)
-		r.mu.Lock()
-		info.LastError = r.lastErr
-		r.mu.Unlock()
-	case roleLeader:
-		r.mu.Lock()
-		for f := range r.followers {
-			acked := f.acked.Load()
-			info.Followers = append(info.Followers, FollowerInfo{
-				Addr:       f.addr,
-				AckedSeq:   acked,
-				LagRecords: max(0, s.walSeq-acked),
-				Synced:     f.synced.Load(),
-			})
-		}
-		r.mu.Unlock()
-		sort.Slice(info.Followers, func(i, j int) bool {
-			return info.Followers[i].Addr < info.Followers[j].Addr
+// sessions lists the registered sessions for OpReplStatus, the leader
+// standing at seq.
+func (h *replHub) sessions(seq int64) []FollowerInfo {
+	h.mu.Lock()
+	var out []FollowerInfo
+	for f := range h.followers {
+		out = append(out, FollowerInfo{
+			Addr:       f.addr,
+			AckedSeq:   f.acked,
+			LagRecords: max(0, seq-f.acked),
+			Synced:     f.synced,
 		})
 	}
-	return info
-}
-
-// handlePromote flips a follower to leader (state loop only): stop the
-// stream, drain the fold's cascade to quiescence, persist the bumped
-// term — the fence that deposes the old leader — and only then serve
-// writes. The drain is bounded by replication lag, not log length: the
-// follower folded continuously, so only the not-yet-executed tail of
-// admitted work remains.
-func (s *Server) handlePromote() Response {
-	r := s.repl
-	if r == nil || s.wal == nil {
-		return Response{OK: false, Error: "ctl: replication requires a WAL"}
-	}
-	switch r.role {
-	case roleLeader:
-		// Idempotent: an operator promote racing the watchdog's is fine.
-		return Response{OK: true, Repl: s.replInfo()}
-	case roleDeposed:
-		return Response{OK: false,
-			Error:     "ctl: deposed leader cannot be promoted; restart it as a follower",
-			NotLeader: &NotLeaderInfo{Role: r.role, Term: r.term}}
-	}
-	started := time.Now()
-	r.stopFollowing()
-	if err := s.stepUntil(quiescence); err != nil {
-		return Response{OK: false, Error: fmt.Sprintf("ctl: promote drain: %v", err)}
-	}
-	newTerm := r.term + 1
-	if lt := r.leaderTerm.Load(); lt >= newTerm {
-		newTerm = lt + 1
-	}
-	if err := repl.SaveTerm(s.walLog.Dir(), newTerm); err != nil {
-		return Response{OK: false, Error: fmt.Sprintf("ctl: promote: %v", err)}
-	}
-	r.term = newTerm
-	r.termA.Store(newTerm)
-	r.met.Term.Set(int64(newTerm))
-	r.setRole(roleLeader)
-	s.refreshGauges()
-	elapsed := time.Since(started)
-	r.failoverMs.Store(elapsed.Milliseconds())
-	r.met.Promotions.Inc()
-	r.met.Failover.Observe(elapsed.Nanoseconds())
-	r.met.FailoverMs.Set(elapsed.Milliseconds())
-	r.met.LagRecords.Set(0)
-	return Response{OK: true, Repl: s.replInfo()}
+	h.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
+	return out
 }
 
 // serveRepl serves one leader-side replication session (connection
@@ -739,71 +403,50 @@ func (s *Server) serveRepl(conn net.Conn, br *bufio.Reader) {
 	}
 	_ = conn.SetReadDeadline(time.Time{})
 
-	f := &replFollower{
-		addr: conn.RemoteAddr().String(),
-		conn: conn,
-		out:  make(chan []byte, replOutboxDepth),
-		done: make(chan struct{}),
+	f := newReplFollower(conn)
+	var (
+		w    *repl.Welcome
+		ckpt *wal.Checkpoint
+		segs []wal.SegmentInfo
+	)
+	attach := func() error {
+		w, ckpt, segs = s.journal.attach(m.Hello, f)
+		return nil
 	}
-	rep, err := s.dispatchRepl(&replCmd{kind: replAttach, hello: m.Hello, follower: f})
-	if err != nil {
+	if s.onLoop(attach) != nil {
 		return
 	}
-	accepted := rep.verdict.Code == ""
+	accepted := w.Code == ""
 	if accepted {
-		defer s.repl.detach(f)
+		defer s.journal.hub.detach(f)
 	}
-	w := &repl.Welcome{
-		Code: rep.verdict.Code, Detail: rep.verdict.Detail,
-		Term: rep.term, LastSeq: rep.walSeq, CheckpointSeq: rep.ckptSeq,
-		Snapshot: rep.ckpt != nil,
-	}
+	// The Welcome, then the bootstrap snapshot when one was promised.
+	afterSeq := m.Hello.AfterSeq
 	out, err := repl.AppendWelcome(nil, w)
+	if err == nil && ckpt != nil {
+		out, err = repl.AppendCheckpoint(out, ckpt, true)
+		afterSeq = ckpt.ID.Seq
+	}
 	if err != nil {
 		return
 	}
 	_ = conn.SetWriteDeadline(time.Now().Add(replWriteTimeout))
-	if _, err := conn.Write(out); err != nil {
-		return
-	}
-	if !accepted {
+	if _, err := conn.Write(out); err != nil || !accepted {
 		return
 	}
 
-	afterSeq := m.Hello.AfterSeq
-	if rep.ckpt != nil {
-		out, err = repl.AppendCheckpoint(out[:0], rep.ckpt, true)
-		if err != nil {
-			return
-		}
-		_ = conn.SetWriteDeadline(time.Now().Add(replWriteTimeout))
-		if _, err := conn.Write(out); err != nil {
-			return
-		}
-		afterSeq = rep.ckpt.ID.Seq
-	}
-
-	// The ack reader owns the connection's read side from here. It
-	// flips the follower to synced once it acks through the attach
-	// point, joining the group-commit gate.
-	r := s.repl
+	// The ack reader owns the connection's read side from here.
+	hub := s.journal.hub
 	go func() {
 		var scratch []byte
 		for {
 			am, sc, err := repl.ReadMessage(br, scratch)
 			scratch = sc
 			if err != nil || am.Kind != repl.KindAck {
-				f.fail()
-				r.wake()
+				hub.detach(f)
 				return
 			}
-			f.acked.Store(am.Ack.Seq)
-			r.met.AcksReceived.Inc()
-			if !f.synced.Load() && am.Ack.Seq >= f.syncTarget {
-				f.synced.Store(true)
-				r.met.SyncedFollowers.Set(r.nSynced.Add(1))
-			}
-			r.wake()
+			hub.ack(f, am.Ack.Seq)
 		}
 	}()
 
@@ -831,7 +474,7 @@ func (s *Server) serveRepl(conn net.Conn, br *bufio.Reader) {
 		batch = batch[:0]
 		return nil
 	}
-	err = wal.EmitFrames(rep.segs, afterSeq, rep.walSeq, func(frame []byte, _ *wal.Record) error {
+	err = wal.EmitFrames(segs, afterSeq, w.LastSeq, func(frame []byte, _ *wal.Record) error {
 		batch = append(batch, frame...)
 		sent++
 		if len(batch) >= replBatchBytes {
@@ -848,7 +491,7 @@ func (s *Server) serveRepl(conn net.Conn, br *bufio.Reader) {
 	if err := bw.Flush(); err != nil {
 		return
 	}
-	r.met.RecordsSent.Add(sent)
+	hub.met.RecordsSent.Add(sent)
 
 	// Live stream: drain the outbox, coalescing bursts into one flush.
 	for {
@@ -897,8 +540,6 @@ type FollowerConfig struct {
 	// this long (0 = manual promotion only). Must comfortably exceed
 	// the leader's heartbeat cadence.
 	PromoteAfter time.Duration
-	// DialTimeout bounds connection attempts (0 = DefaultDialTimeout).
-	DialTimeout time.Duration
 	// ReconnectEvery is the redial backoff (0 = DefaultReconnectEvery).
 	ReconnectEvery time.Duration
 }
@@ -909,7 +550,6 @@ type FollowerSession struct {
 	conn    net.Conn
 	br      *bufio.Reader
 	welcome *repl.Welcome
-	term    uint64
 }
 
 // FollowerBootstrap prepares cfg.Log for following and opens the
@@ -968,11 +608,7 @@ func FollowerBootstrap(cfg FollowerConfig) (*FollowerSession, error) {
 // validates the Welcome (CheckWelcome) so it can tell fatal rejections
 // from retryable ones.
 func dialFollowerSession(cfg *FollowerConfig, term uint64, afterSeq int64, bootstrap bool) (*FollowerSession, error) {
-	dt := cfg.DialTimeout
-	if dt <= 0 {
-		dt = DefaultDialTimeout
-	}
-	conn, err := net.DialTimeout("tcp", cfg.LeaderAddr, dt)
+	conn, err := net.DialTimeout("tcp", cfg.LeaderAddr, DefaultDialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -1000,7 +636,7 @@ func dialFollowerSession(cfg *FollowerConfig, term uint64, afterSeq int64, boots
 		return nil, fmt.Errorf("%w: expected welcome, got frame kind %d", repl.ErrCorrupt, m.Kind)
 	}
 	_ = conn.SetReadDeadline(time.Time{})
-	return &FollowerSession{conn: conn, br: br, welcome: m.Welcome, term: term}, nil
+	return &FollowerSession{conn: conn, br: br, welcome: m.Welcome}, nil
 }
 
 // NewFollower builds a read-only server that continuously folds the
@@ -1025,21 +661,16 @@ func NewFollower(planner *core.Planner, scheduler sched.Scheduler, simCfg sim.Co
 		_ = sess.conn.Close()
 		return nil, nil, err
 	}
-	r := s.repl
-	r.setRole(roleFollower)
-	r.fcfg = &cfg
-	r.leaderAddr = cfg.LeaderAddr
-	r.promoteAfter = cfg.PromoteAfter
-	if cfg.DialTimeout > 0 {
-		r.dialTimeout = cfg.DialTimeout
+	j := s.journal
+	j.setRole(roleFollower)
+	j.follow = cfg
+	if j.follow.ReconnectEvery <= 0 {
+		j.follow.ReconnectEvery = DefaultReconnectEvery
 	}
-	if cfg.ReconnectEvery > 0 {
-		r.backoff = cfg.ReconnectEvery
-	}
-	r.leaderTerm.Store(sess.welcome.Term)
-	r.leaderSeq.Store(sess.welcome.LastSeq)
+	j.leaderTerm.Store(sess.welcome.Term)
+	j.leaderSeq.Store(sess.welcome.LastSeq)
 	s.start()
-	r.wg.Add(1)
+	j.wg.Add(1)
 	go s.runFollower(sess)
 	return s, info, nil
 }
@@ -1047,15 +678,15 @@ func NewFollower(planner *core.Planner, scheduler sched.Scheduler, simCfg sim.Co
 // runFollower owns the follower's stream: fold sessions, reconnects,
 // and the leader-loss watchdog that auto-promotes.
 func (s *Server) runFollower(sess *FollowerSession) {
-	r := s.repl
-	defer r.wg.Done()
+	j := s.journal
+	defer j.wg.Done()
 	for {
 		err := s.followSession(sess)
 		_ = sess.conn.Close()
-		if err == errPromoted || s.isClosing() || r.stopped() {
+		if err == errPromoted || j.stopped() {
 			return
 		}
-		r.setLastErr(err)
+		j.setLastErr(err.Error())
 		if isFatalFollow(err) {
 			// Reconnecting would deterministically fail again (stale
 			// leader, divergence, sequence gap): stop and surface the
@@ -1065,27 +696,30 @@ func (s *Server) runFollower(sess *FollowerSession) {
 		// Reconnect, auto-promoting if the leader stays dark.
 		downSince := time.Now()
 		for {
-			if s.isClosing() || r.stopped() {
+			if j.stopped() {
 				return
 			}
-			if r.promoteAfter > 0 && time.Since(downSince) >= r.promoteAfter {
+			if pa := j.follow.PromoteAfter; pa > 0 && time.Since(downSince) >= pa {
 				s.dispatch(Request{Op: OpReplPromote})
 				return
 			}
 			select {
-			case <-time.After(r.backoff):
+			case <-time.After(j.follow.ReconnectEvery):
 			case <-s.closing:
 				return
-			case <-r.stopFollow:
+			case <-j.stopFollow:
 				return
 			}
-			ns, err := dialFollowerSession(r.fcfg, r.termA.Load(), s.walMet.LastSeq.Value(), false)
+			// The term is this follower's own until it is promoted, which
+			// stops this loop first.
+			term := uint64(j.rmet.Term.Value())
+			ns, err := dialFollowerSession(&j.follow, term, j.met.LastSeq.Value(), false)
 			if err != nil {
 				continue // leader still down; keep the watchdog ticking
 			}
-			if werr := repl.CheckWelcome(r.termA.Load(), ns.welcome); werr != nil {
+			if werr := repl.CheckWelcome(term, ns.welcome); werr != nil {
 				_ = ns.conn.Close()
-				r.setLastErr(werr)
+				j.setLastErr(werr.Error())
 				if ns.welcome.Code == repl.CodeFull {
 					// Our previous session may still be detaching on the
 					// leader; that slot frees up, so retry.
@@ -1094,7 +728,7 @@ func (s *Server) runFollower(sess *FollowerSession) {
 				return
 			}
 			sess = ns
-			r.setLastErr(nil)
+			j.setLastErr("")
 			break
 		}
 	}
@@ -1103,26 +737,27 @@ func (s *Server) runFollower(sess *FollowerSession) {
 // followSession folds one established stream until it errors, the
 // server closes, or a read-deadline watchdog promotes this follower.
 func (s *Server) followSession(sess *FollowerSession) error {
-	r := s.repl
-	r.setConn(sess.conn)
-	defer r.setConn(nil)
-	if t := sess.welcome.Term; t > r.leaderTerm.Load() {
-		r.leaderTerm.Store(t)
+	j := s.journal
+	promoteAfter := j.follow.PromoteAfter
+	j.setConn(sess.conn)
+	defer j.setConn(nil)
+	if t := sess.welcome.Term; t > j.leaderTerm.Load() {
+		j.leaderTerm.Store(t)
 	}
-	r.leaderSeq.Store(sess.welcome.LastSeq)
+	j.leaderSeq.Store(sess.welcome.LastSeq)
 	var scratch, ackBuf []byte
 	for {
-		if s.isClosing() || r.stopped() {
+		if j.stopped() {
 			return errPromoted
 		}
-		if r.promoteAfter > 0 {
-			_ = sess.conn.SetReadDeadline(time.Now().Add(r.promoteAfter))
+		if promoteAfter > 0 {
+			_ = sess.conn.SetReadDeadline(time.Now().Add(promoteAfter))
 		}
 		m, sc, err := repl.ReadMessage(sess.br, scratch)
 		scratch = sc
 		if err != nil {
 			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() && r.promoteAfter > 0 && !r.stopped() && !s.isClosing() {
+			if errors.As(err, &ne) && ne.Timeout() && promoteAfter > 0 && !j.stopped() {
 				// The leader went silent past the heartbeat cadence:
 				// promote in place rather than reconnect.
 				s.dispatch(Request{Op: OpReplPromote})
@@ -1139,14 +774,15 @@ func (s *Server) followSession(sess *FollowerSession) error {
 			if len(recs) == 0 {
 				continue
 			}
-			rep, err := s.dispatchRepl(&replCmd{kind: replApply, recs: recs})
+			var applied int64
+			err = s.onLoop(func() (err error) {
+				applied, err = j.applyReplicated(recs, s.replayRecord)
+				return err
+			})
 			if err != nil {
-				if errors.Is(err, ErrServerClosed) {
-					return err
-				}
 				return fmt.Errorf("%w: %v", errFoldFailed, err)
 			}
-			ackBuf, err = repl.AppendAck(ackBuf[:0], rep.appliedSeq)
+			ackBuf, err = repl.AppendAck(ackBuf[:0], applied)
 			if err != nil {
 				return err
 			}
@@ -1154,37 +790,40 @@ func (s *Server) followSession(sess *FollowerSession) error {
 			if _, err := sess.conn.Write(ackBuf); err != nil {
 				return err
 			}
-			if rep.appliedSeq > r.leaderSeq.Load() {
-				r.leaderSeq.Store(rep.appliedSeq)
+			if applied > j.leaderSeq.Load() {
+				j.leaderSeq.Store(applied)
 			}
-			lag := max(0, r.leaderSeq.Load()-rep.appliedSeq)
-			r.met.LagRecords.Set(lag)
-			r.met.Lag.Observe(lag)
+			lag := max(0, j.leaderSeq.Load()-applied)
+			j.rmet.LagRecords.Set(lag)
+			j.rmet.Lag.Observe(lag)
 
 		case repl.KindCheckpoint:
 			if m.Bootstrap {
 				return fmt.Errorf("%w: bootstrap checkpoint mid-stream", repl.ErrCorrupt)
 			}
-			if _, err := s.dispatchRepl(&replCmd{kind: replCkpt, ckptSeq: m.Checkpoint.ID.Seq}); err != nil {
-				if errors.Is(err, ErrServerClosed) {
+			err := s.onLoop(func() error {
+				if err := j.announced(m.Checkpoint.ID.Seq); err != nil {
 					return err
 				}
+				return s.checkpoint()
+			})
+			if err != nil {
 				return fmt.Errorf("%w: %v", errFoldFailed, err)
 			}
 
 		case repl.KindHeartbeat:
 			hb := m.Heartbeat
-			if hb.Term < r.termA.Load() {
+			if own := uint64(j.rmet.Term.Value()); hb.Term < own {
 				return fmt.Errorf("%w: heartbeat term %d below own term %d",
-					repl.ErrStaleLeader, hb.Term, r.termA.Load())
+					repl.ErrStaleLeader, hb.Term, own)
 			}
-			if hb.Term > r.leaderTerm.Load() {
-				r.leaderTerm.Store(hb.Term)
+			if hb.Term > j.leaderTerm.Load() {
+				j.leaderTerm.Store(hb.Term)
 			}
-			r.leaderSeq.Store(hb.LastSeq)
-			lag := max(0, hb.LastSeq-s.walMet.LastSeq.Value())
-			r.met.LagRecords.Set(lag)
-			r.met.Lag.Observe(lag)
+			j.leaderSeq.Store(hb.LastSeq)
+			lag := max(0, hb.LastSeq-j.met.LastSeq.Value())
+			j.rmet.LagRecords.Set(lag)
+			j.rmet.Lag.Observe(lag)
 
 		default:
 			return fmt.Errorf("%w: unexpected frame kind %d from leader", repl.ErrCorrupt, m.Kind)
@@ -1200,13 +839,4 @@ func isFatalFollow(err error) bool {
 		errors.Is(err, repl.ErrSeqGap) ||
 		errors.Is(err, repl.ErrStaleLeader) ||
 		errors.Is(err, repl.ErrRejected)
-}
-
-func (s *Server) isClosing() bool {
-	select {
-	case <-s.closing:
-		return true
-	default:
-		return false
-	}
 }

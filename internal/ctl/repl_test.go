@@ -158,7 +158,7 @@ func TestReplFollowerStreamsAndPromotes(t *testing.T) {
 	// ckptEvery 6 forces several rotations mid-run, so the follower must
 	// fold checkpoint announcements interleaved with records.
 	leaderSrv, leaderClient, leaderAddr, ft := startReplLeader(t, leaderDir, 6)
-	followerSrv, followerClient := startReplFollower(t, followerDir, leaderAddr, leaderSrv.walMeta, 6, 0)
+	followerSrv, followerClient := startReplFollower(t, followerDir, leaderAddr, leaderSrv.journal.meta, 6, 0)
 
 	for _, ch := range walWorkload(ft, 11, 4, 3) {
 		playChunk(t, leaderClient, ch)
@@ -261,7 +261,7 @@ func TestReplAutoPromoteOnLeaderLoss(t *testing.T) {
 	leaderDir := filepath.Join(t.TempDir(), "leader")
 	followerDir := filepath.Join(t.TempDir(), "follower")
 	leaderSrv, leaderClient, leaderAddr, ft := startReplLeader(t, leaderDir, -1)
-	_, followerClient := startReplFollower(t, followerDir, leaderAddr, leaderSrv.walMeta, -1, 400*time.Millisecond)
+	_, followerClient := startReplFollower(t, followerDir, leaderAddr, leaderSrv.journal.meta, -1, 400*time.Millisecond)
 
 	playChunk(t, leaderClient, walWorkload(ft, 21, 1, 3)[0])
 	st, err := leaderClient.Stats()
@@ -300,7 +300,7 @@ func TestReplSplitBrain(t *testing.T) {
 	leaderDir := filepath.Join(t.TempDir(), "leader")
 	followerDir := filepath.Join(t.TempDir(), "follower")
 	leaderSrv, leaderClient, leaderAddr, ft := startReplLeader(t, leaderDir, -1)
-	_, followerClient := startReplFollower(t, followerDir, leaderAddr, leaderSrv.walMeta, -1, 0)
+	_, followerClient := startReplFollower(t, followerDir, leaderAddr, leaderSrv.journal.meta, -1, 0)
 
 	playChunk(t, leaderClient, walWorkload(ft, 31, 1, 3)[0])
 	st, err := leaderClient.Stats()
@@ -328,7 +328,7 @@ func TestReplSplitBrain(t *testing.T) {
 	// First contact from the new term deposes the old leader: the
 	// handshake is refused with CodeDeposed and the old leader steps
 	// down read-only.
-	meta := leaderSrv.walMeta
+	meta := leaderSrv.journal.meta
 	sess, err := dialFollowerSession(&FollowerConfig{LeaderAddr: leaderAddr, Meta: &meta}, pInfo.Term, 0, true)
 	if err != nil {
 		t.Fatalf("deposing handshake: %v", err)
@@ -417,7 +417,7 @@ func TestReplFailoverFoldEquivalenceAtEveryPrefix(t *testing.T) {
 			leaderSrv, _, leaderAddr, _ := startReplLeader(t, leaderDir, -1)
 
 			followerDir := filepath.Join(t.TempDir(), "follower")
-			followerSrv, followerClient := startReplFollower(t, followerDir, leaderAddr, leaderSrv.walMeta, -1, 0)
+			followerSrv, followerClient := startReplFollower(t, followerDir, leaderAddr, leaderSrv.journal.meta, -1, 0)
 			waitCaughtUp(t, followerClient, p)
 
 			// Kill the leader at this exact stream prefix, promote.
@@ -475,7 +475,7 @@ func TestReplAttachRejections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta := leaderSrv.walMeta
+	meta := leaderSrv.journal.meta
 
 	// A follower claiming a seq past the leader's log replicated from a
 	// different history.
@@ -552,7 +552,7 @@ func TestReplFollowerFoldsPipelinedBatches(t *testing.T) {
 	// they fold, so the digests below compare two windows that wrapped.
 	const ckptEvery, window = 4, 12
 	leaderSrv, leaderClient, leaderAddr, ft := startReplLeaderWindow(t, leaderDir, ckptEvery, window)
-	followerSrv, followerClient := startReplFollowerWindow(t, followerDir, leaderAddr, leaderSrv.walMeta, ckptEvery, window, 0)
+	followerSrv, followerClient := startReplFollowerWindow(t, followerDir, leaderAddr, leaderSrv.journal.meta, ckptEvery, window, 0)
 
 	// Flatten a chunked workload into back-to-back submissions: batch,
 	// fault, batch, ... with no WaitDone anywhere in between.

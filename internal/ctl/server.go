@@ -1,6 +1,7 @@
 package ctl
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -10,7 +11,6 @@ import (
 	"netupdate/internal/fault"
 	"netupdate/internal/flow"
 	"netupdate/internal/obs"
-	"netupdate/internal/repl"
 	"netupdate/internal/sched"
 	"netupdate/internal/sim"
 	"netupdate/internal/snapshot"
@@ -61,24 +61,16 @@ type Server struct {
 	done   *doneRing
 	nextID int64
 
-	// Durable write-ahead log (nil when disabled). State-loop confined
-	// once the loop runs: stageSubmit appends admitted events, flush
-	// group-commits before replies go out (append-before-ack), and the
-	// checkpoint cadence rotates segments. A WAL write failure is
-	// fail-stop: continuing without durability would silently break the
-	// recovery contract, so the state loop panics instead.
-	walLog    *wal.Log
-	wal       *wal.Writer
-	walMeta   wal.Meta
-	walSeq    int64
-	ckptEvery int
-	sinceCkpt int
-	walMet    *obs.WALMetrics
-
-	// WAL replication hub (nil without a WAL). Role and term are state-
-	// loop confined; see repl.go for the full confinement story.
-	repl    *replState
-	replCfg ReplicationConfig
+	// journal is the durable log under the loop and, with it, this
+	// server's place in replication (nil without a WAL; every method the
+	// loop calls is nil-safe). The loop appends what it admits, commits
+	// in flush before any reply leaves, and checkpoints between batches.
+	journal *journal
+	// failStop is the loop's one answer to a durable write that did not
+	// happen, or a round that broke: continuing would silently void the
+	// recovery contract every ack rests on, so it takes the process down.
+	// A field only so a test can watch it being called.
+	failStop func(error)
 
 	// shardID and idStride place this engine in a sharded deployment:
 	// shard s of N mints event IDs s, s+N, s+2N, … so IDs are globally
@@ -108,10 +100,9 @@ type Server struct {
 // command is one request routed to the state loop.
 type command struct {
 	req Request
-	// repl, when set, marks an internal replication command instead of
-	// a wire request (req is ignored); the answer rides the Response's
-	// unexported repl field.
-	repl *replCmd
+	// fn, when set, is a function to run on the loop (onLoop) instead
+	// of a wire request; req is ignored.
+	fn func() error
 	// ingestWall is the server wall clock when the request was decoded
 	// off the wire (span pipeline's ingest stamp).
 	ingestWall int64
@@ -151,7 +142,7 @@ func newServer(cfg Config) *Server {
 		ring:      obs.NewRingSink(traceRingSize),
 		watermark: DefaultHighWatermark,
 		spanSink:  cfg.SpanSink,
-		replCfg:   cfg.Replication,
+		failStop:  func(err error) { panic(err.Error()) },
 		events:    make(map[int64]*core.Event),
 		nextID:    1,
 		idStride:  1,
@@ -173,7 +164,7 @@ func newServer(cfg Config) *Server {
 	s.wire = &WireServer{
 		Handle:      s.dispatchAt,
 		Stream:      s.serveRepl,
-		StreamMagic: repl.StreamMagic,
+		StreamMagic: replStreamMagic,
 		FramesV1:    s.ingest.FramesV1,
 		FramesV2:    s.ingest.FramesV2,
 		CodecConns:  s.ingest.CodecV2Conns,
@@ -235,18 +226,11 @@ func (s *Server) Close() error {
 	firstErr := s.wire.Close()
 	// Replication goroutines (the follower stream, the heartbeater) also
 	// send commands, so they too must be gone before the loop may stop.
-	if s.repl != nil {
-		s.repl.stopFollowing()
-		s.repl.wg.Wait()
-	}
+	s.journal.stop()
 	close(s.loopStop)
 	s.loop.Wait()
-	// The state loop has exited; flush and close the WAL so everything
-	// appended is durable before the process goes away.
-	if s.wal != nil {
-		if err := s.wal.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
+	if err := s.journal.close(); err != nil && firstErr == nil {
+		firstErr = err
 	}
 	// Drain and release the span channel: nothing emits anymore, so Close
 	// delivers every buffered stage record and flushes the inner sink.
@@ -266,6 +250,23 @@ func (s *Server) dispatch(req Request) Response {
 // dispatchAt is dispatch with an explicit ingest wall stamp (the
 // WireServer stamps requests as they come off the wire).
 func (s *Server) dispatchAt(req Request, ingestWall int64) Response {
+	return s.send(command{req: req, ingestWall: ingestWall})
+}
+
+// onLoop runs fn on the state loop, alone at a flushed sequence point —
+// every record appended so far committed and published, nothing staged —
+// and returns once the loop has also committed whatever fn appended. The
+// error is fn's, or says that fn did not run (the server is closing) or
+// that the commit behind it failed.
+func (s *Server) onLoop(fn func() error) error {
+	if resp := s.send(command{fn: fn}); !resp.OK {
+		return errors.New(resp.Error)
+	}
+	return nil
+}
+
+// send hands one command to the state loop and waits for its reply.
+func (s *Server) send(cmd command) Response {
 	// Fast-fail once shutdown has begun, so new requests don't land in
 	// the command buffer just to be refused by the shutdown drain.
 	select {
@@ -273,7 +274,7 @@ func (s *Server) dispatchAt(req Request, ingestWall int64) Response {
 		return Response{OK: false, Error: ErrServerClosed.Error()}
 	default:
 	}
-	cmd := command{req: req, ingestWall: ingestWall, reply: make(chan Response, 1)}
+	cmd.reply = make(chan Response, 1)
 	select {
 	case s.cmds <- cmd:
 		// A send that races shutdown is still answered: the state loop
@@ -301,7 +302,7 @@ func (s *Server) stateLoop() {
 		// (replayRecord steps to each record's round stamp), and
 		// free-running rounds here would push the clock past the next
 		// record's admission stamp and diverge the fold.
-		if s.engine.QueueLen() == 0 || s.replFolding() {
+		if s.engine.QueueLen() == 0 || s.journal.folding() {
 			select {
 			case cmd := <-s.cmds:
 				batch = append(batch, cmd)
@@ -321,7 +322,7 @@ func (s *Server) stateLoop() {
 					// An executing event hit a hard error (invalid spec got
 					// through validation, ledger bug): surface it loudly
 					// rather than dying silently.
-					panic(fmt.Sprintf("ctl: scheduling round: %v", err))
+					s.failStop(fmt.Errorf("ctl: scheduling round: %w", err))
 				}
 				continue
 			}
@@ -338,7 +339,11 @@ func (s *Server) stateLoop() {
 			}
 		}
 		s.handleBatch(batch)
-		s.maybeCheckpoint()
+		if s.journal.checkpointDue() {
+			if err := s.checkpoint(); err != nil {
+				s.failStop(err)
+			}
+		}
 	}
 }
 
@@ -362,15 +367,22 @@ func (s *Server) drainOnClose() {
 // handleBatch processes one drained command batch (state loop only).
 // Consecutive submissions are staged — IDs assigned, overload policy
 // applied, replies computed — and admitted into the engine through one
-// EnqueueBatch before any non-submit command observes the queue, and
-// again at batch end. Replies for staged submissions are withheld until
-// their events are actually enqueued, so a client that got an OK can
-// immediately query the event's status.
+// EnqueueBatch before any other command observes the queue, and again at
+// batch end. Every other command runs alone between two flushes.
+//
+// Every reply leaves through flush, after the journal committed what the
+// commands behind it appended: a client that got an OK can immediately
+// query the event's status, and what it was told survives a crash here
+// and on every synced follower. If the commit fails nothing is
+// acknowledged — that is the fail-stop.
 func (s *Server) handleBatch(batch []command) {
 	var staged []*core.Event
 	var pending []command
 	var replies []Response
 	flush := func() {
+		if len(pending) == 0 {
+			return
+		}
 		s.engine.EnqueueBatch(staged)
 		if len(staged) > 0 {
 			// One wall stamp per flush: the whole staged batch entered the
@@ -380,10 +392,12 @@ func (s *Server) handleBatch(batch []command) {
 				s.spans.Admitted(int64(ev.ID), wall, int64(ev.Arrival))
 			}
 		}
-		// Append-before-ack: the WAL records for every staged admission
-		// must be durable (per the sync policy) before any OK goes out.
-		s.walCommit()
-		if s.wal != nil && len(staged) > 0 {
+		if err := s.journal.commit(); err != nil {
+			s.failStop(err)
+			for i := range replies {
+				replies[i] = Response{OK: false, Error: err.Error()}
+			}
+		} else if s.journal != nil && len(staged) > 0 {
 			wall := time.Now().UnixNano()
 			for _, ev := range staged {
 				s.spans.WALCommitted(int64(ev.ID), wall, int64(ev.Arrival))
@@ -396,21 +410,22 @@ func (s *Server) handleBatch(batch []command) {
 		pending, replies = pending[:0], replies[:0]
 	}
 	for _, cmd := range batch {
-		if cmd.repl != nil {
-			// Replication commands see a flushed sequence point: every
-			// frame ≤ walSeq committed and published, nothing staged.
-			flush()
-			cmd.reply <- s.handleReplCmd(cmd.repl)
-			continue
-		}
-		switch cmd.req.Op {
-		case OpSubmit, OpSubmitBatch:
+		if op := cmd.req.Op; cmd.fn == nil && (op == OpSubmit || op == OpSubmitBatch) {
 			pending = append(pending, cmd)
 			replies = append(replies, s.stageSubmit(cmd.req, cmd.ingestWall, &staged))
-		default:
-			flush()
-			cmd.reply <- s.handleRequest(cmd.req)
+			continue
 		}
+		flush()
+		var resp Response
+		if cmd.fn == nil {
+			resp = s.handleRequest(cmd.req)
+		} else if err := cmd.fn(); err != nil {
+			resp.Error = err.Error()
+		} else {
+			resp.OK = true
+		}
+		pending, replies = append(pending, cmd), append(replies, resp)
+		flush()
 	}
 	flush()
 }
@@ -424,10 +439,8 @@ func (s *Server) handleBatch(batch []command) {
 // ingestWall is the wall clock stamped when the request came off the
 // wire; it opens each accepted event's latency span.
 func (s *Server) stageSubmit(req Request, ingestWall int64, staged *[]*core.Event) Response {
-	// Only the leader admits writes: a follower's state is a fold of the
-	// leader's log, and a deposed leader writing would dual-write.
-	if r := s.repl; r != nil && r.role != roleLeader {
-		return s.notLeaderResponse()
+	if resp, ok := s.journal.writable(); !ok {
+		return resp
 	}
 	specs := req.Events
 	if req.Op == OpSubmit {
@@ -486,9 +499,7 @@ func (s *Server) stageSubmit(req Request, ingestWall int64, staged *[]*core.Even
 		recs[0].Event.BatchSize = len(recs)
 	}
 	for i := range recs {
-		if s.wal != nil {
-			s.walAppend(&recs[i])
-		}
+		s.journal.append(&recs[i])
 		ev := s.admit(recs[i].Event)
 		*staged = append(*staged, ev)
 		s.spans.Opened(int64(ev.ID), sc, ingestWall, int64(ev.Arrival))
@@ -658,44 +669,15 @@ func (s *Server) handleRequest(req Request) Response {
 			st.ShardID = s.shardID
 			st.Shards = int(s.idStride)
 		}
-		if s.walMet != nil {
-			st.WALEnabled = true
-			st.WALLastSeq = s.walMet.LastSeq.Value()
-			st.WALCheckpointSeq = s.walMet.CheckpointSeq.Value()
-			st.WALAppends = s.walMet.Appends.Value()
-			st.WALCheckpoints = s.walMet.Checkpoints.Value()
-			st.WALReplayed = s.walMet.Replayed.Value()
-			st.WALRecoveryMs = s.walMet.RecoveryMs.Value()
-		}
-		if s.wal != nil {
-			st.WALSyncPolicy = s.wal.Policy().String()
-			st.WALFsyncP50Ns = s.lat.WALFsync.Percentile(50)
-			st.WALFsyncP99Ns = s.lat.WALFsync.Percentile(99)
-			st.WALFsyncCount = s.lat.WALFsync.Count()
-		}
-		if r := s.repl; r != nil {
-			st.ReplRole = r.role
-			st.ReplTerm = r.term
-			st.ReplFollowers = int(r.nFollowers.Load())
-			st.ReplSynced = int(r.nSynced.Load())
-			if r.role == roleFollower {
-				st.ReplLagRecords = max(0, r.leaderSeq.Load()-s.walSeq)
-			} else {
-				st.ReplLagRecords = r.met.LagRecords.Value()
-			}
-			st.ReplRecordsSent = r.met.RecordsSent.Value()
-			st.ReplRecordsApplied = r.met.RecordsApplied.Value()
-			st.ReplFollowerDrops = r.met.FollowerDrops.Value()
-			st.ReplFailoverMs = r.failoverMs.Load()
-		}
+		s.journal.fillStats(st)
 		return Response{OK: true, Stats: st}
 
 	case OpTrace:
 		return Response{OK: true, Trace: s.ring.Last(req.N)}
 
 	case OpFault:
-		if r := s.repl; r != nil && r.role != roleLeader {
-			return s.notLeaderResponse()
+		if resp, ok := s.journal.writable(); !ok {
+			return resp
 		}
 		rec := wal.Record{
 			Type:   wal.TypeFault,
@@ -720,35 +702,22 @@ func (s *Server) handleRequest(req Request) Response {
 			LinksDown:     out.LinksDown,
 			RepairEventID: repairID,
 		}
-		if s.wal != nil {
-			// The minted repair ID is an outcome, so the record is only
-			// complete — and only logged — once the injection succeeded.
-			rec.Fault.RepairEventID = repairID
-			s.walAppend(&rec)
-			// Faults reply directly (not through flush), so commit here:
-			// the injection already mutated live state and must survive a
-			// crash that follows this ack.
-			s.walCommit()
-		}
+		// The minted repair ID is an outcome, so the record is only
+		// complete — and only logged — once the injection succeeded. The
+		// injection already mutated live state; the flush behind this
+		// reply commits it before the ack leaves.
+		rec.Fault.RepairEventID = repairID
+		s.journal.append(&rec)
 		return Response{OK: true, Fault: res}
 
 	case OpReplStatus:
-		if s.repl == nil {
-			return Response{OK: false, Error: "ctl: replication requires a WAL"}
+		if info := s.journal.info(); info != nil {
+			return Response{OK: true, Repl: info}
 		}
-		return Response{OK: true, Repl: s.replInfo()}
+		return Response{OK: false, Error: noWALError}
 
 	case OpReplPromote:
-		return s.handlePromote()
-
-	case opCheckpoint:
-		if s.wal == nil {
-			return Response{OK: false, Error: "ctl: WAL disabled"}
-		}
-		if err := s.doCheckpoint(); err != nil {
-			return Response{OK: false, Error: fmt.Sprintf("ctl: checkpoint: %v", err)}
-		}
-		return Response{OK: true, EventID: s.walSeq}
+		return s.journal.promote(s.drain)
 
 	default:
 		return Response{OK: false, Error: fmt.Sprintf("%v: unknown op %q", ErrBadRequest, req.Op)}

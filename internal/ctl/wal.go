@@ -27,18 +27,11 @@ import (
 	"netupdate/internal/flow"
 	"netupdate/internal/metrics"
 	"netupdate/internal/obs"
-	"netupdate/internal/repl"
 	"netupdate/internal/sim"
 	"netupdate/internal/snapshot"
 	"netupdate/internal/topology"
 	"netupdate/internal/wal"
 )
-
-// opCheckpoint is the internal checkpoint operation. It is deliberately
-// absent from knownOps: ParseRequest rejects it, so wire clients cannot
-// trigger checkpoints; only ForceCheckpoint (and the automatic cadence)
-// reaches it, always through the state loop.
-const opCheckpoint Op = "wal-checkpoint"
 
 // DefaultCheckpointEvery is the automatic checkpoint cadence: a
 // checkpoint is taken after this many WAL records have been appended
@@ -197,15 +190,9 @@ type checkpointDoc struct {
 
 // initWAL attaches an opened log to a not-yet-started server and
 // recovers its history (build, for New and NewFollower alike). On
-// success the server carries a replication hub (leader role by
-// default; NewFollower flips it before start).
-func (s *Server) initWAL(cfg WALConfig) (*RecoveryInfo, error) {
-	s.walLog = cfg.Log
-	s.walMet = obs.NewWALMetrics(s.registry)
-	s.ckptEvery = cfg.CheckpointEvery
-	if s.ckptEvery == 0 {
-		s.ckptEvery = DefaultCheckpointEvery
-	}
+// success the server carries a journal (leader role by default;
+// NewFollower flips it before start).
+func (s *Server) initWAL(cfg WALConfig, rc ReplicationConfig) (*RecoveryInfo, error) {
 	m := wal.Meta{Format: wal.FormatVersion, Scheduler: s.scheduler, Watermark: s.watermark}
 	if cfg.Meta != nil {
 		m = *cfg.Meta
@@ -217,38 +204,15 @@ func (s *Server) initWAL(cfg WALConfig) (*RecoveryInfo, error) {
 		m.Shard = s.shardID
 		m.Shards = int(s.idStride)
 	}
-	meta := &m
-	s.walMeta = m
-	// Reject a mismatched world before replaying anything into it: a log
-	// written under a different scheduler/seed/topology would not merely
-	// fail to converge, it would corrupt the recovery with plausible
-	// wrong state.
-	if lm := cfg.Log.Meta(); lm != nil {
-		if err := lm.Check(meta); err != nil {
-			return nil, err
-		}
-	}
-
-	started := time.Now()
-	info := &RecoveryInfo{}
-	afterSeq := int64(0)
-	if ckpt := cfg.Log.Checkpoint(); ckpt != nil {
-		if err := s.restoreCheckpoint(ckpt); err != nil {
-			return nil, err
-		}
-		afterSeq = ckpt.ID.Seq
-		info.Recovered = true
-		info.CheckpointSeq = ckpt.ID.Seq
-		s.walMet.CheckpointSeq.Set(ckpt.ID.Seq)
-	}
-	ri, err := cfg.Log.Replay(afterSeq, s.replayRecord)
+	j, err := newJournal(cfg, m, rc, s.registry, s.lat.WALFsync, s.closing)
 	if err != nil {
 		return nil, err
 	}
-	info.ReplayedRecords = ri.Records
-	info.Recovered = info.Recovered || ri.Records > 0
-	info.LastSeq = cfg.Log.LastSeq()
-	s.walMet.Replayed.Add(int64(ri.Records))
+	started := time.Now()
+	info, err := j.replay(s.restoreCheckpoint, s.replayRecord)
+	if err != nil {
+		return nil, err
+	}
 
 	// Drain the replayed backlog before serving. Replay only steps the
 	// engine to the last record's round stamp, which can leave admitted
@@ -262,150 +226,42 @@ func (s *Server) initWAL(cfg WALConfig) (*RecoveryInfo, error) {
 	// A follower boot must NOT drain: the leader stamps later records
 	// against its own mid-cascade rounds, so the fold has to resume from
 	// exactly the replayed state. The drain happens at promotion instead.
-	if !cfg.followerBoot {
-		if err := s.stepUntil(quiescence); err != nil {
-			return nil, fmt.Errorf("ctl: draining replayed backlog: %w", err)
-		}
+	// Either way the instantaneous gauges are refreshed: a scrape between
+	// recovery and the first round must already see the continuous
+	// world, not zeros.
+	if cfg.followerBoot {
+		s.refreshGauges()
+	} else if err := s.drain(); err != nil {
+		return nil, fmt.Errorf("ctl: draining replayed backlog: %w", err)
 	}
 
-	// Refresh the instantaneous gauges from the recovered state: a
-	// scrape between recovery and the first round must already see the
-	// continuous world, not zeros.
-	s.refreshGauges()
-
-	w, err := cfg.Log.OpenWriter(meta,
-		wal.ID{VT: int64(s.engine.Clock()), Seq: cfg.Log.LastSeq()}, s.engine.Rounds())
-	if err != nil {
+	if err := j.open(int64(s.engine.Clock()), s.engine.Rounds()); err != nil {
 		return nil, err
 	}
-	s.wal = w
-	s.attachFsyncObserver()
-	s.walSeq = w.LastSeq()
-	s.walMet.LastSeq.Set(s.walSeq)
-
 	info.Elapsed = time.Since(started)
-	s.walMet.RecoveryMs.Set(info.Elapsed.Milliseconds())
+	j.met.RecoveryMs.Set(info.Elapsed.Milliseconds())
 
-	// Every WAL-backed server carries the replication hub: it accepts
-	// follower sessions (up to its configured cap) and its persisted
-	// term fences split-brain after a promotion elsewhere.
-	term, err := repl.LoadTerm(cfg.Log.Dir())
-	if err != nil {
-		return nil, err
-	}
-	s.repl = newReplState(s, term, s.replCfg)
-	s.repl.wg.Add(1)
-	go s.replHeartbeats()
+	s.journal = j
+	j.wg.Add(1)
+	go j.heartbeats()
 	return info, nil
 }
 
 // ForceCheckpoint takes a checkpoint now (blocking until the state loop
 // has taken it) and truncates the log behind it.
-func (s *Server) ForceCheckpoint() error {
-	resp := s.dispatch(Request{Op: opCheckpoint})
-	if !resp.OK {
-		return errors.New(resp.Error)
-	}
-	return nil
-}
+func (s *Server) ForceCheckpoint() error { return s.onLoop(s.checkpoint) }
 
-// walAppend appends one record, assigning it the next sequence number.
-// State loop only. A failed append is fail-stop: the record may be
-// half-written and every later ack would rest on it.
-func (s *Server) walAppend(rec *wal.Record) {
-	rec.ID.Seq = s.walSeq + 1
-	_, b0, _, _ := s.wal.Stats()
-	if err := s.wal.Append(rec); err != nil {
-		panic(fmt.Sprintf("ctl: wal append: %v", err))
+// checkpoint freezes the folded state into the journal (state loop
+// only, at a flushed sequence point).
+func (s *Server) checkpoint() error {
+	if s.journal == nil {
+		return errors.New("ctl: WAL disabled")
 	}
-	s.walSeq = rec.ID.Seq
-	s.sinceCkpt++
-	_, b1, _, _ := s.wal.Stats()
-	s.walMet.Appends.Inc()
-	s.walMet.Bytes.Add(b1 - b0)
-	s.walMet.LastSeq.Set(s.walSeq)
-	// Stage the record's frame for replication; it is published only at
-	// commit, so a follower never holds records the leader could lose.
-	if s.repl != nil {
-		s.repl.stage(rec)
-	}
-}
-
-// walCommit makes every appended record durable per the sync policy.
-// Called before replies are released (append-before-ack). No-op without
-// a WAL or with nothing appended since the last commit.
-func (s *Server) walCommit() {
-	if s.wal == nil {
-		return
-	}
-	_, _, c0, y0 := s.wal.Stats()
-	if err := s.wal.Commit(); err != nil {
-		panic(fmt.Sprintf("ctl: wal commit: %v", err))
-	}
-	_, _, c1, y1 := s.wal.Stats()
-	s.walMet.Commits.Add(c1 - c0)
-	s.walMet.Syncs.Add(y1 - y0)
-	// Group replication rides the group commit: publish what this commit
-	// made durable, then hold the reply release until every synced
-	// follower acked it (or timed out and was dropped).
-	if r := s.repl; r != nil && r.role == roleLeader {
-		r.publish()
-		r.gate(s.walSeq)
-	}
-}
-
-// maybeCheckpoint runs the automatic checkpoint cadence (state loop
-// only, between command batches).
-func (s *Server) maybeCheckpoint() {
-	if s.wal == nil || s.ckptEvery <= 0 || s.sinceCkpt < s.ckptEvery {
-		return
-	}
-	// A follower checkpoints only on the leader's announcement, keeping
-	// both logs rotating at identical sequences.
-	if r := s.repl; r != nil && r.role == roleFollower {
-		return
-	}
-	if err := s.doCheckpoint(); err != nil {
-		panic(fmt.Sprintf("ctl: checkpoint: %v", err))
-	}
-}
-
-// doCheckpoint freezes the folded state, rotates the log onto a fresh
-// segment based at the current sequence, and purges covered segments.
-// State loop only.
-func (s *Server) doCheckpoint() error {
 	state, err := json.Marshal(s.buildCheckpoint())
 	if err != nil {
-		return err
+		return fmt.Errorf("ctl: checkpoint: %w", err)
 	}
-	id := wal.ID{VT: int64(s.engine.Clock()), Seq: s.walSeq}
-	w, err := s.walLog.Rotate(s.wal, state, id, s.engine.Rounds())
-	if err != nil {
-		// Rotate closed the old writer; the server cannot append anymore.
-		// Surface the error — the next append will be fail-stop.
-		return err
-	}
-	if w == s.wal {
-		// Nothing appended since the segment's base: the log kept its
-		// writer and its checkpoint, and there is nothing to announce.
-		return nil
-	}
-	s.wal = w
-	s.attachFsyncObserver()
-	s.sinceCkpt = 0
-	s.walMet.Checkpoints.Inc()
-	s.walMet.CheckpointSeq.Set(id.Seq)
-	if r := s.repl; r != nil && r.role == roleLeader && r.nFollowers.Load() > 0 {
-		r.announce(id, s.engine.Rounds())
-	}
-	return nil
-}
-
-// attachFsyncObserver routes the writer's per-fsync wall durations into
-// the fsync latency histogram. Re-attached after every segment rotation
-// (Rotate returns a fresh writer).
-func (s *Server) attachFsyncObserver() {
-	s.wal.SetSyncObserver(func(ns int64) { s.lat.WALFsync.Observe(ns) })
+	return s.journal.checkpoint(state, int64(s.engine.Clock()), s.engine.Rounds())
 }
 
 // buildCheckpoint captures the full controller state (state loop only).
@@ -627,6 +483,14 @@ func (s *Server) replayRecord(rec *wal.Record) error {
 
 // quiescence as a stepUntil target runs the queue dry.
 const quiescence = math.MaxInt64
+
+// drain runs the queue dry — what recovery and promotion do before they
+// serve — and refreshes the gauges from where that left the world.
+func (s *Server) drain() error {
+	err := s.stepUntil(quiescence)
+	s.refreshGauges()
+	return err
+}
 
 // stepUntil runs scheduling rounds until the engine has completed target
 // rounds or has no work left, whichever comes first.

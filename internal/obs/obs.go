@@ -7,7 +7,7 @@
 //     simulation's virtual clock: one span per event lifecycle (arrival →
 //     queued → probed → planned → installing → complete) and one round
 //     record per scheduling decision, carrying the α+1 sampled candidates,
-//     each probe's cost/cache-hit/evals, the chosen head, the P-LMTF
+//     each probe's cost/evals/admittable flows, the chosen head, the P-LMTF
 //     co-scheduled set and the per-lane resource claims. Records flow
 //     through a pluggable Sink (JSONL file, ring buffer, or nothing).
 //     Because no wall-clock value ever enters a record, traces from equal

@@ -219,40 +219,16 @@ func LoadTerm(dir string) (uint64, error) {
 	return doc.Term, nil
 }
 
-// SaveTerm durably persists term in dir (write, fsync, rename, dir
-// fsync). A promotion must persist its new term before serving writes:
-// the term is the fence that lets the old leader learn it was deposed.
+// SaveTerm durably persists term in dir (wal.WriteFileAtomic, as the
+// checkpoint is). A promotion must persist its new term before serving
+// writes: the term is the fence that lets the old leader learn it was
+// deposed.
 func SaveTerm(dir string, term uint64) error {
 	data, err := json.Marshal(termDoc{Term: term})
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(dir, termName+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("repl: persist term: %w", err)
-	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName)
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("repl: persist term: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("repl: persist term: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("repl: persist term: %w", err)
-	}
-	if err := os.Rename(tmpName, filepath.Join(dir, termName)); err != nil {
-		return fmt.Errorf("repl: persist term: %w", err)
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("repl: persist term: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
+	if err := wal.WriteFileAtomic(dir, termName, data); err != nil {
 		return fmt.Errorf("repl: persist term: %w", err)
 	}
 	return nil

@@ -79,9 +79,9 @@ type Config struct {
 	SerialPlanning bool
 	// Mode selects the completion semantics (default InstallOnly).
 	Mode CompletionMode
-	// ReleaseFlows releases an event flow's bandwidth once its transfer
-	// finishes, modeling finite update flows (default true; set
-	// KeepFlows to retain them forever instead).
+	// KeepFlows retains an event flow's bandwidth forever. The default
+	// (false) releases it once the flow's transfer finishes, modeling
+	// finite update flows.
 	KeepFlows bool
 	// InstallRetryBase and InstallRetryCap shape the capped exponential
 	// backoff after a timed-out rule install: retry i waits

@@ -381,12 +381,12 @@ func (l *Log) InstallCheckpoint(ck *Checkpoint) error {
 	if err != nil {
 		return err
 	}
-	if err := writeFileAtomic(l.dir, checkpointName, data); err != nil {
+	if err := WriteFileAtomic(l.dir, checkpointName, data); err != nil {
 		return err
 	}
 	if l.keep {
 		archive := fmt.Sprintf("checkpoint-%016x.json", ck.ID.Seq)
-		if err := writeFileAtomic(l.dir, archive, data); err != nil {
+		if err := WriteFileAtomic(l.dir, archive, data); err != nil {
 			return err
 		}
 	}
@@ -498,14 +498,14 @@ func (l *Log) Rotate(w *Writer, state []byte, id ID, rounds int64) (*Writer, err
 	if err != nil {
 		return nil, err
 	}
-	if err := writeFileAtomic(l.dir, checkpointName, data); err != nil {
+	if err := WriteFileAtomic(l.dir, checkpointName, data); err != nil {
 		return nil, err
 	}
 	if l.keep {
 		// Archive the checkpoint under its seq so historical crash images
 		// can be reconstructed at any prefix.
 		archive := fmt.Sprintf("checkpoint-%016x.json", id.Seq)
-		if err := writeFileAtomic(l.dir, archive, data); err != nil {
+		if err := WriteFileAtomic(l.dir, archive, data); err != nil {
 			return nil, err
 		}
 	}
@@ -540,7 +540,11 @@ func cloneMeta(m *Meta) *Meta {
 	return &cp
 }
 
-func writeFileAtomic(dir, name string, data []byte) error {
+// WriteFileAtomic durably replaces dir/name with data: temp file, write,
+// fsync, rename, directory fsync. A crash leaves the old file or the new
+// one, never a torn mix. The checkpoint and the replication term (the
+// two files beside the segments) are both written this way.
+func WriteFileAtomic(dir, name string, data []byte) error {
 	tmp, err := os.CreateTemp(dir, name+".tmp*")
 	if err != nil {
 		return err

@@ -24,8 +24,6 @@ type Writer struct {
 	lastSeq int64
 	dirty   bool
 
-	appends int64
-	bytes   int64
 	commits int64
 	syncs   int64
 
@@ -56,11 +54,14 @@ func (w *Writer) Policy() SyncPolicy { return w.policy }
 // owning goroutine, synchronously inside Commit.
 func (w *Writer) SetSyncObserver(fn func(ns int64)) { w.syncObserver = fn }
 
-// Stats returns lifetime counters for this writer: records appended,
-// payload+frame bytes written, commits, and fsyncs issued.
-func (w *Writer) Stats() (appends, bytes, commits, syncs int64) {
-	return w.appends, w.bytes, w.commits, w.syncs
-}
+// Stats returns lifetime counters for this writer: commits that had
+// something to flush, and fsyncs issued.
+func (w *Writer) Stats() (commits, syncs int64) { return w.commits, w.syncs }
+
+// LastFrame returns the encoded frame (header and payload) of the last
+// successful Append — the bytes replication ships, so a record is
+// encoded once. The slice is valid until the next Append.
+func (w *Writer) LastFrame() []byte { return w.buf }
 
 // Append encodes rec and buffers it. rec.ID.Seq must be exactly
 // lastSeq+1 (meta records, which carry the segment base, are exempt).
@@ -70,18 +71,17 @@ func (w *Writer) Append(rec *Record) error {
 		return fmt.Errorf("%w: append seq %d after %d", ErrSeq, rec.ID.Seq, w.lastSeq)
 	}
 	buf, err := AppendFrame(w.buf[:0], rec)
-	w.buf = buf[:0]
 	if err != nil {
+		w.buf = buf[:0]
 		return err
 	}
+	w.buf = buf
 	if _, err := w.bw.Write(buf); err != nil {
 		return err
 	}
 	if rec.Type != TypeMeta {
 		w.lastSeq = rec.ID.Seq
 	}
-	w.appends++
-	w.bytes += int64(len(buf))
 	w.dirty = true
 	if w.policy == SyncAlways {
 		return w.Commit()
