@@ -2,10 +2,8 @@ package ctl
 
 import (
 	"bufio"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -85,37 +83,6 @@ func (c *Client) Close() error {
 	return c.conn.Close()
 }
 
-// readResponseFrame reads one complete binary response frame from br,
-// reusing scratch, and decodes it.
-func readResponseFrame(br *bufio.Reader, scratch []byte) (*Response, []byte, error) {
-	if cap(scratch) < FrameHeaderSize {
-		scratch = make([]byte, FrameHeaderSize)
-	}
-	header := scratch[:FrameHeaderSize]
-	if _, err := io.ReadFull(br, header); err != nil {
-		return nil, scratch, err
-	}
-	if header[0] != FrameMagic {
-		return nil, scratch, fmt.Errorf("%w: bad response magic 0x%02x", ErrBadRequest, header[0])
-	}
-	n := binary.LittleEndian.Uint32(header[4:8])
-	if n > MaxFramePayload {
-		return nil, scratch, fmt.Errorf("%w: response payload %d exceeds %d", ErrBadRequest, n, MaxFramePayload)
-	}
-	need := FrameHeaderSize + int(n)
-	if cap(scratch) < need {
-		grown := make([]byte, need)
-		copy(grown, header)
-		scratch = grown
-	}
-	scratch = scratch[:need]
-	if _, err := io.ReadFull(br, scratch[FrameHeaderSize:]); err != nil {
-		return nil, scratch, err
-	}
-	resp, err := decodeResponseFrame(scratch)
-	return resp, scratch, err
-}
-
 // EnableSpans attaches a latency span context (origin identity + submit
 // wall stamp) to every subsequent submit and submit-batch request. On
 // the binary codec the context rides behind a flag bit that pre-span
@@ -168,9 +135,13 @@ func (c *Client) roundTrip(req Request) (Response, error) {
 		if _, err := c.conn.Write(frame); err != nil {
 			return Response{}, fmt.Errorf("ctl: send %s: %w", req.Op, err)
 		}
-		rp, scratch, err := readResponseFrame(c.br, c.buf)
-		if cap(scratch) > cap(c.buf) {
-			c.buf = scratch[:0]
+		in, err := readFrame(c.br, c.buf)
+		if cap(in) > cap(c.buf) {
+			c.buf = in[:0]
+		}
+		var rp *Response
+		if err == nil {
+			rp, err = decodeResponseFrame(in)
 		}
 		if err != nil {
 			return Response{}, fmt.Errorf("ctl: recv %s: %w", req.Op, err)

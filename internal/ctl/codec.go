@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 
 	"netupdate/internal/obs"
 )
@@ -90,6 +91,35 @@ const (
 	maxFlowsPerEvent  = 1 << 16
 	maxVerdictsDecode = 1 << 20
 )
+
+// readFrame reads one binary v2 frame, header and payload, from r into
+// buf (grown when too small) and returns it. A header with the wrong
+// magic or a length past MaxFramePayload wraps ErrBadRequest: the stream
+// cannot be resynchronized past it. Read errors come back as they are.
+// Decoding is the caller's — ParseRequest for requests,
+// decodeResponseFrame for responses.
+func readFrame(r io.Reader, buf []byte) ([]byte, error) {
+	if cap(buf) < FrameHeaderSize {
+		buf = make([]byte, FrameHeaderSize, 4096)
+	}
+	buf = buf[:FrameHeaderSize]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return buf, err
+	}
+	n := binary.LittleEndian.Uint32(buf[4:8])
+	if buf[0] != FrameMagic || n > MaxFramePayload {
+		return buf, fmt.Errorf("%w: bad frame header", ErrBadRequest)
+	}
+	need := FrameHeaderSize + int(n)
+	if cap(buf) < need {
+		grown := make([]byte, need)
+		copy(grown, buf)
+		buf = grown
+	}
+	buf = buf[:need]
+	_, err := io.ReadFull(r, buf[FrameHeaderSize:])
+	return buf, err
+}
 
 // putHeader writes a frame header in place.
 func putHeader(h []byte, kind, flags byte, payloadLen int) {

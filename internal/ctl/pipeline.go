@@ -168,10 +168,13 @@ func (p *Pipeline) SubmitBatch(events []EventSpec, retry bool) error {
 func (p *Pipeline) readLoop() {
 	defer close(p.readerDone)
 	br := bufio.NewReaderSize(p.conn, 64<<10)
-	var scratch []byte
+	var frame []byte
 	for {
-		resp, s, err := readResponseFrame(br, scratch)
-		scratch = s
+		var resp *Response
+		var err error
+		if frame, err = readFrame(br, frame); err == nil {
+			resp, err = decodeResponseFrame(frame)
+		}
 		if err != nil {
 			p.fail(err)
 			break

@@ -1,12 +1,14 @@
 package ctl
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -461,6 +463,134 @@ func TestReplFailoverFoldEquivalenceAtEveryPrefix(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestReplLogsByteEqual pins what a follower's log is: the leader's,
+// frame for frame. The follower decodes each replicated record and
+// appends it through its own writer, which encodes it again, so the
+// equality rests on the record encoding being canonical. The workload
+// crosses every branch of that encoding — span-context events from a
+// pipelined client, retried batches, batch-size stamps, faults — after
+// a checkpoint rotation both logs take at the same sequence.
+func TestReplLogsByteEqual(t *testing.T) {
+	leaderDir := filepath.Join(t.TempDir(), "leader")
+	followerDir := filepath.Join(t.TempDir(), "follower")
+	leaderSrv, leaderClient, leaderAddr, ft := startReplLeader(t, leaderDir, -1)
+	followerSrv, followerClient := startReplFollower(t, followerDir, leaderAddr, leaderSrv.journal.meta, -1, 0)
+
+	var (
+		mu      sync.Mutex
+		results []BatchResult
+	)
+	pipe, err := DialPipeline(leaderAddr, 4, func(r BatchResult) {
+		mu.Lock()
+		results = append(results, r)
+		mu.Unlock()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe.EnableSpans(7)
+	chunks := walWorkload(ft, 51, 5, 3)
+	for i, ch := range chunks {
+		if i == 1 {
+			// Rotate once the first batch is in the log.
+			waitFor(t, 10*time.Second, "the first batch's verdicts", func() bool {
+				mu.Lock()
+				defer mu.Unlock()
+				return len(results) > 0
+			})
+			if err := leaderSrv.ForceCheckpoint(); err != nil {
+				t.Fatalf("ForceCheckpoint: %v", err)
+			}
+		}
+		if err := pipe.SubmitBatch(ch.specs, i%2 == 0); err != nil {
+			t.Fatalf("SubmitBatch: %v", err)
+		}
+		if ch.fault != nil {
+			if _, err := leaderClient.Fault(*ch.fault); err != nil {
+				t.Fatalf("Fault(%s): %v", ch.fault.Action, err)
+			}
+		}
+	}
+	if err := pipe.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range results {
+		if r.Err != nil {
+			t.Fatalf("pipelined batch: %v", r.Err)
+		}
+	}
+	st, err := leaderClient.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitCaughtUp(t, followerClient, st.WALLastSeq)
+	waitFor(t, 10*time.Second, "follower to take the leader's checkpoint", func() bool {
+		fst, err := followerClient.Stats()
+		if err != nil {
+			t.Fatalf("Stats: %v", err)
+		}
+		return fst.WALCheckpointSeq == st.WALCheckpointSeq
+	})
+	if st.WALCheckpointSeq == 0 {
+		t.Fatal("the leader never rotated")
+	}
+	if err := followerSrv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := leaderSrv.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Both logs hold (checkpoint, last]: the rotation purged the rest.
+	frames := func(dir string) ([][]byte, []*wal.Record) {
+		log, err := wal.Open(dir)
+		if err != nil {
+			t.Fatalf("wal.Open(%s): %v", dir, err)
+		}
+		var fs [][]byte
+		var recs []*wal.Record
+		err = wal.EmitFrames(log.Segments(), st.WALCheckpointSeq, st.WALLastSeq, func(frame []byte, rec *wal.Record) error {
+			fs = append(fs, append([]byte(nil), frame...))
+			recs = append(recs, rec)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("EmitFrames(%s): %v", dir, err)
+		}
+		return fs, recs
+	}
+	want, recs := frames(leaderDir)
+	got, _ := frames(followerDir)
+	if len(got) != len(want) {
+		t.Fatalf("follower emits %d records over (%d, %d], leader %d", len(got), st.WALCheckpointSeq, st.WALLastSeq, len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("seq %d differs:\n leader   %x\n follower %x", recs[i].ID.Seq, want[i], got[i])
+		}
+	}
+	var faults, spans, retries, batches int
+	for _, rec := range recs {
+		if rec.Type == wal.TypeFault {
+			faults++
+			continue
+		}
+		if rec.Event.Origin != 0 {
+			spans++
+		}
+		if rec.Event.Retry {
+			retries++
+		}
+		if rec.Event.BatchSize > 0 {
+			batches++
+		}
+	}
+	if faults == 0 || spans == 0 || retries == 0 || batches == 0 {
+		t.Fatalf("compared range lacks a branch: %d faults, %d span events, %d retried, %d batch stamps",
+			faults, spans, retries, batches)
 	}
 }
 

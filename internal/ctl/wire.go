@@ -2,11 +2,9 @@ package ctl
 
 import (
 	"bufio"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -213,7 +211,6 @@ func (w *WireServer) serveBinary(conn net.Conn, br *bufio.Reader) {
 		defer w.CodecConns.Add(-1)
 	}
 	bw := bufio.NewWriterSize(conn, 64<<10)
-	header := make([]byte, FrameHeaderSize)
 	var frame, out []byte
 	for {
 		// Flush pending responses before a blocking read: if the client
@@ -223,28 +220,17 @@ func (w *WireServer) serveBinary(conn net.Conn, br *bufio.Reader) {
 				return
 			}
 		}
-		if _, err := io.ReadFull(br, header); err != nil {
-			return
-		}
-		n := binary.LittleEndian.Uint32(header[4:8])
-		if header[0] != FrameMagic || n > MaxFramePayload {
+		var err error
+		frame, err = readFrame(br, frame)
+		if errors.Is(err, ErrBadRequest) {
 			// The stream cannot be resynchronized past a corrupt header;
 			// answer the error and drop the connection.
-			if out, err := AppendResponseFrame(out[:0], &Response{
-				OK: false, Error: fmt.Sprintf("%v: bad frame header", ErrBadRequest),
-			}); err == nil {
-				_, _ = bw.Write(out)
-			}
+			out, _ = AppendResponseFrame(out[:0], &Response{OK: false, Error: err.Error()})
+			_, _ = bw.Write(out)
 			_ = bw.Flush()
 			return
 		}
-		need := FrameHeaderSize + int(n)
-		if cap(frame) < need {
-			frame = make([]byte, need)
-		}
-		frame = frame[:need]
-		copy(frame, header)
-		if _, err := io.ReadFull(br, frame[FrameHeaderSize:]); err != nil {
+		if err != nil {
 			return
 		}
 		req, err := ParseRequest(frame)

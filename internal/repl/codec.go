@@ -1,8 +1,10 @@
 // Replication stream framing.
 //
 // A replication session is a single long-lived TCP connection carrying
-// length-prefixed, CRC-framed messages in both directions (frames
-// leader→follower, acks follower→leader):
+// framed messages in both directions (frames leader→follower, acks
+// follower→leader). A frame is a 4-byte preamble followed by one WAL
+// envelope (wal.AppendEnvelope / wal.ReadEnvelope), so the length cap,
+// the CRC and the torn/corrupt taxonomy are the log's own:
 //
 //	byte 0     StreamMagic (0xB9; distinct from the ctl binary frame
 //	           magic 0xB7 and from any JSON document, so the ctl
@@ -10,22 +12,25 @@
 //	byte 1     StreamVersion
 //	byte 2     frame kind (Kind*)
 //	byte 3     flags (kind-specific)
-//	bytes 4-7  u32 little-endian payload length
-//	bytes 8-11 u32 little-endian CRC-32C (Castagnoli) of the payload
+//	bytes 4-7  envelope: u32 little-endian payload length
+//	bytes 8-11 envelope: u32 little-endian CRC-32C of the payload
 //	bytes 12-  payload
 //
 // A KindRecords payload is a concatenation of raw WAL frames exactly as
-// they sit in the leader's segment files — the follower re-parses them
-// with wal.ReadFrame and appends the identical bytes to its own log, so
-// leader and follower logs stay frame-for-frame comparable.
+// they sit in the leader's segment files. The follower decodes them with
+// wal.ReadFrame and appends the decoded records through its own writer,
+// which encodes each one again. The record encoding is canonical —
+// encoding a decoded frame gives back its bytes — so leader and follower
+// logs stay frame-for-frame equal (pinned by ctl's format goldens and its
+// leader/follower log comparison).
 package repl
 
 import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 
 	"netupdate/internal/wal"
@@ -36,11 +41,14 @@ const (
 	StreamMagic byte = 0xB9
 	// StreamVersion is the replication protocol version.
 	StreamVersion = 1
-	// HeaderSize is the fixed frame header length.
-	HeaderSize = 12
-	// MaxPayload bounds a frame's payload (16 MiB), limiting what a
+	// HeaderSize is the fixed frame header length: the preamble, then
+	// the envelope's length and CRC.
+	HeaderSize = preambleSize + 8
+	// MaxPayload is the envelope's payload cap (16 MiB), limiting what a
 	// malformed length field can make the receiver allocate.
 	MaxPayload = 1 << 24
+
+	preambleSize = 4
 )
 
 // Frame kinds.
@@ -69,8 +77,6 @@ const (
 // snapshot rather than a rotation announcement.
 const FlagBootstrap byte = 1 << 0
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
 // Message is one decoded replication frame. Exactly one payload field
 // matching Kind is set.
 type Message struct {
@@ -89,20 +95,10 @@ type Message struct {
 	Ack       *Ack
 }
 
-// appendFrame frames payload with kind/flags onto dst.
+// appendFrame frames payload with kind/flags onto dst: the preamble,
+// then the envelope.
 func appendFrame(dst []byte, kind, flags byte, payload []byte) ([]byte, error) {
-	if len(payload) > MaxPayload {
-		return dst, fmt.Errorf("repl: frame payload %d exceeds cap %d", len(payload), MaxPayload)
-	}
-	var h [HeaderSize]byte
-	h[0] = StreamMagic
-	h[1] = StreamVersion
-	h[2] = kind
-	h[3] = flags
-	binary.LittleEndian.PutUint32(h[4:8], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(h[8:12], crc32.Checksum(payload, castagnoli))
-	dst = append(dst, h[:]...)
-	return append(dst, payload...), nil
+	return wal.AppendEnvelope(append(dst, StreamMagic, StreamVersion, kind, flags), payload)
 }
 
 // AppendHello frames a Hello onto dst.
@@ -160,43 +156,31 @@ func AppendAck(dst []byte, seq int64) ([]byte, error) {
 // ReadMessage reads and decodes exactly one replication frame from r.
 // scratch is an optional reuse buffer; the returned slice is the
 // (possibly grown) buffer to pass back in. io.EOF marks a clean
-// boundary before any header byte; io.ErrUnexpectedEOF a torn frame;
-// ErrCorrupt a CRC mismatch or malformed payload.
+// boundary before any preamble byte; io.ErrUnexpectedEOF a torn frame;
+// ErrCorrupt a bad preamble, a CRC mismatch or a malformed payload.
+// Other read errors (a deadline, a closed connection) come back as is.
 func ReadMessage(r io.Reader, scratch []byte) (*Message, []byte, error) {
-	var h [HeaderSize]byte
-	if _, err := io.ReadFull(r, h[:1]); err != nil {
+	var pre [preambleSize]byte
+	if _, err := io.ReadFull(r, pre[:]); err != nil {
 		return nil, scratch, err
 	}
-	if h[0] != StreamMagic {
-		return nil, scratch, fmt.Errorf("%w: bad magic 0x%02x", ErrCorrupt, h[0])
+	if pre[0] != StreamMagic {
+		return nil, scratch, fmt.Errorf("%w: bad magic 0x%02x", ErrCorrupt, pre[0])
 	}
-	if _, err := io.ReadFull(r, h[1:]); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
+	if pre[1] != StreamVersion {
+		return nil, scratch, fmt.Errorf("%w: unsupported stream version %d", ErrCorrupt, pre[1])
+	}
+	scratch, err := wal.ReadEnvelope(r, scratch)
+	switch {
+	case err == io.EOF:
+		// The preamble already began the frame.
+		return nil, scratch, io.ErrUnexpectedEOF
+	case errors.Is(err, wal.ErrCorrupt):
+		return nil, scratch, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	case err != nil:
 		return nil, scratch, err
 	}
-	if h[1] != StreamVersion {
-		return nil, scratch, fmt.Errorf("%w: unsupported stream version %d", ErrCorrupt, h[1])
-	}
-	n := binary.LittleEndian.Uint32(h[4:8])
-	if n > MaxPayload {
-		return nil, scratch, fmt.Errorf("%w: frame payload %d exceeds cap %d", ErrCorrupt, n, MaxPayload)
-	}
-	if cap(scratch) < int(n) {
-		scratch = make([]byte, n)
-	}
-	scratch = scratch[:n]
-	if _, err := io.ReadFull(r, scratch); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, scratch, err
-	}
-	if crc32.Checksum(scratch, castagnoli) != binary.LittleEndian.Uint32(h[8:12]) {
-		return nil, scratch, fmt.Errorf("%w: payload CRC mismatch", ErrCorrupt)
-	}
-	m, err := decodeMessage(h[2], h[3], scratch)
+	m, err := decodeMessage(pre[2], pre[3], scratch[HeaderSize-preambleSize:])
 	return m, scratch, err
 }
 

@@ -9,13 +9,16 @@ import (
 	"math"
 )
 
-// Frame layout:
+// Envelope layout, the one CRC framing of this package and of the
+// replication stream (internal/repl puts a 4-byte preamble in front of
+// it):
 //
 //	u32  payload length (little endian)
 //	u32  CRC-32C (Castagnoli) of the payload bytes
 //	payload
 //
-// Payload layout (common header, then a per-type body):
+// A WAL frame is an envelope around one record payload. Payload layout
+// (common header, then a per-type body):
 //
 //	u8   record type
 //	u64  seq
@@ -41,9 +44,10 @@ const (
 	frameHeaderSize = 8
 	recHeaderSize   = 1 + 8 + 8 + 8
 
-	// maxFramePayload bounds a frame so a corrupt length prefix cannot
-	// drive a giant allocation. Checkpoint state lives outside the log,
-	// so real payloads are small (a meta record or one event's flows).
+	// maxFramePayload (16 MiB) bounds an envelope so a corrupt length
+	// prefix cannot drive a giant allocation. Log payloads are small (a
+	// meta record or one event's flows); the largest envelopes are the
+	// replication stream's checkpoint snapshots.
 	maxFramePayload = 1 << 24
 
 	eventFlagRetry = 1 << 0
@@ -59,12 +63,67 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// AppendEnvelope appends payload to dst inside one envelope.
+func AppendEnvelope(dst, payload []byte) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // header, sealed below
+	return sealEnvelope(append(dst, payload...), start)
+}
+
+// sealEnvelope fills in the header reserved at dst[start:] for the
+// payload appended after it.
+func sealEnvelope(dst []byte, start int) ([]byte, error) {
+	payload := dst[start+frameHeaderSize:]
+	if len(payload) > maxFramePayload {
+		return dst, fmt.Errorf("wal: frame payload %d exceeds cap %d", len(payload), maxFramePayload)
+	}
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, castagnoli))
+	return dst, nil
+}
+
+// ReadEnvelope reads one envelope from r into buf (grown when too small)
+// and returns it whole, header and payload. It returns io.EOF at a clean
+// boundary, io.ErrUnexpectedEOF when r ends inside the envelope (a torn
+// tail), ErrCorrupt for a length past the cap or a CRC mismatch, and any
+// other read error as it came.
+func ReadEnvelope(r io.Reader, buf []byte) ([]byte, error) {
+	if cap(buf) < frameHeaderSize {
+		buf = make([]byte, frameHeaderSize, 4096)
+	}
+	buf = buf[:frameHeaderSize]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return buf, err
+	}
+	n := binary.LittleEndian.Uint32(buf)
+	if n > maxFramePayload {
+		return buf, fmt.Errorf("%w: frame length %d exceeds cap %d", ErrCorrupt, n, maxFramePayload)
+	}
+	total := frameHeaderSize + int(n)
+	if cap(buf) < total {
+		grown := make([]byte, total)
+		copy(grown, buf)
+		buf = grown
+	}
+	buf = buf[:total]
+	payload := buf[frameHeaderSize:]
+	if _, err := io.ReadFull(r, payload); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return buf, err
+	}
+	if got, want := crc32.Checksum(payload, castagnoli), binary.LittleEndian.Uint32(buf[4:]); got != want {
+		return buf, fmt.Errorf("%w: crc mismatch (stored %08x, computed %08x)", ErrCorrupt, want, got)
+	}
+	return buf, nil
+}
+
 // AppendFrame encodes rec as one frame and appends it to dst.
 func AppendFrame(dst []byte, rec *Record) ([]byte, error) {
 	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // frame header placeholder
+	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // envelope header, sealed below
 
-	p := len(dst)
 	dst = append(dst, byte(rec.Type))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(rec.ID.Seq))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(rec.ID.VT))
@@ -126,14 +185,7 @@ func AppendFrame(dst []byte, rec *Record) ([]byte, error) {
 	default:
 		return dst, fmt.Errorf("wal: unknown record type %d", rec.Type)
 	}
-
-	payload := dst[p:]
-	if len(payload) > maxFramePayload {
-		return dst, fmt.Errorf("wal: frame payload %d exceeds cap %d", len(payload), maxFramePayload)
-	}
-	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, castagnoli))
-	return dst, nil
+	return sealEnvelope(dst, start)
 }
 
 // DecodePayload decodes one frame payload (the bytes after the frame
@@ -218,43 +270,16 @@ func decodeEventBody(body []byte) (*EventRecord, error) {
 	return ev, nil
 }
 
-// ReadFrame reads one frame from r and decodes its payload. It returns
-// io.EOF at a clean record boundary and io.ErrUnexpectedEOF when the
-// stream ends inside a frame (a torn tail). A CRC mismatch or malformed
-// record is ErrCorrupt. On success the returned buffer is exactly the
-// frame read — header and payload, the bytes replication re-emits — so
-// its length is the frame's size on disk; pass it back in to reuse the
-// allocation.
+// ReadFrame reads one envelope from r (errors as ReadEnvelope) and
+// decodes its record; a malformed record is ErrCorrupt. On success the
+// returned buffer is exactly the frame read — header and payload, the
+// bytes replication re-emits — so its length is the frame's size on
+// disk; pass it back in to reuse the allocation.
 func ReadFrame(r io.Reader, buf []byte) (*Record, []byte, error) {
-	if cap(buf) < frameHeaderSize {
-		buf = make([]byte, frameHeaderSize, 4096)
+	buf, err := ReadEnvelope(r, buf)
+	if err != nil {
+		return nil, buf, err
 	}
-	buf = buf[:frameHeaderSize]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		if err == io.EOF {
-			return nil, buf, io.EOF
-		}
-		return nil, buf, io.ErrUnexpectedEOF
-	}
-	n := binary.LittleEndian.Uint32(buf)
-	want := binary.LittleEndian.Uint32(buf[4:])
-	if n > maxFramePayload {
-		return nil, buf, fmt.Errorf("%w: frame length %d exceeds cap %d", ErrCorrupt, n, maxFramePayload)
-	}
-	total := frameHeaderSize + int(n)
-	if cap(buf) < total {
-		grown := make([]byte, total)
-		copy(grown, buf)
-		buf = grown
-	}
-	buf = buf[:total]
-	payload := buf[frameHeaderSize:]
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, buf, io.ErrUnexpectedEOF
-	}
-	if got := crc32.Checksum(payload, castagnoli); got != want {
-		return nil, buf, fmt.Errorf("%w: crc mismatch (stored %08x, computed %08x)", ErrCorrupt, want, got)
-	}
-	rec, err := DecodePayload(payload)
+	rec, err := DecodePayload(buf[frameHeaderSize:])
 	return rec, buf, err
 }

@@ -1,16 +1,12 @@
-// Raw frame re-emission for replication catch-up: a leader streams the
-// exact frame bytes sitting in its segment files to a follower resuming
-// from an arbitrary sequence number. The scanned FrameEnds offsets let
-// the reader seek straight to the first needed frame instead of
-// decoding the whole segment.
+// Raw frame re-emission for replication catch-up and recovery replay: a
+// leader streams the exact frame bytes sitting in its segment files to a
+// follower resuming from an arbitrary sequence number, and Log.Replay
+// reads the same way. The scanned FrameEnds offsets let the reader seek
+// straight to the first needed frame instead of decoding the whole
+// segment.
 package wal
 
-import (
-	"bufio"
-	"fmt"
-	"io"
-	"os"
-)
+import "fmt"
 
 // EmitFrames streams the raw frame bytes of every event/fault record
 // with seq in (afterSeq, upTo] to fn, reading from the segment files
@@ -36,60 +32,37 @@ func EmitFrames(segs []SegmentInfo, afterSeq, upTo int64, fn func(frame []byte, 
 		if i < len(segs)-1 && seg.LastSeq <= emitted {
 			continue
 		}
-		if err := emitSegment(seg, &emitted, upTo, fn); err != nil {
-			return fmt.Errorf("%s: %w", seg.Path, err)
+		// FrameEnds[k] closes frame k: the meta record for k = 0, record
+		// seq Base+k past it. Seek past every frame the resume point
+		// covers that the scan knew about; anything further is skipped
+		// frame by frame. A torn tail can only trail the frames we need
+		// (those were committed before the snapshot), so reaching it means
+		// this segment is exhausted.
+		var off int64
+		if skip := emitted - seg.Base; skip > 0 && len(seg.FrameEnds) > 0 {
+			off = seg.FrameEnds[min(skip, int64(len(seg.FrameEnds)-1))]
+		}
+		_, err := readSegment(seg.Path, off, func(_ int64, frame []byte, rec *Record) error {
+			if rec.Type == TypeMeta || rec.ID.Seq <= emitted {
+				return nil
+			}
+			if rec.ID.Seq != emitted+1 {
+				return fmt.Errorf("%w: emit seq %d after %d", ErrCorrupt, rec.ID.Seq, emitted)
+			}
+			if err := fn(frame, rec); err != nil {
+				return err
+			}
+			if emitted = rec.ID.Seq; emitted >= upTo {
+				return errStopSegment
+			}
+			return nil
+		})
+		if err != nil {
+			return err
 		}
 	}
 	if emitted < upTo {
 		return fmt.Errorf("wal: emit: frames end at seq %d, want %d", emitted, upTo)
-	}
-	return nil
-}
-
-func emitSegment(seg *SegmentInfo, emitted *int64, upTo int64, fn func([]byte, *Record) error) error {
-	f, err := os.Open(seg.Path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-
-	// FrameEnds[k] closes frame k: the meta record for k = 0, record seq
-	// Base+k past it. Seek past every frame the resume point covers that
-	// the scan knew about; anything further is skipped frame by frame.
-	if skip := *emitted - seg.Base; skip > 0 && len(seg.FrameEnds) > 0 {
-		idx := skip
-		if idx > int64(len(seg.FrameEnds)-1) {
-			idx = int64(len(seg.FrameEnds) - 1)
-		}
-		if _, err := f.Seek(seg.FrameEnds[idx], io.SeekStart); err != nil {
-			return err
-		}
-	}
-
-	br := bufio.NewReaderSize(f, 1<<16)
-	var frame []byte
-	for *emitted < upTo {
-		var rec *Record
-		rec, frame, err = ReadFrame(br, frame)
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			// A torn tail can only trail the frames we need (those were
-			// committed before the snapshot), so reaching it means this
-			// segment is exhausted.
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if rec.Type == TypeMeta || rec.ID.Seq <= *emitted {
-			continue
-		}
-		if rec.ID.Seq != *emitted+1 {
-			return fmt.Errorf("%w: emit seq %d after %d", ErrCorrupt, rec.ID.Seq, *emitted)
-		}
-		if err := fn(frame, rec); err != nil {
-			return err
-		}
-		*emitted = rec.ID.Seq
 	}
 	return nil
 }

@@ -88,7 +88,8 @@ type Log struct {
 // Open opens (creating if needed) the WAL directory at dir and scans
 // it: segment names, frame CRCs and sequence continuity are verified.
 // A torn tail on the last segment is tolerated and noted; any other
-// damage fails with ErrCorrupt.
+// damage fails with ErrCorrupt. Apart from creating a missing directory,
+// Open only reads, so it is safe beside a running daemon that owns it.
 func Open(dir string, opts ...Option) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -173,25 +174,18 @@ func (l *Log) scan() error {
 
 	for i := range l.segments {
 		seg := &l.segments[i]
-		last := i == len(l.segments)-1
-		if err := scanSegment(seg, last); err != nil {
+		meta, err := scanSegment(seg, i == len(l.segments)-1)
+		if err != nil {
 			return err
 		}
-		if seg.Truncated && !last {
-			return fmt.Errorf("%w: %s truncated but not the last segment", ErrCorrupt, seg.Path)
-		}
-		if i > 0 && seg.Base != l.segments[i-1].LastSeq {
+		if i == 0 {
+			l.meta = meta
+		} else if seg.Base != l.segments[i-1].LastSeq {
 			return fmt.Errorf("%w: segment %s base %d does not continue previous last seq %d",
 				ErrCorrupt, seg.Path, seg.Base, l.segments[i-1].LastSeq)
 		}
 		if seg.LastSeq > l.lastSeq {
 			l.lastSeq = seg.LastSeq
-		}
-	}
-	if len(l.segments) > 0 {
-		first := l.segments[0]
-		if meta, err := readSegmentMeta(first.Path); err == nil && meta != nil {
-			l.meta = meta
 		}
 	}
 	if l.ckpt != nil && l.ckpt.ID.Seq > l.lastSeq {
@@ -200,122 +194,110 @@ func (l *Log) scan() error {
 	return nil
 }
 
-// scanSegment validates one segment file and fills in its SegmentInfo.
-// A torn tail is tolerated only when tolerateTail is set (last
-// segment); the caller enforces that.
-func scanSegment(seg *SegmentInfo, tolerateTail bool) error {
-	f, err := os.Open(seg.Path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
-
-	var (
-		off     int64
-		frame   []byte
-		sawMeta bool
-	)
+// scanSegment validates one segment file, fills in its SegmentInfo and
+// returns its meta (nil for a file that holds no frame yet). A torn tail
+// is tolerated only on the last segment.
+func scanSegment(seg *SegmentInfo, last bool) (*Meta, error) {
+	var meta *Meta
 	seg.LastSeq = seg.Base
-	for {
-		var rec *Record
-		rec, frame, err = ReadFrame(br, frame)
-		if err == io.EOF {
-			break
-		}
-		if err == io.ErrUnexpectedEOF {
-			if !tolerateTail {
-				return fmt.Errorf("%w: %s truncated mid-segment", ErrCorrupt, seg.Path)
-			}
-			seg.Truncated = true
-			break
-		}
-		if err != nil {
-			return fmt.Errorf("%s at offset %d: %w", seg.Path, off, err)
-		}
-		if !sawMeta {
+	torn, err := readSegment(seg.Path, 0, func(end int64, _ []byte, rec *Record) error {
+		if meta == nil {
 			if rec.Type != TypeMeta {
-				return fmt.Errorf("%w: %s does not start with a meta record", ErrCorrupt, seg.Path)
+				return fmt.Errorf("%w: segment does not start with a meta record", ErrCorrupt)
 			}
 			if rec.ID.Seq != seg.Base {
-				return fmt.Errorf("%w: %s meta base %d, file name says %d", ErrCorrupt, seg.Path, rec.ID.Seq, seg.Base)
+				return fmt.Errorf("%w: meta base %d, file name says %d", ErrCorrupt, rec.ID.Seq, seg.Base)
 			}
-			sawMeta = true
+			meta = rec.Meta
 		} else {
 			if rec.Type == TypeMeta {
-				return fmt.Errorf("%w: %s has a second meta record", ErrCorrupt, seg.Path)
+				return fmt.Errorf("%w: second meta record", ErrCorrupt)
 			}
 			if rec.ID.Seq != seg.LastSeq+1 {
-				return fmt.Errorf("%w: %s seq %d after %d", ErrCorrupt, seg.Path, rec.ID.Seq, seg.LastSeq)
+				return fmt.Errorf("%w: seq %d after %d", ErrCorrupt, rec.ID.Seq, seg.LastSeq)
 			}
 			seg.LastSeq = rec.ID.Seq
 			seg.Records++
 		}
-		off += int64(len(frame))
-		seg.FrameEnds = append(seg.FrameEnds, off)
+		seg.FrameEnds = append(seg.FrameEnds, end)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	if torn && !last {
+		return nil, fmt.Errorf("%w: %s truncated mid-segment", ErrCorrupt, seg.Path)
+	}
+	seg.Truncated = torn
+	return meta, nil
 }
 
-// readSegmentMeta decodes just the leading meta record of a segment.
-func readSegmentMeta(path string) (*Meta, error) {
+// errStopSegment, returned by a readSegment callback, ends the read
+// early without error.
+var errStopSegment = errors.New("wal: stop reading segment")
+
+// readSegment is the one reader of segment files. It opens path, seeks
+// to off (0 or a FrameEnds boundary) and hands fn every frame from there
+// on: the offset just past it, its bytes (valid only during the call)
+// and its decoded record. It stops at a clean end of file, at a torn
+// tail — reported as torn — or when fn returns errStopSegment. Any other
+// error, the damage found or fn's own, is wrapped with the file and the
+// offset of the frame it concerns.
+func readSegment(path string, off int64, fn func(end int64, frame []byte, rec *Record) error) (torn bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return false, err
 	}
 	defer f.Close()
-	rec, _, err := ReadFrame(bufio.NewReader(f), nil)
-	if err != nil {
-		return nil, err
+	if _, err := f.Seek(off, io.SeekStart); err != nil {
+		return false, err
 	}
-	if rec.Type != TypeMeta {
-		return nil, fmt.Errorf("%w: %s does not start with a meta record", ErrCorrupt, path)
+	br := bufio.NewReaderSize(f, 1<<16)
+	var frame []byte
+	for {
+		var rec *Record
+		rec, frame, err = ReadFrame(br, frame)
+		switch {
+		case err == io.EOF:
+			return false, nil
+		case err == io.ErrUnexpectedEOF:
+			return true, nil
+		case err != nil:
+			return false, fmt.Errorf("%s at offset %d: %w", path, off, err)
+		}
+		start := off
+		off += int64(len(frame))
+		if err := fn(off, frame, rec); err == errStopSegment {
+			return false, nil
+		} else if err != nil {
+			return false, fmt.Errorf("%s at offset %d: %w", path, start, err)
+		}
 	}
-	return rec.Meta, nil
 }
 
-// Replay re-reads every segment in order and hands each event/fault
-// record with seq > afterSeq to fn, stopping on the first fn error.
+// Replay re-reads the log in order and hands each event/fault record
+// on disk with seq > afterSeq to fn, stopping on the first fn error.
 // Meta records are skipped (Open already validated them). The torn tail
-// of the last segment, if any, is ignored.
+// of the last segment, if any, is ignored and reported. Records missing
+// between afterSeq and the oldest segment fail with ErrCorrupt, unless
+// the checkpoint covers them (purged, as `updatectl wal verify`'s
+// Replay(0) finds them).
 func (l *Log) Replay(afterSeq int64, fn func(*Record) error) (ReplayInfo, error) {
 	info := ReplayInfo{LastSeq: l.lastSeq}
-	for i := range l.segments {
-		seg := &l.segments[i]
-		if seg.LastSeq <= afterSeq {
-			continue
+	if n := len(l.segments); n > 0 {
+		if base := l.segments[0].Base; l.ckpt != nil && l.ckpt.ID.Seq >= base {
+			afterSeq = max(afterSeq, base)
 		}
-		if err := replaySegment(seg, afterSeq, fn, &info); err != nil {
-			return info, err
-		}
-		info.Truncated = info.Truncated || seg.Truncated
+		info.Truncated = l.segments[n-1].Truncated
 	}
-	return info, nil
-}
-
-func replaySegment(seg *SegmentInfo, afterSeq int64, fn func(*Record) error, info *ReplayInfo) error {
-	f, err := os.Open(seg.Path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
-	var scratch []byte
-	for n := 0; n < len(seg.FrameEnds); n++ {
-		var rec *Record
-		rec, scratch, err = ReadFrame(br, scratch)
-		if err != nil {
-			return fmt.Errorf("%s: %w", seg.Path, err)
-		}
-		if rec.Type == TypeMeta || rec.ID.Seq <= afterSeq {
-			continue
-		}
+	err := EmitFrames(l.segments, afterSeq, l.lastSeq, func(_ []byte, rec *Record) error {
 		if err := fn(rec); err != nil {
 			return err
 		}
 		info.Records++
-	}
-	return nil
+		return nil
+	})
+	return info, err
 }
 
 // TruncateTail physically truncates the newest segment to its last
@@ -377,6 +359,15 @@ func (l *Log) InstallCheckpoint(ck *Checkpoint) error {
 	if ck.Format != FormatVersion {
 		return fmt.Errorf("%w: checkpoint format %d, want %d", ErrCorrupt, ck.Format, FormatVersion)
 	}
+	cp := *ck
+	return l.writeCheckpoint(&cp)
+}
+
+// writeCheckpoint durably replaces checkpoint.json with ck — with
+// WithKeepSegments also archived under its seq, so historical crash
+// images can be reconstructed at any prefix — and advances the sequence
+// floor to the seq it covers.
+func (l *Log) writeCheckpoint(ck *Checkpoint) error {
 	data, err := json.Marshal(ck)
 	if err != nil {
 		return err
@@ -385,13 +376,11 @@ func (l *Log) InstallCheckpoint(ck *Checkpoint) error {
 		return err
 	}
 	if l.keep {
-		archive := fmt.Sprintf("checkpoint-%016x.json", ck.ID.Seq)
-		if err := WriteFileAtomic(l.dir, archive, data); err != nil {
+		if err := WriteFileAtomic(l.dir, fmt.Sprintf("checkpoint-%016x.json", ck.ID.Seq), data); err != nil {
 			return err
 		}
 	}
-	cp := *ck
-	l.ckpt = &cp
+	l.ckpt = ck
 	l.lastSeq = ck.ID.Seq
 	return nil
 }
@@ -402,6 +391,9 @@ func (l *Log) InstallCheckpoint(ck *Checkpoint) error {
 // meta describes the daemon's world; it is verified against the log's
 // recorded meta and used for any newly created segment.
 func (l *Log) OpenWriter(meta *Meta, id ID, rounds int64) (*Writer, error) {
+	if err := l.removeLeftovers(); err != nil {
+		return nil, err
+	}
 	if l.meta != nil {
 		if err := l.meta.Check(meta); err != nil {
 			return nil, err
@@ -432,18 +424,46 @@ func (l *Log) OpenWriter(meta *Meta, id ID, rounds int64) (*Writer, error) {
 	if valid == 0 {
 		// The segment file exists but holds no valid frame (crash between
 		// create and meta write): rewrite the meta record.
-		w := newWriter(f, l.policy, l.lastSeq)
-		if err := w.Append(&Record{Type: TypeMeta, ID: ID{VT: id.VT, Seq: seg.Base}, Rounds: rounds, Meta: l.meta}); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if err := w.Commit(); err != nil {
-			f.Close()
-			return nil, err
-		}
-		return w, nil
+		return l.startSegment(f, ID{VT: id.VT, Seq: seg.Base}, rounds)
 	}
 	return newWriter(f, l.policy, l.lastSeq), nil
+}
+
+// removeLeftovers deletes the temp files of WriteFileAtomic calls that a
+// crash cut off before their rename (checkpoint.json.tmp*,
+// term.json.tmp*); nothing else ever removes them. Only the directory's
+// owner runs it, on opening its writer: a reader beside a live daemon
+// (updatectl wal info) would unlink a temp file the daemon is about to
+// rename and fail its checkpoint.
+func (l *Log) removeLeftovers() error {
+	entries, err := os.ReadDir(l.dir)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		if strings.Contains(e.Name(), ".json"+tmpSuffix) {
+			if err := os.Remove(filepath.Join(l.dir, e.Name())); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// startSegment writes the leading meta record, carrying the sequence
+// base id.Seq, to f positioned at the start of an empty segment file,
+// and returns the writer that appends after it. It closes f on failure.
+func (l *Log) startSegment(f *os.File, id ID, rounds int64) (*Writer, error) {
+	w := newWriter(f, l.policy, id.Seq)
+	err := w.Append(&Record{Type: TypeMeta, ID: id, Rounds: rounds, Meta: l.meta})
+	if err == nil {
+		err = w.Commit()
+	}
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return w, nil
 }
 
 func (l *Log) createSegment(id ID, rounds int64) (*Writer, error) {
@@ -452,13 +472,8 @@ func (l *Log) createSegment(id ID, rounds int64) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := newWriter(f, l.policy, id.Seq)
-	if err := w.Append(&Record{Type: TypeMeta, ID: id, Rounds: rounds, Meta: l.meta}); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := w.Commit(); err != nil {
-		f.Close()
+	w, err := l.startSegment(f, id, rounds)
+	if err != nil {
 		return nil, err
 	}
 	if err := syncDir(l.dir); err != nil {
@@ -493,25 +508,9 @@ func (l *Log) Rotate(w *Writer, state []byte, id ID, rounds int64) (*Writer, err
 			return nil, err
 		}
 	}
-	ck := &Checkpoint{Format: FormatVersion, ID: id, Rounds: rounds, State: state}
-	data, err := json.Marshal(ck)
-	if err != nil {
+	if err := l.writeCheckpoint(&Checkpoint{Format: FormatVersion, ID: id, Rounds: rounds, State: state}); err != nil {
 		return nil, err
 	}
-	if err := WriteFileAtomic(l.dir, checkpointName, data); err != nil {
-		return nil, err
-	}
-	if l.keep {
-		// Archive the checkpoint under its seq so historical crash images
-		// can be reconstructed at any prefix.
-		archive := fmt.Sprintf("checkpoint-%016x.json", id.Seq)
-		if err := WriteFileAtomic(l.dir, archive, data); err != nil {
-			return nil, err
-		}
-	}
-	l.ckpt = ck
-	l.lastSeq = id.Seq
-
 	nw, err := l.createSegment(id, rounds)
 	if err != nil {
 		return nil, err
@@ -540,12 +539,16 @@ func cloneMeta(m *Meta) *Meta {
 	return &cp
 }
 
+// tmpSuffix marks WriteFileAtomic's temp files: <name>.tmp<random>.
+const tmpSuffix = ".tmp"
+
 // WriteFileAtomic durably replaces dir/name with data: temp file, write,
 // fsync, rename, directory fsync. A crash leaves the old file or the new
-// one, never a torn mix. The checkpoint and the replication term (the
-// two files beside the segments) are both written this way.
+// one, never a torn mix, plus at most a stray temp file that the next
+// OpenWriter removes. The checkpoint and the replication term (the two files
+// beside the segments) are both written this way.
 func WriteFileAtomic(dir, name string, data []byte) error {
-	tmp, err := os.CreateTemp(dir, name+".tmp*")
+	tmp, err := os.CreateTemp(dir, name+tmpSuffix+"*")
 	if err != nil {
 		return err
 	}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -363,6 +364,11 @@ func TestCheckpointRotateAndPurge(t *testing.T) {
 	if !reflect.DeepEqual(got, recs[6:]) {
 		t.Fatal("suffix replay after checkpoint differs")
 	}
+	// A replay from genesis (`updatectl wal verify`) reads what the purge
+	// left on disk.
+	if got, _ := replayAll(t, l2, 0); !reflect.DeepEqual(got, recs[6:]) {
+		t.Fatalf("replay from 0 after purge: %d records, want the %d on disk", len(got), len(recs[6:]))
+	}
 	if m := l2.Meta(); m == nil || *m != *testMeta() {
 		t.Fatalf("meta lost across rotation: %+v", m)
 	}
@@ -451,6 +457,130 @@ func TestKeepSegmentsArchivesHistory(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "checkpoint-0000000000000006.json")); err != nil {
 		t.Fatalf("checkpoint archive missing: %v", err)
+	}
+}
+
+// purgedLog writes records 1..10 with a checkpoint at seq 6, so the
+// segment holding 1..6 is purged and the directory keeps checkpoint.json
+// plus wal-…06.log with records 7..10.
+func purgedLog(t *testing.T) (string, []*Record) {
+	t.Helper()
+	dir := t.TempDir()
+	recs := testRecords(10)
+	l, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := l.OpenWriter(testMeta(), ID{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, w, recs[:6])
+	w, err = l.Rotate(w, []byte(`{"folded":6}`), ID{VT: 6000, Seq: 6}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, w, recs[6:])
+	w.Close()
+	return dir, recs
+}
+
+// TestOpenWriterRemovesInterruptedAtomicWrites plants what a crash
+// between WriteFileAtomic's CreateTemp and its Rename leaves behind — a
+// half-written checkpoint and replication term. A read-only Open (what
+// `updatectl wal info` does beside a live daemon, whose temp file may be
+// in flight) must leave both alone; OpenWriter, run only by the
+// directory's owner, must delete both and still recover the same log.
+// Before, each kill during a checkpoint stranded another temp file in the
+// directory for good.
+func TestOpenWriterRemovesInterruptedAtomicWrites(t *testing.T) {
+	dir, recs := purgedLog(t)
+	var planted []string
+	for _, name := range []string{checkpointName, "term.json"} {
+		f, err := os.CreateTemp(dir, name+".tmp*") // WriteFileAtomic's pattern
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write([]byte(`{"torn":`)); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		planted = append(planted, f.Name())
+	}
+
+	l, err := Open(dir)
+	if err != nil {
+		t.Fatalf("Open with leftover temp files: %v", err)
+	}
+	for _, path := range planted {
+		if _, err := os.Stat(path); err != nil {
+			t.Errorf("read-only Open removed %s: %v", filepath.Base(path), err)
+		}
+	}
+	if l.LastSeq() != 10 || l.Checkpoint() == nil || l.Checkpoint().ID.Seq != 6 {
+		t.Fatalf("recovered last seq %d, checkpoint %+v; want 10 and seq 6", l.LastSeq(), l.Checkpoint())
+	}
+	if got, _ := replayAll(t, l, 6); !reflect.DeepEqual(got, recs[6:]) {
+		t.Fatal("suffix replay differs beside the temp files")
+	}
+
+	w, err := l.OpenWriter(testMeta(), ID{}, 0)
+	if err != nil {
+		t.Fatalf("OpenWriter with leftover temp files: %v", err)
+	}
+	defer w.Close()
+	for _, path := range planted {
+		if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s survived OpenWriter (stat err %v)", filepath.Base(path), err)
+		}
+	}
+	if w.LastSeq() != 10 {
+		t.Fatalf("writer resumes after seq %d, want 10", w.LastSeq())
+	}
+}
+
+// TestReplayReportsMissingRecords: a replay may start at the oldest
+// segment's base only when the checkpoint covers the records before it.
+// A checkpoint older than the oldest segment, or none at all, leaves a
+// hole in the history that Replay must report as ErrCorrupt, naming the
+// segment, instead of folding the suffix as if nothing were missing.
+// Errors from the caller's fold name the segment too.
+func TestReplayReportsMissingRecords(t *testing.T) {
+	dir, recs := purgedLog(t)
+	seg := segmentName(6)
+
+	stale := &Checkpoint{Format: FormatVersion, ID: ID{VT: 3000, Seq: 3}, Rounds: 1, State: []byte(`{}`)}
+	if err := (&Log{dir: dir}).writeCheckpoint(stale); err != nil {
+		t.Fatal(err)
+	}
+	l, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, after := range []int64{0, 3} {
+		_, err := l.Replay(after, func(*Record) error { return nil })
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), seg) {
+			t.Errorf("Replay(%d) under a checkpoint at seq 3 = %v, want ErrCorrupt naming %s", after, err, seg)
+		}
+	}
+
+	if err := os.Remove(filepath.Join(dir, checkpointName)); err != nil {
+		t.Fatal(err)
+	}
+	if l, err = Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Replay(0, func(*Record) error { return nil }); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("Replay(0) without a checkpoint = %v, want ErrCorrupt", err)
+	}
+	// The records on disk are intact: a replay from the oldest base works.
+	if got, _ := replayAll(t, l, 6); !reflect.DeepEqual(got, recs[6:]) {
+		t.Fatal("replay from the oldest base differs")
+	}
+
+	errFold := errors.New("fold failed")
+	if _, err := l.Replay(6, func(*Record) error { return errFold }); !errors.Is(err, errFold) || !strings.Contains(err.Error(), seg) {
+		t.Errorf("fold error = %v, want errFold naming %s", err, seg)
 	}
 }
 
