@@ -342,17 +342,21 @@ func runGateway(stdout io.Writer, stop <-chan os.Signal, addr, telemetry string,
 			}
 		}
 		// Identity check: an engine booted with -shard-id/-shard-of
-		// advertises its slot in stats. Wiring slot 2's engine as the
-		// first address would silently misroute every event, so a
-		// declared identity must match its position; an engine with no
-		// identity (plain `updated`) still works, but mints unstrided
-		// IDs, so cross-shard status routing cannot find its events.
-		st, err := c.Stats()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "updated: shard %d (%s): stats: %v\n", i+1, a, err)
+		// advertises its slot in its metrics' shard info. Wiring slot 2's
+		// engine as the first address would silently misroute every event,
+		// so a declared identity must match its position; an engine with
+		// no identity (plain `updated`) still works, but mints unstrided
+		// IDs, so cross-shard status routing cannot find its events. The
+		// gateway answers stats by merging every engine's metrics, so an
+		// engine too old to serve them is refused here, not at the first
+		// stats read.
+		resp := c.Do(ctl.Request{Op: ctl.OpMetrics})
+		if !resp.OK {
+			fmt.Fprintf(os.Stderr, "updated: shard %d (%s): op %q: %s (the gateway needs engines that answer it)\n", i+1, a, ctl.OpMetrics, resp.Error)
 			closeBackends()
 			return 1
 		}
+		st := ctl.StatsOf(resp.Metrics)
 		if st.ShardID != 0 && (st.ShardID != i+1 || st.Shards != len(shardAddrs)) {
 			fmt.Fprintf(os.Stderr, "updated: shard %d (%s): engine identifies as shard %d of %d, want %d of %d — shard-addrs order must match engine slots\n",
 				i+1, a, st.ShardID, st.Shards, i+1, len(shardAddrs))

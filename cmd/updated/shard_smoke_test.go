@@ -2,9 +2,12 @@ package main
 
 import (
 	"bufio"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -185,11 +188,25 @@ func TestDaemonShardedSmoke(t *testing.T) {
 		t.Errorf("gateway /metrics missing routed counter; body:\n%.500s", body)
 	}
 	base := strings.TrimSuffix(telemetryURL, "/metrics")
+	doneSum := 0
 	for shardID := 1; shardID <= 2; shardID++ {
 		body := scrape(base + "/metrics/shard/" + string(rune('0'+shardID)))
 		if !strings.Contains(body, "netupdate_ingest_accepted_total") {
 			t.Errorf("shard %d /metrics missing engine counters; body:\n%.300s", shardID, body)
 		}
+		for _, line := range strings.Split(body, "\n") {
+			if n, ok := strings.CutPrefix(line, "netupdate_events_done_total "); ok {
+				v, err := strconv.Atoi(n)
+				if err != nil {
+					t.Fatalf("shard %d: %q: %v", shardID, line, err)
+				}
+				doneSum += v
+			}
+		}
+	}
+	// The cluster's count is the shards' counts added up.
+	if st, err := client.Stats(); err != nil || st.EventsDone != doneSum {
+		t.Errorf("cluster events_done = %d (err %v), shards' /metrics sum to %d", st.EventsDone, err, doneSum)
 	}
 
 	shutdownDaemon(t, stop, done)
@@ -343,6 +360,45 @@ func TestDaemonRemoteGatewayStridedEngines(t *testing.T) {
 		if _, err := client.Status(v.EventID); err != nil {
 			t.Errorf("status %d through gateway: %v", v.EventID, err)
 		}
+	}
+}
+
+// TestDaemonRemoteGatewayRefusesOldEngine: an engine that predates the
+// metrics op is refused when the gateway boots, with an error naming the
+// op, instead of failing the gateway's first stats read.
+func TestDaemonRemoteGatewayRefusesOldEngine(t *testing.T) {
+	old := &ctl.WireServer{Handle: func(req ctl.Request, _ int64) ctl.Response {
+		switch req.Op {
+		case ctl.OpPing:
+			return ctl.Response{OK: true}
+		case ctl.OpStats:
+			return ctl.Response{OK: true, Stats: &ctl.Stats{Scheduler: "fifo"}}
+		}
+		// What a build without the op answers: unknown at parse time.
+		return ctl.Response{OK: false, Error: fmt.Sprintf("%v: unknown op %q", ctl.ErrBadRequest, req.Op)}
+	}}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = old.Serve(l) }()
+	defer old.Close()
+
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = w
+	code := run([]string{"-addr", "127.0.0.1:0", "-k", "4", "-shard-addrs", l.Addr().String()}, io.Discard, make(chan os.Signal))
+	os.Stderr = stderr
+	w.Close()
+	msg, _ := io.ReadAll(r)
+	if code != 1 {
+		t.Fatalf("gateway over an old engine: run = %d, want 1", code)
+	}
+	if !strings.Contains(string(msg), `op "metrics"`) {
+		t.Errorf("refusal does not name the op:\n%s", msg)
 	}
 }
 

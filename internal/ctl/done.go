@@ -34,7 +34,7 @@ func newDoneRing(window int, reg *obs.Registry) *doneRing {
 	return &doneRing{
 		window:   window,
 		slot:     make(map[int64]int),
-		retained: reg.NewGauge("netupdate_events_retained", "Completed events still held as records (the done window's occupancy)."),
+		retained: reg.NewGauge("netupdate_events_retained", "Completed events still held as records (the done window's occupancy).", obs.MergeSum),
 	}
 }
 

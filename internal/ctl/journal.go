@@ -144,11 +144,13 @@ func (j *journal) open(vt, rounds int64) error {
 	return nil
 }
 
-// setWriter adopts the active segment's writer (open, every rotation)
-// and routes its per-fsync wall durations into the latency histogram.
+// setWriter adopts the active segment's writer (open, every rotation),
+// routes its per-fsync wall durations into the latency histogram and
+// publishes its sync policy.
 func (j *journal) setWriter(w *wal.Writer) {
 	j.w = w
 	w.SetSyncObserver(j.fsync.Observe)
+	j.met.Info.Set(map[string]string{"sync_policy": w.Policy().String()})
 }
 
 func (j *journal) fail(op string, err error) error {
@@ -409,35 +411,12 @@ func (j *journal) info() *ReplInfo {
 	return info
 }
 
-// fillStats adds the WAL and replication readings to a Stats answer.
-func (j *journal) fillStats(st *Stats) {
-	if j == nil {
-		return
+// refreshLag recomputes a follower's own lag from the fold it has
+// applied, for a registry read on the loop.
+func (j *journal) refreshLag() {
+	if j != nil && j.role == roleFollower {
+		j.rmet.LagRecords.Set(max(0, j.leaderSeq.Load()-j.seq))
 	}
-	st.WALEnabled = true
-	st.WALLastSeq = j.seq
-	st.WALCheckpointSeq = j.met.CheckpointSeq.Value()
-	st.WALAppends = j.met.Appends.Value()
-	st.WALCheckpoints = j.met.Checkpoints.Value()
-	st.WALReplayed = j.met.Replayed.Value()
-	st.WALRecoveryMs = j.met.RecoveryMs.Value()
-	st.WALSyncPolicy = j.w.Policy().String()
-	st.WALFsyncP50Ns = j.fsync.Percentile(50)
-	st.WALFsyncP99Ns = j.fsync.Percentile(99)
-	st.WALFsyncCount = j.fsync.Count()
-
-	st.ReplRole = j.role
-	st.ReplTerm = j.term
-	st.ReplFollowers = int(j.rmet.Followers.Value())
-	st.ReplSynced = int(j.rmet.SyncedFollowers.Value())
-	st.ReplLagRecords = j.rmet.LagRecords.Value()
-	if j.role == roleFollower {
-		st.ReplLagRecords = max(0, j.leaderSeq.Load()-j.seq)
-	}
-	st.ReplRecordsSent = j.rmet.RecordsSent.Value()
-	st.ReplRecordsApplied = j.rmet.RecordsApplied.Value()
-	st.ReplFollowerDrops = j.rmet.FollowerDrops.Value()
-	st.ReplFailoverMs = j.rmet.FailoverMs.Value()
 }
 
 // heartbeats is the leader's beacon loop: liveness for follower

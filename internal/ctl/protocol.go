@@ -41,8 +41,13 @@ const (
 	OpStatus Op = "status"
 	// OpResults lists all completed events with their metrics.
 	OpResults Op = "results"
-	// OpStats reports network and scheduler aggregates.
+	// OpStats reports network and scheduler aggregates: the Stats view
+	// decoded from the server's metric registry.
 	OpStats Op = "stats"
+	// OpMetrics answers with the raw registry sample behind OpStats, each
+	// metric with its merge rule. A shard gateway calls it on every engine
+	// and merges the answers; clients keep reading Stats.
+	OpMetrics Op = "metrics"
 	// OpSnapshot returns the controller's full network state as a
 	// snapshot document (topology, flows, placements).
 	OpSnapshot Op = "snapshot"
@@ -65,7 +70,7 @@ const (
 // knownOps is the set of valid protocol operations.
 var knownOps = map[Op]bool{
 	OpPing: true, OpSubmit: true, OpSubmitBatch: true, OpStatus: true,
-	OpResults: true, OpStats: true, OpSnapshot: true, OpTrace: true,
+	OpResults: true, OpStats: true, OpMetrics: true, OpSnapshot: true, OpTrace: true,
 	OpFault: true, OpReplStatus: true, OpReplPromote: true,
 }
 
@@ -229,113 +234,6 @@ type EventStatus struct {
 	ECT          time.Duration `json:"ect_ns,omitempty"`
 }
 
-// Stats reports controller-wide aggregates.
-type Stats struct {
-	Scheduler       string        `json:"scheduler"`
-	Utilization     float64       `json:"utilization"`
-	FlowsPlaced     int           `json:"flows_placed"`
-	EventsQueued    int           `json:"events_queued"`
-	EventsDone      int           `json:"events_done"`
-	TotalCostBps    int64         `json:"total_cost_bps"`
-	AvgECT          time.Duration `json:"avg_ect_ns"`
-	TailECT         time.Duration `json:"tail_ect_ns"`
-	AvgQueuingDelay time.Duration `json:"avg_queuing_delay_ns"`
-	PlanTime        time.Duration `json:"plan_time_ns"`
-	VirtualClock    time.Duration `json:"virtual_clock_ns"`
-	// EventsRetained is how many of the EventsDone the server still holds
-	// as records, for status and results (at most its done window).
-	EventsRetained int `json:"events_retained,omitempty"`
-	// Probes counts cost probes (Section IV-B probing cost): every trial
-	// plan a scheduler or the co-schedule check ran.
-	Probes int64 `json:"probes"`
-	// Deprecated: the probe cache is gone; the five fields below are kept
-	// for bench/ (phases.go reads them) until the benchmark PR that
-	// retires netstate.fork_*. ProbeCacheMisses and ProbeColdPlans equal
-	// Probes; the other three read 0.
-	ProbeCacheHits          int64   `json:"probe_cache_hits"`
-	ProbeCacheMisses        int64   `json:"probe_cache_misses"`
-	ProbeHitRate            float64 `json:"probe_hit_rate"`
-	ProbeColdPlans          int64   `json:"probe_cold_plans"`
-	ProbeIncrementalReplans int64   `json:"probe_incremental_replans"`
-	// Rounds is the number of scheduling rounds executed so far.
-	Rounds int64 `json:"rounds"`
-	// Fault-injection and recovery telemetry.
-	FaultsInjected   int `json:"faults_injected"`
-	LinksDown        int `json:"links_down"`
-	RepairEvents     int `json:"repair_events"`
-	FlowsDisrupted   int `json:"flows_disrupted"`
-	InstallRetries   int `json:"install_retries"`
-	InstallRollbacks int `json:"install_rollbacks"`
-	// Ingest telemetry: the intake bound and the cumulative submission
-	// outcomes (events accepted, events rejected for overload, events
-	// accepted from marked backoff retries, requests that admitted at
-	// least one event).
-	IngestWatermark int   `json:"ingest_watermark"`
-	IngestAccepted  int64 `json:"ingest_accepted"`
-	IngestRejected  int64 `json:"ingest_rejected"`
-	IngestRetried   int64 `json:"ingest_retried"`
-	IngestBatches   int64 `json:"ingest_batches"`
-	// Codec telemetry: requests decoded per wire codec and connections
-	// currently speaking the binary v2 framing.
-	CodecV2Conns int64 `json:"codec_v2_conns"`
-	FramesV1     int64 `json:"frames_v1"`
-	FramesV2     int64 `json:"frames_v2"`
-	// WAL / recovery telemetry (all zero when the daemon runs without a
-	// write-ahead log).
-	WALEnabled       bool  `json:"wal_enabled,omitempty"`
-	WALLastSeq       int64 `json:"wal_last_seq,omitempty"`
-	WALCheckpointSeq int64 `json:"wal_checkpoint_seq,omitempty"`
-	WALAppends       int64 `json:"wal_appends,omitempty"`
-	WALCheckpoints   int64 `json:"wal_checkpoints,omitempty"`
-	WALReplayed      int64 `json:"wal_replayed,omitempty"`
-	WALRecoveryMs    int64 `json:"wal_recovery_ms,omitempty"`
-	// Latency pipeline percentiles (wall-clock nanoseconds, explicitly
-	// non-deterministic): end-to-end submit→completion, plus the
-	// overload breakdown of where the time went (time-in-queue =
-	// admission→exec start, time-in-rounds = exec start→completion).
-	// Zero until at least one event completed since boot.
-	LatencyE2EP50Ns    int64 `json:"latency_e2e_p50_ns,omitempty"`
-	LatencyE2EP95Ns    int64 `json:"latency_e2e_p95_ns,omitempty"`
-	LatencyE2EP99Ns    int64 `json:"latency_e2e_p99_ns,omitempty"`
-	LatencyE2EP999Ns   int64 `json:"latency_e2e_p999_ns,omitempty"`
-	LatencyQueueP50Ns  int64 `json:"latency_queue_p50_ns,omitempty"`
-	LatencyQueueP99Ns  int64 `json:"latency_queue_p99_ns,omitempty"`
-	LatencyRoundsP50Ns int64 `json:"latency_rounds_p50_ns,omitempty"`
-	LatencyRoundsP99Ns int64 `json:"latency_rounds_p99_ns,omitempty"`
-	// SpansDropped counts span records the bounded span sink rejected
-	// instead of backpressuring the state loop.
-	SpansDropped int64 `json:"spans_dropped,omitempty"`
-	// WAL fsync latency (per group commit under the group policy, per
-	// append under always; absent under off or without a WAL).
-	WALSyncPolicy string `json:"wal_sync_policy,omitempty"`
-	WALFsyncP50Ns int64  `json:"wal_fsync_p50_ns,omitempty"`
-	WALFsyncP99Ns int64  `json:"wal_fsync_p99_ns,omitempty"`
-	WALFsyncCount int64  `json:"wal_fsync_count,omitempty"`
-	// Replication telemetry (all empty/zero when the daemon runs without
-	// a WAL): role and term, follower registration and worst acked-seq
-	// lag on a leader, records streamed/folded, and the last promotion's
-	// drain-to-serving time on a promoted follower.
-	ReplRole           string `json:"repl_role,omitempty"`
-	ReplTerm           uint64 `json:"repl_term,omitempty"`
-	ReplFollowers      int    `json:"repl_followers,omitempty"`
-	ReplSynced         int    `json:"repl_synced,omitempty"`
-	ReplLagRecords     int64  `json:"repl_lag_records,omitempty"`
-	ReplRecordsSent    int64  `json:"repl_records_sent,omitempty"`
-	ReplRecordsApplied int64  `json:"repl_records_applied,omitempty"`
-	ReplFollowerDrops  int64  `json:"repl_follower_drops,omitempty"`
-	ReplFailoverMs     int64  `json:"repl_failover_ms,omitempty"`
-	// Sharding telemetry (all zero outside a sharded deployment). On a
-	// per-shard engine, ShardID is its 1-based identity and Shards the
-	// fleet size; on a gateway, ShardID is 0 and Shards the number of
-	// backends the stats were aggregated across. The cross counters are
-	// gateway-side: events that spanned multiple shards, and those
-	// rejected because the reserved cross-shard core pool ran dry.
-	ShardID       int   `json:"shard_id,omitempty"`
-	Shards        int   `json:"shards,omitempty"`
-	CrossEvents   int64 `json:"cross_events,omitempty"`
-	CrossRejected int64 `json:"cross_rejected,omitempty"`
-}
-
 // SubmitVerdict is one event's outcome within an OpSubmitBatch
 // response, in submission order.
 type SubmitVerdict struct {
@@ -390,6 +288,8 @@ type Response struct {
 	Results []EventStatus `json:"results,omitempty"`
 	// Stats answers OpStats.
 	Stats *Stats `json:"stats,omitempty"`
+	// Metrics answers OpMetrics.
+	Metrics obs.Sample `json:"metrics,omitempty"`
 	// Snapshot answers OpSnapshot.
 	Snapshot *snapshot.Snapshot `json:"snapshot,omitempty"`
 	// Trace answers OpTrace (oldest record first).

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strconv"
 	"sync"
 	"time"
 
@@ -159,6 +160,12 @@ func newServer(cfg Config) *Server {
 		s.nextID = int64(sh.ID)
 	}
 	s.done = newDoneRing(cfg.doneWindow, s.registry)
+	s.registry.NewInfo("netupdate_scheduler_info", "The engine's scheduling policy.",
+		map[string]string{"scheduler": s.scheduler})
+	if s.shardID > 0 {
+		s.registry.NewInfo("netupdate_shard_info", "This engine's slot in a sharded deployment.",
+			map[string]string{"shard": strconv.Itoa(s.shardID), "shards": strconv.Itoa(int(s.idStride))})
+	}
 	s.ingest = obs.NewIngestMetrics(s.registry)
 	s.ingest.Watermark.Set(int64(s.watermark))
 	s.wire = &WireServer{
@@ -590,6 +597,14 @@ func (s *Server) overloadInfo(depth int) *OverloadInfo {
 	}
 }
 
+// sample refreshes the instantaneous gauges from live state and reads
+// the registry (state loop only): what OpStats decodes and OpMetrics
+// ships.
+func (s *Server) sample() obs.Sample {
+	s.refreshGauges()
+	return s.registry.Sample()
+}
+
 // handleRequest executes one request against the state (state loop only).
 func (s *Server) handleRequest(req Request) Response {
 	switch req.Op {
@@ -621,56 +636,10 @@ func (s *Server) handleRequest(req Request) Response {
 		return Response{OK: true, Snapshot: snapshot.Capture(s.planner.Network())}
 
 	case OpStats:
-		col := s.engine.Collector()
-		net := s.planner.Network()
-		met := s.engine.Tracer().Metrics()
-		st := &Stats{
-			Scheduler:          s.scheduler,
-			Utilization:        net.Utilization(),
-			FlowsPlaced:        net.Registry().NumPlaced(),
-			EventsQueued:       s.engine.QueueLen(),
-			EventsDone:         col.Len(),
-			EventsRetained:     s.done.len(),
-			TotalCostBps:       int64(col.TotalCost()),
-			AvgECT:             col.AvgECT(),
-			TailECT:            col.TailECT(),
-			AvgQueuingDelay:    col.AvgQueuingDelay(),
-			PlanTime:           col.PlanTime,
-			VirtualClock:       s.engine.Clock(),
-			Probes:             met.Probes.Value(),
-			ProbeCacheMisses:   met.Probes.Value(),
-			ProbeColdPlans:     met.Probes.Value(),
-			Rounds:             met.Rounds.Value(),
-			FaultsInjected:     col.FaultsInjected,
-			LinksDown:          s.engine.LinksDown(),
-			RepairEvents:       col.RepairEvents,
-			FlowsDisrupted:     col.FlowsDisrupted,
-			InstallRetries:     col.InstallRetries,
-			InstallRollbacks:   col.InstallRollbacks,
-			IngestWatermark:    s.watermark,
-			IngestAccepted:     s.ingest.Accepted.Value(),
-			IngestRejected:     s.ingest.Rejected.Value(),
-			IngestRetried:      s.ingest.Retried.Value(),
-			IngestBatches:      s.ingest.Batches.Value(),
-			CodecV2Conns:       s.ingest.CodecV2Conns.Value(),
-			FramesV1:           s.ingest.FramesV1.Value(),
-			FramesV2:           s.ingest.FramesV2.Value(),
-			LatencyE2EP50Ns:    s.lat.E2E.Percentile(50),
-			LatencyE2EP95Ns:    s.lat.E2E.Percentile(95),
-			LatencyE2EP99Ns:    s.lat.E2E.Percentile(99),
-			LatencyE2EP999Ns:   s.lat.E2E.Percentile(99.9),
-			LatencyQueueP50Ns:  s.lat.Queue.Percentile(50),
-			LatencyQueueP99Ns:  s.lat.Queue.Percentile(99),
-			LatencyRoundsP50Ns: s.lat.Rounds.Percentile(50),
-			LatencyRoundsP99Ns: s.lat.Rounds.Percentile(99),
-			SpansDropped:       s.lat.SpansDropped.Value(),
-		}
-		if s.shardID > 0 {
-			st.ShardID = s.shardID
-			st.Shards = int(s.idStride)
-		}
-		s.journal.fillStats(st)
-		return Response{OK: true, Stats: st}
+		return Response{OK: true, Stats: StatsOf(s.sample())}
+
+	case OpMetrics:
+		return Response{OK: true, Metrics: s.sample()}
 
 	case OpTrace:
 		return Response{OK: true, Trace: s.ring.Last(req.N)}

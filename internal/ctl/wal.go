@@ -414,6 +414,12 @@ func (s *Server) restoreCheckpoint(ckpt *wal.Checkpoint) error {
 	met.FlowsDisrupted.Add(doc.Sim.FlowsDisrupted)
 	met.InstallRetries.Add(doc.Sim.InstallRetries)
 	met.InstallRollbacks.Add(doc.Sim.InstallRollbacks)
+	met.Cost.Add(int64(col.TotalCost()))
+	met.PlanTime.Add(int64(col.PlanTime))
+	// A checkpoint from before histograms kept their maximum carries
+	// none; the collector's totals have it.
+	doc.Sim.ECT.Max = max(doc.Sim.ECT.Max, int64(col.TailECT()))
+	doc.Sim.QueuingDelay.Max = max(doc.Sim.QueuingDelay.Max, int64(col.WorstQueuingDelay()))
 	met.ECT.Restore(doc.Sim.ECT)
 	met.QueuingDelay.Restore(doc.Sim.QueuingDelay)
 
@@ -426,13 +432,17 @@ func (s *Server) restoreCheckpoint(ckpt *wal.Checkpoint) error {
 	return nil
 }
 
-// refreshGauges recomputes the instantaneous gauges from current state.
+// refreshGauges recomputes the instantaneous gauges from current state
+// (state loop only).
 func (s *Server) refreshGauges() {
 	met := s.engine.Tracer().Metrics()
+	net := s.planner.Network()
 	met.QueueDepth.Set(int64(s.engine.QueueLen()))
 	met.VirtualClock.Set(int64(s.engine.Clock()))
-	met.Utilization.Set(s.planner.Network().Utilization())
+	met.Utilization.Set(net.Utilization())
+	met.FlowsPlaced.Set(int64(net.Registry().NumPlaced()))
 	met.LinksDown.Set(int64(s.engine.LinksDown()))
+	s.journal.refreshLag()
 }
 
 // replayRecord folds one log record during crash recovery or on a

@@ -259,13 +259,14 @@ func (t *Tracer) Round(vt int64, r *RoundRecord) {
 	t.emit(&Record{Kind: KindRound, VT: vt, Round: r})
 }
 
-// EventComplete records an event's lifecycle span and feeds the ECT and
-// queuing-delay histograms.
+// EventComplete records an event's lifecycle span and feeds the cost
+// counter and the ECT and queuing-delay histograms.
 func (t *Tracer) EventComplete(vt int64, s SpanRecord) {
 	if t.met != nil {
 		t.met.EventsDone.Inc()
 		t.met.FlowsAdmitted.Add(int64(s.Flows))
 		t.met.FlowsFailed.Add(int64(s.Failed))
+		t.met.Cost.Add(s.CostBps)
 		t.met.ECT.Observe(s.ECTNs)
 		t.met.QueuingDelay.Observe(s.QueuingNs)
 		if s.Retries > 0 {

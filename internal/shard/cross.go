@@ -25,8 +25,10 @@ const DefaultCrossPoolFrac = 0.25
 // shards must debit its aggregate demand from every touched shard's
 // pool atomically (all shards or none, via consistency.Atomic) before
 // it is routed to its home engine. A debit is released only when the
-// home engine rejects the event; committed events hold their slice, the
-// reserved-pool analogue of a placed flow's reservation.
+// home engine rejects the event; confirmed events hold their slice, the
+// reserved-pool analogue of a placed flow's reservation. The admitter
+// counts its own outcomes, once each: a refusal in Admit, an admission
+// in Confirm.
 type CrossAdmitter struct {
 	mu       sync.Mutex
 	avail    []int64 // index s-1: remaining pool on shard s
@@ -84,8 +86,15 @@ func (c *CrossAdmitter) Admit(touched []int, demand int64) error {
 		c.rejected++
 		return err
 	}
-	c.admitted++
 	return nil
+}
+
+// Confirm counts an admitted cross event its home engine accepted: the
+// debit now stays held for good.
+func (c *CrossAdmitter) Confirm() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.admitted++
 }
 
 // Release returns a previously admitted debit, after the home engine
@@ -103,12 +112,15 @@ func (c *CrossAdmitter) Release(touched []int, demand int64) {
 			c.avail[s-1] = c.size
 		}
 	}
-	c.admitted--
 }
 
-// Counters reports how many cross-shard events were pool-admitted (net
-// of releases) and how many were refused for pool exhaustion.
+// Counters reports how many cross-shard events were pool-admitted and
+// confirmed by their home engine, and how many the pool refused (0, 0
+// on a nil admitter: no pool, no cross accounting).
 func (c *CrossAdmitter) Counters() (admitted, rejected int64) {
+	if c == nil {
+		return 0, 0
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.admitted, c.rejected

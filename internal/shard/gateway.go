@@ -3,7 +3,8 @@ package shard
 import (
 	"fmt"
 	"net"
-	"time"
+	"strconv"
+	"sync"
 
 	"netupdate/internal/ctl"
 	"netupdate/internal/obs"
@@ -18,10 +19,12 @@ import (
 // against the reserved core pool, and fans per-shard answers back into
 // the single-controller response shapes clients already understand.
 //
-// Fan-out is always in ascending shard order and, within one
-// connection, requests are handled one at a time — the gateway adds no
+// Fan-out is in ascending shard order and, within one connection,
+// requests are handled one at a time — the gateway adds no
 // nondeterminism of its own, which is what keeps a re-run of the same
-// workload byte-identical per shard.
+// workload byte-identical per shard. The one exception is the metrics
+// read behind OpStats and OpMetrics: it changes no shard, so it asks
+// every shard at once and merges the answers in shard order.
 type Gateway struct {
 	part     *Partition
 	graph    *topology.Graph // reference topology, for fault routing
@@ -29,11 +32,9 @@ type Gateway struct {
 	backends []ctl.Backend // index s-1 holds shard s
 	wire     *ctl.WireServer
 
-	reg      *obs.Registry
-	routed   *obs.Counter
-	fanouts  *obs.Counter
-	crossAdm *obs.Counter
-	crossRej *obs.Counter
+	reg     *obs.Registry
+	routed  *obs.Counter
+	fanouts *obs.Counter
 }
 
 // NewGateway wires a gateway over the given backends. part decides
@@ -53,15 +54,19 @@ func NewGateway(part *Partition, graph *topology.Graph, cross *CrossAdmitter, ba
 		reg:      reg,
 		routed:   reg.NewCounter("netupdate_gateway_routed_events_total", "Events routed to a home shard."),
 		fanouts:  reg.NewCounter("netupdate_gateway_fanouts_total", "Requests fanned out to every shard."),
-		crossAdm: reg.NewCounter("netupdate_gateway_cross_admitted_total", "Cross-shard events admitted through the core pool."),
-		crossRej: reg.NewCounter("netupdate_gateway_cross_rejected_total", "Cross-shard events refused for core-pool exhaustion."),
 	}
+	reg.NewCounterFunc("netupdate_gateway_cross_admitted_total", "Cross-shard events admitted through the core pool and accepted by their home shard.",
+		func() int64 { adm, _ := cross.Counters(); return adm })
+	reg.NewCounterFunc("netupdate_gateway_cross_rejected_total", "Cross-shard events refused for core-pool exhaustion.",
+		func() int64 { _, rej := cross.Counters(); return rej })
+	reg.NewInfo("netupdate_shard_info", "The gateway's place in the sharded deployment: slot 0 of the shards it fronts.",
+		map[string]string{"shard": "0", "shards": strconv.Itoa(part.N())})
 	gw.wire = &ctl.WireServer{Handle: gw.Handle}
 	return gw, nil
 }
 
 // Registry exposes the gateway's own metrics (routing and cross-pool
-// counters) for /metrics.
+// counters, its shard info) for /metrics.
 func (gw *Gateway) Registry() *obs.Registry { return gw.reg }
 
 // Serve accepts ctl connections on l until Close.
@@ -89,32 +94,31 @@ func (gw *Gateway) Handle(req ctl.Request, ingestWall int64) ctl.Response {
 
 	case ctl.OpResults:
 		var all []ctl.EventStatus
-		for s := 1; s <= gw.part.N(); s++ {
-			resp := gw.backends[s-1].Do(ctl.Request{Op: ctl.OpResults})
-			if !resp.OK {
-				return resp
-			}
-			all = append(all, resp.Results...)
+		if refused := gw.fanout(ctl.Request{Op: ctl.OpResults}, func(_ int, resp *ctl.Response) { all = append(all, resp.Results...) }); refused != nil {
+			return *refused
 		}
-		gw.fanouts.Inc()
 		return ctl.Response{OK: true, Results: all}
 
 	case ctl.OpStats:
-		return gw.stats()
+		resp := gw.sample()
+		if resp.OK {
+			resp.Stats, resp.Metrics = ctl.StatsOf(resp.Metrics), nil
+		}
+		return resp
+
+	case ctl.OpMetrics:
+		return gw.sample()
 
 	case ctl.OpTrace:
 		var all []obs.Record
-		for s := 1; s <= gw.part.N(); s++ {
-			resp := gw.backends[s-1].Do(ctl.Request{Op: ctl.OpTrace, N: req.N})
-			if !resp.OK {
-				return resp
-			}
+		if refused := gw.fanout(ctl.Request{Op: ctl.OpTrace, N: req.N}, func(s int, resp *ctl.Response) {
 			for _, rec := range resp.Trace {
 				rec.Shard = s
 				all = append(all, rec)
 			}
+		}); refused != nil {
+			return *refused
 		}
-		gw.fanouts.Inc()
 		return ctl.Response{OK: true, Trace: all}
 
 	case ctl.OpSnapshot:
@@ -174,10 +178,8 @@ func (gw *Gateway) submit(req ctl.Request) ctl.Response {
 		if k.Cross && gw.cross != nil {
 			if err := gw.cross.Admit(k.Touched, demandOf(&specs[i])); err != nil {
 				verdicts[i] = ctl.SubmitVerdict{Error: err.Error(), Overloaded: true}
-				gw.crossRej.Inc()
 				continue
 			}
-			gw.crossAdm.Inc()
 		}
 		groups[k.Home] = append(groups[k.Home], i)
 	}
@@ -218,6 +220,9 @@ func (gw *Gateway) submit(req ctl.Request) ctl.Response {
 			verdicts[i] = v
 			if v.OK {
 				gw.routed.Inc()
+				if keys[i].Cross && gw.cross != nil {
+					gw.cross.Confirm()
+				}
 			} else {
 				gw.release(keys[i], &specs[i])
 			}
@@ -296,136 +301,67 @@ func (gw *Gateway) fault(req ctl.Request) ctl.Response {
 		return gw.backends[owner-1].Do(req)
 	}
 	// Shared-layer fault: apply to every world, fold the results.
-	gw.fanouts.Inc()
 	var agg *ctl.FaultResult
-	for s := 1; s <= gw.part.N(); s++ {
-		resp := gw.backends[s-1].Do(req)
-		if !resp.OK {
-			return resp
+	if refused := gw.fanout(req, func(_ int, resp *ctl.Response) {
+		switch r := resp.Fault; {
+		case r == nil:
+		case agg == nil:
+			agg = r
+		default:
+			agg.FlowsAffected += r.FlowsAffected
+			agg.LinksDown += r.LinksDown
+			agg.LinksChanged = max(agg.LinksChanged, r.LinksChanged)
+			if agg.RepairEventID == 0 {
+				agg.RepairEventID = r.RepairEventID
+			}
 		}
-		r := resp.Fault
-		if r == nil {
-			continue
-		}
-		if agg == nil {
-			cp := *r
-			agg = &cp
-			continue
-		}
-		agg.FlowsAffected += r.FlowsAffected
-		agg.LinksDown += r.LinksDown
-		if r.LinksChanged > agg.LinksChanged {
-			agg.LinksChanged = r.LinksChanged
-		}
-		if agg.RepairEventID == 0 {
-			agg.RepairEventID = r.RepairEventID
-		}
+	}); refused != nil {
+		return *refused
 	}
 	return ctl.Response{OK: true, Fault: agg}
 }
 
-// stats fans in every shard's stats and folds them into one
-// cluster-wide view: counters sum, averages weight by completed events,
-// the virtual clock is the furthest shard's, and the cross-pool
-// counters come from the gateway's own ledgers.
-func (gw *Gateway) stats() ctl.Response {
-	per := make([]ctl.Stats, 0, gw.part.N())
-	for s := 1; s <= gw.part.N(); s++ {
-		resp := gw.backends[s-1].Do(ctl.Request{Op: ctl.OpStats})
+// sample asks every shard for its metrics at once — a read, so the
+// order the shards answer in changes nothing, and waiting on the slowest
+// engine instead of on all of them in turn keeps a stats read as quick
+// as it was when shards answered with their Stats — and merges the
+// answers in shard order behind the gateway's own registry's (first, so
+// its shard info — slot 0 of N — wins): the cluster as one sample, which
+// OpStats decodes.
+func (gw *Gateway) sample() ctl.Response {
+	resps := make([]ctl.Response, gw.part.N())
+	var wg sync.WaitGroup
+	for i := range resps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resps[i] = gw.backends[i].Do(ctl.Request{Op: ctl.OpMetrics})
+		}()
+	}
+	wg.Wait()
+	samples := make([]obs.Sample, 1, len(resps)+1)
+	for _, resp := range resps {
 		if !resp.OK {
 			return resp
 		}
-		if resp.Stats == nil {
-			return ctl.Response{OK: false, Error: fmt.Sprintf("shard %d: stats: empty response", s)}
-		}
-		per = append(per, *resp.Stats)
+		samples = append(samples, resp.Metrics)
 	}
 	gw.fanouts.Inc()
-	agg := mergeStats(per)
-	if gw.cross != nil {
-		adm, rej := gw.cross.Counters()
-		agg.CrossEvents = adm
-		agg.CrossRejected = rej
-	}
-	return ctl.Response{OK: true, Stats: agg}
+	samples[0] = gw.reg.Sample()
+	return ctl.Response{OK: true, Metrics: obs.Merge(samples...)}
 }
 
-func mergeStats(per []ctl.Stats) *ctl.Stats {
-	agg := &ctl.Stats{
-		Scheduler:       per[0].Scheduler,
-		IngestWatermark: per[0].IngestWatermark,
-		Shards:          len(per),
+// fanout sends req to every shard in ascending order and folds each
+// answer; the first refusal is returned as the shard gave it. A fan-out
+// that reached every shard counts once.
+func (gw *Gateway) fanout(req ctl.Request, fold func(s int, resp *ctl.Response)) *ctl.Response {
+	for s := 1; s <= gw.part.N(); s++ {
+		resp := gw.backends[s-1].Do(req)
+		if !resp.OK {
+			return &resp
+		}
+		fold(s, &resp)
 	}
-	var utilSum float64
-	var ectWeighted, queueWeighted int64
-	for i := range per {
-		p := &per[i]
-		utilSum += p.Utilization
-		agg.FlowsPlaced += p.FlowsPlaced
-		agg.EventsQueued += p.EventsQueued
-		agg.EventsDone += p.EventsDone
-		agg.EventsRetained += p.EventsRetained
-		agg.TotalCostBps += p.TotalCostBps
-		ectWeighted += int64(p.AvgECT) * int64(p.EventsDone)
-		queueWeighted += int64(p.AvgQueuingDelay) * int64(p.EventsDone)
-		if p.TailECT > agg.TailECT {
-			agg.TailECT = p.TailECT
-		}
-		agg.PlanTime += p.PlanTime
-		if p.VirtualClock > agg.VirtualClock {
-			agg.VirtualClock = p.VirtualClock
-		}
-		agg.Probes += p.Probes
-		agg.Rounds += p.Rounds
-		agg.FaultsInjected += p.FaultsInjected
-		agg.LinksDown += p.LinksDown
-		agg.RepairEvents += p.RepairEvents
-		agg.FlowsDisrupted += p.FlowsDisrupted
-		agg.InstallRetries += p.InstallRetries
-		agg.InstallRollbacks += p.InstallRollbacks
-		agg.IngestAccepted += p.IngestAccepted
-		agg.IngestRejected += p.IngestRejected
-		agg.IngestRetried += p.IngestRetried
-		agg.IngestBatches += p.IngestBatches
-		agg.CodecV2Conns += p.CodecV2Conns
-		agg.FramesV1 += p.FramesV1
-		agg.FramesV2 += p.FramesV2
-		agg.WALEnabled = agg.WALEnabled || p.WALEnabled
-		if p.WALLastSeq > agg.WALLastSeq {
-			agg.WALLastSeq = p.WALLastSeq
-		}
-		if p.WALCheckpointSeq > agg.WALCheckpointSeq {
-			agg.WALCheckpointSeq = p.WALCheckpointSeq
-		}
-		agg.WALAppends += p.WALAppends
-		agg.WALCheckpoints += p.WALCheckpoints
-		agg.WALReplayed += p.WALReplayed
-		if p.WALRecoveryMs > agg.WALRecoveryMs {
-			agg.WALRecoveryMs = p.WALRecoveryMs
-		}
-		if p.WALSyncPolicy != "" && agg.WALSyncPolicy == "" {
-			agg.WALSyncPolicy = p.WALSyncPolicy
-		}
-		agg.WALFsyncCount += p.WALFsyncCount
-		// Percentiles cannot be merged exactly; the cluster view reports
-		// the worst shard's, a conservative bound.
-		agg.WALFsyncP50Ns = max(agg.WALFsyncP50Ns, p.WALFsyncP50Ns)
-		agg.WALFsyncP99Ns = max(agg.WALFsyncP99Ns, p.WALFsyncP99Ns)
-		agg.LatencyE2EP50Ns = max(agg.LatencyE2EP50Ns, p.LatencyE2EP50Ns)
-		agg.LatencyE2EP95Ns = max(agg.LatencyE2EP95Ns, p.LatencyE2EP95Ns)
-		agg.LatencyE2EP99Ns = max(agg.LatencyE2EP99Ns, p.LatencyE2EP99Ns)
-		agg.LatencyE2EP999Ns = max(agg.LatencyE2EP999Ns, p.LatencyE2EP999Ns)
-		agg.LatencyQueueP50Ns = max(agg.LatencyQueueP50Ns, p.LatencyQueueP50Ns)
-		agg.LatencyQueueP99Ns = max(agg.LatencyQueueP99Ns, p.LatencyQueueP99Ns)
-		agg.LatencyRoundsP50Ns = max(agg.LatencyRoundsP50Ns, p.LatencyRoundsP50Ns)
-		agg.LatencyRoundsP99Ns = max(agg.LatencyRoundsP99Ns, p.LatencyRoundsP99Ns)
-		agg.SpansDropped += p.SpansDropped
-	}
-	agg.Utilization = utilSum / float64(len(per))
-	if agg.EventsDone > 0 {
-		agg.AvgECT = time.Duration(ectWeighted / int64(agg.EventsDone))
-		agg.AvgQueuingDelay = time.Duration(queueWeighted / int64(agg.EventsDone))
-	}
-	agg.ProbeCacheMisses, agg.ProbeColdPlans = agg.Probes, agg.Probes
-	return agg
+	gw.fanouts.Inc()
+	return nil
 }

@@ -290,7 +290,7 @@ func (e *Engine) runRound() error {
 	}
 	decisionTime := e.cfg.planTime(decision.Evals)
 	e.collector.DecisionEvals += decision.Evals
-	e.collector.PlanTime += decisionTime
+	e.addPlanTime(decisionTime)
 
 	e.rounds++
 	if e.obs != nil {
@@ -344,7 +344,7 @@ func (e *Engine) runRound() error {
 			return fmt.Errorf("sim: opportunistic probe of %v: %w", cand.Event, err)
 		}
 		e.collector.DecisionEvals += est.Evals
-		e.collector.PlanTime += e.cfg.planTime(est.Evals)
+		e.addPlanTime(e.cfg.planTime(est.Evals))
 		if e.spans != nil {
 			e.spans.Probed(int64(cand.Event.ID), e.rounds, int64(roundStart))
 		}
@@ -395,11 +395,21 @@ func (e *Engine) syncTelemetry() {
 	g := e.planner.Network().Graph()
 	m.VirtualClock.Set(int64(e.clock))
 	m.Utilization.Set(g.Utilization())
+	m.FlowsPlaced.Set(int64(e.planner.Network().Registry().NumPlaced()))
 	e.utilScratch = e.utilScratch[:0]
 	for i := 0; i < g.NumLinks(); i++ {
 		e.utilScratch = append(e.utilScratch, g.Link(topology.LinkID(i)).Utilization())
 	}
 	m.LinkUtil.Update(e.utilScratch)
+}
+
+// addPlanTime charges simulated planning time to the collector and the
+// live counter alike.
+func (e *Engine) addPlanTime(d time.Duration) {
+	e.collector.PlanTime += d
+	if e.obs != nil && e.obs.Metrics() != nil {
+		e.obs.Metrics().PlanTime.Add(int64(d))
+	}
 }
 
 // syncProbeStats publishes the run's probe totals — the planner's
@@ -430,7 +440,7 @@ func (e *Engine) runLane(ev *core.Event, laneStart time.Duration) (time.Duration
 		return 0, fmt.Errorf("sim: executing %v: %w", ev, err)
 	}
 	lanePlan := e.cfg.planTime(res.Evals)
-	e.collector.PlanTime += lanePlan
+	e.addPlanTime(lanePlan)
 	if !e.cfg.SerialPlanning {
 		lanePlan = 0 // pipelined with the previous round's execution
 	}
