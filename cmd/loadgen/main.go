@@ -25,13 +25,14 @@
 // hint; with -retries 0 a rejection is final and counts toward the
 // rejection rate.
 //
-// The wire codec defaults to the binary v2 framing (-codec v2); with
-// -retries <= 1 each connection pipelines up to -pipeline submit-batch
-// requests without waiting for responses, which is what sustains
-// wire-speed offered rates. -codec v1 falls back to JSON, and retries
-// force the synchronous request/response path in either codec. The
-// summary reports client-observed submit latency (write to response)
-// percentiles.
+// The wire codec defaults to the binary v2 framing (-codec v2); -codec
+// v1 falls back to JSON. Each connection is one ctl.Client shared by
+// -pipeline submitters, so up to that many submit-batch requests ride
+// the connection at once, which is what sustains wire-speed offered
+// rates. A request that fails as a whole (transport error, not-leader)
+// counts its events as failed, apart from per-event overload
+// rejections. The summary reports client-observed submit latency
+// (write to response) percentiles.
 package main
 
 import (
@@ -67,12 +68,14 @@ type summary struct {
 	ElapsedSec  float64 `json:"elapsed_sec"`
 	// Offered = events the arrival process generated; Submitted = those
 	// that reached the wire (offered minus dropped); Accepted/Rejected/
-	// Invalid are per-event outcomes; Dropped were shed client-side.
+	// Invalid are per-event outcomes; Failed were in requests that failed
+	// as a whole; Dropped were shed client-side.
 	Offered   int64 `json:"offered"`
 	Submitted int64 `json:"submitted"`
 	Accepted  int64 `json:"accepted"`
 	Rejected  int64 `json:"rejected"`
 	Invalid   int64 `json:"invalid"`
+	Failed    int64 `json:"failed"`
 	Dropped   int64 `json:"dropped"`
 	// AcceptedPerSec is the sustained ingest rate; RejectionRate is
 	// rejected over submitted.
@@ -130,7 +133,7 @@ func run(args []string, stdout io.Writer) int {
 		batchSz  = fs.Int("batch", 16, "events per submit-batch request")
 		retries  = fs.Int("retries", 0, "max submit attempts per batch on overload (0 or 1 = no retry)")
 		codec    = fs.String("codec", "v2", "wire codec: v2 (binary framing) or v1 (JSON)")
-		pipeline = fs.Int("pipeline", 32, "in-flight submit-batch window per connection (codec v2, retries <= 1; 0 = synchronous)")
+		pipeline = fs.Int("pipeline", 32, "submit-batch requests in flight per connection (0 or 1 = synchronous)")
 		seed     = fs.Int64("seed", 1, "random seed for arrivals and event specs")
 		minFlows = fs.Int("min-flows", 1, "flows per event, lower bound")
 		maxFlows = fs.Int("max-flows", 4, "flows per event, upper bound")
@@ -171,7 +174,6 @@ func run(args []string, stdout io.Writer) int {
 		fmt.Fprintf(os.Stderr, "loadgen: unknown codec %q (want v1 or v2)\n", *codec)
 		return 2
 	}
-	pipelined := *codec == "v2" && *retries <= 1 && *pipeline > 0
 	if *spanFile != "" && !*selfhost {
 		fmt.Fprintln(os.Stderr, "loadgen: -spans requires -selfhost (the span file is written by the in-process controller)")
 		return 2
@@ -218,7 +220,15 @@ func run(args []string, stdout io.Writer) int {
 		fmt.Fprintf(os.Stderr, "loadgen: selfhost controller on %s\n", laddr)
 	}
 
-	hosts, err := discoverHosts(target)
+	// One control connection serves host discovery, the span-feature
+	// probe and the end-of-run stats.
+	ctrl, err := ctl.Dial(target)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
+		return 1
+	}
+	defer ctrl.Close()
+	hosts, err := discoverHosts(ctrl)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
 		return 1
@@ -227,52 +237,42 @@ func run(args []string, stdout io.Writer) int {
 	// Span contexts ride a flag-gated binary extension that pre-span
 	// servers reject, so negotiate before any worker enables them.
 	if spansOn {
-		if err := probeSpanFeature(target); err != nil {
+		if err := probeSpanFeature(ctrl); err != nil {
 			fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
 			return 1
 		}
 	}
 
-	var accepted, rejected, invalid, dropped atomic.Int64
+	clients := make([]*ctl.Client, *conns)
+	for i := range clients {
+		c, err := dialCodec(target, *codec)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
+			return 1
+		}
+		defer c.Close()
+		if spansOn {
+			c.EnableSpans(spanOrigin)
+		}
+		clients[i] = c
+	}
+	submitters := max(*pipeline, 1)
+	var n counts
 	lat := &latencyRecorder{}
 	work := make(chan []ctl.EventSpec, *conns*4)
 	var wg sync.WaitGroup
-	workerErr := make(chan error, *conns)
-	for w := 0; w < *conns; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			drainDropped := func() {
-				// Drain so the generator never blocks on a dead worker's
-				// share of the channel; those events never reach the wire,
-				// so they count as dropped, not submitted.
+	for _, c := range clients {
+		for i := 0; i < submitters; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
 				for batch := range work {
-					dropped.Add(int64(len(batch)))
+					t0 := time.Now()
+					submitBatch(c, batch, *retries, &n)
+					lat.add(time.Since(t0))
 				}
-			}
-			if pipelined {
-				if err := pipelineWorker(target, *pipeline, spansOn, spanOrigin, work, lat, &accepted, &rejected, &invalid); err != nil {
-					workerErr <- err
-					drainDropped()
-				}
-				return
-			}
-			c, err := dialCodec(target, *codec)
-			if err != nil {
-				workerErr <- err
-				drainDropped()
-				return
-			}
-			if spansOn {
-				c.EnableSpans(spanOrigin)
-			}
-			defer c.Close()
-			for batch := range work {
-				t0 := time.Now()
-				submitBatch(c, batch, *retries, &accepted, &rejected, &invalid)
-				lat.add(time.Since(t0))
-			}
-		}()
+			}()
+		}
 	}
 
 	// Open-loop arrival process: exponential gaps at the target rate,
@@ -293,7 +293,7 @@ func run(args []string, stdout io.Writer) int {
 		select {
 		case work <- batch:
 		default:
-			dropped.Add(int64(len(batch)))
+			n.dropped.Add(int64(len(batch)))
 		}
 	}
 	for {
@@ -312,21 +312,18 @@ func run(args []string, stdout io.Writer) int {
 	close(work)
 	wg.Wait()
 	elapsed := time.Since(start)
-	close(workerErr)
-	for err := range workerErr {
-		fmt.Fprintf(os.Stderr, "loadgen: worker: %v\n", err)
-	}
 
-	droppedTotal := dropped.Load()
+	droppedTotal := n.dropped.Load()
 	sum := summary{
 		RateTarget:  *rate,
 		DurationSec: duration.Seconds(),
 		ElapsedSec:  elapsed.Seconds(),
 		Offered:     offered,
 		Submitted:   offered - droppedTotal,
-		Accepted:    accepted.Load(),
-		Rejected:    rejected.Load(),
-		Invalid:     invalid.Load(),
+		Accepted:    n.accepted.Load(),
+		Rejected:    n.rejected.Load(),
+		Invalid:     n.invalid.Load(),
+		Failed:      n.failed.Load(),
 		Dropped:     droppedTotal,
 	}
 	if elapsed > 0 {
@@ -336,27 +333,24 @@ func run(args []string, stdout io.Writer) int {
 		sum.RejectionRate = float64(sum.Rejected) / float64(sum.Submitted)
 	}
 	sum.Codec = *codec
-	sum.Pipelined = pipelined
+	sum.Pipelined = submitters > 1
 	p50, p99 := lat.percentiles()
 	sum.SubmitP50Ms = float64(p50) / float64(time.Millisecond)
 	sum.SubmitP99Ms = float64(p99) / float64(time.Millisecond)
-	if c, err := ctl.Dial(target); err == nil {
-		if stats, err := c.Stats(); err == nil {
-			sum.Server = &stats
-			sum.Latency = &latencySummary{
-				E2EP50Ms:     ms(stats.LatencyE2EP50Ns),
-				E2EP95Ms:     ms(stats.LatencyE2EP95Ns),
-				E2EP99Ms:     ms(stats.LatencyE2EP99Ns),
-				E2EP999Ms:    ms(stats.LatencyE2EP999Ns),
-				QueueP50Ms:   ms(stats.LatencyQueueP50Ns),
-				QueueP99Ms:   ms(stats.LatencyQueueP99Ns),
-				RoundsP50Ms:  ms(stats.LatencyRoundsP50Ns),
-				RoundsP99Ms:  ms(stats.LatencyRoundsP99Ns),
-				SpansDropped: stats.SpansDropped,
-				SpanFile:     *spanFile,
-			}
+	if stats, err := ctrl.Stats(); err == nil {
+		sum.Server = &stats
+		sum.Latency = &latencySummary{
+			E2EP50Ms:     ms(stats.LatencyE2EP50Ns),
+			E2EP95Ms:     ms(stats.LatencyE2EP95Ns),
+			E2EP99Ms:     ms(stats.LatencyE2EP99Ns),
+			E2EP999Ms:    ms(stats.LatencyE2EP999Ns),
+			QueueP50Ms:   ms(stats.LatencyQueueP50Ns),
+			QueueP99Ms:   ms(stats.LatencyQueueP99Ns),
+			RoundsP50Ms:  ms(stats.LatencyRoundsP50Ns),
+			RoundsP99Ms:  ms(stats.LatencyRoundsP99Ns),
+			SpansDropped: stats.SpansDropped,
+			SpanFile:     *spanFile,
 		}
-		_ = c.Close()
 	}
 
 	if *jsonOut {
@@ -369,9 +363,9 @@ func run(args []string, stdout io.Writer) int {
 	} else {
 		fmt.Fprintf(stdout, "offered %d events in %.2fs (target %.0f/s)\n",
 			sum.Offered, sum.ElapsedSec, sum.RateTarget)
-		fmt.Fprintf(stdout, "accepted %d (%.1f/s), rejected %d (%.1f%%), invalid %d, dropped %d\n",
+		fmt.Fprintf(stdout, "accepted %d (%.1f/s), rejected %d (%.1f%%), invalid %d, failed %d, dropped %d\n",
 			sum.Accepted, sum.AcceptedPerSec, sum.Rejected, 100*sum.RejectionRate,
-			sum.Invalid, sum.Dropped)
+			sum.Invalid, sum.Failed, sum.Dropped)
 		fmt.Fprintf(stdout, "codec %s%s, submit latency p50 %.2fms p99 %.2fms\n",
 			sum.Codec, map[bool]string{true: " pipelined", false: ""}[sum.Pipelined],
 			sum.SubmitP50Ms, sum.SubmitP99Ms)
@@ -397,9 +391,16 @@ func run(args []string, stdout io.Writer) int {
 	return 0
 }
 
+// counts are the run's per-event outcome counters, shared by every
+// submitter.
+type counts struct {
+	accepted, rejected, invalid, failed, dropped atomic.Int64
+}
+
 // submitBatch sends one batch, retrying overload rejections when asked,
-// and folds the per-event outcomes into the run counters.
-func submitBatch(c *ctl.Client, batch []ctl.EventSpec, retries int, accepted, rejected, invalid *atomic.Int64) {
+// and folds the per-event outcomes into n. A request that fails as a
+// whole counts its unaccepted events once, as failed.
+func submitBatch(c *ctl.Client, batch []ctl.EventSpec, retries int, n *counts) {
 	if retries > 1 {
 		ids, err := c.SubmitBatchRetry(batch, retries)
 		var acc int64
@@ -408,30 +409,32 @@ func submitBatch(c *ctl.Client, batch []ctl.EventSpec, retries int, accepted, re
 				acc++
 			}
 		}
-		accepted.Add(acc)
+		n.accepted.Add(acc)
 		rest := int64(len(batch)) - acc
-		if rest > 0 {
-			if err != nil && !errors.Is(err, ctl.ErrOverloaded) {
-				invalid.Add(rest)
-			} else {
-				rejected.Add(rest)
-			}
+		switch {
+		case rest == 0:
+		case errors.Is(err, ctl.ErrOverloaded):
+			n.rejected.Add(rest)
+		case errors.Is(err, ctl.ErrBadRequest):
+			n.invalid.Add(rest)
+		default:
+			n.failed.Add(rest)
 		}
 		return
 	}
 	verdicts, _, err := c.SubmitBatch(batch)
 	if err != nil {
-		rejected.Add(int64(len(batch)))
+		n.failed.Add(int64(len(batch)))
 		return
 	}
 	for _, v := range verdicts {
 		switch {
 		case v.OK:
-			accepted.Add(1)
+			n.accepted.Add(1)
 		case v.Overloaded:
-			rejected.Add(1)
+			n.rejected.Add(1)
 		default:
-			invalid.Add(1)
+			n.invalid.Add(1)
 		}
 	}
 }
@@ -458,12 +461,7 @@ func randomEvent(rng *rand.Rand, hosts []int, minFlows, maxFlows int, demandMbps
 
 // discoverHosts fetches the controller's snapshot and returns its host
 // node IDs, so the generator works against any topology without flags.
-func discoverHosts(addr string) ([]int, error) {
-	c, err := ctl.Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	defer c.Close()
+func discoverHosts(c *ctl.Client) ([]int, error) {
 	snap, err := c.Snapshot()
 	if err != nil {
 		return nil, err
@@ -565,12 +563,7 @@ func dialCodec(target, codec string) (*ctl.Client, error) {
 
 // probeSpanFeature checks the controller advertises span-context
 // support before any connection enables the binary span extension.
-func probeSpanFeature(target string) error {
-	c, err := ctl.Dial(target)
-	if err != nil {
-		return err
-	}
-	defer c.Close()
+func probeSpanFeature(c *ctl.Client) error {
 	feats, err := c.Features()
 	if err != nil {
 		return fmt.Errorf("feature probe: %w", err)
@@ -581,58 +574,4 @@ func probeSpanFeature(target string) error {
 		}
 	}
 	return fmt.Errorf("server does not support %s (features: %v); run without -spans", ctl.FeatureSpanContext, feats)
-}
-
-// pipelineWorker drives one pipelined binary connection: batches are
-// written without waiting for responses, outcomes and latencies are
-// folded in from the reader callback. Because responses arrive in
-// submission order, a FIFO of batch sizes attributes each result to its
-// event count.
-func pipelineWorker(target string, window int, spansOn bool, spanOrigin uint16, work <-chan []ctl.EventSpec, lat *latencyRecorder, accepted, rejected, invalid *atomic.Int64) error {
-	var mu sync.Mutex
-	var sizes []int
-	p, err := ctl.DialPipeline(target, window, func(r ctl.BatchResult) {
-		mu.Lock()
-		size := sizes[0]
-		sizes = sizes[1:]
-		mu.Unlock()
-		lat.add(r.Latency)
-		if r.Err != nil {
-			rejected.Add(int64(size))
-			return
-		}
-		for _, v := range r.Verdicts {
-			switch {
-			case v.OK:
-				accepted.Add(1)
-			case v.Overloaded:
-				rejected.Add(1)
-			default:
-				invalid.Add(1)
-			}
-		}
-	})
-	if err != nil {
-		return err
-	}
-	if spansOn {
-		p.EnableSpans(spanOrigin)
-	}
-	defer func() { _ = p.Close() }()
-	for batch := range work {
-		mu.Lock()
-		sizes = append(sizes, len(batch))
-		mu.Unlock()
-		if err := p.SubmitBatch(batch, false); err != nil {
-			if !errors.Is(err, ctl.ErrInFlight) {
-				// Never reached the wire: no callback will fire, so pop the
-				// size back off and count the batch as rejected here.
-				mu.Lock()
-				sizes = sizes[:len(sizes)-1]
-				mu.Unlock()
-				rejected.Add(int64(len(batch)))
-			}
-		}
-	}
-	return nil
 }

@@ -3,7 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"sync"
 	"testing"
+	"time"
+
+	"netupdate/internal/ctl"
+	"netupdate/internal/shard"
 )
 
 // runJSON executes the generator and decodes its -json summary.
@@ -89,6 +94,57 @@ func TestRetriesRecoverRejections(t *testing.T) {
 	// Under this load some batch must have been rejected then readmitted.
 	if sum.Server.IngestRetried == 0 {
 		t.Errorf("no retried admissions recorded: %+v", sum.Server)
+	}
+}
+
+// TestServerGoneCountsFailed stops the controller mid-run. Every event
+// submitted after that is in a request that failed as a whole: it must
+// count once, as failed, and never as an overload rejection, in every
+// worker configuration.
+func TestServerGoneCountsFailed(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"v2 pipelined", nil},
+		{"v1 pipelined", []string{"-codec", "v1", "-pipeline", "4"}},
+		{"v2 synchronous", []string{"-pipeline", "0"}},
+		{"v2 retries", []string{"-retries", "4"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stop, addr, err := startSelfhost(shard.WorldConfig{
+				K: 4, Util: 0.3, Scheduler: "p-lmtf", Alpha: 4, Seed: 1,
+				Watermark: ctl.DefaultHighWatermark,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var once sync.Once
+			stopOnce := func() {
+				once.Do(func() {
+					if err := stop(); err != nil {
+						t.Errorf("stop: %v", err)
+					}
+				})
+			}
+			defer stopOnce()
+			timer := time.AfterFunc(300*time.Millisecond, stopOnce)
+			defer timer.Stop()
+
+			sum := runJSON(t, append([]string{
+				"-addr", addr, "-rate", "300", "-duration", "1s",
+				"-batch", "4", "-conns", "2", "-seed", "7",
+			}, tc.args...)...)
+			if sum.Accepted == 0 || sum.Failed == 0 {
+				t.Fatalf("want events accepted before the stop and failed after it: %+v", sum)
+			}
+			if sum.Rejected != 0 || sum.Invalid != 0 {
+				t.Errorf("failed requests counted as rejected or invalid: %+v", sum)
+			}
+			if sum.Accepted+sum.Failed != sum.Submitted {
+				t.Errorf("accepted %d + failed %d != submitted %d", sum.Accepted, sum.Failed, sum.Submitted)
+			}
+		})
 	}
 }
 

@@ -12,20 +12,27 @@ import (
 )
 
 // Client talks the controller protocol over one TCP connection, in
-// either codec. It is safe for concurrent use; calls are serialized on
-// the connection.
+// either codec. It is safe for concurrent use, and concurrent calls
+// pipeline on the connection: a call writes its request as soon as it
+// is made and reads its own response once the responses ahead of it
+// have been read. Servers answer a connection's requests in request
+// order, so no request IDs are needed, and a lone caller writes and
+// then reads with no goroutine in between. A transport failure fails
+// every call in flight and every later call.
 type Client struct {
 	typed // the typed Backend methods, over roundTrip
 
-	mu   sync.Mutex
 	conn net.Conn
-	enc  *json.Encoder
-	dec  *json.Decoder
-	// binary selects the v2 framed codec; br reads response frames and
-	// buf is the reused request-frame build buffer.
+	// binary selects the v2 framed codec; JSON v1 lines otherwise.
 	binary bool
-	br     *bufio.Reader
-	buf    []byte
+
+	// The write half, under wmu. wbuf is the reused request-frame build
+	// buffer; last is closed once the response to the latest written
+	// request has been read, which is the next call's turn to read.
+	wmu  sync.Mutex
+	enc  *json.Encoder
+	wbuf []byte
+	last chan struct{}
 	// spanOn/spanOrigin: when enabled, submit/submit-batch requests
 	// carry a span context stamped at send time.
 	spanOn     bool
@@ -33,6 +40,15 @@ type Client struct {
 	// shardOn: when enabled, submit/submit-batch requests ask for
 	// per-verdict shard attribution.
 	shardOn bool
+
+	// The read half, used only by the call whose turn it is to read.
+	dec  *json.Decoder
+	br   *bufio.Reader
+	rbuf []byte
+
+	// err is the connection's sticky failure, set once under errMu.
+	errMu sync.Mutex
+	err   error
 }
 
 // Dial connects to a controller at addr, speaking JSON v1.
@@ -57,30 +73,50 @@ func DialBinary(addr string) (*Client, error) {
 
 // NewClient wraps an established connection with the JSON v1 codec.
 func NewClient(conn net.Conn) *Client {
-	c := &Client{
-		conn: conn,
-		enc:  json.NewEncoder(conn),
-		dec:  json.NewDecoder(conn),
-	}
-	c.typed.request = c.roundTrip
+	c := newClient(conn)
+	c.enc = json.NewEncoder(conn)
+	c.dec = json.NewDecoder(conn)
 	return c
 }
 
 // NewBinaryClient wraps an established connection with the binary v2
 // codec.
 func NewBinaryClient(conn net.Conn) *Client {
-	c := &Client{
-		conn:   conn,
-		binary: true,
-		br:     bufio.NewReader(conn),
-	}
+	c := newClient(conn)
+	c.binary = true
+	c.br = bufio.NewReader(conn)
+	return c
+}
+
+func newClient(conn net.Conn) *Client {
+	c := &Client{conn: conn, last: make(chan struct{})}
+	close(c.last) // the first call reads at once
 	c.typed.request = c.roundTrip
 	return c
 }
 
-// Close closes the connection.
+// Close closes the connection: calls in flight and later calls fail.
 func (c *Client) Close() error {
+	return c.fail(net.ErrClosed)
+}
+
+// fail makes err the connection's sticky failure, unless it already has
+// one, and closes the connection so every call blocked on it returns.
+func (c *Client) fail(err error) error {
+	c.errMu.Lock()
+	defer c.errMu.Unlock()
+	if c.err != nil {
+		return nil
+	}
+	c.err = err
 	return c.conn.Close()
+}
+
+// failed returns the sticky failure, nil while the connection is up.
+func (c *Client) failed() error {
+	c.errMu.Lock()
+	defer c.errMu.Unlock()
+	return c.err
 }
 
 // EnableSpans attaches a latency span context (origin identity + submit
@@ -90,10 +126,10 @@ func (c *Client) Close() error {
 // Features, and enable only when FeatureSpanContext is present. JSON v1
 // servers of any age simply ignore the unknown field.
 func (c *Client) EnableSpans(origin uint16) {
-	c.mu.Lock()
+	c.wmu.Lock()
 	c.spanOn = true
 	c.spanOrigin = origin
-	c.mu.Unlock()
+	c.wmu.Unlock()
 }
 
 // EnableShardInfo asks for per-verdict shard attribution on every
@@ -103,20 +139,39 @@ func (c *Client) EnableSpans(origin uint16) {
 // FeatureShardVerdicts via Features first. JSON v1 servers simply omit
 // the field. Single-shard servers leave Shard zero either way.
 func (c *Client) EnableShardInfo() {
-	c.mu.Lock()
+	c.wmu.Lock()
 	c.shardOn = true
-	c.mu.Unlock()
+	c.wmu.Unlock()
 }
 
 // roundTrip sends one request and reads its response.
 func (c *Client) roundTrip(req Request) (Response, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	// The transport owns the wire version: a request forwarded from
 	// another connection (a gateway re-routing what it decoded) still
 	// carries that connection's version stamp, and a v2 stamp inside a
 	// JSON body would be rejected by the receiver's v1 parser.
 	req.Version = 0
+	turn, done, err := c.send(&req)
+	if err != nil {
+		return Response{}, fmt.Errorf("ctl: send %s: %w", req.Op, err)
+	}
+	<-turn
+	resp, err := c.recv()
+	close(done)
+	if err != nil {
+		return Response{}, fmt.Errorf("ctl: recv %s: %w", req.Op, err)
+	}
+	return resp, respError(req.Op, &resp)
+}
+
+// send writes req and returns the channel whose close makes it req's
+// turn to read, and the one to close once req's response is read.
+func (c *Client) send(req *Request) (turn <-chan struct{}, done chan struct{}, err error) {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	if err := c.failed(); err != nil {
+		return nil, nil, err
+	}
 	if req.Op == OpSubmit || req.Op == OpSubmitBatch {
 		if c.spanOn && req.Span == nil {
 			req.Span = &obs.SpanContext{Origin: c.spanOrigin, SubmitWallNs: time.Now().UnixNano()}
@@ -125,37 +180,50 @@ func (c *Client) roundTrip(req Request) (Response, error) {
 			req.ShardInfo = true
 		}
 	}
-	var resp Response
 	if c.binary {
-		frame, err := AppendRequestFrame(c.buf[:0], &req)
+		frame, err := AppendRequestFrame(c.wbuf[:0], req)
 		if err != nil {
-			return Response{}, fmt.Errorf("ctl: send %s: %w", req.Op, err)
+			return nil, nil, err // nothing was written
 		}
-		c.buf = frame[:0]
-		if _, err := c.conn.Write(frame); err != nil {
-			return Response{}, fmt.Errorf("ctl: send %s: %w", req.Op, err)
-		}
-		in, err := readFrame(c.br, c.buf)
-		if cap(in) > cap(c.buf) {
-			c.buf = in[:0]
-		}
-		var rp *Response
-		if err == nil {
-			rp, err = decodeResponseFrame(in)
-		}
-		if err != nil {
-			return Response{}, fmt.Errorf("ctl: recv %s: %w", req.Op, err)
-		}
-		resp = *rp
+		c.wbuf = frame[:0]
+		_, err = c.conn.Write(frame)
 	} else {
-		if err := c.enc.Encode(req); err != nil {
-			return Response{}, fmt.Errorf("ctl: send %s: %w", req.Op, err)
-		}
-		if err := c.dec.Decode(&resp); err != nil {
-			return Response{}, fmt.Errorf("ctl: recv %s: %w", req.Op, err)
-		}
+		err = c.enc.Encode(req)
 	}
-	return resp, respError(req.Op, &resp)
+	if err != nil {
+		// A torn request desynchronizes the stream for every call; the
+		// close error adds nothing to err.
+		_ = c.fail(err)
+		return nil, nil, err
+	}
+	turn, done = c.last, make(chan struct{})
+	c.last = done
+	return turn, done, nil
+}
+
+// recv reads the next response off the connection. Only the call whose
+// turn it is calls it.
+func (c *Client) recv() (Response, error) {
+	if err := c.failed(); err != nil {
+		return Response{}, err
+	}
+	var resp Response
+	var err error
+	if c.binary {
+		var rp *Response
+		if c.rbuf, err = readFrame(c.br, c.rbuf); err == nil {
+			rp, err = decodeResponseFrame(c.rbuf)
+		}
+		if err == nil {
+			resp = *rp
+		}
+	} else {
+		err = c.dec.Decode(&resp)
+	}
+	if err != nil {
+		_ = c.fail(err)
+	}
+	return resp, err
 }
 
 // respError maps a failed response to the protocol's typed errors. It is
@@ -208,8 +276,9 @@ const (
 // hint. Resubmissions are marked (Request.Retry) so the server counts
 // them. It returns accepted event IDs aligned with the input (0 = not
 // accepted). The error is non-nil if any event was rejected for
-// validation, or still refused for overload after maxAttempts rounds —
-// the latter matches errors.Is(err, ErrOverloaded).
+// validation — matching errors.Is(err, ErrBadRequest) — or still refused
+// for overload after maxAttempts rounds — matching errors.Is(err,
+// ErrOverloaded). Any other error is a request that failed as a whole.
 func (c *Client) SubmitBatchRetry(events []EventSpec, maxAttempts int) ([]int64, error) {
 	if maxAttempts < 1 {
 		maxAttempts = 1
@@ -259,7 +328,7 @@ func (c *Client) SubmitBatchRetry(events []EventSpec, maxAttempts int) ([]int64,
 			default:
 				// Validation failure: retrying an invalid spec cannot help.
 				if invalid == nil {
-					invalid = fmt.Errorf("ctl: submit-batch: event %d rejected: %s", idx, v.Error)
+					invalid = fmt.Errorf("ctl: submit-batch: event %d rejected: %w", idx, rejection(v.Error))
 				}
 			}
 		}
@@ -279,6 +348,14 @@ func (c *Client) SubmitBatchRetry(events []EventSpec, maxAttempts int) ([]int64,
 	}
 	return ids, nil
 }
+
+// rejection is an event's validation verdict read back as an error. It
+// matches ErrBadRequest, which tells it from a request that failed as a
+// whole.
+type rejection string
+
+func (r rejection) Error() string        { return string(r) }
+func (r rejection) Is(target error) bool { return target == ErrBadRequest }
 
 // ReplStatus reports the server's replication state: role, term, log
 // position, registered followers (on a leader) or leader address and

@@ -1,6 +1,7 @@
 package ctl
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -193,107 +194,239 @@ func TestBinaryRejectsValidation(t *testing.T) {
 	}
 }
 
-// TestPipelineSubmit floods a pipelined connection and checks every
-// batch is answered exactly once, in order, with a positive latency.
+// TestPipelineSubmit drives one binary Client from eight goroutines,
+// eight batches each. Batch sizes differ per goroutine, so an answer read
+// by the wrong call shows up as a wrong verdict count.
 func TestPipelineSubmit(t *testing.T) {
 	jsonClient, ft := startServer(t, sched.FIFO{}, WithHighWatermark(100000))
-	addr := jsonClient.conn.RemoteAddr().String()
-
-	const batches = 64
-	var mu sync.Mutex
-	var results []BatchResult
-	p, err := DialPipeline(addr, 8, func(r BatchResult) {
-		mu.Lock()
-		results = append(results, r)
-		mu.Unlock()
-	})
+	c, err := DialBinary(jsonClient.conn.RemoteAddr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer c.Close()
+
+	const workers, batches = 8, 8
 	spec := eventSpec(ft, 1, 1)
-	for i := 0; i < batches; i++ {
-		if err := p.SubmitBatch([]EventSpec{spec, spec}, false); err != nil {
-			t.Fatalf("SubmitBatch %d: %v", i, err)
-		}
-	}
-	if err := p.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	if len(results) != batches {
-		t.Fatalf("got %d results, want %d", len(results), batches)
-	}
-	var accepted int
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatalf("batch %d failed: %v", i, r.Err)
-		}
-		if len(r.Verdicts) != 2 {
-			t.Fatalf("batch %d: %d verdicts, want 2", i, len(r.Verdicts))
-		}
-		if r.Latency <= 0 {
-			t.Errorf("batch %d: non-positive latency %v", i, r.Latency)
-		}
-		for _, v := range r.Verdicts {
-			if v.OK {
-				accepted++
+	var (
+		mu   sync.Mutex
+		ids  = map[int64]bool{}
+		want int
+		wg   sync.WaitGroup
+	)
+	for w := 0; w < workers; w++ {
+		size := w%4 + 1
+		want += size * batches
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			batch := make([]EventSpec, size)
+			for i := range batch {
+				batch[i] = spec
 			}
-		}
+			for b := 0; b < batches; b++ {
+				verdicts, _, err := c.SubmitBatch(batch)
+				if err != nil {
+					t.Errorf("SubmitBatch: %v", err)
+					return
+				}
+				if len(verdicts) != size {
+					t.Errorf("batch of %d answered with %d verdicts", size, len(verdicts))
+					return
+				}
+				mu.Lock()
+				for _, v := range verdicts {
+					if !v.OK || ids[v.EventID] {
+						t.Errorf("verdict %+v: rejected or answered twice", v)
+					}
+					ids[v.EventID] = true
+				}
+				mu.Unlock()
+			}
+		}()
 	}
-	if accepted != 2*batches {
-		t.Errorf("accepted %d events, want %d", accepted, 2*batches)
-	}
-	// Submitting after Close fails cleanly.
-	if err := p.SubmitBatch([]EventSpec{spec}, false); !errors.Is(err, ErrServerClosed) {
-		t.Errorf("SubmitBatch after Close: %v, want ErrServerClosed", err)
+	wg.Wait()
+	if len(ids) != want {
+		t.Errorf("accepted %d events, want %d", len(ids), want)
 	}
 }
 
-// TestPipelineServerGone checks in-flight batches are failed (not lost)
-// when the connection dies under the pipeline.
-func TestPipelineServerGone(t *testing.T) {
+// stubPeer accepts one connection on a loopback listener and hands it to
+// serve, with request reading and response writing in the codec binary
+// selects. It returns a Client of that codec dialed to it; serve must
+// return once read fails.
+func stubPeer(t *testing.T, binary bool, serve func(read func() (*Request, error), write func(*Response) error)) *Client {
+	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	accepted := make(chan net.Conn, 1)
-	go func() {
-		c, err := l.Accept()
-		if err == nil {
-			accepted <- c
-		}
-	}()
-	var mu sync.Mutex
-	var errs int
-	p, err := DialPipeline(l.Addr().String(), 4, func(r BatchResult) {
-		mu.Lock()
-		if r.Err != nil {
-			errs++
-		}
-		mu.Unlock()
+	done := make(chan struct{})
+	t.Cleanup(func() {
+		l.Close()
+		<-done
 	})
+	go func() {
+		defer close(done)
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		br := bufio.NewReader(conn)
+		dec, enc := json.NewDecoder(br), json.NewEncoder(conn)
+		var frame []byte
+		read := func() (*Request, error) {
+			if binary {
+				var err error
+				if frame, err = readFrame(br, frame); err != nil {
+					return nil, err
+				}
+				return ParseRequest(frame)
+			}
+			var raw json.RawMessage
+			if err := dec.Decode(&raw); err != nil {
+				return nil, err
+			}
+			return ParseRequest(raw)
+		}
+		write := func(resp *Response) error {
+			if !binary {
+				return enc.Encode(resp)
+			}
+			out, err := AppendResponseFrame(nil, resp)
+			if err == nil {
+				_, err = conn.Write(out)
+			}
+			return err
+		}
+		serve(read, write)
+	}()
+	dial := Dial
+	if binary {
+		dial = DialBinary
+	}
+	c, err := dial(l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := EventSpec{Flows: []FlowSpec{{Src: 0, Dst: 1, DemandBps: 1}}}
-	if err := p.SubmitBatch([]EventSpec{spec}, false); err != nil {
-		t.Fatal(err)
-	}
-	// Kill the server side without answering; the reader must fail the
-	// in-flight batch and Close must not hang.
-	srvConn := <-accepted
-	srvConn.Close()
-	l.Close()
-	done := make(chan error, 1)
-	go func() { done <- p.Close() }()
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// within fails the test unless f returns inside five seconds.
+func within(t *testing.T, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Close hung after server death")
+		t.Fatalf("%s hung", what)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if errs != 1 {
-		t.Errorf("got %d errored batches, want 1", errs)
+}
+
+// TestClientPipelinesCalls pins that concurrent calls overlap on the
+// wire: the peer reads two whole requests before it answers either, then
+// answers them in order, and each caller must get its own answer.
+func TestClientPipelinesCalls(t *testing.T) {
+	for _, binary := range []bool{false, true} {
+		t.Run(map[bool]string{false: "v1", true: "v2"}[binary], func(t *testing.T) {
+			c := stubPeer(t, binary, func(read func() (*Request, error), write func(*Response) error) {
+				var reqs []*Request
+				for len(reqs) < 2 {
+					req, err := read()
+					if err != nil {
+						return
+					}
+					reqs = append(reqs, req)
+				}
+				for _, req := range reqs {
+					if write(&Response{OK: true, Status: &EventStatus{EventID: req.EventID, State: StateDone}}) != nil {
+						return
+					}
+				}
+			})
+			errs := make(chan error, 2)
+			for _, id := range []int64{1, 2} {
+				go func() {
+					st, err := c.Status(id)
+					if err == nil && st.EventID != id {
+						err = fmt.Errorf("Status(%d) got event %d's answer", id, st.EventID)
+					}
+					errs <- err
+				}()
+			}
+			within(t, "two overlapping Status calls", func() {
+				for range 2 {
+					if err := <-errs; err != nil {
+						t.Error(err)
+					}
+				}
+			})
+		})
+	}
+}
+
+// TestPipelineServerGone ends the connection with four calls in flight
+// on one Client, by the peer dying or by Close: every call fails, a later
+// call fails without touching the wire, and Close returns.
+func TestPipelineServerGone(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		peerDie bool
+	}{{"peer dies", true}, {"client closes", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			inFlight := make(chan struct{})
+			c := stubPeer(t, true, func(read func() (*Request, error), _ func(*Response) error) {
+				for i := 0; i < 4; i++ {
+					if _, err := read(); err != nil {
+						return
+					}
+				}
+				close(inFlight)
+				for !tc.peerDie {
+					if _, err := read(); err != nil {
+						return
+					}
+				}
+			})
+			spec := EventSpec{Flows: []FlowSpec{{Src: 0, Dst: 1, DemandBps: 1}}}
+			errs := make(chan error, 4)
+			for i := 0; i < 4; i++ {
+				go func() {
+					_, _, err := c.SubmitBatch([]EventSpec{spec})
+					errs <- err
+				}()
+			}
+			within(t, "four submissions reaching the peer", func() { <-inFlight })
+			if !tc.peerDie {
+				within(t, "Close with calls in flight", func() {
+					if err := c.Close(); err != nil {
+						t.Errorf("Close: %v", err)
+					}
+				})
+			}
+			within(t, "calls in flight on a dead connection", func() {
+				for i := 0; i < 4; i++ {
+					if err := <-errs; err == nil {
+						t.Error("a call in flight on a dead connection succeeded")
+					}
+				}
+			})
+			within(t, "a call after the failure", func() {
+				if err := c.Ping(); err == nil {
+					t.Error("Ping on a dead connection succeeded")
+				}
+			})
+			within(t, "Close after the failure", func() {
+				if err := c.Close(); err != nil {
+					t.Errorf("Close: %v", err)
+				}
+			})
+		})
 	}
 }
 

@@ -479,47 +479,52 @@ func TestReplLogsByteEqual(t *testing.T) {
 	leaderSrv, leaderClient, leaderAddr, ft := startReplLeader(t, leaderDir, -1)
 	followerSrv, followerClient := startReplFollower(t, followerDir, leaderAddr, leaderSrv.journal.meta, -1, 0)
 
-	var (
-		mu      sync.Mutex
-		results []BatchResult
-	)
-	pipe, err := DialPipeline(leaderAddr, 4, func(r BatchResult) {
-		mu.Lock()
-		results = append(results, r)
-		mu.Unlock()
-	})
+	pipe, err := DialBinary(leaderAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer pipe.Close()
 	pipe.EnableSpans(7)
+	// Every chunk is its own goroutine on the one Client, so batches ride
+	// the connection together; even chunks go as marked resubmissions.
+	submit := func(i int, specs []EventSpec) error {
+		if i%2 == 0 {
+			resp := pipe.Do(Request{Op: OpSubmitBatch, Events: specs, Retry: true})
+			if !resp.OK || len(resp.Verdicts) != len(specs) {
+				return fmt.Errorf("retried batch %d: %+v", i, resp)
+			}
+			return nil
+		}
+		_, _, err := pipe.SubmitBatch(specs)
+		return err
+	}
 	chunks := walWorkload(ft, 51, 5, 3)
+	errs := make(chan error, len(chunks))
+	var wg sync.WaitGroup
 	for i, ch := range chunks {
 		if i == 1 {
 			// Rotate once the first batch is in the log.
-			waitFor(t, 10*time.Second, "the first batch's verdicts", func() bool {
-				mu.Lock()
-				defer mu.Unlock()
-				return len(results) > 0
-			})
+			wg.Wait()
 			if err := leaderSrv.ForceCheckpoint(); err != nil {
 				t.Fatalf("ForceCheckpoint: %v", err)
 			}
 		}
-		if err := pipe.SubmitBatch(ch.specs, i%2 == 0); err != nil {
-			t.Fatalf("SubmitBatch: %v", err)
-		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs <- submit(i, ch.specs)
+		}()
 		if ch.fault != nil {
 			if _, err := leaderClient.Fault(*ch.fault); err != nil {
 				t.Fatalf("Fault(%s): %v", ch.fault.Action, err)
 			}
 		}
 	}
-	if err := pipe.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range results {
-		if r.Err != nil {
-			t.Fatalf("pipelined batch: %v", r.Err)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatalf("pipelined batch: %v", err)
 		}
 	}
 	st, err := leaderClient.Stats()
