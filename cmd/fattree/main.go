@@ -5,27 +5,27 @@
 //
 // Usage:
 //
-//	fattree [-k 8] [-util 0.6] [-seed 1] [-trace yahoo|random]
+//	fattree [-k 8] [-util 0.6] [-seed 1] [-trace yahoo|random] [-snapshot state.json]
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
-	"netupdate/internal/netstate"
-	"netupdate/internal/routing"
+	"netupdate/internal/sim"
 	"netupdate/internal/snapshot"
 	"netupdate/internal/topology"
 	"netupdate/internal/trace"
 )
 
 func main() {
-	os.Exit(run(os.Args[1:]))
+	os.Exit(run(os.Args[1:], os.Stdout))
 }
 
-func run(args []string) int {
+func run(args []string, stdout io.Writer) int {
 	fs := flag.NewFlagSet("fattree", flag.ContinueOnError)
 	var (
 		k         = fs.Int("k", 8, "fat-tree arity (even)")
@@ -38,47 +38,34 @@ func run(args []string) int {
 		return 2
 	}
 
-	var model trace.Model
-	switch *traceName {
-	case "yahoo":
-		model = trace.YahooLike{}
-	case "random":
-		model = trace.Uniform{}
-	default:
-		fmt.Fprintf(os.Stderr, "fattree: unknown trace %q\n", *traceName)
+	model, err := trace.ParseModel(*traceName)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "fattree: %v\n", err)
 		return 2
 	}
-
-	ft, err := topology.NewFatTree(*k, topology.Gbps)
+	w, err := sim.Genesis{K: *k, Seed: *seed, Model: model}.Build(*util)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fattree: %v\n", err)
 		return 1
 	}
-	g := ft.Graph()
-	fmt.Printf("fat-tree k=%d: %d switches (%d core, %d agg, %d edge), %d hosts, %d directed links\n",
-		*k, ft.NumSwitches(), len(ft.Cores()), *k*(*k/2), *k*(*k/2), ft.NumHosts(), g.NumLinks())
+	ft, net, g := w.FatTree, w.Net, w.Net.Graph()
+	fmt.Fprintf(stdout, "fat-tree k=%d: %d switches (%d core, %d agg, %d edge), %d hosts, %d directed links\n",
+		ft.K, ft.NumSwitches(), len(ft.Cores()), ft.K*(ft.K/2), ft.K*(ft.K/2), ft.NumHosts(), g.NumLinks())
 
-	prov := routing.NewFatTreeProvider(ft)
+	prov := net.Provider()
 	sameEdge := prov.Paths(ft.Host(0, 0, 0), ft.Host(0, 0, 1))
 	samePod := prov.Paths(ft.Host(0, 0, 0), ft.Host(0, 1, 0))
 	crossPod := prov.Paths(ft.Host(0, 0, 0), ft.Host(1, 0, 0))
-	fmt.Printf("ECMP path sets: same-edge %d, same-pod %d, cross-pod %d\n",
+	fmt.Fprintf(stdout, "ECMP path sets: same-edge %d, same-pod %d, cross-pod %d\n",
 		len(sameEdge), len(samePod), len(crossPod))
 
 	if *util <= 0 {
 		return 0
 	}
-	net := netstate.New(g, prov, routing.NewRandomFit(*seed+7))
-	gen, err := trace.NewGenerator(*seed, model, ft.Hosts())
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fattree: %v\n", err)
-		return 1
+	if net.Utilization() < *util {
+		fmt.Fprintf(os.Stderr, "fattree: background fill stopped early: target %.3f unreachable\n", *util)
 	}
-	placed, err := trace.FillBackground(net, gen, *util, 0)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fattree: background fill stopped early: %v\n", err)
-	}
-	fmt.Printf("background: %d flows placed, utilization %.3f\n", len(placed), net.Utilization())
+	fmt.Fprintf(stdout, "background: %d flows placed, utilization %.3f\n", len(w.Background), net.Utilization())
 
 	var utils []float64
 	for i := 0; i < g.NumLinks(); i++ {
@@ -86,7 +73,7 @@ func run(args []string) int {
 	}
 	sort.Float64s(utils)
 	pct := func(p int) float64 { return utils[(len(utils)-1)*p/100] }
-	fmt.Printf("link utilization: p10=%.2f p50=%.2f p90=%.2f p99=%.2f max=%.2f\n",
+	fmt.Fprintf(stdout, "link utilization: p10=%.2f p50=%.2f p90=%.2f p99=%.2f max=%.2f\n",
 		pct(10), pct(50), pct(90), pct(99), pct(100))
 	saturated := 0
 	for _, u := range utils {
@@ -94,7 +81,7 @@ func run(args []string) int {
 			saturated++
 		}
 	}
-	fmt.Printf("links above 95%% utilization: %d of %d\n", saturated, len(utils))
+	fmt.Fprintf(stdout, "links above 95%% utilization: %d of %d\n", saturated, len(utils))
 
 	if *snapOut != "" {
 		f, err := os.Create(*snapOut)
@@ -110,7 +97,7 @@ func run(args []string) int {
 			fmt.Fprintf(os.Stderr, "fattree: snapshot: %v\n", writeErr)
 			return 1
 		}
-		fmt.Printf("snapshot written to %s\n", *snapOut)
+		fmt.Fprintf(stdout, "snapshot written to %s\n", *snapOut)
 	}
 	return 0
 }

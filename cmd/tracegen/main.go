@@ -17,23 +17,16 @@ import (
 	"io"
 	"os"
 
-	"netupdate/internal/topology"
+	"netupdate/internal/ctl"
+	"netupdate/internal/sim"
 	"netupdate/internal/trace"
 )
 
-// flowJSON is one flow of an event in the emitted trace.
-type flowJSON struct {
-	Src       int   `json:"src"`
-	Dst       int   `json:"dst"`
-	DemandBps int64 `json:"demand_bps"`
-	SizeBytes int64 `json:"size_bytes"`
-}
-
-// eventJSON is one update event in the emitted trace.
+// eventJSON is one update event in the emitted trace: its ID and the
+// spec that submits it (what updatectl submit reads back).
 type eventJSON struct {
-	ID    int64      `json:"id"`
-	Kind  string     `json:"kind"`
-	Flows []flowJSON `json:"flows"`
+	ID int64 `json:"id"`
+	ctl.EventSpec
 }
 
 func main() {
@@ -54,23 +47,13 @@ func run(args []string, stdout io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	var model trace.Model
-	switch *traceName {
-	case "yahoo":
-		model = trace.YahooLike{}
-	case "random":
-		model = trace.Uniform{}
-	default:
-		fmt.Fprintf(os.Stderr, "tracegen: unknown trace %q\n", *traceName)
+	model, err := trace.ParseModel(*traceName)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
 		return 2
 	}
 
-	ft, err := topology.NewFatTree(*k, topology.Gbps)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
-		return 1
-	}
-	gen, err := trace.NewGenerator(*seed, model, ft.Hosts())
+	world, err := sim.Genesis{K: *k, Seed: *seed, Model: model}.Build(0)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
 		return 1
@@ -92,17 +75,8 @@ func run(args []string, stdout io.Writer) int {
 	}
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	for _, ev := range gen.Events(*events, *minFlows, *maxFlows) {
-		ej := eventJSON{ID: int64(ev.ID), Kind: ev.Kind}
-		for _, s := range ev.Specs {
-			ej.Flows = append(ej.Flows, flowJSON{
-				Src:       int(s.Src),
-				Dst:       int(s.Dst),
-				DemandBps: int64(s.Demand),
-				SizeBytes: s.Size,
-			})
-		}
-		if err := enc.Encode(ej); err != nil {
+	for _, ev := range world.Gen.Events(*events, *minFlows, *maxFlows) {
+		if err := enc.Encode(eventJSON{ID: int64(ev.ID), EventSpec: ctl.SpecOf(ev)}); err != nil {
 			fmt.Fprintf(os.Stderr, "tracegen: encode: %v\n", err)
 			return 1
 		}

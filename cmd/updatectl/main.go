@@ -348,18 +348,6 @@ func printRepl(w io.Writer, info ctl.ReplInfo) {
 	}
 }
 
-// traceEvent matches cmd/tracegen's JSONL schema.
-type traceEvent struct {
-	ID    int64 `json:"id"`
-	Kind  string
-	Flows []struct {
-		Src       int   `json:"src"`
-		Dst       int   `json:"dst"`
-		DemandBps int64 `json:"demand_bps"`
-		SizeBytes int64 `json:"size_bytes"`
-	} `json:"flows"`
-}
-
 // submitAll reads JSONL events and submits them — one request per event,
 // or in submit-batch requests of batchSize with overload backoff — then
 // waits for completion.
@@ -372,16 +360,12 @@ func submitAll(client *ctl.Client, in io.Reader, stdout io.Writer, timeout time.
 		if len(line) == 0 {
 			continue
 		}
-		var te traceEvent
-		if err := json.Unmarshal(line, &te); err != nil {
+		// A cmd/tracegen line is an EventSpec plus its "id", which the
+		// server assigns anew.
+		var spec ctl.EventSpec
+		if err := json.Unmarshal(line, &spec); err != nil {
 			fmt.Fprintf(os.Stderr, "updatectl: bad trace line: %v\n", err)
 			return 1
-		}
-		spec := ctl.EventSpec{Kind: te.Kind}
-		for _, f := range te.Flows {
-			spec.Flows = append(spec.Flows, ctl.FlowSpec{
-				Src: f.Src, Dst: f.Dst, DemandBps: f.DemandBps, SizeBytes: f.SizeBytes,
-			})
 		}
 		specs = append(specs, spec)
 	}

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"time"
 
+	"netupdate/internal/core"
 	"netupdate/internal/obs"
 	"netupdate/internal/snapshot"
 )
@@ -87,6 +88,16 @@ type FlowSpec struct {
 type EventSpec struct {
 	Kind  string     `json:"kind,omitempty"`
 	Flows []FlowSpec `json:"flows"`
+}
+
+// SpecOf is the spec that submits e: its kind and flows (the server
+// assigns the ID).
+func SpecOf(e *core.Event) EventSpec {
+	spec := EventSpec{Kind: e.Kind, Flows: make([]FlowSpec, len(e.Specs))}
+	for i, s := range e.Specs {
+		spec.Flows[i] = FlowSpec{Src: int(s.Src), Dst: int(s.Dst), DemandBps: int64(s.Demand), SizeBytes: s.Size}
+	}
+	return spec
 }
 
 // FaultSpec is a fault injection requested over the wire. Action is one

@@ -6,20 +6,14 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
-	"netupdate/internal/core"
-	"netupdate/internal/flow"
 	"netupdate/internal/metrics"
 	"netupdate/internal/migration"
-	"netupdate/internal/netstate"
 	"netupdate/internal/obs"
-	"netupdate/internal/routing"
 	"netupdate/internal/sched"
 	"netupdate/internal/sim"
-	"netupdate/internal/topology"
 	"netupdate/internal/trace"
 )
 
@@ -62,70 +56,25 @@ type Setup struct {
 	// Churn, when non-nil, turns over background traffic during the run
 	// (the "network in flux" of Section IV-A).
 	Churn *sim.ChurnConfig
-	// StrictFill makes an unreachable Utilization target an error instead
-	// of settling for whatever the filler achieved (the default, because
-	// very high targets saturate host access links first).
-	StrictFill bool
 	// Tracer, when non-nil, observes every event-level simulation run
 	// built from this setup (set via Options.apply).
 	Tracer *obs.Tracer
 }
 
-// Env is a ready-to-simulate environment.
-type Env struct {
-	FatTree    *topology.FatTree
-	Net        *netstate.Network
-	Gen        *trace.Generator
-	Planner    *core.Planner
-	Background []*flow.Flow
-}
+// Env is a ready-to-simulate environment: the one genesis, built over
+// the whole fabric.
+type Env = sim.World
 
-// NewEnv builds a fat-tree, fills background traffic to the target
-// utilization and wires up the planners. Equal setups produce identical
-// environments.
+// NewEnv builds the setup's genesis (sim.Genesis.Build): a fat-tree
+// filled with background traffic toward the target utilization, and the
+// planners over it. Equal setups produce identical environments.
 func NewEnv(s Setup) (*Env, error) {
-	if s.K == 0 {
-		s.K = 8
-	}
-	if s.Model == nil {
-		s.Model = trace.YahooLike{}
-	}
-	ft, err := topology.NewFatTree(s.K, topology.Gbps)
+	g := sim.Genesis{K: s.K, Seed: s.Seed, Model: s.Model, Strategy: s.Strategy, Split: s.AllowSplit}
+	env, err := g.Build(s.Utilization)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
-	// Background flows are placed with hash-ECMP-like random path choice,
-	// like the paper's trace replay: random placement leaves some links
-	// much hotter than others, which is what makes migration necessary at
-	// 50–90% utilization (with perfectly balanced widest-fit placement the
-	// fabric never congests and every experiment degenerates).
-	net := netstate.New(ft.Graph(), routing.NewFatTreeProvider(ft), routing.NewRandomFit(s.Seed+7))
-	gen, err := trace.NewGenerator(s.Seed, s.Model, ft.Hosts())
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
-	}
-	var background []*flow.Flow
-	if s.Utilization > 0 {
-		background, err = trace.FillBackground(net, gen, s.Utilization, 0)
-		if err != nil {
-			if s.StrictFill || !errors.Is(err, trace.ErrTargetUnreachable) {
-				return nil, fmt.Errorf("experiments: fill background to %.2f: %w", s.Utilization, err)
-			}
-			// Best effort: continue at the utilization actually reached.
-		}
-	}
-	mig := migration.NewPlanner(net, s.Strategy)
-	if s.AllowSplit {
-		mig.SetAllowSplit(true)
-	}
-	planner := core.NewPlanner(mig, core.FailSkip)
-	return &Env{
-		FatTree:    ft,
-		Net:        net,
-		Gen:        gen,
-		Planner:    planner,
-		Background: background,
-	}, nil
+	return env, nil
 }
 
 // runScheduler builds a fresh environment from setup, generates nEvents
@@ -138,9 +87,7 @@ func runScheduler(setup Setup, mkSched func() sched.Scheduler, nEvents, minFlows
 	}
 	events := env.Gen.Events(nEvents, minFlows, maxFlows)
 	eng := sim.NewEngine(env.Planner, mkSched(), setup.Config)
-	if setup.Tracer != nil {
-		eng.SetTracer(setup.Tracer)
-	}
+	eng.SetTracer(setup.Tracer)
 	if setup.Churn != nil {
 		eng.EnableChurn(env.Gen, *setup.Churn)
 	}

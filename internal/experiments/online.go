@@ -60,18 +60,10 @@ func AblationOnline(opts Options) (*Report, error) {
 			seconds(outcomes[1].ect), seconds(outcomes[1].delay),
 			seconds(outcomes[2].ect), seconds(outcomes[2].delay))
 		rep.headline(fmt.Sprintf("p-lmtf/fifo ECT ratio @%v", gap),
-			ratioDur(outcomes[2].ect, outcomes[0].ect))
+			norm(outcomes[2].ect, outcomes[0].ect))
 	}
 	rep.Tables = []*metrics.Table{table}
 	rep.Notes = append(rep.Notes,
 		"extension beyond the paper: its evaluation always starts from a full queue")
 	return rep, nil
-}
-
-// ratioDur returns a/b (0 when b is 0).
-func ratioDur(a, b time.Duration) float64 {
-	if b == 0 {
-		return 0
-	}
-	return float64(a) / float64(b)
 }

@@ -7,17 +7,13 @@ import (
 	"path/filepath"
 	"time"
 
-	"netupdate/internal/core"
 	"netupdate/internal/ctl"
-	"netupdate/internal/migration"
 	"netupdate/internal/netstate"
 	"netupdate/internal/obs"
-	"netupdate/internal/routing"
 	"netupdate/internal/rules"
 	"netupdate/internal/sched"
 	"netupdate/internal/sim"
 	"netupdate/internal/topology"
-	"netupdate/internal/trace"
 	"netupdate/internal/wal"
 )
 
@@ -219,9 +215,10 @@ func CrossPoolFor(ref *topology.FatTree, part *Partition, frac float64) *CrossAd
 // through here, and state is a fold of one log over one genesis, so the
 // steps and their order are the contract:
 //
-//	fat-tree → core split (Shards > 1) → netstate.New → rule tables →
-//	open the WAL → follower handshake → background fill, unless a
-//	checkpoint restores → planner → ctl.New or ctl.NewFollower
+//	sim.Genesis.Fabric (fat-tree, empty network, planner) → core split
+//	(Shards > 1) → rule tables → open the WAL → follower handshake →
+//	sim.World.Fill, unless a checkpoint restores → ctl.New or
+//	ctl.NewFollower
 //
 // The log opens and the follower handshakes before the fill because
 // both can put a checkpoint in the log, and a checkpoint carries its own
@@ -234,10 +231,11 @@ func NewWorld(cfg WorldConfig, id int) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	ft, err := topology.NewFatTree(cfg.K, topology.Gbps)
+	gw, err := sim.Genesis{K: cfg.K, Seed: cfg.Seed}.Fabric()
 	if err != nil {
 		return nil, err
 	}
+	ft, net := gw.FatTree, gw.Net
 	// The unsharded world is slot 1 of a one-shard partition: every pod,
 	// every host, the full core.
 	n, slot := max(cfg.Shards, 1), max(id, 1)
@@ -264,7 +262,6 @@ func NewWorld(cfg WorldConfig, id int) (*World, error) {
 			}
 		}
 	}
-	net := netstate.New(g, routing.NewFatTreeProvider(ft), routing.NewRandomFit(cfg.Seed+7))
 	if cfg.Tables {
 		if err := net.AttachDataPlane(rules.NewManager(g, cfg.TableCap)); err != nil {
 			return nil, fmt.Errorf("rule tables: %w", err)
@@ -317,7 +314,7 @@ func NewWorld(cfg WorldConfig, id int) (*World, error) {
 
 	w := &World{ID: id, Pods: part.PodsOf(slot), FT: ft, net: net}
 	w.Restored = walLog != nil && walLog.Checkpoint() != nil
-	if cfg.Util > 0 && !w.Restored {
+	if !w.Restored {
 		var hosts []topology.NodeID
 		for _, h := range ft.Hosts() {
 			if part.OfPod(ft.PodOf(h)) == slot {
@@ -327,22 +324,16 @@ func NewWorld(cfg WorldConfig, id int) (*World, error) {
 		// Fill only this world's pods, toward its proportional share of
 		// the cluster-wide utilization target; with a fraction of the
 		// hosts the target may be unreachable, which is fine.
-		gen, err := trace.NewGenerator(cfg.Seed+int64(slot-1), trace.YahooLike{}, hosts)
-		if err != nil {
-			return nil, err
-		}
 		target := cfg.Util
 		if n > 1 {
 			target = cfg.Util * float64(len(w.Pods)) / float64(ft.NumPods())
 		}
-		placed, err := trace.FillBackground(net, gen, target, 0)
-		if err != nil && !errors.Is(err, trace.ErrTargetUnreachable) {
+		if err := gw.Fill(hosts, cfg.Seed+int64(slot-1), target); err != nil {
 			return nil, fmt.Errorf("background: %w", err)
 		}
-		w.BgFlows, w.BgUtil = len(placed), net.Utilization()
+		w.BgFlows, w.BgUtil = len(gw.Background), net.Utilization()
 	}
 
-	planner := core.NewPlanner(migration.NewPlanner(net, 0), core.FailSkip)
 	// What the engine takes beyond planner, scheduler and log, in either role.
 	common := func(c *ctl.Config) {
 		c.Watermark = cfg.Watermark
@@ -353,9 +344,9 @@ func NewWorld(cfg WorldConfig, id int) (*World, error) {
 		}
 	}
 	if sess != nil {
-		w.Server, w.Recovery, err = ctl.NewFollower(planner, scheduler, sim.Config{}, follow, sess, common)
+		w.Server, w.Recovery, err = ctl.NewFollower(gw.Planner, scheduler, sim.Config{}, follow, sess, common)
 	} else {
-		c := ctl.Config{Planner: planner, Scheduler: scheduler, WAL: walCfg}
+		c := ctl.Config{Planner: gw.Planner, Scheduler: scheduler, WAL: walCfg}
 		common(&c)
 		w.Server, w.Recovery, err = ctl.New(c)
 	}

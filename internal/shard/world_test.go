@@ -1,7 +1,10 @@
 package shard
 
 import (
+	"crypto/sha256"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
 	"reflect"
 	"testing"
@@ -32,7 +35,8 @@ func serveWorld(t *testing.T, w *World) string {
 // TestOneWorldAcrossModes pins the genesis recipe: the unsharded world
 // and the single world of a one-shard cluster hold the network a
 // hand-written k / seed / seed+7 selector / full-fabric fill produces —
-// the state every replay, follower and shard folds its log over.
+// the state every replay, follower and shard folds its log over. The two
+// slots of a two-shard world are pinned by digest.
 func TestOneWorldAcrossModes(t *testing.T) {
 	for _, tc := range []struct {
 		k    int
@@ -82,6 +86,39 @@ func TestOneWorldAcrossModes(t *testing.T) {
 		}
 		if plain.ID != 0 || cl.Worlds[0].ID != 1 {
 			t.Errorf("world IDs = %d, %d, want 0 (no shard identity), 1", plain.ID, cl.Worlds[0].ID)
+		}
+	}
+
+	// The slots of a two-shard world: core split, pod-restricted hosts,
+	// fill seed Seed+slot-1 and the scaled target, pinned by a SHA-256 of
+	// the JSON snapshot.
+	for _, tc := range []struct {
+		slot   int
+		digest string
+		flows  int
+		util   float64
+	}{
+		{1, "23aeb62d0241cfe388f96c17851eb8d48e6f87a348792beace7fd643a708e75c", 237, 0.2501842105263158},
+		{2, "6dde34db5ae7b1a3f996165994871acb4b834c194047b2b59be38815627432aa", 253, 0.2505263157894737},
+	} {
+		w, err := NewWorld(WorldConfig{K: 4, Util: 0.5, Scheduler: "fifo", Seed: 3, Shards: 2}, tc.slot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = w.Server.Close() })
+		snap, err := w.Server.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != tc.digest {
+			t.Errorf("slot %d of 2: snapshot digest %s, want %s", tc.slot, got, tc.digest)
+		}
+		if w.BgFlows != tc.flows || w.BgUtil != tc.util {
+			t.Errorf("slot %d of 2: %d flows at %v, want %d at %v", tc.slot, w.BgFlows, w.BgUtil, tc.flows, tc.util)
 		}
 	}
 }

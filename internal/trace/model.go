@@ -14,6 +14,7 @@
 package trace
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -26,6 +27,18 @@ type Model interface {
 	Name() string
 	// Sample draws one flow's payload size in bytes and bandwidth demand.
 	Sample(rng *rand.Rand) (size int64, demand topology.Bandwidth)
+}
+
+// ParseModel returns the model a command line names: "yahoo"
+// (YahooLike) or "random" (Uniform).
+func ParseModel(name string) (Model, error) {
+	switch name {
+	case "yahoo":
+		return YahooLike{}, nil
+	case "random":
+		return Uniform{}, nil
+	}
+	return nil, fmt.Errorf("unknown trace %q", name)
 }
 
 // YahooLike is a synthetic stand-in for the Yahoo! data-center trace:
