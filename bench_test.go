@@ -2,17 +2,19 @@
 // figure of the paper's evaluation (each iteration regenerates the figure
 // in quick mode; run `go run ./cmd/netupdate -all` for the full-scale
 // versions), the ablation studies DESIGN.md calls out, whole-simulation
-// runs and the two ledger / registry micro-benchmarks bench/layers.go has
-// no row for. Per-layer timings (topology build, path lookup, admission,
+// runs and the ledger, link-index and path-table micro-benchmarks
+// bench/layers.go has no row for. Per-layer timings (topology build, path lookup, admission,
 // probe, decision, fork) live in the bench/ module's layer pass.
 package netupdate_test
 
 import (
 	"io"
+	"sort"
 	"testing"
 
 	"netupdate/internal/core"
 	"netupdate/internal/experiments"
+	"netupdate/internal/flow"
 	"netupdate/internal/migration"
 	"netupdate/internal/netstate"
 	"netupdate/internal/obs"
@@ -198,5 +200,52 @@ func BenchmarkRegistryFlowsOn(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = net.Registry().FlowsOn(busiest)
+	}
+}
+
+// Sinks keep the compiler from eliding a measured call.
+var (
+	sinkFlows []*flow.Flow
+	sinkPaths []routing.Path
+)
+
+// BenchmarkFlowsAcross measures the candidate-set union of Definition 1
+// (netstate.Network.FlowsAcross) over the five busiest links of the
+// 0.6-utilised fabric — the largest congested set a desired path of the
+// migration planner can present.
+func BenchmarkFlowsAcross(b *testing.B) {
+	net, _, _ := benchEnv(b, 0.6)
+	reg := net.Registry()
+	links := make([]topology.LinkID, net.Graph().NumLinks())
+	for i := range links {
+		links[i] = topology.LinkID(i)
+	}
+	sort.SliceStable(links, func(i, j int) bool { return reg.NumFlowsOn(links[i]) > reg.NumFlowsOn(links[j]) })
+	links = links[:5]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkFlows = net.FlowsAcross(links, flow.NoEvent)
+	}
+}
+
+// BenchmarkPathsAllPairsCold measures a fresh k=8 provider answering every
+// ordered host pair once: the cold path-table cost a recovering daemon
+// pays, since every world builds its own provider.
+func BenchmarkPathsAllPairsCold(b *testing.B) {
+	ft, err := topology.NewFatTree(8, topology.Gbps)
+	if err != nil {
+		b.Fatal(err)
+	}
+	hosts := ft.Hosts()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		prov := routing.NewFatTreeProvider(ft)
+		for _, src := range hosts {
+			for _, dst := range hosts {
+				sinkPaths = prov.Paths(src, dst)
+			}
+		}
 	}
 }

@@ -27,18 +27,16 @@ var (
 type Registry struct {
 	next  ID
 	flows map[ID]*Flow
-	// onLink indexes flows by every link of their placed path.
-	onLink map[topology.LinkID]map[ID]*Flow
+	// onLink[l] lists the flows whose placed path crosses link l, sorted
+	// by ID; it grows to the highest link ID ever bound.
+	onLink [][]*Flow
 	// placed counts the flows holding a path; Bind and Unbind keep it.
 	placed int
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		flows:  make(map[ID]*Flow),
-		onLink: make(map[topology.LinkID]map[ID]*Flow),
-	}
+	return &Registry{flows: make(map[ID]*Flow)}
 }
 
 // Add registers a new, unplaced flow built from spec and returns it.
@@ -84,18 +82,22 @@ func (r *Registry) Bind(f *Flow, path routing.Path) error {
 	f.placed = true
 	r.placed++
 	for _, l := range path.Links() {
-		m := r.onLink[l]
-		if m == nil {
-			m = make(map[ID]*Flow)
-			r.onLink[l] = m
+		for int(l) >= len(r.onLink) {
+			r.onLink = append(r.onLink, nil)
 		}
-		m[f.ID] = f
+		list := r.onLink[l]
+		i := search(list, f.ID)
+		list = append(list, nil)
+		copy(list[i+1:], list[i:])
+		list[i] = f
+		r.onLink[l] = list
 	}
 	return nil
 }
 
 // Unbind removes f's path binding, updating the link index. The caller is
-// responsible for releasing the bandwidth reservations.
+// responsible for releasing the bandwidth reservations. It panics if a
+// link of the path does not list f: the index lost a placed flow.
 func (r *Registry) Unbind(f *Flow) error {
 	if _, ok := r.flows[f.ID]; !ok {
 		return fmt.Errorf("unbind %v: %w", f, ErrUnknownFlow)
@@ -104,15 +106,41 @@ func (r *Registry) Unbind(f *Flow) error {
 		return fmt.Errorf("unbind %v: %w", f, ErrNotPlaced)
 	}
 	for _, l := range f.path.Links() {
-		delete(r.onLink[l], f.ID)
-		if len(r.onLink[l]) == 0 {
-			delete(r.onLink, l)
+		list := r.on(l)
+		i := search(list, f.ID)
+		if i == len(list) || list[i] != f {
+			panic(fmt.Sprintf("flow: link index lost %v on %v", f, l))
 		}
+		copy(list[i:], list[i+1:])
+		list[len(list)-1] = nil
+		r.onLink[l] = list[:len(list)-1]
 	}
 	f.path = routing.Path{}
 	f.placed = false
 	r.placed--
 	return nil
+}
+
+// search returns the position of the first flow in the ID-sorted list
+// whose ID is not below id.
+func search(list []*Flow, id ID) int {
+	lo, hi := 0, len(list)
+	// A trial plan binds and unbinds the newest flows, at the tail.
+	if hi == 0 || list[hi-1].ID < id {
+		return hi
+	}
+	if list[hi-1].ID == id {
+		return hi - 1
+	}
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if list[m].ID < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // Remove deletes the flow from the registry entirely. Placed flows are
@@ -169,19 +197,26 @@ func (r *Registry) Fork() *Registry {
 	nr := &Registry{
 		next:   r.next,
 		flows:  make(map[ID]*Flow, len(r.flows)),
-		onLink: make(map[topology.LinkID]map[ID]*Flow, len(r.onLink)),
+		onLink: make([][]*Flow, len(r.onLink)),
 		placed: r.placed,
 	}
 	for id, f := range r.flows {
 		cp := *f
 		nr.flows[id] = &cp
 	}
-	for l, m := range r.onLink {
-		nm := make(map[ID]*Flow, len(m))
-		for id := range m {
-			nm[id] = nr.flows[id]
+	// One slab backs every list; each is capped at its length, so a
+	// later Bind on the fork reallocates that list alone.
+	n := 0
+	for _, list := range r.onLink {
+		n += len(list)
+	}
+	slab := make([]*Flow, 0, n)
+	for l, list := range r.onLink {
+		start := len(slab)
+		for _, f := range list {
+			slab = append(slab, nr.flows[f.ID])
 		}
-		nr.onLink[l] = nm
+		nr.onLink[l] = slab[start:len(slab):len(slab)]
 	}
 	return nr
 }
@@ -189,21 +224,69 @@ func (r *Registry) Fork() *Registry {
 // FlowsOn returns the flows currently routed over the given link, sorted
 // by ID so that iteration is deterministic. The slice is freshly allocated.
 func (r *Registry) FlowsOn(link topology.LinkID) []*Flow {
-	m := r.onLink[link]
-	if len(m) == 0 {
+	list := r.on(link)
+	if len(list) == 0 {
 		return nil
 	}
-	out := make([]*Flow, 0, len(m))
-	for _, f := range m {
-		out = append(out, f)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return append([]*Flow(nil), list...)
 }
 
 // NumFlowsOn returns how many flows traverse the given link.
-func (r *Registry) NumFlowsOn(link topology.LinkID) int {
-	return len(r.onLink[link])
+func (r *Registry) NumFlowsOn(link topology.LinkID) int { return len(r.on(link)) }
+
+// on is the index's ID-sorted list for link, owned by the registry.
+func (r *Registry) on(link topology.LinkID) []*Flow {
+	if link < 0 || int(link) >= len(r.onLink) {
+		return nil
+	}
+	return r.onLink[link]
+}
+
+// FlowsAcross returns the union of the flows traversing any of the given
+// links — the candidate migration set F_A of Definition 1 — sorted by
+// flow ID, excluding flows of the given event (NoEvent excludes none).
+// It merges the links' ID-sorted lists, so a flow crossing several of
+// the links, or a link listed twice, yields the flow once. The slice is
+// freshly allocated.
+func (r *Registry) FlowsAcross(links []topology.LinkID, exclude EventID) []*Flow {
+	// heads holds each link's unmerged tail; a congested set rarely
+	// exceeds a fat-tree path's six links, so it starts on the stack.
+	var stack [8][]*Flow
+	heads := stack[:0]
+	n := 0
+	for _, l := range links {
+		if list := r.on(l); len(list) > 0 {
+			heads = append(heads, list)
+			n += len(list)
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]*Flow, 0, n)
+	for len(heads) > 0 {
+		next := heads[0][0].ID
+		for _, h := range heads[1:] {
+			if h[0].ID < next {
+				next = h[0].ID
+			}
+		}
+		var f *Flow
+		live := heads[:0]
+		for _, h := range heads {
+			if h[0].ID == next {
+				f, h = h[0], h[1:]
+			}
+			if len(h) > 0 {
+				live = append(live, h)
+			}
+		}
+		heads = live
+		if exclude == NoEvent || f.Event != exclude {
+			out = append(out, f)
+		}
+	}
+	return out
 }
 
 // All returns every registered flow sorted by ID.

@@ -214,10 +214,13 @@ func (p *Planner) freeCapacity(f *flow.Flow, desired routing.Path, res *Result) 
 	if len(congested) == 0 {
 		return nil
 	}
-	// deficit[l] is how much bandwidth must still be freed on link l.
-	deficit := make(map[topology.LinkID]topology.Bandwidth, len(congested))
+	// deficit lists the congested links still short of f.Demand and how
+	// much must still be freed on each, in path order. A fat-tree path
+	// has at most six links, so the list fits the stack.
+	var buf [6]shortfall
+	deficit := buf[:0]
 	for _, l := range congested {
-		deficit[l] = f.Demand - g.Link(l).Residual()
+		deficit = append(deficit, shortfall{link: l, need: f.Demand - g.Link(l).Residual()})
 	}
 
 	candidates := p.net.FlowsAcross(congested, f.Event)
@@ -235,7 +238,7 @@ func (p *Planner) freeCapacity(f *flow.Flow, desired routing.Path, res *Result) 
 		}
 	}
 
-	for remaining(deficit) {
+	for len(deficit) > 0 {
 		best := p.pickCandidate(usable, deficit, res)
 		if best == -1 {
 			return fmt.Errorf("admit %v: deficits %v uncovered: %w", f, deficitSummary(deficit), ErrCannotAdmit)
@@ -255,24 +258,30 @@ func (p *Planner) freeCapacity(f *flow.Flow, desired routing.Path, res *Result) 
 		} else if !p.trySplit(victim, f, desired, congested, res) {
 			continue // unmigratable; the greedy loop tries the next flow
 		}
-		for _, l := range congested {
-			if _, ok := deficit[l]; !ok {
-				continue
+		short := deficit[:0]
+		for _, d := range deficit {
+			if oldPath.Contains(d.link) {
+				d.need -= victim.Demand
 			}
-			if oldPath.Contains(l) {
-				deficit[l] -= victim.Demand
-				if deficit[l] <= 0 {
-					delete(deficit, l)
-				}
+			if d.need > 0 {
+				short = append(short, d)
 			}
 		}
+		deficit = short
 	}
 	return nil
 }
 
+// shortfall is a congested link of the desired path and the bandwidth
+// still to be freed on it.
+type shortfall struct {
+	link topology.LinkID
+	need topology.Bandwidth
+}
+
 // pickCandidate returns the index of the next flow to migrate according to
 // the strategy, or -1 when no remaining candidate covers any deficit.
-func (p *Planner) pickCandidate(usable []*flow.Flow, deficit map[topology.LinkID]topology.Bandwidth, res *Result) int {
+func (p *Planner) pickCandidate(usable []*flow.Flow, deficit []shortfall, res *Result) int {
 	best := -1
 	var bestScore float64
 	for i, cand := range usable {
@@ -300,15 +309,11 @@ func (p *Planner) pickCandidate(usable []*flow.Flow, deficit map[topology.LinkID
 // coverage is how much of the outstanding deficits migrating cand away
 // would satisfy: min(demand, deficit) summed over the congested links the
 // flow currently crosses.
-func coverage(cand *flow.Flow, deficit map[topology.LinkID]topology.Bandwidth) topology.Bandwidth {
+func coverage(cand *flow.Flow, deficit []shortfall) topology.Bandwidth {
 	var total topology.Bandwidth
-	for l, d := range deficit {
-		if cand.Path().Contains(l) {
-			if cand.Demand < d {
-				total += cand.Demand
-			} else {
-				total += d
-			}
+	for _, d := range deficit {
+		if cand.Path().Contains(d.link) {
+			total += min(cand.Demand, d.need)
 		}
 	}
 	return total
@@ -413,16 +418,11 @@ scan:
 	return candidates[best], true
 }
 
-// remaining reports whether any deficit is still positive.
-func remaining(deficit map[topology.LinkID]topology.Bandwidth) bool {
-	return len(deficit) > 0
-}
-
 // deficitSummary renders outstanding deficits for error messages.
-func deficitSummary(deficit map[topology.LinkID]topology.Bandwidth) string {
+func deficitSummary(deficit []shortfall) string {
 	var total topology.Bandwidth
 	for _, d := range deficit {
-		total += d
+		total += d.need
 	}
 	return fmt.Sprintf("%d links short %v total", len(deficit), total)
 }

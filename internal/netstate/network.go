@@ -287,28 +287,7 @@ func (n *Network) CongestedLinks(f *flow.Flow, path routing.Path) []topology.Lin
 // ID, excluding flows of the given event (an event never migrates its own
 // flows to make room for itself).
 func (n *Network) FlowsAcross(links []topology.LinkID, exclude flow.EventID) []*flow.Flow {
-	seen := make(map[flow.ID]bool)
-	var out []*flow.Flow
-	for _, l := range links {
-		for _, f := range n.reg.FlowsOn(l) {
-			if seen[f.ID] {
-				continue
-			}
-			if exclude != flow.NoEvent && f.Event == exclude {
-				continue
-			}
-			seen[f.ID] = true
-			out = append(out, f)
-		}
-	}
-	// FlowsOn returns each link's flows ID-sorted, but the union across
-	// links is not; restore global ID order for determinism.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].ID < out[j-1].ID; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
+	return n.reg.FlowsAcross(links, exclude)
 }
 
 // FailLinks marks the given links down and returns the placed flows that

@@ -25,6 +25,11 @@ type Path struct {
 // NewPath builds a Path from an ordered link sequence. It validates that
 // consecutive links chain head-to-tail and returns an error otherwise.
 func NewPath(g *topology.Graph, links []topology.LinkID) (Path, error) {
+	return pathOf(g, append([]topology.LinkID(nil), links...))
+}
+
+// pathOf is NewPath over links it takes ownership of, without a copy.
+func pathOf(g *topology.Graph, links []topology.LinkID) (Path, error) {
 	if len(links) == 0 {
 		return Path{}, fmt.Errorf("routing: empty path")
 	}
@@ -34,10 +39,8 @@ func NewPath(g *topology.Graph, links []topology.LinkID) (Path, error) {
 			return Path{}, fmt.Errorf("routing: link %v does not continue %v", cur, prev)
 		}
 	}
-	cp := make([]topology.LinkID, len(links))
-	copy(cp, links)
 	return Path{
-		links: cp,
+		links: links,
 		src:   g.Link(links[0]).From,
 		dst:   g.Link(links[len(links)-1]).To,
 	}, nil

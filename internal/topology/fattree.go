@@ -31,9 +31,9 @@ type FatTree struct {
 	aggs  [][]NodeID // [pod][i] aggregation switches
 	edges [][]NodeID // [pod][i] edge switches
 	hosts []NodeID   // all hosts, index = pod*(k/2)^2 + edge*(k/2) + h
-	// hostIdx maps a host NodeID back to its index in hosts for O(1)
-	// address decomposition.
-	hostIdx map[NodeID]int
+	// hostIdx[n] is node n's index in hosts, or -1 for a switch: O(1)
+	// address decomposition by NodeID.
+	hostIdx []int32
 }
 
 // NewFatTree builds a k-ary Fat-Tree in which every directed link has the
@@ -54,7 +54,6 @@ func NewFatTree(k int, capacity Bandwidth) (*FatTree, error) {
 		aggs:         make([][]NodeID, k),
 		edges:        make([][]NodeID, k),
 		hosts:        make([]NodeID, 0, k*half*half),
-		hostIdx:      make(map[NodeID]int, k*half*half),
 	}
 	g := ft.graph
 
@@ -74,11 +73,16 @@ func NewFatTree(k int, capacity Bandwidth) (*FatTree, error) {
 		}
 		for e := 0; e < half; e++ {
 			for h := 0; h < half; h++ {
-				id := g.AddNode(KindHost, fmt.Sprintf("host(%d,%d,%d)", pod, e, h))
-				ft.hostIdx[id] = len(ft.hosts)
-				ft.hosts = append(ft.hosts, id)
+				ft.hosts = append(ft.hosts, g.AddNode(KindHost, fmt.Sprintf("host(%d,%d,%d)", pod, e, h)))
 			}
 		}
+	}
+	ft.hostIdx = make([]int32, g.NumNodes())
+	for i := range ft.hostIdx {
+		ft.hostIdx[i] = -1
+	}
+	for i, id := range ft.hosts {
+		ft.hostIdx[id] = int32(i)
 	}
 
 	// Wire core <-> aggregation: agg i of every pod reaches core group i.
@@ -152,11 +156,20 @@ func (ft *FatTree) Host(pod, e, h int) NodeID {
 // FatTree and must not be modified.
 func (ft *FatTree) Hosts() []NodeID { return ft.hosts }
 
+// HostIndex returns the host's position in Hosts(), its ordinal in
+// 0..NumHosts()-1, or -1 if id is not a host of this Fat-Tree.
+func (ft *FatTree) HostIndex(id NodeID) int {
+	if id < 0 || int(id) >= len(ft.hostIdx) {
+		return -1
+	}
+	return int(ft.hostIdx[id])
+}
+
 // HostAddr decomposes a host NodeID into its (pod, edge, index) address.
 // ok is false if the node is not a host of this Fat-Tree.
 func (ft *FatTree) HostAddr(id NodeID) (pod, edge, h int, ok bool) {
-	idx, found := ft.hostIdx[id]
-	if !found {
+	idx := ft.HostIndex(id)
+	if idx < 0 {
 		return 0, 0, 0, false
 	}
 	half := ft.K / 2

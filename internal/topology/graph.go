@@ -18,9 +18,6 @@ type Graph struct {
 	out [][]LinkID
 	// in[n] lists the IDs of links entering node n.
 	in [][]LinkID
-	// byPair maps an ordered (from,to) pair to its link, enforcing simple
-	// directed edges (at most one link per ordered pair).
-	byPair map[[2]NodeID]LinkID
 	// trial is set between BeginTrial and EndTrial; trialNet is the
 	// bandwidth reserved minus released inside the open bracket.
 	trial    bool
@@ -29,7 +26,7 @@ type Graph struct {
 
 // NewGraph returns an empty graph.
 func NewGraph() *Graph {
-	return &Graph{byPair: make(map[[2]NodeID]LinkID)}
+	return &Graph{}
 }
 
 // AddNode appends a node of the given kind and returns its ID.
@@ -55,15 +52,13 @@ func (g *Graph) AddLink(from, to NodeID, capacity Bandwidth) (LinkID, error) {
 		return InvalidLink, fmt.Errorf("add link %d->%d: capacity %d: %w",
 			int(from), int(to), int64(capacity), ErrNegativeBandwidth)
 	}
-	key := [2]NodeID{from, to}
-	if _, ok := g.byPair[key]; ok {
+	if _, ok := g.LinkBetween(from, to); ok {
 		return InvalidLink, fmt.Errorf("add link %d->%d: %w", int(from), int(to), ErrDuplicateLink)
 	}
 	id := LinkID(len(g.links))
 	g.links = append(g.links, Link{ID: id, From: from, To: to, Capacity: capacity})
 	g.out[from] = append(g.out[from], id)
 	g.in[to] = append(g.in[to], id)
-	g.byPair[key] = id
 	return id, nil
 }
 
@@ -108,9 +103,18 @@ func (g *Graph) Out(n NodeID) []LinkID { return g.out[n] }
 func (g *Graph) In(n NodeID) []LinkID { return g.in[n] }
 
 // LinkBetween returns the ID of the directed link from -> to, if present.
+// It scans from's outgoing links: a node has few (k in a k-ary fat-tree),
+// so the scan costs less than hashing the pair.
 func (g *Graph) LinkBetween(from, to NodeID) (LinkID, bool) {
-	id, ok := g.byPair[[2]NodeID{from, to}]
-	return id, ok
+	if !g.validNode(from) {
+		return InvalidLink, false
+	}
+	for _, id := range g.out[from] {
+		if g.links[id].To == to {
+			return id, true
+		}
+	}
+	return InvalidLink, false
 }
 
 // Nodes returns a copy of all nodes in ID order.
@@ -278,9 +282,9 @@ func (g *Graph) IncidentLinks(n NodeID) []LinkID {
 }
 
 // Fork returns a scratch copy of the graph: the mutable per-link
-// reservation state is copied, while the immutable topology (nodes,
-// adjacency, pair index) is shared with the parent. Reserve/Release on
-// the fork never touch the parent.
+// reservation state is copied, while the immutable topology (nodes and
+// adjacency) is shared with the parent. Reserve/Release on the fork never
+// touch the parent.
 //
 // Fork is on no product path: cost probes trial-plan on the live graph
 // inside BeginTrial/EndTrial. Its signature is fixed by its two callers,
@@ -293,11 +297,10 @@ func (g *Graph) Fork() *Graph {
 	links := make([]Link, len(g.links))
 	copy(links, g.links)
 	return &Graph{
-		nodes:  g.nodes,
-		links:  links,
-		out:    g.out,
-		in:     g.in,
-		byPair: g.byPair,
+		nodes: g.nodes,
+		links: links,
+		out:   g.out,
+		in:    g.in,
 	}
 }
 
