@@ -111,6 +111,33 @@ func BenchmarkEndToEnd(b *testing.B) {
 	}
 }
 
+// BenchmarkPaperRegimeDrain drains the paper-regime run that
+// sim.TestPaperPlanDecisionsPinned pins: 150 YahooLike events of 10-100
+// flows from generator seed 1001 on Genesis{K: 8, Seed: 1} at 60 %, under
+// P-LMTF α = 4. Probing prices each event by trial migration planning, so
+// this is the planner's hot loop at the paper's scale. World and events
+// are rebuilt outside the timer.
+func BenchmarkPaperRegimeDrain(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		w, err := sim.Genesis{K: 8, Seed: 1}.Build(0.6)
+		if err != nil {
+			b.Fatal(err)
+		}
+		gen, err := trace.NewGenerator(1001, trace.YahooLike{}, w.FatTree.Hosts())
+		if err != nil {
+			b.Fatal(err)
+		}
+		events := gen.Events(150, 10, 100)
+		engine := sim.NewEngine(w.Planner, sched.NewPLMTF(4, 1), sim.Config{})
+		b.StartTimer()
+		if _, err := engine.Run(events); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkTraceOverhead measures what observability costs a whole
 // simulation: the same P-LMTF run untraced (the nil fast path the <5%
 // decision-bench criterion guards), with the in-memory ring sink

@@ -11,6 +11,7 @@ package migration
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"netupdate/internal/flow"
 	"netupdate/internal/netstate"
@@ -230,10 +231,13 @@ func (p *Planner) freeCapacity(f *flow.Flow, desired routing.Path, res *Result) 
 	// link, which every one of its paths crosses) can never free capacity,
 	// and skipping it here keeps uncoverable deficits cheap to detect —
 	// important because saturated access links are common at high
-	// utilization and are exactly the unfixable case.
-	usable := make([]*flow.Flow, 0, len(candidates))
+	// utilization and are exactly the unfixable case. FlowsAcross returns
+	// a fresh slice, so the filter reuses it.
+	var srcs, dsts [6]topology.NodeID
+	pins := pinsOf(g, congested, srcs[:0], dsts[:0])
+	usable := candidates[:0]
 	for _, cand := range candidates {
-		if p.detourable(cand, congested, res) {
+		if p.detourable(cand, congested, pins, res) {
 			usable = append(usable, cand)
 		}
 	}
@@ -241,7 +245,7 @@ func (p *Planner) freeCapacity(f *flow.Flow, desired routing.Path, res *Result) 
 	for len(deficit) > 0 {
 		best := p.pickCandidate(usable, deficit, res)
 		if best == -1 {
-			return fmt.Errorf("admit %v: deficits %v uncovered: %w", f, deficitSummary(deficit), ErrCannotAdmit)
+			return newUncoveredError(f, deficit)
 		}
 		victim := usable[best]
 		usable = append(usable[:best:best], usable[best+1:]...)
@@ -349,12 +353,51 @@ func specHash(f *flow.Flow) uint64 {
 	return h
 }
 
+// pins lists the endpoints that pin a flow to a congested link: the tail
+// of a congested link that is its tail's only out-link, and the head of
+// one that is its head's only in-link. Every path leaves its source by
+// one of the source's out-links and enters its destination by one of the
+// destination's in-links, so a flow sourced at such a tail, or destined
+// to such a head, crosses that congested link on every candidate path.
+type pins struct {
+	srcs, dsts []topology.NodeID
+}
+
+// pinsOf appends the pinning endpoints of the congested links to srcs and
+// dsts.
+func pinsOf(g *topology.Graph, congested []topology.LinkID, srcs, dsts []topology.NodeID) pins {
+	ps := pins{srcs: srcs, dsts: dsts}
+	for _, l := range congested {
+		link := g.Link(l)
+		if len(g.Out(link.From)) == 1 {
+			ps.srcs = append(ps.srcs, link.From)
+		}
+		if len(g.In(link.To)) == 1 {
+			ps.dsts = append(ps.dsts, link.To)
+		}
+	}
+	return ps
+}
+
+// pin reports whether f is pinned to a congested link by its endpoints.
+func (ps pins) pin(f *flow.Flow) bool {
+	return slices.Contains(ps.srcs, f.Src) || slices.Contains(ps.dsts, f.Dst)
+}
+
 // detourable reports whether the victim has any candidate path that avoids
-// every congested link — a pure topology check, ignoring bandwidth.
-func (p *Planner) detourable(victim *flow.Flow, congested []topology.LinkID, res *Result) bool {
+// every congested link — a pure topology check, ignoring bandwidth. A
+// victim its endpoints pin is ruled out without a scan, but is charged
+// the one Eval per candidate path the scan would have spent, so plan
+// time does not depend on how the answer was found.
+func (p *Planner) detourable(victim *flow.Flow, congested []topology.LinkID, pins pins, res *Result) bool {
+	candidates := p.net.Candidates(victim)
+	if pins.pin(victim) {
+		res.Evals += len(candidates)
+		return false
+	}
 	old := victim.Path()
 scan:
-	for _, q := range p.net.Candidates(victim) {
+	for _, q := range candidates {
 		res.Evals++
 		if q.Equal(old) {
 			continue
@@ -418,11 +461,26 @@ scan:
 	return candidates[best], true
 }
 
-// deficitSummary renders outstanding deficits for error messages.
-func deficitSummary(deficit []shortfall) string {
-	var total topology.Bandwidth
-	for _, d := range deficit {
-		total += d.need
-	}
-	return fmt.Sprintf("%d links short %v total", len(deficit), total)
+// uncoveredError reports a flow whose deficits no migration set covers.
+// Admission failures are routine at high utilization and their text is
+// rarely read, so it holds the flow's fields by value and renders lazily.
+type uncoveredError struct {
+	flow  flow.Flow
+	links int
+	short topology.Bandwidth
 }
+
+func newUncoveredError(f *flow.Flow, deficit []shortfall) *uncoveredError {
+	e := &uncoveredError{flow: *f, links: len(deficit)}
+	for _, d := range deficit {
+		e.short += d.need
+	}
+	return e
+}
+
+func (e *uncoveredError) Error() string {
+	return fmt.Sprintf("admit %v: deficits %d links short %v total uncovered: %v",
+		&e.flow, e.links, e.short, ErrCannotAdmit)
+}
+
+func (e *uncoveredError) Unwrap() error { return ErrCannotAdmit }

@@ -168,6 +168,16 @@ func TestAdmitFailsWithoutDetour(t *testing.T) {
 	if res == nil || res.Evals == 0 {
 		t.Error("failed Admit must still report eval work")
 	}
+	// The text and the work are pinned: one candidate path for f, one
+	// victim across u->v, and that victim's one candidate scanned (it
+	// only transits u and v, so its endpoints do not pin it).
+	const text = "admit flow#1(0->1 500Mbps unplaced): deficits 1 links short 300Mbps total uncovered: cannot admit flow even with migration"
+	if got := err.Error(); got != text {
+		t.Errorf("Admit error text = %q, want %q", got, text)
+	}
+	if res != nil && res.Evals != 3 {
+		t.Errorf("Evals = %d, want 3", res.Evals)
+	}
 	if f.Placed() {
 		t.Error("flow placed despite failure")
 	}

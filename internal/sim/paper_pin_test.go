@@ -67,3 +67,60 @@ func TestPaperPlanDecisionsPinned(t *testing.T) {
 		t.Errorf("execution order %v, want %v", got, order)
 	}
 }
+
+// TestPaperPlanDecisionsPinnedSaturated pins the same 150 events and
+// P-LMTF α = 4 on the saturated, splitting fabric — Genesis{K: 8, Seed: 1,
+// Split: true} at 75 % — where most admissions need migration, many find
+// their deficits uncoverable and victims split over two detours. The
+// constants were captured before pinned victims were ruled out without a
+// detour scan; that shortcut charges the scan's Evals, so nothing here
+// may move.
+func TestPaperPlanDecisionsPinnedSaturated(t *testing.T) {
+	w, err := Genesis{K: 8, Seed: 1, Split: true}.Build(0.75)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := trace.NewGenerator(1001, trace.YahooLike{}, w.FatTree.Hosts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(w.Planner, sched.NewPLMTF(4, 1), Config{})
+	col, err := eng.Run(gen.Events(150, 10, 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const (
+		cost     = 8129 * topology.Mbps
+		avg      = 46806533333 * time.Nanosecond
+		tail     = 90800 * time.Millisecond
+		rounds   = 61
+		evals    = 9330423
+		probes   = 531
+		planTime = 11503820 * time.Microsecond
+	)
+	order := []flow.EventID{74, 1, 2, 16, 17, 33, 124, 3, 49, 32, 4, 18, 68, 96, 5, 34, 100,
+		6, 77, 70, 118, 7, 37, 8, 19, 30, 27, 9, 47, 59, 10, 88, 140, 43, 11, 107, 25, 42, 50,
+		103, 76, 40, 12, 13, 90, 97, 14, 119, 15, 31, 65, 86, 106, 20, 21, 69, 45, 22, 48, 57,
+		61, 23, 54, 80, 78, 24, 55, 56, 95, 41, 81, 82, 64, 26, 60, 127, 28, 98, 138, 67, 29,
+		111, 35, 146, 105, 36, 126, 142, 147, 38, 66, 104, 102, 62, 137, 149, 58, 125, 39, 122,
+		141, 79, 44, 120, 121, 112, 51, 53, 129, 89, 150, 83, 72, 73, 135, 52, 92, 131, 46,
+		148, 101, 132, 133, 136, 116, 144, 63, 113, 134, 71, 94, 128, 84, 99, 114, 75, 123, 93,
+		85, 109, 87, 108, 117, 115, 91, 130, 139, 145, 143, 110}
+
+	if col.TotalCost() != cost || col.AvgECT() != avg || col.TailECT() != tail {
+		t.Errorf("cost %v, avg ECT %v, tail ECT %v; want %v, %v, %v",
+			col.TotalCost(), col.AvgECT(), col.TailECT(), cost, avg, tail)
+	}
+	if eng.Rounds() != rounds || col.DecisionEvals != evals || col.Probes != probes || col.PlanTime != planTime {
+		t.Errorf("%d rounds, %d decision evals, %d probes, plan time %v; want %d, %d, %d, %v",
+			eng.Rounds(), col.DecisionEvals, col.Probes, col.PlanTime, rounds, evals, probes, planTime)
+	}
+	var got []flow.EventID
+	for _, r := range col.Records() {
+		got = append(got, r.Event)
+	}
+	if !reflect.DeepEqual(got, order) {
+		t.Errorf("execution order %v, want %v", got, order)
+	}
+}
