@@ -8,6 +8,7 @@
 package netupdate_test
 
 import (
+	"fmt"
 	"io"
 	"sort"
 	"testing"
@@ -135,6 +136,40 @@ func BenchmarkPaperRegimeDrain(b *testing.B) {
 		if _, err := engine.Run(events); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkTracedFIFODrain drains daemon-shaped rounds: 4 000 events of
+// 1-4 flows under FIFO, one round per event, on Genesis{K: k, Seed: 1}
+// at 30 % with the tracer the ctl server attaches (a 4096-record ring
+// plus the registry's engine metrics). A round costs what it executes,
+// so ns/event should not grow from k=4 (96 links) to k=8 (768 links).
+// World and events are rebuilt outside the timer.
+func BenchmarkTracedFIFODrain(b *testing.B) {
+	const events = 4000
+	for _, k := range []int{4, 8} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				w, err := sim.Genesis{K: k, Seed: 1}.Build(0.3)
+				if err != nil {
+					b.Fatal(err)
+				}
+				gen, err := trace.NewGenerator(1001, trace.YahooLike{}, w.FatTree.Hosts())
+				if err != nil {
+					b.Fatal(err)
+				}
+				evs := gen.Events(events, 1, 4)
+				engine := sim.NewEngine(w.Planner, sched.FIFO{}, sim.Config{})
+				engine.SetTracer(obs.NewTracer(obs.NewRingSink(4096), obs.NewSimMetrics(obs.NewRegistry())))
+				b.StartTimer()
+				if _, err := engine.Run(evs); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*events), "ns/event")
+		})
 	}
 }
 

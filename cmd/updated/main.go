@@ -233,7 +233,7 @@ func runEngine(stdout io.Writer, stop <-chan os.Signal, addr, telemetry string, 
 		fmt.Fprintf(stdout, "updated: following %s (manual promotion only)\n", cfg.Follow)
 	}
 
-	return serveCtl(stdout, stop, addr, telemetry, obs.Handler(w.Server.Registry()), w.Server, func(l netpkg.Listener) {
+	return serveCtl(stdout, stop, addr, telemetry, obs.Handler(w.Server.Registry(), w.Server.RefreshGauges), w.Server, func(l netpkg.Listener) {
 		if slot != 0 {
 			fmt.Fprintf(stdout, "updated: engine shard %d of %d on %s, owns pods %v (k=%d, %s scheduler)\n",
 				slot, cfg.Shards, l.Addr(), w.Pods, cfg.K, cfg.Scheduler)
@@ -273,12 +273,13 @@ func runShardedCluster(stdout io.Writer, stop <-chan os.Signal, addr, telemetry 
 	}
 
 	mux := http.NewServeMux()
-	mux.Handle("/", obs.Handler(gw.Registry()))
+	mux.Handle("/", obs.Handler(gw.Registry(), nil))
 	for _, w := range cl.Worlds {
-		reg := w.Server.Registry()
+		srv := w.Server
 		mux.HandleFunc(fmt.Sprintf("/metrics/shard/%d", w.ID), func(rw http.ResponseWriter, _ *http.Request) {
+			srv.RefreshGauges()
 			rw.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			reg.WritePrometheus(rw)
+			srv.Registry().WritePrometheus(rw)
 		})
 	}
 	if cfg.WALDir != "" {
@@ -374,7 +375,7 @@ func runGateway(stdout io.Writer, stop <-chan os.Signal, addr, telemetry string,
 		fmt.Fprintf(os.Stderr, "updated: %v\n", err)
 		return 1
 	}
-	return serveCtl(stdout, stop, addr, telemetry, obs.Handler(gw.Registry()), gw, func(l netpkg.Listener) {
+	return serveCtl(stdout, stop, addr, telemetry, obs.Handler(gw.Registry(), nil), gw, func(l netpkg.Listener) {
 		fmt.Fprintf(stdout, "updated: gateway for %d remote shards on %s (k=%d)\n",
 			len(shardAddrs), l.Addr(), k)
 	})

@@ -34,10 +34,13 @@ type Server struct {
 
 	// Telemetry: every server carries a ring-buffered tracer (OpTrace
 	// reads it in the state loop) and a metrics registry whose values are
-	// atomics, safe to scrape over HTTP while the state loop runs.
-	registry *obs.Registry
-	ring     *obs.RingSink
-	ingest   *obs.IngestMetrics
+	// atomics, safe to scrape over HTTP while the state loop runs. The
+	// instantaneous gauges are computed on the loop when they are read
+	// (refreshGauges); utilScratch backs their per-link pass.
+	registry    *obs.Registry
+	ring        *obs.RingSink
+	ingest      *obs.IngestMetrics
+	utilScratch []float64
 
 	// Latency span pipeline: the recorder is state-loop confined (like
 	// the engine it instruments); stage records go out through a bounded
@@ -201,8 +204,19 @@ func (s *Server) start() {
 
 // Registry exposes the server's metric registry, e.g. for mounting
 // obs.Handler on an HTTP listener. All registered values are atomics, so
-// scraping is safe while the server runs.
+// scraping is safe while the server runs; pass RefreshGauges as the
+// handler's refresh so a scrape sees the instantaneous gauges current.
 func (s *Server) Registry() *obs.Registry { return s.registry }
+
+// RefreshGauges recomputes the instantaneous gauges on the state loop,
+// after the round in progress, like any other read. A closed server
+// keeps the values its last read left.
+func (s *Server) RefreshGauges() {
+	_ = s.onLoop(func() error {
+		s.refreshGauges()
+		return nil
+	})
+}
 
 // Serve accepts connections on l until Close. It returns ErrServerClosed
 // after a clean shutdown.

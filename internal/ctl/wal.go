@@ -433,14 +433,23 @@ func (s *Server) restoreCheckpoint(ckpt *wal.Checkpoint) error {
 }
 
 // refreshGauges recomputes the instantaneous gauges from current state
-// (state loop only).
+// (state loop only). It is their one writer: no round sets them, so a
+// round costs only what it executes, and every read — sample, the
+// recovery boot, the promotion drain, an HTTP scrape — refreshes first.
+// The link-utilization distribution takes one pass over the links.
 func (s *Server) refreshGauges() {
 	met := s.engine.Tracer().Metrics()
 	net := s.planner.Network()
+	g := net.Graph()
+	s.utilScratch = s.utilScratch[:0]
+	for i := 0; i < g.NumLinks(); i++ {
+		s.utilScratch = append(s.utilScratch, g.Link(topology.LinkID(i)).Utilization())
+	}
 	met.QueueDepth.Set(int64(s.engine.QueueLen()))
 	met.VirtualClock.Set(int64(s.engine.Clock()))
 	met.Utilization.Set(net.Utilization())
 	met.FlowsPlaced.Set(int64(net.Registry().NumPlaced()))
+	met.LinkUtil.Update(s.utilScratch)
 	met.LinksDown.Set(int64(s.engine.LinksDown()))
 	s.journal.refreshLag()
 }

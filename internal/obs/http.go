@@ -23,9 +23,13 @@ var (
 //	/debug/vars     expvar JSON (Go runtime vars + a "netupdate" map)
 //	/debug/pprof/   the standard net/http/pprof profile index
 //
-// The handler only reads atomics and registry snapshots, so it is safe
-// to serve from any goroutine while the simulation runs in another.
-func Handler(reg *Registry) http.Handler {
+// refresh, when non-nil, runs before /metrics and /debug/vars render:
+// it brings gauges computed at read time up to date (ctl's
+// Server.RefreshGauges, which waits for the round in progress). Pass nil
+// for a registry whose gauges are all set as they change. Rendering
+// itself only reads atomics and registry snapshots, so it is safe from
+// any goroutine while the simulation runs in another.
+func Handler(reg *Registry, refresh func()) http.Handler {
 	expvarReg.Store(reg)
 	expvarPublish.Do(func() {
 		expvar.Publish("netupdate", expvar.Func(func() any {
@@ -35,12 +39,20 @@ func Handler(reg *Registry) http.Handler {
 			return nil
 		}))
 	})
+	if refresh == nil {
+		refresh = func() {}
+	}
+	vars := expvar.Handler()
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		refresh()
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		reg.WritePrometheus(w)
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
+	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, r *http.Request) {
+		refresh()
+		vars.ServeHTTP(w, r)
+	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

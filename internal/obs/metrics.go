@@ -423,10 +423,13 @@ func doubling(first int64, n int) []int64 {
 	return bounds
 }
 
-// SimMetrics is the live metric set the engine maintains: queue depth,
-// virtual clock, utilization, round/event counters, the probe count,
-// the ECT and queuing-delay histograms, and the current
-// link-utilization distribution.
+// SimMetrics is the live metric set of an engine: queue depth, virtual
+// clock, utilization, round/event counters, the probe count, the ECT and
+// queuing-delay histograms, and the current link-utilization
+// distribution. The tracer sets the counters, histograms and queue depth
+// as rounds run; the gauges that describe the world (clock, utilization,
+// flows placed, links down, link distribution) are computed by the
+// engine's owner when they are read (ctl's refreshGauges).
 type SimMetrics struct {
 	QueueDepth   *Gauge      `metric:"netupdate_queue_depth" help:"Events waiting in the update queue."`
 	VirtualClock *Gauge      `metric:"netupdate_virtual_clock_ns,max" help:"Simulation virtual clock in nanoseconds."`

@@ -190,7 +190,7 @@ func TestSimMetricsAndHandler(t *testing.T) {
 	m.LinkUtil.Update([]float64{0.3, 0.8})
 	m.Utilization.Set(0.55)
 
-	srv := httptest.NewServer(Handler(reg))
+	srv := httptest.NewServer(Handler(reg, nil))
 	defer srv.Close()
 	for path, wants := range map[string][]string{
 		"/metrics": {

@@ -47,13 +47,25 @@ func (q *Queue) Head() *core.Event {
 }
 
 // Remove deletes the given event, preserving the order of the rest.
-// It reports whether the event was present.
+// It reports whether the event was present. Dropping the head — what
+// FIFO does every round — clears its slot and re-slices, in O(1); any
+// other slot shifts whichever side of it is shorter.
 func (q *Queue) Remove(ev *core.Event) bool {
 	for i, e := range q.events {
-		if e == ev {
-			q.events = append(q.events[:i], q.events[i+1:]...)
-			return true
+		if e != ev {
+			continue
 		}
+		n := len(q.events)
+		if i < n-1-i {
+			copy(q.events[1:i+1], q.events[:i])
+			q.events[0] = nil
+			q.events = q.events[1:]
+		} else {
+			copy(q.events[i:], q.events[i+1:])
+			q.events[n-1] = nil
+			q.events = q.events[:n-1]
+		}
+		return true
 	}
 	return false
 }

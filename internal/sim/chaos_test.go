@@ -146,7 +146,7 @@ func TestLinkFailureRecoveryE2E(t *testing.T) {
 	}
 
 	// Recovery counters are visible on a /metrics scrape.
-	srv := httptest.NewServer(obs.Handler(reg))
+	srv := httptest.NewServer(obs.Handler(reg, nil))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "/metrics")
 	if err != nil {

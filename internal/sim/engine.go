@@ -13,7 +13,6 @@ import (
 	"netupdate/internal/migration"
 	"netupdate/internal/obs"
 	"netupdate/internal/sched"
-	"netupdate/internal/topology"
 	"netupdate/internal/trace"
 )
 
@@ -61,9 +60,6 @@ type Engine struct {
 	// curRound accumulates the round record being built (obs enabled
 	// only); runLane appends its claim and span to it.
 	curRound *obs.RoundRecord
-	// utilScratch backs the per-round link-utilization snapshot so the
-	// telemetry refresh allocates nothing in steady state.
-	utilScratch []float64
 }
 
 // NewEngine builds an engine. The planner owns the (pre-filled) network;
@@ -379,28 +375,8 @@ func (e *Engine) runRound() error {
 		rr.EndVT = int64(roundEnd)
 		e.obs.Round(int64(roundStart), rr)
 		e.curRound = nil
-		e.syncTelemetry()
 	}
 	return nil
-}
-
-// syncTelemetry refreshes the live gauges a scrape reads: virtual clock,
-// overall utilization and the per-link utilization distribution. Called
-// at the end of each round when a tracer with metrics is attached.
-func (e *Engine) syncTelemetry() {
-	m := e.obs.Metrics()
-	if m == nil {
-		return
-	}
-	g := e.planner.Network().Graph()
-	m.VirtualClock.Set(int64(e.clock))
-	m.Utilization.Set(g.Utilization())
-	m.FlowsPlaced.Set(int64(e.planner.Network().Registry().NumPlaced()))
-	e.utilScratch = e.utilScratch[:0]
-	for i := 0; i < g.NumLinks(); i++ {
-		e.utilScratch = append(e.utilScratch, g.Link(topology.LinkID(i)).Utilization())
-	}
-	m.LinkUtil.Update(e.utilScratch)
 }
 
 // addPlanTime charges simulated planning time to the collector and the

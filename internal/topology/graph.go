@@ -22,6 +22,9 @@ type Graph struct {
 	// bandwidth reserved minus released inside the open bracket.
 	trial    bool
 	trialNet Bandwidth
+	// reserved and capacity are the sums over every link, kept by the
+	// calls that change a link's share, so Utilization reads them in O(1).
+	reserved, capacity Bandwidth
 }
 
 // NewGraph returns an empty graph.
@@ -57,6 +60,7 @@ func (g *Graph) AddLink(from, to NodeID, capacity Bandwidth) (LinkID, error) {
 	}
 	id := LinkID(len(g.links))
 	g.links = append(g.links, Link{ID: id, From: from, To: to, Capacity: capacity})
+	g.capacity += capacity
 	g.out[from] = append(g.out[from], id)
 	g.in[to] = append(g.in[to], id)
 	return id, nil
@@ -151,6 +155,7 @@ func (g *Graph) Reserve(id LinkID, bw Bandwidth) error {
 			bw, l, l.Residual(), ErrInsufficientBandwidth)
 	}
 	l.reserved += bw
+	g.reserved += bw
 	if g.trial {
 		g.trialNet += bw
 	}
@@ -170,6 +175,7 @@ func (g *Graph) Release(id LinkID, bw Bandwidth) error {
 			bw, l, l.reserved, ErrOverRelease)
 	}
 	l.reserved -= bw
+	g.reserved -= bw
 	if g.trial {
 		g.trialNet -= bw
 	}
@@ -203,7 +209,8 @@ func (g *Graph) EndTrial() {
 // splits core-layer links across per-shard worlds. It fails with
 // ErrNegativeBandwidth for c < 0 and with ErrInsufficientBandwidth when
 // the link already has more than c reserved (shrinking below the
-// committed load would make the residual negative).
+// committed load would make the residual negative). Capacity changes
+// after AddLink go through here, so Utilization's totals stay exact.
 func (g *Graph) SetCapacity(id LinkID, c Bandwidth) error {
 	if c < 0 {
 		return fmt.Errorf("set capacity on %v: %w", id, ErrNegativeBandwidth)
@@ -213,23 +220,20 @@ func (g *Graph) SetCapacity(id LinkID, c Bandwidth) error {
 		return fmt.Errorf("set capacity %v on %v (reserved %v): %w",
 			c, l, l.reserved, ErrInsufficientBandwidth)
 	}
+	g.capacity += c - l.Capacity
 	l.Capacity = c
 	return nil
 }
 
 // Utilization returns total reserved bandwidth divided by total capacity
 // across all links (0 for an empty graph). This is the "network utilization"
-// knob the paper sweeps in its evaluation.
+// knob the paper sweeps in its evaluation. It reads the graph's running
+// totals, so it costs O(1) however many links there are.
 func (g *Graph) Utilization() float64 {
-	var used, total Bandwidth
-	for i := range g.links {
-		used += g.links[i].reserved
-		total += g.links[i].Capacity
-	}
-	if total == 0 {
+	if g.capacity == 0 {
 		return 0
 	}
-	return float64(used) / float64(total)
+	return float64(g.reserved) / float64(g.capacity)
 }
 
 // SwitchUtilization is like Utilization but restricted to switch-to-switch
@@ -297,10 +301,12 @@ func (g *Graph) Fork() *Graph {
 	links := make([]Link, len(g.links))
 	copy(links, g.links)
 	return &Graph{
-		nodes: g.nodes,
-		links: links,
-		out:   g.out,
-		in:    g.in,
+		nodes:    g.nodes,
+		links:    links,
+		out:      g.out,
+		in:       g.in,
+		reserved: g.reserved,
+		capacity: g.capacity,
 	}
 }
 

@@ -301,3 +301,122 @@ func TestReservationConservation(t *testing.T) {
 		t.Errorf("total reserved = %v, ledger = %v", total, ledger)
 	}
 }
+
+// linkSumUtilization is Utilization computed the long way: a fresh sum
+// over every link.
+func linkSumUtilization(g *Graph) float64 {
+	var used, total Bandwidth
+	for i := 0; i < g.NumLinks(); i++ {
+		l := g.Link(LinkID(i))
+		used += l.Reserved()
+		total += l.Capacity
+	}
+	if total == 0 {
+		return 0
+	}
+	return float64(used) / float64(total)
+}
+
+// TestUtilizationMatchesLinkSum: the graph's running totals answer
+// Utilization bit for bit as a per-link sum does, through reservations,
+// refused reservations, releases, capacity rewrites, a trial bracket and
+// forks — each fork keeping its own totals from then on.
+func TestUtilizationMatchesLinkSum(t *testing.T) {
+	ft, err := NewFatTree(4, Gbps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := ft.Graph().Utilization(), linkSumUtilization(ft.Graph()); got != want || got != 0 {
+		t.Fatalf("built fat-tree: Utilization = %v, link sum = %v, want 0", got, want)
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		g := ft.Graph().Fork()
+		rng := rand.New(rand.NewSource(seed))
+		link := func() LinkID { return LinkID(rng.Intn(g.NumLinks())) }
+		check := func(step int, op string, g *Graph) {
+			t.Helper()
+			if got, want := g.Utilization(), linkSumUtilization(g); got != want {
+				t.Fatalf("seed %d step %d (%s): Utilization = %v, link sum = %v", seed, step, op, got, want)
+			}
+		}
+		check(0, "fork", g)
+		for step := 1; step <= 400; step++ {
+			switch op := rng.Intn(6); op {
+			case 0: // Reserve within the residual
+				id := link()
+				if res := g.Link(id).Residual(); res > 0 {
+					if err := g.Reserve(id, 1+Bandwidth(rng.Int63n(int64(res)))); err != nil {
+						t.Fatal(err)
+					}
+				}
+				check(step, "reserve", g)
+			case 1: // Reserve beyond the residual is refused and changes nothing
+				id := link()
+				before := g.Utilization()
+				if err := g.Reserve(id, g.Link(id).Residual()+1); !errors.Is(err, ErrInsufficientBandwidth) {
+					t.Fatalf("over-reserve: %v", err)
+				}
+				if g.Utilization() != before {
+					t.Fatalf("seed %d step %d: a refused reserve moved Utilization", seed, step)
+				}
+				check(step, "refused reserve", g)
+			case 2: // Release part of what is reserved
+				id := link()
+				if r := g.Link(id).Reserved(); r > 0 {
+					if err := g.Release(id, 1+Bandwidth(rng.Int63n(int64(r)))); err != nil {
+						t.Fatal(err)
+					}
+				}
+				check(step, "release", g)
+			case 3: // SetCapacity anywhere at or above the reservation
+				id := link()
+				c := g.Link(id).Reserved() + Bandwidth(rng.Int63n(int64(2*Gbps)))
+				if err := g.SetCapacity(id, c); err != nil {
+					t.Fatal(err)
+				}
+				check(step, "set capacity", g)
+			case 4: // a trial bracket that cancels itself
+				g.BeginTrial()
+				var held []LinkID
+				for i := 0; i < 8; i++ {
+					id := link()
+					if g.Link(id).Residual() >= Mbps && g.Reserve(id, Mbps) == nil {
+						held = append(held, id)
+						check(step, "trial reserve", g)
+					}
+				}
+				for _, id := range held {
+					if err := g.Release(id, Mbps); err != nil {
+						t.Fatal(err)
+					}
+					check(step, "trial release", g)
+				}
+				g.EndTrial()
+				check(step, "trial", g)
+			case 5: // Fork, then diverge the fork from its parent
+				parent := g.Utilization()
+				f := g.Fork()
+				check(step, "fork", f)
+				if f.Utilization() != parent {
+					t.Fatalf("seed %d step %d: fork Utilization %v, parent %v", seed, step, f.Utilization(), parent)
+				}
+				id := link()
+				if res := f.Link(id).Residual(); res > 0 {
+					if err := f.Reserve(id, res); err != nil {
+						t.Fatal(err)
+					}
+				}
+				check(step, "reserve on fork", f)
+				if g.Utilization() != parent {
+					t.Fatalf("seed %d step %d: reserving on a fork moved the parent", seed, step)
+				}
+				if rng.Intn(2) == 0 {
+					g = f
+				}
+			}
+		}
+		if g.Utilization() == 0 {
+			t.Errorf("seed %d: the steps left nothing reserved", seed)
+		}
+	}
+}
