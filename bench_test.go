@@ -1,7 +1,7 @@
 // Package netupdate_test benchmarks the reproduction: one benchmark per
 // figure of the paper's evaluation (each iteration regenerates the figure
-// in quick mode; run `go run ./cmd/netupdate -all` for the full-scale
-// versions), the ablation studies DESIGN.md calls out, whole-simulation
+// at the paper's size, as `go run ./cmd/netupdate -all` prints it), the
+// ablation studies DESIGN.md calls out, whole-simulation
 // runs and the ledger, link-index and path-table micro-benchmarks
 // bench/layers.go has no row for. Per-layer timings (topology build, path lookup, admission,
 // probe, decision, fork) live in the bench/ module's layer pass.
@@ -26,7 +26,7 @@ import (
 	"netupdate/internal/trace"
 )
 
-// benchExperiment runs one experiment per iteration in quick mode.
+// benchExperiment runs one experiment per iteration, under seeds 1, 2, ….
 func benchExperiment(b *testing.B, name string) {
 	b.Helper()
 	exp, ok := experiments.Find(name)
@@ -36,7 +36,7 @@ func benchExperiment(b *testing.B, name string) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.Run(experiments.Options{Seed: int64(i + 1), Quick: true}); err != nil {
+		if _, err := exp.Run(experiments.Options{Seed: int64(i + 1)}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,9 +3,13 @@
 // Usage:
 //
 //	netupdate -list
-//	netupdate -experiment fig6 [-seed 1] [-quick] [-csv dir] [-seeds n]
+//	netupdate -experiment fig6 [-seed 1] [-csv dir | -seeds n]
 //	          [-trace-out trace.jsonl]
-//	netupdate -all [-seed 1] [-quick] [-csv dir]
+//	netupdate -all [-seed 1] [-csv dir] [-trace-out trace.jsonl]
+//
+// Experiments run at the paper's size only, side by side (at most
+// GOMAXPROCS at a time, through experiments.RunAll), and print in -list
+// order.
 //
 // With -trace-out, every event-level simulation run writes its
 // scheduling trace (arrivals, per-round decisions, event lifecycle
@@ -31,13 +35,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"time"
 
 	"netupdate/internal/experiments"
-	"netupdate/internal/obs"
 )
 
 func main() {
@@ -51,7 +55,6 @@ func run(args []string) int {
 		name     = fs.String("experiment", "", "experiment to run (see -list)")
 		all      = fs.Bool("all", false, "run every experiment")
 		seed     = fs.Int64("seed", 1, "random seed (equal seeds reproduce runs exactly)")
-		quick    = fs.Bool("quick", false, "shrink experiments for a fast smoke run")
 		csv      = fs.String("csv", "", "also write each table as CSV into this directory")
 		seeds    = fs.Int("seeds", 1, "repeat the experiment under this many consecutive seeds and summarize headlines")
 		traceOut = fs.String("trace-out", "", "write scheduling traces of all simulated runs to this JSONL file")
@@ -59,26 +62,16 @@ func run(args []string) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-
-	var tracer *obs.Tracer
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "netupdate: trace-out: %v\n", err)
-			return 1
-		}
-		sink := obs.NewJSONLSink(f)
-		tracer = obs.NewTracer(sink, nil)
-		defer func() {
-			if err := sink.Flush(); err != nil {
-				fmt.Fprintf(os.Stderr, "netupdate: trace-out: %v\n", err)
-			}
-			if err := f.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "netupdate: trace-out: %v\n", err)
-			}
-		}()
+	switch {
+	case *seeds < 1:
+		return usageError("-seeds must be at least 1")
+	case *seeds > 1 && *all:
+		return usageError("-seeds > 1 applies to one -experiment, not -all")
+	case *seeds > 1 && *csv != "":
+		return usageError("-seeds > 1 writes no CSV; drop -csv or -seeds")
 	}
 
+	var exps []experiments.Experiment
 	switch {
 	case *list:
 		for _, e := range experiments.All() {
@@ -86,72 +79,86 @@ func run(args []string) int {
 		}
 		return 0
 	case *all:
-		for _, e := range experiments.All() {
-			if err := runOne(e, *seed, *quick, *csv, tracer); err != nil {
-				fmt.Fprintf(os.Stderr, "netupdate: %s: %v\n", e.Name, err)
-				return 1
-			}
-		}
-		return 0
+		exps = experiments.All()
 	case *name != "":
 		e, ok := experiments.Find(*name)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "netupdate: unknown experiment %q (use -list)\n", *name)
-			return 2
+			return usageError(fmt.Sprintf("unknown experiment %q (use -list)", *name))
 		}
-		if *seeds > 1 {
-			if err := runSeeds(e, *seed, *seeds, *quick, tracer); err != nil {
-				fmt.Fprintf(os.Stderr, "netupdate: %s: %v\n", e.Name, err)
-				return 1
-			}
-			return 0
-		}
-		if err := runOne(e, *seed, *quick, *csv, tracer); err != nil {
-			fmt.Fprintf(os.Stderr, "netupdate: %s: %v\n", e.Name, err)
-			return 1
-		}
-		return 0
+		exps = []experiments.Experiment{e}
 	default:
 		fs.Usage()
 		return 2
 	}
+	var jobs []experiments.Job
+	for _, e := range exps {
+		for i := range *seeds {
+			jobs = append(jobs, experiments.Job{Experiment: e, Seed: *seed + int64(i)})
+		}
+	}
+	if err := runJobs(jobs, *seeds > 1, *csv, *traceOut); err != nil {
+		fmt.Fprintf(os.Stderr, "netupdate: %v\n", err)
+		return 1
+	}
+	return 0
 }
 
-func runOne(e experiments.Experiment, seed int64, quick bool, csvDir string, tracer *obs.Tracer) error {
-	start := time.Now()
-	rep, err := e.Run(experiments.Options{Seed: seed, Quick: quick, Trace: tracer})
+func usageError(msg string) int {
+	fmt.Fprintf(os.Stderr, "netupdate: %s\n", msg)
+	return 2
+}
+
+// runJobs runs the jobs through experiments.RunAll and prints their
+// reports in job order: each with its wall time, or, for a seed sweep,
+// under a per-seed header and followed by the headline summary.
+func runJobs(jobs []experiments.Job, sweep bool, csvDir, traceOut string) error {
+	var trace io.Writer
+	closeTrace := func() error { return nil }
+	if traceOut != "" {
+		f, err := os.Create(traceOut)
+		if err != nil {
+			return fmt.Errorf("trace-out: %w", err)
+		}
+		trace, closeTrace = f, f.Close
+	}
+	reports, err := experiments.RunAll(jobs, trace)
+	if cerr := closeTrace(); err == nil && cerr != nil {
+		err = fmt.Errorf("trace-out: %w", cerr)
+	}
 	if err != nil {
 		return err
 	}
-	if _, err := rep.WriteTo(os.Stdout); err != nil {
-		return err
-	}
-	if csvDir != "" {
-		if err := writeCSVs(rep, csvDir); err != nil {
+	for i, rep := range reports {
+		if sweep {
+			fmt.Printf("-- seed %d --\n", jobs[i].Seed)
+		}
+		if _, err := rep.WriteTo(os.Stdout); err != nil {
 			return err
 		}
+		if csvDir != "" {
+			if err := writeCSVs(rep, csvDir); err != nil {
+				return fmt.Errorf("%s: %w", rep.Name, err)
+			}
+		}
+		if !sweep {
+			fmt.Printf("(%s completed in %v)\n\n", rep.Name, rep.Elapsed.Round(time.Millisecond))
+		}
 	}
-	fmt.Printf("(%s completed in %v)\n\n", e.Name, time.Since(start).Round(time.Millisecond))
+	if sweep {
+		summarize(reports)
+	}
 	return nil
 }
 
-// runSeeds repeats the experiment under n consecutive seeds and prints a
-// mean/min/max summary of every headline metric.
-func runSeeds(e experiments.Experiment, seed int64, n int, quick bool, tracer *obs.Tracer) error {
+// summarize prints a mean/min/max summary of every headline metric of a
+// seed sweep's reports.
+func summarize(reports []*experiments.Report) {
 	sums := make(map[string]float64)
 	mins := make(map[string]float64)
 	maxs := make(map[string]float64)
 	counts := make(map[string]int)
 	var order []string
-	for i := 0; i < n; i++ {
-		rep, err := e.Run(experiments.Options{Seed: seed + int64(i), Quick: quick, Trace: tracer})
-		if err != nil {
-			return fmt.Errorf("seed %d: %w", seed+int64(i), err)
-		}
-		fmt.Printf("-- seed %d --\n", seed+int64(i))
-		if _, err := rep.WriteTo(os.Stdout); err != nil {
-			return err
-		}
+	for _, rep := range reports {
 		for k, v := range rep.Headlines {
 			if counts[k] == 0 {
 				order = append(order, k)
@@ -159,20 +166,15 @@ func runSeeds(e experiments.Experiment, seed int64, n int, quick bool, tracer *o
 			}
 			sums[k] += v
 			counts[k]++
-			if v < mins[k] {
-				mins[k] = v
-			}
-			if v > maxs[k] {
-				maxs[k] = v
-			}
+			mins[k] = min(mins[k], v)
+			maxs[k] = max(maxs[k], v)
 		}
 	}
 	sort.Strings(order)
-	fmt.Printf("\n== %s headline summary over %d seeds (mean / min / max) ==\n", e.Name, n)
+	fmt.Printf("\n== %s headline summary over %d seeds (mean / min / max) ==\n", reports[0].Name, len(reports))
 	for _, k := range order {
 		fmt.Printf("  %-48s %8.3f / %8.3f / %8.3f\n", k, sums[k]/float64(counts[k]), mins[k], maxs[k])
 	}
-	return nil
 }
 
 // writeCSVs dumps each of the report's tables as <name>_<n>.csv in dir.

@@ -12,9 +12,9 @@ func TestRunList(t *testing.T) {
 	}
 }
 
-func TestRunQuickExperimentWithCSV(t *testing.T) {
+func TestRunExperimentWithCSV(t *testing.T) {
 	dir := t.TempDir()
-	if code := run([]string{"-experiment", "fig3", "-quick", "-csv", dir}); code != 0 {
+	if code := run([]string{"-experiment", "fig3", "-csv", dir}); code != 0 {
 		t.Fatalf("fig3 exit = %d", code)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, "fig3_1.csv"))
@@ -27,19 +27,26 @@ func TestRunQuickExperimentWithCSV(t *testing.T) {
 }
 
 func TestRunBadInvocations(t *testing.T) {
-	if code := run([]string{"-experiment", "nope"}); code != 2 {
-		t.Errorf("unknown experiment exit = %d, want 2", code)
-	}
-	if code := run([]string{}); code != 2 {
-		t.Errorf("no args exit = %d, want 2", code)
-	}
-	if code := run([]string{"-bogusflag"}); code != 2 {
-		t.Errorf("bad flag exit = %d, want 2", code)
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"unknown experiment", []string{"-experiment", "nope"}},
+		{"no args", []string{}},
+		{"bad flag", []string{"-bogusflag"}},
+		{"quick mode is gone", []string{"-experiment", "fig2", "-quick"}},
+		{"seeds with all", []string{"-all", "-seeds", "2"}},
+		{"seeds with csv", []string{"-experiment", "fig2", "-seeds", "2", "-csv", t.TempDir()}},
+		{"seeds below one", []string{"-experiment", "fig2", "-seeds", "0"}},
+	} {
+		if code := run(tc.args); code != 2 {
+			t.Errorf("%s: exit = %d, want 2", tc.name, code)
+		}
 	}
 }
 
 func TestRunMultiSeed(t *testing.T) {
-	if code := run([]string{"-experiment", "fig2", "-seeds", "2", "-quick"}); code != 0 {
+	if code := run([]string{"-experiment", "fig2", "-seeds", "2"}); code != 0 {
 		t.Errorf("-seeds exit = %d", code)
 	}
 }

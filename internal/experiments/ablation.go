@@ -15,11 +15,6 @@ func AblationAlpha(opts Options) (*Report, error) {
 	alphas := []int{1, 2, 4, 8}
 	k, util, nEvents := 8, 0.6, 30
 	minFlows, maxFlows := 10, 100
-	if opts.Quick {
-		alphas = []int{1, 2}
-		k, util, nEvents = 4, 0.4, 5
-		minFlows, maxFlows = 3, 10
-	}
 	setup := opts.apply(Setup{K: k, Utilization: util, Seed: opts.Seed*1000 + 1100})
 
 	fifo, err := runScheduler(setup, func() sched.Scheduler { return sched.FIFO{} }, nEvents, minFlows, maxFlows)
@@ -60,10 +55,6 @@ func AblationAlpha(opts Options) (*Report, error) {
 func AblationGreedy(opts Options) (*Report, error) {
 	k, util, nEvents := 8, 0.6, 20
 	minFlows, maxFlows := 10, 100
-	if opts.Quick {
-		k, util, nEvents = 4, 0.4, 5
-		minFlows, maxFlows = 3, 10
-	}
 	strategies := []migration.Strategy{
 		migration.StrategyDensity,
 		migration.StrategySmallest,
@@ -99,10 +90,6 @@ func AblationGreedy(opts Options) (*Report, error) {
 func AblationReorder(opts Options) (*Report, error) {
 	k, util, nEvents := 8, 0.6, 30
 	minFlows, maxFlows := 10, 100
-	if opts.Quick {
-		k, util, nEvents = 4, 0.4, 5
-		minFlows, maxFlows = 3, 10
-	}
 	setup := opts.apply(Setup{K: k, Utilization: util, Seed: opts.Seed*1000 + 1300})
 
 	table := metrics.NewTable("Ablation: LMTF sampling vs full reorder",

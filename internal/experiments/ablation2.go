@@ -17,10 +17,6 @@ import (
 func AblationChurn(opts Options) (*Report, error) {
 	k, util, nEvents := 8, 0.6, 30
 	minFlows, maxFlows := 10, 100
-	if opts.Quick {
-		k, util, nEvents = 4, 0.4, 5
-		minFlows, maxFlows = 3, 10
-	}
 	variants := []struct {
 		name  string
 		churn *sim.ChurnConfig
@@ -75,10 +71,6 @@ func AblationChurn(opts Options) (*Report, error) {
 func AblationSplit(opts Options) (*Report, error) {
 	k, util, nEvents := 8, 0.6, 20
 	minFlows, maxFlows := 5, 30
-	if opts.Quick {
-		k, util, nEvents = 4, 0.5, 5
-		minFlows, maxFlows = 3, 10
-	}
 	// Elephant-scale demands (100-400 Mbps): with 1 Gbps links, a single
 	// detour with enough headroom is scarce, which is where splitting a
 	// victim across two paths can matter.
@@ -118,10 +110,6 @@ func AblationSplit(opts Options) (*Report, error) {
 func AblationBatch(opts Options) (*Report, error) {
 	k, util, nEvents := 8, 0.6, 30
 	minFlows, maxFlows := 10, 100
-	if opts.Quick {
-		k, util, nEvents = 4, 0.4, 5
-		minFlows, maxFlows = 3, 10
-	}
 	setup := opts.apply(Setup{K: k, Utilization: util, Seed: opts.Seed*1000 + 1800})
 	table := metrics.NewTable("Ablation: opportunistic batch width (P-LMTF)",
 		"scan", "avg ECT (s)", "tail ECT (s)", "decision evals", "plan time (s)")
@@ -165,10 +153,6 @@ func AblationBatch(opts Options) (*Report, error) {
 func AblationRuleOps(opts Options) (*Report, error) {
 	k, util, nEvents := 8, 0.6, 20
 	minFlows, maxFlows := 10, 100
-	if opts.Quick {
-		k, util, nEvents = 4, 0.4, 5
-		minFlows, maxFlows = 3, 10
-	}
 	variants := []struct {
 		name string
 		cfg  sim.Config

@@ -21,9 +21,6 @@ import (
 type Options struct {
 	// Seed drives all randomness; equal seeds give identical runs.
 	Seed int64
-	// Quick shrinks the experiment (smaller fat-tree, fewer events and
-	// sweep points) for tests and benchmarks.
-	Quick bool
 	// Trace, when non-nil, receives lifecycle and round records from
 	// every simulated scheduler run. Runs within an experiment share the
 	// tracer; each run's leading "run" record delimits its stream.

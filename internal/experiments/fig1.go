@@ -17,10 +17,6 @@ import (
 func Fig1(opts Options) (*Report, error) {
 	utils := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8}
 	k, trials := 8, 400
-	if opts.Quick {
-		utils = []float64{0.2, 0.5}
-		k, trials = 4, 60
-	}
 	classes := []struct {
 		name   string
 		demand topology.Bandwidth

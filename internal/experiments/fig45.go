@@ -17,10 +17,6 @@ import (
 func Fig4(opts Options) (*Report, error) {
 	means := []int{15, 25, 35, 45, 55, 65, 75}
 	k, nEvents, util := 8, 10, 0.7
-	if opts.Quick {
-		means = []int{5, 10}
-		k, nEvents, util = 4, 4, 0.4
-	}
 
 	table := metrics.NewTable("Fig 4: avg/tail ECT vs mean flows per event (seconds; norm = /max flow-level)",
 		"mean flows", "event avg", "flow avg", "event tail", "flow tail",
@@ -97,11 +93,6 @@ func Fig5(opts Options) (*Report, error) {
 	counts := []int{10, 20, 30, 40, 50}
 	k, util := 8, 0.7
 	minFlows, maxFlows := 10, 100
-	if opts.Quick {
-		counts = []int{3, 6}
-		k, util = 4, 0.4
-		minFlows, maxFlows = 3, 10
-	}
 
 	table := metrics.NewTable("Fig 5: avg/tail ECT vs number of events (seconds)",
 		"events", "event avg", "flow avg", "event tail", "flow tail",

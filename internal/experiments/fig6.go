@@ -17,11 +17,6 @@ func Fig6(opts Options) (*Report, error) {
 	counts := []int{10, 20, 30, 40, 50}
 	k, util := 8, 0.6
 	minFlows, maxFlows := 10, 100
-	if opts.Quick {
-		counts = []int{3, 6}
-		k, util = 4, 0.4
-		minFlows, maxFlows = 3, 10
-	}
 
 	costTable := metrics.NewTable("Fig 6(a): total update cost (Mbps migrated) and reduction vs FIFO",
 		"events", "fifo", "lmtf", "p-lmtf", "lmtf red.", "p-lmtf red.")

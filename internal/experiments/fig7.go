@@ -19,20 +19,12 @@ import (
 func Fig7(opts Options) (*Report, error) {
 	utils := []float64{0.5, 0.6, 0.7, 0.8, 0.9}
 	k, nEvents := 8, 30
-	if opts.Quick {
-		utils = []float64{0.3, 0.45}
-		k, nEvents = 4, 5
-	}
 	kinds := []struct {
 		name               string
 		minFlows, maxFlows int
 	}{
 		{"heterogeneous", 10, 100},
 		{"synchronous", 50, 60},
-	}
-	if opts.Quick {
-		kinds[0].minFlows, kinds[0].maxFlows = 2, 10
-		kinds[1].minFlows, kinds[1].maxFlows = 5, 6
 	}
 
 	rep := &Report{

@@ -18,11 +18,6 @@ func Fig8(opts Options) (*Report, error) {
 	counts := []int{10, 20, 30, 40, 50}
 	k, util := 8, 0.6
 	minFlows, maxFlows := 10, 100
-	if opts.Quick {
-		counts = []int{3, 6}
-		k, util = 4, 0.4
-		minFlows, maxFlows = 3, 10
-	}
 	table := metrics.NewTable("Fig 8: queuing-delay reductions vs FIFO",
 		"events", "lmtf avg red.", "lmtf worst red.", "p-lmtf avg red.", "p-lmtf worst red.")
 	rep := &Report{
@@ -65,10 +60,6 @@ func Fig8(opts Options) (*Report, error) {
 func Fig9(opts Options) (*Report, error) {
 	k, util, nEvents := 8, 0.6, 30
 	minFlows, maxFlows := 10, 100
-	if opts.Quick {
-		k, util, nEvents = 4, 0.4, 6
-		minFlows, maxFlows = 3, 10
-	}
 	setup := opts.apply(Setup{K: k, Utilization: util, Seed: opts.Seed*1000 + 900})
 
 	type outcome struct {

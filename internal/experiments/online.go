@@ -20,11 +20,6 @@ func AblationOnline(opts Options) (*Report, error) {
 	k, util, nEvents := 8, 0.6, 40
 	minFlows, maxFlows := 10, 60
 	gaps := []time.Duration{4 * time.Second, 2 * time.Second, time.Second, 500 * time.Millisecond}
-	if opts.Quick {
-		k, util, nEvents = 4, 0.4, 8
-		minFlows, maxFlows = 3, 8
-		gaps = []time.Duration{time.Second, 250 * time.Millisecond}
-	}
 
 	table := metrics.NewTable("Ablation: online Poisson arrivals (avg ECT seconds / avg queuing delay seconds)",
 		"mean gap", "fifo ECT", "fifo delay", "lmtf ECT", "lmtf delay", "p-lmtf ECT", "p-lmtf delay")
@@ -49,6 +44,7 @@ func AblationOnline(opts Options) (*Report, error) {
 			}
 			events := env.Gen.EventsPoisson(nEvents, minFlows, maxFlows, gap)
 			eng := sim.NewEngine(env.Planner, mk(), sim.Config{})
+			eng.SetTracer(setup.Tracer)
 			col, err := eng.Run(events)
 			if err != nil {
 				return nil, err

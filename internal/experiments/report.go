@@ -1,12 +1,17 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"io"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
+	"time"
 
 	"netupdate/internal/metrics"
+	"netupdate/internal/obs"
 )
 
 // Report is the output of one experiment runner.
@@ -20,8 +25,10 @@ type Report struct {
 	// Headlines are the key scalar outcomes ("max avg-ECT speedup": 4.2),
 	// compared against the paper's claims in EXPERIMENTS.md.
 	Headlines map[string]float64
-	// Notes record caveats (substitutions, quick-mode shrinkage, ...).
+	// Notes record caveats (substitutions, extensions beyond the paper, ...).
 	Notes []string
+	// Elapsed is the real wall time of the run (set by RunAll).
+	Elapsed time.Duration
 }
 
 // headline records a named scalar outcome.
@@ -110,4 +117,56 @@ func Find(name string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
+}
+
+// Job is one experiment at one seed.
+type Job struct {
+	Experiment Experiment
+	Seed       int64
+}
+
+// RunAll runs the jobs side by side, at most runtime.GOMAXPROCS(0) at a
+// time, and returns their reports in job order. When trace is non-nil,
+// each job traces into its own in-memory JSONL buffer and the buffers are
+// written to trace in job order, so the stream is byte-identical to a
+// serial run's. The error returned is the first in job order.
+func RunAll(jobs []Job, trace io.Writer) ([]*Report, error) {
+	reports := make([]*Report, len(jobs))
+	errs := make([]error, len(jobs))
+	traces := make([]bytes.Buffer, len(jobs))
+	slots := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for i, job := range jobs {
+		slots <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer func() { <-slots; wg.Done() }()
+			var sink *obs.JSONLSink
+			opts := Options{Seed: job.Seed}
+			if trace != nil {
+				sink = obs.NewJSONLSink(&traces[i])
+				opts.Trace = obs.NewTracer(sink, nil)
+			}
+			start := time.Now()
+			reports[i], errs[i] = job.Experiment.Run(opts)
+			if errs[i] == nil && sink != nil {
+				errs[i] = sink.Flush()
+			}
+			if errs[i] == nil {
+				reports[i].Elapsed = time.Since(start)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, job := range jobs {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("%s (seed %d): %w", job.Experiment.Name, job.Seed, errs[i])
+		}
+		if trace != nil {
+			if _, err := traces[i].WriteTo(trace); err != nil {
+				return nil, fmt.Errorf("trace: %w", err)
+			}
+		}
+	}
+	return reports, nil
 }
