@@ -6,7 +6,8 @@ import (
 )
 
 // doneWindow is how many completed events the server remembers one by
-// one; older completions survive only in the collector's totals. Sized
+// one; older completions survive only in the registry's counters and
+// histograms, which every completion fed and a checkpoint carries. Sized
 // for the heaviest arrival rate the benchmark offers (≈ 1 k events/s):
 // a client may poll a completion's status 8 s late and still find it,
 // at ≈ 1 MB of records in memory and ≈ 1.5 MB in every checkpoint.
@@ -85,8 +86,8 @@ func (s *Server) step() (bool, error) {
 
 // retire moves the records the collector gained into the done window and
 // drops their events from the event table — and with each *core.Event
-// its specs and the flow objects only it kept alive. The collector's
-// totals keep counting them.
+// its specs and the flow objects only it kept alive. The registry
+// counted them when they completed.
 func (s *Server) retire() {
 	for _, r := range s.engine.Collector().Drain() {
 		delete(s.events, int64(r.Event))

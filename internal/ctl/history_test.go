@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"netupdate/internal/sched"
+	"netupdate/internal/topology"
 )
 
 // The history tests pin the daemon's memory model: what it holds and what
@@ -191,34 +192,76 @@ func TestCheckpointBoundedByLiveWork(t *testing.T) {
 	}
 }
 
+// legacyImage is a crash image the last build that checkpointed
+// telemetry field by field wrote: legacyWorkload's first four chunks, a
+// forced checkpoint, the fifth chunk as the log suffix behind it.
+const legacyImage = "testdata/legacy_wal"
+
+// legacyWorkload is the workload behind legacyImage: five chunks of six
+// events, the second crowding the core so that Cost(U) is not zero.
+func legacyWorkload(ft *topology.FatTree) []walChunk {
+	chunks := walWorkload(ft, 17, 5, 6)
+	crowdCore(ft, &chunks[1])
+	return chunks
+}
+
+// runLegacyWorkload runs legacyWorkload on a server of this build the
+// way legacyImage was written, and returns the digest it ends with and
+// its WAL directory.
+func runLegacyWorkload(t *testing.T) (runDigest, string) {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "wal")
+	srv, client, _, ft := startWALServer(t, dir, -1)
+	chunks := legacyWorkload(ft)
+	for _, ch := range chunks[:4] {
+		playChunk(t, client, ch)
+	}
+	if err := srv.ForceCheckpoint(); err != nil {
+		t.Fatalf("ForceCheckpoint: %v", err)
+	}
+	playChunk(t, client, chunks[4])
+	return captureDigest(t, srv, client), dir
+}
+
+// copyLegacyImage copies legacyImage to a fresh directory, passing its
+// checkpoint through rewrite, and returns the directory.
+func copyLegacyImage(t *testing.T, rewrite func(ckpt string) string) string {
+	t.Helper()
+	image := filepath.Join(t.TempDir(), "image")
+	copyDir(t, legacyImage, image)
+	path := filepath.Join(image, "checkpoint.json")
+	ckpt, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, []byte(rewrite(string(ckpt))), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return image
+}
+
 // TestRecoveryLoadsLegacyDoneList: a checkpoint written before the done
 // window — every completed event under "done", the admission-order ID
 // list under "order", no totals — recovers to the Stats and Results of
-// the server that wrote it, and into a smaller window to the same totals
-// with the tail of the list retained. The reverse direction is refused:
-// today's document does not decode into that older shape.
+// the same workload run uncrashed, and into a smaller window to the same
+// totals with the tail of the list retained. The reverse direction is
+// refused: today's document does not decode into that older shape.
 func TestRecoveryLoadsLegacyDoneList(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "wal")
-	srvA, clientA, _, ft := startWALServer(t, dir, -1)
-	chunks := walWorkload(ft, 17, 5, 6)
-	for _, ch := range chunks[:4] {
-		playChunk(t, clientA, ch)
-	}
-	if err := srvA.ForceCheckpoint(); err != nil {
-		t.Fatalf("ForceCheckpoint: %v", err)
-	}
-	playChunk(t, clientA, chunks[4]) // a suffix to replay behind it
-	want := captureDigest(t, srvA, clientA)
+	want, dir := runLegacyWorkload(t)
 
-	var legacy struct {
-		Order []int64 `json:"order"`
-		Done  []struct{ Event int64 }
+	var preWindow struct {
+		Order []int64  `json:"order"`
+		Sim   struct{} `json:"sim"`
 	}
-	if err := json.Unmarshal(checkpointState(t, dir), &legacy); err == nil {
+	if err := json.Unmarshal(checkpointState(t, dir), &preWindow); err == nil {
 		t.Error("today's checkpoint decodes into the pre-window document: an older binary would restore it with window-only totals")
 	}
 
 	// Rewrite the totals into the ID list an older build wrote.
+	var legacy struct{ Done []struct{ Event int64 } }
+	if err := json.Unmarshal(checkpointState(t, legacyImage), &legacy); err != nil {
+		t.Fatal(err)
+	}
 	ids := make([]string, len(legacy.Done))
 	for i, r := range legacy.Done {
 		ids[i] = fmt.Sprint(r.Event)
@@ -227,35 +270,21 @@ func TestRecoveryLoadsLegacyDoneList(t *testing.T) {
 		t.Fatalf("checkpoint lists %d done events, want the %d checkpointed", len(ids), 4*6)
 	}
 	totals := regexp.MustCompile(`"order":\{[^{}]*\}`)
-	rewrite := func(image string) {
-		t.Helper()
-		copyDir(t, dir, image)
-		path := filepath.Join(image, "checkpoint.json")
-		ckpt, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n := len(totals.FindAll(ckpt, -1)); n != 1 {
+	rewrite := func(ckpt string) string {
+		if n := len(totals.FindAllString(ckpt, -1)); n != 1 {
 			t.Fatalf("checkpoint has %d totals objects, want 1", n)
 		}
-		old := totals.ReplaceAllString(string(ckpt), `"order":[`+strings.Join(ids, ",")+`]`)
-		if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
-			t.Fatal(err)
-		}
+		return totals.ReplaceAllString(ckpt, `"order":[`+strings.Join(ids, ",")+`]`)
 	}
 
-	full := filepath.Join(t.TempDir(), "full")
-	rewrite(full)
-	srvB, clientB, rec, _ := startWALServer(t, full, -1)
+	srvB, clientB, rec, _ := startWALServer(t, copyLegacyImage(t, rewrite), -1)
 	if !rec.Recovered || rec.CheckpointSeq == 0 {
 		t.Fatalf("recovery = %+v, want a restore from the checkpoint", *rec)
 	}
 	diffDigest(t, want, captureDigest(t, srvB, clientB))
 
 	const window = 8
-	small := filepath.Join(t.TempDir(), "small")
-	rewrite(small)
-	srvC, clientC, _, _ := startWALServerWindow(t, small, -1, window)
+	srvC, clientC, _, _ := startWALServerWindow(t, copyLegacyImage(t, rewrite), -1, window)
 	got := captureDigest(t, srvC, clientC)
 	if len(want.Results) <= window {
 		t.Fatalf("workload finished %d events, want more than the window of %d", len(want.Results), window)

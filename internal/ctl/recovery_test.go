@@ -162,6 +162,16 @@ func walWorkload(ft *topology.FatTree, seed int64, chunks, perChunk int) []walCh
 	return out
 }
 
+// crowdCore adds eight heavy inter-pod flows to ch: they crowd the core,
+// so placing them migrates background traffic and Cost(U) is not zero.
+func crowdCore(ft *topology.FatTree, ch *walChunk) {
+	for i := 0; i < 8; i++ {
+		ch.specs = append(ch.specs, EventSpec{Kind: "heavy", Flows: []FlowSpec{
+			{Src: int(ft.Host(0, i%2, i/2%2)), Dst: int(ft.Host(2+i%2, i/2%2, i%2)), DemandBps: 450e6},
+		}})
+	}
+}
+
 // playChunk submits one chunk and waits for every admitted event —
 // including any repair event a fault mints — so the server is fully
 // quiesced (queue empty, everything committed) when it returns.
@@ -619,45 +629,33 @@ func TestRecoveryRejectsMismatchedWorld(t *testing.T) {
 // older build — its probe baseline split into cache "hits" and "misses"
 // beside "cold", "incremental", "journal_misses", "forks" and "resyncs"
 // counts, and a "probe_dirty_links" histogram among the metrics — must
-// restore to the same state, probe total included, as one written today.
+// restore to the same state, probe total included, as the same workload
+// run uncrashed.
 func TestRecoveryLoadsCheckpointWithForkCounters(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "wal")
-	srvA, clientA, _, ft := startWALServer(t, dir, 5)
-	for _, ch := range walWorkload(ft, 6, 3, 4) {
-		playChunk(t, clientA, ch)
-	}
-	image := filepath.Join(t.TempDir(), "image")
-	copyDir(t, dir, image)
-
-	path := filepath.Join(image, "checkpoint.json")
-	ckpt, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("no checkpoint in the crash image: %v", err)
-	}
+	want, _ := runLegacyWorkload(t)
 	probe := regexp.MustCompile(`"probe":\{"probes":(\d+),`)
-	m := probe.FindSubmatch(ckpt)
-	if m == nil || len(probe.FindAll(ckpt, -1)) != 1 {
-		t.Fatalf("checkpoint has no single %v object", probe)
-	}
-	probes, err := strconv.Atoi(string(m[1]))
-	if err != nil || probes < 2 {
-		t.Fatalf("checkpointed probe total %q, want at least 2 to split", m[1])
-	}
-	old := probe.ReplaceAllString(string(ckpt), fmt.Sprintf(
-		`"probe":{"hits":2,"misses":%d,"cold":%d,"incremental":0,"journal_misses":1,"forks":3,"resyncs":17,`,
-		probes-2, probes-2))
-	const ect = `"ect":{`
-	if n := strings.Count(old, ect); n != 1 {
-		t.Fatalf("checkpoint has %d %s objects, want 1", n, ect)
-	}
-	old = strings.Replace(old, ect, `"probe_dirty_links":{"counts":[0,1],"sum":2,"count":1},`+ect, 1)
-	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	image := copyLegacyImage(t, func(ckpt string) string {
+		m := probe.FindStringSubmatch(ckpt)
+		if m == nil || len(probe.FindAllString(ckpt, -1)) != 1 {
+			t.Fatalf("checkpoint has no single %v object", probe)
+		}
+		probes, err := strconv.Atoi(m[1])
+		if err != nil || probes < 2 {
+			t.Fatalf("checkpointed probe total %q, want at least 2 to split", m[1])
+		}
+		old := probe.ReplaceAllString(ckpt, fmt.Sprintf(
+			`"probe":{"hits":2,"misses":%d,"cold":%d,"incremental":0,"journal_misses":1,"forks":3,"resyncs":17,`,
+			probes-2, probes-2))
+		const ect = `"ect":{`
+		if n := strings.Count(old, ect); n != 1 {
+			t.Fatalf("checkpoint has %d %s objects, want 1", n, ect)
+		}
+		return strings.Replace(old, ect, `"probe_dirty_links":{"counts":[0,1],"sum":2,"count":1},`+ect, 1)
+	})
 
-	srvB, clientB, rec, _ := startWALServer(t, image, 5)
+	srvB, clientB, rec, _ := startWALServer(t, image, -1)
 	if !rec.Recovered || rec.CheckpointSeq == 0 {
 		t.Fatalf("recovery = %+v, want a restore from the checkpoint", *rec)
 	}
-	diffDigest(t, captureDigest(t, srvA, clientA), captureDigest(t, srvB, clientB))
+	diffDigest(t, want, captureDigest(t, srvB, clientB))
 }

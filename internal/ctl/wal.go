@@ -20,7 +20,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
+	"strings"
 	"time"
 
 	"netupdate/internal/core"
@@ -106,57 +108,6 @@ type rngState struct {
 	Selector  int64 `json:"selector,omitempty"`
 }
 
-// ingestState carries the ingest counters across a restart.
-type ingestState struct {
-	Accepted  int64              `json:"accepted"`
-	Rejected  int64              `json:"rejected"`
-	Retried   int64              `json:"retried"`
-	Batches   int64              `json:"batches"`
-	BatchSize obs.HistogramState `json:"batch_size"`
-}
-
-// simMetricState carries the engine's observation-stream metrics (the
-// counters and histograms the tracer accumulates round by round; the
-// gauges are recomputed from restored state instead).
-type simMetricState struct {
-	Rounds        int64 `json:"rounds"`
-	EventsDone    int64 `json:"events_done"`
-	FlowsAdmitted int64 `json:"flows_admitted"`
-	FlowsFailed   int64 `json:"flows_failed"`
-
-	FaultsInjected   int64 `json:"faults_injected"`
-	RepairEvents     int64 `json:"repair_events"`
-	FlowsDisrupted   int64 `json:"flows_disrupted"`
-	InstallRetries   int64 `json:"install_retries"`
-	InstallRollbacks int64 `json:"install_rollbacks"`
-
-	ECT          obs.HistogramState `json:"ect"`
-	QueuingDelay obs.HistogramState `json:"queuing_delay"`
-}
-
-// doneTotals is the collector's running totals as the checkpoint spells
-// them. They are written under "order", the key documents from before
-// the done window used for their admission-order ID list, on purpose: a
-// binary of that age decodes the key into []int64 and so refuses this
-// document outright, where it would otherwise restore — silently — Stats
-// over the window alone and empty Results. Reading goes the other way:
-// an ID list (or nothing) under the key leaves present unset, which
-// marks the document as one whose Done list is the whole history.
-type doneTotals struct {
-	metrics.Totals
-	present bool
-}
-
-func (t doneTotals) MarshalJSON() ([]byte, error) { return json.Marshal(t.Totals) }
-
-func (t *doneTotals) UnmarshalJSON(data []byte) error {
-	if len(data) == 0 || data[0] != '{' {
-		return nil
-	}
-	t.present = true
-	return json.Unmarshal(data, &t.Totals)
-}
-
 // checkpointDoc is the state document a checkpoint freezes: everything
 // needed to rebuild a server whose externally-visible behavior is
 // indistinguishable from one that never restarted. Its size follows the
@@ -166,26 +117,21 @@ type checkpointDoc struct {
 	NextID int64 `json:"next_id"`
 
 	Queue []queuedEvent `json:"queue,omitempty"`
-	// Totals folds every completed event; Done lists the done window,
-	// the last completions in completion order.
-	Totals doneTotals            `json:"order"`
-	Done   []metrics.EventRecord `json:"done,omitempty"`
-
-	// Collector scalars not covered by Engine.Probe or Totals.
-	DecisionEvals    int   `json:"decision_evals"`
-	PlanTimeNs       int64 `json:"plan_time_ns"`
-	MakespanNs       int64 `json:"makespan_ns"`
-	FaultsInjected   int   `json:"faults_injected"`
-	RepairEvents     int   `json:"repair_events"`
-	FlowsDisrupted   int   `json:"flows_disrupted"`
-	InstallRetries   int   `json:"install_retries"`
-	InstallRollbacks int   `json:"install_rollbacks"`
+	// Done lists the done window, the last completions in completion
+	// order.
+	Done []metrics.EventRecord `json:"done,omitempty"`
 
 	Engine  sim.EngineState    `json:"engine"`
 	Network *snapshot.Snapshot `json:"network"`
-	Ingest  ingestState        `json:"ingest"`
-	Sim     simMetricState     `json:"sim"`
-	RNG     rngState           `json:"rng"`
+	// Metrics is the registry's restorable reading (Registry.Restorable):
+	// every completed event, fault and submission folded into counters
+	// and histograms. It is an array under "sim", where older documents
+	// kept an object of hand-copied counters, on purpose: a binary of that
+	// age fails to decode it and so refuses this document outright, where
+	// it would otherwise restore — silently — Stats over the done window
+	// alone. Reading goes the other way, through legacySample.
+	Metrics obs.Sample `json:"sim"`
+	RNG     rngState   `json:"rng"`
 }
 
 // initWAL attaches an opened log to a not-yet-started server and
@@ -267,46 +213,12 @@ func (s *Server) checkpoint() error {
 // buildCheckpoint captures the full controller state (state loop only).
 func (s *Server) buildCheckpoint() *checkpointDoc {
 	net := s.planner.Network()
-	col := s.engine.Collector()
-	met := s.engine.Tracer().Metrics()
 	doc := &checkpointDoc{
 		NextID:  s.nextID,
-		Totals:  doneTotals{Totals: col.Totals()},
 		Done:    s.done.ordered(),
 		Engine:  s.engine.ExportState(),
 		Network: snapshot.Capture(net),
-
-		DecisionEvals:    col.DecisionEvals,
-		PlanTimeNs:       int64(col.PlanTime),
-		MakespanNs:       int64(col.Makespan),
-		FaultsInjected:   col.FaultsInjected,
-		RepairEvents:     col.RepairEvents,
-		FlowsDisrupted:   col.FlowsDisrupted,
-		InstallRetries:   col.InstallRetries,
-		InstallRollbacks: col.InstallRollbacks,
-
-		Ingest: ingestState{
-			Accepted:  s.ingest.Accepted.Value(),
-			Rejected:  s.ingest.Rejected.Value(),
-			Retried:   s.ingest.Retried.Value(),
-			Batches:   s.ingest.Batches.Value(),
-			BatchSize: s.ingest.BatchSize.State(),
-		},
-		Sim: simMetricState{
-			Rounds:        met.Rounds.Value(),
-			EventsDone:    met.EventsDone.Value(),
-			FlowsAdmitted: met.FlowsAdmitted.Value(),
-			FlowsFailed:   met.FlowsFailed.Value(),
-
-			FaultsInjected:   met.FaultsInjected.Value(),
-			RepairEvents:     met.RepairEvents.Value(),
-			FlowsDisrupted:   met.FlowsDisrupted.Value(),
-			InstallRetries:   met.InstallRetries.Value(),
-			InstallRollbacks: met.InstallRollbacks.Value(),
-
-			ECT:          met.ECT.State(),
-			QueuingDelay: met.QueuingDelay.State(),
-		},
+		Metrics: s.registry.Restorable(),
 	}
 	for _, ev := range s.engine.QueueEvents() {
 		qe := queuedEvent{
@@ -340,7 +252,14 @@ func (s *Server) restoreCheckpoint(ckpt *wal.Checkpoint) error {
 		return fmt.Errorf("ctl: checkpoint format %d, want %d", ckpt.Format, wal.FormatVersion)
 	}
 	var doc checkpointDoc
-	if err := json.Unmarshal(ckpt.State, &doc); err != nil {
+	var old *json.UnmarshalTypeError
+	err := json.Unmarshal(ckpt.State, &doc)
+	if errors.As(err, &old) && old.Field == "sim" {
+		// A document from before the checkpoint carried the registry
+		// holds an object there, and decoding skipped just that key.
+		doc.Metrics, err = legacySample(ckpt.State, doc.Done, s.registry.Restorable())
+	}
+	if err != nil {
 		return fmt.Errorf("ctl: decoding checkpoint: %w", err)
 	}
 	if doc.Engine.ClockNs != ckpt.ID.VT || doc.Engine.Rounds != ckpt.Rounds {
@@ -376,52 +295,14 @@ func (s *Server) restoreCheckpoint(ckpt *wal.Checkpoint) error {
 	}
 	s.engine.RestoreQueue(queueEvs)
 
-	// Done events refill the window through the fold a live completion
-	// takes. In a current document the list is only the window and Totals
-	// replaces the fold's sums; a document from before the window lists
-	// every completed event and no totals, so the fold of its list is the
-	// totals and the window keeps the last doneWindow of them.
-	col := s.engine.Collector()
+	// The window refills with the done records; what every completion
+	// folded into, the registry restores.
 	for _, r := range doc.Done {
-		col.Add(r)
+		s.done.push(r)
 	}
-	s.retire()
-	if doc.Totals.present {
-		col.RestoreTotals(doc.Totals.Totals)
+	if err := s.registry.Restore(doc.Metrics); err != nil {
+		return fmt.Errorf("ctl: restoring metrics: %w", err)
 	}
-	col.DecisionEvals = doc.DecisionEvals
-	col.PlanTime = time.Duration(doc.PlanTimeNs)
-	col.Makespan = time.Duration(doc.MakespanNs)
-	col.FaultsInjected = doc.FaultsInjected
-	col.RepairEvents = doc.RepairEvents
-	col.FlowsDisrupted = doc.FlowsDisrupted
-	col.InstallRetries = doc.InstallRetries
-	col.InstallRollbacks = doc.InstallRollbacks
-
-	s.ingest.Accepted.Add(doc.Ingest.Accepted)
-	s.ingest.Rejected.Add(doc.Ingest.Rejected)
-	s.ingest.Retried.Add(doc.Ingest.Retried)
-	s.ingest.Batches.Add(doc.Ingest.Batches)
-	s.ingest.BatchSize.Restore(doc.Ingest.BatchSize)
-
-	met := s.engine.Tracer().Metrics()
-	met.Rounds.Add(doc.Sim.Rounds)
-	met.EventsDone.Add(doc.Sim.EventsDone)
-	met.FlowsAdmitted.Add(doc.Sim.FlowsAdmitted)
-	met.FlowsFailed.Add(doc.Sim.FlowsFailed)
-	met.FaultsInjected.Add(doc.Sim.FaultsInjected)
-	met.RepairEvents.Add(doc.Sim.RepairEvents)
-	met.FlowsDisrupted.Add(doc.Sim.FlowsDisrupted)
-	met.InstallRetries.Add(doc.Sim.InstallRetries)
-	met.InstallRollbacks.Add(doc.Sim.InstallRollbacks)
-	met.Cost.Add(int64(col.TotalCost()))
-	met.PlanTime.Add(int64(col.PlanTime))
-	// A checkpoint from before histograms kept their maximum carries
-	// none; the collector's totals have it.
-	doc.Sim.ECT.Max = max(doc.Sim.ECT.Max, int64(col.TailECT()))
-	doc.Sim.QueuingDelay.Max = max(doc.Sim.QueuingDelay.Max, int64(col.WorstQueuingDelay()))
-	met.ECT.Restore(doc.Sim.ECT)
-	met.QueuingDelay.Restore(doc.Sim.QueuingDelay)
 
 	if rc, ok := s.sched.(rngCarrier); ok {
 		rc.RestoreRNG(doc.RNG.Scheduler)
@@ -430,6 +311,79 @@ func (s *Server) restoreCheckpoint(ckpt *wal.Checkpoint) error {
 		rc.RestoreRNG(doc.RNG.Selector)
 	}
 	return nil
+}
+
+// legacySample reads the telemetry of a document from before the
+// checkpoint carried the registry into the reading Registry.Restore
+// takes. Such a document kept counters and histogram bucket counts under
+// "sim" and "ingest" and plan time at the top, each under its metric's
+// name less the netupdate_ and ingest_ prefixes and the _total (for a
+// histogram, _ns) suffix. Cost was the collector's, in the running totals
+// under "order" — or, before the done window, an ID list there and every
+// completed event under done, whose fold is the totals. fresh is the
+// restoring registry's own reading, for its names and bucket bounds.
+func legacySample(state []byte, done []metrics.EventRecord, fresh obs.Sample) (obs.Sample, error) {
+	var doc struct {
+		Order      json.RawMessage            `json:"order"`
+		PlanTimeNs json.RawMessage            `json:"plan_time_ns"`
+		Sim        map[string]json.RawMessage `json:"sim"`
+		Ingest     map[string]json.RawMessage `json:"ingest"`
+	}
+	if err := json.Unmarshal(state, &doc); err != nil {
+		return nil, err
+	}
+	var totals metrics.Totals
+	if len(doc.Order) > 0 && doc.Order[0] == '{' {
+		if err := json.Unmarshal(doc.Order, &totals); err != nil {
+			return nil, err
+		}
+	} else {
+		for _, r := range done {
+			totals.Cost += r.Cost
+			totals.MaxECT = max(totals.MaxECT, r.ECT())
+			totals.MaxDelay = max(totals.MaxDelay, r.QueuingDelay())
+		}
+	}
+	// A document from before histograms kept their maximum carries none;
+	// the totals have it.
+	maxes := map[string]time.Duration{"netupdate_ect_ns": totals.MaxECT, "netupdate_queuing_delay_ns": totals.MaxDelay}
+	raw := map[string]json.RawMessage{"plan_time_ns": doc.PlanTimeNs}
+	maps.Copy(raw, doc.Sim)
+	maps.Copy(raw, doc.Ingest)
+	for i := range fresh {
+		m := &fresh[i]
+		key := strings.TrimSuffix(strings.TrimPrefix(strings.TrimPrefix(m.Name, "netupdate_"), "ingest_"), "_total")
+		if m.Type == obs.TypeHistogram {
+			key = strings.TrimSuffix(key, "_ns")
+		}
+		data := raw[key]
+		var err error
+		switch {
+		case m.Name == "netupdate_cost_bps_total":
+			m.Int = int64(totals.Cost)
+		case data == nil:
+		case m.Type == obs.TypeCounter:
+			err = json.Unmarshal(data, &m.Int)
+		case m.Type == obs.TypeHistogram:
+			var h struct {
+				Counts          []int64
+				Sum, Count, Max int64
+			}
+			err = json.Unmarshal(data, &h)
+			v := &obs.HistogramValue{Bounds: m.Hist.Bounds, Sum: h.Sum, Count: h.Count,
+				Max: max(h.Max, int64(maxes[m.Name]))}
+			for j, c := range h.Counts {
+				if c != 0 {
+					v.Buckets = append(v.Buckets, obs.Bucket{Index: j, Count: c})
+				}
+			}
+			m.Hist = v
+		}
+		if err != nil {
+			return nil, fmt.Errorf("reading %s: %w", m.Name, err)
+		}
+	}
+	return fresh, nil
 }
 
 // refreshGauges recomputes the instantaneous gauges from current state

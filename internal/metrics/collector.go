@@ -46,10 +46,10 @@ func (r EventRecord) ECT() time.Duration { return r.Completion - r.Arrival }
 func (r EventRecord) QueuingDelay() time.Duration { return r.Start - r.Arrival }
 
 // Totals are the exact running aggregates over every record a Collector
-// was ever given: what its O(1) accessors answer from, and what a
-// checkpoint carries in place of the records themselves. All integers,
+// was ever given: what its O(1) accessors answer from. All integers,
 // folded one record at a time, so each equals the value recomputed from
-// the full record list bit for bit.
+// the full record list bit for bit. The JSON spelling is the one older
+// daemon checkpoints carried them in.
 type Totals struct {
 	Count     int                `json:"count"`
 	Cost      topology.Bandwidth `json:"cost_bps"`
@@ -119,14 +119,6 @@ func (c *Collector) Drain() []EventRecord {
 	c.records = nil
 	return out
 }
-
-// Totals returns the running aggregates over every record ever added.
-func (c *Collector) Totals() Totals { return c.totals }
-
-// RestoreTotals replaces the running aggregates with checkpointed ones.
-// Scalar counters are exported fields and are restored by direct
-// assignment; this covers the unexported totals.
-func (c *Collector) RestoreTotals(t Totals) { c.totals = t }
 
 // Len returns the number of events ever recorded.
 func (c *Collector) Len() int { return c.totals.Count }

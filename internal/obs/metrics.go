@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -37,11 +38,14 @@ const (
 )
 
 // desc is what every metric embeds: its name and help text, its merge
-// rule, and how to read its current value.
+// rule, and how to read its current value. A restorable metric also says
+// how to add a checkpointed reading back (Registry.Restore); restore is
+// nil on every process-local one.
 type desc struct {
 	name, help string
 	rule       Rule
 	read       func() Value
+	restore    func(Value)
 }
 
 // writeProm renders the metric's current value in Prometheus text format.
@@ -81,15 +85,70 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 
 // Sample reads every metric once: the registry's one typed view, which
 // Stats decodes, Merge combines and Snapshot projects.
-func (r *Registry) Sample() Sample {
+func (r *Registry) Sample() Sample { return r.sample(func(*desc) bool { return true }) }
+
+// Restorable reads the metrics registered restorable
+// (`metric:"name,restore"`): the part of Sample that is a fold of the
+// admitted history, which a checkpoint carries and Restore adds back.
+// The rest — gauges, and counts of one process's own work — starts
+// afresh in every process.
+func (r *Registry) Restorable() Sample {
+	return r.sample(func(d *desc) bool { return d.restore != nil })
+}
+
+// sample reads the metrics keep selects, in name order.
+func (r *Registry) sample(keep func(*desc) bool) Sample {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s := make(Sample, len(r.ms))
-	for i, m := range r.ms {
-		s[i] = Metric{m.name, m.read()}
-		s[i].Rule = m.rule
+	s := make(Sample, 0, len(r.ms))
+	for _, m := range r.ms {
+		if keep(m) {
+			s = append(s, Metric{m.name, m.read()})
+			s[len(s)-1].Rule = m.rule
+		}
 	}
 	return s
+}
+
+// Restore adds a checkpointed Restorable reading into the registry —
+// counters by their count, histograms by their buckets, sum, count and
+// maximum — for a freshly built registry during recovery. It refuses,
+// restoring nothing, a sample naming a metric the registry does not hold
+// as restorable, or one whose type or histogram bounds differ from the
+// registered metric's.
+func (r *Registry) Restore(s Sample) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	into := make([]*desc, len(s))
+	for i, m := range s {
+		j := sort.Search(len(r.ms), func(j int) bool { return r.ms[j].name >= m.Name })
+		if j == len(r.ms) || r.ms[j].name != m.Name || r.ms[j].restore == nil {
+			return fmt.Errorf("obs: restoring %s: not a restorable metric", m.Name)
+		}
+		if err := fits(r.ms[j].read(), m.Value); err != nil {
+			return fmt.Errorf("obs: restoring %s: %w", m.Name, err)
+		}
+		into[i] = r.ms[j]
+	}
+	for i, d := range into {
+		d.restore(s[i].Value)
+	}
+	return nil
+}
+
+// fits says why reading v cannot be added into a metric that reads have.
+func fits(have, v Value) error {
+	if v.Type != have.Type {
+		return fmt.Errorf("type %d, registered as %d", v.Type, have.Type)
+	}
+	if v.Type != TypeHistogram {
+		return nil
+	}
+	outside := func(b Bucket) bool { return b.Index < 0 || b.Index > len(have.Hist.Bounds) }
+	if v.Hist == nil || !slices.Equal(v.Hist.Bounds, have.Hist.Bounds) || slices.ContainsFunc(v.Hist.Buckets, outside) {
+		return errors.New("histogram layout differs from the registered one")
+	}
+	return nil
 }
 
 // Snapshot returns a name → plain value map of every metric, for expvar
@@ -114,7 +173,7 @@ type Counter struct {
 // NewCounter registers and returns a counter. Counters merge by sum.
 func (r *Registry) NewCounter(name, help string) *Counter {
 	c := &Counter{}
-	c.desc = desc{name, help, MergeSum, func() Value { return Value{Type: TypeCounter, Int: c.Value()} }}
+	c.desc = desc{name, help, MergeSum, func() Value { return Value{Type: TypeCounter, Int: c.Value()} }, nil}
 	r.register(&c.desc)
 	return c
 }
@@ -122,7 +181,7 @@ func (r *Registry) NewCounter(name, help string) *Counter {
 // NewCounterFunc registers a counter whose value f reports, for a count
 // kept (and incremented in one place) outside the registry.
 func (r *Registry) NewCounterFunc(name, help string, f func() int64) {
-	r.register(&desc{name, help, MergeSum, func() Value { return Value{Type: TypeCounter, Int: f()} }})
+	r.register(&desc{name, help, MergeSum, func() Value { return Value{Type: TypeCounter, Int: f()} }, nil})
 }
 
 // Inc adds 1.
@@ -144,7 +203,7 @@ type Gauge struct {
 // NewGauge registers and returns a gauge merged by rule.
 func (r *Registry) NewGauge(name, help string, rule Rule) *Gauge {
 	g := &Gauge{}
-	g.desc = desc{name, help, rule, func() Value { return Value{Type: TypeGauge, Int: g.Value()} }}
+	g.desc = desc{name, help, rule, func() Value { return Value{Type: TypeGauge, Int: g.Value()} }, nil}
 	r.register(&g.desc)
 	return g
 }
@@ -169,7 +228,7 @@ type FloatGauge struct {
 // NewFloatGauge registers and returns a float gauge merged by rule.
 func (r *Registry) NewFloatGauge(name, help string, rule Rule) *FloatGauge {
 	g := &FloatGauge{}
-	g.desc = desc{name, help, rule, func() Value { return Value{Type: TypeFloat, Float: g.Value()} }}
+	g.desc = desc{name, help, rule, func() Value { return Value{Type: TypeFloat, Float: g.Value()} }, nil}
 	r.register(&g.desc)
 	return g
 }
@@ -192,7 +251,7 @@ type Info struct {
 func (r *Registry) NewInfo(name, help string, labels map[string]string) *Info {
 	in := &Info{}
 	in.Set(labels)
-	in.desc = desc{name, help, MergeFirst, func() Value { return Value{Type: TypeInfo, Labels: *in.labels.Load()} }}
+	in.desc = desc{name, help, MergeFirst, func() Value { return Value{Type: TypeInfo, Labels: *in.labels.Load()} }, nil}
 	r.register(&in.desc)
 	return in
 }
@@ -233,7 +292,7 @@ func (r *Registry) NewHistogram(name, help string, bounds []int64) *Histogram {
 		counts: make([]atomic.Int64, len(bounds)+1),
 	}
 	h.empty = &HistogramValue{Bounds: h.bounds}
-	h.desc = desc{name, help, MergeBuckets, func() Value { return Value{Type: TypeHistogram, Hist: h.value()} }}
+	h.desc = desc{name, help, MergeBuckets, func() Value { return Value{Type: TypeHistogram, Hist: h.value()} }, nil}
 	r.register(&h.desc)
 	return h
 }
@@ -244,12 +303,28 @@ func (h *Histogram) Observe(v int64) {
 	h.counts[i].Add(1)
 	h.sum.Add(v)
 	h.count.Add(1)
+	h.raiseMax(v)
+}
+
+// raiseMax makes v the maximum if it is larger.
+func (h *Histogram) raiseMax(v int64) {
 	for {
 		m := h.max.Load()
 		if v <= m || h.max.CompareAndSwap(m, v) {
 			break
 		}
 	}
+}
+
+// add folds in a checkpointed reading of the same layout (Restore checks
+// it fits first).
+func (h *Histogram) add(v Value) {
+	for _, b := range v.Hist.Buckets {
+		h.counts[b.Index].Add(b.Count)
+	}
+	h.sum.Add(v.Hist.Sum)
+	h.count.Add(v.Hist.Count)
+	h.raiseMax(v.Hist.Max)
 }
 
 // value reads the histogram: its non-empty buckets, sum, count and max.
@@ -263,44 +338,6 @@ func (h *Histogram) value() *HistogramValue {
 
 // Percentile estimates the p-th percentile; see HistogramValue.Percentile.
 func (h *Histogram) Percentile(p float64) int64 { return h.value().Percentile(p) }
-
-// HistogramState is a serializable snapshot of a histogram's raw
-// per-bucket counts (not cumulative), used by checkpoint/recovery to
-// carry observation streams across a restart.
-type HistogramState struct {
-	Counts []int64 `json:"counts"`
-	Sum    int64   `json:"sum"`
-	Count  int64   `json:"count"`
-	Max    int64   `json:"max,omitempty"`
-}
-
-// State captures the histogram for checkpointing.
-func (h *Histogram) State() HistogramState {
-	st := HistogramState{Counts: make([]int64, len(h.counts)), Sum: h.Sum(), Count: h.Count(), Max: h.max.Load()}
-	for i := range h.counts {
-		st.Counts[i] = h.counts[i].Load()
-	}
-	return st
-}
-
-// Restore adds a checkpointed state into the histogram. It is meant for
-// a freshly registered histogram during recovery; bucket layouts must
-// match (extra or missing buckets are ignored rather than guessed at).
-func (h *Histogram) Restore(st HistogramState) {
-	for i, c := range st.Counts {
-		if i < len(h.counts) {
-			h.counts[i].Add(c)
-		}
-	}
-	h.sum.Add(st.Sum)
-	h.count.Add(st.Count)
-	for {
-		m := h.max.Load()
-		if st.Max <= m || h.max.CompareAndSwap(m, st.Max) {
-			break
-		}
-	}
-}
 
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
@@ -332,7 +369,7 @@ func (r *Registry) NewDistribution(name, help string, bounds []float64) *Distrib
 	d.desc = desc{name, help, MergeBuckets, func() Value {
 		return Value{Type: TypeDistribution, Hist: &HistogramValue{FBounds: d.bounds,
 			Buckets: nonEmpty(d.counts)}}
-	}}
+	}, nil}
 	r.register(&d.desc)
 	return d
 }
@@ -364,38 +401,48 @@ func (r *Registry) NewQuantiles(name, help string, h *Histogram, qs ...float64) 
 		v := *h.value()
 		v.Qs = qs
 		return Value{Type: TypeQuantiles, Hist: &v}
-	}})
+	}, nil})
 }
 
 // register creates every metric field of the struct set points to from
-// the field's tags — `metric:"name"` or, for a gauge merged other than by
-// sum, `metric:"name,max|mean|first"`; `help:"…"`; a histogram's
-// `buckets:"first,n"` (n bounds doubling from first; the duration layout
-// when absent) or a distribution's `bounds:"b1,b2,…"` — so each metric is
-// named once, beside the field that holds it.
+// the field's tags — `metric:"name"`; for a gauge merged other than by
+// sum, `metric:"name,max|mean|first"`; for a counter or histogram that
+// is a fold of the admitted history, so a checkpoint carries it,
+// `metric:"name,restore"`; `help:"…"`; a histogram's `buckets:"first,n"`
+// (n bounds doubling from first; the duration layout when absent) or a
+// distribution's `bounds:"b1,b2,…"` — so each metric is named once,
+// beside the field that holds it.
 func register[T any](r *Registry, set *T) *T {
 	v := reflect.ValueOf(set).Elem()
 	for i := 0; i < v.NumField(); i++ {
 		tag := v.Type().Field(i).Tag
-		name, rule, _ := strings.Cut(tag.Get("metric"), ",")
+		name, opt, _ := strings.Cut(tag.Get("metric"), ",")
 		help := tag.Get("help")
 		var m any
 		switch v.Field(i).Interface().(type) {
 		case *Counter:
-			m = r.NewCounter(name, help)
-		case *Gauge:
-			m = r.NewGauge(name, help, gaugeRules[rule])
-		case *FloatGauge:
-			m = r.NewFloatGauge(name, help, gaugeRules[rule])
-		case *Histogram:
-			first, n, ok := strings.Cut(tag.Get("buckets"), ",")
-			if !ok {
-				m = r.NewDurationHistogram(name, help)
-				break
+			c := r.NewCounter(name, help)
+			if opt == "restore" {
+				c.restore = func(v Value) { c.Add(v.Int) }
 			}
-			f, _ := strconv.ParseInt(first, 10, 64)
-			count, _ := strconv.Atoi(n)
-			m = r.NewHistogram(name, help, doubling(f, count))
+			m = c
+		case *Gauge:
+			m = r.NewGauge(name, help, gaugeRules[opt])
+		case *FloatGauge:
+			m = r.NewFloatGauge(name, help, gaugeRules[opt])
+		case *Histogram:
+			var h *Histogram
+			if first, n, ok := strings.Cut(tag.Get("buckets"), ","); ok {
+				f, _ := strconv.ParseInt(first, 10, 64)
+				count, _ := strconv.Atoi(n)
+				h = r.NewHistogram(name, help, doubling(f, count))
+			} else {
+				h = r.NewDurationHistogram(name, help)
+			}
+			if opt == "restore" {
+				h.restore = h.add
+			}
+			m = h
 		case *Distribution:
 			var bounds []float64
 			for _, b := range strings.Split(tag.Get("bounds"), ",") {
@@ -436,29 +483,29 @@ type SimMetrics struct {
 	Utilization  *FloatGauge `metric:"netupdate_utilization,mean" help:"Overall link utilization of the fabric."`
 	FlowsPlaced  *Gauge      `metric:"netupdate_flows_placed" help:"Flows currently placed on the fabric."`
 
-	Rounds        *Counter `metric:"netupdate_rounds_total" help:"Scheduling rounds executed."`
-	EventsDone    *Counter `metric:"netupdate_events_done_total" help:"Update events completed."`
-	FlowsAdmitted *Counter `metric:"netupdate_flows_admitted_total" help:"Event flows admitted."`
-	FlowsFailed   *Counter `metric:"netupdate_flows_failed_total" help:"Event flow specs that could not be admitted."`
+	Rounds        *Counter `metric:"netupdate_rounds_total,restore" help:"Scheduling rounds executed."`
+	EventsDone    *Counter `metric:"netupdate_events_done_total,restore" help:"Update events completed."`
+	FlowsAdmitted *Counter `metric:"netupdate_flows_admitted_total,restore" help:"Event flows admitted."`
+	FlowsFailed   *Counter `metric:"netupdate_flows_failed_total,restore" help:"Event flow specs that could not be admitted."`
 
 	// Probes is the run total of cost probes (trial plans).
 	Probes *Gauge `metric:"netupdate_probe_trial_plans" help:"Cost probes trial-planned on the live network (run total)."`
 	// Cost is the realized Cost(U) of every completed event, bits/s, and
 	// PlanTime the simulated planning time spent so far, ns: the
 	// collector's totals, counted where the collector counts them.
-	Cost     *Counter `metric:"netupdate_cost_bps_total" help:"Realized update cost Cost(U) of completed events, bits/s."`
-	PlanTime *Counter `metric:"netupdate_plan_time_ns_total" help:"Simulated planning time spent, ns."`
+	Cost     *Counter `metric:"netupdate_cost_bps_total,restore" help:"Realized update cost Cost(U) of completed events, bits/s."`
+	PlanTime *Counter `metric:"netupdate_plan_time_ns_total,restore" help:"Simulated planning time spent, ns."`
 
-	ECT          *Histogram    `metric:"netupdate_ect_ns" help:"Event completion time (completion - arrival), ns."`
-	QueuingDelay *Histogram    `metric:"netupdate_queuing_delay_ns" help:"Event queuing delay (start - arrival), ns."`
+	ECT          *Histogram    `metric:"netupdate_ect_ns,restore" help:"Event completion time (completion - arrival), ns."`
+	QueuingDelay *Histogram    `metric:"netupdate_queuing_delay_ns,restore" help:"Event queuing delay (start - arrival), ns."`
 	LinkUtil     *Distribution `metric:"netupdate_link_utilization" help:"Current per-link utilization distribution." bounds:"0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1"`
 
-	FaultsInjected   *Counter `metric:"netupdate_faults_injected_total" help:"Fault injections applied to the run."`
+	FaultsInjected   *Counter `metric:"netupdate_faults_injected_total,restore" help:"Fault injections applied to the run."`
 	LinksDown        *Gauge   `metric:"netupdate_links_down" help:"Links currently failed."`
-	RepairEvents     *Counter `metric:"netupdate_repair_events_total" help:"Update events minted from link/switch failures."`
-	FlowsDisrupted   *Counter `metric:"netupdate_flows_disrupted_total" help:"Placed flows withdrawn by link/switch failures."`
-	InstallRetries   *Counter `metric:"netupdate_install_retries_total" help:"Rule-install attempts that timed out and were retried."`
-	InstallRollbacks *Counter `metric:"netupdate_install_rollbacks_total" help:"Events rolled back after exhausting the install retry budget."`
+	RepairEvents     *Counter `metric:"netupdate_repair_events_total,restore" help:"Update events minted from link/switch failures."`
+	FlowsDisrupted   *Counter `metric:"netupdate_flows_disrupted_total,restore" help:"Placed flows withdrawn by link/switch failures."`
+	InstallRetries   *Counter `metric:"netupdate_install_retries_total,restore" help:"Rule-install attempts that timed out and were retried."`
+	InstallRollbacks *Counter `metric:"netupdate_install_rollbacks_total,restore" help:"Events rolled back after exhausting the install retry budget."`
 }
 
 // NewSimMetrics registers the full engine metric set under the
@@ -471,13 +518,13 @@ func NewSimMetrics(r *Registry) *SimMetrics { return register(r, new(SimMetrics)
 // intake bound itself. The queue-depth gauge lives in SimMetrics — the
 // engine refreshes it on every arrival and round.
 type IngestMetrics struct {
-	Accepted *Counter `metric:"netupdate_ingest_accepted_total" help:"Submitted events admitted into the update queue."`
-	Rejected *Counter `metric:"netupdate_ingest_rejected_total" help:"Submitted events rejected with an overload response."`
-	Retried  *Counter `metric:"netupdate_ingest_retried_total" help:"Events admitted from requests marked as backoff retries."`
-	Batches  *Counter `metric:"netupdate_ingest_batches_total" help:"Submit requests that admitted at least one event."`
+	Accepted *Counter `metric:"netupdate_ingest_accepted_total,restore" help:"Submitted events admitted into the update queue."`
+	Rejected *Counter `metric:"netupdate_ingest_rejected_total,restore" help:"Submitted events rejected with an overload response."`
+	Retried  *Counter `metric:"netupdate_ingest_retried_total,restore" help:"Events admitted from requests marked as backoff retries."`
+	Batches  *Counter `metric:"netupdate_ingest_batches_total,restore" help:"Submit requests that admitted at least one event."`
 	// BatchSize has power-of-two buckets 1..4096: single submits through
 	// the largest sane wire batches.
-	BatchSize *Histogram `metric:"netupdate_ingest_batch_size" help:"Events admitted per submit request." buckets:"1,13"`
+	BatchSize *Histogram `metric:"netupdate_ingest_batch_size,restore" help:"Events admitted per submit request." buckets:"1,13"`
 	Watermark *Gauge     `metric:"netupdate_ingest_watermark,first" help:"Queue high-watermark past which submissions are rejected."`
 	// CodecV2Conns tracks connections currently speaking the binary v2
 	// framing; FramesV1/FramesV2 count requests decoded per codec.

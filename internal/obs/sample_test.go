@@ -170,3 +170,75 @@ func TestInfoRendersLabels(t *testing.T) {
 		t.Errorf("info:\n%s", buf.String())
 	}
 }
+
+// restoreSet is a metric set with restorable and process-local members.
+type restoreSet struct {
+	Done   *Counter   `metric:"t_done_total,restore"`
+	ECT    *Histogram `metric:"t_ect_ns,restore" buckets:"1000,3"`
+	Frames *Counter   `metric:"t_frames_total"`
+	Conns  *Gauge     `metric:"t_conns"`
+}
+
+// otherLayout registers t_ect_ns with one bucket more than restoreSet.
+type otherLayout struct {
+	ECT *Histogram `metric:"t_ect_ns,restore" buckets:"1000,4"`
+}
+
+// TestRegistryRestore: the restorable reading survives a JSON round trip
+// into a fresh registry — counts, buckets, sum, count and maximum — and
+// Restore refuses, restoring nothing, a reading of another layout or
+// type and a metric the registry does not hold as restorable.
+func TestRegistryRestore(t *testing.T) {
+	r := NewRegistry()
+	m := register(r, new(restoreSet))
+	m.Done.Add(7)
+	m.ECT.Observe(2500)
+	m.ECT.Observe(500)
+	m.Frames.Add(3)
+	m.Conns.Set(2)
+	data, err := json.Marshal(r.Restorable())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var saved Sample
+	if err := json.Unmarshal(data, &saved); err != nil {
+		t.Fatal(err)
+	}
+	if len(saved) != 2 || saved[0].Name != "t_done_total" || saved[1].Name != "t_ect_ns" {
+		t.Fatalf("restorable reading %s, want t_done_total and t_ect_ns only", data)
+	}
+
+	fresh := NewRegistry()
+	got := register(fresh, new(restoreSet))
+	if err := fresh.Restore(saved); err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
+	if again, _ := json.Marshal(fresh.Restorable()); string(again) != string(data) {
+		t.Errorf("restored reading %s, want %s", again, data)
+	}
+	if got.ECT.Percentile(99) != 2500 {
+		t.Errorf("restored p99 = %d, want the carried max 2500", got.ECT.Percentile(99))
+	}
+	if got.Frames.Value() != 0 || got.Conns.Value() != 0 {
+		t.Errorf("process-local metrics restored: frames %d, conns %d", got.Frames.Value(), got.Conns.Value())
+	}
+
+	refuse := func(why string, r *Registry, s Sample) {
+		t.Helper()
+		if err := r.Restore(s); err == nil {
+			t.Errorf("%s: Restore accepted %+v", why, s)
+		}
+	}
+	other := NewRegistry()
+	layout := register(other, new(otherLayout))
+	refuse("other bounds", other, saved[1:])
+	again := NewRegistry()
+	target := register(again, new(restoreSet))
+	refuse("other type", again, Sample{{Name: "t_ect_ns", Value: Value{Type: TypeCounter, Int: 1}}})
+	// A valid reading first: a refusal must not leave it restored.
+	refuse("process-local", again, Sample{saved[0], {Name: "t_frames_total", Value: Value{Type: TypeCounter, Int: 3}}})
+	refuse("not registered", again, Sample{{Name: "t_missing_total", Value: Value{Type: TypeCounter, Int: 1}}})
+	if layout.ECT.Count() != 0 || target.Done.Value() != 0 || target.ECT.Count() != 0 || target.Frames.Value() != 0 {
+		t.Error("a refused Restore changed the registry")
+	}
+}

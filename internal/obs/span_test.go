@@ -56,22 +56,6 @@ func TestHistogramPercentileEdgeCases(t *testing.T) {
 	}
 }
 
-func TestHistogramStateCarriesMax(t *testing.T) {
-	r := NewRegistry()
-	h := r.NewHistogram("t_state_max", "state", []int64{1000, 1 << 40})
-	h.Observe(2500)
-	st := h.State()
-	if st.Max != 2500 {
-		t.Fatalf("state max = %d, want 2500", st.Max)
-	}
-	r2 := NewRegistry()
-	h2 := r2.NewHistogram("t_state_max", "state", []int64{1000, 1 << 40})
-	h2.Restore(st)
-	if got := h2.Percentile(99); got != 2500 {
-		t.Fatalf("restored p99 = %d, want 2500", got)
-	}
-}
-
 // blockingSink blocks every Emit until released, to prove AsyncSink
 // never propagates inner-sink stalls to the emitter.
 type blockingSink struct {
