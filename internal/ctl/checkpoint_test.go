@@ -1,16 +1,27 @@
 package ctl
 
 import (
+	"bytes"
+	"encoding/gob"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"math/rand"
+	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"netupdate/internal/metrics"
 	"netupdate/internal/obs"
+	"netupdate/internal/sched"
 	"netupdate/internal/sim"
 	"netupdate/internal/snapshot"
+	"netupdate/internal/topology"
+	"netupdate/internal/wal"
 )
 
 // TestRestorableMetrics: the checkpoint carries exactly the metrics that
@@ -130,19 +141,53 @@ func (t *parentTotals) UnmarshalJSON(data []byte) error {
 	return json.Unmarshal(data, &t.Totals)
 }
 
-// TestParentDecoderRefusesCheckpoint: the older decoder reads its own
-// documents but fails on today's, at the telemetry key, so an older
-// daemon exits instead of serving Stats over the done window alone.
+// parentCheckpoint is wal.Checkpoint as the builds that wrote JSON
+// checkpoints declared it.
+type parentCheckpoint struct {
+	Format int             `json:"format"`
+	ID     wal.ID          `json:"id"`
+	Rounds int64           `json:"rounds"`
+	State  json.RawMessage `json:"state"`
+}
+
+// parentLoadCheckpoint reads dir's checkpoint.json as those builds'
+// wal.Open did, before it looked at any segment: one JSON document, then
+// its format.
+func parentLoadCheckpoint(t *testing.T, dir string) (*parentCheckpoint, error) {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, "checkpoint.json"))
+	if err != nil {
+		t.Fatalf("no checkpoint: %v", err)
+	}
+	ck := &parentCheckpoint{}
+	if err := json.Unmarshal(data, ck); err != nil {
+		return nil, fmt.Errorf("%w: bad checkpoint: %v", wal.ErrCorrupt, err)
+	}
+	if ck.Format != wal.FormatVersion {
+		return nil, fmt.Errorf("%w: checkpoint format %d, want %d", wal.ErrCorrupt, ck.Format, wal.FormatVersion)
+	}
+	return ck, nil
+}
+
+// TestParentDecoderRefusesCheckpoint: the older container decoder reads
+// its own checkpoints — and the older document shape reads legacyImage's
+// state — but refuses today's checkpoint.json outright, so an older
+// daemon exits at wal.Open before it folds anything, instead of
+// restoring a document it cannot read.
 func TestParentDecoderRefusesCheckpoint(t *testing.T) {
+	ck, err := parentLoadCheckpoint(t, legacyImage)
+	if err != nil {
+		t.Fatalf("the parent's container decoder does not read legacyImage: %v", err)
+	}
 	var parent parentCheckpointDoc
-	if err := json.Unmarshal(checkpointState(t, legacyImage), &parent); err != nil || !parent.Totals.present {
+	if err := json.Unmarshal(ck.State, &parent); err != nil || !parent.Totals.present {
 		t.Fatalf("the parent's shape does not read legacyImage: %v (totals present %v)", err, parent.Totals.present)
 	}
 
 	_, dir := runLegacyWorkload(t)
-	err := json.Unmarshal(checkpointState(t, dir), new(parentCheckpointDoc))
-	if err == nil || !strings.Contains(err.Error(), "cannot unmarshal array into Go struct field parentCheckpointDoc.sim") {
-		t.Errorf("the parent's shape decodes today's checkpoint with error %v, want a refused array under sim", err)
+	_, err = parentLoadCheckpoint(t, dir)
+	if !errors.Is(err, wal.ErrCorrupt) || !strings.Contains(err.Error(), "bad checkpoint") {
+		t.Errorf("the parent's container decoder reads today's checkpoint with error %v, want a refused bad checkpoint", err)
 	}
 }
 
@@ -170,4 +215,211 @@ func TestLegacySampleReadsEveryKey(t *testing.T) {
 	if err := reg.Restore(s); err != nil {
 		t.Errorf("Restore refused the translated reading: %v", err)
 	}
+}
+
+// TestCheckpointStateRoundTrip: the gob state decodes to exactly the
+// document it was encoded from, and encoding it again gives the same
+// bytes.
+func TestCheckpointStateRoundTrip(t *testing.T) {
+	_, dir := runLegacyWorkload(t)
+	srv, _, _, _ := startWALServer(t, dir, -1)
+	var doc *checkpointDoc
+	var state []byte
+	if err := srv.onLoop(func() (err error) {
+		doc = srv.buildCheckpoint()
+		state, err = srv.encodeCheckpoint()
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Done) == 0 || len(doc.Network.Flows) == 0 {
+		t.Fatalf("document holds %d done records and %d flows, want both", len(doc.Done), len(doc.Network.Flows))
+	}
+	var got checkpointDoc
+	if err := gob.NewDecoder(bytes.NewReader(state)).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(&got, doc) {
+		t.Errorf("gob round trip changed the document:\n got  %+v\n want %+v", got, *doc)
+	}
+	var again bytes.Buffer
+	if err := gob.NewEncoder(&again).Encode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), state) {
+		t.Error("encoding the decoded document gives other bytes")
+	}
+}
+
+// TestRecoveryLoadsJSONCheckpoint: a checkpoint of today's document
+// written as the JSON the builds before the binary container wrote
+// recovers to the digest of the same workload run uncrashed.
+func TestRecoveryLoadsJSONCheckpoint(t *testing.T) {
+	want, dir := runLegacyWorkload(t)
+	path := filepath.Join(dir, "checkpoint.json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := wal.DecodeCheckpoint(data)
+	if err != nil || ck.Format != wal.CheckpointFormat {
+		t.Fatalf("checkpoint format %d, %v; want %d", ck.Format, err, wal.CheckpointFormat)
+	}
+	var doc checkpointDoc
+	if err := gob.NewDecoder(bytes.NewReader(ck.State)).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	state, err := json.Marshal(&doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := json.Marshal(parentCheckpoint{Format: wal.FormatVersion, ID: ck.ID, Rounds: ck.Rounds, State: state})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := parentLoadCheckpoint(t, dir); err != nil {
+		t.Fatalf("the rewritten checkpoint is not the older container: %v", err)
+	}
+	srv, client, rec, _ := startWALServer(t, dir, -1)
+	if !rec.Recovered || rec.CheckpointSeq != ck.ID.Seq || rec.ReplayedRecords == 0 {
+		t.Fatalf("recovery = %+v, want the checkpoint at seq %d and a replayed suffix", *rec, ck.ID.Seq)
+	}
+	diffDigest(t, want, captureDigest(t, srv, client))
+}
+
+// benchCheckpointWorld builds the durable_ingest world: k = 8, 30 %
+// background utilization, unfilled when a checkpoint restores the flows.
+func benchCheckpointWorld(b *testing.B, fill bool) (Config, []topology.NodeID) {
+	b.Helper()
+	w, err := sim.Genesis{K: 8, Seed: 1}.Fabric()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if fill {
+		if err := w.Fill(w.FatTree.Hosts(), 1, 0.3); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return Config{Planner: w.Planner, Scheduler: sched.FIFO{}, Sim: sim.Config{InstallTime: time.Millisecond}}, w.FatTree.Hosts()
+}
+
+// benchCheckpointServer runs a durable_ingest-shaped server until its
+// done window is full: one to four flows of 5 Mbps and 100 KB between
+// uniform host pairs per event.
+func benchCheckpointServer(b *testing.B) *Server {
+	b.Helper()
+	log, err := wal.Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg, hosts := benchCheckpointWorld(b, true)
+	cfg.WAL = &WALConfig{Log: log, CheckpointEvery: -1}
+	srv, _, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { srv.Close() })
+	rng := rand.New(rand.NewSource(1))
+	specs := make([]EventSpec, doneWindow+doneWindow/4)
+	for i := range specs {
+		flows := make([]FlowSpec, 1+rng.Intn(4))
+		for j := range flows {
+			src, dst := rng.Intn(len(hosts)), rng.Intn(len(hosts)-1)
+			if dst >= src {
+				dst++
+			}
+			flows[j] = FlowSpec{Src: int(hosts[src]), Dst: int(hosts[dst]), DemandBps: 5e6, SizeBytes: 100e3}
+		}
+		specs[i] = EventSpec{Kind: "bench", Flows: flows}
+	}
+	deadline := time.Now().Add(time.Minute)
+	for sent := 0; sent < len(specs); {
+		verdicts, _, err := srv.SubmitBatch(specs[sent:min(sent+256, len(specs))])
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, v := range verdicts {
+			if !v.OK {
+				b.Fatalf("event rejected: %s", v.Error)
+			}
+		}
+		sent += len(verdicts)
+		for {
+			st, err := srv.Stats()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if st.EventsDone == sent {
+				break
+			}
+			if time.Now().After(deadline) {
+				b.Fatalf("%d of %d events done after a minute", st.EventsDone, sent)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	return srv
+}
+
+// writeBenchCheckpoint encodes srv's state and its container, the bytes
+// a checkpoint writes to checkpoint.json.
+func writeBenchCheckpoint(srv *Server, dst []byte) ([]byte, error) {
+	err := srv.onLoop(func() error {
+		state, err := srv.encodeCheckpoint()
+		if err == nil {
+			dst, err = wal.AppendCheckpoint(dst[:0], &wal.Checkpoint{Format: wal.CheckpointFormat,
+				ID: wal.ID{VT: int64(srv.engine.Clock()), Seq: 1}, Rounds: srv.engine.Rounds(), State: state})
+		}
+		return err
+	})
+	return dst, err
+}
+
+// BenchmarkCheckpointWrite: what the state loop pays to freeze a
+// durable_ingest-shaped server with a full done window into the bytes of
+// checkpoint.json (file write and fsync excluded).
+func BenchmarkCheckpointWrite(b *testing.B) {
+	srv := benchCheckpointServer(b)
+	var data []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if data, err = writeBenchCheckpoint(srv, data); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(data))/1e6, "MB")
+}
+
+// BenchmarkCheckpointRestore: what recovery pays to read that
+// checkpoint.json back into a freshly built server (building the world
+// excluded).
+func BenchmarkCheckpointRestore(b *testing.B) {
+	data, err := writeBenchCheckpoint(benchCheckpointServer(b), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cfg, _ := benchCheckpointWorld(b, false)
+		fresh, _, err := build(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		ck, err := wal.DecodeCheckpoint(data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := fresh.restoreCheckpoint(ck); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(data))/1e6, "MB")
 }

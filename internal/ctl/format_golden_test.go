@@ -88,9 +88,26 @@ func walGolden(name string, rec *wal.Record, hexStr string) formatGolden {
 	}
 }
 
+// goldenCheckpoint is a checkpoint as this build writes one; its state
+// is opaque to the container.
+var goldenCheckpoint = wal.Checkpoint{Format: wal.CheckpointFormat, ID: wal.ID{VT: 64000, Seq: 64}, Rounds: 12,
+	State: []byte("opaque state")}
+
 func TestFormatGoldenWAL(t *testing.T) {
 	recs := goldenWALRecords()
 	checkFormatGoldens(t, []formatGolden{
+		{
+			name:   "checkpoint",
+			encode: func() ([]byte, error) { return wal.AppendCheckpoint(nil, &goldenCheckpoint) },
+			reencode: func(b []byte) ([]byte, error) {
+				ck, err := wal.DecodeCheckpoint(b)
+				if err != nil {
+					return nil, err
+				}
+				return wal.AppendCheckpoint(nil, ck)
+			},
+			hex: "bc12000000fceec0b1024080f4030c6f7061717565207374617465",
+		},
 		walGolden("event", recs[0], "4a0000002fd6179b020700000000000000dc05000000000000030000000000000000000000002a00000000000000097375626d69747465640100010000000900000000ca9a3b000000000000100000000000"),
 		walGolden("event-retry-batch", recs[1], "650000002e8a4a1c020800000000000000c409000000000000040000000000000001040000002b000000000000000c766d2d6d6967726174696f6e020002000000030000000065cd1d000000000000000000000000040000000f00000001000000000000000900000000000000"),
 		walGolden("event-span", recs[2], "52000000536b001b020900000000000000c409000000000000040000000000000002000000002c00000000000000077370616e6e65640100000000000100000007000000000000000000000000000000030015cd7da8ac31e717"),
@@ -128,9 +145,8 @@ func replGolden(name string, encode func() ([]byte, error), hexStr string) forma
 
 func TestFormatGoldenRepl(t *testing.T) {
 	recs := goldenWALRecords()
-	bootstrap := &wal.Checkpoint{Format: wal.FormatVersion, ID: wal.ID{VT: 64000, Seq: 64}, Rounds: 12,
-		State: []byte(`{"x":1}`)}
-	announce := &wal.Checkpoint{Format: wal.FormatVersion, ID: wal.ID{VT: 64000, Seq: 64}, Rounds: 12}
+	announce := goldenCheckpoint
+	announce.State = nil
 	checkFormatGoldens(t, []formatGolden{
 		replGolden("hello", func() ([]byte, error) {
 			return repl.AppendHello(nil, &repl.Hello{Term: 2, AfterSeq: 17, Bootstrap: true, Meta: goldenMeta})
@@ -149,11 +165,11 @@ func TestFormatGoldenRepl(t *testing.T) {
 			return repl.AppendRecords(nil, frames)
 		}, "b9010300bf000000bf0754774a0000002fd6179b020700000000000000dc05000000000000030000000000000000000000002a00000000000000097375626d69747465640100010000000900000000ca9a3b000000000000100000000000650000002e8a4a1c020800000000000000c409000000000000040000000000000001040000002b000000000000000c766d2d6d6967726174696f6e020002000000030000000065cd1d000000000000000000000000040000000f00000001000000000000000900000000000000"),
 		replGolden("checkpoint-bootstrap", func() ([]byte, error) {
-			return repl.AppendCheckpoint(nil, bootstrap, true)
-		}, "b90104014300000037fc5a187b22666f726d6174223a312c226964223a7b227674223a36343030302c22736571223a36347d2c22726f756e6473223a31322c227374617465223a7b2278223a317d7d"),
+			return repl.AppendCheckpoint(nil, &goldenCheckpoint, true)
+		}, "b90104011b000000b73241d2bc12000000fceec0b1024080f4030c6f7061717565207374617465"),
 		replGolden("checkpoint-announcement", func() ([]byte, error) {
-			return repl.AppendCheckpoint(nil, announce, false)
-		}, "b901040040000000e7fd25b77b22666f726d6174223a312c226964223a7b227674223a36343030302c22736571223a36347d2c22726f756e6473223a31322c227374617465223a6e756c6c7d"),
+			return repl.AppendCheckpoint(nil, &announce, false)
+		}, "b90104000f000000b7215932bc060000008fcd89d3024080f4030c"),
 		replGolden("heartbeat", func() ([]byte, error) { return repl.AppendHeartbeat(nil, 3, 99) }, "b901050010000000dbd3cc9d03000000000000006300000000000000"),
 		replGolden("ack", func() ([]byte, error) { return repl.AppendAck(nil, 98) }, "b9010600080000006fe650096200000000000000"),
 	})

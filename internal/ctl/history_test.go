@@ -13,6 +13,7 @@ import (
 
 	"netupdate/internal/sched"
 	"netupdate/internal/topology"
+	"netupdate/internal/wal"
 )
 
 // The history tests pin the daemon's memory model: what it holds and what
@@ -105,17 +106,16 @@ func TestStatsHistoryFree(t *testing.T) {
 	t.Logf("Stats read: %v / %.0f allocs at %d events, %v / %.0f allocs at %d", timeFew, allocsFew, few, timeMany, allocsMany, many)
 }
 
-// checkpointState returns the state document of dir's current checkpoint.
+// checkpointState returns the state document of dir's current
+// checkpoint, read through the daemon's own container decoder.
 func checkpointState(t *testing.T, dir string) []byte {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join(dir, "checkpoint.json"))
 	if err != nil {
 		t.Fatalf("no checkpoint: %v", err)
 	}
-	var ck struct {
-		State json.RawMessage `json:"state"`
-	}
-	if err := json.Unmarshal(data, &ck); err != nil {
+	ck, err := wal.DecodeCheckpoint(data)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return ck.State
@@ -245,16 +245,13 @@ func copyLegacyImage(t *testing.T, rewrite func(ckpt string) string) string {
 // list under "order", no totals — recovers to the Stats and Results of
 // the same workload run uncrashed, and into a smaller window to the same
 // totals with the tail of the list retained. The reverse direction is
-// refused: today's document does not decode into that older shape.
+// refused: an older binary's container decoder does not read today's
+// checkpoint.json, so it never reaches the document.
 func TestRecoveryLoadsLegacyDoneList(t *testing.T) {
 	want, dir := runLegacyWorkload(t)
 
-	var preWindow struct {
-		Order []int64  `json:"order"`
-		Sim   struct{} `json:"sim"`
-	}
-	if err := json.Unmarshal(checkpointState(t, dir), &preWindow); err == nil {
-		t.Error("today's checkpoint decodes into the pre-window document: an older binary would restore it with window-only totals")
+	if _, err := parentLoadCheckpoint(t, dir); err == nil {
+		t.Error("today's checkpoint reads under the older container decoder: an older binary would restore it with window-only totals")
 	}
 
 	// Rewrite the totals into the ID list an older build wrote.

@@ -305,7 +305,7 @@ func (h *replHub) announce(id wal.ID, rounds int64) error {
 	if h.met.Followers.Value() == 0 {
 		return nil
 	}
-	ck := &wal.Checkpoint{Format: wal.FormatVersion, ID: id, Rounds: rounds}
+	ck := &wal.Checkpoint{Format: wal.CheckpointFormat, ID: id, Rounds: rounds}
 	buf, err := repl.AppendCheckpoint(nil, ck, false)
 	if err != nil {
 		return err

@@ -17,6 +17,8 @@ package ctl
 // history.
 
 import (
+	"bytes"
+	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -112,7 +114,9 @@ type rngState struct {
 // needed to rebuild a server whose externally-visible behavior is
 // indistinguishable from one that never restarted. Its size follows the
 // live work — queue, placed flows, scheduled releases — plus at most
-// doneWindow records, not the number of events ever completed.
+// doneWindow records, not the number of events ever completed. It is
+// written with encoding/gob (wal.CheckpointFormat); the JSON tags read
+// the documents written before that (wal.FormatVersion).
 type checkpointDoc struct {
 	NextID int64 `json:"next_id"`
 
@@ -125,11 +129,8 @@ type checkpointDoc struct {
 	Network *snapshot.Snapshot `json:"network"`
 	// Metrics is the registry's restorable reading (Registry.Restorable):
 	// every completed event, fault and submission folded into counters
-	// and histograms. It is an array under "sim", where older documents
-	// kept an object of hand-copied counters, on purpose: a binary of that
-	// age fails to decode it and so refuses this document outright, where
-	// it would otherwise restore — silently — Stats over the done window
-	// alone. Reading goes the other way, through legacySample.
+	// and histograms. A JSON document keeps it under "sim", where older
+	// ones kept an object of hand-copied counters that legacySample reads.
 	Metrics obs.Sample `json:"sim"`
 	RNG     rngState   `json:"rng"`
 }
@@ -203,11 +204,21 @@ func (s *Server) checkpoint() error {
 	if s.journal == nil {
 		return errors.New("ctl: WAL disabled")
 	}
-	state, err := json.Marshal(s.buildCheckpoint())
+	state, err := s.encodeCheckpoint()
 	if err != nil {
-		return fmt.Errorf("ctl: checkpoint: %w", err)
+		return err
 	}
 	return s.journal.checkpoint(state, int64(s.engine.Clock()), s.engine.Rounds())
+}
+
+// encodeCheckpoint gob-encodes the full controller state (state loop
+// only): the state of every checkpoint this build writes.
+func (s *Server) encodeCheckpoint() ([]byte, error) {
+	var state bytes.Buffer
+	if err := gob.NewEncoder(&state).Encode(s.buildCheckpoint()); err != nil {
+		return nil, fmt.Errorf("ctl: checkpoint: %w", err)
+	}
+	return state.Bytes(), nil
 }
 
 // buildCheckpoint captures the full controller state (state loop only).
@@ -248,16 +259,22 @@ func (s *Server) buildCheckpoint() *checkpointDoc {
 // network flows, engine run state, event table, queue, done window,
 // metrics and RNG positions. Runs before the state loop starts.
 func (s *Server) restoreCheckpoint(ckpt *wal.Checkpoint) error {
-	if ckpt.Format != wal.FormatVersion {
-		return fmt.Errorf("ctl: checkpoint format %d, want %d", ckpt.Format, wal.FormatVersion)
-	}
 	var doc checkpointDoc
-	var old *json.UnmarshalTypeError
-	err := json.Unmarshal(ckpt.State, &doc)
-	if errors.As(err, &old) && old.Field == "sim" {
-		// A document from before the checkpoint carried the registry
-		// holds an object there, and decoding skipped just that key.
-		doc.Metrics, err = legacySample(ckpt.State, doc.Done, s.registry.Restorable())
+	var err error
+	switch ckpt.Format {
+	case wal.CheckpointFormat:
+		err = gob.NewDecoder(bytes.NewReader(ckpt.State)).Decode(&doc)
+	case wal.FormatVersion:
+		// A JSON document, written before the binary container.
+		var old *json.UnmarshalTypeError
+		err = json.Unmarshal(ckpt.State, &doc)
+		if errors.As(err, &old) && old.Field == "sim" {
+			// A document from before the checkpoint carried the registry
+			// holds an object there, and decoding skipped just that key.
+			doc.Metrics, err = legacySample(ckpt.State, doc.Done, s.registry.Restorable())
+		}
+	default:
+		err = fmt.Errorf("format %d", ckpt.Format)
 	}
 	if err != nil {
 		return fmt.Errorf("ctl: decoding checkpoint: %w", err)

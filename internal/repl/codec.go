@@ -62,8 +62,8 @@ const (
 	// KindCheckpoint carries a checkpoint: with FlagBootstrap a full
 	// state snapshot to install, without it an announcement that the
 	// leader rotated at the carried sequence and the follower should
-	// checkpoint its own fold there too (leader→follower, JSON
-	// wal.Checkpoint payload).
+	// checkpoint its own fold there too (leader→follower, payload one
+	// wal.AppendCheckpoint container).
 	KindCheckpoint byte = 4
 	// KindHeartbeat is the leader's liveness beacon (16-byte payload:
 	// u64 term, u64 lastSeq).
@@ -124,10 +124,10 @@ func AppendRecords(dst []byte, frames []byte) ([]byte, error) {
 	return appendFrame(dst, KindRecords, 0, frames)
 }
 
-// AppendCheckpoint frames a checkpoint document onto dst; bootstrap
+// AppendCheckpoint frames a checkpoint container onto dst; bootstrap
 // selects snapshot semantics over a rotation announcement.
 func AppendCheckpoint(dst []byte, ck *wal.Checkpoint, bootstrap bool) ([]byte, error) {
-	payload, err := json.Marshal(ck)
+	payload, err := wal.AppendCheckpoint(nil, ck)
 	if err != nil {
 		return dst, err
 	}
@@ -185,7 +185,8 @@ func ReadMessage(r io.Reader, scratch []byte) (*Message, []byte, error) {
 }
 
 // decodeMessage decodes one frame's payload by kind. The payload slice
-// is only borrowed: JSON kinds unmarshal out of it, binary kinds copy.
+// is only borrowed: JSON kinds unmarshal out of it, binary kinds copy
+// (wal.DecodeCheckpoint copies the checkpoint's state).
 func decodeMessage(kind, flags byte, payload []byte) (*Message, error) {
 	m := &Message{Kind: kind}
 	switch kind {
@@ -200,10 +201,11 @@ func decodeMessage(kind, flags byte, payload []byte) (*Message, error) {
 			return nil, fmt.Errorf("%w: welcome: %v", ErrCorrupt, err)
 		}
 	case KindCheckpoint:
-		m.Checkpoint = new(wal.Checkpoint)
-		if err := json.Unmarshal(payload, m.Checkpoint); err != nil {
+		ck, err := wal.DecodeCheckpoint(payload)
+		if err != nil {
 			return nil, fmt.Errorf("%w: checkpoint: %v", ErrCorrupt, err)
 		}
+		m.Checkpoint = ck
 		m.Bootstrap = flags&FlagBootstrap != 0
 	case KindRecords:
 		m.Records = append([]byte(nil), payload...)

@@ -61,13 +61,15 @@ func TestCodecRoundTrip(t *testing.T) {
 		t.Fatalf("welcome round trip: %+v", m)
 	}
 
-	ck := &wal.Checkpoint{Format: wal.FormatVersion, ID: wal.ID{VT: 7000, Seq: 7}, Rounds: 9}
+	ck := &wal.Checkpoint{Format: wal.CheckpointFormat, ID: wal.ID{VT: 7000, Seq: 7}, Rounds: 9, State: []byte("state")}
 	for _, bootstrap := range []bool{false, true} {
 		if frame, err = AppendCheckpoint(nil, ck, bootstrap); err != nil {
 			t.Fatal(err)
 		}
 		m = readOne(t, frame)
-		if m.Kind != KindCheckpoint || m.Checkpoint == nil || m.Checkpoint.ID != ck.ID || m.Bootstrap != bootstrap {
+		if m.Kind != KindCheckpoint || m.Checkpoint == nil || m.Bootstrap != bootstrap ||
+			m.Checkpoint.Format != ck.Format || m.Checkpoint.ID != ck.ID || m.Checkpoint.Rounds != ck.Rounds ||
+			!bytes.Equal(m.Checkpoint.State, ck.State) {
 			t.Fatalf("checkpoint round trip (bootstrap=%v): %+v", bootstrap, m)
 		}
 	}
@@ -135,6 +137,38 @@ func TestCodecStreamed(t *testing.T) {
 	}
 	if !bytes.Equal(kinds, []byte{KindHeartbeat, KindRecords, KindAck}) {
 		t.Fatalf("kinds = %v", kinds)
+	}
+}
+
+// TestCheckpointStateOwnsItsBytes: a checkpoint read through a scratch
+// buffer keeps its state when the next frame reuses that buffer, so a
+// follower may install a bootstrap snapshot after reading on.
+func TestCheckpointStateOwnsItsBytes(t *testing.T) {
+	first := &wal.Checkpoint{Format: wal.CheckpointFormat, ID: wal.ID{VT: 4000, Seq: 4}, Rounds: 4,
+		State: bytes.Repeat([]byte("first state "), 50)}
+	second := &wal.Checkpoint{Format: wal.CheckpointFormat, ID: wal.ID{VT: 7000, Seq: 7}, Rounds: 7,
+		State: bytes.Repeat([]byte("SECOND STATE"), 50)}
+	stream, err := AppendCheckpoint(nil, first, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stream, err = AppendCheckpoint(stream, second, false); err != nil {
+		t.Fatal(err)
+	}
+	r := bytes.NewReader(stream)
+	m1, scratch, err := ReadMessage(r, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2, _, err := ReadMessage(r, scratch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(m1.Checkpoint.State, first.State) {
+		t.Errorf("first state changed by the second read: %q", m1.Checkpoint.State)
+	}
+	if !bytes.Equal(m2.Checkpoint.State, second.State) {
+		t.Errorf("second state = %q", m2.Checkpoint.State)
 	}
 }
 

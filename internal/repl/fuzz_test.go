@@ -42,9 +42,9 @@ func FuzzReplDecode(f *testing.F) {
 	var session []byte
 	session, _ = AppendHello(session, &Hello{Term: 2, AfterSeq: 0, Bootstrap: true, Meta: meta})
 	session, _ = AppendWelcome(session, &Welcome{Term: 2, LastSeq: 8, CheckpointSeq: 4, Snapshot: true})
-	session, _ = AppendCheckpoint(session, &wal.Checkpoint{Format: wal.FormatVersion, ID: wal.ID{VT: 4000, Seq: 4}, Rounds: 4}, true)
+	session, _ = AppendCheckpoint(session, &wal.Checkpoint{Format: wal.CheckpointFormat, ID: wal.ID{VT: 4000, Seq: 4}, Rounds: 4}, true)
 	session, _ = AppendRecords(session, fuzzFrames(f, 5, 6, 7))
-	session, _ = AppendCheckpoint(session, &wal.Checkpoint{Format: wal.FormatVersion, ID: wal.ID{VT: 7000, Seq: 7}, Rounds: 7}, false)
+	session, _ = AppendCheckpoint(session, &wal.Checkpoint{Format: wal.CheckpointFormat, ID: wal.ID{VT: 7000, Seq: 7}, Rounds: 7}, false)
 	session, _ = AppendHeartbeat(session, 2, 8)
 	session, _ = AppendAck(session, 7)
 	seeds = append(seeds, session)
@@ -74,7 +74,7 @@ func FuzzReplDecode(f *testing.F) {
 	// (protocol violation the session layer must catch, codec accepts).
 	var inter []byte
 	inter, _ = AppendRecords(inter, fuzzFrames(f, 5))
-	inter, _ = AppendCheckpoint(inter, &wal.Checkpoint{Format: wal.FormatVersion, ID: wal.ID{VT: 5000, Seq: 5}, Rounds: 5}, true)
+	inter, _ = AppendCheckpoint(inter, &wal.Checkpoint{Format: wal.CheckpointFormat, ID: wal.ID{VT: 5000, Seq: 5}, Rounds: 5}, true)
 	inter, _ = AppendRecords(inter, fuzzFrames(f, 6))
 	seeds = append(seeds, inter)
 

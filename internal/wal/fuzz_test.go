@@ -82,3 +82,54 @@ func FuzzWALDecode(f *testing.F) {
 		}
 	})
 }
+
+// FuzzCheckpointDecode throws arbitrary bytes at the checkpoint
+// container decoder. It must never panic and must classify every
+// failure as ErrCorrupt. A binary container it accepts re-encodes to
+// exactly its bytes; a JSON checkpoint it accepts re-encodes to a
+// container that decodes to the same checkpoint.
+func FuzzCheckpointDecode(f *testing.F) {
+	bin, err := AppendCheckpoint(nil, &Checkpoint{Format: CheckpointFormat, ID: ID{VT: 64000, Seq: 64}, Rounds: 12,
+		State: []byte("opaque state")})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(bin)
+	f.Add([]byte(`{"format":1,"id":{"vt":64000,"seq":64},"rounds":12,"state":{"next_id":3,"done":[]}}`))
+	f.Add(bin[:len(bin)-3]) // truncated
+	flipped := append([]byte(nil), bin...)
+	flipped[5] ^= 0x01 // bit flip in the stored CRC
+	f.Add(flipped)
+	// A format varint padded to two bytes, under a valid CRC: decoding it
+	// as 2 would re-encode to other bytes.
+	overlong, err := AppendEnvelope([]byte{checkpointMagic}, []byte{0x82, 0x00, 0x40, 0x80, 0xf4, 0x03, 0x0c})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(overlong)
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ck, err := DecodeCheckpoint(data)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("undecodable checkpoint with untyped error: %v", err)
+			}
+			return
+		}
+		again, err := AppendCheckpoint(nil, ck)
+		if err != nil {
+			t.Fatalf("re-encode of a decoded checkpoint failed: %v (%+v)", err, ck)
+		}
+		if data[0] != '{' {
+			if !bytes.Equal(again, data) {
+				t.Fatalf("decode + encode is not the identity:\n got  %x\n want %x", again, data)
+			}
+			return
+		}
+		ck2, err := DecodeCheckpoint(again)
+		if err != nil || ck2.Format != ck.Format || ck2.ID != ck.ID || ck2.Rounds != ck.Rounds || !bytes.Equal(ck2.State, ck.State) {
+			t.Fatalf("JSON checkpoint %+v re-encoded reads as %+v, %v", ck, ck2, err)
+		}
+	})
+}

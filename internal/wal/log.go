@@ -2,7 +2,6 @@ package wal
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -18,17 +17,6 @@ const (
 	segmentSuffix  = ".log"
 	checkpointName = "checkpoint.json"
 )
-
-// Checkpoint is the on-disk checkpoint envelope: the logical-clock ID
-// and round count of the fold it captures, plus an opaque state
-// document owned by the ctl layer. A checkpoint covering ID.Seq = s
-// replaces the fold of records 1..s; recovery replays only seq > s.
-type Checkpoint struct {
-	Format int             `json:"format"`
-	ID     ID              `json:"id"`
-	Rounds int64           `json:"rounds"`
-	State  json.RawMessage `json:"state"`
-}
 
 // SegmentInfo describes one scanned segment file.
 type SegmentInfo struct {
@@ -134,12 +122,9 @@ func (l *Log) loadCheckpoint() error {
 	if err != nil {
 		return err
 	}
-	ck := &Checkpoint{}
-	if err := json.Unmarshal(data, ck); err != nil {
-		return fmt.Errorf("%w: bad checkpoint: %v", ErrCorrupt, err)
-	}
-	if ck.Format != FormatVersion {
-		return fmt.Errorf("%w: checkpoint format %d, want %d", ErrCorrupt, ck.Format, FormatVersion)
+	ck, err := DecodeCheckpoint(data)
+	if err != nil {
+		return err
 	}
 	l.ckpt = ck
 	return nil
@@ -356,9 +341,6 @@ func (l *Log) InstallCheckpoint(ck *Checkpoint) error {
 	if !l.Empty() {
 		return fmt.Errorf("wal: install checkpoint into non-empty log (last seq %d)", l.lastSeq)
 	}
-	if ck.Format != FormatVersion {
-		return fmt.Errorf("%w: checkpoint format %d, want %d", ErrCorrupt, ck.Format, FormatVersion)
-	}
 	cp := *ck
 	return l.writeCheckpoint(&cp)
 }
@@ -368,7 +350,7 @@ func (l *Log) InstallCheckpoint(ck *Checkpoint) error {
 // images can be reconstructed at any prefix — and advances the sequence
 // floor to the seq it covers.
 func (l *Log) writeCheckpoint(ck *Checkpoint) error {
-	data, err := json.Marshal(ck)
+	data, err := AppendCheckpoint(nil, ck)
 	if err != nil {
 		return err
 	}
@@ -508,7 +490,7 @@ func (l *Log) Rotate(w *Writer, state []byte, id ID, rounds int64) (*Writer, err
 			return nil, err
 		}
 	}
-	if err := l.writeCheckpoint(&Checkpoint{Format: FormatVersion, ID: id, Rounds: rounds, State: state}); err != nil {
+	if err := l.writeCheckpoint(&Checkpoint{Format: CheckpointFormat, ID: id, Rounds: rounds, State: state}); err != nil {
 		return nil, err
 	}
 	nw, err := l.createSegment(id, rounds)

@@ -18,6 +18,14 @@
 //	wal-<first-seq>.log   segment files, oldest first
 //	checkpoint.json       newest checkpoint (atomic rename)
 //
+// checkpoint.json holds one binary checkpoint container (checkpoint.go:
+// a magic byte, then one CRC envelope around a varint header and the
+// opaque state), not JSON; a file from before the container, which was
+// JSON, still reads. The file keeps its name on purpose: a binary from
+// before the container fails at Open with "bad checkpoint" before it
+// folds anything, where under a new name it would ignore the file and
+// replay the post-checkpoint segments over a genesis world.
+//
 // Each segment opens with a meta record describing the world the log
 // folds over (scheduler, seed, topology, ...); recovery refuses a log
 // whose meta does not match the restarted daemon's configuration.
