@@ -268,7 +268,7 @@ func BenchmarkRegistryFlowsOn(b *testing.B) {
 // Sinks keep the compiler from eliding a measured call.
 var (
 	sinkFlows []*flow.Flow
-	sinkPaths []routing.Path
+	sinkPaths routing.PathSet
 )
 
 // BenchmarkFlowsAcross measures the candidate-set union of Definition 1
@@ -291,9 +291,11 @@ func BenchmarkFlowsAcross(b *testing.B) {
 	}
 }
 
-// BenchmarkPathsAllPairsCold measures a fresh k=8 provider answering every
-// ordered host pair once: the cold path-table cost a recovering daemon
-// pays, since every world builds its own provider.
+// BenchmarkPathsAllPairsCold measures building a fresh k=8 provider (its
+// edge-pair table) plus 16 256 queries, one per ordered host pair: the
+// cold path cost a recovering daemon pays, since every world builds its
+// own provider. The queries allocate nothing; the build is a fixed few
+// allocations.
 func BenchmarkPathsAllPairsCold(b *testing.B) {
 	ft, err := topology.NewFatTree(8, topology.Gbps)
 	if err != nil {

@@ -57,7 +57,7 @@ func run(args []string, stdout io.Writer) int {
 	samePod := prov.Paths(ft.Host(0, 0, 0), ft.Host(0, 1, 0))
 	crossPod := prov.Paths(ft.Host(0, 0, 0), ft.Host(1, 0, 0))
 	fmt.Fprintf(stdout, "ECMP path sets: same-edge %d, same-pod %d, cross-pod %d\n",
-		len(sameEdge), len(samePod), len(crossPod))
+		sameEdge.Len(), samePod.Len(), crossPod.Len())
 
 	if *util <= 0 {
 		return 0

@@ -100,10 +100,10 @@ func run() error {
 		return err
 	}
 	paths := tnet.Candidates(f)
-	if err := tnet.Place(f, paths[0]); err != nil {
+	if err := tnet.Place(f, paths.At(0)); err != nil {
 		return err
 	}
-	err = tnet.Reroute(f, paths[1])
+	err = tnet.Reroute(f, paths.At(1))
 	if errors.Is(err, rules.ErrTableFull) {
 		fmt.Println("TCAM-constrained fabric: two-phase move rejected (no headroom for both generations) — the overhead Katta et al. attack")
 	} else if err != nil {
@@ -111,7 +111,7 @@ func run() error {
 	} else {
 		return fmt.Errorf("expected the constrained move to fail")
 	}
-	if !f.Placed() || !f.Path().Equal(paths[0]) {
+	if !f.Placed() || !f.Path().Equal(paths.At(0)) {
 		return fmt.Errorf("flow not restored after rejected move")
 	}
 	fmt.Println("flow remained consistently on its old path throughout")

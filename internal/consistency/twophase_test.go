@@ -19,10 +19,10 @@ func env(t *testing.T, capacity int) (*rules.Manager, routing.Path, routing.Path
 	}
 	prov := routing.NewFatTreeProvider(ft)
 	paths := prov.Paths(ft.Host(0, 0, 0), ft.Host(1, 0, 0))
-	if len(paths) < 2 {
+	if paths.Len() < 2 {
 		t.Fatal("need two candidate paths")
 	}
-	return rules.NewManager(ft.Graph(), capacity), paths[0], paths[1], ft.Graph()
+	return rules.NewManager(ft.Graph(), capacity), paths.At(0), paths.At(1), ft.Graph()
 }
 
 // switchHops counts a path's switch-sourced links (rules it needs).

@@ -57,10 +57,10 @@ func Fig1(opts Options) (*Report, error) {
 				for trial := 0; trial < trials; trial++ {
 					spec := env.Gen.Spec()
 					paths := env.Net.Provider().Paths(spec.Src, spec.Dst)
-					if len(paths) == 0 {
+					if paths.Len() == 0 {
 						continue
 					}
-					desired := paths[rng.Intn(len(paths))]
+					desired := paths.At(rng.Intn(paths.Len()))
 					if desired.Fits(env.Net.Graph(), class.demand) {
 						success++
 					}

@@ -81,7 +81,8 @@ func (r *Registry) Bind(f *Flow, path routing.Path) error {
 	f.path = path
 	f.placed = true
 	r.placed++
-	for _, l := range path.Links() {
+	for i, n := 0, path.Len(); i < n; i++ {
+		l := path.Link(i)
 		for int(l) >= len(r.onLink) {
 			r.onLink = append(r.onLink, nil)
 		}
@@ -105,7 +106,8 @@ func (r *Registry) Unbind(f *Flow) error {
 	if !f.placed {
 		return fmt.Errorf("unbind %v: %w", f, ErrNotPlaced)
 	}
-	for _, l := range f.path.Links() {
+	for i, n := 0, f.path.Len(); i < n; i++ {
+		l := f.path.Link(i)
 		list := r.on(l)
 		i := search(list, f.ID)
 		if i == len(list) || list[i] != f {

@@ -405,3 +405,27 @@ func TestNumPlacedMatchesPlaced(t *testing.T) {
 	}()
 	r.Rewind(m)
 }
+
+// TestBindUnbindSplitPathAllocFree: binding a fat-tree (split-form) path
+// and unbinding it again walk its links in place, so once the link lists
+// have room the pair allocates nothing.
+func TestBindUnbindSplitPathAllocFree(t *testing.T) {
+	ft, err := topology.NewFatTree(8, topology.Gbps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRegistry()
+	f := addFlow(t, r, ft.Host(0, 0, 0), ft.Host(5, 2, 3))
+	path := routing.NewFatTreeProvider(ft).Paths(f.Src, f.Dst).At(7)
+	n := testing.AllocsPerRun(100, func() {
+		if err := r.Bind(f, path); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Unbind(f); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n != 0 {
+		t.Errorf("Bind+Unbind of a split path allocates %v times, want 0", n)
+	}
+}

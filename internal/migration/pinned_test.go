@@ -15,9 +15,11 @@ import (
 // It is the oracle the shortcut must agree with, verdict and Evals alike.
 func scanDetourable(p *Planner, victim *flow.Flow, congested []topology.LinkID, res *Result) bool {
 	old := victim.Path()
+	candidates := p.net.Candidates(victim)
 scan:
-	for _, q := range p.net.Candidates(victim) {
+	for i := 0; i < candidates.Len(); i++ {
 		res.Evals++
+		q := candidates.At(i)
 		if q.Equal(old) {
 			continue
 		}
@@ -126,10 +128,10 @@ func TestPinnedVictimsMatchFullScan(t *testing.T) {
 			for trial := 0; trial < 400; trial++ {
 				src, dst := ends[rng.Intn(len(ends))], ends[rng.Intn(len(ends))]
 				paths := net.Provider().Paths(src, dst)
-				if src == dst || len(paths) == 0 {
+				if src == dst || paths.Len() == 0 {
 					continue
 				}
-				links := paths[rng.Intn(len(paths))].Links()
+				links := paths.At(rng.Intn(paths.Len())).Links()
 				var congested []topology.LinkID
 				for len(congested) == 0 {
 					for _, l := range links {

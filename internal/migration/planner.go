@@ -143,8 +143,8 @@ func (p *Planner) Admit(f *flow.Flow) (*Result, error) {
 	res := &Result{Flow: f}
 
 	candidates := p.net.Candidates(f)
-	res.Evals += len(candidates)
-	if len(candidates) == 0 {
+	res.Evals += candidates.Len()
+	if candidates.Len() == 0 {
 		return res, fmt.Errorf("admit %v: no candidate paths: %w", f, netstate.ErrNoFeasiblePath)
 	}
 	desired := p.desiredPath(f, candidates)
@@ -324,12 +324,12 @@ func coverage(cand *flow.Flow, deficit []shortfall) topology.Bandwidth {
 }
 
 // desiredPath applies the desired-path policy to a non-empty candidate set.
-func (p *Planner) desiredPath(f *flow.Flow, candidates []routing.Path) routing.Path {
+func (p *Planner) desiredPath(f *flow.Flow, candidates routing.PathSet) routing.Path {
 	if p.desired == DesiredWidest {
 		path, _, _ := routing.Widest(p.net.Graph(), candidates)
 		return path
 	}
-	return candidates[specHash(f)%uint64(len(candidates))]
+	return candidates.At(int(specHash(f) % uint64(candidates.Len())))
 }
 
 // specHash hashes the flow's immutable identity (FNV-1a over src, dst,
@@ -392,13 +392,14 @@ func (ps pins) pin(f *flow.Flow) bool {
 func (p *Planner) detourable(victim *flow.Flow, congested []topology.LinkID, pins pins, res *Result) bool {
 	candidates := p.net.Candidates(victim)
 	if pins.pin(victim) {
-		res.Evals += len(candidates)
+		res.Evals += candidates.Len()
 		return false
 	}
 	old := victim.Path()
 scan:
-	for _, q := range candidates {
+	for i, n := 0, candidates.Len(); i < n; i++ {
 		res.Evals++
+		q := candidates.At(i)
 		if q.Equal(old) {
 			continue
 		}
@@ -425,8 +426,9 @@ func (p *Planner) detourFor(victim, trigger *flow.Flow, desired routing.Path, co
 	best := -1
 	var bestResidual topology.Bandwidth
 scan:
-	for i, q := range candidates {
+	for i, n := 0, candidates.Len(); i < n; i++ {
 		res.Evals++
+		q := candidates.At(i)
 		if q.Equal(old) {
 			continue
 		}
@@ -436,7 +438,8 @@ scan:
 			}
 		}
 		bottleneck := topology.Bandwidth(1<<62 - 1)
-		for _, l := range q.Links() {
+		for j, m := 0, q.Len(); j < m; j++ {
+			l := q.Link(j)
 			r := g.Link(l).Residual()
 			if old.Contains(l) {
 				r += victim.Demand // own reservation will be released
@@ -458,7 +461,7 @@ scan:
 	if best == -1 {
 		return routing.Path{}, false
 	}
-	return candidates[best], true
+	return candidates.At(best), true
 }
 
 // uncoveredError reports a flow whose deficits no migration set covers.

@@ -52,9 +52,11 @@ func (p *Planner) trySplit(victim, trigger *flow.Flow, desired routing.Path, con
 		room topology.Bandwidth
 	}
 	var options []option
+	candidates := p.net.Candidates(victim)
 scan:
-	for _, q := range p.net.Candidates(victim) {
+	for i, n := 0, candidates.Len(); i < n; i++ {
 		res.Evals++
+		q := candidates.At(i)
 		if q.Equal(old) {
 			continue
 		}
@@ -64,7 +66,8 @@ scan:
 			}
 		}
 		room := topology.Bandwidth(1<<62 - 1)
-		for _, l := range q.Links() {
+		for j, m := 0, q.Len(); j < m; j++ {
+			l := q.Link(j)
 			r := g.Link(l).Residual()
 			if old.Contains(l) {
 				r += victim.Demand // freed once the victim is withdrawn

@@ -77,23 +77,23 @@ func TestRerouteIsTwoPhaseMove(t *testing.T) {
 	n, ft, m := newDPNetwork(t, 0)
 	f := mustAdd(t, n, ft.Host(0, 0, 0), ft.Host(0, 1, 0), 10*topology.Mbps)
 	paths := n.Candidates(f)
-	if err := n.Place(f, paths[0]); err != nil {
+	if err := n.Place(f, paths.At(0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Reroute(f, paths[1]); err != nil {
+	if err := n.Reroute(f, paths.At(1)); err != nil {
 		t.Fatal(err)
 	}
-	if !m.PathInstalled(f.ID, 2, paths[1]) {
+	if !m.PathInstalled(f.ID, 2, paths.At(1)) {
 		t.Error("generation 2 not installed on new path")
 	}
-	if m.PathInstalled(f.ID, 1, paths[0]) {
+	if m.PathInstalled(f.ID, 1, paths.At(0)) {
 		t.Error("generation 1 still installed on old path")
 	}
 	if got := m.CurrentVersion(f.ID); got != 2 {
 		t.Errorf("CurrentVersion = %d, want 2", got)
 	}
 	// Steady-state occupancy equals the new path's rules only.
-	if got, want := m.TotalEntries(), switchHops(n.Graph(), paths[1]); got != want {
+	if got, want := m.TotalEntries(), switchHops(n.Graph(), paths.At(1)); got != want {
 		t.Errorf("TotalEntries = %d, want %d", got, want)
 	}
 }
@@ -148,21 +148,21 @@ func TestFullTablesBlockRerouteAndRestore(t *testing.T) {
 	n, ft, m := newDPNetwork(t, 1)
 	f := mustAdd(t, n, ft.Host(0, 0, 0), ft.Host(0, 1, 0), topology.Mbps)
 	paths := n.Candidates(f)
-	if err := n.Place(f, paths[0]); err != nil {
+	if err := n.Place(f, paths.At(0)); err != nil {
 		t.Fatal(err)
 	}
-	err := n.Reroute(f, paths[1])
+	err := n.Reroute(f, paths.At(1))
 	if !errors.Is(err, rules.ErrTableFull) {
 		t.Fatalf("Reroute error = %v, want ErrTableFull", err)
 	}
-	if !f.Placed() || !f.Path().Equal(paths[0]) {
+	if !f.Placed() || !f.Path().Equal(paths.At(0)) {
 		t.Error("flow not restored to old path")
 	}
-	if !m.PathInstalled(f.ID, 1, paths[0]) {
+	if !m.PathInstalled(f.ID, 1, paths.At(0)) {
 		t.Error("old generation rules lost")
 	}
 	// Reservations restored exactly.
-	for _, l := range paths[0].Links() {
+	for _, l := range paths.At(0).Links() {
 		if got := n.Graph().Link(l).Reserved(); got != topology.Mbps {
 			t.Errorf("link %v reserved = %v, want 1Mbps", l, got)
 		}
@@ -187,8 +187,9 @@ func TestDataPlaneMatchesRegistryInvariant(t *testing.T) {
 	for i, f := range flows {
 		switch i % 3 {
 		case 0:
-			for _, p := range n.Candidates(f) {
-				if !p.Equal(f.Path()) {
+			paths := n.Candidates(f)
+			for j := 0; j < paths.Len(); j++ {
+				if p := paths.At(j); !p.Equal(f.Path()) {
 					if err := n.Reroute(f, p); err != nil {
 						t.Fatal(err)
 					}

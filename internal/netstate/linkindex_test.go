@@ -34,7 +34,7 @@ func TestLinkIndexMatchesBruteForce(t *testing.T) {
 	}
 	bind := func(reg *flow.Registry, f *flow.Flow) {
 		paths := n.Candidates(f)
-		if err := reg.Bind(f, paths[rng.Intn(len(paths))]); err != nil {
+		if err := reg.Bind(f, paths.At(rng.Intn(paths.Len()))); err != nil {
 			t.Fatal(err)
 		}
 	}

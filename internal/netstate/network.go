@@ -61,7 +61,7 @@ func (n *Network) Graph() *topology.Graph { return n.graph }
 
 // Fork returns a scratch copy of the network: the graph's reservation
 // ledger and the flow registry are copied, while the immutable topology,
-// the routing provider (with its path cache) and the selector are shared.
+// the routing provider (with its path table) and the selector are shared.
 // Mutations on the fork never touch the live network. The data plane is
 // not carried over.
 //
@@ -130,7 +130,7 @@ func (n *Network) AddFlow(spec flow.Spec) (*flow.Flow, error) {
 }
 
 // Candidates returns the feasible path set P(f) for the flow's endpoints.
-func (n *Network) Candidates(f *flow.Flow) []routing.Path {
+func (n *Network) Candidates(f *flow.Flow) routing.PathSet {
 	return n.provider.Paths(f.Src, f.Dst)
 }
 
@@ -168,7 +168,7 @@ func (n *Network) Place(f *flow.Flow, path routing.Path) error {
 // candidate fits the demand.
 func (n *Network) PlaceBest(f *flow.Flow) (routing.Path, error) {
 	candidates := n.Candidates(f)
-	if len(candidates) == 0 {
+	if candidates.Len() == 0 {
 		return routing.Path{}, fmt.Errorf("place %v: no candidate paths: %w", f, ErrNoFeasiblePath)
 	}
 	path, ok := n.selector.Select(n.graph, candidates, f.Demand)
@@ -323,7 +323,9 @@ func (n *Network) Utilization() float64 { return n.graph.Utilization() }
 // reserveAll reserves demand on every link of path, rolling back on the
 // first failure.
 func (n *Network) reserveAll(path routing.Path, demand topology.Bandwidth) error {
-	links := path.Links()
+	// A fat-tree path has at most six links: the walk stays on the stack.
+	var buf [8]topology.LinkID
+	links := path.AppendLinks(buf[:0])
 	for i, l := range links {
 		if err := n.graph.Reserve(l, demand); err != nil {
 			for _, undo := range links[:i] {
@@ -337,8 +339,8 @@ func (n *Network) reserveAll(path routing.Path, demand topology.Bandwidth) error
 
 // releaseAll releases demand on every link of path.
 func (n *Network) releaseAll(path routing.Path, demand topology.Bandwidth) {
-	for _, l := range path.Links() {
-		n.mustRelease(l, demand)
+	for i, m := 0, path.Len(); i < m; i++ {
+		n.mustRelease(path.Link(i), demand)
 	}
 }
 

@@ -78,7 +78,7 @@ func TestPlaceRollsBackOnPartialFailure(t *testing.T) {
 	f := mustAdd(t, n, src, dst, 500*topology.Mbps)
 
 	paths := n.Candidates(f)
-	target := paths[0]
+	target := paths.At(0)
 	// Congest the last link of the target path so reservation fails midway.
 	last := target.Links()[target.Len()-1]
 	if err := g.Reserve(last, 700*topology.Mbps); err != nil {
@@ -157,22 +157,22 @@ func TestRerouteMovesReservations(t *testing.T) {
 	n, ft := newTestNetwork(t)
 	f := mustAdd(t, n, ft.Host(0, 0, 0), ft.Host(0, 1, 0), 400*topology.Mbps)
 	paths := n.Candidates(f)
-	if len(paths) != 2 {
-		t.Fatalf("same-pod candidates = %d, want 2", len(paths))
+	if paths.Len() != 2 {
+		t.Fatalf("same-pod candidates = %d, want 2", paths.Len())
 	}
-	if err := n.Place(f, paths[0]); err != nil {
+	if err := n.Place(f, paths.At(0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Reroute(f, paths[1]); err != nil {
+	if err := n.Reroute(f, paths.At(1)); err != nil {
 		t.Fatalf("Reroute: %v", err)
 	}
-	if !f.Path().Equal(paths[1]) {
+	if !f.Path().Equal(paths.At(1)) {
 		t.Error("flow not on new path after Reroute")
 	}
 	// Old path's agg links are free again (host access links are shared
 	// between the two paths, so check the middle links only).
-	for _, l := range paths[0].Links() {
-		if paths[1].Contains(l) {
+	for _, l := range paths.At(0).Links() {
+		if paths.At(1).Contains(l) {
 			continue
 		}
 		if got := n.Graph().Link(l).Reserved(); got != 0 {
@@ -186,13 +186,13 @@ func TestRerouteRestoresOnFailure(t *testing.T) {
 	g := n.Graph()
 	f := mustAdd(t, n, ft.Host(0, 0, 0), ft.Host(0, 1, 0), 400*topology.Mbps)
 	paths := n.Candidates(f)
-	if err := n.Place(f, paths[0]); err != nil {
+	if err := n.Place(f, paths.At(0)); err != nil {
 		t.Fatal(err)
 	}
 	// Fill the alternative path's distinctive middle link.
 	var blocked topology.LinkID = topology.InvalidLink
-	for _, l := range paths[1].Links() {
-		if !paths[0].Contains(l) {
+	for _, l := range paths.At(1).Links() {
+		if !paths.At(0).Contains(l) {
 			blocked = l
 			break
 		}
@@ -200,13 +200,13 @@ func TestRerouteRestoresOnFailure(t *testing.T) {
 	if err := g.Reserve(blocked, 700*topology.Mbps); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Reroute(f, paths[1]); !errors.Is(err, ErrNoFeasiblePath) {
+	if err := n.Reroute(f, paths.At(1)); !errors.Is(err, ErrNoFeasiblePath) {
 		t.Fatalf("Reroute error = %v, want ErrNoFeasiblePath", err)
 	}
-	if !f.Placed() || !f.Path().Equal(paths[0]) {
+	if !f.Placed() || !f.Path().Equal(paths.At(0)) {
 		t.Error("flow not restored to original path")
 	}
-	for _, l := range paths[0].Links() {
+	for _, l := range paths.At(0).Links() {
 		if got := g.Link(l).Reserved(); got != 400*topology.Mbps {
 			t.Errorf("restored link %v reserved = %v, want 400Mbps", l, got)
 		}
@@ -220,9 +220,9 @@ func TestDesiredPathIgnoresFeasibility(t *testing.T) {
 	paths := n.Candidates(f)
 	// Congest both candidates; desired path is still returned (the less
 	// congested one).
-	for i, p := range paths {
-		for _, l := range p.Links() {
-			if !paths[(i+1)%2].Contains(l) {
+	for i := 0; i < paths.Len(); i++ {
+		for _, l := range paths.At(i).Links() {
+			if !paths.At((i + 1) % 2).Contains(l) {
 				if err := g.Reserve(l, topology.Bandwidth(500+i*200)*topology.Mbps); err != nil {
 					t.Fatal(err)
 				}
@@ -355,5 +355,28 @@ func TestTrialBracketRestoresEverything(t *testing.T) {
 	}
 	if next := mustAdd(t, n, ft.Host(0, 0, 0), ft.Host(1, 0, 0), topology.Mbps); next.ID != kept.ID+1 {
 		t.Errorf("flow after trial got ID %d, want %d", next.ID, kept.ID+1)
+	}
+}
+
+// TestPlaceWithdrawSplitPathAllocFree: placing a flow on a fat-tree
+// (split-form) path and withdrawing it reserve, bind, unbind and release
+// without allocating.
+func TestPlaceWithdrawSplitPathAllocFree(t *testing.T) {
+	n, ft := newTestNetwork(t)
+	f := mustAdd(t, n, ft.Host(0, 0, 0), ft.Host(3, 1, 1), 100*topology.Mbps)
+	path := n.Candidates(f).At(2)
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := n.Place(f, path); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Withdraw(f); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Place+Withdraw of a split path allocates %v times, want 0", allocs)
+	}
+	if u := n.Utilization(); u != 0 {
+		t.Errorf("utilization after withdraw = %v, want 0", u)
 	}
 }

@@ -356,6 +356,9 @@ type Distribution struct {
 	bounds  []float64 // ascending upper bounds; implicit +Inf after
 	counts  []atomic.Int64
 	scratch []int64 // Update-side accumulation; single updater only
+	// inv is the inverse spacing of evenly spaced bounds, 0 when they
+	// are not: then a sample's bucket is arithmetic, not a search.
+	inv float64
 }
 
 // NewDistribution registers a distribution with the given ascending
@@ -365,6 +368,7 @@ func (r *Registry) NewDistribution(name, help string, bounds []float64) *Distrib
 		bounds:  append([]float64(nil), bounds...),
 		counts:  make([]atomic.Int64, len(bounds)+1),
 		scratch: make([]int64, len(bounds)+1),
+		inv:     evenInv(bounds),
 	}
 	d.desc = desc{name, help, MergeBuckets, func() Value {
 		return Value{Type: TypeDistribution, Hist: &HistogramValue{FBounds: d.bounds,
@@ -380,15 +384,58 @@ func (d *Distribution) Update(samples []float64) {
 	for i := range d.scratch {
 		d.scratch[i] = 0
 	}
-	for _, v := range samples {
-		i := sort.SearchFloat64s(d.bounds, v)
-		// SearchFloat64s finds the first bound >= v, which is the
-		// (v <= bound) bucket except when v exceeds every bound.
-		d.scratch[i]++
+	if d.inv == 0 {
+		for _, v := range samples {
+			d.scratch[sort.SearchFloat64s(d.bounds, v)]++
+		}
+	} else {
+		for _, v := range samples {
+			d.scratch[d.evenBucket(v)]++
+		}
 	}
 	for i := range d.counts {
 		d.counts[i].Store(d.scratch[i])
 	}
+}
+
+// evenBucket returns the index of v's bucket when the bounds are evenly
+// spaced (inv > 0): the first bound >= v, or len(bounds) when v exceeds
+// every bound or is NaN — what sort.SearchFloat64s answers.
+func (d *Distribution) evenBucket(v float64) int {
+	n := len(d.bounds)
+	i := n
+	if f := (v - d.bounds[0]) * d.inv; f < 0 {
+		i = 0
+	} else if f < float64(n) {
+		i = int(f) + 1
+	}
+	// The estimate is one bucket high at a bound, and rounding can put
+	// it one bucket off next to one.
+	if i > 0 && d.bounds[i-1] >= v {
+		i--
+	} else if i < n && d.bounds[i] < v {
+		i++
+	}
+	return i
+}
+
+// evenInv returns the inverse spacing of bounds when there are at least
+// two and they are evenly spaced up to rounding, else 0.
+func evenInv(bounds []float64) float64 {
+	n := len(bounds)
+	if n < 2 {
+		return 0
+	}
+	step := (bounds[n-1] - bounds[0]) / float64(n-1)
+	if !(step > 0) || math.IsInf(step, 0) {
+		return 0
+	}
+	for i, b := range bounds {
+		if math.Abs(b-(bounds[0]+float64(i)*step)) > step*1e-9 {
+			return 0
+		}
+	}
+	return 1 / step
 }
 
 // NewQuantiles registers a view rendering chosen percentiles of h at

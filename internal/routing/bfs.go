@@ -18,7 +18,8 @@ type BFSProvider struct {
 	// bound memory on dense graphs. 0 means no cap.
 	maxPaths int
 	mu       sync.RWMutex
-	cache    map[[2]topology.NodeID][]Path
+	// cache holds each pair's paths behind the pointer a PathSet carries.
+	cache map[[2]topology.NodeID]*[]Path
 }
 
 var _ Provider = (*BFSProvider)(nil)
@@ -29,7 +30,7 @@ func NewBFSProvider(g *topology.Graph, maxPaths int) *BFSProvider {
 	return &BFSProvider{
 		g:        g,
 		maxPaths: maxPaths,
-		cache:    make(map[[2]topology.NodeID][]Path),
+		cache:    make(map[[2]topology.NodeID]*[]Path),
 	}
 }
 
@@ -37,32 +38,30 @@ func NewBFSProvider(g *topology.Graph, maxPaths int) *BFSProvider {
 // structure (adding nodes or links); bandwidth changes need no invalidation.
 func (p *BFSProvider) Invalidate() {
 	p.mu.Lock()
-	p.cache = make(map[[2]topology.NodeID][]Path)
+	p.cache = make(map[[2]topology.NodeID]*[]Path)
 	p.mu.Unlock()
 }
 
 // Paths implements Provider, returning every shortest src->dst path (up to
 // the configured cap) in a deterministic order.
-func (p *BFSProvider) Paths(src, dst topology.NodeID) []Path {
+func (p *BFSProvider) Paths(src, dst topology.NodeID) PathSet {
 	if src == dst {
-		return nil
+		return PathSet{}
 	}
 	key := [2]topology.NodeID{src, dst}
 	p.mu.RLock()
 	paths, ok := p.cache[key]
 	p.mu.RUnlock()
-	if ok {
-		return paths
+	if !ok {
+		computed := p.compute(src, dst)
+		p.mu.Lock()
+		if paths, ok = p.cache[key]; !ok {
+			paths = &computed
+			p.cache[key] = paths
+		}
+		p.mu.Unlock()
 	}
-	paths = p.compute(src, dst)
-	p.mu.Lock()
-	if prior, ok := p.cache[key]; ok {
-		paths = prior
-	} else {
-		p.cache[key] = paths
-	}
-	p.mu.Unlock()
-	return paths
+	return PathSet{generic: paths}
 }
 
 func (p *BFSProvider) compute(src, dst topology.NodeID) []Path {

@@ -28,11 +28,11 @@ func TestBFSProviderShortestOnly(t *testing.T) {
 	g, s, a, b, _, _, dst := diamondGraph(t)
 	prov := NewBFSProvider(g, 0)
 	paths := prov.Paths(s, dst)
-	if len(paths) != 2 {
-		t.Fatalf("got %d paths, want 2 (shortest only)", len(paths))
+	if paths.Len() != 2 {
+		t.Fatalf("got %d paths, want 2 (shortest only)", paths.Len())
 	}
 	mids := make(map[topology.NodeID]bool)
-	for _, p := range paths {
+	for _, p := range all(paths) {
 		if p.Len() != 2 {
 			t.Errorf("path %s has %d hops, want 2", p.Format(g), p.Len())
 		}
@@ -46,7 +46,7 @@ func TestBFSProviderShortestOnly(t *testing.T) {
 func TestBFSProviderMaxPaths(t *testing.T) {
 	g, s, _, _, _, _, dst := diamondGraph(t)
 	prov := NewBFSProvider(g, 1)
-	if got := len(prov.Paths(s, dst)); got != 1 {
+	if got := prov.Paths(s, dst).Len(); got != 1 {
 		t.Errorf("capped path count = %d, want 1", got)
 	}
 }
@@ -56,11 +56,11 @@ func TestBFSProviderUnreachable(t *testing.T) {
 	a := g.AddNode(topology.KindHost, "a")
 	b := g.AddNode(topology.KindHost, "b")
 	prov := NewBFSProvider(g, 0)
-	if got := prov.Paths(a, b); got != nil {
-		t.Errorf("Paths over disconnected graph = %v, want nil", got)
+	if got := prov.Paths(a, b); got.Len() != 0 {
+		t.Errorf("Paths over disconnected graph = %d paths, want none", got.Len())
 	}
-	if got := prov.Paths(a, a); got != nil {
-		t.Errorf("Paths(a,a) = %v, want nil", got)
+	if got := prov.Paths(a, a); got.Len() != 0 {
+		t.Errorf("Paths(a,a) = %d paths, want none", got.Len())
 	}
 }
 
@@ -72,11 +72,11 @@ func TestBFSProviderDirectedness(t *testing.T) {
 		t.Fatal(err)
 	}
 	prov := NewBFSProvider(g, 0)
-	if got := len(prov.Paths(a, b)); got != 1 {
+	if got := prov.Paths(a, b).Len(); got != 1 {
 		t.Errorf("forward paths = %d, want 1", got)
 	}
-	if got := prov.Paths(b, a); got != nil {
-		t.Errorf("reverse paths = %v, want nil (directed link)", got)
+	if got := prov.Paths(b, a); got.Len() != 0 {
+		t.Errorf("reverse paths = %d paths, want none (directed link)", got.Len())
 	}
 }
 
@@ -92,7 +92,7 @@ func TestBFSProviderInvalidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	prov := NewBFSProvider(g, 0)
-	if got := len(prov.Paths(a, c)); got != 1 {
+	if got := prov.Paths(a, c).Len(); got != 1 {
 		t.Fatalf("paths = %d, want 1", got)
 	}
 	// Add a parallel two-hop route via a new switch; the cache hides it
@@ -104,11 +104,11 @@ func TestBFSProviderInvalidate(t *testing.T) {
 	if _, err := g.AddLink(d, c, topology.Gbps); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(prov.Paths(a, c)); got != 1 {
+	if got := prov.Paths(a, c).Len(); got != 1 {
 		t.Fatalf("cached paths = %d, want 1", got)
 	}
 	prov.Invalidate()
-	if got := len(prov.Paths(a, c)); got != 2 {
+	if got := prov.Paths(a, c).Len(); got != 2 {
 		t.Errorf("paths after Invalidate = %d, want 2", got)
 	}
 }
@@ -132,12 +132,12 @@ func TestBFSMatchesFatTreeEnumeration(t *testing.T) {
 	for _, pair := range pairs {
 		a := ftProv.Paths(pair[0], pair[1])
 		b := bfsProv.Paths(pair[0], pair[1])
-		if len(a) != len(b) {
-			t.Fatalf("pair %v: fat-tree %d paths, BFS %d", pair, len(a), len(b))
+		if a.Len() != b.Len() {
+			t.Fatalf("pair %v: fat-tree %d paths, BFS %d", pair, a.Len(), b.Len())
 		}
-		for _, pa := range a {
+		for _, pa := range all(a) {
 			found := false
-			for _, pb := range b {
+			for _, pb := range all(b) {
 				if pa.Equal(pb) {
 					found = true
 					break

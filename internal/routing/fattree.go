@@ -2,7 +2,6 @@ package routing
 
 import (
 	"fmt"
-	"sync"
 
 	"netupdate/internal/topology"
 )
@@ -12,85 +11,41 @@ import (
 //
 //   - 1 path when both hosts share an edge switch,
 //   - k/2 paths (one per aggregation switch) within a pod,
-//   - (k/2)^2 paths (one per aggregation/core pair) across pods.
+//   - (k/2)^2 paths (one per aggregation/core pair) across pods,
 //
-// Path sets are computed lazily and cached, indexed by host ordinal
-// (topology.FatTree.HostIndex): index[s][d] is one plus the position of
-// the pair's path set in sets, 0 while it is not computed. The row table
-// and each row are allocated by the first query that needs them, so a
-// fresh provider holds nothing per host. The provider is therefore cheap
-// to query repeatedly for the same pair, which the migration planner
-// does heavily. The cache is guarded by a read-write lock so networks
-// that share one provider and its warm cache (Network.Fork hands its
-// copy the same one) may query it from different goroutines.
+// in that order: aggregation-major, core-minor.
+//
+// Every such path is a host up-link, a middle segment that depends only on
+// the ordered pair of edge switches, and a host down-link, so the provider
+// keeps no per-host-pair state. It holds one table of middle segments per
+// ordered edge-switch pair (k^6/4 link IDs in all, built eagerly by
+// NewFatTreeProvider) and each host's access links, and Paths returns
+// split-form paths into that table. The table is immutable once built, so
+// Paths takes no lock, allocates nothing, and networks sharing one
+// provider may query it from different goroutines.
 type FatTreeProvider struct {
 	ft    *topology.FatTree
-	mu    sync.RWMutex
-	index [][]int32
-	sets  [][]Path
+	half  int
+	edges int
+	// access[2n] and access[2n+1] are host n's up- and down-link plus
+	// one (Path's split encoding), indexed by NodeID; 0 for switches.
+	access []int32
+	// mid[off[a*edges+b]:off[a*edges+b+1]] holds the middle segments of
+	// edge-switch ordinal a to b (pod*k/2 + edge) back to back, in path
+	// order: none when a == b, 2 links per path within a pod, 4 across.
+	mid []topology.LinkID
+	off []int32
 }
 
 var _ Provider = (*FatTreeProvider)(nil)
 
-// NewFatTreeProvider returns a Provider over the given Fat-Tree.
+// NewFatTreeProvider returns a Provider over the given Fat-Tree. It builds
+// the edge-pair table in a fixed number of allocations: 0.47 MB at k = 8,
+// 33 MB at k = 16.
 func NewFatTreeProvider(ft *topology.FatTree) *FatTreeProvider {
-	return &FatTreeProvider{ft: ft}
-}
-
-// Paths implements Provider. Both endpoints must be hosts of the Fat-Tree;
-// other node pairs (and equal src/dst) yield an empty set. Every call for
-// one pair returns the same slice.
-func (p *FatTreeProvider) Paths(src, dst topology.NodeID) []Path {
-	s, d := p.ft.HostIndex(src), p.ft.HostIndex(dst)
-	if s < 0 || d < 0 || s == d {
-		return nil
-	}
-	p.mu.RLock()
-	paths := p.cached(s, d)
-	p.mu.RUnlock()
-	if paths != nil {
-		return paths
-	}
-	paths = p.compute(src, dst)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	// A concurrent probe may have computed the same pair; keep the first
-	// entry so every caller sees one canonical slice.
-	if prior := p.cached(s, d); prior != nil {
-		return prior
-	}
-	if p.index == nil {
-		p.index = make([][]int32, p.ft.NumHosts())
-	}
-	if p.index[s] == nil {
-		p.index[s] = make([]int32, p.ft.NumHosts())
-	}
-	p.sets = append(p.sets, paths)
-	p.index[s][d] = int32(len(p.sets))
-	return paths
-}
-
-// cached returns the pair's path set, nil while it is not computed (a
-// computed set between two hosts is never empty). The caller holds mu.
-func (p *FatTreeProvider) cached(s, d int) []Path {
-	if p.index == nil || p.index[s] == nil || p.index[s][d] == 0 {
-		return nil
-	}
-	return p.sets[p.index[s][d]-1]
-}
-
-// compute enumerates the ECMP set for one ordered pair of distinct hosts.
-// The set's paths share one backing array of links, and each hop shared
-// by several paths is looked up once.
-func (p *FatTreeProvider) compute(src, dst topology.NodeID) []Path {
-	ft := p.ft
 	g := ft.Graph()
-	sPod, sEdge, _, _ := ft.HostAddr(src)
-	dPod, dEdge, _, _ := ft.HostAddr(dst)
-	half := ft.K / 2
-	se := ft.Edge(sPod, sEdge)
-	de := ft.Edge(dPod, dEdge)
-
+	k, half := ft.K, ft.K/2
+	edges := k * half
 	// link returns the link from -> to, panicking on a missing one —
 	// impossible by Fat-Tree construction, so a panic indicates corruption.
 	link := func(from, to topology.NodeID) topology.LinkID {
@@ -100,45 +55,79 @@ func (p *FatTreeProvider) compute(src, dst topology.NodeID) []Path {
 		}
 		return l
 	}
-	n, hops := half*half, 6
-	switch {
-	case se == de:
-		n, hops = 1, 2
-	case sPod == dPod:
-		n, hops = half, 4
-	}
-	paths := make([]Path, 0, n)
-	links := make([]topology.LinkID, 0, n*hops)
-	// walk appends one path's links and closes them into a Path. links
-	// never outgrows its capacity, so earlier paths keep their sub-slices.
-	walk := func(hop ...topology.LinkID) {
-		start := len(links)
-		links = append(links, hop...)
-		path, err := pathOf(g, links[start:len(links):len(links)])
-		if err != nil {
-			panic(fmt.Sprintf("routing: fat-tree path invalid: %v", err))
-		}
-		paths = append(paths, path)
+
+	p := &FatTreeProvider{ft: ft, half: half, edges: edges, access: make([]int32, 2*g.NumNodes())}
+	for _, host := range ft.Hosts() {
+		e := ft.EdgeOfHost(host)
+		p.access[2*host] = int32(link(host, e)) + 1
+		p.access[2*host+1] = int32(link(e, host)) + 1
 	}
 
-	up, down := link(src, se), link(de, dst)
-	switch {
-	case se == de:
-		walk(up, down)
-	case sPod == dPod:
-		for a := 0; a < half; a++ {
-			agg := ft.Agg(sPod, a)
-			walk(up, link(se, agg), link(agg, de), down)
-		}
-	default:
-		for a := 0; a < half; a++ {
-			sAgg, dAgg := ft.Agg(sPod, a), ft.Agg(dPod, a)
-			toAgg, fromAgg := link(se, sAgg), link(dAgg, de)
-			for j := 0; j < half; j++ {
-				core := ft.Core(a, j)
-				walk(up, toAgg, link(sAgg, core), link(core, dAgg), fromAgg, down)
+	// Every hop of a middle segment is one of four families, looked up
+	// once here: edge a -> agg i and agg i -> edge a of a's pod, and agg
+	// i of a pod -> core (i, j) and back.
+	hops := make([]topology.LinkID, 2*edges*half+2*k*half*half)
+	toAgg, fromAgg := hops[:edges*half], hops[edges*half:2*edges*half]
+	toCore, fromCore := hops[2*edges*half:2*edges*half+k*half*half], hops[2*edges*half+k*half*half:]
+	for pod := 0; pod < k; pod++ {
+		for i := 0; i < half; i++ {
+			agg := ft.Agg(pod, i)
+			edge := ft.Edge(pod, i)
+			for x := 0; x < half; x++ {
+				toAgg[(pod*half+i)*half+x] = link(edge, ft.Agg(pod, x))
+				fromAgg[(pod*half+i)*half+x] = link(ft.Agg(pod, x), edge)
+				toCore[(pod*half+i)*half+x] = link(agg, ft.Core(i, x))
+				fromCore[(pod*half+i)*half+x] = link(ft.Core(i, x), agg)
 			}
 		}
 	}
-	return paths
+
+	// Within a pod each of the half-1 other edges takes half paths of 2
+	// links; each of the edges-half edges of other pods takes half^2 of 4.
+	perSrc := (half-1)*half*2 + (edges-half)*half*half*4
+	p.mid = make([]topology.LinkID, 0, edges*perSrc)
+	p.off = make([]int32, edges*edges+1)
+	for a := 0; a < edges; a++ {
+		for b := 0; b < edges; b++ {
+			p.off[a*edges+b] = int32(len(p.mid))
+			pa, pb := a/half, b/half
+			switch {
+			case a == b:
+			case pa == pb:
+				for i := 0; i < half; i++ {
+					p.mid = append(p.mid, toAgg[a*half+i], fromAgg[b*half+i])
+				}
+			default:
+				for i := 0; i < half; i++ {
+					for j := 0; j < half; j++ {
+						p.mid = append(p.mid, toAgg[a*half+i], toCore[(pa*half+i)*half+j],
+							fromCore[(pb*half+i)*half+j], fromAgg[b*half+i])
+					}
+				}
+			}
+		}
+	}
+	p.off[edges*edges] = int32(len(p.mid))
+	return p
+}
+
+// Paths implements Provider. Both endpoints must be hosts of the Fat-Tree;
+// other node pairs (and equal src/dst) yield an empty set.
+func (p *FatTreeProvider) Paths(src, dst topology.NodeID) PathSet {
+	s, d := p.ft.HostIndex(src), p.ft.HostIndex(dst)
+	if s < 0 || d < 0 || s == d {
+		return PathSet{}
+	}
+	a, b := s/p.half, d/p.half
+	n, hops := p.half*p.half, 4
+	switch {
+	case a == b:
+		n, hops = 1, 0
+	case a/p.half == b/p.half:
+		n, hops = p.half, 2
+	}
+	set := PathSet{ft: p}
+	set.acc.up, set.acc.down = p.access[2*src], p.access[2*dst+1]
+	set.blk.off, set.blk.n, set.blk.hops = p.off[a*p.edges+b], int16(n), int16(hops)
+	return set
 }

@@ -33,12 +33,12 @@ func TestFatTreePathCounts(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			paths := prov.Paths(tt.src, tt.dst)
-			if len(paths) != tt.want {
-				t.Fatalf("got %d paths, want %d", len(paths), tt.want)
+			if paths.Len() != tt.want {
+				t.Fatalf("got %d paths, want %d", paths.Len(), tt.want)
 			}
-			for _, p := range paths {
-				if p.Src() != tt.src || p.Dst() != tt.dst {
-					t.Errorf("path endpoints %v->%v, want %v->%v", p.Src(), p.Dst(), tt.src, tt.dst)
+			for _, p := range all(paths) {
+				if src, dst := ends(ft.Graph(), p); src != tt.src || dst != tt.dst {
+					t.Errorf("path endpoints %v->%v, want %v->%v", src, dst, tt.src, tt.dst)
 				}
 				if p.Len() != tt.wantHops {
 					t.Errorf("path length %d, want %d", p.Len(), tt.wantHops)
@@ -50,7 +50,7 @@ func TestFatTreePathCounts(t *testing.T) {
 
 func TestFatTreePathsDistinct(t *testing.T) {
 	ft, prov := newFT(t, 4)
-	paths := prov.Paths(ft.Host(0, 0, 0), ft.Host(3, 1, 1))
+	paths := all(prov.Paths(ft.Host(0, 0, 0), ft.Host(3, 1, 1)))
 	for i := range paths {
 		for j := i + 1; j < len(paths); j++ {
 			if paths[i].Equal(paths[j]) {
@@ -68,8 +68,8 @@ func TestFatTreePathsLoopFree(t *testing.T) {
 			if src == dst {
 				continue
 			}
-			for _, p := range prov.Paths(src, dst) {
-				seen := map[topology.NodeID]bool{p.Src(): true}
+			for _, p := range all(prov.Paths(src, dst)) {
+				seen := map[topology.NodeID]bool{src: true}
 				for _, l := range p.Links() {
 					to := g.Link(l).To
 					if seen[to] {
@@ -85,15 +85,15 @@ func TestFatTreePathsLoopFree(t *testing.T) {
 func TestFatTreePathsDegenerate(t *testing.T) {
 	ft, prov := newFT(t, 4)
 	h := ft.Host(0, 0, 0)
-	if got := prov.Paths(h, h); got != nil {
-		t.Errorf("Paths(h,h) = %v, want nil", got)
+	if got := prov.Paths(h, h); got.Len() != 0 {
+		t.Errorf("Paths(h,h) = %d paths, want none", got.Len())
 	}
 	// Switch endpoints are not addressable hosts.
-	if got := prov.Paths(ft.Core(0, 0), h); got != nil {
-		t.Errorf("Paths(core,h) = %v, want nil", got)
+	if got := prov.Paths(ft.Core(0, 0), h); got.Len() != 0 {
+		t.Errorf("Paths(core,h) = %d paths, want none", got.Len())
 	}
-	if got := prov.Paths(h, ft.Agg(1, 0)); got != nil {
-		t.Errorf("Paths(h,agg) = %v, want nil", got)
+	if got := prov.Paths(h, ft.Agg(1, 0)); got.Len() != 0 {
+		t.Errorf("Paths(h,agg) = %d paths, want none", got.Len())
 	}
 }
 
@@ -102,12 +102,12 @@ func TestFatTreePathsCached(t *testing.T) {
 	src, dst := ft.Host(0, 0, 0), ft.Host(1, 0, 0)
 	a := prov.Paths(src, dst)
 	b := prov.Paths(src, dst)
-	if len(a) != len(b) {
-		t.Fatalf("cache changed path count: %d vs %d", len(a), len(b))
+	if a.Len() != b.Len() {
+		t.Fatalf("repeated call changed path count: %d vs %d", a.Len(), b.Len())
 	}
-	for i := range a {
-		if !a[i].Equal(b[i]) {
-			t.Errorf("cache changed path %d", i)
+	for i := 0; i < a.Len(); i++ {
+		if !a.At(i).Equal(b.At(i)) {
+			t.Errorf("repeated call changed path %d", i)
 		}
 	}
 }
@@ -117,7 +117,7 @@ func TestFatTreePathsCached(t *testing.T) {
 func TestFatTreeCrossPodPathsUseDistinctCores(t *testing.T) {
 	ft, prov := newFT(t, 8)
 	g := ft.Graph()
-	paths := prov.Paths(ft.Host(0, 0, 0), ft.Host(7, 3, 3))
+	paths := all(prov.Paths(ft.Host(0, 0, 0), ft.Host(7, 3, 3)))
 	cores := make(map[topology.NodeID]bool)
 	for _, p := range paths {
 		var core topology.NodeID = topology.InvalidNode

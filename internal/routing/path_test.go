@@ -32,8 +32,8 @@ func TestNewPath(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewPath: %v", err)
 	}
-	if p.Src() != nodes[0] || p.Dst() != nodes[2] {
-		t.Errorf("endpoints = %v -> %v, want %v -> %v", p.Src(), p.Dst(), nodes[0], nodes[2])
+	if src, dst := ends(g, p); src != nodes[0] || dst != nodes[2] {
+		t.Errorf("endpoints = %v -> %v, want %v -> %v", src, dst, nodes[0], nodes[2])
 	}
 	if p.Len() != 2 {
 		t.Errorf("Len = %d, want 2", p.Len())

@@ -1,7 +1,7 @@
 package routing
 
 import (
-	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -51,22 +51,35 @@ func chainWalk(t *testing.T, ft *topology.FatTree, src, dst topology.NodeID) []P
 	return out
 }
 
+// ends returns a non-empty path's first and last node.
+func ends(g *topology.Graph, p Path) (src, dst topology.NodeID) {
+	return g.Link(p.Link(0)).From, g.Link(p.Link(p.Len() - 1)).To
+}
+
+// all returns the set's candidates as a slice, for tests that range.
+func all(s PathSet) []Path {
+	out := make([]Path, s.Len())
+	for i := range out {
+		out[i] = s.At(i)
+	}
+	return out
+}
+
 // checkPair holds one ordered host pair's path set to the chain walk
-// (link for link), to the BFS enumerator (as a set), and to the cache
-// contract (a repeated call returns the same backing arrays).
+// (link for link, in order) and to the BFS enumerator (as a set).
 func checkPair(t *testing.T, ft *topology.FatTree, prov *FatTreeProvider, bfs *BFSProvider, src, dst topology.NodeID) {
 	t.Helper()
-	got := prov.Paths(src, dst)
+	got := all(prov.Paths(src, dst))
 	want := chainWalk(t, ft, src, dst)
 	if len(got) != len(want) {
 		t.Fatalf("%v->%v: %d paths, chain walk %d", src, dst, len(got), len(want))
 	}
 	for i := range want {
-		if !got[i].Equal(want[i]) || got[i].Src() != src || got[i].Dst() != dst {
+		if s, d := ends(ft.Graph(), got[i]); !got[i].Equal(want[i]) || s != src || d != dst {
 			t.Fatalf("%v->%v path %d = %v, chain walk %v", src, dst, i, got[i].Links(), want[i].Links())
 		}
 	}
-	set := bfs.Paths(src, dst)
+	set := all(bfs.Paths(src, dst))
 	if len(set) != len(got) {
 		t.Fatalf("%v->%v: %d paths, BFS %d", src, dst, len(got), len(set))
 	}
@@ -79,42 +92,25 @@ func checkPair(t *testing.T, ft *topology.FatTree, prov *FatTreeProvider, bfs *B
 			t.Fatalf("%v->%v: path %v missing from the BFS set", src, dst, p.Links())
 		}
 	}
-	again := prov.Paths(src, dst)
-	if &again[0] != &got[0] {
-		t.Fatalf("%v->%v: repeated call returned a new path slice", src, dst)
-	}
-	for i := range got {
-		if &again[i].Links()[0] != &got[i].Links()[0] {
-			t.Fatalf("%v->%v: repeated call rebuilt path %d", src, dst, i)
-		}
-	}
 }
 
 // TestPathTableMatchesOracles checks every ordered host pair at k = 4 and
-// a seeded sample at k = 8 against the chain walk and BFS, and that
-// non-host or equal endpoints answer nil.
+// k = 8 against the chain walk and BFS, and that non-host or equal
+// endpoints answer an empty set.
 func TestPathTableMatchesOracles(t *testing.T) {
-	ft, prov := newFT(t, 4)
-	bfs := NewBFSProvider(ft.Graph(), 0)
-	for _, src := range ft.Hosts() {
-		for _, dst := range ft.Hosts() {
-			if src != dst {
-				checkPair(t, ft, prov, bfs, src, dst)
+	for _, k := range []int{4, 8} {
+		ft, prov := newFT(t, k)
+		bfs := NewBFSProvider(ft.Graph(), 0)
+		for _, src := range ft.Hosts() {
+			for _, dst := range ft.Hosts() {
+				if src != dst {
+					checkPair(t, ft, prov, bfs, src, dst)
+				}
 			}
 		}
 	}
 
 	ft8, prov8 := newFT(t, 8)
-	bfs8 := NewBFSProvider(ft8.Graph(), 0)
-	hosts := ft8.Hosts()
-	rng := rand.New(rand.NewSource(8))
-	for i := 0; i < 200; i++ {
-		src, dst := hosts[rng.Intn(len(hosts))], hosts[rng.Intn(len(hosts))]
-		if src != dst {
-			checkPair(t, ft8, prov8, bfs8, src, dst)
-		}
-	}
-
 	h := ft8.Host(1, 2, 3)
 	for _, pair := range [][2]topology.NodeID{
 		{h, h},
@@ -124,74 +120,186 @@ func TestPathTableMatchesOracles(t *testing.T) {
 		{topology.InvalidNode, h},
 		{h, topology.NodeID(ft8.Graph().NumNodes())},
 	} {
-		if got := prov8.Paths(pair[0], pair[1]); got != nil {
-			t.Errorf("Paths(%v, %v) = %v, want nil", pair[0], pair[1], got)
+		if got := prov8.Paths(pair[0], pair[1]); got.Len() != 0 {
+			t.Errorf("Paths(%v, %v) = %d paths, want none", pair[0], pair[1], got.Len())
 		}
 	}
 }
 
-// TestNewFatTreeProviderIsFlat: a fresh provider holds no per-host state —
-// the cache is built by the queries that need it — so building one costs
-// the same at any fabric size.
-func TestNewFatTreeProviderIsFlat(t *testing.T) {
-	var allocs [2]float64
-	for i, k := range []int{4, 16} {
+// TestSplitPathsMatchGenericCopies: a split path and its NewPath copy are
+// one path to every method — Equal both ways, and Len, Link, AppendLinks,
+// Links, Contains, MinResidual, CongestedLinks and Format agree link by
+// link — while two different candidates of one set are unequal in either
+// form.
+func TestSplitPathsMatchGenericCopies(t *testing.T) {
+	ft, prov := newFT(t, 4)
+	g := ft.Graph()
+	// Load a few links so the residual methods have something to find.
+	for l := 0; l < g.NumLinks(); l += 7 {
+		if err := g.Reserve(topology.LinkID(l), topology.Bandwidth(l%5+1)*100*topology.Mbps); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, src := range ft.Hosts() {
+		for _, dst := range ft.Hosts() {
+			set := prov.Paths(src, dst)
+			copies := make([]Path, set.Len())
+			for i := range copies {
+				p := set.At(i)
+				q, err := NewPath(g, p.Links())
+				if err != nil {
+					t.Fatal(err)
+				}
+				copies[i] = q
+				if !p.Equal(q) || !q.Equal(p) {
+					t.Fatalf("%v->%v path %d: split and generic forms unequal", src, dst, i)
+				}
+				if p.Len() != q.Len() || p.IsZero() {
+					t.Fatalf("%v->%v path %d: Len/IsZero disagree", src, dst, i)
+				}
+				appended := p.AppendLinks(nil)
+				links := p.Links()
+				for j := 0; j < q.Len(); j++ {
+					if p.Link(j) != q.Link(j) || appended[j] != q.Link(j) || links[j] != q.Link(j) {
+						t.Fatalf("%v->%v path %d link %d: %v/%v/%v, generic %v",
+							src, dst, i, j, p.Link(j), appended[j], links[j], q.Link(j))
+					}
+				}
+				if len(appended) != q.Len() || len(links) != q.Len() {
+					t.Fatalf("%v->%v path %d: AppendLinks %d, Links %d, want %d links",
+						src, dst, i, len(appended), len(links), q.Len())
+				}
+				for l := 0; l < g.NumLinks(); l++ {
+					if p.Contains(topology.LinkID(l)) != q.Contains(topology.LinkID(l)) {
+						t.Fatalf("%v->%v path %d: Contains(%d) disagrees", src, dst, i, l)
+					}
+				}
+				if p.MinResidual(g) != q.MinResidual(g) || p.Format(g) != q.Format(g) {
+					t.Fatalf("%v->%v path %d: MinResidual or Format disagrees", src, dst, i)
+				}
+				for _, d := range []topology.Bandwidth{topology.Mbps, 600 * topology.Mbps} {
+					if a, b := p.CongestedLinks(g, d), q.CongestedLinks(g, d); !slices.Equal(a, b) {
+						t.Fatalf("%v->%v path %d: CongestedLinks(%v) %v, generic %v", src, dst, i, d, a, b)
+					}
+				}
+			}
+			for i := range copies {
+				for j := range copies {
+					if i != j && (set.At(i).Equal(copies[j]) || copies[j].Equal(set.At(i)) || set.At(i).Equal(set.At(j))) {
+						t.Fatalf("%v->%v: paths %d and %d compare equal", src, dst, i, j)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestNewFatTreeProviderAllocsFixed: building a provider makes the same
+// small number of allocations at every k — one table, never one per host
+// or per pair.
+func TestNewFatTreeProviderAllocsFixed(t *testing.T) {
+	ks := []int{2, 4, 8, 12}
+	allocs := make([]float64, len(ks))
+	for i, k := range ks {
 		ft, err := topology.NewFatTree(k, topology.Gbps)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var p *FatTreeProvider
-		allocs[i] = testing.AllocsPerRun(50, func() { p = NewFatTreeProvider(ft) })
-		if p.index != nil || p.sets != nil {
-			t.Errorf("k=%d: a fresh provider holds a path table", k)
-		}
+		allocs[i] = testing.AllocsPerRun(3, func() { NewFatTreeProvider(ft) })
 	}
-	if allocs[0] != allocs[1] || allocs[1] > 1 {
-		t.Errorf("NewFatTreeProvider allocates %v (k=4) and %v (k=16) times, want one each", allocs[0], allocs[1])
+	for i := range ks {
+		if allocs[i] != allocs[0] || allocs[i] > 5 {
+			t.Fatalf("NewFatTreeProvider allocates %v times at k = %v, want one fixed count ≤ 5", allocs, ks)
+		}
 	}
 }
 
-// TestPathTableConcurrentFill: goroutines filling one fresh provider at
-// once (networks sharing a provider may probe from different goroutines)
-// all see one canonical path set per pair.
-func TestPathTableConcurrentFill(t *testing.T) {
+// TestFatTreePathsConcurrent: goroutines querying one provider at once
+// (networks sharing a provider may probe from different goroutines) all
+// see the same path sets. Run under -race it also shows Paths writes
+// nothing shared.
+func TestFatTreePathsConcurrent(t *testing.T) {
 	ft, prov := newFT(t, 4)
 	hosts := ft.Hosts()
 	const workers = 4
-	got := make([][]*Path, workers)
+	got := make([][][]topology.LinkID, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			// Each worker walks the pairs from a different offset, so
-			// first queries of a pair race across workers.
-			for i := range hosts {
-				src := hosts[(i+w*len(hosts)/workers)%len(hosts)]
+			for _, src := range hosts {
 				for _, dst := range hosts {
-					if paths := prov.Paths(src, dst); paths != nil {
-						got[w] = append(got[w], &paths[0])
+					set := prov.Paths(src, dst)
+					for i := 0; i < set.Len(); i++ {
+						got[w] = append(got[w], set.At(i).AppendLinks(nil))
 					}
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	for _, src := range hosts {
-		for _, dst := range hosts {
-			if src == dst {
+	for w := 1; w < workers; w++ {
+		if len(got[w]) != len(got[0]) {
+			t.Fatalf("worker %d saw %d paths, worker 0 %d", w, len(got[w]), len(got[0]))
+		}
+		for i := range got[0] {
+			if !slices.Equal(got[w][i], got[0][i]) {
+				t.Fatalf("worker %d path %d = %v, worker 0 %v", w, i, got[w][i], got[0][i])
+			}
+		}
+	}
+}
+
+// TestPathScanAllocFree pins the path layer's hot operations at zero
+// allocations: a Paths query, and a full candidate scan as the planner
+// runs it (At, MinResidual, Contains, Equal).
+func TestPathScanAllocFree(t *testing.T) {
+	ft, prov := newFT(t, 8)
+	g := ft.Graph()
+	src, dst := ft.Host(0, 0, 0), ft.Host(5, 2, 3)
+	var sink PathSet
+	if n := testing.AllocsPerRun(100, func() { sink = prov.Paths(src, dst) }); n != 0 {
+		t.Errorf("Paths allocates %v times per call, want 0", n)
+	}
+	old := sink.At(3)
+	probe := sink.At(9).Link(2)
+	var best topology.Bandwidth
+	scan := func() {
+		set := prov.Paths(src, dst)
+		for i := 0; i < set.Len(); i++ {
+			q := set.At(i)
+			if q.Equal(old) || q.Contains(probe) {
 				continue
 			}
-			first := &prov.Paths(src, dst)[0]
-			for w := range got {
-				found := false
-				for _, p := range got[w] {
-					found = found || p == first
-				}
-				if !found {
-					t.Fatalf("worker %d never saw the canonical set of %v->%v", w, src, dst)
-				}
+			if r := q.MinResidual(g); r > best {
+				best = r
 			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, scan); n != 0 {
+		t.Errorf("a candidate scan allocates %v times, want 0", n)
+	}
+	if best != topology.Gbps {
+		t.Errorf("scan found best residual %v, want 1Gbps", best)
+	}
+}
+
+// TestPathSetAtOutOfRange: At panics past the end of a split set of every
+// shape, the one-path same-edge set included.
+func TestPathSetAtOutOfRange(t *testing.T) {
+	ft, prov := newFT(t, 4)
+	for _, dst := range []topology.NodeID{ft.Host(0, 0, 1), ft.Host(0, 1, 0), ft.Host(2, 1, 1)} {
+		set := prov.Paths(ft.Host(0, 0, 0), dst)
+		for _, i := range []int{-1, set.Len()} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%d-path set: At(%d) did not panic", set.Len(), i)
+					}
+				}()
+				set.At(i)
+			}()
 		}
 	}
 }

@@ -77,13 +77,13 @@ func TestBFSProviderProperties(t *testing.T) {
 		dist := bfsDistance(g, src)
 
 		if dist[dst] == -1 {
-			return len(paths) == 0
+			return paths.Len() == 0
 		}
-		if len(paths) == 0 {
+		if paths.Len() == 0 {
 			return false
 		}
-		for _, p := range paths {
-			if p.Src() != src || p.Dst() != dst {
+		for _, p := range all(paths) {
+			if s, d := ends(g, p); s != src || d != dst {
 				return false
 			}
 			if p.Len() != dist[dst] {
@@ -120,12 +120,12 @@ func TestSelectorsAgreeOnFeasibility(t *testing.T) {
 					continue
 				}
 				paths := prov.Paths(topology.NodeID(src), topology.NodeID(dst))
-				if len(paths) == 0 {
+				if paths.Len() == 0 {
 					continue
 				}
 				anyPair = true
 				feasible := false
-				for _, p := range paths {
+				for _, p := range all(paths) {
 					if p.Fits(g, demand) {
 						feasible = true
 						break

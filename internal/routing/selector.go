@@ -13,7 +13,7 @@ import (
 type Selector interface {
 	// Select returns a path from candidates that can carry demand, and
 	// ok=true; or the zero Path and ok=false when no candidate fits.
-	Select(g *topology.Graph, candidates []Path, demand topology.Bandwidth) (path Path, ok bool)
+	Select(g *topology.Graph, candidates PathSet, demand topology.Bandwidth) (path Path, ok bool)
 }
 
 // FirstFit selects the first candidate with enough residual bandwidth.
@@ -23,9 +23,9 @@ type FirstFit struct{}
 var _ Selector = FirstFit{}
 
 // Select implements Selector.
-func (FirstFit) Select(g *topology.Graph, candidates []Path, demand topology.Bandwidth) (Path, bool) {
-	for _, p := range candidates {
-		if p.Fits(g, demand) {
+func (FirstFit) Select(g *topology.Graph, candidates PathSet, demand topology.Bandwidth) (Path, bool) {
+	for i, n := 0, candidates.Len(); i < n; i++ {
+		if p := candidates.At(i); p.Fits(g, demand) {
 			return p, true
 		}
 	}
@@ -40,11 +40,11 @@ type WidestFit struct{}
 var _ Selector = WidestFit{}
 
 // Select implements Selector.
-func (WidestFit) Select(g *topology.Graph, candidates []Path, demand topology.Bandwidth) (Path, bool) {
+func (WidestFit) Select(g *topology.Graph, candidates PathSet, demand topology.Bandwidth) (Path, bool) {
 	best := -1
 	var bestResidual topology.Bandwidth
-	for i, p := range candidates {
-		r := p.MinResidual(g)
+	for i, n := 0, candidates.Len(); i < n; i++ {
+		r := candidates.At(i).MinResidual(g)
 		if r < demand {
 			continue
 		}
@@ -55,7 +55,7 @@ func (WidestFit) Select(g *topology.Graph, candidates []Path, demand topology.Ba
 	if best == -1 {
 		return Path{}, false
 	}
-	return candidates[best], true
+	return candidates.At(best), true
 }
 
 // RandomFit selects uniformly at random among the feasible candidates,
@@ -82,17 +82,20 @@ func (s *RandomFit) RNGDraws() int64 { return s.src.Draws() }
 func (s *RandomFit) RestoreRNG(draws int64) { s.src.Restore(draws) }
 
 // Select implements Selector.
-func (s *RandomFit) Select(g *topology.Graph, candidates []Path, demand topology.Bandwidth) (Path, bool) {
-	feasible := make([]int, 0, len(candidates))
-	for i, p := range candidates {
-		if p.Fits(g, demand) {
+func (s *RandomFit) Select(g *topology.Graph, candidates PathSet, demand topology.Bandwidth) (Path, bool) {
+	// Up to 16 candidates, a k = 8 fat-tree's largest set, are filtered
+	// without allocating.
+	var buf [16]int
+	feasible := buf[:0]
+	for i, n := 0, candidates.Len(); i < n; i++ {
+		if candidates.At(i).Fits(g, demand) {
 			feasible = append(feasible, i)
 		}
 	}
 	if len(feasible) == 0 {
 		return Path{}, false
 	}
-	return candidates[feasible[s.rng.Intn(len(feasible))]], true
+	return candidates.At(feasible[s.rng.Intn(len(feasible))]), true
 }
 
 // Widest returns the candidate with the largest bottleneck residual
@@ -100,11 +103,11 @@ func (s *RandomFit) Select(g *topology.Graph, candidates []Path, demand topology
 // "desired path" a congested flow would take before migration frees room
 // (Definition 1 examines the congested links of that desired path).
 // ok is false only when candidates is empty.
-func Widest(g *topology.Graph, candidates []Path) (path Path, residual topology.Bandwidth, ok bool) {
+func Widest(g *topology.Graph, candidates PathSet) (path Path, residual topology.Bandwidth, ok bool) {
 	best := -1
 	var bestResidual topology.Bandwidth
-	for i, p := range candidates {
-		r := p.MinResidual(g)
+	for i, n := 0, candidates.Len(); i < n; i++ {
+		r := candidates.At(i).MinResidual(g)
 		if best == -1 || r > bestResidual {
 			best, bestResidual = i, r
 		}
@@ -112,5 +115,5 @@ func Widest(g *topology.Graph, candidates []Path) (path Path, residual topology.
 	if best == -1 {
 		return Path{}, 0, false
 	}
-	return candidates[best], bestResidual, true
+	return candidates.At(best), bestResidual, true
 }

@@ -36,11 +36,14 @@ func forkGraph(t *testing.T) (g *topology.Graph, via [2]Path, linksA, linksB [2]
 	return g, via, linksA, linksB
 }
 
+// setOf returns the generic set of the given paths.
+func setOf(paths []Path) PathSet { return PathSet{generic: &paths} }
+
 func TestFirstFit(t *testing.T) {
 	g, via, linksA, _ := forkGraph(t)
 	var sel FirstFit
 
-	p, ok := sel.Select(g, via[:], 100*topology.Mbps)
+	p, ok := sel.Select(g, setOf(via[:]), 100*topology.Mbps)
 	if !ok || !p.Equal(via[0]) {
 		t.Errorf("Select = %v,%v want first path", p, ok)
 	}
@@ -48,15 +51,15 @@ func TestFirstFit(t *testing.T) {
 	if err := g.Reserve(linksA[0], topology.Gbps); err != nil {
 		t.Fatal(err)
 	}
-	p, ok = sel.Select(g, via[:], 100*topology.Mbps)
+	p, ok = sel.Select(g, setOf(via[:]), 100*topology.Mbps)
 	if !ok || !p.Equal(via[1]) {
 		t.Errorf("Select after congestion = %v,%v want second path", p, ok)
 	}
 	// Nothing fits.
-	if _, ok := sel.Select(g, via[:], 2*topology.Gbps); ok {
+	if _, ok := sel.Select(g, setOf(via[:]), 2*topology.Gbps); ok {
 		t.Error("Select(2Gbps) = ok, want !ok")
 	}
-	if _, ok := sel.Select(g, nil, topology.Mbps); ok {
+	if _, ok := sel.Select(g, PathSet{}, topology.Mbps); ok {
 		t.Error("Select(no candidates) = ok, want !ok")
 	}
 }
@@ -69,16 +72,16 @@ func TestWidestFit(t *testing.T) {
 	if err := g.Reserve(linksA[1], 300*topology.Mbps); err != nil {
 		t.Fatal(err)
 	}
-	p, ok := sel.Select(g, via[:], 100*topology.Mbps)
+	p, ok := sel.Select(g, setOf(via[:]), 100*topology.Mbps)
 	if !ok || !p.Equal(via[1]) {
 		t.Errorf("Select = %v,%v want widest (second) path", p, ok)
 	}
 	// Demand that only path B satisfies.
-	p, ok = sel.Select(g, via[:], 800*topology.Mbps)
+	p, ok = sel.Select(g, setOf(via[:]), 800*topology.Mbps)
 	if !ok || !p.Equal(via[1]) {
 		t.Errorf("Select(800Mbps) = %v,%v want second path", p, ok)
 	}
-	if _, ok := sel.Select(g, via[:], 2*topology.Gbps); ok {
+	if _, ok := sel.Select(g, setOf(via[:]), 2*topology.Gbps); ok {
 		t.Error("Select(2Gbps) = ok, want !ok")
 	}
 }
@@ -86,7 +89,7 @@ func TestWidestFit(t *testing.T) {
 func TestWidestFitTieBreaksFirst(t *testing.T) {
 	g, via, _, _ := forkGraph(t)
 	var sel WidestFit
-	p, ok := sel.Select(g, via[:], topology.Mbps)
+	p, ok := sel.Select(g, setOf(via[:]), topology.Mbps)
 	if !ok || !p.Equal(via[0]) {
 		t.Errorf("tied Select = %v,%v want first path", p, ok)
 	}
@@ -98,7 +101,7 @@ func TestRandomFit(t *testing.T) {
 
 	picked := make(map[int]int)
 	for i := 0; i < 200; i++ {
-		p, ok := sel.Select(g, via[:], 100*topology.Mbps)
+		p, ok := sel.Select(g, setOf(via[:]), 100*topology.Mbps)
 		if !ok {
 			t.Fatal("Select failed with feasible candidates")
 		}
@@ -117,12 +120,12 @@ func TestRandomFit(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		p, ok := sel.Select(g, via[:], 100*topology.Mbps)
+		p, ok := sel.Select(g, setOf(via[:]), 100*topology.Mbps)
 		if !ok || !p.Equal(via[1]) {
 			t.Fatalf("Select with one feasible = %v,%v", p, ok)
 		}
 	}
-	if _, ok := sel.Select(g, via[:], 2*topology.Gbps); ok {
+	if _, ok := sel.Select(g, setOf(via[:]), 2*topology.Gbps); ok {
 		t.Error("Select(2Gbps) = ok, want !ok")
 	}
 }
@@ -131,8 +134,8 @@ func TestRandomFitDeterministicUnderSeed(t *testing.T) {
 	g, via, _, _ := forkGraph(t)
 	s1, s2 := NewRandomFit(99), NewRandomFit(99)
 	for i := 0; i < 50; i++ {
-		p1, ok1 := s1.Select(g, via[:], topology.Mbps)
-		p2, ok2 := s2.Select(g, via[:], topology.Mbps)
+		p1, ok1 := s1.Select(g, setOf(via[:]), topology.Mbps)
+		p2, ok2 := s2.Select(g, setOf(via[:]), topology.Mbps)
 		if ok1 != ok2 || !p1.Equal(p2) {
 			t.Fatal("same-seed RandomFit selectors diverged")
 		}
@@ -144,11 +147,11 @@ func TestWidest(t *testing.T) {
 	if err := g.Reserve(linksB[0], 900*topology.Mbps); err != nil {
 		t.Fatal(err)
 	}
-	p, residual, ok := Widest(g, via[:])
+	p, residual, ok := Widest(g, setOf(via[:]))
 	if !ok || !p.Equal(via[0]) || residual != topology.Gbps {
 		t.Errorf("Widest = %v,%v,%v want path A with 1Gbps", p, residual, ok)
 	}
-	if _, _, ok := Widest(g, nil); ok {
+	if _, _, ok := Widest(g, PathSet{}); ok {
 		t.Error("Widest(no candidates) = ok, want !ok")
 	}
 	// Widest ignores feasibility: still returns the best even when full.
@@ -159,7 +162,7 @@ func TestWidest(t *testing.T) {
 	if err := g2.Reserve(lB[0], 999*topology.Mbps); err != nil {
 		t.Fatal(err)
 	}
-	p, residual, ok = Widest(g2, via2[:])
+	p, residual, ok = Widest(g2, setOf(via2[:]))
 	if !ok || !p.Equal(via2[1]) || residual != topology.Mbps {
 		t.Errorf("Widest over congested = %v,%v,%v want path B with 1Mbps", p, residual, ok)
 	}

@@ -16,10 +16,11 @@ import (
 type KShortestProvider struct {
 	g *topology.Graph
 	k int
-	// cache memoizes per-pair path sets; lock-guarded so networks
-	// sharing the provider may query it from different goroutines.
+	// cache memoizes per-pair path sets behind the pointer a PathSet
+	// carries; lock-guarded so networks sharing the provider may query
+	// it from different goroutines.
 	mu    sync.RWMutex
-	cache map[[2]topology.NodeID][]Path
+	cache map[[2]topology.NodeID]*[]Path
 }
 
 var _ Provider = (*KShortestProvider)(nil)
@@ -33,38 +34,36 @@ func NewKShortestProvider(g *topology.Graph, k int) *KShortestProvider {
 	return &KShortestProvider{
 		g:     g,
 		k:     k,
-		cache: make(map[[2]topology.NodeID][]Path),
+		cache: make(map[[2]topology.NodeID]*[]Path),
 	}
 }
 
 // Invalidate drops all cached path sets (call after structural changes).
 func (p *KShortestProvider) Invalidate() {
 	p.mu.Lock()
-	p.cache = make(map[[2]topology.NodeID][]Path)
+	p.cache = make(map[[2]topology.NodeID]*[]Path)
 	p.mu.Unlock()
 }
 
 // Paths implements Provider.
-func (p *KShortestProvider) Paths(src, dst topology.NodeID) []Path {
+func (p *KShortestProvider) Paths(src, dst topology.NodeID) PathSet {
 	if src == dst {
-		return nil
+		return PathSet{}
 	}
 	key := [2]topology.NodeID{src, dst}
 	p.mu.RLock()
 	paths, ok := p.cache[key]
 	p.mu.RUnlock()
-	if ok {
-		return paths
+	if !ok {
+		computed := p.compute(src, dst)
+		p.mu.Lock()
+		if paths, ok = p.cache[key]; !ok {
+			paths = &computed
+			p.cache[key] = paths
+		}
+		p.mu.Unlock()
 	}
-	paths = p.compute(src, dst)
-	p.mu.Lock()
-	if prior, ok := p.cache[key]; ok {
-		paths = prior
-	} else {
-		p.cache[key] = paths
-	}
-	p.mu.Unlock()
-	return paths
+	return PathSet{generic: paths}
 }
 
 // pathCandidates is a min-heap of candidate paths ordered by length, with

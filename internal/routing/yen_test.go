@@ -12,7 +12,7 @@ func TestKShortestOnDiamond(t *testing.T) {
 	_ = a
 	_ = b
 	prov := NewKShortestProvider(g, 5)
-	paths := prov.Paths(s, dst)
+	paths := all(prov.Paths(s, dst))
 	// Two 2-hop paths plus the 3-hop detour via c->d.
 	if len(paths) != 3 {
 		t.Fatalf("paths = %d, want 3", len(paths))
@@ -31,7 +31,7 @@ func TestKShortestOnDiamond(t *testing.T) {
 func TestKShortestRespectsK(t *testing.T) {
 	g, s, _, _, _, _, dst := diamondGraph(t)
 	for _, k := range []int{1, 2, 3, 10} {
-		paths := NewKShortestProvider(g, k).Paths(s, dst)
+		paths := all(NewKShortestProvider(g, k).Paths(s, dst))
 		want := k
 		if want > 3 {
 			want = 3
@@ -41,7 +41,7 @@ func TestKShortestRespectsK(t *testing.T) {
 		}
 	}
 	// k < 1 clamps to 1.
-	if got := len(NewKShortestProvider(g, 0).Paths(s, dst)); got != 1 {
+	if got := NewKShortestProvider(g, 0).Paths(s, dst).Len(); got != 1 {
 		t.Errorf("k=0: paths = %d, want 1", got)
 	}
 }
@@ -51,11 +51,11 @@ func TestKShortestDegenerate(t *testing.T) {
 	x := g.AddNode(topology.KindHost, "x")
 	y := g.AddNode(topology.KindHost, "y")
 	prov := NewKShortestProvider(g, 3)
-	if got := prov.Paths(x, y); got != nil {
-		t.Errorf("disconnected Paths = %v, want nil", got)
+	if got := prov.Paths(x, y); got.Len() != 0 {
+		t.Errorf("disconnected Paths = %d paths, want none", got.Len())
 	}
-	if got := prov.Paths(x, x); got != nil {
-		t.Errorf("self Paths = %v, want nil", got)
+	if got := prov.Paths(x, x); got.Len() != 0 {
+		t.Errorf("self Paths = %d paths, want none", got.Len())
 	}
 }
 
@@ -71,7 +71,7 @@ func TestKShortestInvalidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	prov := NewKShortestProvider(g, 4)
-	if got := len(prov.Paths(x, y)); got != 1 {
+	if got := prov.Paths(x, y).Len(); got != 1 {
 		t.Fatalf("paths = %d, want 1", got)
 	}
 	n := g.AddNode(topology.KindEdgeSwitch, "n")
@@ -81,11 +81,11 @@ func TestKShortestInvalidate(t *testing.T) {
 	if _, err := g.AddLink(n, y, topology.Gbps); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(prov.Paths(x, y)); got != 1 {
+	if got := prov.Paths(x, y).Len(); got != 1 {
 		t.Fatalf("cached paths = %d, want 1", got)
 	}
 	prov.Invalidate()
-	if got := len(prov.Paths(x, y)); got != 2 {
+	if got := prov.Paths(x, y).Len(); got != 2 {
 		t.Errorf("paths after invalidate = %d, want 2", got)
 	}
 }
@@ -100,8 +100,8 @@ func TestKShortestSupersetOfBFS(t *testing.T) {
 		if src == dst {
 			return true
 		}
-		bfsPaths := NewBFSProvider(g, 0).Paths(src, dst)
-		yenPaths := NewKShortestProvider(g, len(bfsPaths)+8).Paths(src, dst)
+		bfsPaths := all(NewBFSProvider(g, 0).Paths(src, dst))
+		yenPaths := all(NewKShortestProvider(g, len(bfsPaths)+8).Paths(src, dst))
 		if len(bfsPaths) == 0 {
 			return len(yenPaths) == 0
 		}
@@ -116,7 +116,7 @@ func TestKShortestSupersetOfBFS(t *testing.T) {
 		}
 		// All distinct, loopless, correct endpoints.
 		for i, p := range yenPaths {
-			if p.Src() != src || p.Dst() != dst {
+			if s, d := ends(g, p); s != src || d != dst {
 				return false
 			}
 			seen := map[topology.NodeID]bool{src: true}
@@ -165,8 +165,8 @@ func TestKShortestOnFatTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ecmp := NewFatTreeProvider(ft).Paths(ft.Host(0, 0, 0), ft.Host(1, 0, 0))
-	yen := NewKShortestProvider(ft.Graph(), 8).Paths(ft.Host(0, 0, 0), ft.Host(1, 0, 0))
+	ecmp := all(NewFatTreeProvider(ft).Paths(ft.Host(0, 0, 0), ft.Host(1, 0, 0)))
+	yen := all(NewKShortestProvider(ft.Graph(), 8).Paths(ft.Host(0, 0, 0), ft.Host(1, 0, 0)))
 	if len(yen) < len(ecmp) {
 		t.Fatalf("yen = %d paths, want >= %d", len(yen), len(ecmp))
 	}

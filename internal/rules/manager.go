@@ -65,7 +65,8 @@ func (m *Manager) TotalEntries() int {
 // for each link leaving a switch, that switch forwards the flow into it.
 func (m *Manager) hopEntries(path routing.Path) []Entry {
 	var out []Entry
-	for _, lid := range path.Links() {
+	for i, n := 0, path.Len(); i < n; i++ {
+		lid := path.Link(i)
 		l := m.graph.Link(lid)
 		if m.graph.Node(l.From).Kind.IsSwitch() {
 			out = append(out, Entry{NextHop: lid, Key: Key{}})

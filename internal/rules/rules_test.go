@@ -96,7 +96,7 @@ func ftPath(t *testing.T) (*topology.FatTree, routing.Path) {
 	}
 	prov := routing.NewFatTreeProvider(ft)
 	paths := prov.Paths(ft.Host(0, 0, 0), ft.Host(1, 0, 0))
-	return ft, paths[0]
+	return ft, paths.At(0)
 }
 
 func TestManagerInstallPath(t *testing.T) {
@@ -181,7 +181,7 @@ func TestManagerVersionMonotonic(t *testing.T) {
 	}
 	// Installing an older generation must not regress the version.
 	prov := routing.NewFatTreeProvider(ft)
-	other := prov.Paths(ft.Host(0, 0, 1), ft.Host(1, 0, 1))[0]
+	other := prov.Paths(ft.Host(0, 0, 1), ft.Host(1, 0, 1)).At(0)
 	if err := m.InstallPath(7, 2, other); err != nil {
 		t.Fatal(err)
 	}

@@ -56,7 +56,7 @@ func TestPartitionCoversPods(t *testing.T) {
 // (owner 0) — no event can ever need a link owned by a shard its key
 // does not name.
 func linkSetProperty(t *testing.T, name string, g *topology.Graph, part *Partition,
-	paths func(src, dst topology.NodeID) []routing.Path, hosts []topology.NodeID, rng *rand.Rand) {
+	paths func(src, dst topology.NodeID) routing.PathSet, hosts []topology.NodeID, rng *rand.Rand) {
 	t.Helper()
 	for trial := 0; trial < 200; trial++ {
 		src := hosts[rng.Intn(len(hosts))]
@@ -75,8 +75,9 @@ func linkSetProperty(t *testing.T, name string, g *topology.Graph, part *Partiti
 		for _, s := range key.Touched {
 			touched[s] = true
 		}
-		for _, p := range paths(src, dst) {
-			for _, lid := range p.Links() {
+		set := paths(src, dst)
+		for i := 0; i < set.Len(); i++ {
+			for _, lid := range set.At(i).Links() {
 				l := g.Link(lid)
 				owner := part.LinkOwner(l.From, l.To)
 				if owner == 0 {

@@ -167,8 +167,8 @@ func installDuration(cfg Config, g *topology.Graph, adm *migration.Result) time.
 // switchHops counts a path's switch-sourced links — the rules it occupies.
 func switchHops(g *topology.Graph, p routing.Path) int {
 	hops := 0
-	for _, l := range p.Links() {
-		if g.Node(g.Link(l).From).Kind.IsSwitch() {
+	for i, n := 0, p.Len(); i < n; i++ {
+		if g.Node(g.Link(p.Link(i)).From).Kind.IsSwitch() {
 			hops++
 		}
 	}

@@ -89,8 +89,9 @@ func Capture(net *netstate.Network) *Snapshot {
 			Event:     int64(f.Event),
 		}
 		if f.Placed() {
-			for _, l := range f.Path().Links() {
-				sf.PathLinks = append(sf.PathLinks, int(l))
+			path := f.Path()
+			for i := 0; i < path.Len(); i++ {
+				sf.PathLinks = append(sf.PathLinks, int(path.Link(i)))
 			}
 		}
 		snap.Flows = append(snap.Flows, sf)
