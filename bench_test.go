@@ -146,30 +146,55 @@ func BenchmarkPaperRegimeDrain(b *testing.B) {
 // so ns/event should not grow from k=4 (96 links) to k=8 (768 links).
 // World and events are rebuilt outside the timer.
 func BenchmarkTracedFIFODrain(b *testing.B) {
-	const events = 4000
 	for _, k := range []int{4, 8} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				w, err := sim.Genesis{K: k, Seed: 1}.Build(0.3)
-				if err != nil {
-					b.Fatal(err)
-				}
-				gen, err := trace.NewGenerator(1001, trace.YahooLike{}, w.FatTree.Hosts())
-				if err != nil {
-					b.Fatal(err)
-				}
-				evs := gen.Events(events, 1, 4)
-				engine := sim.NewEngine(w.Planner, sched.FIFO{}, sim.Config{})
-				engine.SetTracer(obs.NewTracer(obs.NewRingSink(4096), obs.NewSimMetrics(obs.NewRegistry())))
-				b.StartTimer()
-				if _, err := engine.Run(evs); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*events), "ns/event")
-		})
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) { benchTracedFIFODrain(b, k) })
+	}
+}
+
+// benchTracedFIFODrain is one fabric size of BenchmarkTracedFIFODrain.
+func benchTracedFIFODrain(b *testing.B, k int) {
+	const events = 4000
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		w, err := sim.Genesis{K: k, Seed: 1}.Build(0.3)
+		if err != nil {
+			b.Fatal(err)
+		}
+		gen, err := trace.NewGenerator(1001, trace.YahooLike{}, w.FatTree.Hosts())
+		if err != nil {
+			b.Fatal(err)
+		}
+		evs := gen.Events(events, 1, 4)
+		engine := sim.NewEngine(w.Planner, sched.FIFO{}, sim.Config{})
+		engine.SetTracer(obs.NewTracer(obs.NewRingSink(4096), obs.NewSimMetrics(obs.NewRegistry())))
+		b.StartTimer()
+		if _, err := engine.Run(evs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*events), "ns/event")
+}
+
+// BenchmarkProbe55 prices one 55-flow YahooLike event (generator seed
+// 1001) on the world BenchmarkPaperRegimeDrain drains, Genesis{K: 8,
+// Seed: 1} at 60 %: the core.Planner.Probe every LMTF candidate pays.
+func BenchmarkProbe55(b *testing.B) {
+	w, err := sim.Genesis{K: 8, Seed: 1}.Build(0.6)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gen, err := trace.NewGenerator(1001, trace.YahooLike{}, w.FatTree.Hosts())
+	if err != nil {
+		b.Fatal(err)
+	}
+	ev := gen.Event(1, "bench", 0, 55, 55)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := w.Planner.Probe(ev); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
