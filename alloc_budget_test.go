@@ -46,6 +46,7 @@ var budgeted = []struct {
 	{"TracedFIFODrain/k=8", 1, func(b *testing.B) { benchTracedFIFODrain(b, 8) }},
 	{"FlowsAcross", 200, BenchmarkFlowsAcross},
 	{"Probe55", 20, BenchmarkProbe55},
+	{"AdmitRollback", 512, BenchmarkAdmitRollback},
 }
 
 // Tolerances: a rise above 1 % fails, and so does a fall of 5 % or more

@@ -85,6 +85,41 @@ func benchEnv(b *testing.B, util float64) (*netstate.Network, *topology.FatTree,
 	return net, ft, gen
 }
 
+// BenchmarkAdmitRollback admits one YahooLike flow (generator seed 1001,
+// 512 specs in turn) into the world BenchmarkPaperRegimeDrain drains and
+// undoes it again: migration.Planner.Admit (plan on the view, apply)
+// plus Rollback, the flow-level baseline's per-flow path.
+func BenchmarkAdmitRollback(b *testing.B) {
+	w, err := sim.Genesis{K: 8, Seed: 1}.Build(0.6)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gen, err := trace.NewGenerator(1001, trace.YahooLike{}, w.FatTree.Hosts())
+	if err != nil {
+		b.Fatal(err)
+	}
+	specs := gen.Specs(512)
+	net, mig := w.Planner.Network(), w.Planner.Migration()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		spec := specs[i%len(specs)]
+		spec.Event = 1
+		f, err := net.AddFlow(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res, err := mig.Admit(f); err == nil {
+			if err := mig.Rollback(res); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := net.Remove(f); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkEndToEnd measures a whole simulation (10 events, k=8, 60%).
 func BenchmarkEndToEnd(b *testing.B) {
 	for _, tc := range []struct {

@@ -8,6 +8,7 @@ import (
 	"netupdate/internal/flow"
 	"netupdate/internal/migration"
 	"netupdate/internal/netstate"
+	"netupdate/internal/routing"
 	"netupdate/internal/topology"
 )
 
@@ -30,9 +31,9 @@ const (
 // the event cannot be admitted.
 var ErrEventAborted = errors.New("event aborted: flow not admittable")
 
-// ExecResult reports an executed (or trial-planned) event.
+// ExecResult reports an executed event.
 type ExecResult struct {
-	// Event is the planned event.
+	// Event is the executed event.
 	Event *Event
 	// Admitted holds one migration result per successfully admitted flow,
 	// in admission order.
@@ -60,9 +61,43 @@ type Estimate struct {
 	Evals int
 }
 
+// Plan is an event planned against the network as it is now, on a
+// netstate.View: for each flow the path it takes and the migrations that
+// make room for it, in order, and the Estimate they add up to. Apply
+// carries it out. A plan is valid until the network changes.
+type Plan struct {
+	Estimate
+	event *Event
+	// base is the registry's next flow ID when the plan was made, next
+	// the counter after it, and abortNext the counter right after the
+	// first failing spec, where FailAbort stops.
+	base, next, abortNext flow.ID
+	// failed counts the specs that cannot be admitted; failErr is the
+	// first one's error.
+	failed  int
+	failErr error
+	flows   []flowPlan
+	steps   []migration.Step
+}
+
+// flowPlan is one spec's planned admission; its migrations are
+// Plan.steps[lo:hi].
+type flowPlan struct {
+	spec   int
+	id     flow.ID
+	failed bool
+	path   routing.Path
+	lo, hi int
+	cost   topology.Bandwidth
+	evals  int
+}
+
+// Event returns the planned event.
+func (pl *Plan) Event() *Event { return pl.event }
+
 // ProbeStats counts the cost probes a Planner has run.
 type ProbeStats struct {
-	// Probes is the number of trial plans.
+	// Probes is the number of probes.
 	Probes int
 	// WallTime is the real (not simulated) time spent inside them.
 	WallTime time.Duration
@@ -75,6 +110,9 @@ type Planner struct {
 	mig    *migration.Planner
 	policy FailPolicy
 	probes ProbeStats
+	// scratch backs the plans of Probe and Execute, which hand nothing
+	// of it out.
+	scratch Plan
 }
 
 // NewPlanner wraps a migration planner. policy 0 defaults to FailSkip.
@@ -93,43 +131,164 @@ func (p *Planner) Network() *netstate.Network { return p.mig.Network() }
 func (p *Planner) Migration() *migration.Planner { return p.mig }
 
 // Execute admits every flow of the event, committing placements and
-// migrations to the network. Under FailSkip, unadmittable flows are
-// recorded on the event and skipped; under FailAbort the event is fully
-// rolled back and ErrEventAborted returned.
+// migrations to the network: it plans the event and applies the plan.
+// Under FailSkip, unadmittable flows are recorded on the event and
+// skipped; under FailAbort nothing is applied and ErrEventAborted
+// returned.
 func (p *Planner) Execute(ev *Event) (*ExecResult, error) {
-	res, err := p.run(ev, true)
-	if err != nil {
+	pl := &p.scratch
+	if err := p.plan(pl, ev); err != nil {
+		// The flow IDs the plan minted are spent, as a rolled-back
+		// execution's would be.
+		p.mig.Network().Registry().SkipTo(pl.next)
 		return nil, err
 	}
-	ev.CostAtExec = res.Cost
-	return res, nil
+	return p.Apply(pl)
 }
 
-// Probe trial-plans the event and rolls everything back, returning the
-// cost the event would incur right now. The network is left exactly as
-// it was, reservations and flow IDs included (see run). This is the
-// "calculate the update cost" step LMTF performs for each sampled
-// candidate (Section IV-B), and the only way an event is priced: every
-// scheduler and the simulator's co-schedule check call it, so its
-// counters (ProbeStats) cover every probe in the system.
+// Probe prices the event: it plans it on a view of the network and
+// returns the cost the event would incur right now, writing nothing.
+// This is the "calculate the update cost" step LMTF performs for each
+// sampled candidate (Section IV-B), and the only way an event is priced:
+// every scheduler and the simulator's co-schedule check call it or
+// ProbePlan, so its counters (ProbeStats) cover every probe in the
+// system.
 func (p *Planner) Probe(ev *Event) (*Estimate, error) {
+	if _, err := p.probe(&p.scratch, ev); err != nil {
+		return nil, err
+	}
+	est := p.scratch.Estimate
+	return &est, nil
+}
+
+// ProbePlan is Probe that also returns the plan behind the estimate, so
+// the caller can Apply it instead of executing the event anew.
+func (p *Planner) ProbePlan(ev *Event) (*Plan, error) {
+	return p.probe(new(Plan), ev)
+}
+
+// probe plans ev into pl and counts the probe.
+func (p *Planner) probe(pl *Plan, ev *Event) (*Plan, error) {
 	start := time.Now()
-	res, err := p.run(ev, false)
+	err := p.plan(pl, ev)
 	p.probes.Probes++
 	p.probes.WallTime += time.Since(start)
 	if err != nil {
 		return nil, err
 	}
-	return &Estimate{
-		Cost:       res.Cost,
-		Feasible:   res.Failed == 0,
-		Admittable: len(res.Admitted),
-		Evals:      res.Evals,
-	}, nil
+	return pl, nil
 }
 
 // ProbeStats returns the planner's cumulative probe counters.
 func (p *Planner) ProbeStats() ProbeStats { return p.probes }
+
+// plan admits the event's flows in order on the migration planner's
+// view, into pl. Each spec's flow is minted with the ID AddFlow would
+// give it; a spec that cannot be admitted is counted, and its ID and any
+// its planning minted stay spent, as in an execution.
+func (p *Planner) plan(pl *Plan, ev *Event) error {
+	v := p.mig.View()
+	v.Reset()
+	*pl = Plan{event: ev, base: v.NextID(), flows: pl.flows[:0], steps: pl.steps[:0]}
+	if cap(pl.flows) < len(ev.Specs) {
+		pl.flows = make([]flowPlan, 0, len(ev.Specs))
+	}
+	defer func() { pl.next = v.NextID() }()
+	for i, spec := range ev.Specs {
+		if err := spec.Validate(); err != nil {
+			return fmt.Errorf("%v: register flow: %w", ev, err)
+		}
+		f := v.Mint(spec)
+		lo := len(pl.steps)
+		a := migration.Admission{Steps: pl.steps}
+		err := p.mig.Plan(v, f, &a)
+		pl.steps = a.Steps
+		pl.Evals += a.Evals
+		fp := flowPlan{spec: i, id: f.ID, path: a.Path, lo: lo, hi: len(a.Steps), cost: a.MigratedTraffic, evals: a.Evals}
+		if err != nil {
+			if !errors.Is(err, migration.ErrCannotAdmit) && !errors.Is(err, netstate.ErrNoFeasiblePath) {
+				return fmt.Errorf("%v: %w", ev, err)
+			}
+			if pl.failed == 0 {
+				pl.failErr, pl.abortNext = err, v.NextID()
+			}
+			pl.failed++
+			fp.failed = true
+		} else {
+			pl.Admittable++
+			pl.Cost += a.MigratedTraffic
+		}
+		pl.flows = append(pl.flows, fp)
+	}
+	pl.Feasible = pl.failed == 0
+	return nil
+}
+
+// Apply carries out a plan: it registers each admitted flow with its
+// planned ID, reroutes or splits its victims and places it, records the
+// unadmittable specs in Event.FailedSpecs, and sets Event.CostAtExec. It
+// plans nothing, and reports the plan's Evals. Under FailAbort a plan
+// with an unadmittable spec is not applied: ErrEventAborted is returned.
+// Apply is atomic: if the network no longer matches the plan — a flow
+// was registered since, a victim moved, or a reservation does not fit —
+// everything it applied is reverted and the error returned.
+func (p *Planner) Apply(pl *Plan) (*ExecResult, error) {
+	net := p.mig.Network()
+	reg := net.Registry()
+	ev := pl.event
+	if reg.NextID() != pl.base {
+		return nil, fmt.Errorf("%v: plan made at flow ID %d, network at %d: %w",
+			ev, int64(pl.base), int64(reg.NextID()), migration.ErrStalePlan)
+	}
+	if p.policy == FailAbort && pl.failed > 0 {
+		reg.SkipTo(pl.abortNext)
+		return nil, fmt.Errorf("%v: %w: %v", ev, ErrEventAborted, pl.failErr)
+	}
+	res := &ExecResult{
+		Event:    ev,
+		Admitted: make([]*migration.Result, 0, pl.Admittable),
+		Failed:   pl.failed,
+		Cost:     pl.Cost,
+		Evals:    pl.Evals,
+	}
+	results := make([]migration.Result, pl.Admittable)
+	flows, failed := len(ev.Flows), len(ev.FailedSpecs)
+	for _, fp := range pl.flows {
+		spec := ev.Specs[fp.spec]
+		if fp.failed {
+			ev.FailedSpecs = append(ev.FailedSpecs, spec)
+			continue
+		}
+		reg.SkipTo(fp.id)
+		f, err := net.AddFlow(spec)
+		if err == nil {
+			a := migration.Admission{Path: fp.path, Steps: pl.steps[fp.lo:fp.hi], MigratedTraffic: fp.cost, Evals: fp.evals}
+			r := &results[len(res.Admitted)]
+			if err = p.mig.Apply(f, &a, r); err == nil {
+				res.Admitted = append(res.Admitted, r)
+				ev.Flows = append(ev.Flows, f)
+				continue
+			}
+			if rmErr := net.Remove(f); rmErr != nil {
+				panic(fmt.Sprintf("core: removing unapplied flow: %v", rmErr))
+			}
+		}
+		// Undo the admissions applied so far, newest first.
+		for i := len(res.Admitted) - 1; i >= 0; i-- {
+			if rbErr := p.mig.Rollback(res.Admitted[i]); rbErr != nil {
+				panic(fmt.Sprintf("core: reverting a partial apply: %v", rbErr))
+			}
+			if rmErr := net.Remove(res.Admitted[i].Flow); rmErr != nil {
+				panic(fmt.Sprintf("core: reverting a partial apply: %v", rmErr))
+			}
+		}
+		ev.Flows, ev.FailedSpecs = ev.Flows[:flows], ev.FailedSpecs[:failed]
+		return nil, fmt.Errorf("%v: %w", ev, err)
+	}
+	reg.SkipTo(pl.next)
+	ev.CostAtExec = res.Cost
+	return res, nil
+}
 
 // RollbackExec undoes a committed Execute: each admission's migrations
 // are reverted in reverse order, then the event's own flows are withdrawn
@@ -153,80 +312,4 @@ func (p *Planner) RollbackExec(res *ExecResult) error {
 	}
 	ev.Flows = nil
 	return nil
-}
-
-// run admits the event's flows in order and, when commit is set, leaves
-// the plan applied. Otherwise it is a trial inside the network's trial
-// bracket (netstate.Network.BeginTrial): all admissions are rolled back
-// before returning (in reverse order, restoring the exact prior state),
-// the event's bookkeeping fields are untouched, and the bracket
-// guarantees the trial left no trace — reservations cancelled, flow IDs
-// rewound — or panics.
-func (p *Planner) run(ev *Event, commit bool) (*ExecResult, error) {
-	net := p.mig.Network()
-	res := &ExecResult{Event: ev}
-	var flows []*flow.Flow
-	if !commit {
-		net.BeginTrial()
-	}
-
-	rollbackAll := func() {
-		for i := len(res.Admitted) - 1; i >= 0; i-- {
-			if err := p.mig.Rollback(res.Admitted[i]); err != nil {
-				panic(fmt.Sprintf("core: event rollback failed: %v", err))
-			}
-		}
-		for i := len(flows) - 1; i >= 0; i-- {
-			if err := net.Remove(flows[i]); err != nil {
-				panic(fmt.Sprintf("core: event rollback remove failed: %v", err))
-			}
-		}
-		if !commit {
-			net.EndTrial()
-		}
-	}
-
-	for _, spec := range ev.Specs {
-		f, err := net.AddFlow(spec)
-		if err != nil {
-			rollbackAll()
-			return nil, fmt.Errorf("%v: register flow: %w", ev, err)
-		}
-		flows = append(flows, f)
-
-		admit, err := p.mig.Admit(f)
-		if admit != nil {
-			res.Evals += admit.Evals
-		}
-		if err != nil {
-			switch {
-			case !errors.Is(err, migration.ErrCannotAdmit) && !errors.Is(err, netstate.ErrNoFeasiblePath):
-				rollbackAll()
-				return nil, fmt.Errorf("%v: %w", ev, err)
-			case p.policy == FailAbort && commit:
-				rollbackAll()
-				return nil, fmt.Errorf("%v: %w: %v", ev, ErrEventAborted, err)
-			default:
-				res.Failed++
-				if commit {
-					ev.FailedSpecs = append(ev.FailedSpecs, spec)
-				}
-				// The unplaced flow must not linger in the registry.
-				if rmErr := net.Remove(f); rmErr != nil {
-					panic(fmt.Sprintf("core: removing unadmitted flow: %v", rmErr))
-				}
-				flows = flows[:len(flows)-1]
-				continue
-			}
-		}
-		res.Admitted = append(res.Admitted, admit)
-		res.Cost += admit.MigratedTraffic
-	}
-
-	if commit {
-		ev.Flows = append(ev.Flows, flows...)
-		return res, nil
-	}
-	rollbackAll()
-	return res, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"netupdate/internal/flow"
@@ -322,5 +323,51 @@ func TestRollbackExecRestoresExactState(t *testing.T) {
 	// The event's flows are gone from the registry: only the victim remains.
 	if got := len(s.net.Registry().Placed()); got != 1 {
 		t.Errorf("placed flows after rollback = %d, want 1 (the victim)", got)
+	}
+}
+
+// TestFailedSpecsSpendTheirIDs: an unadmittable spec spends the flow ID
+// it was registered under, under FailSkip where the event goes on and
+// under FailAbort where it stops at that spec.
+func TestFailedSpecsSpendTheirIDs(t *testing.T) {
+	for _, tc := range []struct {
+		policy FailPolicy
+		flows  []flow.ID // the event's flows, as offsets from the first ID
+		next   flow.ID   // the next free ID, as an offset
+	}{
+		{FailSkip, []flow.ID{0, 2}, 4},
+		{FailAbort, nil, 2},
+	} {
+		s := newCoreScenario(t, 800*topology.Mbps)
+		// Saturate the victim's detour so migration is impossible.
+		cw, _ := s.g.LinkBetween(s.c, topology.NodeID(6))
+		if err := s.g.Reserve(cw, topology.Gbps); err != nil {
+			t.Fatal(err)
+		}
+		first := s.victim.ID + 1 // the scenario registered only the victim
+		ev := NewEvent(1, "test", 0, []flow.Spec{
+			{Src: s.a, Dst: s.b, Demand: 100 * topology.Mbps}, // fits
+			{Src: s.a, Dst: s.b, Demand: 500 * topology.Mbps}, // blocked
+			{Src: s.a, Dst: s.b, Demand: 50 * topology.Mbps},  // fits
+			{Src: s.a, Dst: s.b, Demand: 500 * topology.Mbps}, // blocked
+		})
+		_, err := s.planner(tc.policy).Execute(ev)
+		if (err != nil) != (tc.policy == FailAbort) {
+			t.Fatalf("policy %d: Execute error %v", tc.policy, err)
+		}
+		var got []flow.ID
+		for _, f := range ev.Flows {
+			got = append(got, f.ID-first)
+		}
+		if !reflect.DeepEqual(got, tc.flows) {
+			t.Errorf("policy %d: event flows at ID offsets %v, want %v", tc.policy, got, tc.flows)
+		}
+		f, err := s.net.AddFlow(flow.Spec{Src: s.c, Dst: s.d, Demand: topology.Mbps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.ID-first != tc.next {
+			t.Errorf("policy %d: next flow at ID offset %d, want %d", tc.policy, f.ID-first, tc.next)
+		}
 	}
 }

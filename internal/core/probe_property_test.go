@@ -3,39 +3,100 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"netupdate/internal/flow"
+	"netupdate/internal/migration"
 	"netupdate/internal/netstate"
+	"netupdate/internal/routing"
 	"netupdate/internal/topology"
 )
 
-// liveState is everything a probe could disturb on the live network:
-// the ledger and the flow registry.
+// liveState is everything a probe could disturb, and everything Apply
+// and Execute must leave equal: the ledger, the down links, the link
+// index, the registry (IDs, the ID counter, the placed count) and every
+// flow's path.
 type liveState struct {
-	Reserved []topology.Bandwidth
-	Down     []bool
-	FlowsOn  []int
-	Registry flow.Mark
-	FlowIDs  []flow.ID
-	Paths    [][]topology.LinkID
+	Reserved  []topology.Bandwidth
+	Down      []bool
+	LinkIndex [][]flow.ID
+	NextID    flow.ID
+	NumPlaced int
+	FlowIDs   []flow.ID
+	Paths     [][]topology.LinkID
 }
 
 // captureLive snapshots the network.
 func captureLive(n *netstate.Network) liveState {
 	g, reg := n.Graph(), n.Registry()
-	st := liveState{Registry: reg.Mark()}
+	st := liveState{NextID: reg.NextID(), NumPlaced: reg.NumPlaced()}
 	for i := 0; i < g.NumLinks(); i++ {
 		l := g.Link(topology.LinkID(i))
 		st.Reserved = append(st.Reserved, l.Reserved())
 		st.Down = append(st.Down, l.Down())
-		st.FlowsOn = append(st.FlowsOn, reg.NumFlowsOn(l.ID))
+		var ids []flow.ID
+		for _, f := range reg.FlowsOn(l.ID) {
+			ids = append(ids, f.ID)
+		}
+		st.LinkIndex = append(st.LinkIndex, ids)
 	}
 	for _, f := range reg.All() {
 		st.FlowIDs = append(st.FlowIDs, f.ID)
 		st.Paths = append(st.Paths, f.Path().Links())
 	}
 	return st
+}
+
+// forkExecute executes a copy of ev on a fork of the network — a copy
+// no probe under test has touched — with a planner configured by cfg
+// (nil: the defaults), and returns the fork and the result.
+func forkExecute(t *testing.T, n *netstate.Network, cfg func(*migration.Planner), ev *Event) (*netstate.Network, *ExecResult) {
+	t.Helper()
+	fork := n.Fork()
+	mig := migration.NewPlanner(fork, 0)
+	if cfg != nil {
+		cfg(mig)
+	}
+	res, err := NewPlanner(mig, FailSkip).Execute(NewEvent(ev.ID, ev.Kind, ev.Arrival, ev.Specs))
+	if err != nil {
+		t.Fatalf("fork execute %v: %v", ev, err)
+	}
+	return fork, res
+}
+
+// requirePlanIs fails the test unless the plan predicts the execution
+// exactly: its Estimate, and for every admitted flow its ID, its path
+// and each of its moves (victim, from, to, split or not), in order.
+func requirePlanIs(t *testing.T, pl *Plan, res *ExecResult, what string) {
+	t.Helper()
+	want := Estimate{Cost: res.Cost, Feasible: res.Failed == 0, Admittable: len(res.Admitted), Evals: res.Evals}
+	if pl.Estimate != want {
+		t.Fatalf("%s: probe %+v, fork execution %+v", what, pl.Estimate, want)
+	}
+	i := 0
+	for _, fp := range pl.flows {
+		if fp.failed {
+			continue
+		}
+		adm := res.Admitted[i]
+		i++
+		if fp.id != adm.Flow.ID || !fp.path.Equal(adm.Path) {
+			t.Fatalf("%s: planned flow %d on %v, executed flow %d on %v", what, fp.id, fp.path.Links(), adm.Flow.ID, adm.Path.Links())
+		}
+		steps := pl.steps[fp.lo:fp.hi]
+		if len(steps) != len(adm.Moves) {
+			t.Fatalf("%s: flow %d: %d planned moves, %d executed", what, fp.id, len(steps), len(adm.Moves))
+		}
+		for j, st := range steps {
+			mv := adm.Moves[j]
+			if st.VictimID() != mv.Flow.ID || !st.From().Equal(mv.From) || !st.To().Equal(mv.To) || st.Split() != mv.Split() {
+				t.Fatalf("%s: flow %d move %d: planned %d %v -> %v (split %v), executed %d %v -> %v (split %v)",
+					what, fp.id, j, st.VictimID(), st.From().Links(), st.To().Links(), st.Split(),
+					mv.Flow.ID, mv.From.Links(), mv.To.Links(), mv.Split())
+			}
+		}
+	}
 }
 
 // requireEqual fails the test unless the live state is field-for-field
@@ -55,14 +116,14 @@ func (before liveState) requireEqual(t *testing.T, after liveState, op string) {
 	t.FailNow()
 }
 
-// TestProbeEngineIncrementalOracle drives Planner.Probe through random
+// TestProbeOracleUnderFaults drives Planner.ProbePlan through random
 // interleavings of submissions, scheduling rounds, link faults and
-// repairs, and demands that every estimate matches a from-scratch probe
-// on a fork of the live network, and that every probe leaves the whole
-// live state (ledger, down links, registry, every flow's path) exactly
-// as it found it. This is the contract of the trial bracket, which must
-// earn on the live network the isolation a fork gives for free.
-func TestProbeEngineIncrementalOracle(t *testing.T) {
+// repairs. Every probe must write nothing, and must predict exactly what
+// executing the event does on a fork of the live network: the Estimate,
+// and every flow's ID, path and moves. Each round applies the cheapest
+// event's probed plan on the live network, which must then equal the
+// fork that executed it: ledger, link index, registry, paths and IDs.
+func TestProbeOracleUnderFaults(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 1234} {
 		seed := seed
 		t.Run("", func(t *testing.T) {
@@ -104,40 +165,36 @@ func runProbeOracle(t *testing.T, seed int64, ops int) {
 		nextID++
 	}
 
-	// round probes the whole queue, checks every estimate against a
-	// fresh oracle probe, then executes and retires the cheapest event
-	// (ties by ID).
+	// round probes the whole queue, checks every plan against an
+	// execution on a fresh fork, then applies the cheapest event's plan
+	// (ties by ID) and retires it.
 	round := func() {
 		if len(order) == 0 {
 			return
 		}
-		// Oracle: a fork of the live network, a copy the planner under
-		// test has never touched.
-		oracle := forkOracle(s)
+		var winner *Plan
 		id, cost := order[0], topology.Bandwidth(0)
 		for i, oid := range order {
 			ev := live[oid]
 			before := captureLive(s.net)
-			got, err := p.Probe(ev)
+			got, err := p.ProbePlan(ev)
 			if err != nil {
 				t.Fatalf("seed %d: probe ev%d: %v", seed, oid, err)
 			}
-			before.requireEqual(t, captureLive(s.net), "Planner.Probe")
-			want, err := oracle.Probe(ev)
-			if err != nil {
-				t.Fatalf("seed %d: oracle probe ev%d: %v", seed, oid, err)
-			}
-			if *got != *want {
-				t.Fatalf("seed %d: ev%d live estimate %+v, oracle %+v", seed, oid, *got, *want)
-			}
+			before.requireEqual(t, captureLive(s.net), "Planner.ProbePlan")
+			_, res := forkExecute(t, s.net, nil, ev)
+			requirePlanIs(t, got, res, "seed "+itoa(seed)+" ev"+itoa(int64(oid)))
 			if i == 0 || got.Cost < cost || (got.Cost == cost && oid < id) {
-				id, cost = oid, got.Cost
+				id, cost, winner = oid, got.Cost, got
 			}
 		}
-		// Execute the winner against the live network and retire it.
-		if _, err := p.Execute(live[id]); err != nil {
-			t.Fatalf("seed %d: execute ev%d: %v", seed, id, err)
+		// Apply the winner's plan on the live network; it must leave it
+		// as executing the event leaves a fork.
+		fork, _ := forkExecute(t, s.net, nil, live[id])
+		if _, err := p.Apply(winner); err != nil {
+			t.Fatalf("seed %d: apply ev%d: %v", seed, id, err)
 		}
+		captureLive(fork).requireEqual(t, captureLive(s.net), "Planner.Apply against a forked Execute")
 		delete(live, id)
 		for i, oid := range order {
 			if oid == id {
@@ -198,5 +255,94 @@ func runProbeOracle(t *testing.T, seed int64, ops int) {
 	// Drain: every remaining event must still match the oracle.
 	for len(order) > 0 {
 		round()
+	}
+}
+
+// itoa formats n for failure messages.
+func itoa(n int64) string { return strconv.FormatInt(n, 10) }
+
+// TestPlanApplyMatchesExecuteOnFatTree holds ProbePlan and Apply to
+// Execute on a fork where migrations are common: a k = 4 fat-tree loaded
+// to about 75 %, events of 3-12 flows, two-splittable migration on, and
+// both desired-path policies. Every plan must predict the fork's
+// execution exactly, and applying one must leave the live network equal
+// to the fork.
+func TestPlanApplyMatchesExecuteOnFatTree(t *testing.T) {
+	for _, policy := range []migration.DesiredPolicy{migration.DesiredHash, migration.DesiredWidest} {
+		totalMoves, totalSplits := 0, 0
+		for seed := int64(1); seed <= 6; seed++ {
+			cfg := func(m *migration.Planner) {
+				m.SetAllowSplit(true)
+				m.SetDesiredPolicy(policy)
+			}
+			ft, err := topology.NewFatTree(4, topology.Gbps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			net := netstate.New(ft.Graph(), routing.NewFatTreeProvider(ft), routing.NewRandomFit(seed))
+			hosts := ft.Hosts()
+			rng := rand.New(rand.NewSource(seed))
+			spec := func(ev flow.EventID, lo, hi int) flow.Spec {
+				src := hosts[rng.Intn(len(hosts))]
+				dst := hosts[rng.Intn(len(hosts))]
+				for dst == src {
+					dst = hosts[rng.Intn(len(hosts))]
+				}
+				return flow.Spec{Src: src, Dst: dst, Demand: topology.Bandwidth(lo+rng.Intn(hi-lo)) * topology.Mbps, Size: 1 << 20, Event: ev}
+			}
+			for net.Utilization() < 0.75 {
+				f, err := net.AddFlow(spec(flow.NoEvent, 20, 200))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := net.PlaceBest(f); err != nil {
+					if err := net.Remove(f); err != nil {
+						t.Fatal(err)
+					}
+					break
+				}
+			}
+			mig := migration.NewPlanner(net, 0)
+			cfg(mig)
+			p := NewPlanner(mig, FailSkip)
+			moves, splits := 0, 0
+			for id := flow.EventID(1); id <= 12; id++ {
+				specs := make([]flow.Spec, 3+rng.Intn(10))
+				for i := range specs {
+					specs[i] = spec(id, 50, 400)
+				}
+				ev := NewEvent(id, "fat-tree", 0, specs)
+				before := captureLive(net)
+				pl, err := p.ProbePlan(ev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				before.requireEqual(t, captureLive(net), "Planner.ProbePlan")
+				fork, res := forkExecute(t, net, cfg, ev)
+				what := "policy " + itoa(int64(policy)) + " seed " + itoa(seed) + " ev" + itoa(int64(id))
+				requirePlanIs(t, pl, res, what)
+				if _, err := p.Apply(pl); err != nil {
+					t.Fatalf("%s: apply: %v", what, err)
+				}
+				captureLive(fork).requireEqual(t, captureLive(net), "Planner.Apply against a forked Execute")
+				for _, adm := range res.Admitted {
+					for _, mv := range adm.Moves {
+						moves++
+						if mv.Split() {
+							splits++
+						}
+					}
+				}
+			}
+			t.Logf("policy %v seed %d: %d moves, %d splits", policy, seed, moves, splits)
+			totalMoves += moves
+			totalSplits += splits
+		}
+		// The widest desired path is rarely congested (see
+		// migration.DesiredWidest); the hashed one must exercise both
+		// kinds of move.
+		if policy == migration.DesiredHash && (totalMoves == 0 || totalSplits == 0) {
+			t.Errorf("hashed desired paths: %d moves, %d splits; want both", totalMoves, totalSplits)
+		}
 	}
 }

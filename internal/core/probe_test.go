@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"netupdate/internal/flow"
-	"netupdate/internal/migration"
 	"netupdate/internal/topology"
 )
 
@@ -19,41 +18,37 @@ func probeScenarioEvents(s *coreScenario) []*Event {
 	}
 }
 
-// forkOracle returns a planner over a fork of the scenario's network: a
-// copy no probe under test has ever touched.
-func forkOracle(s *coreScenario) *Planner {
-	return NewPlanner(migration.NewPlanner(s.net.Fork(), 0), FailSkip)
-}
-
-// TestProbeEngineMatchesDirectProbe: a probe on the live network must
-// return exactly what the same probe returns on an untouched fork, leave
+// TestProbeMatchesExecuteOnFork: a probe on the live network must
+// predict exactly what executing the same event does on an untouched
+// fork — the Estimate, every flow's ID and path and every move — leave
 // no trace on the live network, and be counted once.
-func TestProbeEngineMatchesDirectProbe(t *testing.T) {
+func TestProbeMatchesExecuteOnFork(t *testing.T) {
 	s := newCoreScenario(t, 800*topology.Mbps)
 	p := s.planner(0)
 	evs := probeScenarioEvents(s)
 	before := captureLive(s.net)
-	oracle := forkOracle(s)
 
 	for i, ev := range evs {
 		got, err := p.Probe(ev)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := oracle.Probe(ev)
+		pl, err := p.ProbePlan(ev)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if *got != *want {
-			t.Errorf("ev%d: live probe %+v, fork probe %+v", i, *got, *want)
+		if *got != pl.Estimate {
+			t.Errorf("ev%d: Probe %+v, ProbePlan %+v", i, *got, pl.Estimate)
 		}
+		_, res := forkExecute(t, s.net, nil, ev)
+		requirePlanIs(t, pl, res, "ev"+itoa(int64(i)))
 		if i == 0 && got.Cost == 0 {
 			t.Fatal("scenario too tame: the 500Mbps probe must migrate the victim")
 		}
 	}
 	before.requireEqual(t, captureLive(s.net), "Planner.Probe")
-	if st := p.ProbeStats(); st.Probes != len(evs) || st.WallTime <= 0 {
-		t.Errorf("stats = %+v, want %d probes with wall time recorded", st, len(evs))
+	if st := p.ProbeStats(); st.Probes != 2*len(evs) || st.WallTime <= 0 {
+		t.Errorf("stats = %+v, want %d probes with wall time recorded", st, 2*len(evs))
 	}
 }
 
@@ -86,9 +81,10 @@ func TestProbeAfterCommitSeesCommit(t *testing.T) {
 	}
 }
 
-// TestProbeEngineStress drives many rounds of probes interleaved with
-// live commits; every probe must leave the live state as it found it.
-func TestProbeEngineStress(t *testing.T) {
+// TestProbesBetweenCommitsWriteNothing drives many rounds of probes
+// interleaved with live commits; every probe must leave the live state
+// as it found it.
+func TestProbesBetweenCommitsWriteNothing(t *testing.T) {
 	s := newCoreScenario(t, 800*topology.Mbps)
 	p := s.planner(0)
 	var evs []*Event

@@ -39,8 +39,8 @@ type Stats struct {
 	// EventsRetained is how many of the EventsDone the server still holds
 	// as records, for status and results (at most its done window).
 	EventsRetained int `json:"events_retained,omitempty" metric:"netupdate_events_retained"`
-	// Probes counts cost probes (Section IV-B probing cost): every trial
-	// plan a scheduler or the co-schedule check ran.
+	// Probes counts cost probes (Section IV-B probing cost): every event
+	// a scheduler or the co-schedule check planned without applying.
 	Probes int64 `json:"probes" metric:"netupdate_probe_trial_plans"`
 	// Deprecated: the probe cache is gone; the five fields below are kept
 	// for bench/ (phases.go reads them) until the benchmark PR that

@@ -127,7 +127,7 @@ func (r *Registry) Unbind(f *Flow) error {
 // whose ID is not below id.
 func search(list []*Flow, id ID) int {
 	lo, hi := 0, len(list)
-	// A trial plan binds and unbinds the newest flows, at the tail.
+	// Admissions bind the newest flows, at the tail.
 	if hi == 0 || list[hi-1].ID < id {
 		return hi
 	}
@@ -160,32 +160,19 @@ func (r *Registry) Remove(f *Flow) error {
 	return nil
 }
 
-// Mark is a registry position — the next flow ID and the registered and
-// placed flow counts — taken before a trial plan and handed back to
-// Rewind after it.
-type Mark struct {
-	next   ID
-	flows  int
-	placed int
-}
+// NextID returns the ID the next Add assigns. A plan made on a
+// netstate.View mints its flows' IDs from here, in the order Add would.
+func (r *Registry) NextID() ID { return r.next }
 
-// Mark returns the registry's current position.
-func (r *Registry) Mark() Mark {
-	return Mark{next: r.next, flows: len(r.flows), placed: r.placed}
-}
-
-// Rewind resets the ID counter to m, so the IDs a trial plan minted
-// after m and removed again are handed out afresh: a rolled-back trial
-// leaves no gap in the ID sequence. It panics if the registered or placed
-// flow count differs from m's — a trial flow still registered would
-// collide with the next Add, a placement left behind or lost would skew
-// NumPlaced — or if the counter is behind m.
-func (r *Registry) Rewind(m Mark) {
-	if len(r.flows) != m.flows || r.placed != m.placed || r.next < m.next {
-		panic(fmt.Sprintf("flow: rewind to %+v with %d flows registered, %d placed, next ID %d",
-			m, len(r.flows), r.placed, int64(r.next)))
+// SkipTo advances the ID counter to id, as the Adds and Removes of flows
+// a plan minted but never kept would have: applying the plan then leaves
+// the same ID sequence behind. It panics if the counter is already past
+// id, which would hand out an ID twice.
+func (r *Registry) SkipTo(id ID) {
+	if id < r.next {
+		panic(fmt.Sprintf("flow: skip to ID %d behind the counter %d", int64(id), int64(r.next)))
 	}
-	r.next = m.next
+	r.next = id
 }
 
 // Fork returns a scratch copy of the registry: every flow is cloned (so
@@ -251,21 +238,28 @@ func (r *Registry) on(link topology.LinkID) []*Flow {
 // the links, or a link listed twice, yields the flow once. The slice is
 // freshly allocated.
 func (r *Registry) FlowsAcross(links []topology.LinkID, exclude EventID) []*Flow {
-	// heads holds each link's unmerged tail; a congested set rarely
-	// exceeds a fat-tree path's six links, so it starts on the stack.
-	var stack [8][]*Flow
-	heads := stack[:0]
 	n := 0
 	for _, l := range links {
-		if list := r.on(l); len(list) > 0 {
-			heads = append(heads, list)
-			n += len(list)
-		}
+		n += len(r.on(l))
 	}
 	if n == 0 {
 		return nil
 	}
-	out := make([]*Flow, 0, n)
+	return r.AppendFlowsAcross(make([]*Flow, 0, n), links, exclude)
+}
+
+// AppendFlowsAcross appends FlowsAcross(links, exclude) to dst and
+// returns the extended slice.
+func (r *Registry) AppendFlowsAcross(dst []*Flow, links []topology.LinkID, exclude EventID) []*Flow {
+	// heads holds each link's unmerged tail; a congested set rarely
+	// exceeds a fat-tree path's six links, so it starts on the stack.
+	var stack [8][]*Flow
+	heads := stack[:0]
+	for _, l := range links {
+		if list := r.on(l); len(list) > 0 {
+			heads = append(heads, list)
+		}
+	}
 	for len(heads) > 0 {
 		next := heads[0][0].ID
 		for _, h := range heads[1:] {
@@ -285,10 +279,10 @@ func (r *Registry) FlowsAcross(links []topology.LinkID, exclude EventID) []*Flow
 		}
 		heads = live
 		if exclude == NoEvent || f.Event != exclude {
-			out = append(out, f)
+			dst = append(dst, f)
 		}
 	}
-	return out
+	return dst
 }
 
 // All returns every registered flow sorted by ID.

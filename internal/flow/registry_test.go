@@ -261,41 +261,35 @@ func TestRegistryIndexConsistency(t *testing.T) {
 	}
 }
 
-// TestRewindReusesTrialIDs: flows added after a Mark and removed again
-// leave no gap once the registry is rewound; rewinding over a flow that
-// is still registered panics.
-func TestRewindReusesTrialIDs(t *testing.T) {
+// TestSkipToSpendsIDs: SkipTo hands the next Add the ID it names, as
+// the Adds and Removes of the flows in between would have, and refuses
+// to move the counter back.
+func TestSkipToSpendsIDs(t *testing.T) {
 	_, _, _, hosts := testNet(t)
 	r := NewRegistry()
 	kept := addFlow(t, r, hosts[0], hosts[2])
-	m := r.Mark()
-
-	trial := addFlow(t, r, hosts[0], hosts[2])
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("Rewind over a registered trial flow did not panic")
-			}
-		}()
-		r.Rewind(m)
+	if r.NextID() != kept.ID+1 {
+		t.Fatalf("NextID = %d after flow %d", r.NextID(), kept.ID)
+	}
+	r.SkipTo(kept.ID + 3)
+	if next := addFlow(t, r, hosts[0], hosts[2]); next.ID != kept.ID+3 {
+		t.Errorf("flow after SkipTo got ID %d, want %d", next.ID, kept.ID+3)
+	}
+	r.SkipTo(r.NextID())
+	defer func() {
+		if recover() == nil {
+			t.Error("SkipTo behind the counter did not panic")
+		}
 	}()
-	if err := r.Remove(trial); err != nil {
-		t.Fatal(err)
-	}
-	r.Rewind(m)
-	if r.Mark() != m {
-		t.Errorf("position after rewind = %+v, want %+v", r.Mark(), m)
-	}
-	if next := addFlow(t, r, hosts[0], hosts[2]); next.ID != kept.ID+1 {
-		t.Errorf("flow after rewind got ID %d, want %d", next.ID, kept.ID+1)
-	}
+	r.SkipTo(kept.ID)
 }
 
 // TestNumPlacedMatchesPlaced: across a seeded mix of placements,
-// migrations (unbind + bind on another path), removals and trial brackets
-// (Mark, place new flows and move an existing one, undo, Rewind) the
-// running placed count equals len(Placed()) after every step, a bracket
-// leaves it where it found it, and a fork carries it over.
+// migrations (unbind + bind on another path), removals and undone
+// admissions (place a new flow and move an existing one, then undo both)
+// the running placed count equals len(Placed()) after every step, an
+// undone admission leaves it where it found it, and a fork carries it
+// over.
 func TestNumPlacedMatchesPlaced(t *testing.T) {
 	_, full, prefix, hosts := testNet(t)
 	for seed := int64(1); seed <= 5; seed++ {
@@ -351,8 +345,8 @@ func TestNumPlacedMatchesPlaced(t *testing.T) {
 				}
 				flows = append(flows[:i], flows[i+1:]...)
 				check(step, "remove")
-			default: // trial and rollback
-				before, m := r.NumPlaced(), r.Mark()
+			default: // admission and rollback
+				before := r.NumPlaced()
 				trial := addFlow(t, r, hosts[0], hosts[2])
 				if err := r.Bind(trial, path()); err != nil {
 					t.Fatal(err)
@@ -367,7 +361,7 @@ func TestNumPlacedMatchesPlaced(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				check(step, "inside trial")
+				check(step, "inside admission")
 				if moved {
 					if err := r.Unbind(victim); err != nil {
 						t.Fatal(err)
@@ -379,10 +373,9 @@ func TestNumPlacedMatchesPlaced(t *testing.T) {
 				if err := r.Remove(trial); err != nil {
 					t.Fatal(err)
 				}
-				r.Rewind(m)
-				check(step, "after trial")
+				check(step, "after rollback")
 				if r.NumPlaced() != before {
-					t.Fatalf("seed %d step %d: trial bracket moved NumPlaced %d -> %d", seed, step, before, r.NumPlaced())
+					t.Fatalf("seed %d step %d: an undone admission moved NumPlaced %d -> %d", seed, step, before, r.NumPlaced())
 				}
 			}
 		}
@@ -390,20 +383,6 @@ func TestNumPlacedMatchesPlaced(t *testing.T) {
 			t.Errorf("seed %d: fork counts %d placed, lists %d, parent %d", seed, fork.NumPlaced(), len(fork.Placed()), r.NumPlaced())
 		}
 	}
-
-	// A trial that leaves a placement behind is caught at Rewind.
-	r := NewRegistry()
-	f := addFlow(t, r, hosts[0], hosts[2])
-	m := r.Mark()
-	if err := r.Bind(f, full); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Rewind over a placement the trial left behind did not panic")
-		}
-	}()
-	r.Rewind(m)
 }
 
 // TestBindUnbindSplitPathAllocFree: binding a fat-tree (split-form) path

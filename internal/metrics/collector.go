@@ -73,8 +73,8 @@ type Collector struct {
 	PlanTime time.Duration
 	// Makespan is the virtual time at which the run finished.
 	Makespan time.Duration
-	// Probes counts cost probes: every trial plan a scheduler or the
-	// co-schedule check ran (core.Planner.Probe).
+	// Probes counts cost probes: every event a scheduler or the
+	// co-schedule check planned without applying (core.Planner.Probe).
 	Probes int
 	// ProbeWallTime is real (not simulated) wall-clock time spent probing.
 	ProbeWallTime time.Duration

@@ -13,12 +13,12 @@ import (
 // scanDetourable is detourable as it was before pinned victims were ruled
 // out by their endpoints: a scan of every candidate path, one Eval each.
 // It is the oracle the shortcut must agree with, verdict and Evals alike.
-func scanDetourable(p *Planner, victim *flow.Flow, congested []topology.LinkID, res *Result) bool {
+func scanDetourable(p *Planner, victim *flow.Flow, congested []topology.LinkID, evals *int) bool {
 	old := victim.Path()
 	candidates := p.net.Candidates(victim)
 scan:
 	for i := 0; i < candidates.Len(); i++ {
-		res.Evals++
+		*evals++
 		q := candidates.At(i)
 		if q.Equal(old) {
 			continue
@@ -142,12 +142,12 @@ func TestPinnedVictimsMatchFullScan(t *testing.T) {
 				}
 				pins := pinsOf(g, congested, nil, nil)
 				for _, victim := range net.FlowsAcross(congested, flow.NoEvent) {
-					var want, got Result
+					var want, got int
 					wantOK := scanDetourable(p, victim, congested, &want)
-					gotOK := p.detourable(victim, congested, pins, &got)
-					if gotOK != wantOK || got.Evals != want.Evals {
+					gotOK := p.detourable(p.View(), victim, congested, pins, &got)
+					if gotOK != wantOK || got != want {
 						t.Fatalf("%v across %v: detourable %v with %d evals, full scan %v with %d",
-							victim, congested, gotOK, got.Evals, wantOK, want.Evals)
+							victim, congested, gotOK, got, wantOK, want)
 					}
 					switch {
 					case pins.pin(victim):

@@ -106,6 +106,50 @@ type Result struct {
 	Evals int
 }
 
+// Admission is one flow's admission as planned on a netstate.View: the
+// path the flow takes and the migrations that make room for it, in the
+// order they apply. Plan fills it and Apply carries it out.
+type Admission struct {
+	// Path is where the flow goes (zero until planned).
+	Path routing.Path
+	// Steps holds the planned migrations. Plan appends to it, so one
+	// buffer can hold the steps of many admissions.
+	Steps []Step
+	// MigratedTraffic is the sum of the migrated flows' demands.
+	MigratedTraffic topology.Bandwidth
+	// Evals counts the planning work, as Result.Evals.
+	Evals int
+}
+
+// Step is one planned migration: a victim moved From -> To, or, when
+// split, withdrawn and replaced by two children on To and To2.
+type Step struct {
+	// victim is the migrated flow; minted marks one the plan itself
+	// minted (a split child of an earlier admission), which Apply finds
+	// by victimID once it is registered.
+	victim   *flow.Flow
+	victimID flow.ID
+	minted   bool
+	from, to routing.Path
+	// A split's second path, its children's demands and their IDs.
+	split   bool
+	to2     routing.Path
+	demands [2]topology.Bandwidth
+	ids     [2]flow.ID
+}
+
+// VictimID returns the migrated flow's ID.
+func (s *Step) VictimID() flow.ID { return s.victimID }
+
+// From returns the path the victim leaves.
+func (s *Step) From() routing.Path { return s.from }
+
+// To returns the victim's new path (a split's first child's).
+func (s *Step) To() routing.Path { return s.to }
+
+// Split reports whether the step splits the victim in two.
+func (s *Step) Split() bool { return s.split }
+
 // Planner admits flows into a Network, migrating existing flows when
 // needed. The zero value is not usable; construct with NewPlanner.
 type Planner struct {
@@ -113,6 +157,8 @@ type Planner struct {
 	strategy   Strategy
 	desired    DesiredPolicy
 	allowSplit bool
+	// view is the planning view Admit plans on (see View).
+	view *netstate.View
 }
 
 // NewPlanner returns a Planner over the given network. strategy 0 defaults
@@ -133,133 +179,133 @@ func (p *Planner) DesiredPolicy() DesiredPolicy { return p.desired }
 // Network returns the planner's network.
 func (p *Planner) Network() *netstate.Network { return p.net }
 
-// Admit places f into the network, applying migrations if its candidate
-// paths lack capacity. On success the returned Result reflects the applied
-// state; on failure the network is unchanged and the error wraps either
-// netstate.ErrNoFeasiblePath (no candidates at all) or ErrCannotAdmit.
-// Even on failure the Result is returned (with no moves) so callers can
-// account for the planning work in Result.Evals.
-func (p *Planner) Admit(f *flow.Flow) (*Result, error) {
-	res := &Result{Flow: f}
-
-	candidates := p.net.Candidates(f)
-	res.Evals += candidates.Len()
-	if candidates.Len() == 0 {
-		return res, fmt.Errorf("admit %v: no candidate paths: %w", f, netstate.ErrNoFeasiblePath)
+// View returns the planner's planning view of its network, reused by
+// every plan: Reset it before planning. One view serves one plan at a
+// time.
+func (p *Planner) View() *netstate.View {
+	if p.view == nil {
+		p.view = netstate.NewView(p.net)
 	}
-	desired := p.desiredPath(f, candidates)
+	return p.view
+}
+
+// Plan plans f's admission on the view and claims it there: f is placed
+// on a.Path and the victims of a.Steps are moved, on the view only. f
+// must be unplaced on the view. On failure the view is as it was, the
+// steps Plan appended are dropped, and the error wraps either
+// netstate.ErrNoFeasiblePath (no candidates at all) or ErrCannotAdmit;
+// a.Evals counts the planning work either way.
+func (p *Planner) Plan(v *netstate.View, f *flow.Flow, a *Admission) error {
+	candidates := v.Candidates(f)
+	a.Evals += candidates.Len()
+	if candidates.Len() == 0 {
+		return fmt.Errorf("admit %v: no candidate paths: %w", f, netstate.ErrNoFeasiblePath)
+	}
+	desired := p.desiredPath(v, f, candidates)
 
 	// Fast path: the desired path already has room.
-	if desired.Fits(p.net.Graph(), f.Demand) {
-		if err := p.net.Place(f, desired); err != nil {
-			return res, fmt.Errorf("admit %v: %w", f, err)
+	if v.Fits(desired, f.Demand) {
+		if err := v.Claim(f, desired); err != nil {
+			return fmt.Errorf("admit %v: %w", f, err)
 		}
-		res.Path = desired
-		return res, nil
+		a.Path = desired
+		return nil
 	}
 
 	// Slow path: free the desired path's congested links by migrating
 	// existing flows (Definition 1).
-	if err := p.freeCapacity(f, desired, res); err != nil {
-		p.rollback(res)
-		return res, err
+	lo, cost := len(a.Steps), a.MigratedTraffic
+	if err := p.freeCapacity(v, f, desired, a); err != nil {
+		p.unwind(v, a, lo, cost)
+		return err
 	}
-	if err := p.net.Place(f, desired); err != nil {
+	if err := v.Claim(f, desired); err != nil {
 		// freeCapacity guarantees every deficit is covered, so a failure
 		// here means the invariant broke; undo and report loudly.
-		p.rollback(res)
-		return res, fmt.Errorf("admit %v: placement after migration failed: %w", f, err)
+		p.unwind(v, a, lo, cost)
+		return fmt.Errorf("admit %v: placement after migration failed: %w", f, err)
 	}
-	res.Path = desired
-	return res, nil
-}
-
-// Rollback undoes an Admit: the flow is withdrawn and every migrated flow
-// returns to its original path (in reverse order, which is always
-// feasible because it exactly reverses the applied reservations).
-// It is used by trial planning (cost estimation) and by event-level
-// rollback when a later flow of the same event cannot be admitted.
-func (p *Planner) Rollback(res *Result) error {
-	if res.Flow.Placed() {
-		if err := p.net.Withdraw(res.Flow); err != nil {
-			return fmt.Errorf("rollback %v: %w", res.Flow, err)
-		}
-	}
-	p.rollback(res)
+	a.Path = desired
 	return nil
 }
 
-// rollback reverses the moves of res (the triggering flow must already be
-// unplaced). Failures indicate ledger corruption and panic.
-func (p *Planner) rollback(res *Result) {
-	for i := len(res.Moves) - 1; i >= 0; i-- {
-		m := res.Moves[i]
-		if m.split != nil {
-			p.undoSplit(m.split)
+// unwind reverses the steps Plan appended past lo on the view, in
+// reverse order, and drops them. Reversing what the view just accepted
+// always fits; a failure means the view is corrupt and panics.
+func (p *Planner) unwind(v *netstate.View, a *Admission, lo int, cost topology.Bandwidth) {
+	for i := len(a.Steps) - 1; i >= lo; i-- {
+		st := &a.Steps[i]
+		if st.split {
+			p.unwindSplit(v, st)
 			continue
 		}
-		if err := p.net.Reroute(m.Flow, m.From); err != nil {
-			panic(fmt.Sprintf("migration: rollback of %v failed: %v", m.Flow, err))
+		if err := v.Shift(st.victim, st.from); err != nil {
+			panic(fmt.Sprintf("migration: unwinding the move of %v: %v", st.victim, err))
 		}
 	}
-	res.Moves = nil
-	res.MigratedTraffic = 0
+	a.Steps = a.Steps[:lo]
+	a.MigratedTraffic = cost
 }
 
-// freeCapacity migrates existing flows until every congested link of the
-// desired path has at least f.Demand residual. Applied moves are appended
-// to res; on error the caller rolls back.
-func (p *Planner) freeCapacity(f *flow.Flow, desired routing.Path, res *Result) error {
-	g := p.net.Graph()
-	congested := desired.CongestedLinks(g, f.Demand)
+// freeCapacity migrates existing flows on the view until every congested
+// link of the desired path has at least f.Demand residual. Planned moves
+// are appended to a; on error the caller unwinds them.
+func (p *Planner) freeCapacity(v *netstate.View, f *flow.Flow, desired routing.Path, a *Admission) error {
+	// A fat-tree path has at most six links, so the congested set and
+	// the deficits fit the stack.
+	var cbuf [6]topology.LinkID
+	congested := v.AppendCongested(cbuf[:0], desired, f.Demand)
 	if len(congested) == 0 {
 		return nil
 	}
 	// deficit lists the congested links still short of f.Demand and how
-	// much must still be freed on each, in path order. A fat-tree path
-	// has at most six links, so the list fits the stack.
+	// much must still be freed on each, in path order.
 	var buf [6]shortfall
 	deficit := buf[:0]
 	for _, l := range congested {
-		deficit = append(deficit, shortfall{link: l, need: f.Demand - g.Link(l).Residual()})
+		deficit = append(deficit, shortfall{link: l, need: f.Demand - v.Residual(l)})
 	}
 
-	candidates := p.net.FlowsAcross(congested, f.Event)
-	res.Evals += len(candidates)
+	candidates := v.FlowsAcross(congested, f.Event)
+	a.Evals += len(candidates)
 	// Pre-filter to flows that are topologically detourable: a victim
 	// pinned to every congested link (e.g. the link is its own host access
 	// link, which every one of its paths crosses) can never free capacity,
 	// and skipping it here keeps uncoverable deficits cheap to detect —
 	// important because saturated access links are common at high
-	// utilization and are exactly the unfixable case. FlowsAcross returns
-	// a fresh slice, so the filter reuses it.
+	// utilization and are exactly the unfixable case. The view's
+	// FlowsAcross slice is scratch until the next call, so the filter
+	// reuses it.
 	var srcs, dsts [6]topology.NodeID
-	pins := pinsOf(g, congested, srcs[:0], dsts[:0])
+	pins := pinsOf(v.Graph(), congested, srcs[:0], dsts[:0])
 	usable := candidates[:0]
 	for _, cand := range candidates {
-		if p.detourable(cand, congested, pins, res) {
+		if p.detourable(v, cand, congested, pins, &a.Evals) {
 			usable = append(usable, cand)
 		}
 	}
 
 	for len(deficit) > 0 {
-		best := p.pickCandidate(usable, deficit, res)
+		best := p.pickCandidate(v, usable, deficit, &a.Evals)
 		if best == -1 {
 			return newUncoveredError(f, deficit)
 		}
 		victim := usable[best]
-		usable = append(usable[:best:best], usable[best+1:]...)
+		usable = append(usable[:best], usable[best+1:]...)
 
-		oldPath := victim.Path()
-		if newPath, ok := p.detourFor(victim, f, desired, congested, res); ok {
-			if err := p.net.Reroute(victim, newPath); err != nil {
-				// detourFor verified feasibility against live state, so
-				// this only races with our own bookkeeping — unusable.
+		oldPath := v.PathOf(victim)
+		if newPath, ok := p.detourFor(v, victim, f, desired, congested, &a.Evals); ok {
+			if err := v.Shift(victim, newPath); err != nil {
+				// detourFor verified the bandwidth; only a data plane
+				// short of rule slots refuses the move. Unusable.
 				continue
 			}
-			res.Moves = append(res.Moves, Move{Flow: victim, From: oldPath, To: newPath})
-			res.MigratedTraffic += victim.Demand
-		} else if !p.trySplit(victim, f, desired, congested, res) {
+			a.Steps = append(a.Steps, Step{
+				victim: victim, victimID: victim.ID, minted: v.Minted(victim),
+				from: oldPath, to: newPath,
+			})
+			a.MigratedTraffic += victim.Demand
+		} else if !p.trySplit(v, victim, f, desired, congested, a) {
 			continue // unmigratable; the greedy loop tries the next flow
 		}
 		short := deficit[:0]
@@ -285,12 +331,12 @@ type shortfall struct {
 
 // pickCandidate returns the index of the next flow to migrate according to
 // the strategy, or -1 when no remaining candidate covers any deficit.
-func (p *Planner) pickCandidate(usable []*flow.Flow, deficit []shortfall, res *Result) int {
+func (p *Planner) pickCandidate(v *netstate.View, usable []*flow.Flow, deficit []shortfall, evals *int) int {
 	best := -1
 	var bestScore float64
 	for i, cand := range usable {
-		res.Evals++
-		cover := coverage(cand, deficit)
+		*evals++
+		cover := coverage(v.PathOf(cand), cand.Demand, deficit)
 		if cover == 0 {
 			continue
 		}
@@ -310,23 +356,23 @@ func (p *Planner) pickCandidate(usable []*flow.Flow, deficit []shortfall, res *R
 	return best
 }
 
-// coverage is how much of the outstanding deficits migrating cand away
-// would satisfy: min(demand, deficit) summed over the congested links the
-// flow currently crosses.
-func coverage(cand *flow.Flow, deficit []shortfall) topology.Bandwidth {
+// coverage is how much of the outstanding deficits migrating a flow of
+// the given demand off path would satisfy: min(demand, deficit) summed
+// over the congested links the path crosses.
+func coverage(path routing.Path, demand topology.Bandwidth, deficit []shortfall) topology.Bandwidth {
 	var total topology.Bandwidth
 	for _, d := range deficit {
-		if cand.Path().Contains(d.link) {
-			total += min(cand.Demand, d.need)
+		if path.Contains(d.link) {
+			total += min(demand, d.need)
 		}
 	}
 	return total
 }
 
 // desiredPath applies the desired-path policy to a non-empty candidate set.
-func (p *Planner) desiredPath(f *flow.Flow, candidates routing.PathSet) routing.Path {
+func (p *Planner) desiredPath(v *netstate.View, f *flow.Flow, candidates routing.PathSet) routing.Path {
 	if p.desired == DesiredWidest {
-		path, _, _ := routing.Widest(p.net.Graph(), candidates)
+		path, _ := v.Widest(candidates)
 		return path
 	}
 	return candidates.At(int(specHash(f) % uint64(candidates.Len())))
@@ -385,20 +431,20 @@ func (ps pins) pin(f *flow.Flow) bool {
 }
 
 // detourable reports whether the victim has any candidate path that avoids
-// every congested link — a pure topology check, ignoring bandwidth. A
+// every congested link on the view — a pure topology check, ignoring bandwidth. A
 // victim its endpoints pin is ruled out without a scan, but is charged
 // the one Eval per candidate path the scan would have spent, so plan
 // time does not depend on how the answer was found.
-func (p *Planner) detourable(victim *flow.Flow, congested []topology.LinkID, pins pins, res *Result) bool {
-	candidates := p.net.Candidates(victim)
+func (p *Planner) detourable(v *netstate.View, victim *flow.Flow, congested []topology.LinkID, pins pins, evals *int) bool {
+	candidates := v.Candidates(victim)
 	if pins.pin(victim) {
-		res.Evals += candidates.Len()
+		*evals += candidates.Len()
 		return false
 	}
-	old := victim.Path()
+	old := v.PathOf(victim)
 scan:
 	for i, n := 0, candidates.Len(); i < n; i++ {
-		res.Evals++
+		*evals++
 		q := candidates.At(i)
 		if q.Equal(old) {
 			continue
@@ -418,16 +464,15 @@ scan:
 // and (c) leaves room for the triggering flow on any shared link of the
 // desired path — so migrations can never re-congest the path they are
 // clearing (constraint (5) of the paper, strengthened to avoid oscillation).
-func (p *Planner) detourFor(victim, trigger *flow.Flow, desired routing.Path, congested []topology.LinkID, res *Result) (routing.Path, bool) {
-	g := p.net.Graph()
-	old := victim.Path()
-	candidates := p.net.Candidates(victim)
+func (p *Planner) detourFor(v *netstate.View, victim, trigger *flow.Flow, desired routing.Path, congested []topology.LinkID, evals *int) (routing.Path, bool) {
+	old := v.PathOf(victim)
+	candidates := v.Candidates(victim)
 
 	best := -1
 	var bestResidual topology.Bandwidth
 scan:
 	for i, n := 0, candidates.Len(); i < n; i++ {
-		res.Evals++
+		*evals++
 		q := candidates.At(i)
 		if q.Equal(old) {
 			continue
@@ -440,7 +485,7 @@ scan:
 		bottleneck := topology.Bandwidth(1<<62 - 1)
 		for j, m := 0, q.Len(); j < m; j++ {
 			l := q.Link(j)
-			r := g.Link(l).Residual()
+			r := v.Residual(l)
 			if old.Contains(l) {
 				r += victim.Demand // own reservation will be released
 			}

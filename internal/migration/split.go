@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"netupdate/internal/flow"
+	"netupdate/internal/netstate"
 	"netupdate/internal/routing"
 	"netupdate/internal/topology"
 )
@@ -23,23 +24,23 @@ import (
 // single detour fits a victim.
 func (p *Planner) SetAllowSplit(allow bool) { p.allowSplit = allow }
 
-// splitMove records a split for rollback: the original flow's placement
-// and the two children standing in for it.
+// splitMove records an applied split for rollback: the original flow's
+// placement and the two children standing in for it.
 type splitMove struct {
 	original *flow.Flow
 	oldPath  routing.Path
 	children [2]*flow.Flow
 }
 
-// trySplit migrates victim off the congested links by splitting it over
-// two acceptable detours. On success the children are placed, the victim
-// withdrawn, and a Move (with split bookkeeping) appended to res.
-func (p *Planner) trySplit(victim, trigger *flow.Flow, desired routing.Path, congested []topology.LinkID, res *Result) bool {
+// trySplit migrates victim off the congested links on the view by
+// splitting it over two acceptable detours. On success the victim is
+// withdrawn and two children minted and placed on the view, and a split
+// Step appended to a.
+func (p *Planner) trySplit(v *netstate.View, victim, trigger *flow.Flow, desired routing.Path, congested []topology.LinkID, a *Admission) bool {
 	if !p.allowSplit || victim.Event != flow.NoEvent {
 		return false
 	}
-	g := p.net.Graph()
-	old := victim.Path()
+	old := v.PathOf(victim)
 
 	// Gather acceptable detours with their usable headroom, mirroring
 	// detourFor's constraints (avoid congested links; keep room for the
@@ -51,11 +52,13 @@ func (p *Planner) trySplit(victim, trigger *flow.Flow, desired routing.Path, con
 		path routing.Path
 		room topology.Bandwidth
 	}
-	var options []option
-	candidates := p.net.Candidates(victim)
+	// A fat-tree pair has at most k²/4 candidates: 16 at k = 8.
+	var buf [16]option
+	options := buf[:0]
+	candidates := v.Candidates(victim)
 scan:
 	for i, n := 0, candidates.Len(); i < n; i++ {
-		res.Evals++
+		a.Evals++
 		q := candidates.At(i)
 		if q.Equal(old) {
 			continue
@@ -68,7 +71,7 @@ scan:
 		room := topology.Bandwidth(1<<62 - 1)
 		for j, m := 0, q.Len(); j < m; j++ {
 			l := q.Link(j)
-			r := g.Link(l).Residual()
+			r := v.Residual(l)
 			if old.Contains(l) {
 				r += victim.Demand // freed once the victim is withdrawn
 			}
@@ -104,11 +107,11 @@ scan:
 
 	// Withdraw the victim first so its bandwidth is free for the children;
 	// on any failure, restore it (its old reservations are still free).
-	if err := p.net.Withdraw(victim); err != nil {
+	if err := v.Vacate(victim); err != nil {
 		return false
 	}
 	restore := func() {
-		if err := p.net.Place(victim, old); err != nil {
+		if err := v.Claim(victim, old); err != nil {
 			panic(fmt.Sprintf("migration: restoring split victim: %v", err))
 		}
 	}
@@ -124,62 +127,61 @@ scan:
 		return false
 	}
 
-	child1, err := p.placeChild(victim, d1, options[best].path)
+	child1, err := placeChild(v, victim, d1, options[best].path)
 	if err != nil {
 		restore()
 		return false
 	}
-	child2, err := p.placeChild(victim, d2, options[second].path)
+	child2, err := placeChild(v, victim, d2, options[second].path)
 	if err != nil {
-		if rmErr := p.net.Remove(child1); rmErr != nil {
-			panic(fmt.Sprintf("migration: unwinding split child: %v", rmErr))
+		if err := v.Vacate(child1); err != nil {
+			panic(fmt.Sprintf("migration: unwinding split child: %v", err))
 		}
 		restore()
 		return false
 	}
-	res.Moves = append(res.Moves, Move{
-		Flow: victim,
-		From: old,
-		To:   options[best].path,
-		split: &splitMove{
-			original: victim,
-			oldPath:  old,
-			children: [2]*flow.Flow{child1, child2},
-		},
+	a.Steps = append(a.Steps, Step{
+		victim: victim, victimID: victim.ID, minted: v.Minted(victim),
+		from: old, to: options[best].path,
+		split: true, to2: options[second].path,
+		demands: [2]topology.Bandwidth{d1, d2},
+		ids:     [2]flow.ID{child1.ID, child2.ID},
 	})
-	res.MigratedTraffic += victim.Demand
+	a.MigratedTraffic += victim.Demand
 	return true
 }
 
-// placeChild registers and places one fragment of a split victim.
-func (p *Planner) placeChild(victim *flow.Flow, demand topology.Bandwidth, path routing.Path) (*flow.Flow, error) {
-	child, err := p.net.AddFlow(flow.Spec{
+// childSpec is the spec of a split child of victim carrying demand.
+func childSpec(victim *flow.Flow, demand topology.Bandwidth) flow.Spec {
+	return flow.Spec{
 		Src:    victim.Src,
 		Dst:    victim.Dst,
 		Demand: demand,
 		Size:   victim.Size / 2,
 		Event:  victim.Event,
-	})
-	if err != nil {
-		return nil, err
 	}
-	if err := p.net.Place(child, path); err != nil {
-		if rmErr := p.net.Remove(child); rmErr != nil {
-			panic(fmt.Sprintf("migration: removing failed child: %v", rmErr))
-		}
+}
+
+// placeChild mints one fragment of a split victim on the view and places
+// it. A child that does not fit stays minted, unplaced: its ID is spent,
+// as a registered-then-removed flow's would be.
+func placeChild(v *netstate.View, victim *flow.Flow, demand topology.Bandwidth, path routing.Path) (*flow.Flow, error) {
+	child := v.Mint(childSpec(victim, demand))
+	if err := v.Claim(child, path); err != nil {
 		return nil, err
 	}
 	return child, nil
 }
 
-// undoSplit reverses a split move: children removed, victim re-placed.
-func (p *Planner) undoSplit(sm *splitMove) {
-	for _, child := range sm.children {
-		if err := p.net.Remove(child); err != nil {
-			panic(fmt.Sprintf("migration: removing split child: %v", err))
+// unwindSplit reverses a planned split on the view: children withdrawn,
+// victim re-placed.
+func (p *Planner) unwindSplit(v *netstate.View, st *Step) {
+	for _, id := range st.ids {
+		if err := v.Vacate(v.MintedFlow(id)); err != nil {
+			panic(fmt.Sprintf("migration: unwinding split child: %v", err))
 		}
 	}
-	if err := p.net.Place(sm.original, sm.oldPath); err != nil {
+	if err := v.Claim(st.victim, st.from); err != nil {
 		panic(fmt.Sprintf("migration: restoring split victim: %v", err))
 	}
 }

@@ -180,3 +180,95 @@ func TestSplitRefusesEventFlows(t *testing.T) {
 		t.Error("victim disturbed by refused split")
 	}
 }
+
+// TestFailedSplitSpendsIDs: a split attempt whose second child does not
+// fit spends the IDs of both children, as registering and removing them
+// would, and the split that succeeds next gets the IDs after them.
+//
+//	a -> u -> v -> b                       (the trigger's only path)
+//	c -> u -> v -> d, 400 Mbps             (first victim)
+//	c -> s -> w1 -> d, c -> s -> w2 -> d   (detours sharing c->s, 300 Mbps)
+//	e -> u -> v -> g, 500 Mbps             (second victim)
+//	e -> y1 -> g, e -> y2 -> g             (disjoint 400 Mbps detours)
+//
+// The 500 Mbps trigger needs 400 Mbps freed on u->v. The first victim is
+// the densest; its halves (300 + 100 Mbps) both need c->s, so the second
+// child fails. The second victim splits 400 + 100 Mbps.
+func TestFailedSplitSpendsIDs(t *testing.T) {
+	g := topology.NewGraph()
+	node := func(kind topology.NodeKind, name string) topology.NodeID { return g.AddNode(kind, name) }
+	a, b := node(topology.KindHost, "a"), node(topology.KindHost, "b")
+	c, d := node(topology.KindHost, "c"), node(topology.KindHost, "d")
+	e, h := node(topology.KindHost, "e"), node(topology.KindHost, "g")
+	u, v := node(topology.KindEdgeSwitch, "u"), node(topology.KindEdgeSwitch, "v")
+	s := node(topology.KindEdgeSwitch, "s")
+	link := func(x, y topology.NodeID, c topology.Bandwidth) topology.LinkID {
+		id, err := g.AddLink(x, y, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	au, uv, vb := link(a, u, topology.Gbps), link(u, v, topology.Gbps), link(v, b, topology.Gbps)
+	cu, vd, eu, vg := link(c, u, topology.Gbps), link(v, d, topology.Gbps), link(e, u, topology.Gbps), link(v, h, topology.Gbps)
+	_, _ = au, vb
+	link(c, s, 300*topology.Mbps)
+	for _, name := range []string{"w1", "w2"} {
+		w := node(topology.KindEdgeSwitch, name)
+		link(s, w, topology.Gbps)
+		link(w, d, topology.Gbps)
+	}
+	for _, name := range []string{"y1", "y2"} {
+		y := node(topology.KindEdgeSwitch, name)
+		link(e, y, 400*topology.Mbps)
+		link(y, h, 400*topology.Mbps)
+	}
+	net := netstate.New(g, routing.NewBFSProvider(g, 0), routing.WidestFit{})
+	place := func(src, dst topology.NodeID, demand topology.Bandwidth, links ...topology.LinkID) *flow.Flow {
+		f, err := net.AddFlow(flow.Spec{Src: src, Dst: dst, Demand: demand, Size: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		path, err := routing.NewPath(g, links)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := net.Place(f, path); err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	first := place(c, d, 400*topology.Mbps, cu, uv, vd)
+	second := place(e, h, 500*topology.Mbps, eu, uv, vg)
+
+	p := NewPlanner(net, 0)
+	p.SetAllowSplit(true)
+	f, err := net.AddFlow(flow.Spec{Src: a, Dst: b, Demand: 500 * topology.Mbps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.Admit(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Moves) != 1 || res.Moves[0].Flow != second || !res.Moves[0].Split() {
+		t.Fatalf("moves = %+v, want one split of the second victim", res.Moves)
+	}
+	if !first.Placed() || !first.Path().Contains(uv) {
+		t.Error("the first victim did not stay on its path")
+	}
+	// IDs: victims 0 and 1, the trigger 2, the failed split's children 3
+	// and 4 (spent), the split's children 5 and 6.
+	var children []flow.ID
+	for _, fl := range net.Registry().Placed() {
+		if fl.Src == e && fl != second {
+			children = append(children, fl.ID)
+		}
+	}
+	if len(children) != 2 || children[0] != f.ID+3 || children[1] != f.ID+4 {
+		t.Errorf("split children got IDs %v, want [%d %d]", children, f.ID+3, f.ID+4)
+	}
+	if next := net.Registry().NextID(); next != f.ID+5 {
+		t.Errorf("next ID %d, want %d", next, f.ID+5)
+	}
+}

@@ -34,8 +34,6 @@ type Network struct {
 	// dataplane, when attached, mirrors every placement into per-switch
 	// rule tables via per-packet-consistent plans.
 	dataplane *rules.Manager
-	// trial is the registry position at BeginTrial.
-	trial flow.Mark
 }
 
 // ErrDataPlaneNotEmpty is returned by AttachDataPlane when flows are
@@ -65,10 +63,10 @@ func (n *Network) Graph() *topology.Graph { return n.graph }
 // Mutations on the fork never touch the live network. The data plane is
 // not carried over.
 //
-// Fork is on no product path (cost probes run on the live network inside
-// BeginTrial/EndTrial). Its signature is fixed by its two callers: the
-// probe property tests use a fork as their reference oracle and
-// bench/ times it as netstate.fork_ms.
+// Fork is on no product path (cost probes plan on a View and write
+// nothing). Its signature is fixed by its two callers: the probe
+// property tests use a fork as their reference oracle and bench/ times
+// it as netstate.fork_ms.
 func (n *Network) Fork() *Network {
 	return &Network{
 		graph:    n.graph.Fork(),
@@ -76,25 +74,6 @@ func (n *Network) Fork() *Network {
 		selector: n.selector,
 		reg:      n.reg.Fork(),
 	}
-}
-
-// BeginTrial opens the bracket around a plan that will be rolled back in
-// full (core.Planner's cost probes): the graph starts summing the
-// trial's reservations (topology.Graph.BeginTrial) and the registry's
-// position is marked. Place, Reroute, Withdraw, AddFlow and Remove work
-// as usual in between.
-func (n *Network) BeginTrial() {
-	n.graph.BeginTrial()
-	n.trial = n.reg.Mark()
-}
-
-// EndTrial closes the bracket after the rollback: the flow-ID counter is
-// rewound to where the trial began, so the trial leaves no trace in the
-// ID sequence. It panics if bandwidth or flows of the trial are still in
-// place.
-func (n *Network) EndTrial() {
-	n.graph.EndTrial()
-	n.reg.Rewind(n.trial)
 }
 
 // Provider returns the routing provider.

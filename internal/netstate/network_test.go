@@ -323,41 +323,6 @@ func TestRemoveUnknownFlow(t *testing.T) {
 	}
 }
 
-// TestTrialBracketRestoresEverything: a placement made and removed inside
-// BeginTrial/EndTrial leaves the ledger and the flow-ID sequence as they
-// were.
-func TestTrialBracketRestoresEverything(t *testing.T) {
-	n, ft := newTestNetwork(t)
-	kept := mustAdd(t, n, ft.Host(0, 0, 0), ft.Host(1, 0, 0), 100*topology.Mbps)
-	if _, err := n.PlaceBest(kept); err != nil {
-		t.Fatal(err)
-	}
-	g := n.Graph()
-	pos, util := n.Registry().Mark(), g.Utilization()
-
-	n.BeginTrial()
-	trial := mustAdd(t, n, ft.Host(0, 0, 0), ft.Host(1, 0, 0), 200*topology.Mbps)
-	path, err := n.PlaceBest(trial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Link(path.Links()[0]).Reserved() < 200*topology.Mbps {
-		t.Error("trial placement reserved nothing")
-	}
-	if err := n.Remove(trial); err != nil {
-		t.Fatal(err)
-	}
-	n.EndTrial()
-
-	if n.Registry().Mark() != pos || g.Utilization() != util {
-		t.Errorf("after trial: registry %+v (want %+v), utilization %v (want %v)",
-			n.Registry().Mark(), pos, g.Utilization(), util)
-	}
-	if next := mustAdd(t, n, ft.Host(0, 0, 0), ft.Host(1, 0, 0), topology.Mbps); next.ID != kept.ID+1 {
-		t.Errorf("flow after trial got ID %d, want %d", next.ID, kept.ID+1)
-	}
-}
-
 // TestPlaceWithdrawSplitPathAllocFree: placing a flow on a fat-tree
 // (split-form) path and withdrawing it reserve, bind, unbind and release
 // without allocating.

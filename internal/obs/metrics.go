@@ -535,8 +535,9 @@ type SimMetrics struct {
 	FlowsAdmitted *Counter `metric:"netupdate_flows_admitted_total,restore" help:"Event flows admitted."`
 	FlowsFailed   *Counter `metric:"netupdate_flows_failed_total,restore" help:"Event flow specs that could not be admitted."`
 
-	// Probes is the run total of cost probes (trial plans).
-	Probes *Gauge `metric:"netupdate_probe_trial_plans" help:"Cost probes trial-planned on the live network (run total)."`
+	// Probes is the run total of cost probes (plans made without being
+	// applied). The metric keeps its historical name.
+	Probes *Gauge `metric:"netupdate_probe_trial_plans" help:"Cost probes planned on a read-only view of the network (run total)."`
 	// Cost is the realized Cost(U) of every completed event, bits/s, and
 	// PlanTime the simulated planning time spent so far, ns: the
 	// collector's totals, counted where the collector counts them.

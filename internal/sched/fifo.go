@@ -46,7 +46,7 @@ func (Reorder) Pick(q *Queue, planner *core.Planner) (Decision, error) {
 	best := -1
 	var bestCost float64
 	for i := 0; i < q.Len(); i++ {
-		est, err := planner.Probe(q.At(i))
+		est, err := planner.ProbePlan(q.At(i))
 		if err != nil {
 			return Decision{}, err
 		}
@@ -58,7 +58,7 @@ func (Reorder) Pick(q *Queue, planner *core.Planner) (Decision, error) {
 			Evals:      est.Evals,
 		})
 		if best == -1 || float64(est.Cost) < bestCost {
-			best, bestCost = i, float64(est.Cost)
+			best, bestCost, d.Plan = i, float64(est.Cost), est
 		}
 	}
 	d.Head = q.At(best)

@@ -21,8 +21,9 @@ const DefaultAlpha = 4
 // overtake a heavy head (no head-of-line blocking) while un-sampled events
 // keep their FIFO positions (bounded unfairness).
 //
-// Each probe is a trial plan on the live network, rolled back
-// (core.Planner.Probe); sampling, not caching, is what keeps it cheap.
+// Each probe plans the event on a read-only view of the network
+// (core.Planner.ProbePlan), and the winner's plan is the one the
+// executor applies; sampling, not caching, is what keeps probing cheap.
 type LMTF struct {
 	// Alpha is the sample size (>= 1).
 	Alpha int
@@ -68,16 +69,17 @@ func (s *LMTF) Pick(q *Queue, planner *core.Planner) (Decision, error) {
 	if err != nil {
 		return Decision{}, err
 	}
-	d.Head = cands[0].ev
+	d.Head, d.Plan = cands[0].ev, cands[0].plan
 	return d, nil
 }
 
-// candidate pairs an event with its probed cost and queue index.
+// candidate pairs an event with its probed plan and queue index.
 type candidate struct {
 	ev         *core.Event
 	index      int
 	cost       topology.Bandwidth
 	admittable int
+	plan       *core.Plan
 }
 
 // selectCandidates probes the head plus α sampled events and returns them
@@ -95,11 +97,11 @@ func (s *LMTF) selectCandidates(q *Queue, planner *core.Planner) ([]candidate, D
 	}
 	for _, i := range indices {
 		ev := q.At(i)
-		est, err := s.probe(planner, ev, &d)
+		pl, err := s.probe(planner, ev, &d)
 		if err != nil {
 			return nil, Decision{}, err
 		}
-		cands = append(cands, candidate{ev: ev, index: i, cost: est.Cost, admittable: est.Admittable})
+		cands = append(cands, candidate{ev: ev, index: i, cost: pl.Cost, admittable: pl.Admittable, plan: pl})
 	}
 	// Move the winner to the front; keep everyone else in arrival order.
 	best := 0
@@ -116,10 +118,10 @@ func (s *LMTF) selectCandidates(q *Queue, planner *core.Planner) ([]candidate, D
 	return cands, d, nil
 }
 
-// probe prices one event for decision d: it charges the probe's planning
+// probe plans one event for decision d: it charges the probe's planning
 // work to d.Evals and, when recording, reports it in d.Probes.
-func (s *LMTF) probe(planner *core.Planner, ev *core.Event, d *Decision) (*core.Estimate, error) {
-	est, err := planner.Probe(ev)
+func (s *LMTF) probe(planner *core.Planner, ev *core.Event, d *Decision) (*core.Plan, error) {
+	est, err := planner.ProbePlan(ev)
 	if err != nil {
 		return nil, fmt.Errorf("probe %v: %w", ev, err)
 	}

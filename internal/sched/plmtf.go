@@ -62,7 +62,7 @@ func (s *PLMTF) Pick(q *Queue, planner *core.Planner) (Decision, error) {
 	if err != nil {
 		return Decision{}, err
 	}
-	d.Head = cands[0].ev
+	d.Head, d.Plan = cands[0].ev, cands[0].plan
 	if s.scanAll {
 		// Offer the whole queue in arrival order. Events outside the
 		// sampled set were not probed for the decision; probe them now so

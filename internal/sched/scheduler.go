@@ -14,6 +14,10 @@ var ErrEmptyQueue = errors.New("sched: empty update queue")
 type Decision struct {
 	// Head is the event that must execute now.
 	Head *core.Event
+	// Plan is Head's plan when the decision probed it (nil otherwise):
+	// the executor applies it rather than planning Head again. It is
+	// valid until the network changes.
+	Plan *core.Plan
 	// Opportunistic lists further events, in arrival order, that the
 	// executor should co-schedule with Head if doing so does not
 	// interfere with them (see Candidate). Only P-LMTF produces a
@@ -56,8 +60,8 @@ type Candidate struct {
 }
 
 // Scheduler picks the next event(s) to execute from the update queue.
-// Pick must not modify the queue or the network (cost probes roll
-// themselves back); the simulator removes chosen events and executes them.
+// Pick must not modify the queue or the network (cost probes write
+// nothing); the simulator removes chosen events and executes them.
 type Scheduler interface {
 	// Name identifies the policy in reports ("fifo", "lmtf", ...).
 	Name() string

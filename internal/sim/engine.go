@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 	"time"
@@ -262,7 +261,7 @@ func (e *Engine) advanceTo(t time.Duration) {
 // no-op the moment the fault layer withdrew them.
 func (e *Engine) processReleases(t time.Duration) {
 	for len(e.releases) > 0 && e.releases[0].at <= t {
-		rel := heap.Pop(&e.releases).(release)
+		rel := e.releases.pop()
 		if _, gone := e.dropped[rel.f.ID]; gone {
 			delete(e.dropped, rel.f.ID)
 			continue
@@ -322,7 +321,7 @@ func (e *Engine) runRound() error {
 		}
 	}
 
-	end, err := e.runLane(decision.Head, roundStart)
+	end, err := e.runLane(decision.Head, decision.Plan, roundStart)
 	if err != nil {
 		return err
 	}
@@ -334,8 +333,9 @@ func (e *Engine) runRound() error {
 	// candidate whose admission is not degraded by what this round has
 	// already committed — running together must not interfere (flows that
 	// fail either way, e.g. on saturated access links, do not block it).
+	// A committed candidate applies the plan of this post-head probe.
 	for _, cand := range decision.Opportunistic {
-		est, err := e.planner.Probe(cand.Event)
+		est, err := e.planner.ProbePlan(cand.Event)
 		if err != nil {
 			return fmt.Errorf("sim: opportunistic probe of %v: %w", cand.Event, err)
 		}
@@ -360,7 +360,7 @@ func (e *Engine) runRound() error {
 		if !committed {
 			continue
 		}
-		end, err := e.runLane(cand.Event, roundStart)
+		end, err := e.runLane(cand.Event, est, roundStart)
 		if err != nil {
 			return err
 		}
@@ -403,15 +403,23 @@ func (e *Engine) syncProbeStats() {
 
 // runLane executes one event starting at laneStart and returns the lane's
 // completion time. The event is removed from the queue, executed against
-// the network, its flows' releases scheduled, and its record collected.
-func (e *Engine) runLane(ev *core.Event, laneStart time.Duration) (time.Duration, error) {
+// the network — by applying plan, its plan from a probe just made, or
+// when nil by planning it afresh — its flows' releases scheduled, and its
+// record collected.
+func (e *Engine) runLane(ev *core.Event, plan *core.Plan, laneStart time.Duration) (time.Duration, error) {
 	if !e.queue.Remove(ev) {
 		return 0, fmt.Errorf("sim: %v scheduled but not queued", ev)
 	}
 	if e.spans != nil {
 		e.spans.ExecStart(int64(ev.ID), e.rounds, int64(laneStart))
 	}
-	res, err := e.planner.Execute(ev)
+	var res *core.ExecResult
+	var err error
+	if plan != nil {
+		res, err = e.planner.Apply(plan)
+	} else {
+		res, err = e.planner.Execute(ev)
+	}
 	if err != nil {
 		return 0, fmt.Errorf("sim: executing %v: %w", ev, err)
 	}
@@ -468,7 +476,7 @@ func (e *Engine) runLane(ev *core.Event, laneStart time.Duration) (time.Duration
 				completion = transferred
 			}
 			if !e.cfg.KeepFlows {
-				heap.Push(&e.releases, release{at: transferred, f: adm.Flow})
+				e.releases.push(release{at: transferred, f: adm.Flow})
 			}
 		}
 	}

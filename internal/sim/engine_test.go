@@ -328,3 +328,35 @@ func TestEngineDeterministicUnderSeed(t *testing.T) {
 type runSummary struct {
 	avg, tail, makespan time.Duration
 }
+
+// TestReleaseHeapAllocFree pins the release heap's push and pop at zero
+// allocations once the slice has grown, and its pop order to (at, ID).
+func TestReleaseHeapAllocFree(t *testing.T) {
+	flows := make([]*flow.Flow, 64)
+	for i := range flows {
+		flows[i] = &flow.Flow{ID: flow.ID(i)}
+	}
+	h := make(releaseHeap, 0, len(flows))
+	fill := func() {
+		for i, f := range flows {
+			h.push(release{at: time.Duration((i * 37) % 11), f: f})
+		}
+	}
+	fill()
+	var prev release
+	for i := 0; len(h) > 0; i++ {
+		rel := h.pop()
+		if i > 0 && (rel.at < prev.at || rel.at == prev.at && rel.f.ID < prev.f.ID) {
+			t.Fatalf("pop %d: (%v, %d) after (%v, %d)", i, rel.at, rel.f.ID, prev.at, prev.f.ID)
+		}
+		prev = rel
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		fill()
+		for len(h) > 0 {
+			h.pop()
+		}
+	}); allocs != 0 {
+		t.Errorf("push+pop allocate %v times per run, want 0", allocs)
+	}
+}

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 	"time"
@@ -134,7 +133,7 @@ func (e *FlowLevel) serveOne(st *flState) error {
 	installed := e.clock
 	transferred := installed + f.TransferTime()
 	if !e.cfg.KeepFlows {
-		heap.Push(&e.releases, release{at: transferred, f: f})
+		e.releases.push(release{at: transferred, f: f})
 	}
 	switch e.cfg.Mode {
 	case InstallPlusTransfer:
@@ -173,7 +172,7 @@ func (e *FlowLevel) finish(st *flState) {
 // processReleases removes flows whose transfers completed by t.
 func (e *FlowLevel) processReleases(t time.Duration) {
 	for len(e.releases) > 0 && e.releases[0].at <= t {
-		rel := heap.Pop(&e.releases).(release)
+		rel := e.releases.pop()
 		if err := e.planner.Network().Remove(rel.f); err != nil {
 			panic(fmt.Sprintf("sim: flow-level release: %v", err))
 		}

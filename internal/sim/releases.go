@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"time"
 
 	"netupdate/internal/flow"
@@ -14,36 +13,57 @@ type release struct {
 }
 
 // releaseHeap is a min-heap of pending flow releases ordered by time,
-// with flow ID as a deterministic tie-break.
+// with flow ID as a deterministic tie-break. It sifts values in place
+// rather than going through container/heap, whose Push and Pop box every
+// release into an interface.
 type releaseHeap []release
 
-var _ heap.Interface = (*releaseHeap)(nil)
-
-func (h releaseHeap) Len() int { return len(h) }
-
-func (h releaseHeap) Less(i, j int) bool {
+// less orders the heap by (at, flow ID), a total order: the pop
+// sequence does not depend on the heap's storage layout.
+func (h releaseHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	return h[i].f.ID < h[j].f.ID
 }
 
-func (h releaseHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-
-// Push implements heap.Interface.
-func (h *releaseHeap) Push(x any) {
-	rel, ok := x.(release)
-	if !ok {
-		panic("sim: releaseHeap.Push: not a release")
-	}
+// push adds a release.
+func (h *releaseHeap) push(rel release) {
 	*h = append(*h, rel)
+	s := *h
+	for j := len(s) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !s.less(j, i) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
 }
 
-// Pop implements heap.Interface.
-func (h *releaseHeap) Pop() any {
-	old := *h
-	n := len(old)
-	out := old[n-1]
-	*h = old[:n-1]
-	return out
+// pop removes and returns the earliest release; the heap must not be
+// empty.
+func (h *releaseHeap) pop() release {
+	s := *h
+	n := len(s) - 1
+	top := s[0]
+	s[0] = s[n]
+	s[n] = release{}
+	s = s[:n]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && s.less(r, j) {
+			j = r
+		}
+		if !s.less(j, i) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	*h = s
+	return top
 }

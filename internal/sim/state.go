@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -108,7 +107,7 @@ func (e *Engine) ExportState() EngineState {
 		st.Releases = append(st.Releases, ReleaseState{Flow: i, AtNs: int64(rel.at)})
 	}
 	// The heap is iterated in storage order; sort for a canonical
-	// checkpoint (heap.Push on restore re-establishes the invariant).
+	// checkpoint (push on restore re-establishes the invariant).
 	sort.Slice(st.Releases, func(i, j int) bool {
 		if st.Releases[i].AtNs != st.Releases[j].AtNs {
 			return st.Releases[i].AtNs < st.Releases[j].AtNs
@@ -136,7 +135,7 @@ func (e *Engine) RestoreState(st EngineState, flows []*flow.Flow) error {
 		if rel.Flow < 0 || rel.Flow >= len(flows) {
 			return fmt.Errorf("sim: release references flow index %d of %d", rel.Flow, len(flows))
 		}
-		heap.Push(&e.releases, release{at: time.Duration(rel.AtNs), f: flows[rel.Flow]})
+		e.releases.push(release{at: time.Duration(rel.AtNs), f: flows[rel.Flow]})
 	}
 	for _, arm := range st.Timeouts {
 		e.timeouts = append(e.timeouts, timeoutArm{event: flow.EventID(arm.Event), times: arm.Times})

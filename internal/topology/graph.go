@@ -18,10 +18,6 @@ type Graph struct {
 	out [][]LinkID
 	// in[n] lists the IDs of links entering node n.
 	in [][]LinkID
-	// trial is set between BeginTrial and EndTrial; trialNet is the
-	// bandwidth reserved minus released inside the open bracket.
-	trial    bool
-	trialNet Bandwidth
 	// reserved and capacity are the sums over every link, kept by the
 	// calls that change a link's share, so Utilization reads them in O(1).
 	reserved, capacity Bandwidth
@@ -156,9 +152,6 @@ func (g *Graph) Reserve(id LinkID, bw Bandwidth) error {
 	}
 	l.reserved += bw
 	g.reserved += bw
-	if g.trial {
-		g.trialNet += bw
-	}
 	return nil
 }
 
@@ -176,33 +169,7 @@ func (g *Graph) Release(id LinkID, bw Bandwidth) error {
 	}
 	l.reserved -= bw
 	g.reserved -= bw
-	if g.trial {
-		g.trialNet -= bw
-	}
 	return nil
-}
-
-// BeginTrial opens a trial bracket for a plan that will be rolled back
-// in full: until EndTrial the graph sums the bandwidth reserved minus
-// released, so the close can check that the trial cancelled itself.
-// Capacity and link up/down changes are not trial operations. It panics
-// if a bracket is already open.
-func (g *Graph) BeginTrial() {
-	if g.trial {
-		panic("topology: BeginTrial inside an open trial")
-	}
-	g.trial, g.trialNet = true, 0
-}
-
-// EndTrial closes the bracket. Like the other ledger-corruption checks
-// it panics rather than limping on if the trial's reservations and
-// releases do not cancel: bandwidth a trial left behind would be a
-// reservation no flow owns.
-func (g *Graph) EndTrial() {
-	if !g.trial || g.trialNet != 0 {
-		panic(fmt.Sprintf("topology: EndTrial with trial open=%v, %v still reserved", g.trial, g.trialNet))
-	}
-	g.trial = false
 }
 
 // SetCapacity rewrites a link's capacity, e.g. when a sharded deployment
@@ -290,10 +257,10 @@ func (g *Graph) IncidentLinks(n NodeID) []LinkID {
 // adjacency) is shared with the parent. Reserve/Release on the fork never
 // touch the parent.
 //
-// Fork is on no product path: cost probes trial-plan on the live graph
-// inside BeginTrial/EndTrial. Its signature is fixed by its two callers,
-// the probe property tests (a fork is their reference oracle) and
-// bench/ (which times netstate.Network.Fork).
+// Fork is on no product path: cost probes plan on a netstate.View and
+// write nothing. Its signature is fixed by its two callers, the probe
+// property tests (a fork is their reference oracle) and bench/ (which
+// times netstate.Network.Fork).
 //
 // Growing a fork's topology (AddNode/AddLink) is not supported, because
 // the shared adjacency slices would alias the parent's.

@@ -319,8 +319,8 @@ func linkSumUtilization(g *Graph) float64 {
 
 // TestUtilizationMatchesLinkSum: the graph's running totals answer
 // Utilization bit for bit as a per-link sum does, through reservations,
-// refused reservations, releases, capacity rewrites, a trial bracket and
-// forks — each fork keeping its own totals from then on.
+// refused reservations, releases, capacity rewrites, reservations that
+// cancel and forks — each fork keeping its own totals from then on.
 func TestUtilizationMatchesLinkSum(t *testing.T) {
 	ft, err := NewFatTree(4, Gbps)
 	if err != nil {
@@ -375,24 +375,21 @@ func TestUtilizationMatchesLinkSum(t *testing.T) {
 					t.Fatal(err)
 				}
 				check(step, "set capacity", g)
-			case 4: // a trial bracket that cancels itself
-				g.BeginTrial()
+			case 4: // reservations released again in reverse cancel
 				var held []LinkID
 				for i := 0; i < 8; i++ {
 					id := link()
 					if g.Link(id).Residual() >= Mbps && g.Reserve(id, Mbps) == nil {
 						held = append(held, id)
-						check(step, "trial reserve", g)
+						check(step, "held reserve", g)
 					}
 				}
-				for _, id := range held {
-					if err := g.Release(id, Mbps); err != nil {
+				for i := len(held) - 1; i >= 0; i-- {
+					if err := g.Release(held[i], Mbps); err != nil {
 						t.Fatal(err)
 					}
-					check(step, "trial release", g)
+					check(step, "held release", g)
 				}
-				g.EndTrial()
-				check(step, "trial", g)
 			case 5: // Fork, then diverge the fork from its parent
 				parent := g.Utilization()
 				f := g.Fork()

@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// TestSetLinkDownBumpsEpochAndVersion: SetLinkDown reports whether the
-// state changed (the fault layer counts links that actually flipped);
+// TestSetLinkDownReportsChange: SetLinkDown reports whether the state
+// changed (the fault layer counts links that actually flipped);
 // repeating a state is a no-op.
-func TestSetLinkDownBumpsEpochAndVersion(t *testing.T) {
+func TestSetLinkDownReportsChange(t *testing.T) {
 	g, _, _, l := twoNodeGraph(t)
 	if !g.SetLinkDown(l, true) {
 		t.Fatal("SetLinkDown(true) on an up link reported no change")
