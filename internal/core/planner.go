@@ -92,9 +92,6 @@ type flowPlan struct {
 	evals  int
 }
 
-// Event returns the planned event.
-func (pl *Plan) Event() *Event { return pl.event }
-
 // ProbeStats counts the cost probes a Planner has run.
 type ProbeStats struct {
 	// Probes is the number of probes.

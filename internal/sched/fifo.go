@@ -46,19 +46,19 @@ func (Reorder) Pick(q *Queue, planner *core.Planner) (Decision, error) {
 	best := -1
 	var bestCost float64
 	for i := 0; i < q.Len(); i++ {
-		est, err := planner.ProbePlan(q.At(i))
+		pl, err := planner.ProbePlan(q.At(i))
 		if err != nil {
 			return Decision{}, err
 		}
-		d.Evals += est.Evals
+		d.Evals += pl.Evals
 		d.Probes = append(d.Probes, ProbeRecord{
 			Event:      q.At(i),
-			Cost:       est.Cost,
-			Admittable: est.Admittable,
-			Evals:      est.Evals,
+			Cost:       pl.Cost,
+			Admittable: pl.Admittable,
+			Evals:      pl.Evals,
 		})
-		if best == -1 || float64(est.Cost) < bestCost {
-			best, bestCost, d.Plan = i, float64(est.Cost), est
+		if best == -1 || float64(pl.Cost) < bestCost {
+			best, bestCost, d.Plan = i, float64(pl.Cost), pl
 		}
 	}
 	d.Head = q.At(best)

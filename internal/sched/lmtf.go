@@ -121,20 +121,20 @@ func (s *LMTF) selectCandidates(q *Queue, planner *core.Planner) ([]candidate, D
 // probe plans one event for decision d: it charges the probe's planning
 // work to d.Evals and, when recording, reports it in d.Probes.
 func (s *LMTF) probe(planner *core.Planner, ev *core.Event, d *Decision) (*core.Plan, error) {
-	est, err := planner.ProbePlan(ev)
+	pl, err := planner.ProbePlan(ev)
 	if err != nil {
 		return nil, fmt.Errorf("probe %v: %w", ev, err)
 	}
-	d.Evals += est.Evals
+	d.Evals += pl.Evals
 	if s.record {
 		d.Probes = append(d.Probes, ProbeRecord{
 			Event:      ev,
-			Cost:       est.Cost,
-			Admittable: est.Admittable,
-			Evals:      est.Evals,
+			Cost:       pl.Cost,
+			Admittable: pl.Admittable,
+			Evals:      pl.Evals,
 		})
 	}
-	return est, nil
+	return pl, nil
 }
 
 // sampleIndices returns {0} ∪ α distinct random indices from [1, n), in

@@ -335,23 +335,23 @@ func (e *Engine) runRound() error {
 	// fail either way, e.g. on saturated access links, do not block it).
 	// A committed candidate applies the plan of this post-head probe.
 	for _, cand := range decision.Opportunistic {
-		est, err := e.planner.ProbePlan(cand.Event)
+		pl, err := e.planner.ProbePlan(cand.Event)
 		if err != nil {
 			return fmt.Errorf("sim: opportunistic probe of %v: %w", cand.Event, err)
 		}
-		e.collector.DecisionEvals += est.Evals
-		e.addPlanTime(e.cfg.planTime(est.Evals))
+		e.collector.DecisionEvals += pl.Evals
+		e.addPlanTime(e.cfg.planTime(pl.Evals))
 		if e.spans != nil {
 			e.spans.Probed(int64(cand.Event.ID), e.rounds, int64(roundStart))
 		}
-		committed := est.Admittable >= cand.AloneAdmittable
+		committed := pl.Admittable >= cand.AloneAdmittable
 		if rr := e.curRound; rr != nil {
 			rr.CoScheduled = append(rr.CoScheduled, obs.CoSchedule{
 				Probe: obs.ProbeOutcome{
 					Event:      int64(cand.Event.ID),
-					CostBps:    int64(est.Cost),
-					Evals:      est.Evals,
-					Admittable: est.Admittable,
+					CostBps:    int64(pl.Cost),
+					Evals:      pl.Evals,
+					Admittable: pl.Admittable,
 				},
 				AloneAdmittable: cand.AloneAdmittable,
 				Committed:       committed,
@@ -360,7 +360,7 @@ func (e *Engine) runRound() error {
 		if !committed {
 			continue
 		}
-		end, err := e.runLane(cand.Event, est, roundStart)
+		end, err := e.runLane(cand.Event, pl, roundStart)
 		if err != nil {
 			return err
 		}
