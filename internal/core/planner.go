@@ -190,9 +190,9 @@ func (p *Planner) plan(pl *Plan, ev *Event) error {
 	if cap(pl.flows) < len(ev.Specs) {
 		pl.flows = make([]flowPlan, 0, len(ev.Specs))
 	}
-	defer func() { pl.next = v.NextID() }()
 	for i, spec := range ev.Specs {
 		if err := spec.Validate(); err != nil {
+			pl.next = v.NextID()
 			return fmt.Errorf("%v: register flow: %w", ev, err)
 		}
 		f := v.Mint(spec)
@@ -204,6 +204,7 @@ func (p *Planner) plan(pl *Plan, ev *Event) error {
 		fp := flowPlan{spec: i, id: f.ID, path: a.Path, lo: lo, hi: len(a.Steps), cost: a.MigratedTraffic, evals: a.Evals}
 		if err != nil {
 			if !errors.Is(err, migration.ErrCannotAdmit) && !errors.Is(err, netstate.ErrNoFeasiblePath) {
+				pl.next = v.NextID()
 				return fmt.Errorf("%v: %w", ev, err)
 			}
 			if pl.failed == 0 {
@@ -217,7 +218,7 @@ func (p *Planner) plan(pl *Plan, ev *Event) error {
 		}
 		pl.flows = append(pl.flows, fp)
 	}
-	pl.Feasible = pl.failed == 0
+	pl.next, pl.Feasible = v.NextID(), pl.failed == 0
 	return nil
 }
 

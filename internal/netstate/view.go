@@ -178,10 +178,7 @@ func (v *View) set(f *flow.Flow, path routing.Path) {
 // Residual returns link l's residual bandwidth on the view.
 func (v *View) Residual(l topology.LinkID) topology.Bandwidth {
 	link := v.net.graph.Link(l)
-	if link.Down() {
-		return 0
-	}
-	if v.stamp[l] != v.gen {
+	if v.stamp[l] != v.gen || link.Down() {
 		return link.Residual()
 	}
 	return link.Residual() - v.delta[l]
@@ -190,13 +187,15 @@ func (v *View) Residual(l topology.LinkID) topology.Bandwidth {
 // minResidual returns the path's bottleneck residual on the view, as
 // routing.Path.MinResidual does on a graph.
 func (v *View) minResidual(path routing.Path) topology.Bandwidth {
-	n := path.Len()
-	if n == 0 {
+	// A fat-tree path has at most six links: the walk stays on the stack.
+	var buf [8]topology.LinkID
+	links := path.AppendLinks(buf[:0])
+	if len(links) == 0 {
 		return 0
 	}
-	m := v.Residual(path.Link(0))
-	for i := 1; i < n; i++ {
-		m = min(m, v.Residual(path.Link(i)))
+	m := v.Residual(links[0])
+	for _, l := range links[1:] {
+		m = min(m, v.Residual(l))
 	}
 	return m
 }
@@ -304,15 +303,17 @@ func (v *View) Claim(f *flow.Flow, path routing.Path) error {
 	if path.IsZero() {
 		return fmt.Errorf("place %v: empty path", f)
 	}
-	for i, n := 0, path.Len(); i < n; i++ {
-		if err := v.reservable(path.Link(i), f.Demand, 0); err != nil {
+	var buf [8]topology.LinkID
+	links := path.AppendLinks(buf[:0])
+	for _, l := range links {
+		if err := v.reservable(l, f.Demand, 0); err != nil {
 			return fmt.Errorf("place %v: %w", f, err)
 		}
 	}
 	if err := v.ruleRoom(path); err != nil {
 		return fmt.Errorf("place %v: data plane: %w", f, err)
 	}
-	v.shiftBandwidth(path, f.Demand)
+	v.shiftBandwidth(links, f.Demand)
 	v.shiftRules(path, 1)
 	v.set(f, path)
 	return nil
@@ -328,8 +329,9 @@ func (v *View) Shift(f *flow.Flow, newPath routing.Path) error {
 	if old.IsZero() {
 		return fmt.Errorf("reroute %v: %w", f, flow.ErrNotPlaced)
 	}
-	for i, n := 0, newPath.Len(); i < n; i++ {
-		l := newPath.Link(i)
+	var obuf, nbuf [8]topology.LinkID
+	newLinks := newPath.AppendLinks(nbuf[:0])
+	for _, l := range newLinks {
 		var own topology.Bandwidth
 		if old.Contains(l) {
 			own = f.Demand
@@ -341,8 +343,8 @@ func (v *View) Shift(f *flow.Flow, newPath routing.Path) error {
 	if err := v.ruleRoom(newPath); err != nil {
 		return fmt.Errorf("reroute %v: data plane: %w", f, err)
 	}
-	v.shiftBandwidth(old, -f.Demand)
-	v.shiftBandwidth(newPath, f.Demand)
+	v.shiftBandwidth(old.AppendLinks(obuf[:0]), -f.Demand)
+	v.shiftBandwidth(newLinks, f.Demand)
 	v.shiftRules(newPath, 1)
 	v.shiftRules(old, -1)
 	v.set(f, newPath)
@@ -355,7 +357,8 @@ func (v *View) Vacate(f *flow.Flow) error {
 	if old.IsZero() {
 		return fmt.Errorf("withdraw %v: %w", f, flow.ErrNotPlaced)
 	}
-	v.shiftBandwidth(old, -f.Demand)
+	var buf [8]topology.LinkID
+	v.shiftBandwidth(old.AppendLinks(buf[:0]), -f.Demand)
 	v.shiftRules(old, -1)
 	v.set(f, routing.Path{})
 	return nil
@@ -368,16 +371,19 @@ func (v *View) reservable(l topology.LinkID, demand, own topology.Bandwidth) err
 	if link.Down() {
 		return fmt.Errorf("reserve %v on %v: %w", demand, link, topology.ErrLinkDown)
 	}
-	if r := v.Residual(l) + own; r < demand {
+	r := link.Residual() + own
+	if v.stamp[l] == v.gen {
+		r -= v.delta[l]
+	}
+	if r < demand {
 		return fmt.Errorf("reserve %v on %v (residual %v): %w", demand, link, r, topology.ErrInsufficientBandwidth)
 	}
 	return nil
 }
 
-// shiftBandwidth adds d to the plan's reservation on every link of path.
-func (v *View) shiftBandwidth(path routing.Path, d topology.Bandwidth) {
-	for i, n := 0, path.Len(); i < n; i++ {
-		l := path.Link(i)
+// shiftBandwidth adds d to the plan's reservation on every link.
+func (v *View) shiftBandwidth(links []topology.LinkID, d topology.Bandwidth) {
+	for _, l := range links {
 		if v.stamp[l] != v.gen {
 			v.stamp[l], v.delta[l] = v.gen, 0
 		}

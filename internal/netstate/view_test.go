@@ -11,9 +11,9 @@ import (
 )
 
 // TestViewAnswersAsTheNetworkWould drives a View and a twin Network
-// through the same seeded placements, moves and withdrawals — the view
-// with Mint/Claim/Shift/Vacate, the twin with AddFlow/Place/Reroute/
-// Withdraw — and requires after every step that each operation succeeded
+// through the same seeded placements, moves, withdrawals and link
+// failures and repairs — the view with Mint/Claim/Shift/Vacate, the twin
+// with AddFlow/Place/Reroute/Withdraw — and requires after every step that each operation succeeded
 // on both or on neither, that every link's residual, every flow's path
 // and FlowsAcross over random link sets agree, and, at the end, that the
 // network under the view was never written. With rule tables attached
@@ -108,8 +108,16 @@ func runViewTwin(t *testing.T, seed int64, tables int) {
 	}
 	for step := 0; step < 300; step++ {
 		placed := twin.Registry().Placed()
-		switch op := rng.Intn(3); {
-		case op == 0 || len(placed) == 0: // a new flow, placed
+		switch op := rng.Intn(7); {
+		case op == 6: // a link fails or comes back, on both networks
+			// Only an idle link fails: the fault layer withdraws the
+			// flows a failure disrupts before anything is planned.
+			l := topology.LinkID(rng.Intn(twin.Graph().NumLinks()))
+			if down := !twin.Graph().Link(l).Down(); !down || twin.Registry().NumFlowsOn(l) == 0 {
+				twin.Graph().SetLinkDown(l, down)
+				live.Graph().SetLinkDown(l, down)
+			}
+		case op < 2 || len(placed) == 0: // a new flow, placed
 			s := spec()
 			tf, err := twin.AddFlow(s)
 			if err != nil {
@@ -122,7 +130,7 @@ func runViewTwin(t *testing.T, seed int64, tables int) {
 			minted[vf.ID] = vf
 			path := candidate(tf)
 			agree(step, "place", v.Claim(vf, path), twin.Place(tf, path))
-		case op == 1: // move
+		case op < 4: // move
 			tf := placed[rng.Intn(len(placed))]
 			path := candidate(tf)
 			agree(step, "move", v.Shift(viewFlow(tf.ID), path), twin.Reroute(tf, path))
