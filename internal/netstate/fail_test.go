@@ -2,8 +2,12 @@ package netstate
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
+	"netupdate/internal/flow"
+	"netupdate/internal/routing"
+	"netupdate/internal/rules"
 	"netupdate/internal/topology"
 )
 
@@ -80,5 +84,92 @@ func TestFailLinksIdempotentAndRestore(t *testing.T) {
 	}
 	if _, err := n.PlaceBest(f); err != nil {
 		t.Errorf("PlaceBest after restore: %v", err)
+	}
+}
+
+// TestRerouteOffDownLinkKeepsOldPath: a flow whose old path crosses a
+// down link fails to move — its new path does not fit, or the data
+// plane refuses the transition — and Reroute returns the error with the
+// flow on its old path and ledger, registry and rule tables as before.
+func TestRerouteOffDownLinkKeepsOldPath(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		tables int // rule table capacity; 0 = no data plane
+		want   error
+	}{
+		{"new path does not fit", 0, ErrNoFeasiblePath},
+		{"data plane refuses", 1, rules.ErrTableFull},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var n *Network
+			var ft *topology.FatTree
+			var m *rules.Manager
+			if tc.tables > 0 {
+				n, ft, m = newDPNetwork(t, tc.tables)
+			} else {
+				n, ft = newTestNetwork(t)
+			}
+			g := n.Graph()
+			f := mustAdd(t, n, ft.Host(0, 0, 0), ft.Host(0, 1, 0), 400*topology.Mbps)
+			paths := n.Candidates(f)
+			old, alt := paths.At(0), paths.At(1)
+			if err := n.Place(f, old); err != nil {
+				t.Fatal(err)
+			}
+			// Fail the old path's own middle link; without a data plane,
+			// fill the alternative's so the move does not fit.
+			own := func(p, other routing.Path) topology.LinkID {
+				for _, l := range p.Links() {
+					if !other.Contains(l) {
+						return l
+					}
+				}
+				t.Fatal("the candidates share every link")
+				return topology.InvalidLink
+			}
+			if _, changed := n.FailLinks([]topology.LinkID{own(old, alt)}); changed != 1 {
+				t.Fatal("FailLinks changed nothing")
+			}
+			if tc.tables == 0 {
+				if err := g.Reserve(own(alt, old), 700*topology.Mbps); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ledger := func() []topology.Bandwidth {
+				out := make([]topology.Bandwidth, g.NumLinks())
+				for i := range out {
+					out[i] = g.Link(topology.LinkID(i)).Reserved()
+				}
+				return out
+			}
+			before := ledger()
+			placed := n.Registry().NumPlaced()
+
+			if err := n.Reroute(f, alt); !errors.Is(err, tc.want) {
+				t.Fatalf("Reroute error = %v, want %v", err, tc.want)
+			}
+			if !f.Placed() || !f.Path().Equal(old) {
+				t.Fatal("flow left its old path")
+			}
+			if !slices.Equal(ledger(), before) {
+				t.Errorf("ledger moved:\n before %v\n after  %v", before, ledger())
+			}
+			if got := n.Registry().NumPlaced(); got != placed {
+				t.Errorf("placed flows = %d, want %d", got, placed)
+			}
+			for _, l := range old.Links() {
+				if across := n.FlowsAcross([]topology.LinkID{l}, flow.NoEvent); len(across) != 1 || across[0] != f {
+					t.Errorf("link %v indexes %v, want exactly the flow", l, across)
+				}
+			}
+			for _, l := range alt.Links() {
+				if !old.Contains(l) && len(n.FlowsAcross([]topology.LinkID{l}, flow.NoEvent)) != 0 {
+					t.Errorf("link %v of the refused path indexes a flow", l)
+				}
+			}
+			if m != nil && (!m.PathInstalled(f.ID, 1, old) || m.CurrentVersion(f.ID) != 1) {
+				t.Error("old generation rules lost")
+			}
+		})
 	}
 }

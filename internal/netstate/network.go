@@ -181,21 +181,31 @@ func (n *Network) Withdraw(f *flow.Flow) error {
 }
 
 // Remove withdraws the flow if placed and deletes it from the registry
-// (e.g. a background flow finishing its transfer).
+// (e.g. a background flow finishing its transfer), and the data plane
+// forgets its rule generation.
 func (n *Network) Remove(f *flow.Flow) error {
 	if f.Placed() {
 		if err := n.Withdraw(f); err != nil {
 			return err
 		}
 	}
-	return n.reg.Remove(f)
+	if err := n.reg.Remove(f); err != nil {
+		return err
+	}
+	if n.dataplane != nil {
+		n.dataplane.Forget(f.ID)
+	}
+	return nil
 }
 
 // Reroute atomically moves a placed flow onto newPath. If newPath cannot
 // accommodate the demand once the flow's own reservations are released —
 // or, with a data plane attached, if the two-phase transition does not fit
-// the rule tables — the flow is restored to its original path and the
-// error returned (wrapping ErrNoFeasiblePath for bandwidth failures).
+// the rule tables — the flow stays on its original path, ledger and
+// registry untouched, and the error is returned (wrapping
+// ErrNoFeasiblePath for bandwidth failures). The old path may cross a
+// down link: a fault leaves its flows' reservations there, and nothing
+// here re-reserves them.
 //
 // With a data plane attached the move is per-packet consistent: the new
 // generation's rules are fully installed before the ingress flips, and
@@ -205,60 +215,44 @@ func (n *Network) Reroute(f *flow.Flow, newPath routing.Path) error {
 		return fmt.Errorf("reroute %v: %w", f, flow.ErrNotPlaced)
 	}
 	oldPath := f.Path()
-
-	// Move the bandwidth reservations first, without touching the data
-	// plane (registry bind/unbind + ledger only).
+	if !n.fitsMove(oldPath, newPath, f.Demand) {
+		return fmt.Errorf("reroute %v: %w", f, ErrNoFeasiblePath)
+	}
+	if n.dataplane != nil {
+		cur := n.dataplane.CurrentVersion(f.ID)
+		if _, err := consistency.Apply(consistency.Move(f.ID, cur, oldPath, newPath), n.dataplane); err != nil {
+			return fmt.Errorf("reroute %v: data plane: %w", f, err)
+		}
+	}
 	if err := n.reg.Unbind(f); err != nil {
 		return err
 	}
 	n.releaseAll(oldPath, f.Demand)
-	restoreOld := func() {
-		if err := n.reserveAll(oldPath, f.Demand); err != nil {
-			panic(fmt.Sprintf("netstate: restoring reservations: %v", err))
-		}
-		if err := n.reg.Bind(f, oldPath); err != nil {
-			panic(fmt.Sprintf("netstate: restoring binding: %v", err))
-		}
-	}
 	if err := n.reserveAll(newPath, f.Demand); err != nil {
-		restoreOld()
-		return fmt.Errorf("reroute %v: %w", f, ErrNoFeasiblePath)
+		panic(fmt.Sprintf("netstate: reroute reservation failed after its fit check: %v", err))
 	}
-	if err := n.reg.Bind(f, newPath); err != nil {
-		n.releaseAll(newPath, f.Demand)
-		restoreOld()
-		return err
-	}
+	return n.reg.Bind(f, newPath)
+}
 
-	if n.dataplane != nil {
-		cur := n.dataplane.CurrentVersion(f.ID)
-		if _, err := consistency.Apply(consistency.Move(f.ID, cur, oldPath, newPath), n.dataplane); err != nil {
-			if ubErr := n.reg.Unbind(f); ubErr != nil {
-				panic(fmt.Sprintf("netstate: unbind during reroute rollback: %v", ubErr))
-			}
-			n.releaseAll(newPath, f.Demand)
-			restoreOld()
-			return fmt.Errorf("reroute %v: data plane: %w", f, err)
+// fitsMove reports whether newPath takes demand once the flow's own
+// reservations on oldPath are released: every link up, with room —
+// exactly what reserving it after that release would check.
+func (n *Network) fitsMove(oldPath, newPath routing.Path, demand topology.Bandwidth) bool {
+	for i, m := 0, newPath.Len(); i < m; i++ {
+		id := newPath.Link(i)
+		l := n.graph.Link(id)
+		if l.Down() {
+			return false
+		}
+		free := l.Residual()
+		if oldPath.Contains(id) {
+			free += demand
+		}
+		if free < demand {
+			return false
 		}
 	}
-	return nil
-}
-
-// DesiredPath returns the path the flow would prefer right now — the
-// candidate with the largest bottleneck residual, regardless of
-// feasibility. Definition 1 inspects the congested links of this path.
-func (n *Network) DesiredPath(f *flow.Flow) (routing.Path, error) {
-	path, _, ok := routing.Widest(n.graph, n.Candidates(f))
-	if !ok {
-		return routing.Path{}, fmt.Errorf("desired path for %v: no candidates", f)
-	}
-	return path, nil
-}
-
-// CongestedLinks returns the links of path whose residual is below the
-// flow's demand — the set E^c_{f_a} of Definition 1.
-func (n *Network) CongestedLinks(f *flow.Flow, path routing.Path) []topology.LinkID {
-	return path.CongestedLinks(n.graph, f.Demand)
+	return true
 }
 
 // FlowsAcross returns the union of flows traversing any of the given

@@ -213,36 +213,6 @@ func TestRerouteRestoresOnFailure(t *testing.T) {
 	}
 }
 
-func TestDesiredPathIgnoresFeasibility(t *testing.T) {
-	n, ft := newTestNetwork(t)
-	g := n.Graph()
-	f := mustAdd(t, n, ft.Host(0, 0, 0), ft.Host(0, 1, 0), 800*topology.Mbps)
-	paths := n.Candidates(f)
-	// Congest both candidates; desired path is still returned (the less
-	// congested one).
-	for i := 0; i < paths.Len(); i++ {
-		for _, l := range paths.At(i).Links() {
-			if !paths.At((i + 1) % 2).Contains(l) {
-				if err := g.Reserve(l, topology.Bandwidth(500+i*200)*topology.Mbps); err != nil {
-					t.Fatal(err)
-				}
-				break
-			}
-		}
-	}
-	dp, err := n.DesiredPath(f)
-	if err != nil {
-		t.Fatalf("DesiredPath: %v", err)
-	}
-	if dp.IsZero() {
-		t.Fatal("DesiredPath returned zero path")
-	}
-	congested := n.CongestedLinks(f, dp)
-	if len(congested) == 0 {
-		t.Error("expected congestion on desired path at 800Mbps demand")
-	}
-}
-
 func TestFlowsAcross(t *testing.T) {
 	n, ft := newTestNetwork(t)
 	src, dst := ft.Host(0, 0, 0), ft.Host(0, 0, 1)
@@ -302,16 +272,6 @@ func TestAccessors(t *testing.T) {
 	}
 	if n.DataPlane() != nil {
 		t.Error("DataPlane() != nil before attach")
-	}
-}
-
-func TestDesiredPathNoCandidates(t *testing.T) {
-	n, ft := newTestNetwork(t)
-	// A flow between two switches has no host-pair candidates under the
-	// fat-tree provider.
-	f := &flow.Flow{ID: 999, Src: ft.Core(0, 0), Dst: ft.Agg(0, 0), Demand: topology.Mbps}
-	if _, err := n.DesiredPath(f); err == nil {
-		t.Error("DesiredPath with no candidates succeeded")
 	}
 }
 

@@ -207,7 +207,8 @@ func (v *View) Fits(path routing.Path, demand topology.Bandwidth) bool {
 }
 
 // Widest returns the candidate with the largest bottleneck residual on
-// the view (ties: the earliest), as routing.Widest does on a graph.
+// the view (ties: the earliest), regardless of feasibility: the desired
+// path of migration.DesiredWidest.
 func (v *View) Widest(candidates routing.PathSet) (routing.Path, bool) {
 	best := -1
 	var bestResidual topology.Bandwidth

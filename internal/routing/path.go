@@ -136,19 +136,6 @@ func (p Path) Fits(g *topology.Graph, demand topology.Bandwidth) bool {
 	return p.MinResidual(g) >= demand
 }
 
-// CongestedLinks returns the links whose residual bandwidth is below the
-// demand — the set E^c of Definition 1 for a flow taking this path — in
-// path order.
-func (p Path) CongestedLinks(g *topology.Graph, demand topology.Bandwidth) []topology.LinkID {
-	var out []topology.LinkID
-	for i, n := 0, p.Len(); i < n; i++ {
-		if l := p.Link(i); g.Link(l).Residual() < demand {
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
 // Format renders the path as a node chain, e.g. "3 -> 17 -> 42".
 func (p Path) Format(g *topology.Graph) string {
 	n := p.Len()

@@ -86,13 +86,6 @@ func TestPathResidualAndCongestion(t *testing.T) {
 	if p.Fits(g, 300*topology.Mbps) {
 		t.Error("Fits(300Mbps) = true, want false")
 	}
-	congested := p.CongestedLinks(g, 300*topology.Mbps)
-	if len(congested) != 1 || congested[0] != links[1] {
-		t.Errorf("CongestedLinks = %v, want [%v]", congested, links[1])
-	}
-	if got := p.CongestedLinks(g, 100*topology.Mbps); got != nil {
-		t.Errorf("CongestedLinks under demand = %v, want none", got)
-	}
 }
 
 func TestPathContainsAndEqual(t *testing.T) {

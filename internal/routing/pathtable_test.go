@@ -128,7 +128,7 @@ func TestPathTableMatchesOracles(t *testing.T) {
 
 // TestSplitPathsMatchGenericCopies: a split path and its NewPath copy are
 // one path to every method — Equal both ways, and Len, Link, AppendLinks,
-// Links, Contains, MinResidual, CongestedLinks and Format agree link by
+// Links, Contains, MinResidual and Format agree link by
 // link — while two different candidates of one set are unequal in either
 // form.
 func TestSplitPathsMatchGenericCopies(t *testing.T) {
@@ -176,11 +176,6 @@ func TestSplitPathsMatchGenericCopies(t *testing.T) {
 				}
 				if p.MinResidual(g) != q.MinResidual(g) || p.Format(g) != q.Format(g) {
 					t.Fatalf("%v->%v path %d: MinResidual or Format disagrees", src, dst, i)
-				}
-				for _, d := range []topology.Bandwidth{topology.Mbps, 600 * topology.Mbps} {
-					if a, b := p.CongestedLinks(g, d), q.CongestedLinks(g, d); !slices.Equal(a, b) {
-						t.Fatalf("%v->%v path %d: CongestedLinks(%v) %v, generic %v", src, dst, i, d, a, b)
-					}
 				}
 			}
 			for i := range copies {

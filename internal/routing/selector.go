@@ -97,23 +97,3 @@ func (s *RandomFit) Select(g *topology.Graph, candidates PathSet, demand topolog
 	}
 	return candidates.At(feasible[s.rng.Intn(len(feasible))]), true
 }
-
-// Widest returns the candidate with the largest bottleneck residual
-// regardless of feasibility, plus that residual. It is used to pick the
-// "desired path" a congested flow would take before migration frees room
-// (Definition 1 examines the congested links of that desired path).
-// ok is false only when candidates is empty.
-func Widest(g *topology.Graph, candidates PathSet) (path Path, residual topology.Bandwidth, ok bool) {
-	best := -1
-	var bestResidual topology.Bandwidth
-	for i, n := 0, candidates.Len(); i < n; i++ {
-		r := candidates.At(i).MinResidual(g)
-		if best == -1 || r > bestResidual {
-			best, bestResidual = i, r
-		}
-	}
-	if best == -1 {
-		return Path{}, 0, false
-	}
-	return candidates.At(best), bestResidual, true
-}

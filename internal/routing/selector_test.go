@@ -141,29 +141,3 @@ func TestRandomFitDeterministicUnderSeed(t *testing.T) {
 		}
 	}
 }
-
-func TestWidest(t *testing.T) {
-	g, via, _, linksB := forkGraph(t)
-	if err := g.Reserve(linksB[0], 900*topology.Mbps); err != nil {
-		t.Fatal(err)
-	}
-	p, residual, ok := Widest(g, setOf(via[:]))
-	if !ok || !p.Equal(via[0]) || residual != topology.Gbps {
-		t.Errorf("Widest = %v,%v,%v want path A with 1Gbps", p, residual, ok)
-	}
-	if _, _, ok := Widest(g, PathSet{}); ok {
-		t.Error("Widest(no candidates) = ok, want !ok")
-	}
-	// Widest ignores feasibility: still returns the best even when full.
-	g2, via2, lA, lB := forkGraph(t)
-	if err := g2.Reserve(lA[0], topology.Gbps); err != nil {
-		t.Fatal(err)
-	}
-	if err := g2.Reserve(lB[0], 999*topology.Mbps); err != nil {
-		t.Fatal(err)
-	}
-	p, residual, ok = Widest(g2, setOf(via2[:]))
-	if !ok || !p.Equal(via2[1]) || residual != topology.Mbps {
-		t.Errorf("Widest over congested = %v,%v,%v want path B with 1Mbps", p, residual, ok)
-	}
-}

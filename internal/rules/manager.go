@@ -52,6 +52,12 @@ func (m *Manager) Ops() int { return m.ops }
 // CurrentVersion returns a flow's installed rule generation (0 if none).
 func (m *Manager) CurrentVersion(f flow.ID) Version { return m.versions[f] }
 
+// Forget drops a flow's rule generation once the flow is gone for good
+// (netstate's Remove; a withdrawn flow keeps its generation, so placing
+// it again installs a higher one). Without it the generations would
+// grow with every flow ever placed.
+func (m *Manager) Forget(f flow.ID) { delete(m.versions, f) }
+
 // TotalEntries sums installed entries across all tables.
 func (m *Manager) TotalEntries() int {
 	total := 0
