@@ -46,8 +46,9 @@
 // repl status prints the server's replication role, term, log position
 // and either its registered followers (leader) or its leader address
 // and fold lag (follower). repl promote asks a warm follower to take
-// over as leader: it drains its folded backlog, fences the old leader
-// with a bumped term and starts accepting writes.
+// over as leader: it folds what it acked but has not folded yet, drains
+// its queue, fences the old leader with a bumped term and starts
+// accepting writes.
 package main
 
 import (

@@ -366,7 +366,7 @@ func (c *Client) ReplStatus() (ReplInfo, error) {
 }
 
 // Promote asks a follower to take over as leader: it stops streaming,
-// drains its folded backlog to quiescence, persists a bumped term and
+// folds what it acked, drains to quiescence, persists a bumped term and
 // starts accepting writes. Promoting a server that is already the
 // leader is a no-op; a deposed leader refuses.
 func (c *Client) Promote() (ReplInfo, error) {

@@ -227,8 +227,10 @@ func TestGaugesCurrentOnEveryRead(t *testing.T) {
 	}
 
 	// A follower folds a chunk's rounds only when a later record is
-	// stamped past them, so each chunk here ends in a fault; the wait
-	// reads the journal's sequence, not a gauge.
+	// stamped past them, so each chunk here ends in a fault. Its world
+	// advances between requests while it folds behind its acks, so the
+	// wait reads the journal's sequence and its backlog on the loop, not
+	// a gauge, until the fold has gone idle.
 	checkEveryRead(t, "follower", follower, gaugeReads(t, follower, followerClient), func() {
 		ch := work[next]
 		if ch.fault == nil {
@@ -237,8 +239,15 @@ func TestGaugesCurrentOnEveryRead(t *testing.T) {
 		playChunk(t, leaderClient, ch)
 		next++
 		seq := leader.journal.met.LastSeq.Value()
-		waitFor(t, 15*time.Second, "follower to apply the chunk", func() bool {
-			return follower.journal.met.LastSeq.Value() >= seq
+		waitFor(t, 15*time.Second, "follower to fold the chunk", func() bool {
+			idle := false
+			if err := follower.onLoop(func() error {
+				idle = follower.journal.seq >= seq && follower.journal.unfolded() == 0
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			return idle
 		})
 	})
 }

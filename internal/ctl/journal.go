@@ -59,12 +59,41 @@ type journal struct {
 	stopFollow chan struct{}
 	stopOnce   sync.Once
 	closing    <-chan struct{} // the server's shutdown, for the goroutines
-	mu         sync.Mutex      // guards fconn, lastErr
+	mu         sync.Mutex      // guards fconn, lastErr, foldErr's writes
 	fconn      net.Conn        // live follower-side leader connection
 	lastErr    string
 
+	// The fold behind the ack: replicated records this follower has
+	// appended, committed and acked but not yet folded, oldest first
+	// from backlog[head]. The state loop folds them one round at a time
+	// between commands (Server.foldNext); a checkpoint and a promotion
+	// fold them all first. foldedSeq is the last folded sequence, for the
+	// lag the session computes off the loop.
+	backlog   []*wal.Record
+	head      int
+	foldedSeq atomic.Int64
+	// foldCap is foldBacklogCap and foldHeld false, fields only so a
+	// test can lower the cap and hold the fold (state loop only).
+	foldCap  int
+	foldHeld bool
+	// backlogFull is set by the loop while the backlog is at the cap;
+	// the session reads nothing more until foldWake says it shrank.
+	backlogFull atomic.Bool
+	foldWake    chan struct{}
+	// foldErr is the fold's sticky failure: written on the loop under
+	// mu, read by the session under mu and by the loop without it.
+	foldErr error
+
 	wg sync.WaitGroup // heartbeater, follower stream
 }
+
+// foldBacklogCap bounds a follower's unfolded records. At the cap the
+// session stops reading, so TCP back-pressure and the leader's outbox
+// overflow apply as to any slow follower, and a promotion folds at most
+// this many records (plus the frame read last) before it drains. Twice
+// the default watermark: a full queue's worth of admissions and the
+// next batch fit without stalling the stream.
+const foldBacklogCap = 2 * DefaultHighWatermark
 
 // noWALError answers replication requests on a server without a journal.
 const noWALError = "ctl: replication requires a WAL"
@@ -96,6 +125,8 @@ func newJournal(cfg WALConfig, meta wal.Meta, rc ReplicationConfig, reg *obs.Reg
 		term:       term,
 		stopFollow: make(chan struct{}),
 		closing:    closing,
+		foldCap:    foldBacklogCap,
+		foldWake:   make(chan struct{}, 1),
 	}
 	if j.ckptEvery == 0 {
 		j.ckptEvery = DefaultCheckpointEvery
@@ -140,6 +171,7 @@ func (j *journal) open(vt, rounds int64) error {
 	}
 	j.setWriter(w)
 	j.seq = w.LastSeq()
+	j.foldedSeq.Store(j.seq)
 	j.met.LastSeq.Set(j.seq)
 	return nil
 }
@@ -316,31 +348,141 @@ func (j *journal) attach(h *repl.Hello, f *replFollower) (w *repl.Welcome, ckpt 
 		ckpt, append([]wal.SegmentInfo(nil), j.log.Segments()...)
 }
 
-// applyReplicated appends the leader's records to this follower's own
-// log and folds each through fold — the path recovery takes. The
-// returned sequence is what the session's ack will attest to, which is
+// appendReplicated appends the leader's records to this follower's own
+// log and queues them for the fold. The returned sequence is what the
+// session's ack will attest to — durability, not the fold — which is
 // why the session gets it only once the loop's flush has committed.
-func (j *journal) applyReplicated(recs []*wal.Record, fold func(*wal.Record) error) (int64, error) {
+func (j *journal) appendReplicated(recs []*wal.Record) (int64, error) {
 	if j.role != roleFollower {
 		return 0, fmt.Errorf("ctl: repl apply on a %s", j.role)
 	}
+	if j.foldErr != nil {
+		return 0, j.foldErr
+	}
 	for _, rec := range recs {
 		if rec.ID.Seq != j.seq+1 {
-			return 0, fmt.Errorf("%w: record seq %d after applied prefix %d", repl.ErrSeqGap, rec.ID.Seq, j.seq)
+			return 0, fmt.Errorf("%w: record seq %d after appended prefix %d", repl.ErrSeqGap, rec.ID.Seq, j.seq)
 		}
 		j.append(rec)
 		if j.err != nil {
 			return 0, j.err
 		}
-		if err := fold(rec); err != nil {
-			return 0, err
-		}
-		j.rmet.RecordsApplied.Inc()
 	}
+	if j.head > 0 && len(j.backlog)+len(recs) > cap(j.backlog) {
+		// Reuse the folded prefix's room before growing.
+		n := copy(j.backlog, j.backlog[j.head:])
+		clear(j.backlog[n:])
+		j.backlog, j.head = j.backlog[:n], 0
+	}
+	j.backlog = append(j.backlog, recs...)
+	j.backlogFull.Store(j.unfolded() >= j.foldCap)
 	return j.seq, nil
 }
 
-// announced checks a leader's checkpoint announcement against the fold:
+// unfolded counts the backlog (0 without a journal).
+func (j *journal) unfolded() int {
+	if j == nil {
+		return 0
+	}
+	return len(j.backlog) - j.head
+}
+
+// foldPending reports whether the loop has fold work to poll for: a
+// backlog that is neither failed nor held.
+func (j *journal) foldPending() bool {
+	return j.unfolded() > 0 && j.foldErr == nil && !j.foldHeld
+}
+
+// nextUnfolded is the oldest unfolded record, or the fold's failure.
+func (j *journal) nextUnfolded() (*wal.Record, error) {
+	if j.foldErr != nil {
+		return nil, j.foldErr
+	}
+	return j.backlog[j.head], nil
+}
+
+// folded pops the record the fold just applied, and wakes the session
+// if that took the backlog below the cap.
+func (j *journal) folded() {
+	rec := j.backlog[j.head]
+	j.backlog[j.head] = nil
+	j.head++
+	if j.head == len(j.backlog) {
+		j.backlog, j.head = j.backlog[:0], 0
+	}
+	j.foldedSeq.Store(rec.ID.Seq)
+	j.rmet.RecordsApplied.Inc()
+	if j.backlogFull.Load() && j.unfolded() < j.foldCap {
+		j.backlogFull.Store(false)
+		j.wakeSession()
+	}
+}
+
+// failFold makes a fold error sticky: the fold stops, the session reads
+// it on its next step (its connection is closed under it) and ends, and
+// replication status shows it. Reconnecting would fail the same way.
+func (j *journal) failFold(err error) error {
+	j.mu.Lock()
+	j.foldErr = err
+	j.lastErr = fmt.Errorf("%w: %v", errFoldFailed, err).Error()
+	if j.fconn != nil {
+		_ = j.fconn.Close()
+	}
+	j.mu.Unlock()
+	j.backlogFull.Store(false)
+	j.wakeSession()
+	return err
+}
+
+// foldFailure is the fold's sticky failure as the session returns it
+// (nil while the fold is healthy).
+func (j *journal) foldFailure() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.foldErr == nil {
+		return nil
+	}
+	return fmt.Errorf("%w: %v", errFoldFailed, j.foldErr)
+}
+
+func (j *journal) wakeSession() {
+	select {
+	case j.foldWake <- struct{}{}:
+	default:
+	}
+}
+
+// awaitFold holds the session while the backlog is at the cap (the
+// session goroutine, between frames).
+func (j *journal) awaitFold() error {
+	for j.backlogFull.Load() {
+		select {
+		case <-j.foldWake:
+		case <-j.stopFollow:
+			return errPromoted
+		case <-j.closing:
+			return errPromoted
+		}
+	}
+	return j.foldFailure()
+}
+
+// lag is this follower's lag behind a leader standing at leaderSeq: the
+// records it has not folded yet, which is what a promotion must fold. A
+// heartbeat read before the leader's last commit can trail what this
+// follower already appended, so the appended sequence counts too.
+func (j *journal) lag(leaderSeq int64) int64 {
+	return max(0, max(leaderSeq, j.met.LastSeq.Value())-j.foldedSeq.Load())
+}
+
+// observeLag records the lag behind leaderSeq (the session goroutine).
+func (j *journal) observeLag(leaderSeq int64) {
+	lag := j.lag(leaderSeq)
+	j.rmet.LagRecords.Set(lag)
+	j.rmet.Lag.Observe(lag)
+}
+
+// announced checks a leader's checkpoint announcement against the log:
 // stream ordering guarantees it arrives exactly at the rotation point;
 // anything else means the session lost frames.
 func (j *journal) announced(seq int64) error {
@@ -348,17 +490,17 @@ func (j *journal) announced(seq int64) error {
 		return fmt.Errorf("ctl: repl checkpoint on a %s", j.role)
 	}
 	if seq != j.seq {
-		return fmt.Errorf("%w: checkpoint announced at seq %d, follower applied %d", repl.ErrSeqGap, seq, j.seq)
+		return fmt.Errorf("%w: checkpoint announced at seq %d, follower appended %d", repl.ErrSeqGap, seq, j.seq)
 	}
 	return nil
 }
 
-// promote flips a follower to leader: stop the stream, drain the fold's
-// cascade to quiescence, persist the bumped term — the fence that
-// deposes the old leader — and only then serve writes. The drain is
-// bounded by replication lag, not log length: the follower folded
-// continuously, so only the not-yet-executed tail of admitted work
-// remains.
+// promote flips a follower to leader: stop the stream, fold the backlog
+// and drain the cascade to quiescence, persist the bumped term — the
+// fence that deposes the old leader — and only then serve writes. The
+// drain is bounded by the fold cap, not log length: the follower folded
+// continuously behind its acks, so only the unfolded backlog and the
+// not-yet-executed tail of admitted work remain.
 func (j *journal) promote(drain func() error) Response {
 	if j == nil {
 		return Response{OK: false, Error: noWALError}
@@ -401,7 +543,7 @@ func (j *journal) info() *ReplInfo {
 	switch j.role {
 	case roleFollower:
 		info.LeaderAddr = j.follow.LeaderAddr
-		info.LagRecords = max(0, j.leaderSeq.Load()-j.seq)
+		info.LagRecords = j.lag(j.leaderSeq.Load())
 		j.mu.Lock()
 		info.LastError = j.lastErr
 		j.mu.Unlock()
@@ -411,11 +553,11 @@ func (j *journal) info() *ReplInfo {
 	return info
 }
 
-// refreshLag recomputes a follower's own lag from the fold it has
-// applied, for a registry read on the loop.
+// refreshLag recomputes a follower's own lag, for a registry read on
+// the loop.
 func (j *journal) refreshLag() {
 	if j != nil && j.role == roleFollower {
-		j.rmet.LagRecords.Set(max(0, j.leaderSeq.Load()-j.seq))
+		j.rmet.LagRecords.Set(j.lag(j.leaderSeq.Load()))
 	}
 }
 

@@ -18,11 +18,15 @@ package ctl
 //     over replication; the drop is counted and visible in Stats).
 //   - Follower: a session goroutine reads frames off the leader
 //     connection and hands them to the state loop (Server.onLoop), which
-//     appends them to the follower's own WAL and folds them through
-//     replayRecord — the exact path recovery takes, so a promoted
-//     follower is the state a never-crashed server holding the same
-//     prefix would be in. Checkpoints are taken only on the leader's
-//     announcement, keeping both logs rotating at the same sequences.
+//     appends and commits them to the follower's own WAL; the session
+//     acks at once, so an ack marks durability, not the fold. The loop
+//     folds the acked records behind the ack, one round at a time
+//     between commands, through replayRecord — the exact path recovery
+//     takes, so a promoted follower is the state a never-crashed server
+//     holding the same prefix would be in. The unfolded backlog is
+//     capped (foldBacklogCap); a promotion and a checkpoint fold it
+//     first. Checkpoints are taken only on the leader's announcement,
+//     keeping both logs rotating at the same sequences.
 
 import (
 	"bufio"
@@ -756,6 +760,10 @@ func (s *Server) followSession(sess *FollowerSession) error {
 		m, sc, err := repl.ReadMessage(sess.br, scratch)
 		scratch = sc
 		if err != nil {
+			if ferr := j.foldFailure(); ferr != nil {
+				// The loop's fold failed and closed the connection.
+				return ferr
+			}
 			var ne net.Error
 			if errors.As(err, &ne) && ne.Timeout() && promoteAfter > 0 && !j.stopped() {
 				// The leader went silent past the heartbeat cadence:
@@ -774,15 +782,15 @@ func (s *Server) followSession(sess *FollowerSession) error {
 			if len(recs) == 0 {
 				continue
 			}
-			var applied int64
+			var appended int64
 			err = s.onLoop(func() (err error) {
-				applied, err = j.applyReplicated(recs, s.replayRecord)
+				appended, err = j.appendReplicated(recs)
 				return err
 			})
 			if err != nil {
 				return fmt.Errorf("%w: %v", errFoldFailed, err)
 			}
-			ackBuf, err = repl.AppendAck(ackBuf[:0], applied)
+			ackBuf, err = repl.AppendAck(ackBuf[:0], appended)
 			if err != nil {
 				return err
 			}
@@ -790,12 +798,15 @@ func (s *Server) followSession(sess *FollowerSession) error {
 			if _, err := sess.conn.Write(ackBuf); err != nil {
 				return err
 			}
-			if applied > j.leaderSeq.Load() {
-				j.leaderSeq.Store(applied)
+			if appended > j.leaderSeq.Load() {
+				j.leaderSeq.Store(appended)
 			}
-			lag := max(0, j.leaderSeq.Load()-applied)
-			j.rmet.LagRecords.Set(lag)
-			j.rmet.Lag.Observe(lag)
+			j.observeLag(j.leaderSeq.Load())
+			// At the cap, read nothing more until the fold catches up:
+			// TCP back-pressure and the leader's outbox take it from here.
+			if err := j.awaitFold(); err != nil {
+				return err
+			}
 
 		case repl.KindCheckpoint:
 			if m.Bootstrap {
@@ -821,9 +832,7 @@ func (s *Server) followSession(sess *FollowerSession) error {
 				j.leaderTerm.Store(hb.Term)
 			}
 			j.leaderSeq.Store(hb.LastSeq)
-			lag := max(0, hb.LastSeq-j.met.LastSeq.Value())
-			j.rmet.LagRecords.Set(lag)
-			j.rmet.Lag.Observe(lag)
+			j.observeLag(hb.LastSeq)
 
 		default:
 			return fmt.Errorf("%w: unexpected frame kind %d from leader", repl.ErrCorrupt, m.Kind)

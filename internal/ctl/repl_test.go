@@ -136,7 +136,9 @@ func waitFor(t *testing.T, timeout time.Duration, desc string, cond func() bool)
 	}
 }
 
-// waitCaughtUp waits until the follower has applied through seq.
+// waitCaughtUp waits until the follower has appended through seq and
+// folded everything it appended: an ack marks durability, and the fold
+// follows behind it.
 func waitCaughtUp(t *testing.T, client *Client, seq int64) {
 	t.Helper()
 	waitFor(t, 15*time.Second, fmt.Sprintf("follower to reach seq %d", seq), func() bool {
@@ -144,7 +146,7 @@ func waitCaughtUp(t *testing.T, client *Client, seq int64) {
 		if err != nil {
 			t.Fatalf("Stats: %v", err)
 		}
-		return st.WALLastSeq >= seq
+		return st.WALLastSeq >= seq && st.ReplLagRecords == 0
 	})
 }
 

@@ -318,12 +318,17 @@ func (s *Server) stateLoop() {
 	for {
 		batch = batch[:0]
 		// Block for work when idle; poll between rounds otherwise. A
-		// following replica blocks even with a non-empty queue: its
-		// engine may only advance through the replicated fold
-		// (replayRecord steps to each record's round stamp), and
-		// free-running rounds here would push the clock past the next
-		// record's admission stamp and diverge the fold.
-		if s.engine.QueueLen() == 0 || s.journal.folding() {
+		// following replica's work is its fold, not its queue: its engine
+		// may only advance toward the next replicated record's round
+		// stamp, and free-running rounds would push the clock past it and
+		// diverge the fold. So it polls only while records wait to be
+		// folded, and advances one fold round at a time between commands.
+		following := s.journal.folding()
+		busy := s.engine.QueueLen() > 0
+		if following {
+			busy = s.journal.foldPending()
+		}
+		if !busy {
 			select {
 			case cmd := <-s.cmds:
 				batch = append(batch, cmd)
@@ -339,6 +344,12 @@ func (s *Server) stateLoop() {
 				s.drainOnClose()
 				return
 			default:
+				if following {
+					// A failed fold is sticky in the journal, which ends
+					// following; the server keeps serving reads.
+					_ = s.foldNext()
+					continue
+				}
 				if _, err := s.step(); err != nil {
 					// An executing event hit a hard error (invalid spec got
 					// through validation, ledger bug): surface it loudly

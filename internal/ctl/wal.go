@@ -204,6 +204,11 @@ func (s *Server) checkpoint() error {
 	if s.journal == nil {
 		return errors.New("ctl: WAL disabled")
 	}
+	// The checkpoint freezes the fold at the journal's sequence, so a
+	// follower folds its backlog first.
+	if err := s.foldAll(); err != nil {
+		return err
+	}
 	state, err := s.encodeCheckpoint()
 	if err != nil {
 		return err
@@ -471,13 +476,54 @@ func (s *Server) replayRecord(rec *wal.Record) error {
 	}
 }
 
+// foldNext advances a follower's fold by one round: a round toward the
+// oldest unfolded record's stamp or, at the stamp, the record itself
+// (state loop, polled between commands as the leader's loop runs its
+// rounds). A failure is sticky: the fold stops and following ends.
+func (s *Server) foldNext() error {
+	rec, err := s.journal.nextUnfolded()
+	if err != nil {
+		return err
+	}
+	if s.engine.Rounds() < rec.Rounds {
+		worked, err := s.step()
+		if err != nil {
+			return s.journal.failFold(fmt.Errorf("ctl: replay round: %w", err))
+		}
+		if worked {
+			return nil
+		}
+		// No work short of the stamp: replayRecord names the stall.
+	}
+	if err := s.replayRecord(rec); err != nil {
+		return s.journal.failFold(err)
+	}
+	s.journal.folded()
+	return nil
+}
+
+// foldAll folds the whole backlog, held or not: what a checkpoint and a
+// promotion need before they read the state.
+func (s *Server) foldAll() error {
+	for s.journal.unfolded() > 0 {
+		if err := s.foldNext(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // quiescence as a stepUntil target runs the queue dry.
 const quiescence = math.MaxInt64
 
-// drain runs the queue dry — what recovery and promotion do before they
-// serve — and refreshes the gauges from where that left the world.
+// drain folds any backlog and runs the queue dry — what recovery and
+// promotion do before they serve — and refreshes the gauges from where
+// that left the world.
 func (s *Server) drain() error {
-	err := s.stepUntil(quiescence)
+	err := s.foldAll()
+	if err == nil {
+		err = s.stepUntil(quiescence)
+	}
 	s.refreshGauges()
 	return err
 }

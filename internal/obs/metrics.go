@@ -620,12 +620,13 @@ type ReplMetrics struct {
 
 	// Followers/SyncedFollowers count registered replication sessions on
 	// the leader; LagRecords is the worst acked-sequence lag across them
-	// (on a follower: its own lag behind the leader's heartbeats), with
+	// (on a follower: the records it holds from the leader and has not
+	// folded yet — what a promotion must fold), with
 	// Lag (power-of-two buckets 1..65536) the sampled distribution behind
 	// the p50/p99 quantile view.
 	Followers       *Gauge     `metric:"netupdate_repl_followers" help:"Replication sessions currently registered on this leader."`
 	SyncedFollowers *Gauge     `metric:"netupdate_repl_synced_followers" help:"Registered followers that have caught up and gate commits."`
-	LagRecords      *Gauge     `metric:"netupdate_repl_lag_records,max" help:"Worst follower lag in WAL records (own lag on a follower)."`
+	LagRecords      *Gauge     `metric:"netupdate_repl_lag_records,max" help:"Worst follower lag in WAL records (on a follower, its records not yet folded)."`
 	Lag             *Histogram `metric:"netupdate_repl_lag_records_hist" help:"Observed replication lag samples, in WAL records." buckets:"1,17"`
 
 	// RecordsSent counts WAL records streamed to followers;
