@@ -19,12 +19,13 @@ import (
 // against the reserved core pool, and fans per-shard answers back into
 // the single-controller response shapes clients already understand.
 //
-// Fan-out is in ascending shard order and, within one connection,
-// requests are handled one at a time — the gateway adds no
-// nondeterminism of its own, which is what keeps a re-run of the same
-// workload byte-identical per shard. The one exception is the metrics
-// read behind OpStats and OpMetrics: it changes no shard, so it asks
-// every shard at once and merges the answers in shard order.
+// A request that reaches several shards asks them at once (ask), so it
+// costs its slowest shard, not the sum of them, and the answers are
+// folded in ascending shard order. Within one connection requests are
+// handled one at a time and ask returns when every shard has answered,
+// so each shard still receives its sub-requests in connection order:
+// the gateway adds no nondeterminism of its own, which is what keeps a
+// re-run of the same workload byte-identical per shard.
 type Gateway struct {
 	part     *Partition
 	graph    *topology.Graph // reference topology, for fault routing
@@ -94,24 +95,21 @@ func (gw *Gateway) Handle(req ctl.Request, ingestWall int64) ctl.Response {
 
 	case ctl.OpResults:
 		var all []ctl.EventStatus
-		if refused := gw.fanout(ctl.Request{Op: ctl.OpResults}, func(_ int, resp *ctl.Response) { all = append(all, resp.Results...) }); refused != nil {
+		if refused := gw.broadcast(ctl.Request{Op: ctl.OpResults}, func(_ int, resp *ctl.Response) { all = append(all, resp.Results...) }); refused != nil {
 			return *refused
 		}
 		return ctl.Response{OK: true, Results: all}
 
-	case ctl.OpStats:
+	case ctl.OpStats, ctl.OpMetrics:
 		resp := gw.sample()
-		if resp.OK {
+		if resp.OK && req.Op == ctl.OpStats {
 			resp.Stats, resp.Metrics = ctl.StatsOf(resp.Metrics), nil
 		}
 		return resp
 
-	case ctl.OpMetrics:
-		return gw.sample()
-
 	case ctl.OpTrace:
 		var all []obs.Record
-		if refused := gw.fanout(ctl.Request{Op: ctl.OpTrace, N: req.N}, func(s int, resp *ctl.Response) {
+		if refused := gw.broadcast(ctl.Request{Op: ctl.OpTrace, N: req.N}, func(s int, resp *ctl.Response) {
 			for _, rec := range resp.Trace {
 				rec.Shard = s
 				all = append(all, rec)
@@ -138,16 +136,6 @@ func (gw *Gateway) Handle(req ctl.Request, ingestWall int64) ctl.Response {
 	}
 }
 
-// endpointsOf collects a spec's flow endpoints for shard-key
-// resolution.
-func endpointsOf(spec *ctl.EventSpec) []topology.NodeID {
-	eps := make([]topology.NodeID, 0, 2*len(spec.Flows))
-	for _, f := range spec.Flows {
-		eps = append(eps, topology.NodeID(f.Src), topology.NodeID(f.Dst))
-	}
-	return eps
-}
-
 // demandOf is a spec's aggregate demand — what a cross-shard event
 // holds from each touched shard's core pool.
 func demandOf(spec *ctl.EventSpec) int64 {
@@ -159,11 +147,11 @@ func demandOf(spec *ctl.EventSpec) int64 {
 }
 
 // submit routes the events of one submit or submit-batch request to
-// their home shards and reassembles the verdicts in submission order.
-// Cross-shard events first hold their demand from every touched shard's
-// core pool (two-phase, all-or-nothing); a pool refusal surfaces as an
-// overload verdict, and a pool admission whose home engine then refuses
-// the event is released.
+// their home shards, asks those shards at once, and reassembles the
+// verdicts in submission order. Cross-shard events first hold their
+// demand from every touched shard's core pool (two-phase,
+// all-or-nothing); a pool refusal surfaces as an overload verdict, and a
+// pool admission whose home engine then refuses the event is released.
 func (gw *Gateway) submit(req ctl.Request) ctl.Response {
 	specs := req.Events
 	if req.Op == ctl.OpSubmit {
@@ -171,9 +159,13 @@ func (gw *Gateway) submit(req ctl.Request) ctl.Response {
 	}
 	verdicts := make([]ctl.SubmitVerdict, len(specs))
 	keys := make([]Key, len(specs))
-	groups := make(map[int][]int, gw.part.N()) // home shard -> spec indexes, in order
+	// Index s-1 holds shard s's spec indexes, in order, and its request,
+	// which gets an op (is asked) once the shard has an event; an unasked
+	// shard's zero answer folds nothing.
+	groups := make([][]int, gw.part.N())
+	reqs := gw.every(ctl.Request{Retry: req.Retry, Span: req.Span, ShardInfo: true})
 	for i := range specs {
-		k := gw.part.KeyOf(endpointsOf(&specs[i]))
+		k := gw.part.KeyOfSpec(&specs[i])
 		keys[i] = k
 		if k.Cross && gw.cross != nil {
 			if err := gw.cross.Admit(k.Touched, demandOf(&specs[i])); err != nil {
@@ -181,23 +173,15 @@ func (gw *Gateway) submit(req ctl.Request) ctl.Response {
 				continue
 			}
 		}
-		groups[k.Home] = append(groups[k.Home], i)
+		h := k.Home - 1
+		groups[h] = append(groups[h], i)
+		reqs[h].Op, reqs[h].Events = ctl.OpSubmitBatch, append(reqs[h].Events, specs[i])
 	}
+	resps := gw.ask(reqs)
 
 	var overload *ctl.OverloadInfo
-	for s := 1; s <= gw.part.N(); s++ {
-		idxs := groups[s]
-		if len(idxs) == 0 {
-			continue
-		}
-		sub := make([]ctl.EventSpec, len(idxs))
-		for j, i := range idxs {
-			sub[j] = specs[i]
-		}
-		resp := gw.backends[s-1].Do(ctl.Request{
-			Op: ctl.OpSubmitBatch, Events: sub,
-			Retry: req.Retry, Span: req.Span, ShardInfo: true,
-		})
+	for g, idxs := range groups {
+		s, resp := g+1, &resps[g]
 		if !resp.OK || len(resp.Verdicts) != len(idxs) {
 			errText := resp.Error
 			if resp.OK {
@@ -250,24 +234,21 @@ func (gw *Gateway) release(k Key, spec *ctl.EventSpec) {
 // status routes a status query by the event-ID lattice: shard s of N
 // mints s, s+N, s+2N, …, so the owner is ((id-1) mod N)+1. Repair
 // events are minted engine-locally above sim.RepairEventIDBase outside
-// the lattice, so those fan out to whichever shard knows the ID.
+// the lattice, so those ask every shard, and the lowest-numbered shard
+// that knows the ID answers.
 func (gw *Gateway) status(req ctl.Request) ctl.Response {
-	id := req.EventID
-	if id >= int64(sim.RepairEventIDBase) {
+	switch id := req.EventID; {
+	case id >= int64(sim.RepairEventIDBase):
 		gw.fanouts.Inc()
-		for s := 1; s <= gw.part.N(); s++ {
-			resp := gw.backends[s-1].Do(req)
+		for _, resp := range gw.ask(gw.every(req)) {
 			if resp.OK && resp.Status != nil && resp.Status.State != ctl.StateUnknown {
 				return resp
 			}
 		}
-		return ctl.Response{OK: true, Status: &ctl.EventStatus{EventID: id, State: ctl.StateUnknown}}
+	case id >= 1:
+		return gw.backends[(id-1)%int64(gw.part.N())].Do(req)
 	}
-	if id < 1 {
-		return ctl.Response{OK: true, Status: &ctl.EventStatus{EventID: id, State: ctl.StateUnknown}}
-	}
-	s := int((id-1)%int64(gw.part.N())) + 1
-	return gw.backends[s-1].Do(req)
+	return ctl.Response{OK: true, Status: &ctl.EventStatus{EventID: req.EventID, State: ctl.StateUnknown}}
 }
 
 // fault routes a fault injection: a fault scoped to one shard's pods
@@ -300,9 +281,10 @@ func (gw *Gateway) fault(req ctl.Request) ctl.Response {
 	if owner > 0 {
 		return gw.backends[owner-1].Do(req)
 	}
-	// Shared-layer fault: apply to every world, fold the results.
+	// Shared-layer fault: apply to every world, fold the results. A
+	// shard's refusal does not stop the others from applying it.
 	var agg *ctl.FaultResult
-	if refused := gw.fanout(req, func(_ int, resp *ctl.Response) {
+	if refused := gw.broadcast(req, func(_ int, resp *ctl.Response) {
 		switch r := resp.Fault; {
 		case r == nil:
 		case agg == nil:
@@ -321,47 +303,65 @@ func (gw *Gateway) fault(req ctl.Request) ctl.Response {
 	return ctl.Response{OK: true, Fault: agg}
 }
 
-// sample asks every shard for its metrics at once — a read, so the
-// order the shards answer in changes nothing, and waiting on the slowest
-// engine instead of on all of them in turn keeps a stats read as quick
-// as it was when shards answered with their Stats — and merges the
-// answers in shard order behind the gateway's own registry's (first, so
-// its shard info — slot 0 of N — wins): the cluster as one sample, which
-// OpStats decodes.
+// sample merges every shard's metrics in shard order behind the
+// gateway's own (first, so its shard info — slot 0 of N — wins): the
+// cluster as one sample, which OpStats decodes.
 func (gw *Gateway) sample() ctl.Response {
-	resps := make([]ctl.Response, gw.part.N())
-	var wg sync.WaitGroup
-	for i := range resps {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resps[i] = gw.backends[i].Do(ctl.Request{Op: ctl.OpMetrics})
-		}()
+	samples := make([]obs.Sample, 1, gw.part.N()+1)
+	if refused := gw.broadcast(ctl.Request{Op: ctl.OpMetrics}, func(_ int, resp *ctl.Response) { samples = append(samples, resp.Metrics) }); refused != nil {
+		return *refused
 	}
-	wg.Wait()
-	samples := make([]obs.Sample, 1, len(resps)+1)
-	for _, resp := range resps {
-		if !resp.OK {
-			return resp
-		}
-		samples = append(samples, resp.Metrics)
-	}
-	gw.fanouts.Inc()
 	samples[0] = gw.reg.Sample()
 	return ctl.Response{OK: true, Metrics: obs.Merge(samples...)}
 }
 
-// fanout sends req to every shard in ascending order and folds each
-// answer; the first refusal is returned as the shard gave it. A fan-out
-// that reached every shard counts once.
-func (gw *Gateway) fanout(req ctl.Request, fold func(s int, resp *ctl.Response)) *ctl.Response {
-	for s := 1; s <= gw.part.N(); s++ {
-		resp := gw.backends[s-1].Do(req)
-		if !resp.OK {
-			return &resp
+// broadcast asks every shard req and folds the answers in ascending
+// shard order; the lowest-numbered refusal is returned, prefixed with
+// the shard that gave it. A fan-out every shard accepted counts once.
+func (gw *Gateway) broadcast(req ctl.Request, fold func(s int, resp *ctl.Response)) *ctl.Response {
+	resps := gw.ask(gw.every(req))
+	for i := range resps {
+		if !resps[i].OK {
+			resps[i].Error = fmt.Sprintf("shard %d: %s", i+1, resps[i].Error)
+			return &resps[i]
 		}
-		fold(s, &resp)
+		fold(i+1, &resps[i])
 	}
 	gw.fanouts.Inc()
 	return nil
+}
+
+// every is req once per shard.
+func (gw *Gateway) every(req ctl.Request) []ctl.Request {
+	reqs := make([]ctl.Request, gw.part.N())
+	for i := range reqs {
+		reqs[i] = req
+	}
+	return reqs
+}
+
+// ask is the gateway's one fan-out: it sends reqs[s-1] to shard s for
+// every slot with an op (a slot without one skips its shard), all at
+// once, and returns the answers by shard index. The lowest asked shard
+// is called on the caller's goroutine, so a request that reaches one
+// shard starts no goroutine.
+func (gw *Gateway) ask(reqs []ctl.Request) []ctl.Response {
+	resps := make([]ctl.Response, len(reqs))
+	var wg sync.WaitGroup
+	inline := -1
+	for i := range reqs {
+		switch {
+		case reqs[i].Op == "":
+		case inline < 0:
+			inline = i
+		default:
+			wg.Add(1)
+			go func() { defer wg.Done(); resps[i] = gw.backends[i].Do(reqs[i]) }()
+		}
+	}
+	if inline >= 0 {
+		resps[inline] = gw.backends[inline].Do(reqs[inline])
+	}
+	wg.Wait()
+	return resps
 }

@@ -10,8 +10,9 @@ package shard
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 
+	"netupdate/internal/ctl"
 	"netupdate/internal/topology"
 )
 
@@ -31,7 +32,11 @@ type PodMapper interface {
 type Partition struct {
 	mapper PodMapper
 	n      int
+	alone  [][]int // index s-1: the Touched of an event only shard s owns
 }
+
+// maxShards bounds N so a key's touched set fits one uint64 bitmask.
+const maxShards = 64
 
 // NewPartition builds a partition of m's pods over n shards. Every
 // shard must own at least one pod, so n is capped by the pod count.
@@ -42,7 +47,14 @@ func NewPartition(m PodMapper, n int) (*Partition, error) {
 	if p := m.NumPods(); n > p {
 		return nil, fmt.Errorf("shard: %d shards over %d pods leaves empty shards", n, p)
 	}
-	return &Partition{mapper: m, n: n}, nil
+	if n > maxShards {
+		return nil, fmt.Errorf("shard: %d shards, at most %d", n, maxShards)
+	}
+	alone := make([][]int, n)
+	for s := range alone {
+		alone[s] = []int{s + 1}
+	}
+	return &Partition{mapper: m, n: n, alone: alone}, nil
 }
 
 // N reports the shard count.
@@ -75,7 +87,7 @@ func (p *Partition) PodsOf(s int) []int {
 type Key struct {
 	Home    int
 	Cross   bool
-	Touched []int // ascending, at least [Home]
+	Touched []int // ascending, at least [Home]; shared, never written
 }
 
 // KeyOf resolves an event's endpoint set to its shard key. An endpoint
@@ -83,29 +95,52 @@ type Key struct {
 // specs, never host-to-host traffic) is conservatively treated as
 // touching every shard.
 func (p *Partition) KeyOf(endpoints []topology.NodeID) Key {
-	touched := make(map[int]struct{})
+	var mask uint64
 	for _, ep := range endpoints {
-		pod := p.mapper.PodOf(ep)
-		if pod < 0 {
-			for s := 1; s <= p.n; s++ {
-				touched[s] = struct{}{}
-			}
-			break
-		}
-		touched[p.OfPod(pod)] = struct{}{}
+		mask = p.touch(mask, ep)
 	}
-	if len(touched) == 0 {
+	return p.keyOfMask(mask)
+}
+
+// KeyOfSpec is KeyOf over a spec's flow endpoints, sources and
+// destinations alike.
+func (p *Partition) KeyOfSpec(spec *ctl.EventSpec) Key {
+	var mask uint64
+	for _, f := range spec.Flows {
+		mask = p.touch(p.touch(mask, topology.NodeID(f.Src)), topology.NodeID(f.Dst))
+	}
+	return p.keyOfMask(mask)
+}
+
+// touch adds the shard owning node's pod to mask (bit s-1 for shard s);
+// a pod-less node touches every shard.
+func (p *Partition) touch(mask uint64, node topology.NodeID) uint64 {
+	pod := p.mapper.PodOf(node)
+	if pod < 0 {
+		return 1<<p.n - 1
+	}
+	return mask | 1<<(p.OfPod(pod)-1)
+}
+
+// keyOfMask reads a touched set out in ascending shard order. A
+// one-shard set shares that shard's Touched slice, so routing a
+// pod-local event allocates nothing.
+func (p *Partition) keyOfMask(mask uint64) Key {
+	if mask == 0 {
 		// No endpoints (an empty event): route to shard 1, whose
 		// validation will reject it with the same error an unsharded
 		// server gives.
-		return Key{Home: 1, Touched: []int{1}}
+		return Key{Home: 1, Touched: p.alone[0]}
 	}
-	ids := make([]int, 0, len(touched))
-	for s := range touched {
-		ids = append(ids, s)
+	home := bits.TrailingZeros64(mask) + 1
+	if mask&(mask-1) == 0 {
+		return Key{Home: home, Touched: p.alone[home-1]}
 	}
-	sort.Ints(ids)
-	return Key{Home: ids[0], Cross: len(ids) > 1, Touched: ids}
+	touched := make([]int, 0, bits.OnesCount64(mask))
+	for ; mask != 0; mask &= mask - 1 {
+		touched = append(touched, bits.TrailingZeros64(mask)+1)
+	}
+	return Key{Home: home, Cross: true, Touched: touched}
 }
 
 // LinkOwner resolves a link to the shard owning both its endpoints, or
