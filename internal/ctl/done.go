@@ -54,6 +54,19 @@ func (d *doneRing) push(r metrics.EventRecord) {
 	d.head = (d.head + 1) % d.window
 }
 
+// refill loads a checkpoint's records, oldest first, into the empty
+// window. A full window is allocated at its size once instead of grown
+// record by record; a partial one grows as live completions grow it.
+func (d *doneRing) refill(recs []metrics.EventRecord) {
+	if len(recs) >= d.window {
+		d.recs = make([]metrics.EventRecord, 0, d.window)
+		d.slot = make(map[int64]int, d.window)
+	}
+	for _, r := range recs {
+		d.push(r)
+	}
+}
+
 // get returns the retained record of a completed event.
 func (d *doneRing) get(id int64) (metrics.EventRecord, bool) {
 	i, ok := d.slot[id]

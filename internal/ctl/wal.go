@@ -319,9 +319,7 @@ func (s *Server) restoreCheckpoint(ckpt *wal.Checkpoint) error {
 
 	// The window refills with the done records; what every completion
 	// folded into, the registry restores.
-	for _, r := range doc.Done {
-		s.done.push(r)
-	}
+	s.done.refill(doc.Done)
 	if err := s.registry.Restore(doc.Metrics); err != nil {
 		return fmt.Errorf("ctl: restoring metrics: %w", err)
 	}

@@ -342,26 +342,35 @@ func (gw *Gateway) every(req ctl.Request) []ctl.Request {
 
 // ask is the gateway's one fan-out: it sends reqs[s-1] to shard s for
 // every slot with an op (a slot without one skips its shard), all at
-// once, and returns the answers by shard index. The lowest asked shard
-// is called on the caller's goroutine, so a request that reaches one
-// shard starts no goroutine.
+// once through atOnce, and returns the answers by shard index.
 func (gw *Gateway) ask(reqs []ctl.Request) []ctl.Response {
 	resps := make([]ctl.Response, len(reqs))
-	var wg sync.WaitGroup
-	inline := -1
+	// The asked slots stay on the stack for any partition size.
+	var buf [maxShards]int
+	asked := buf[:0]
 	for i := range reqs {
-		switch {
-		case reqs[i].Op == "":
-		case inline < 0:
-			inline = i
-		default:
-			wg.Add(1)
-			go func() { defer wg.Done(); resps[i] = gw.backends[i].Do(reqs[i]) }()
+		if reqs[i].Op != "" {
+			asked = append(asked, i)
 		}
 	}
-	if inline >= 0 {
-		resps[inline] = gw.backends[inline].Do(reqs[inline])
-	}
-	wg.Wait()
+	atOnce(asked, func(i int) { resps[i] = gw.backends[i].Do(reqs[i]) })
 	return resps
+}
+
+// atOnce calls fn(i) for every i in slots, all at once, and returns when
+// every call has: the first slot runs on the caller's goroutine and each
+// other on its own, so a single slot starts no goroutine. It is the one
+// place package shard starts goroutines — the gateway's fan-out and the
+// cluster's stand-up both go through it.
+func atOnce(slots []int, fn func(i int)) {
+	if len(slots) == 0 {
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(len(slots) - 1)
+	for _, i := range slots[1:] {
+		go func() { defer wg.Done(); fn(i) }()
+	}
+	fn(slots[0])
+	wg.Wait()
 }

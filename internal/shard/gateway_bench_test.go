@@ -31,28 +31,9 @@ func BenchmarkGatewaySubmit(b *testing.B) {
 	defer gw.Close()
 
 	rng := rand.New(rand.NewSource(7))
-	hosts := cl.Ref.Hosts()
-	pods := make([][]topology.NodeID, cl.Ref.NumPods())
-	for _, h := range hosts {
-		pods[cl.Ref.PodOfHost(h)] = append(pods[cl.Ref.PodOfHost(h)], h)
-	}
 	requests := make([][]ctl.EventSpec, 64)
 	for r := range requests {
-		for range 8 {
-			pool := hosts
-			if rng.Float64() < 0.9 {
-				pool = pods[rng.Intn(len(pods))]
-			}
-			flows := make([]ctl.FlowSpec, 1+rng.Intn(4))
-			for j := range flows {
-				src, dst := pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool)-1)]
-				if dst == src {
-					dst = pool[len(pool)-1]
-				}
-				flows[j] = ctl.FlowSpec{Src: int(src), Dst: int(dst), DemandBps: int64(2 * topology.Mbps), SizeBytes: 100e3}
-			}
-			requests[r] = append(requests[r], ctl.EventSpec{Kind: "bench", Flows: flows})
-		}
+		requests[r] = mixEvents(cl.Ref, rng, 8)
 	}
 
 	b.ReportAllocs()
@@ -68,4 +49,32 @@ func BenchmarkGatewaySubmit(b *testing.B) {
 			}
 		}
 	}
+}
+
+// mixEvents draws n events shaped like the benchmark's gateway_mix: 1–4
+// flows of 2 Mbps and 100 KB each, both ends of every flow inside one
+// pod for 90 % of the events and anywhere in the fabric otherwise.
+func mixEvents(ft *topology.FatTree, rng *rand.Rand, n int) []ctl.EventSpec {
+	hosts := ft.Hosts()
+	pods := make([][]topology.NodeID, ft.NumPods())
+	for _, h := range hosts {
+		pods[ft.PodOfHost(h)] = append(pods[ft.PodOfHost(h)], h)
+	}
+	events := make([]ctl.EventSpec, n)
+	for i := range events {
+		pool := hosts
+		if rng.Float64() < 0.9 {
+			pool = pods[rng.Intn(len(pods))]
+		}
+		flows := make([]ctl.FlowSpec, 1+rng.Intn(4))
+		for j := range flows {
+			src, dst := pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool)-1)]
+			if dst == src {
+				dst = pool[len(pool)-1]
+			}
+			flows[j] = ctl.FlowSpec{Src: int(src), Dst: int(dst), DemandBps: int64(2 * topology.Mbps), SizeBytes: 100e3}
+		}
+		events[i] = ctl.EventSpec{Kind: "bench", Flows: flows}
+	}
+	return events
 }

@@ -147,7 +147,7 @@ func TestGatewayCrossShardAdmission(t *testing.T) {
 }
 
 // waitDone polls the gateway until n events completed cluster-wide.
-func waitDone(t *testing.T, gw *Gateway, n int) {
+func waitDone(t testing.TB, gw *Gateway, n int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"netupdate/internal/ctl"
@@ -144,6 +145,12 @@ type Cluster struct {
 //
 // With Shards == 1 the single world's network is byte-for-byte the
 // unsharded one (full core capacity, full fill).
+//
+// The shards are built at once, each through NewWorld, and Worlds holds
+// them in slot order: with a core per shard a cluster stands up in its
+// slowest shard's time, not the sum of them. If any shard fails, every
+// shard still finishes building, the ones that built are closed, and
+// the error is the lowest-numbered failure, prefixed "shard <s>: ".
 func NewCluster(cfg WorldConfig) (*Cluster, error) {
 	if err := cfg.Validate(1); err != nil {
 		return nil, err
@@ -160,14 +167,19 @@ func NewCluster(cfg WorldConfig) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	cl := &Cluster{Part: part, Ref: ref, Cross: CrossPoolFor(ref, part, frac)}
-	for id := 1; id <= cfg.Shards; id++ {
-		w, err := NewWorld(cfg, id)
-		if err != nil {
-			cl.Close()
-			return nil, fmt.Errorf("shard %d: %w", id, err)
+	cl := &Cluster{Part: part, Ref: ref, Cross: CrossPoolFor(ref, part, frac), Worlds: make([]*World, cfg.Shards)}
+	slots, errs := make([]int, cfg.Shards), make([]error, cfg.Shards)
+	for i := range slots {
+		slots[i] = i
+	}
+	atOnce(slots, func(i int) { cl.Worlds[i], errs[i] = NewWorld(cfg, i+1) })
+	if i := slices.IndexFunc(errs, func(err error) bool { return err != nil }); i >= 0 {
+		for _, w := range cl.Worlds {
+			if w != nil {
+				_ = w.Server.Close()
+			}
 		}
-		cl.Worlds = append(cl.Worlds, w)
+		return nil, fmt.Errorf("shard %d: %w", i+1, errs[i])
 	}
 	return cl, nil
 }
