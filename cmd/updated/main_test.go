@@ -142,11 +142,17 @@ func TestDaemonBadFlags(t *testing.T) {
 		nil,
 		{"-shards", "2"},
 		{"-shard-id", "2", "-shard-of", "2"},
+		{"-shard-addrs", "127.0.0.1:1,127.0.0.1:2"},
 	} {
-		for _, bad := range [][]string{
+		bads := [][]string{
 			{"-scheduler", "bogus"},
 			{"-wal-dir", t.TempDir(), "-wal-sync", "sometimes"},
-		} {
+		}
+		if mode != nil {
+			// Every sharded mode sizes a cross pool; one engine has none.
+			bads = append(bads, []string{"-cross-pool-frac", "NaN"}, []string{"-cross-pool-frac", "1"})
+		}
+		for _, bad := range bads {
 			args := append(append([]string{"-k", "4"}, mode...), bad...)
 			if code := run(args, io.Discard, stop); code != 2 {
 				t.Errorf("run(%v) = %d, want 2", args, code)

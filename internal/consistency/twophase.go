@@ -71,32 +71,10 @@ type Plan struct {
 	NewVersion rules.Version
 }
 
-// NumRuleOps returns the number of switch-table operations the plan
-// performs: installs plus removals plus the ingress flip, each touching
-// every internal switch of its path (the flip touches one switch).
-// This is the controller work the simulator charges install time for.
-func (p Plan) NumRuleOps(count func(routing.Path) int) int {
-	total := 0
-	for _, op := range p.Ops {
-		switch op.Kind {
-		case OpFlipIngress:
-			total++
-		default:
-			total += count(op.Path)
-		}
-	}
-	return total
-}
-
-// NewFlow plans the first installation of a flow on a path: install
-// generation-1 rules, then enable the ingress.
-func NewFlow(f flow.ID, path routing.Path) Plan {
-	return InstallAt(f, 1, path)
-}
-
-// InstallAt plans an installation at an explicit generation — used when a
-// flow is re-placed after a withdrawal and its generation counter must
-// keep advancing.
+// InstallAt plans the installation of a flow's rules at generation v:
+// install them on path, then enable the ingress. A first placement is
+// generation 1; a flow re-placed after a withdrawal keeps its generation
+// counter advancing.
 func InstallAt(f flow.ID, v rules.Version, path routing.Path) Plan {
 	return Plan{
 		Flow:       f,

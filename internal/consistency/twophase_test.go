@@ -25,22 +25,9 @@ func env(t *testing.T, capacity int) (*rules.Manager, routing.Path, routing.Path
 	return rules.NewManager(ft.Graph(), capacity), paths.At(0), paths.At(1), ft.Graph()
 }
 
-// switchHops counts a path's switch-sourced links (rules it needs).
-func switchHops(g *topology.Graph) func(routing.Path) int {
-	return func(p routing.Path) int {
-		n := 0
-		for _, l := range p.Links() {
-			if g.Node(g.Link(l).From).Kind.IsSwitch() {
-				n++
-			}
-		}
-		return n
-	}
-}
-
 func TestNewFlowPlan(t *testing.T) {
-	m, path, _, g := env(t, 0)
-	plan := NewFlow(1, path)
+	m, path, _, _ := env(t, 0)
+	plan := InstallAt(1, 1, path)
 	if plan.NewVersion != 1 {
 		t.Errorf("NewVersion = %d, want 1", plan.NewVersion)
 	}
@@ -54,15 +41,11 @@ func TestNewFlowPlan(t *testing.T) {
 	if !m.PathInstalled(1, 1, path) {
 		t.Error("rules not installed")
 	}
-	// NumRuleOps counts the flip as one controller op: 5 + 1.
-	if got := plan.NumRuleOps(switchHops(g)); got != 6 {
-		t.Errorf("NumRuleOps = %d, want 6", got)
-	}
 }
 
 func TestMovePlanTwoPhase(t *testing.T) {
-	m, oldPath, newPath, g := env(t, 0)
-	if _, err := Apply(NewFlow(1, oldPath), m); err != nil {
+	m, oldPath, newPath, _ := env(t, 0)
+	if _, err := Apply(InstallAt(1, 1, oldPath), m); err != nil {
 		t.Fatal(err)
 	}
 	before := m.TotalEntries()
@@ -84,15 +67,11 @@ func TestMovePlanTwoPhase(t *testing.T) {
 	if got := m.TotalEntries(); got != before {
 		t.Errorf("TotalEntries = %d, want %d", got, before)
 	}
-	// install(5) + flip(1) + remove(5) controller ops.
-	if got := plan.NumRuleOps(switchHops(g)); got != 11 {
-		t.Errorf("NumRuleOps = %d, want 11", got)
-	}
 }
 
 func TestTeardownPlan(t *testing.T) {
 	m, path, _, _ := env(t, 0)
-	if _, err := Apply(NewFlow(1, path), m); err != nil {
+	if _, err := Apply(InstallAt(1, 1, path), m); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Apply(Teardown(1, 1, path), m); err != nil {
@@ -105,7 +84,7 @@ func TestTeardownPlan(t *testing.T) {
 
 func TestApplyRejectsRemoveBeforeFlip(t *testing.T) {
 	m, oldPath, newPath, _ := env(t, 0)
-	if _, err := Apply(NewFlow(1, oldPath), m); err != nil {
+	if _, err := Apply(InstallAt(1, 1, oldPath), m); err != nil {
 		t.Fatal(err)
 	}
 	bad := Plan{
@@ -142,7 +121,7 @@ func TestApplyRejectsFlipBeforeInstall(t *testing.T) {
 // would fit.
 func TestTwoPhaseNeedsHeadroom(t *testing.T) {
 	m, oldPath, newPath, g := env(t, 1) // 1 entry per switch
-	if _, err := Apply(NewFlow(1, oldPath), m); err != nil {
+	if _, err := Apply(InstallAt(1, 1, oldPath), m); err != nil {
 		t.Fatal(err)
 	}
 	// The two paths share the first edge switch; its table is full with

@@ -12,24 +12,17 @@ import (
 	"netupdate/internal/topology"
 )
 
-// FailPolicy controls what happens when one flow of an event cannot be
-// admitted even with migration.
+// FailPolicy names what happens when one flow of an event cannot be
+// admitted even with migration. There is one policy, FailSkip; the type
+// and NewPlanner's parameter remain because bench/deploy.go passes
+// core.FailSkip.
 type FailPolicy int
 
-const (
-	// FailSkip records the spec in Event.FailedSpecs and continues with
-	// the remaining flows. This is the default: at very high utilization
-	// some host access links are simply full, and the paper's evaluation
-	// keeps running (success probability < 1 in Fig. 1).
-	FailSkip FailPolicy = iota + 1
-	// FailAbort rolls back the whole event and returns an error, leaving
-	// the network exactly as before Execute.
-	FailAbort
-)
-
-// ErrEventAborted is returned by Execute under FailAbort when any flow of
-// the event cannot be admitted.
-var ErrEventAborted = errors.New("event aborted: flow not admittable")
+// FailSkip records the spec in Event.FailedSpecs and continues with the
+// remaining flows: at very high utilization some host access links are
+// simply full, and the paper's evaluation keeps running (success
+// probability < 1 in Fig. 1).
+const FailSkip FailPolicy = 1
 
 // ExecResult reports an executed event.
 type ExecResult struct {
@@ -38,7 +31,7 @@ type ExecResult struct {
 	// Admitted holds one migration result per successfully admitted flow,
 	// in admission order.
 	Admitted []*migration.Result
-	// Failed counts specs that could not be admitted (FailSkip only).
+	// Failed counts specs that could not be admitted.
 	Failed int
 	// Cost is the realized Cost(U): total migrated traffic across all
 	// admissions (Definition 2).
@@ -69,15 +62,12 @@ type Plan struct {
 	Estimate
 	event *Event
 	// base is the registry's next flow ID when the plan was made, next
-	// the counter after it, and abortNext the counter right after the
-	// first failing spec, where FailAbort stops.
-	base, next, abortNext flow.ID
-	// failed counts the specs that cannot be admitted; failErr is the
-	// first one's error.
-	failed  int
-	failErr error
-	flows   []flowPlan
-	steps   []migration.Step
+	// the counter after it.
+	base, next flow.ID
+	// failed counts the specs that cannot be admitted.
+	failed int
+	flows  []flowPlan
+	steps  []migration.Step
 }
 
 // flowPlan is one spec's planned admission; its migrations are
@@ -105,19 +95,16 @@ type ProbeStats struct {
 // to the migration planner.
 type Planner struct {
 	mig    *migration.Planner
-	policy FailPolicy
 	probes ProbeStats
 	// scratch backs the plans of Probe and Execute, which hand nothing
 	// of it out.
 	scratch Plan
 }
 
-// NewPlanner wraps a migration planner. policy 0 defaults to FailSkip.
-func NewPlanner(mig *migration.Planner, policy FailPolicy) *Planner {
-	if policy == 0 {
-		policy = FailSkip
-	}
-	return &Planner{mig: mig, policy: policy}
+// NewPlanner wraps a migration planner. Unadmittable flows are skipped
+// (FailSkip) whatever the policy argument says.
+func NewPlanner(mig *migration.Planner, _ FailPolicy) *Planner {
+	return &Planner{mig: mig}
 }
 
 // Network returns the underlying network state.
@@ -129,9 +116,7 @@ func (p *Planner) Migration() *migration.Planner { return p.mig }
 
 // Execute admits every flow of the event, committing placements and
 // migrations to the network: it plans the event and applies the plan.
-// Under FailSkip, unadmittable flows are recorded on the event and
-// skipped; under FailAbort nothing is applied and ErrEventAborted
-// returned.
+// Unadmittable flows are recorded on the event and skipped.
 func (p *Planner) Execute(ev *Event) (*ExecResult, error) {
 	pl := &p.scratch
 	if err := p.plan(pl, ev); err != nil {
@@ -207,9 +192,6 @@ func (p *Planner) plan(pl *Plan, ev *Event) error {
 				pl.next = v.NextID()
 				return fmt.Errorf("%v: %w", ev, err)
 			}
-			if pl.failed == 0 {
-				pl.failErr, pl.abortNext = err, v.NextID()
-			}
 			pl.failed++
 			fp.failed = true
 		} else {
@@ -225,11 +207,10 @@ func (p *Planner) plan(pl *Plan, ev *Event) error {
 // Apply carries out a plan: it registers each admitted flow with its
 // planned ID, reroutes or splits its victims and places it, records the
 // unadmittable specs in Event.FailedSpecs, and sets Event.CostAtExec. It
-// plans nothing, and reports the plan's Evals. Under FailAbort a plan
-// with an unadmittable spec is not applied: ErrEventAborted is returned.
-// Apply is atomic: if the network no longer matches the plan — a flow
-// was registered since, a victim moved, or a reservation does not fit —
-// everything it applied is reverted and the error returned.
+// plans nothing, and reports the plan's Evals. Apply is atomic: if the
+// network no longer matches the plan — a flow was registered since, a
+// victim moved, or a reservation does not fit — everything it applied is
+// reverted and the error returned.
 func (p *Planner) Apply(pl *Plan) (*ExecResult, error) {
 	net := p.mig.Network()
 	reg := net.Registry()
@@ -237,10 +218,6 @@ func (p *Planner) Apply(pl *Plan) (*ExecResult, error) {
 	if reg.NextID() != pl.base {
 		return nil, fmt.Errorf("%v: plan made at flow ID %d, network at %d: %w",
 			ev, int64(pl.base), int64(reg.NextID()), migration.ErrStalePlan)
-	}
-	if p.policy == FailAbort && pl.failed > 0 {
-		reg.SkipTo(pl.abortNext)
-		return nil, fmt.Errorf("%v: %w: %v", ev, ErrEventAborted, pl.failErr)
 	}
 	res := &ExecResult{
 		Event:    ev,

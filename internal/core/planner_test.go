@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"reflect"
 	"testing"
 
@@ -159,37 +158,6 @@ func TestExecuteFailSkipRecordsFailures(t *testing.T) {
 	}
 }
 
-func TestExecuteFailAbortRollsBack(t *testing.T) {
-	s := newCoreScenario(t, 800*topology.Mbps)
-	cw, _ := s.g.LinkBetween(s.c, topology.NodeID(6))
-	if err := s.g.Reserve(cw, topology.Gbps); err != nil {
-		t.Fatal(err)
-	}
-	before := s.snapshot()
-	regBefore := s.net.Registry().Len()
-
-	p := s.planner(FailAbort)
-	ev := NewEvent(1, "test", 0, []flow.Spec{
-		{Src: s.a, Dst: s.b, Demand: 100 * topology.Mbps}, // fits, then rolled back
-		{Src: s.a, Dst: s.b, Demand: 500 * topology.Mbps}, // blocked -> abort
-	})
-	_, err := p.Execute(ev)
-	if !errors.Is(err, ErrEventAborted) {
-		t.Fatalf("Execute error = %v, want ErrEventAborted", err)
-	}
-	for i, w := range before {
-		if got := s.g.Link(topology.LinkID(i)).Reserved(); got != w {
-			t.Errorf("link %d reserved = %v, want %v (rollback)", i, got, w)
-		}
-	}
-	if got := s.net.Registry().Len(); got != regBefore {
-		t.Errorf("registry size = %d, want %d", got, regBefore)
-	}
-	if len(ev.Flows) != 0 {
-		t.Errorf("aborted event has flows: %v", ev.Flows)
-	}
-}
-
 func TestProbeRestoresStateAndPredictsCost(t *testing.T) {
 	s := newCoreScenario(t, 800*topology.Mbps)
 	p := s.planner(0)
@@ -327,8 +295,7 @@ func TestRollbackExecRestoresExactState(t *testing.T) {
 }
 
 // TestFailedSpecsSpendTheirIDs: an unadmittable spec spends the flow ID
-// it was registered under, under FailSkip where the event goes on and
-// under FailAbort where it stops at that spec.
+// it was registered under, and the event goes on past it.
 func TestFailedSpecsSpendTheirIDs(t *testing.T) {
 	for _, tc := range []struct {
 		policy FailPolicy
@@ -336,7 +303,6 @@ func TestFailedSpecsSpendTheirIDs(t *testing.T) {
 		next   flow.ID   // the next free ID, as an offset
 	}{
 		{FailSkip, []flow.ID{0, 2}, 4},
-		{FailAbort, nil, 2},
 	} {
 		s := newCoreScenario(t, 800*topology.Mbps)
 		// Saturate the victim's detour so migration is impossible.
@@ -352,7 +318,7 @@ func TestFailedSpecsSpendTheirIDs(t *testing.T) {
 			{Src: s.a, Dst: s.b, Demand: 500 * topology.Mbps}, // blocked
 		})
 		_, err := s.planner(tc.policy).Execute(ev)
-		if (err != nil) != (tc.policy == FailAbort) {
+		if err != nil {
 			t.Fatalf("policy %d: Execute error %v", tc.policy, err)
 		}
 		var got []flow.ID

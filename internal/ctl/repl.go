@@ -94,8 +94,10 @@ const (
 type ReplicationConfig struct {
 	// MaxFollowers caps registered sessions (0 = DefaultMaxFollowers).
 	MaxFollowers int
-	// HeartbeatEvery is the liveness beacon cadence (0 = default).
-	HeartbeatEvery time.Duration
+	// heartbeatEvery shortens the liveness beacon cadence for in-package
+	// tests; 0 — all any caller outside the package can say — is
+	// DefaultHeartbeatEvery.
+	heartbeatEvery time.Duration
 }
 
 // errFoldFailed marks a follower-side apply error (sequence gap, replay
@@ -131,7 +133,7 @@ func newReplHub(met *obs.ReplMetrics, rc ReplicationConfig) *replHub {
 	h := &replHub{
 		met:          met,
 		maxFollowers: rc.MaxFollowers,
-		hbEvery:      rc.HeartbeatEvery,
+		hbEvery:      rc.heartbeatEvery,
 		followers:    make(map[*replFollower]struct{}),
 	}
 	if h.maxFollowers <= 0 {
@@ -544,8 +546,10 @@ type FollowerConfig struct {
 	// this long (0 = manual promotion only). Must comfortably exceed
 	// the leader's heartbeat cadence.
 	PromoteAfter time.Duration
-	// ReconnectEvery is the redial backoff (0 = DefaultReconnectEvery).
-	ReconnectEvery time.Duration
+	// reconnectEvery shortens the redial backoff for in-package tests;
+	// 0 — all any caller outside the package can say — is
+	// DefaultReconnectEvery.
+	reconnectEvery time.Duration
 }
 
 // FollowerSession is an established replication stream, handed from
@@ -668,8 +672,8 @@ func NewFollower(planner *core.Planner, scheduler sched.Scheduler, simCfg sim.Co
 	j := s.journal
 	j.setRole(roleFollower)
 	j.follow = cfg
-	if j.follow.ReconnectEvery <= 0 {
-		j.follow.ReconnectEvery = DefaultReconnectEvery
+	if j.follow.reconnectEvery <= 0 {
+		j.follow.reconnectEvery = DefaultReconnectEvery
 	}
 	j.leaderTerm.Store(sess.welcome.Term)
 	j.leaderSeq.Store(sess.welcome.LastSeq)
@@ -708,7 +712,7 @@ func (s *Server) runFollower(sess *FollowerSession) {
 				return
 			}
 			select {
-			case <-time.After(j.follow.ReconnectEvery):
+			case <-time.After(j.follow.reconnectEvery):
 			case <-s.closing:
 				return
 			case <-j.stopFollow:

@@ -44,7 +44,7 @@ func startReplLeaderWindow(t *testing.T, dir string, ckptEvery, window int, wopt
 	srv, _, err := New(Config{
 		Planner: planner, Scheduler: scheduler, Sim: sim.Config{InstallTime: time.Millisecond},
 		WAL:         &WALConfig{Log: log, CheckpointEvery: ckptEvery},
-		Replication: ReplicationConfig{HeartbeatEvery: 50 * time.Millisecond},
+		Replication: ReplicationConfig{heartbeatEvery: 50 * time.Millisecond},
 		doneWindow:  window,
 	})
 	if err != nil {
@@ -73,7 +73,7 @@ func startReplFollowerWindow(t *testing.T, dir, leaderAddr string, meta wal.Meta
 	cfg := FollowerConfig{
 		Log: log, Meta: &meta, LeaderAddr: leaderAddr,
 		CheckpointEvery: ckptEvery, PromoteAfter: promoteAfter,
-		ReconnectEvery: 50 * time.Millisecond,
+		reconnectEvery: 50 * time.Millisecond,
 	}
 	sess, err := FollowerBootstrap(cfg)
 	if err != nil {
@@ -82,7 +82,7 @@ func startReplFollowerWindow(t *testing.T, dir, leaderAddr string, meta wal.Meta
 	planner, scheduler, _ := buildWALWorld(t, log.Checkpoint() == nil)
 	srv, _, err := NewFollower(planner, scheduler, sim.Config{InstallTime: time.Millisecond}, cfg, sess,
 		func(c *Config) {
-			c.Replication.HeartbeatEvery = 50 * time.Millisecond
+			c.Replication.heartbeatEvery = 50 * time.Millisecond
 			c.doneWindow = window
 		})
 	if err != nil {

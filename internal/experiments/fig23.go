@@ -23,7 +23,6 @@ func toyConfig() sim.Config {
 		InstallTime:   time.Second,
 		MigrationRate: 100 * topology.Mbps,
 		PlanEvalTime:  -1, // the toy figures charge no plan time
-		Mode:          sim.InstallOnly,
 	}
 }
 

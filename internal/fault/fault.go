@@ -4,7 +4,8 @@
 // stamped with the virtual time at which it fires. An Injector walks a
 // script in step with the simulator's virtual clock, so the same seed and
 // the same script always produce the same failure sequence: chaos tests
-// become deterministic and their traces byte-comparable.
+// become deterministic and their traces byte-comparable. A script is built
+// in code (RandomScript or a literal); it has no file format.
 //
 // The package deliberately knows nothing about the engine. It only
 // describes what should fail and when; internal/sim owns how the schedule
@@ -12,11 +13,7 @@
 package fault
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
 	"sort"
 	"time"
@@ -53,24 +50,22 @@ func (a Action) valid() bool {
 }
 
 // Injection is one scheduled fault. Exactly one of Link/Node/Event is
-// meaningful depending on Action. Fields are plain ints so scripts
-// round-trip through JSON without custom codecs.
+// meaningful depending on Action.
 type Injection struct {
-	// At is the virtual time at which the fault fires (nanoseconds in
-	// JSON, like all trace timestamps).
-	At time.Duration `json:"at"`
+	// At is the virtual time at which the fault fires.
+	At time.Duration
 	// Action selects the fault kind.
-	Action Action `json:"action"`
+	Action Action
 	// Link is the target link for LinkDown/LinkUp.
-	Link int `json:"link,omitempty"`
+	Link int
 	// Node is the target switch for SwitchDown/SwitchUp.
-	Node int `json:"node,omitempty"`
+	Node int
 	// Event targets InstallTimeout at a specific event ID; zero means the
 	// next event to execute after the fault fires.
-	Event int64 `json:"event,omitempty"`
+	Event int64
 	// Times is how many consecutive installs fail for InstallTimeout
 	// (default 1). Beyond the engine's retry budget the event rolls back.
-	Times int `json:"times,omitempty"`
+	Times int
 }
 
 // Validate checks the injection against a topology of numNodes nodes and
@@ -121,62 +116,12 @@ func (inj Injection) TargetLinks(g *topology.Graph) ([]topology.LinkID, string) 
 // preserved, so a script is itself part of the deterministic input.
 type Script []Injection
 
-// Validate checks every injection against the topology bounds.
-func (s Script) Validate(numNodes, numLinks int) error {
-	for i, inj := range s {
-		if err := inj.Validate(numNodes, numLinks); err != nil {
-			return fmt.Errorf("script[%d]: %w", i, err)
-		}
-	}
-	return nil
-}
-
 // Sorted returns a copy of the script stably sorted by firing time.
 func (s Script) Sorted() Script {
 	out := make(Script, len(s))
 	copy(out, s)
 	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
 	return out
-}
-
-// WriteTo serializes the script as JSONL, one injection per line.
-func (s Script) WriteTo(w io.Writer) (int64, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	for _, inj := range s {
-		if err := enc.Encode(inj); err != nil {
-			return 0, err
-		}
-	}
-	n, err := w.Write(buf.Bytes())
-	return int64(n), err
-}
-
-// ParseScript reads a JSONL fault script. Blank lines are skipped;
-// malformed lines or unknown actions are errors.
-func ParseScript(r io.Reader) (Script, error) {
-	var s Script
-	sc := bufio.NewScanner(r)
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := bytes.TrimSpace(sc.Bytes())
-		if len(raw) == 0 {
-			continue
-		}
-		var inj Injection
-		if err := json.Unmarshal(raw, &inj); err != nil {
-			return nil, fmt.Errorf("fault script line %d: %w", line, err)
-		}
-		if !inj.Action.valid() {
-			return nil, fmt.Errorf("fault script line %d: unknown action %q", line, inj.Action)
-		}
-		s = append(s, inj)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("fault script: %w", err)
-	}
-	return s, nil
 }
 
 // Injector walks a script in virtual-time order. It is driven by the
@@ -211,9 +156,6 @@ func (in *Injector) NextAt() (time.Duration, bool) {
 	}
 	return in.script[in.next].At, true
 }
-
-// Remaining returns the number of injections that have not fired.
-func (in *Injector) Remaining() int { return len(in.script) - in.next }
 
 // RandomScript generates a deterministic script of n link failure +
 // recovery pairs on the fabric (switch-to-switch) links of g. Failures

@@ -1,9 +1,7 @@
 package fault
 
 import (
-	"bytes"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -56,50 +54,14 @@ func TestInjectorFiresInOrderOnce(t *testing.T) {
 	if again := in.Due(10 * time.Millisecond); again != nil {
 		t.Fatalf("repeated Due(10ms) = %v, want nil", again)
 	}
-	if got := in.Remaining(); got != 1 {
-		t.Errorf("Remaining() = %d, want 1", got)
+	if at, ok := in.NextAt(); !ok || at != 30*time.Millisecond {
+		t.Errorf("NextAt() = %v, %v; want 30ms, true (one pending)", at, ok)
 	}
 	if due := in.Due(time.Second); len(due) != 1 || due[0].Action != LinkUp {
 		t.Fatalf("Due(1s) = %v, want the link-up", due)
 	}
 	if _, ok := in.NextAt(); ok {
 		t.Error("NextAt() reports pending work on a drained injector")
-	}
-}
-
-func TestScriptJSONLRoundTrip(t *testing.T) {
-	s := Script{
-		{At: time.Millisecond, Action: LinkDown, Link: 7},
-		{At: 2 * time.Millisecond, Action: InstallTimeout, Event: 3, Times: 2},
-		{At: 5 * time.Millisecond, Action: SwitchDown, Node: 1},
-	}
-	var buf bytes.Buffer
-	if _, err := s.WriteTo(&buf); err != nil {
-		t.Fatalf("WriteTo: %v", err)
-	}
-	got, err := ParseScript(&buf)
-	if err != nil {
-		t.Fatalf("ParseScript: %v", err)
-	}
-	if !reflect.DeepEqual(got, s) {
-		t.Errorf("round trip = %+v, want %+v", got, s)
-	}
-}
-
-func TestParseScriptRejectsGarbage(t *testing.T) {
-	for _, bad := range []string{
-		`{"at": 1, "action": "meteor-strike"}`,
-		`not json`,
-		`{"at": "soon", "action": "link-down"}`,
-	} {
-		if _, err := ParseScript(strings.NewReader(bad)); err == nil {
-			t.Errorf("ParseScript(%q) succeeded, want error", bad)
-		}
-	}
-	// Blank lines are fine.
-	s, err := ParseScript(strings.NewReader("\n\n{\"at\":1,\"action\":\"link-up\"}\n\n"))
-	if err != nil || len(s) != 1 {
-		t.Errorf("ParseScript with blanks = %v, %v; want 1 injection", s, err)
 	}
 }
 
@@ -121,8 +83,10 @@ func TestRandomScriptDeterministicAndValid(t *testing.T) {
 	if len(a) != 10 {
 		t.Fatalf("script length = %d, want 10 (5 down/up pairs)", len(a))
 	}
-	if err := a.Validate(g.NumNodes(), g.NumLinks()); err != nil {
-		t.Errorf("generated script invalid: %v", err)
+	for i, inj := range a {
+		if err := inj.Validate(g.NumNodes(), g.NumLinks()); err != nil {
+			t.Errorf("generated injection %d invalid: %v", i, err)
+		}
 	}
 	downs := 0
 	for i, inj := range a {

@@ -131,7 +131,7 @@ func TestSelectorsAgreeOnFeasibility(t *testing.T) {
 						break
 					}
 				}
-				for _, sel := range []Selector{FirstFit{}, WidestFit{}, rf} {
+				for _, sel := range []Selector{WidestFit{}, rf} {
 					p, ok := sel.Select(g, paths, demand)
 					if ok != feasible {
 						return false

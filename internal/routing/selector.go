@@ -16,22 +16,6 @@ type Selector interface {
 	Select(g *topology.Graph, candidates PathSet, demand topology.Bandwidth) (path Path, ok bool)
 }
 
-// FirstFit selects the first candidate with enough residual bandwidth.
-// It mirrors static ECMP-style deterministic placement.
-type FirstFit struct{}
-
-var _ Selector = FirstFit{}
-
-// Select implements Selector.
-func (FirstFit) Select(g *topology.Graph, candidates PathSet, demand topology.Bandwidth) (Path, bool) {
-	for i, n := 0, candidates.Len(); i < n; i++ {
-		if p := candidates.At(i); p.Fits(g, demand) {
-			return p, true
-		}
-	}
-	return Path{}, false
-}
-
 // WidestFit selects the feasible candidate with the largest bottleneck
 // residual bandwidth, spreading load across the ECMP set. Ties break
 // toward the earliest candidate, keeping selection deterministic.

@@ -39,31 +39,6 @@ func forkGraph(t *testing.T) (g *topology.Graph, via [2]Path, linksA, linksB [2]
 // setOf returns the generic set of the given paths.
 func setOf(paths []Path) PathSet { return PathSet{generic: &paths} }
 
-func TestFirstFit(t *testing.T) {
-	g, via, linksA, _ := forkGraph(t)
-	var sel FirstFit
-
-	p, ok := sel.Select(g, setOf(via[:]), 100*topology.Mbps)
-	if !ok || !p.Equal(via[0]) {
-		t.Errorf("Select = %v,%v want first path", p, ok)
-	}
-	// Congest the first path; selection falls through to the second.
-	if err := g.Reserve(linksA[0], topology.Gbps); err != nil {
-		t.Fatal(err)
-	}
-	p, ok = sel.Select(g, setOf(via[:]), 100*topology.Mbps)
-	if !ok || !p.Equal(via[1]) {
-		t.Errorf("Select after congestion = %v,%v want second path", p, ok)
-	}
-	// Nothing fits.
-	if _, ok := sel.Select(g, setOf(via[:]), 2*topology.Gbps); ok {
-		t.Error("Select(2Gbps) = ok, want !ok")
-	}
-	if _, ok := sel.Select(g, PathSet{}, topology.Mbps); ok {
-		t.Error("Select(no candidates) = ok, want !ok")
-	}
-}
-
 func TestWidestFit(t *testing.T) {
 	g, via, linksA, _ := forkGraph(t)
 	var sel WidestFit

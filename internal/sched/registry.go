@@ -3,7 +3,6 @@ package sched
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // Option configures a scheduler at construction time. Options that do
@@ -43,35 +42,18 @@ func (e *UnknownSchedulerError) Error() string {
 	return fmt.Sprintf("sched: unknown scheduler %q (registered: %v)", e.Name, e.Registered)
 }
 
-// Builder constructs a scheduler from the resolved sample size and seed.
-type Builder func(alpha int, seed int64) Scheduler
-
-var (
-	registryMu sync.RWMutex
-	registry   = map[string]Builder{
-		"fifo":    func(int, int64) Scheduler { return FIFO{} },
-		"reorder": func(int, int64) Scheduler { return Reorder{} },
-		"lmtf":    func(alpha int, seed int64) Scheduler { return NewLMTF(alpha, seed) },
-		"p-lmtf":  func(alpha int, seed int64) Scheduler { return NewPLMTF(alpha, seed) },
-	}
-)
-
-// Register adds a scheduler builder under name, for policies defined
-// outside this package. It panics on a duplicate name, like
-// database/sql.Register.
-func Register(name string, b Builder) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("sched: Register called twice for %q", name))
-	}
-	registry[name] = b
+// registry is the closed table of scheduler builders, each taking the
+// resolved sample size and seed. Nothing writes it after init, so it is
+// read without a lock.
+var registry = map[string]func(alpha int, seed int64) Scheduler{
+	"fifo":    func(int, int64) Scheduler { return FIFO{} },
+	"reorder": func(int, int64) Scheduler { return Reorder{} },
+	"lmtf":    func(alpha int, seed int64) Scheduler { return NewLMTF(alpha, seed) },
+	"p-lmtf":  func(alpha int, seed int64) Scheduler { return NewPLMTF(alpha, seed) },
 }
 
 // Names returns the registered scheduler names, sorted.
 func Names() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
 	out := make([]string, 0, len(registry))
 	for name := range registry {
 		out = append(out, name)
@@ -88,9 +70,7 @@ func New(name string, opts ...Option) (Scheduler, error) {
 	for _, opt := range opts {
 		opt(&c)
 	}
-	registryMu.RLock()
 	b, ok := registry[name]
-	registryMu.RUnlock()
 	if !ok {
 		return nil, &UnknownSchedulerError{Name: name, Registered: Names()}
 	}

@@ -110,32 +110,3 @@ func TestNewDefaultAlpha(t *testing.T) {
 		t.Errorf("Alpha = %d, want DefaultAlpha %d", got, DefaultAlpha)
 	}
 }
-
-func TestRegisterDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate Register did not panic")
-		}
-	}()
-	Register("fifo", func(int, int64) Scheduler { return FIFO{} })
-}
-
-func TestRegisterCustom(t *testing.T) {
-	Register("custom-fifo", func(int, int64) Scheduler { return FIFO{} })
-	s, err := New("custom-fifo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Name() != "fifo" {
-		t.Errorf("custom builder produced %q", s.Name())
-	}
-	found := false
-	for _, name := range Names() {
-		if name == "custom-fifo" {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("Names() misses the registered custom scheduler")
-	}
-}

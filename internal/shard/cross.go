@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"netupdate/internal/consistency"
 	"netupdate/internal/topology"
 )
 
@@ -23,12 +22,11 @@ const DefaultCrossPoolFrac = 0.25
 // cross-shard events. Each shard contributes one scalar pool — its
 // reserved slice of the shared core layer — and an event spanning
 // shards must debit its aggregate demand from every touched shard's
-// pool atomically (all shards or none, via consistency.Atomic) before
-// it is routed to its home engine. A debit is released only when the
-// home engine rejects the event; confirmed events hold their slice, the
-// reserved-pool analogue of a placed flow's reservation. The admitter
-// counts its own outcomes, once each: a refusal in Admit, an admission
-// in Confirm.
+// pool, all shards or none, before it is routed to its home engine. A
+// debit is released only when the home engine rejects the event;
+// confirmed events hold their slice, the reserved-pool analogue of a
+// placed flow's reservation. The admitter counts its own outcomes, once
+// each: a refusal in Admit, an admission in Confirm.
 type CrossAdmitter struct {
 	mu       sync.Mutex
 	avail    []int64 // index s-1: remaining pool on shard s
@@ -47,44 +45,30 @@ func NewCrossAdmitter(n int, perShard topology.Bandwidth) *CrossAdmitter {
 	return c
 }
 
-// pool is one shard's ledger as a two-phase participant. The admitter's
-// mutex is held across the whole Atomic call, so the participant itself
-// needs no locking.
-type pool struct {
-	avail *int64
-	amt   int64
-}
-
-func (p *pool) Prepare() error {
-	if p.amt > *p.avail {
-		return fmt.Errorf("%w: need %d, have %d", ErrCrossPoolExhausted, p.amt, *p.avail)
-	}
-	*p.avail -= p.amt
-	return nil
-}
-
-func (p *pool) Commit() {}
-
-func (p *pool) Abort() { *p.avail += p.amt }
-
-// Admit debits demand from every touched shard's pool, atomically: on
-// any shortfall nothing is held and ErrCrossPoolExhausted is returned.
+// Admit debits demand from every touched shard's pool, all or nothing.
+// touched lists distinct shards, as KeyOf gives them. An unknown shard
+// is refused before anything is debited; if any touched pool is short,
+// nothing is debited, one rejection is counted and the error, wrapping
+// ErrCrossPoolExhausted, names the first short shard.
 func (c *CrossAdmitter) Admit(touched []int, demand int64) error {
 	if demand < 0 {
 		return fmt.Errorf("shard: negative cross demand %d", demand)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	parts := make([]consistency.Participant, len(touched))
-	for i, s := range touched {
+	for _, s := range touched {
 		if s < 1 || s > len(c.avail) {
 			return fmt.Errorf("shard: cross admission touching unknown shard %d", s)
 		}
-		parts[i] = &pool{avail: &c.avail[s-1], amt: demand}
 	}
-	if err := consistency.Atomic(parts); err != nil {
-		c.rejected++
-		return err
+	for _, s := range touched {
+		if have := c.avail[s-1]; demand > have {
+			c.rejected++
+			return fmt.Errorf("%w: shard %d needs %d, has %d", ErrCrossPoolExhausted, s, demand, have)
+		}
+	}
+	for _, s := range touched {
+		c.avail[s-1] -= demand
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"slices"
 	"time"
@@ -31,8 +32,9 @@ type WorldConfig struct {
 	Watermark int
 	Shards    int
 	// CrossPoolFrac is the fraction of each core link reserved for
-	// cross-shard traffic; <= 0 selects DefaultCrossPoolFrac. Ignored
-	// (forced to 0) for a single shard, which has no cross traffic.
+	// cross-shard traffic; <= 0 selects DefaultCrossPoolFrac, NaN and
+	// >= 1 are refused (ErrConfig). Ignored (forced to 0) for a single
+	// shard, which has no cross traffic.
 	CrossPoolFrac float64
 	// WALDir, when set, makes admission durable: the unsharded world logs
 	// in WALDir itself, shard <id> in WALDir/shard-<id>. WALSync is a
@@ -87,6 +89,9 @@ func (c WorldConfig) Validate(id int) error {
 			if opt.set {
 				return fmt.Errorf("%w: %s is not supported in sharded mode", ErrConfig, opt.name)
 			}
+		}
+		if _, err := ResolveCrossPoolFrac(c.Shards, c.CrossPoolFrac); err != nil {
+			return err
 		}
 	}
 	if c.Follow != "" && c.WALDir == "" {
@@ -185,14 +190,18 @@ func NewCluster(cfg WorldConfig) (*Cluster, error) {
 }
 
 // ResolveCrossPoolFrac applies the cross-pool defaults: <= 0 selects
-// DefaultCrossPoolFrac, >= 1 is rejected (no shard capacity left), and
-// a single shard has no cross traffic so the pool is forced empty.
+// DefaultCrossPoolFrac, NaN (no size at all) and >= 1 (no shard capacity
+// left) are ErrConfig, and a single shard has no cross traffic so the
+// pool is forced empty.
 func ResolveCrossPoolFrac(shards int, frac float64) (float64, error) {
+	if math.IsNaN(frac) {
+		return 0, fmt.Errorf("%w: cross pool fraction is NaN", ErrConfig)
+	}
 	if frac <= 0 {
 		frac = DefaultCrossPoolFrac
 	}
 	if frac >= 1 {
-		return 0, fmt.Errorf("shard: cross pool fraction %v leaves no shard capacity", frac)
+		return 0, fmt.Errorf("%w: cross pool fraction %v leaves no shard capacity", ErrConfig, frac)
 	}
 	if shards == 1 {
 		frac = 0

@@ -7,7 +7,9 @@
 // Timing model (reconstructed from Figs. 2 and 3 of the paper and
 // documented in DESIGN.md):
 //
-//   - planning work is charged per feasibility evaluation (PlanEvalTime);
+//   - planning work is timed per feasibility evaluation (PlanEvalTime)
+//     and pipelined with execution: it is accounted as a metric (Fig. 6d)
+//     but never delays a round or a lane;
 //   - migrating existing flows costs MigrationRate-proportional time
 //     (Fig. 3 charges an event with cost 4 "seconds" versus 1 second of
 //     execution);
@@ -15,8 +17,7 @@
 //     within an event (Fig. 2's unit-slot installs), while co-scheduled
 //     events (P-LMTF) install in parallel lanes;
 //   - an event completes when its rules are installed and its migrations
-//     are done (InstallOnly, the paper's model), or additionally when its
-//     own flows finish transferring (InstallPlusTransfer).
+//     are done — the paper's ECT definition.
 package sim
 
 import (
@@ -27,29 +28,15 @@ import (
 	"netupdate/internal/topology"
 )
 
-// CompletionMode selects when an event counts as complete.
-type CompletionMode int
-
+// Install retries after a timed-out rule install: retry i waits the
+// capped exponential backoff min(installRetryBase << (i-1),
+// installRetryCap); past maxInstallRetries the event's bandwidth plan is
+// rolled back and all its specs recorded as failed.
 const (
-	// InstallOnly completes an event once all migrations are applied and
-	// all flow rules are installed — the paper's ECT definition.
-	InstallOnly CompletionMode = iota + 1
-	// InstallPlusTransfer also waits for the event's own flows to finish
-	// transferring their payloads (e.g. VM images).
-	InstallPlusTransfer
+	installRetryBase  = 25 * time.Millisecond
+	installRetryCap   = 200 * time.Millisecond
+	maxInstallRetries = 3
 )
-
-// String implements fmt.Stringer.
-func (m CompletionMode) String() string {
-	switch m {
-	case InstallOnly:
-		return "install-only"
-	case InstallPlusTransfer:
-		return "install+transfer"
-	default:
-		return "unknown"
-	}
-}
 
 // Config is the simulator timing model. The zero value gets defaults via
 // withDefaults; all experiments share these defaults unless stated.
@@ -72,26 +59,10 @@ type Config struct {
 	// (default 1µs; negative disables plan-time accounting, used by the
 	// toy reproductions of Figs. 2 and 3 whose arithmetic has none).
 	PlanEvalTime time.Duration
-	// SerialPlanning charges planning time into the execution timeline
-	// (decisions delay round starts). The default pipelines planning with
-	// execution, as a real controller would: plan time is still accounted
-	// as a metric (Fig. 6d) but does not inflate ECTs.
-	SerialPlanning bool
-	// Mode selects the completion semantics (default InstallOnly).
-	Mode CompletionMode
 	// KeepFlows retains an event flow's bandwidth forever. The default
 	// (false) releases it once the flow's transfer finishes, modeling
 	// finite update flows.
 	KeepFlows bool
-	// InstallRetryBase and InstallRetryCap shape the capped exponential
-	// backoff after a timed-out rule install: retry i waits
-	// min(Base << (i-1), Cap) before re-attempting (defaults 25ms / 200ms).
-	InstallRetryBase time.Duration
-	InstallRetryCap  time.Duration
-	// MaxInstallRetries bounds install retries per event (default 3);
-	// when timeouts persist past the budget, the event's bandwidth plan is
-	// rolled back and all its specs recorded as failed.
-	MaxInstallRetries int
 }
 
 // withDefaults fills zero fields with the documented defaults.
@@ -105,36 +76,23 @@ func (c Config) withDefaults() Config {
 	if c.PlanEvalTime == 0 {
 		c.PlanEvalTime = time.Microsecond
 	}
-	if c.Mode == 0 {
-		c.Mode = InstallOnly
-	}
-	if c.InstallRetryBase == 0 {
-		c.InstallRetryBase = 25 * time.Millisecond
-	}
-	if c.InstallRetryCap == 0 {
-		c.InstallRetryCap = 200 * time.Millisecond
-	}
-	if c.MaxInstallRetries == 0 {
-		c.MaxInstallRetries = 3
-	}
 	return c
 }
 
-// retryBackoff is the wait before install retry i (1-based): capped
-// exponential, min(Base << (i-1), Cap).
-func (c Config) retryBackoff(i int) time.Duration {
-	d := c.InstallRetryBase << (i - 1)
-	if d > c.InstallRetryCap || d <= 0 { // <= 0 guards shift overflow
-		d = c.InstallRetryCap
+// retryBackoff is the wait before install retry i (1-based).
+func retryBackoff(i int) time.Duration {
+	d := installRetryBase << (i - 1)
+	if d > installRetryCap || d <= 0 { // <= 0 guards shift overflow
+		d = installRetryCap
 	}
 	return d
 }
 
 // totalBackoff sums the backoff waits of n retries.
-func (c Config) totalBackoff(n int) time.Duration {
+func totalBackoff(n int) time.Duration {
 	var total time.Duration
 	for i := 1; i <= n; i++ {
-		total += c.retryBackoff(i)
+		total += retryBackoff(i)
 	}
 	return total
 }
@@ -152,7 +110,7 @@ func (c Config) migrationTime(cost topology.Bandwidth) time.Duration {
 // flat InstallTime per flow by default, or the two-phase rule-operation
 // count times PerRuleOpTime when rule-level accounting is on (the flow's
 // own install+flip, plus install+flip+remove for each migrated victim —
-// matching consistency.Plan.NumRuleOps).
+// the ops of consistency.InstallAt and consistency.Move).
 func installDuration(cfg Config, g *topology.Graph, adm *migration.Result) time.Duration {
 	if cfg.PerRuleOpTime <= 0 {
 		return cfg.InstallTime

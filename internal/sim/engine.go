@@ -283,9 +283,8 @@ func (e *Engine) runRound() error {
 	if err != nil {
 		return fmt.Errorf("sim: scheduling: %w", err)
 	}
-	decisionTime := e.cfg.planTime(decision.Evals)
 	e.collector.DecisionEvals += decision.Evals
-	e.addPlanTime(decisionTime)
+	e.addPlanTime(e.cfg.planTime(decision.Evals))
 
 	e.rounds++
 	if e.obs != nil {
@@ -310,9 +309,6 @@ func (e *Engine) runRound() error {
 	}
 
 	roundStart := e.clock
-	if e.cfg.SerialPlanning {
-		roundStart += decisionTime
-	}
 	roundEnd := roundStart
 
 	if e.spans != nil {
@@ -423,11 +419,9 @@ func (e *Engine) runLane(ev *core.Event, plan *core.Plan, laneStart time.Duratio
 	if err != nil {
 		return 0, fmt.Errorf("sim: executing %v: %w", ev, err)
 	}
-	lanePlan := e.cfg.planTime(res.Evals)
-	e.addPlanTime(lanePlan)
-	if !e.cfg.SerialPlanning {
-		lanePlan = 0 // pipelined with the previous round's execution
-	}
+	// Planning is pipelined with the previous round's execution: its time
+	// is accounted, not charged to the lane.
+	e.addPlanTime(e.cfg.planTime(res.Evals))
 	migTime := e.cfg.migrationTime(res.Cost)
 
 	// Armed install-timeout injections: each timed-out attempt burns one
@@ -435,10 +429,10 @@ func (e *Engine) runLane(ev *core.Event, plan *core.Plan, laneStart time.Duratio
 	// the next try. Past the retry budget the whole event is rolled back
 	// (bandwidth plan reverted, every spec recorded failed).
 	failTimes := e.takeTimeout(ev.ID)
-	rolledBack := failTimes > e.cfg.MaxInstallRetries
+	rolledBack := failTimes > maxInstallRetries
 	retries := failTimes
 	if rolledBack {
-		retries = e.cfg.MaxInstallRetries
+		retries = maxInstallRetries
 	}
 	var retryDelay time.Duration
 	if failTimes > 0 {
@@ -450,11 +444,11 @@ func (e *Engine) runLane(ev *core.Event, plan *core.Plan, laneStart time.Duratio
 		if rolledBack {
 			timedOut++ // the final attempt timed out too; nothing succeeded
 		}
-		retryDelay = time.Duration(timedOut)*installSum + e.cfg.totalBackoff(retries)
+		retryDelay = time.Duration(timedOut)*installSum + totalBackoff(retries)
 		e.collector.InstallRetries += retries
 	}
 
-	completion := laneStart + lanePlan + migTime + retryDelay
+	completion := laneStart + migTime + retryDelay
 	flows, failed := len(res.Admitted), res.Failed
 	if rolledBack {
 		if err := e.planner.RollbackExec(res); err != nil {
@@ -471,12 +465,8 @@ func (e *Engine) runLane(ev *core.Event, plan *core.Plan, laneStart time.Duratio
 			if installed > completion {
 				completion = installed
 			}
-			transferred := installed + adm.Flow.TransferTime()
-			if e.cfg.Mode == InstallPlusTransfer && transferred > completion {
-				completion = transferred
-			}
 			if !e.cfg.KeepFlows {
-				e.releases.push(release{at: transferred, f: adm.Flow})
+				e.releases.push(release{at: installed + adm.Flow.TransferTime(), f: adm.Flow})
 			}
 		}
 	}

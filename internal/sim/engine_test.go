@@ -21,7 +21,6 @@ func cleanConfig() Config {
 		InstallTime:   time.Second,
 		MigrationRate: 100 * topology.Mbps,
 		PlanEvalTime:  time.Nanosecond, // nonzero to exercise accounting
-		Mode:          InstallOnly,
 	}
 }
 
@@ -181,22 +180,6 @@ func TestEngineKeepFlows(t *testing.T) {
 	if got := planner.Network().Registry().Len(); got != 12 {
 		t.Errorf("registry holds %d flows, want 12 (kept)", got)
 	}
-}
-
-func TestEngineInstallPlusTransfer(t *testing.T) {
-	planner, ft := newPlanner(t)
-	hosts := ft.Hosts()
-	// One 10 Mbps flow carrying 10 Mbit => 1 s transfer after install.
-	ev := core.NewEvent(1, "xfer", 0, []flow.Spec{
-		{Src: hosts[0], Dst: hosts[1], Demand: 10 * topology.Mbps, Size: 10_000_000 / 8},
-	})
-	cfg := cleanConfig()
-	cfg.Mode = InstallPlusTransfer
-	eng := NewEngine(planner, sched.FIFO{}, cfg)
-	if _, err := eng.Run([]*core.Event{ev}); err != nil {
-		t.Fatal(err)
-	}
-	within(t, "ECT includes transfer", ev.ECT(), 2*time.Second, 10*time.Millisecond)
 }
 
 func TestEnginePLMTFCoSchedules(t *testing.T) {

@@ -109,9 +109,6 @@ func (e *FlowLevel) serveOne(st *flState) error {
 	if res != nil {
 		st.planned += res.Evals
 		e.collector.PlanTime += e.cfg.planTime(res.Evals)
-		if e.cfg.SerialPlanning {
-			e.clock += e.cfg.planTime(res.Evals)
-		}
 	}
 	e.processReleases(e.clock)
 	if admitErr != nil {
@@ -130,19 +127,10 @@ func (e *FlowLevel) serveOne(st *flState) error {
 
 	e.clock += e.cfg.migrationTime(res.MigratedTraffic) +
 		installDuration(e.cfg, net.Graph(), res)
-	installed := e.clock
-	transferred := installed + f.TransferTime()
 	if !e.cfg.KeepFlows {
-		e.releases.push(release{at: transferred, f: f})
+		e.releases.push(release{at: e.clock + f.TransferTime(), f: f})
 	}
-	switch e.cfg.Mode {
-	case InstallPlusTransfer:
-		if transferred > st.lastDone {
-			st.lastDone = transferred
-		}
-	default:
-		st.lastDone = installed
-	}
+	st.lastDone = e.clock
 	e.processReleases(e.clock)
 	return nil
 }

@@ -70,15 +70,3 @@ func TestIncrementalEnqueueStep(t *testing.T) {
 		t.Errorf("late arrival queuing delay = %v, want 0", got)
 	}
 }
-
-func TestCompletionModeString(t *testing.T) {
-	for m, want := range map[CompletionMode]string{
-		InstallOnly:         "install-only",
-		InstallPlusTransfer: "install+transfer",
-		CompletionMode(9):   "unknown",
-	} {
-		if got := m.String(); got != want {
-			t.Errorf("CompletionMode.String() = %q, want %q", got, want)
-		}
-	}
-}
