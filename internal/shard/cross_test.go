@@ -66,3 +66,26 @@ func TestCrossAdmitterAllOrNothing(t *testing.T) {
 	c.Release([]int{1, 2, 3}, 90)
 	want("release", []int64{size, 90, size}, 2)
 }
+
+// TestCrossAdmitterCommitsAll: when every touched pool can pay, Admit
+// debits the demand from each of them and no other, counts no
+// rejection, and Confirm counts the event admitted once.
+func TestCrossAdmitterCommitsAll(t *testing.T) {
+	c := NewCrossAdmitter(4, 10)
+	if err := c.Admit([]int{1, 3}, 3); err != nil {
+		t.Fatalf("admit 3 on shards 1, 3: %v", err)
+	}
+	if err := c.Admit([]int{3, 4}, 7); err != nil {
+		t.Fatalf("admit 7 on shards 3, 4: %v", err)
+	}
+	if want := []int64{7, 10, 0, 3}; !slices.Equal(c.avail, want) {
+		t.Errorf("ledgers = %v, want %v", c.avail, want)
+	}
+	if adm, rej := c.Counters(); adm != 0 || rej != 0 {
+		t.Errorf("counters before Confirm = %d, %d, want 0, 0", adm, rej)
+	}
+	c.Confirm()
+	if adm, rej := c.Counters(); adm != 1 || rej != 0 {
+		t.Errorf("counters after Confirm = %d, %d, want 1, 0", adm, rej)
+	}
+}
