@@ -8,7 +8,6 @@
 //
 //	loadgen -addr host:7421 -rate 500 -duration 10s [-conns 4] [-batch 16]
 //	loadgen -selfhost -rate 2000 -duration 5s -watermark 64 -json
-//	loadgen -selfhost -codec v1 -rate 500 -duration 5s   # JSON v1 fallback
 //	loadgen -selfhost -shards 4 -k 8 -rate 2000 -duration 5s  # sharded control plane
 //
 // With -addr, events target an already-running daemon; host endpoints
@@ -25,14 +24,13 @@
 // hint; with -retries 0 a rejection is final and counts toward the
 // rejection rate.
 //
-// The wire codec defaults to the binary v2 framing (-codec v2); -codec
-// v1 falls back to JSON. Each connection is one ctl.Client shared by
-// -pipeline submitters, so up to that many submit-batch requests ride
-// the connection at once, which is what sustains wire-speed offered
-// rates. A request that fails as a whole (transport error, not-leader)
-// counts its events as failed, apart from per-event overload
-// rejections. The summary reports client-observed submit latency
-// (write to response) percentiles.
+// Every connection speaks the binary v2 framing. Each submitting
+// connection is one ctl.Client shared by -pipeline submitters, so up to
+// that many submit-batch requests ride the connection at once, which is
+// what sustains wire-speed offered rates. A request that fails as a
+// whole (transport error, not-leader) counts its events as failed, apart
+// from per-event overload rejections. The summary reports
+// client-observed submit latency (write to response) percentiles.
 package main
 
 import (
@@ -81,10 +79,8 @@ type summary struct {
 	// rejected over submitted.
 	AcceptedPerSec float64 `json:"accepted_per_sec"`
 	RejectionRate  float64 `json:"rejection_rate"`
-	// Codec is the wire codec used ("v1" JSON or "v2" binary), and
 	// Pipelined reports whether requests were pipelined.
-	Codec     string `json:"codec"`
-	Pipelined bool   `json:"pipelined"`
+	Pipelined bool `json:"pipelined"`
 	// SubmitP50Ms/SubmitP99Ms are client-observed submit-batch latency
 	// percentiles (request written to response received) in
 	// milliseconds; 0 when no batch completed.
@@ -132,7 +128,6 @@ func run(args []string, stdout io.Writer) int {
 		conns    = fs.Int("conns", 4, "concurrent submitting connections")
 		batchSz  = fs.Int("batch", 16, "events per submit-batch request")
 		retries  = fs.Int("retries", 0, "max submit attempts per batch on overload (0 or 1 = no retry)")
-		codec    = fs.String("codec", "v2", "wire codec: v2 (binary framing) or v1 (JSON)")
 		pipeline = fs.Int("pipeline", 32, "submit-batch requests in flight per connection (0 or 1 = synchronous)")
 		seed     = fs.Int64("seed", 1, "random seed for arrivals and event specs")
 		minFlows = fs.Int("min-flows", 1, "flows per event, lower bound")
@@ -170,10 +165,6 @@ func run(args []string, stdout io.Writer) int {
 		fmt.Fprintln(os.Stderr, "loadgen: bad load shape (rate/batch/conns/flows)")
 		return 2
 	}
-	if *codec != "v1" && *codec != "v2" {
-		fmt.Fprintf(os.Stderr, "loadgen: unknown codec %q (want v1 or v2)\n", *codec)
-		return 2
-	}
 	if *spanFile != "" && !*selfhost {
 		fmt.Fprintln(os.Stderr, "loadgen: -spans requires -selfhost (the span file is written by the in-process controller)")
 		return 2
@@ -209,6 +200,9 @@ func run(args []string, stdout io.Writer) int {
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "loadgen: selfhost: %v\n", err)
+			if errors.Is(err, shard.ErrConfig) {
+				return 2
+			}
 			return 1
 		}
 		defer func() {
@@ -222,7 +216,7 @@ func run(args []string, stdout io.Writer) int {
 
 	// One control connection serves host discovery, the span-feature
 	// probe and the end-of-run stats.
-	ctrl, err := ctl.Dial(target)
+	ctrl, err := ctl.DialBinary(target)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
 		return 1
@@ -245,7 +239,7 @@ func run(args []string, stdout io.Writer) int {
 
 	clients := make([]*ctl.Client, *conns)
 	for i := range clients {
-		c, err := dialCodec(target, *codec)
+		c, err := ctl.DialBinary(target)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
 			return 1
@@ -332,7 +326,6 @@ func run(args []string, stdout io.Writer) int {
 	if sum.Submitted > 0 {
 		sum.RejectionRate = float64(sum.Rejected) / float64(sum.Submitted)
 	}
-	sum.Codec = *codec
 	sum.Pipelined = submitters > 1
 	p50, p99 := lat.percentiles()
 	sum.SubmitP50Ms = float64(p50) / float64(time.Millisecond)
@@ -366,8 +359,8 @@ func run(args []string, stdout io.Writer) int {
 		fmt.Fprintf(stdout, "accepted %d (%.1f/s), rejected %d (%.1f%%), invalid %d, failed %d, dropped %d\n",
 			sum.Accepted, sum.AcceptedPerSec, sum.Rejected, 100*sum.RejectionRate,
 			sum.Invalid, sum.Failed, sum.Dropped)
-		fmt.Fprintf(stdout, "codec %s%s, submit latency p50 %.2fms p99 %.2fms\n",
-			sum.Codec, map[bool]string{true: " pipelined", false: ""}[sum.Pipelined],
+		fmt.Fprintf(stdout, "submit latency%s p50 %.2fms p99 %.2fms\n",
+			map[bool]string{true: " (pipelined)", false: ""}[sum.Pipelined],
 			sum.SubmitP50Ms, sum.SubmitP99Ms)
 		if s := sum.Server; s != nil {
 			fmt.Fprintf(stdout, "server: %s scheduler, %d done, %d queued, ingest %d/%d/%d accepted/rejected/retried (watermark %d)\n",
@@ -551,14 +544,6 @@ func (l *latencyRecorder) percentiles() (p50, p99 time.Duration) {
 		return s[i]
 	}
 	return rank(0.50), rank(0.99)
-}
-
-// dialCodec connects with the requested wire codec.
-func dialCodec(target, codec string) (*ctl.Client, error) {
-	if codec == "v2" {
-		return ctl.DialBinary(target)
-	}
-	return ctl.Dial(target)
 }
 
 // probeSpanFeature checks the controller advertises span-context

@@ -107,7 +107,6 @@ func TestServerGoneCountsFailed(t *testing.T) {
 		args []string
 	}{
 		{"v2 pipelined", nil},
-		{"v1 pipelined", []string{"-codec", "v1", "-pipeline", "4"}},
 		{"v2 synchronous", []string{"-pipeline", "0"}},
 		{"v2 retries", []string{"-retries", "4"}},
 	} {
@@ -155,6 +154,9 @@ func TestFlagValidation(t *testing.T) {
 		{"-addr", "x", "-selfhost"}, // both
 		{"-selfhost", "-rate", "0"}, // no load
 		{"-selfhost", "-min-flows", "3", "-max-flows", "2"},
+		// Configuration errors the selfhost world refuses.
+		{"-selfhost", "-k", "4", "-shards", "2", "-cross-pool-frac", "NaN"},
+		{"-selfhost", "-scheduler", "bogus"},
 	} {
 		if code := run(args, &out); code != 2 {
 			t.Errorf("run(%v) = %d, want usage error", args, code)

@@ -15,10 +15,13 @@
 //	updatectl -addr host:7421 fault install-timeout -times 2
 //	updatectl -addr host:7421 repl status
 //	updatectl -addr follower:7421 repl promote
-//	updatectl -addr host:7421 -codec v2 stats          # binary v2 framing
 //	updatectl wal info /var/lib/updated/wal            # offline WAL inspection
 //	updatectl wal verify /var/lib/updated/wal
 //	updatectl wal dump /var/lib/updated/wal > records.jsonl
+//
+// Every command that talks to a server dials it in the binary v2
+// framing and prints the JSON bodies of the answers, or a readable
+// summary of them: updatectl is the protocol's debugging surface.
 //
 // wal inspects a daemon's write-ahead log directory without a server:
 // info prints the meta, checkpoint and segment layout, verify re-reads
@@ -75,7 +78,6 @@ func run(args []string, stdout io.Writer) int {
 		addr    = fs.String("addr", "127.0.0.1:7421", "controller address")
 		timeout = fs.Duration("timeout", 30*time.Second, "per-event wait timeout for submit")
 		batch   = fs.Int("batch", 1, "submit events in batches of this size (one submit-batch request each, with overload backoff)")
-		codec   = fs.String("codec", "v1", "wire codec: v1 (JSON) or v2 (binary framing)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -95,17 +97,7 @@ func run(args []string, stdout io.Writer) int {
 		return traceReport(rest[2:], stdout)
 	}
 
-	var client *ctl.Client
-	var err error
-	switch *codec {
-	case "v1":
-		client, err = ctl.Dial(*addr)
-	case "v2":
-		client, err = ctl.DialBinary(*addr)
-	default:
-		fmt.Fprintf(os.Stderr, "updatectl: unknown codec %q (want v1 or v2)\n", *codec)
-		return 2
-	}
+	client, err := ctl.DialBinary(*addr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "updatectl: %v\n", err)
 		return 1
@@ -151,8 +143,8 @@ func run(args []string, stdout io.Writer) int {
 		fmt.Fprintf(stdout, "virtual clock  %v\n", stats.VirtualClock)
 		fmt.Fprintf(stdout, "rounds         %d\n", stats.Rounds)
 		fmt.Fprintf(stdout, "probes         %d\n", stats.Probes)
-		fmt.Fprintf(stdout, "codec          %d v2 conns, %d v1 frames, %d v2 frames\n",
-			stats.CodecV2Conns, stats.FramesV1, stats.FramesV2)
+		fmt.Fprintf(stdout, "codec          %d v2 conns, %d v2 frames\n",
+			stats.CodecV2Conns, stats.FramesV2)
 		fmt.Fprintf(stdout, "faults         %d injected, %d links down, %d repair events, %d flows disrupted\n",
 			stats.FaultsInjected, stats.LinksDown, stats.RepairEvents, stats.FlowsDisrupted)
 		fmt.Fprintf(stdout, "installs       %d retries, %d rollbacks\n",
@@ -505,7 +497,7 @@ func walCmd(args []string, stdout io.Writer) int {
 // walInfoLive prints a running server's durability profile: sync policy,
 // append/checkpoint counters and the fsync latency histogram from Stats.
 func walInfoLive(addr string, stdout io.Writer) int {
-	client, err := ctl.Dial(addr)
+	client, err := ctl.DialBinary(addr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "updatectl: %v\n", err)
 		return 1

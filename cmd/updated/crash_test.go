@@ -134,7 +134,7 @@ func startDaemonProc(t *testing.T, bin, walDir string, extra ...string) (*exec.C
 	}
 	go func() { _, _ = io.Copy(io.Discard, stdout) }()
 
-	client, err := ctl.Dial(addr)
+	client, err := ctl.DialBinary(addr)
 	if err != nil {
 		t.Fatalf("dial daemon: %v", err)
 	}
@@ -303,7 +303,7 @@ func normalizedStats(t *testing.T, client *ctl.Client) ctl.Stats {
 	}
 	st.ProbeCacheHits, st.ProbeCacheMisses, st.ProbeHitRate = 0, 0, 0
 	st.ProbeColdPlans, st.ProbeIncrementalReplans = 0, 0
-	st.CodecV2Conns, st.FramesV1, st.FramesV2 = 0, 0, 0
+	st.CodecV2Conns, st.FramesV2 = 0, 0
 	st.WALAppends, st.WALCheckpoints, st.WALCheckpointSeq = 0, 0, 0
 	st.WALReplayed, st.WALRecoveryMs = 0, 0
 	// Wall-clock latency is process-local: the recovered daemon re-times

@@ -50,8 +50,8 @@
 // restarting the daemon with the same flags and WAL directory recovers
 // the exact pre-crash state (checkpoint plus log-suffix replay).
 //
-// Submit work with cmd/updatectl or any client speaking line-delimited
-// JSON (see internal/ctl).
+// Submit work with cmd/updatectl or any client speaking the binary v2
+// framing (see internal/ctl).
 package main
 
 import (

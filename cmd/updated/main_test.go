@@ -56,7 +56,7 @@ func TestDaemonSmoke(t *testing.T) {
 	// Keep draining so later daemon prints never block on the pipe.
 	go func() { _, _ = io.Copy(io.Discard, pr) }()
 
-	client, err := ctl.Dial(addr)
+	client, err := ctl.DialBinary(addr)
 	if err != nil {
 		t.Fatalf("dial daemon: %v", err)
 	}

@@ -2,7 +2,6 @@ package ctl
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"net"
 	"sync"
@@ -11,8 +10,8 @@ import (
 	"netupdate/internal/obs"
 )
 
-// Client talks the controller protocol over one TCP connection, in
-// either codec. It is safe for concurrent use, and concurrent calls
+// Client talks the controller protocol over one TCP connection in the
+// binary v2 framing. It is safe for concurrent use, and concurrent calls
 // pipeline on the connection: a call writes its request as soon as it
 // is made and reads its own response once the responses ahead of it
 // have been read. Servers answer a connection's requests in request
@@ -23,14 +22,11 @@ type Client struct {
 	typed // the typed Backend methods, over roundTrip
 
 	conn net.Conn
-	// binary selects the v2 framed codec; JSON v1 lines otherwise.
-	binary bool
 
 	// The write half, under wmu. wbuf is the reused request-frame build
 	// buffer; last is closed once the response to the latest written
 	// request has been read, which is the next call's turn to read.
 	wmu  sync.Mutex
-	enc  *json.Encoder
 	wbuf []byte
 	last chan struct{}
 	// spanOn/spanOrigin: when enabled, submit/submit-batch requests
@@ -42,7 +38,6 @@ type Client struct {
 	shardOn bool
 
 	// The read half, used only by the call whose turn it is to read.
-	dec  *json.Decoder
 	br   *bufio.Reader
 	rbuf []byte
 
@@ -51,17 +46,8 @@ type Client struct {
 	err   error
 }
 
-// Dial connects to a controller at addr, speaking JSON v1.
-func Dial(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("ctl: dial %s: %w", addr, err)
-	}
-	return NewClient(conn), nil
-}
-
 // DialBinary connects to a controller at addr, speaking the binary v2
-// framing. The server detects the codec from the first frame's magic
+// framing. The server routes the connection by the first frame's magic
 // byte, so no handshake round-trip is needed.
 func DialBinary(addr string) (*Client, error) {
 	conn, err := net.Dial("tcp", addr)
@@ -71,25 +57,10 @@ func DialBinary(addr string) (*Client, error) {
 	return NewBinaryClient(conn), nil
 }
 
-// NewClient wraps an established connection with the JSON v1 codec.
-func NewClient(conn net.Conn) *Client {
-	c := newClient(conn)
-	c.enc = json.NewEncoder(conn)
-	c.dec = json.NewDecoder(conn)
-	return c
-}
-
 // NewBinaryClient wraps an established connection with the binary v2
 // codec.
 func NewBinaryClient(conn net.Conn) *Client {
-	c := newClient(conn)
-	c.binary = true
-	c.br = bufio.NewReader(conn)
-	return c
-}
-
-func newClient(conn net.Conn) *Client {
-	c := &Client{conn: conn, last: make(chan struct{})}
+	c := &Client{conn: conn, br: bufio.NewReader(conn), last: make(chan struct{})}
 	close(c.last) // the first call reads at once
 	c.typed.request = c.roundTrip
 	return c
@@ -120,11 +91,10 @@ func (c *Client) failed() error {
 }
 
 // EnableSpans attaches a latency span context (origin identity + submit
-// wall stamp) to every subsequent submit and submit-batch request. On
-// the binary codec the context rides behind a flag bit that pre-span
-// servers reject, so callers must first confirm support — dial, call
-// Features, and enable only when FeatureSpanContext is present. JSON v1
-// servers of any age simply ignore the unknown field.
+// wall stamp) to every subsequent submit and submit-batch request. The
+// context rides behind a flag bit that pre-span servers reject, so
+// callers must first confirm support — dial, call Features, and enable
+// only when FeatureSpanContext is present.
 func (c *Client) EnableSpans(origin uint16) {
 	c.wmu.Lock()
 	c.spanOn = true
@@ -133,11 +103,10 @@ func (c *Client) EnableSpans(origin uint16) {
 }
 
 // EnableShardInfo asks for per-verdict shard attribution on every
-// subsequent submit and submit-batch request. On the binary codec the
-// request sets a flag bit (ignored by pre-shard servers, which answer
-// with plain verdicts); callers wanting a guarantee should confirm
-// FeatureShardVerdicts via Features first. JSON v1 servers simply omit
-// the field. Single-shard servers leave Shard zero either way.
+// subsequent submit and submit-batch request. The request sets a flag
+// bit (ignored by pre-shard servers, which answer with plain verdicts);
+// callers wanting a guarantee should confirm FeatureShardVerdicts via
+// Features first. Single-shard servers leave Shard zero either way.
 func (c *Client) EnableShardInfo() {
 	c.wmu.Lock()
 	c.shardOn = true
@@ -146,11 +115,6 @@ func (c *Client) EnableShardInfo() {
 
 // roundTrip sends one request and reads its response.
 func (c *Client) roundTrip(req Request) (Response, error) {
-	// The transport owns the wire version: a request forwarded from
-	// another connection (a gateway re-routing what it decoded) still
-	// carries that connection's version stamp, and a v2 stamp inside a
-	// JSON body would be rejected by the receiver's v1 parser.
-	req.Version = 0
 	turn, done, err := c.send(&req)
 	if err != nil {
 		return Response{}, fmt.Errorf("ctl: send %s: %w", req.Op, err)
@@ -180,17 +144,12 @@ func (c *Client) send(req *Request) (turn <-chan struct{}, done chan struct{}, e
 			req.ShardInfo = true
 		}
 	}
-	if c.binary {
-		frame, err := AppendRequestFrame(c.wbuf[:0], req)
-		if err != nil {
-			return nil, nil, err // nothing was written
-		}
-		c.wbuf = frame[:0]
-		_, err = c.conn.Write(frame)
-	} else {
-		err = c.enc.Encode(req)
-	}
+	frame, err := AppendRequestFrame(c.wbuf[:0], req)
 	if err != nil {
+		return nil, nil, err // nothing was written
+	}
+	c.wbuf = frame[:0]
+	if _, err = c.conn.Write(frame); err != nil {
 		// A torn request desynchronizes the stream for every call; the
 		// close error adds nothing to err.
 		_ = c.fail(err)
@@ -207,23 +166,16 @@ func (c *Client) recv() (Response, error) {
 	if err := c.failed(); err != nil {
 		return Response{}, err
 	}
-	var resp Response
+	var rp *Response
 	var err error
-	if c.binary {
-		var rp *Response
-		if c.rbuf, err = readFrame(c.br, c.rbuf); err == nil {
-			rp, err = decodeResponseFrame(c.rbuf)
-		}
-		if err == nil {
-			resp = *rp
-		}
-	} else {
-		err = c.dec.Decode(&resp)
+	if c.rbuf, err = readFrame(c.br, c.rbuf); err == nil {
+		rp, err = decodeResponseFrame(c.rbuf)
 	}
 	if err != nil {
 		_ = c.fail(err)
+		return Response{}, err
 	}
-	return resp, err
+	return *rp, nil
 }
 
 // respError maps a failed response to the protocol's typed errors. It is

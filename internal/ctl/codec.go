@@ -12,22 +12,21 @@ import (
 // Binary v2 framing. Every frame — request or response — is an 8-byte
 // header followed by a length-prefixed payload:
 //
-//	byte 0   FrameMagic (0xB7; no JSON document can start with it, so
-//	         the codec is detected from the first byte of a connection)
-//	byte 1   protocol version (ProtocolVersionBinary)
+//	byte 0   FrameMagic (0xB7; the server routes a connection by its
+//	         first byte, see WireServer)
+//	byte 1   protocol version (ProtocolVersionBinary), the one place
+//	         a request carries it
 //	byte 2   frame kind: a binOp* value in requests, a respKind* value
 //	         in responses
 //	byte 3   flags (requests: bit0 = Retry)
 //	bytes 4-7  payload length, uint32 little-endian
 //
 // The hot request path — submit-batch — has a dense native encoding;
-// every other operation wraps its JSON v1 body in a binOpJSON /
-// respKindJSON frame, so the rare ops cost one length prefix over v1
-// while staying trivially in sync with the JSON schema.
+// every other operation wraps its JSON body (the Request / Response
+// struct tags) in a binOpJSON / respKindJSON frame, so the rare ops stay
+// trivially in sync with the JSON schema.
 const (
 	// ProtocolVersionBinary is the wire version of the binary framing.
-	// It exists only in binary frames: a JSON request claiming "v":2 is
-	// rejected, which keeps old servers' error messages accurate.
 	ProtocolVersionBinary = 2
 
 	// FrameMagic is the first byte of every binary frame.
@@ -188,10 +187,16 @@ func AppendRequestFrame(buf []byte, req *Request) ([]byte, error) {
 	return buf, nil
 }
 
-// parseBinaryRequest decodes one complete binary frame (header included)
-// into a Request. All errors wrap ErrBadRequest except a version byte
-// this build does not speak, which wraps ErrUnsupportedVersion.
-func parseBinaryRequest(data []byte) (*Request, error) {
+// ParseRequest decodes and shape-checks one complete binary v2 request
+// frame (header included). It is the single entry point for untrusted
+// bytes (the server's connection handler and the fuzz target both go
+// through it): broken frames, malformed JSON bodies, unknown ops and
+// missing per-op payloads all return an error wrapping ErrBadRequest,
+// except a header version byte this build does not speak, which wraps
+// ErrUnsupportedVersion; no input may panic. Semantic validation
+// against the server's topology (node/link ranges) happens later, in
+// the state loop.
+func ParseRequest(data []byte) (*Request, error) {
 	if len(data) < FrameHeaderSize {
 		return nil, fmt.Errorf("%w: truncated frame header (%d bytes)", ErrBadRequest, len(data))
 	}
@@ -214,7 +219,6 @@ func parseBinaryRequest(data []byte) (*Request, error) {
 	payload := data[FrameHeaderSize:]
 
 	req := &Request{
-		Version:   ProtocolVersionBinary,
 		Retry:     flags&reqFlagRetry != 0,
 		ShardInfo: flags&reqFlagShard != 0,
 	}
@@ -239,13 +243,12 @@ func parseBinaryRequest(data []byte) (*Request, error) {
 		}
 		req.Events = events
 	case binOpJSON:
-		inner, err := parseJSONRequest(payload)
-		if err != nil {
-			return nil, err
+		var inner Request
+		if err := json.Unmarshal(payload, &inner); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 		}
-		inner.Version = ProtocolVersionBinary
 		inner.Retry = inner.Retry || req.Retry
-		req = inner
+		req = &inner
 	default:
 		return nil, fmt.Errorf("%w: unknown binary frame kind %d", ErrBadRequest, kind)
 	}

@@ -58,12 +58,7 @@ func TestRequestFrameRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
-			if got.Version != ProtocolVersionBinary {
-				t.Errorf("decoded version %d, want %d", got.Version, ProtocolVersionBinary)
-			}
-			want := req
-			want.Version = ProtocolVersionBinary
-			wj, _ := json.Marshal(want)
+			wj, _ := json.Marshal(req)
 			gj, _ := json.Marshal(got)
 			if !bytes.Equal(wj, gj) {
 				t.Errorf("round-trip mismatch:\n want %s\n got  %s", wj, gj)
@@ -108,8 +103,8 @@ func TestResponseFrameRoundTrip(t *testing.T) {
 // codec against a live server, and checks the codec counters the server
 // reports.
 func TestBinaryClientEndToEnd(t *testing.T) {
-	jsonClient, ft := startServer(t, sched.NewLMTF(4, 1))
-	addr := jsonClient.conn.RemoteAddr().String()
+	first, ft := startServer(t, sched.NewLMTF(4, 1))
+	addr := first.conn.RemoteAddr().String()
 	client, err := DialBinary(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -150,35 +145,27 @@ func TestBinaryClientEndToEnd(t *testing.T) {
 	if _, err := client.Trace(10); err != nil {
 		t.Fatalf("Trace: %v", err)
 	}
-	// Both codecs hit the same state loop: the JSON client sees the
-	// binary client's events and vice versa.
-	st, err := jsonClient.Stats()
+	// Both connections hit the same state loop: the first client sees
+	// the second one's events.
+	st, err := first.Stats()
 	if err != nil {
-		t.Fatalf("Stats over JSON: %v", err)
+		t.Fatalf("Stats on the first connection: %v", err)
 	}
 	if st.EventsDone < 3 {
 		t.Errorf("completed %d events, want >= 3", st.EventsDone)
 	}
-	if st.CodecV2Conns != 1 {
-		t.Errorf("codec_v2_conns = %d, want 1", st.CodecV2Conns)
+	if st.CodecV2Conns != 2 {
+		t.Errorf("codec_v2_conns = %d, want 2", st.CodecV2Conns)
 	}
 	if st.FramesV2 == 0 {
 		t.Error("frames_v2 stayed 0 despite binary traffic")
 	}
-	if st.FramesV1 == 0 {
-		t.Error("frames_v1 stayed 0 despite JSON traffic")
-	}
 }
 
 // TestBinaryRejectsValidation checks the dense verdict path carries
-// per-event validation errors like JSON does.
+// per-event validation errors.
 func TestBinaryRejectsValidation(t *testing.T) {
-	jsonClient, ft := startServer(t, sched.FIFO{})
-	client, err := DialBinary(jsonClient.conn.RemoteAddr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
+	client, ft := startServer(t, sched.FIFO{})
 	verdicts, _, err := client.SubmitBatch([]EventSpec{
 		eventSpec(ft, 1, 1),
 		{Kind: "bad"}, // no flows
@@ -198,12 +185,7 @@ func TestBinaryRejectsValidation(t *testing.T) {
 // eight batches each. Batch sizes differ per goroutine, so an answer read
 // by the wrong call shows up as a wrong verdict count.
 func TestPipelineSubmit(t *testing.T) {
-	jsonClient, ft := startServer(t, sched.FIFO{}, WithHighWatermark(100000))
-	c, err := DialBinary(jsonClient.conn.RemoteAddr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c, ft := startServer(t, sched.FIFO{}, WithHighWatermark(100000))
 
 	const workers, batches = 8, 8
 	spec := eventSpec(ft, 1, 1)
@@ -251,10 +233,9 @@ func TestPipelineSubmit(t *testing.T) {
 }
 
 // stubPeer accepts one connection on a loopback listener and hands it to
-// serve, with request reading and response writing in the codec binary
-// selects. It returns a Client of that codec dialed to it; serve must
-// return once read fails.
-func stubPeer(t *testing.T, binary bool, serve func(read func() (*Request, error), write func(*Response) error)) *Client {
+// serve, with request reading and response writing in binary v2 frames.
+// It returns a Client dialed to it; serve must return once read fails.
+func stubPeer(t *testing.T, serve func(read func() (*Request, error), write func(*Response) error)) *Client {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -273,26 +254,15 @@ func stubPeer(t *testing.T, binary bool, serve func(read func() (*Request, error
 		}
 		defer conn.Close()
 		br := bufio.NewReader(conn)
-		dec, enc := json.NewDecoder(br), json.NewEncoder(conn)
 		var frame []byte
 		read := func() (*Request, error) {
-			if binary {
-				var err error
-				if frame, err = readFrame(br, frame); err != nil {
-					return nil, err
-				}
-				return ParseRequest(frame)
-			}
-			var raw json.RawMessage
-			if err := dec.Decode(&raw); err != nil {
+			var err error
+			if frame, err = readFrame(br, frame); err != nil {
 				return nil, err
 			}
-			return ParseRequest(raw)
+			return ParseRequest(frame)
 		}
 		write := func(resp *Response) error {
-			if !binary {
-				return enc.Encode(resp)
-			}
 			out, err := AppendResponseFrame(nil, resp)
 			if err == nil {
 				_, err = conn.Write(out)
@@ -301,11 +271,7 @@ func stubPeer(t *testing.T, binary bool, serve func(read func() (*Request, error
 		}
 		serve(read, write)
 	}()
-	dial := Dial
-	if binary {
-		dial = DialBinary
-	}
-	c, err := dial(l.Addr().String())
+	c, err := DialBinary(l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,42 +298,40 @@ func within(t *testing.T, what string, f func()) {
 // wire: the peer reads two whole requests before it answers either, then
 // answers them in order, and each caller must get its own answer.
 func TestClientPipelinesCalls(t *testing.T) {
-	for _, binary := range []bool{false, true} {
-		t.Run(map[bool]string{false: "v1", true: "v2"}[binary], func(t *testing.T) {
-			c := stubPeer(t, binary, func(read func() (*Request, error), write func(*Response) error) {
-				var reqs []*Request
-				for len(reqs) < 2 {
-					req, err := read()
-					if err != nil {
-						return
-					}
-					reqs = append(reqs, req)
+	t.Run("v2", func(t *testing.T) {
+		c := stubPeer(t, func(read func() (*Request, error), write func(*Response) error) {
+			var reqs []*Request
+			for len(reqs) < 2 {
+				req, err := read()
+				if err != nil {
+					return
 				}
-				for _, req := range reqs {
-					if write(&Response{OK: true, Status: &EventStatus{EventID: req.EventID, State: StateDone}}) != nil {
-						return
-					}
-				}
-			})
-			errs := make(chan error, 2)
-			for _, id := range []int64{1, 2} {
-				go func() {
-					st, err := c.Status(id)
-					if err == nil && st.EventID != id {
-						err = fmt.Errorf("Status(%d) got event %d's answer", id, st.EventID)
-					}
-					errs <- err
-				}()
+				reqs = append(reqs, req)
 			}
-			within(t, "two overlapping Status calls", func() {
-				for range 2 {
-					if err := <-errs; err != nil {
-						t.Error(err)
-					}
+			for _, req := range reqs {
+				if write(&Response{OK: true, Status: &EventStatus{EventID: req.EventID, State: StateDone}}) != nil {
+					return
 				}
-			})
+			}
 		})
-	}
+		errs := make(chan error, 2)
+		for _, id := range []int64{1, 2} {
+			go func() {
+				st, err := c.Status(id)
+				if err == nil && st.EventID != id {
+					err = fmt.Errorf("Status(%d) got event %d's answer", id, st.EventID)
+				}
+				errs <- err
+			}()
+		}
+		within(t, "two overlapping Status calls", func() {
+			for range 2 {
+				if err := <-errs; err != nil {
+					t.Error(err)
+				}
+			}
+		})
+	})
 }
 
 // TestPipelineServerGone ends the connection with four calls in flight
@@ -380,7 +344,7 @@ func TestPipelineServerGone(t *testing.T) {
 	}{{"peer dies", true}, {"client closes", false}} {
 		t.Run(tc.name, func(t *testing.T) {
 			inFlight := make(chan struct{})
-			c := stubPeer(t, true, func(read func() (*Request, error), _ func(*Response) error) {
+			c := stubPeer(t, func(read func() (*Request, error), _ func(*Response) error) {
 				for i := 0; i < 4; i++ {
 					if _, err := read(); err != nil {
 						return
@@ -467,13 +431,11 @@ func startCodecServer(t *testing.T, opts ...ServerOption) string {
 	return l.Addr().String()
 }
 
-// TestCodecTraceParity runs the same workload through {JSON v1, binary
-// v2} x {spans off, spans on} and demands byte-identical virtual-clock
-// traces: the codec and the latency span pipeline are
-// transport/observability knobs and must not leak into scheduling
-// decisions. Stage records go to their
-// own span channel, never the trace ring, so even with a span sink
-// attached the main trace must not move.
+// TestCodecTraceParity runs the same workload with spans off and on and
+// demands byte-identical virtual-clock traces: the latency span pipeline
+// is an observability knob and must not leak into scheduling decisions.
+// Stage records go to their own span channel, never the trace ring, so
+// even with a span sink attached the main trace must not move.
 func TestCodecTraceParity(t *testing.T) {
 	specs := []EventSpec{
 		{Kind: "a", Flows: []FlowSpec{{Src: 0, Dst: 1, DemandBps: 40e6}, {Src: 2, Dst: 3, DemandBps: 60e6}}},
@@ -482,16 +444,10 @@ func TestCodecTraceParity(t *testing.T) {
 		{Kind: "d", Flows: []FlowSpec{{Src: 12, Dst: 13, DemandBps: 250e6}}},
 	}
 	type combo struct {
-		name   string
-		binary bool
-		spans  bool
+		name  string
+		spans bool
 	}
-	combos := []combo{
-		{"v1", false, false},
-		{"v2", true, false},
-		{"v1-spans", false, true},
-		{"v2-spans", true, true},
-	}
+	combos := []combo{{"plain", false}, {"spans", true}}
 	traces := make(map[string]string)
 	for _, cb := range combos {
 		var opts []ServerOption
@@ -500,13 +456,7 @@ func TestCodecTraceParity(t *testing.T) {
 			opts = append(opts, WithSpanSink(obs.NewJSONLSink(&spanBuf)))
 		}
 		addr := startCodecServer(t, opts...)
-		var client *Client
-		var err error
-		if cb.binary {
-			client, err = DialBinary(addr)
-		} else {
-			client, err = Dial(addr)
-		}
+		client, err := DialBinary(addr)
 		if err != nil {
 			t.Fatal(err)
 		}

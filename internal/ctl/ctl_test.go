@@ -1,8 +1,11 @@
 package ctl
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"net"
 	"reflect"
 	"sort"
@@ -89,7 +92,7 @@ func startServer(t *testing.T, scheduler sched.Scheduler, opts ...ServerOption) 
 		}
 	})
 
-	client, err := Dial(l.Addr().String())
+	client, err := DialBinary(l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +340,7 @@ func TestConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c, err := Dial(addr)
+			c, err := DialBinary(addr)
 			if err != nil {
 				errCh <- err
 				return
@@ -370,7 +373,10 @@ func TestConcurrentClients(t *testing.T) {
 	}
 }
 
-func TestMalformedJSONDropsConnection(t *testing.T) {
+// TestNonMagicFirstByteRefused: a connection whose first byte is not
+// FrameMagic (a JSON line, say) gets one error line naming the byte and
+// is closed; other clients are unaffected.
+func TestNonMagicFirstByteRefused(t *testing.T) {
 	client, _ := startServer(t, sched.FIFO{})
 	addr := client.conn.RemoteAddr().String()
 	conn, err := net.Dial("tcp", addr)
@@ -378,20 +384,24 @@ func TestMalformedJSONDropsConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write([]byte("this is not json\n")); err != nil {
+	if _, err := conn.Write([]byte(`{"op":"ping"}` + "\n")); err != nil {
 		t.Fatal(err)
 	}
-	// Server must drop us: the read eventually returns EOF.
 	if err := conn.SetReadDeadline(time.Now().Add(2 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	var buf [64]byte
-	if _, err := conn.Read(buf[:]); err == nil {
-		t.Error("expected connection drop after malformed JSON")
+	// ReadAll returns without error only at EOF: the server closed.
+	got, err := io.ReadAll(conn)
+	if err != nil {
+		t.Fatalf("read until close: %v (got %q)", err, got)
 	}
-	// Other clients are unaffected.
+	line := string(got)
+	if strings.Count(line, "\n") != 1 || !strings.HasSuffix(line, "\n") ||
+		!strings.Contains(line, "0x7b") || !strings.Contains(line, "0xb7") {
+		t.Errorf("refusal = %q, want one line naming 0x7b and the frame magic 0xb7", line)
+	}
 	if err := client.Ping(); err != nil {
-		t.Fatalf("Ping after malformed peer: %v", err)
+		t.Fatalf("Ping after refused peer: %v", err)
 	}
 }
 
@@ -439,7 +449,7 @@ func TestCloseUnderLoadNoDeadlock(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, err := Dial(l.Addr().String())
+			c, err := DialBinary(l.Addr().String())
 			if err != nil {
 				return
 			}
@@ -472,8 +482,10 @@ func TestCloseUnderLoadNoDeadlock(t *testing.T) {
 	}
 }
 
+// TestProtocolWireFormat pins a raw v2 exchange framed by hand: an
+// 8-byte header (magic, version, kind, flags, little-endian payload
+// length) around a JSON body, answered by a JSON response frame.
 func TestProtocolWireFormat(t *testing.T) {
-	// The protocol is line-delimited JSON; verify a raw exchange.
 	client, ft := startServer(t, sched.FIFO{})
 	addr := client.conn.RemoteAddr().String()
 	conn, err := net.Dial("tcp", addr)
@@ -483,18 +495,26 @@ func TestProtocolWireFormat(t *testing.T) {
 	defer conn.Close()
 
 	host := ft.Hosts()
-	raw, err := json.Marshal(Request{Op: OpSubmit, Event: &EventSpec{
-		Flows: []FlowSpec{{Src: int(host[0]), Dst: int(host[1]), DemandBps: 1e6}},
-	}})
-	if err != nil {
+	body := fmt.Sprintf(`{"op":"submit","event":{"flows":[{"src":%d,"dst":%d,"demand_bps":1000000}]}}`, host[0], host[1])
+	frame := []byte{0xB7, 2, 3, 0, 0, 0, 0, 0} // magic, v2, JSON request, no flags
+	binary.LittleEndian.PutUint32(frame[4:], uint32(len(body)))
+	if _, err := conn.Write(append(frame, body...)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := conn.Write(append(raw, '\n')); err != nil {
+	var hdr [8]byte
+	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+		t.Fatal(err)
+	}
+	if hdr[0] != 0xB7 || hdr[1] != 2 || hdr[2] != 1 || hdr[3] != 0 {
+		t.Fatalf("response header % x, want b7 02 01 00 (JSON response)", hdr[:4])
+	}
+	payload := make([]byte, binary.LittleEndian.Uint32(hdr[4:]))
+	if _, err := io.ReadFull(conn, payload); err != nil {
 		t.Fatal(err)
 	}
 	var resp Response
-	if err := json.NewDecoder(conn).Decode(&resp); err != nil {
-		t.Fatal(err)
+	if err := json.Unmarshal(payload, &resp); err != nil {
+		t.Fatalf("response body %q: %v", payload, err)
 	}
 	if !resp.OK || resp.EventID == 0 {
 		t.Errorf("raw submit response = %+v", resp)

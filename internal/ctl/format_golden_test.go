@@ -184,8 +184,6 @@ func requestGolden(name string, req Request, hexStr string) formatGolden {
 			if err != nil {
 				return nil, err
 			}
-			// The transport owns the version stamp, as in Client.roundTrip.
-			got.Version = 0
 			return AppendRequestFrame(nil, got)
 		},
 		hex: hexStr,

@@ -1,7 +1,7 @@
 package ctl
 
 import (
-	"encoding/json"
+	"bufio"
 	"errors"
 	"net"
 	"strings"
@@ -172,23 +172,30 @@ func scriptedServer(t *testing.T, responses []Response) (*Client, *[]Request) {
 	reqs := &[]Request{}
 	var mu sync.Mutex
 	go func() {
-		dec := json.NewDecoder(srv)
-		enc := json.NewEncoder(srv)
+		br := bufio.NewReader(srv)
+		var frame, out []byte
 		for _, resp := range responses {
-			var req Request
-			if err := dec.Decode(&req); err != nil {
+			var err error
+			if frame, err = readFrame(br, frame); err != nil {
+				return
+			}
+			req, err := ParseRequest(frame)
+			if err != nil {
 				return
 			}
 			mu.Lock()
-			*reqs = append(*reqs, req)
+			*reqs = append(*reqs, *req)
 			mu.Unlock()
-			if err := enc.Encode(resp); err != nil {
+			if out, err = AppendResponseFrame(out[:0], &resp); err != nil {
+				return
+			}
+			if _, err := srv.Write(out); err != nil {
 				return
 			}
 		}
 		_ = srv.Close()
 	}()
-	c := NewClient(cli)
+	c := NewBinaryClient(cli)
 	t.Cleanup(func() { _ = c.Close() })
 	return c, reqs
 }
@@ -285,13 +292,16 @@ func TestSubmitBatchRetryGivesUp(t *testing.T) {
 }
 
 func TestProtocolVersionNegotiation(t *testing.T) {
-	// Unit level: the parser owns the version check.
-	if _, err := ParseRequest([]byte(`{"v":1,"op":"ping"}`)); err != nil {
-		t.Errorf("v1 ping rejected: %v", err)
+	// Unit level: the frame header owns the version check; a "v" key in
+	// a JSON body is an unknown field like any other.
+	ping := []byte{FrameMagic, 1, binOpPing, 0, 0, 0, 0, 0} // version byte 1
+	if _, err := ParseRequest(ping); !errors.Is(err, ErrUnsupportedVersion) {
+		t.Errorf("v1 header error = %v, want ErrUnsupportedVersion", err)
 	}
-	_, err := ParseRequest([]byte(`{"v":2,"op":"ping"}`))
-	if !errors.Is(err, ErrUnsupportedVersion) {
-		t.Errorf("v2 ping error = %v, want ErrUnsupportedVersion", err)
+	body := []byte(`{"v":7,"op":"ping"}`)
+	frame := append([]byte{FrameMagic, ProtocolVersionBinary, binOpJSON, 0, byte(len(body)), 0, 0, 0}, body...)
+	if req, err := ParseRequest(frame); err != nil || req.Op != OpPing {
+		t.Errorf("JSON body with a \"v\" key = %+v, %v; want a ping", req, err)
 	}
 
 	// Wire level: the server answers the error and keeps the connection.
@@ -301,26 +311,31 @@ func TestProtocolVersionNegotiation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	enc := json.NewEncoder(conn)
-	dec := json.NewDecoder(conn)
-	if err := enc.Encode(Request{Version: 2, Op: OpPing}); err != nil {
+	br := bufio.NewReader(conn)
+	read := func() *Response {
+		t.Helper()
+		frame, err := readFrame(br, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := decodeResponseFrame(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	if _, err := conn.Write(ping); err != nil {
 		t.Fatal(err)
 	}
-	var resp Response
-	if err := dec.Decode(&resp); err != nil {
+	if resp := read(); resp.OK || !strings.Contains(resp.Error, "unsupported protocol version") {
+		t.Errorf("v1 header response = %+v, want version rejection", resp)
+	}
+	ping[1] = ProtocolVersionBinary
+	if _, err := conn.Write(ping); err != nil {
 		t.Fatal(err)
 	}
-	if resp.OK || !strings.Contains(resp.Error, "unsupported protocol version") {
-		t.Errorf("v2 response = %+v, want version rejection", resp)
-	}
-	if err := enc.Encode(Request{Version: 1, Op: OpPing}); err != nil {
-		t.Fatal(err)
-	}
-	if err := dec.Decode(&resp); err != nil {
-		t.Fatal(err)
-	}
-	if !resp.OK {
-		t.Errorf("v1 ping after v2 reject = %+v, want OK", resp)
+	if resp := read(); !resp.OK {
+		t.Errorf("v2 ping after v1 reject = %+v, want OK", resp)
 	}
 }
 
@@ -338,7 +353,7 @@ func TestBurstAdmission(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, err := Dial(addr)
+			c, err := DialBinary(addr)
 			if err != nil {
 				errCh <- err
 				return

@@ -1,4 +1,4 @@
-// Package ctl is the update-controller service: a line-delimited JSON
+// Package ctl is the update-controller service: a framed binary
 // protocol over TCP, a server that owns live network state and schedules
 // submitted update events with any sched.Scheduler, and a matching client.
 //
@@ -10,7 +10,6 @@
 package ctl
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"time"
@@ -22,12 +21,6 @@ import (
 
 // Op names a protocol operation.
 type Op string
-
-// ProtocolVersion is the current wire protocol version. Requests carry
-// it in the "v" field; an absent or zero field means v1, so v1 clients
-// need no change. Unknown versions are rejected at parse time with
-// ErrUnsupportedVersion.
-const ProtocolVersion = 1
 
 // Protocol operations.
 const (
@@ -126,11 +119,11 @@ type FaultResult struct {
 	LinksDown int `json:"links_down"`
 }
 
-// Request is one client->server message.
+// Request is one client->server message. The protocol version lives in
+// the frame header only; a "v" key in a JSON body is ignored like any
+// other unknown field.
 type Request struct {
-	// Version is the wire protocol version; absent (0) means v1.
-	Version int `json:"v,omitempty"`
-	Op      Op  `json:"op"`
+	Op Op `json:"op"`
 	// Event accompanies OpSubmit.
 	Event *EventSpec `json:"event,omitempty"`
 	// Events accompanies OpSubmitBatch, in submission order.
@@ -147,56 +140,20 @@ type Request struct {
 	Fault *FaultSpec `json:"fault,omitempty"`
 	// Span is the optional latency span context of a submit/submit-batch
 	// request: the submitter's 16-bit origin identity and its wall clock
-	// at submit. Old servers ignore it (unknown JSON field; flag-gated
-	// binary prefix) — clients discover support via the "span-ctx"
-	// feature in the ping response before attaching it on the binary
-	// codec.
+	// at submit. Old servers reject the flag-gated binary prefix, so
+	// clients discover support via the "span-ctx" feature in the ping
+	// response before attaching it.
 	Span *obs.SpanContext `json:"span,omitempty"`
-	// ShardInfo asks the server to encode each verdict's owning shard on
-	// the binary codec (flag-gated, see reqFlagShard). It never appears
-	// on the JSON wire — JSON verdicts are self-describing through the
-	// omitempty shard field — so v1 frames stay byte-identical. Clients
-	// enable it only after the ping response advertised
-	// FeatureShardVerdicts.
+	// ShardInfo asks the server to encode each verdict's owning shard in
+	// the dense verdict frame (flag-gated, see reqFlagShard). It never
+	// appears in a JSON body — JSON verdicts are self-describing through
+	// the omitempty shard field. Clients enable it only after the ping
+	// response advertised FeatureShardVerdicts.
 	ShardInfo bool `json:"-"`
 }
 
-// ParseRequest decodes and shape-checks one request frame, in either
-// codec. It is the single entry point for untrusted bytes (the server's
-// connection handler and the fuzz target both go through it): malformed
-// JSON, broken binary frames, unknown ops and missing per-op payloads
-// all return an error wrapping ErrBadRequest; no input may panic.
-// Semantic validation against the server's topology (node/link ranges)
-// happens later, in the state loop.
-//
-// The codec is self-describing: a frame starting with FrameMagic (a
-// byte no JSON document can start with) is a binary v2 frame; anything
-// else is a JSON v1 line. A JSON request claiming "v":2 is rejected —
-// v2 exists only in binary framing.
-func ParseRequest(data []byte) (*Request, error) {
-	if len(data) > 0 && data[0] == FrameMagic {
-		return parseBinaryRequest(data)
-	}
-	return parseJSONRequest(data)
-}
-
-// parseJSONRequest decodes one JSON v1 request line.
-func parseJSONRequest(data []byte) (*Request, error) {
-	var req Request
-	if err := json.Unmarshal(data, &req); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	if req.Version != 0 && req.Version != ProtocolVersion {
-		return nil, fmt.Errorf("%w: got v%d, this server speaks v%d",
-			ErrUnsupportedVersion, req.Version, ProtocolVersion)
-	}
-	if err := checkRequestShape(&req); err != nil {
-		return nil, err
-	}
-	return &req, nil
-}
-
-// checkRequestShape applies the codec-independent op and payload checks.
+// checkRequestShape applies the op and payload checks every frame kind
+// shares.
 func checkRequestShape(req *Request) error {
 	if !knownOps[req.Op] {
 		return fmt.Errorf("%w: unknown op %q", ErrBadRequest, req.Op)
@@ -258,8 +215,8 @@ type SubmitVerdict struct {
 	Overloaded bool `json:"overloaded,omitempty"`
 	// Shard is the 1-based shard that admitted (or rejected) the event in
 	// a sharded deployment; zero on a single-shard server, so pre-shard
-	// responses are byte-identical (omitempty here, flag-gated on the
-	// binary codec).
+	// responses are byte-identical (omitempty in JSON, flag-gated in the
+	// dense verdict frame).
 	Shard int `json:"shard,omitempty"`
 }
 
@@ -370,17 +327,18 @@ const FeatureSpanContext = "span-ctx"
 
 // FeatureShardVerdicts advertises (in the ping response) that the
 // server understands the shard-info request flag and will stamp each
-// submit-batch verdict with its owning shard on the binary codec.
-// Without the flag (or on JSON, where the field is omitempty) frames
-// stay byte-identical to pre-shard builds.
+// submit-batch verdict with its owning shard in the dense verdict frame.
+// Without the flag (or in a JSON body, where the field is omitempty)
+// frames stay byte-identical to pre-shard builds.
 const FeatureShardVerdicts = "shard-verdicts"
 
 // Protocol-level errors.
 var (
 	// ErrBadRequest is returned for malformed or unsupported requests.
 	ErrBadRequest = errors.New("ctl: bad request")
-	// ErrUnsupportedVersion is returned by ParseRequest for requests
-	// carrying a protocol version this server does not speak.
+	// ErrUnsupportedVersion is returned by ParseRequest for a frame
+	// whose header carries a protocol version this server does not
+	// speak.
 	ErrUnsupportedVersion = errors.New("ctl: unsupported protocol version")
 	// ErrServerClosed is returned by client calls after the server went
 	// away and by Serve after Close.

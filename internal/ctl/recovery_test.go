@@ -100,7 +100,7 @@ func startWALServerWindow(t *testing.T, dir string, ckptEvery, window int, opts 
 		}
 	})
 
-	client, err := Dial(l.Addr().String())
+	client, err := DialBinary(l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func captureDigest(t *testing.T, srv *Server, client *Client) runDigest {
 	}
 	st.ProbeCacheHits, st.ProbeCacheMisses, st.ProbeHitRate = 0, 0, 0
 	st.ProbeColdPlans, st.ProbeIncrementalReplans = 0, 0
-	st.CodecV2Conns, st.FramesV1, st.FramesV2 = 0, 0, 0
+	st.CodecV2Conns, st.FramesV2 = 0, 0
 	st.WALAppends, st.WALCheckpoints, st.WALCheckpointSeq = 0, 0, 0
 	st.WALReplayed, st.WALRecoveryMs = 0, 0
 	// Wall-clock latency is explicitly non-deterministic and process-

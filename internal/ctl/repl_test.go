@@ -110,7 +110,7 @@ func serveAndDial(t *testing.T, srv *Server) (*Client, string) {
 			t.Errorf("Serve returned %v, want ErrServerClosed", err)
 		}
 	})
-	client, err := Dial(l.Addr().String())
+	client, err := DialBinary(l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -175,7 +175,6 @@ func newServer(cfg Config) *Server {
 		Handle:      s.dispatchAt,
 		Stream:      s.serveRepl,
 		StreamMagic: replStreamMagic,
-		FramesV1:    s.ingest.FramesV1,
 		FramesV2:    s.ingest.FramesV2,
 		CodecConns:  s.ingest.CodecV2Conns,
 	}

@@ -87,14 +87,14 @@ func TestShardRequestFlagRoundTrip(t *testing.T) {
 	if bytes.Equal(plain, flagged) {
 		t.Fatal("shard flag not encoded")
 	}
-	got, err := parseBinaryRequest(flagged)
+	got, err := ParseRequest(flagged)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !got.ShardInfo {
 		t.Error("ShardInfo lost in round-trip")
 	}
-	got, err = parseBinaryRequest(plain)
+	got, err = ParseRequest(plain)
 	if err != nil {
 		t.Fatal(err)
 	}

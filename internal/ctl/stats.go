@@ -70,10 +70,9 @@ type Stats struct {
 	IngestRejected  int64 `json:"ingest_rejected" metric:"netupdate_ingest_rejected_total"`
 	IngestRetried   int64 `json:"ingest_retried" metric:"netupdate_ingest_retried_total"`
 	IngestBatches   int64 `json:"ingest_batches" metric:"netupdate_ingest_batches_total"`
-	// Codec telemetry: requests decoded per wire codec and connections
-	// currently speaking the binary v2 framing.
+	// Codec telemetry: control connections open now and requests
+	// decoded (both in the binary v2 framing).
 	CodecV2Conns int64 `json:"codec_v2_conns" metric:"netupdate_ingest_codec_v2_conns"`
-	FramesV1     int64 `json:"frames_v1" metric:"netupdate_ingest_frames_v1_total"`
 	FramesV2     int64 `json:"frames_v2" metric:"netupdate_ingest_frames_v2_total"`
 	// WAL / recovery telemetry (all zero when the daemon runs without a
 	// write-ahead log).

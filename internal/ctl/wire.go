@@ -2,7 +2,6 @@ package ctl
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -11,9 +10,9 @@ import (
 )
 
 // WireServer owns the connection-facing half of a controller: the accept
-// loop, the per-connection codec detection (binary v2 frames, JSON v1
-// lines, or a magic-routed raw stream), and response encoding. It is the
-// one wire surface both the in-process engine server (Server) and the
+// loop, the per-connection routing by first byte (binary v2 frames or a
+// magic-routed raw stream), and response encoding. It is the one wire
+// surface both the in-process engine server (Server) and the
 // shard-routing gateway (internal/shard) serve the protocol through, so
 // codec behavior — including the flag-gated verdict shard extension —
 // cannot drift between them.
@@ -28,14 +27,13 @@ type WireServer struct {
 	Handle func(req Request, ingestWall int64) Response
 	// Stream, when non-nil, takes over a connection whose first byte is
 	// StreamMagic (a raw replication stream). Without it such
-	// connections fall through to the JSON codec and die on parse.
+	// connections are refused like any other unknown first byte.
 	Stream func(conn net.Conn, br *bufio.Reader)
 	// StreamMagic is the first byte routed to Stream (e.g.
 	// repl.StreamMagic). Ignored when Stream is nil.
 	StreamMagic byte
-	// FramesV1/FramesV2/CodecConns observe decoded requests per codec and
-	// live binary connections; any may be nil.
-	FramesV1   interface{ Inc() }
+	// FramesV2/CodecConns observe decoded requests and live control
+	// connections; either may be nil.
 	FramesV2   interface{ Inc() }
 	CodecConns interface{ Add(int64) }
 
@@ -142,12 +140,10 @@ func (w *WireServer) Close() error {
 	return firstErr
 }
 
-// handleConn serves one client. The codec is per-connection, detected
-// from the first byte: FrameMagic opens a binary v2 stream, StreamMagic
-// a raw stream (replication), anything else a line-delimited JSON v1
-// stream. Detection must happen before any json.Decoder touches the
-// socket — the decoder reads ahead, so per-frame codec switching on one
-// connection is impossible.
+// handleConn serves one client, routed by its first byte: FrameMagic
+// opens a binary v2 control stream, StreamMagic a raw stream
+// (replication). Any other byte gets one error line naming it and the
+// connection is closed.
 func (w *WireServer) handleConn(conn net.Conn) {
 	defer w.conns.Done()
 	defer func() {
@@ -162,42 +158,16 @@ func (w *WireServer) handleConn(conn net.Conn) {
 	if err != nil {
 		return
 	}
-	if first[0] == FrameMagic {
+	switch {
+	case first[0] == FrameMagic:
 		w.serveBinary(conn, br)
-		return
-	}
-	if w.Stream != nil && first[0] == w.StreamMagic {
+	case w.Stream != nil && first[0] == w.StreamMagic:
 		w.Stream(conn, br)
-		return
-	}
-	w.serveJSON(conn, br)
-}
-
-// serveJSON answers a stream of JSON requests, one JSON response each.
-func (w *WireServer) serveJSON(conn net.Conn, br *bufio.Reader) {
-	dec := json.NewDecoder(br)
-	enc := json.NewEncoder(conn)
-	for {
-		var raw json.RawMessage
-		if err := dec.Decode(&raw); err != nil {
-			return // EOF, closed connection, or unframeable garbage: drop
-		}
-		req, err := ParseRequest(raw)
-		if err != nil {
-			// Well-framed JSON but a bad request: answer the error and
-			// keep the connection.
-			if encErr := enc.Encode(Response{OK: false, Error: err.Error()}); encErr != nil {
-				return
-			}
-			continue
-		}
-		if w.FramesV1 != nil {
-			w.FramesV1.Inc()
-		}
-		resp := w.Handle(*req, time.Now().UnixNano())
-		if err := enc.Encode(resp); err != nil {
-			return
-		}
+	default:
+		// Best effort: the connection is closed next whether or not the
+		// peer reads the line.
+		_, _ = fmt.Fprintf(conn, "%v: first byte 0x%02x, want frame magic 0x%02x\n",
+			ErrBadRequest, first[0], FrameMagic)
 	}
 }
 

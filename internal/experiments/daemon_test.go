@@ -73,7 +73,7 @@ func TestDaemonReproducesFig6Row(t *testing.T) {
 			}
 			go func() { _ = w.Server.Serve(l) }()
 			defer w.Server.Close()
-			c, err := ctl.Dial(l.Addr().String())
+			c, err := ctl.DialBinary(l.Addr().String())
 			if err != nil {
 				t.Fatal(err)
 			}

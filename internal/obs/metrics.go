@@ -574,10 +574,9 @@ type IngestMetrics struct {
 	// the largest sane wire batches.
 	BatchSize *Histogram `metric:"netupdate_ingest_batch_size,restore" help:"Events admitted per submit request." buckets:"1,13"`
 	Watermark *Gauge     `metric:"netupdate_ingest_watermark,first" help:"Queue high-watermark past which submissions are rejected."`
-	// CodecV2Conns tracks connections currently speaking the binary v2
-	// framing; FramesV1/FramesV2 count requests decoded per codec.
+	// CodecV2Conns tracks open control connections (all binary v2
+	// framing); FramesV2 counts the requests decoded from them.
 	CodecV2Conns *Gauge   `metric:"netupdate_ingest_codec_v2_conns" help:"Connections currently speaking the binary v2 framing."`
-	FramesV1     *Counter `metric:"netupdate_ingest_frames_v1_total" help:"Requests decoded from the JSON v1 codec."`
 	FramesV2     *Counter `metric:"netupdate_ingest_frames_v2_total" help:"Requests decoded from the binary v2 codec."`
 }
 

@@ -13,8 +13,8 @@ import (
 )
 
 // Gateway fronts N shard engines with one ctl endpoint: it speaks the
-// full v1/v2 protocol (through the same ctl.WireServer the engine
-// server uses, so codecs cannot drift), routes every submitted event to
+// full v2 protocol (through the same ctl.WireServer the engine server
+// uses, so codecs cannot drift), routes every submitted event to
 // the shard owning its pods, two-phase-admits cross-shard events
 // against the reserved core pool, and fans per-shard answers back into
 // the single-controller response shapes clients already understand.

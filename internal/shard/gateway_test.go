@@ -251,9 +251,9 @@ func TestGatewayRejectsReplOps(t *testing.T) {
 	}
 }
 
-// TestGatewayOverWire drives the gateway through the real codecs: the
-// binary v2 client negotiates shard verdicts and sees the stamp; a
-// plain JSON client works unchanged.
+// TestGatewayOverWire drives the gateway through the real codec: a
+// client that negotiates shard verdicts sees the stamp; a second client
+// that never asks for it works unchanged and gets plain verdicts.
 func TestGatewayOverWire(t *testing.T) {
 	gw, _, ft := testCluster(t, 2)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -298,19 +298,26 @@ func TestGatewayOverWire(t *testing.T) {
 		t.Errorf("binary verdict shard = %d, want 2", verdicts[0].Shard)
 	}
 
-	jc, err := ctl.Dial(l.Addr().String())
+	pc, err := ctl.DialBinary(l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer jc.Close()
-	id, err := jc.Submit(intraPodSpec(ft, 0))
+	defer pc.Close()
+	id, err := pc.Submit(intraPodSpec(ft, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if (id-1)%2 != 0 {
-		t.Errorf("JSON submit event ID %d off shard 1's lattice", id)
+		t.Errorf("plain submit event ID %d off shard 1's lattice", id)
 	}
-	if _, err := jc.Stats(); err != nil {
+	verdicts, _, err = pc.SubmitBatch([]ctl.EventSpec{intraPodSpec(ft, 3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !verdicts[0].OK || verdicts[0].Shard != 0 {
+		t.Errorf("plain verdict = %+v, want OK without a shard stamp", verdicts[0])
+	}
+	if _, err := pc.Stats(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -214,7 +214,7 @@ func TestPromotedFollowerKeepsMaxFollowers(t *testing.T) {
 		t.Fatal(err)
 	}
 	standbyAddr := serveWorld(t, standby)
-	c, err := ctl.Dial(standbyAddr)
+	c, err := ctl.DialBinary(standbyAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
