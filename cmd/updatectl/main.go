@@ -155,8 +155,8 @@ func run(args []string, stdout io.Writer) int {
 		if stats.WALEnabled {
 			fmt.Fprintf(stdout, "wal            seq %d, %d appends, %d checkpoints (covered seq %d)\n",
 				stats.WALLastSeq, stats.WALAppends, stats.WALCheckpoints, stats.WALCheckpointSeq)
-			fmt.Fprintf(stdout, "recovery       %d records replayed in %d ms\n",
-				stats.WALReplayed, stats.WALRecoveryMs)
+			fmt.Fprintf(stdout, "recovery       %d records and %d logged rounds replayed in %d ms\n",
+				stats.WALReplayed, stats.WALReplayedRounds, stats.WALRecoveryMs)
 		}
 		if stats.LatencyE2EP99Ns > 0 {
 			fmt.Fprintf(stdout, "latency e2e    p50 %v, p95 %v, p99 %v, p99.9 %v\n",
@@ -453,13 +453,15 @@ func walCmd(args []string, stdout io.Writer) int {
 		return 0
 
 	case "verify":
-		var events, faults int
+		var events, faults, rounds int
 		info, err := log.Replay(0, func(rec *wal.Record) error {
 			switch rec.Type {
 			case wal.TypeEvent:
 				events++
 			case wal.TypeFault:
 				faults++
+			case wal.TypeRound:
+				rounds++
 			}
 			return nil
 		})
@@ -467,8 +469,8 @@ func walCmd(args []string, stdout io.Writer) int {
 			fmt.Fprintf(os.Stderr, "updatectl: wal verify: %v\n", err)
 			return 1
 		}
-		fmt.Fprintf(stdout, "ok: %d records (%d events, %d faults), last seq %d\n",
-			info.Records, events, faults, info.LastSeq)
+		fmt.Fprintf(stdout, "ok: %d records (%d events, %d faults, %d rounds), last seq %d\n",
+			info.Records, events, faults, rounds, info.LastSeq)
 		if info.Truncated {
 			fmt.Fprintln(stdout, "note: torn tail truncated after last valid frame")
 		}

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
@@ -16,8 +18,10 @@ import (
 	"netupdate/internal/netstate"
 	"netupdate/internal/routing"
 	"netupdate/internal/sched"
+	"netupdate/internal/shard"
 	"netupdate/internal/sim"
 	"netupdate/internal/topology"
+	"netupdate/internal/wal"
 )
 
 // startDaemon brings up a controller on an ephemeral port.
@@ -202,5 +206,75 @@ func TestSnapshotCommand(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), `"version"`) || !strings.Contains(out.String(), `"nodes"`) {
 		t.Errorf("snapshot output not a snapshot document:\n%.200s", out.String())
+	}
+}
+
+// TestWALDumpRounds: `wal dump` prints a P-LMTF daemon's round records
+// as JSON beside its events, and `wal verify` counts them.
+func TestWALDumpRounds(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	w, err := shard.NewWorld(shard.WorldConfig{K: 4, Util: 0.6, Scheduler: "p-lmtf", Alpha: 2, Seed: 5, Watermark: 512, WALDir: dir}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Events that crowd the core plan migrations, which is what makes a
+	// round worth logging.
+	var specs []ctl.EventSpec
+	for i := 0; i < 6; i++ {
+		var flows []ctl.FlowSpec
+		for j := 0; j < 8; j++ {
+			flows = append(flows, ctl.FlowSpec{Src: int(w.FT.Host((i+j)%4, j%2, 0)), Dst: int(w.FT.Host((i+j+1)%4, (j+1)%2, 1)),
+				DemandBps: 150e6, SizeBytes: 1e6})
+		}
+		specs = append(specs, ctl.EventSpec{Kind: "dump", Flows: flows})
+	}
+	if _, _, err := w.Server.SubmitBatch(specs); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		st, err := w.Server.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.EventsDone == len(specs) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("events not done: %+v", st)
+		}
+	}
+	if err := w.Server.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var out bytes.Buffer
+	if code := run([]string{"wal", "dump", dir}, &out); code != 0 {
+		t.Fatalf("wal dump exit %d", code)
+	}
+	events, rounds := 0, 0
+	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
+		var rec wal.Record
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("dump line %q: %v", line, err)
+		}
+		switch rec.Type {
+		case wal.TypeEvent:
+			events++
+		case wal.TypeRound:
+			if rec.Round == nil || len(rec.Round.Lanes) == 0 || len(rec.Round.Lanes[0].Flows) == 0 {
+				t.Fatalf("round record dumped without its plans: %s", line)
+			}
+			rounds++
+		}
+	}
+	if events != len(specs) || rounds == 0 {
+		t.Fatalf("dump holds %d events and %d rounds, want %d events and some rounds", events, rounds, len(specs))
+	}
+	out.Reset()
+	if code := run([]string{"wal", "verify", dir}, &out); code != 0 {
+		t.Fatalf("wal verify exit %d", code)
+	}
+	if want := fmt.Sprintf("(%d events, 0 faults, %d rounds)", events, rounds); !strings.Contains(out.String(), want) {
+		t.Fatalf("wal verify printed %q, want %q", out.String(), want)
 	}
 }

@@ -188,5 +188,6 @@ func statsTranscript(t *testing.T, slot int) string {
 		walDir = filepath.Join(dir, fmt.Sprintf("shard-%d", slot))
 	}
 	fmt.Fprintf(&out, "== updatectl wal info <dir> ==\n%s", cli("wal", "info", walDir))
+	fmt.Fprintf(&out, "== updatectl wal verify <dir> ==\n%s", cli("wal", "verify", walDir))
 	return out.String()
 }

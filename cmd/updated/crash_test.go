@@ -305,7 +305,7 @@ func normalizedStats(t *testing.T, client *ctl.Client) ctl.Stats {
 	st.ProbeColdPlans, st.ProbeIncrementalReplans = 0, 0
 	st.CodecV2Conns, st.FramesV2 = 0, 0
 	st.WALAppends, st.WALCheckpoints, st.WALCheckpointSeq = 0, 0, 0
-	st.WALReplayed, st.WALRecoveryMs = 0, 0
+	st.WALReplayed, st.WALReplayedRounds, st.WALRecoveryMs = 0, 0, 0
 	// Wall-clock latency is process-local: the recovered daemon re-times
 	// only replayed work, so these never match across processes.
 	st.LatencyE2EP50Ns, st.LatencyE2EP95Ns, st.LatencyE2EP99Ns, st.LatencyE2EP999Ns = 0, 0, 0, 0

@@ -184,8 +184,8 @@ func reportWorld(stdout io.Writer, w *shard.World, util float64) {
 		fmt.Fprintf(stdout, "%sbackground %d flows, utilization %.3f\n", pre, w.BgFlows, w.BgUtil)
 	}
 	if rec := w.Recovery; rec != nil && rec.Recovered {
-		fmt.Fprintf(stdout, "%srecovered from WAL: checkpoint seq %d, %d records replayed, last seq %d (%v)\n",
-			pre, rec.CheckpointSeq, rec.ReplayedRecords, rec.LastSeq, rec.Elapsed.Round(time.Millisecond))
+		fmt.Fprintf(stdout, "%srecovered from WAL: checkpoint seq %d, %d logged rounds and %d records replayed, last seq %d (%v)\n",
+			pre, rec.CheckpointSeq, rec.ReplayedRounds, rec.ReplayedRecords, rec.LastSeq, rec.Elapsed.Round(time.Millisecond))
 	}
 }
 

@@ -82,6 +82,132 @@ type flowPlan struct {
 	evals  int
 }
 
+// PlanRecord is a Plan as plain data: what a log keeps of an applied
+// plan so that it can be applied again (Planner.PlanOf) without planning
+// the event anew.
+type PlanRecord struct {
+	// Event is the planned event's ID.
+	Event flow.EventID
+	// Base and Next are the registry's flow-ID counter before and after
+	// the plan.
+	Base, Next flow.ID
+	// Flows holds one entry per spec, in spec order.
+	Flows []FlowRecord
+}
+
+// FlowRecord is one spec's planned admission in a PlanRecord.
+type FlowRecord struct {
+	Spec   int
+	ID     flow.ID
+	Failed bool
+	Path   routing.Path
+	Cost   topology.Bandwidth
+	Evals  int
+	// Steps are the migrations that make room for the flow, in order
+	// (none for a failed flow).
+	Steps []migration.StepRecord
+}
+
+// Event returns the planned event.
+func (pl *Plan) Event() *Event { return pl.event }
+
+// Record returns the plan as plain data.
+func (pl *Plan) Record() PlanRecord {
+	r := PlanRecord{Event: pl.event.ID, Base: pl.base, Next: pl.next, Flows: make([]FlowRecord, len(pl.flows))}
+	for i, fp := range pl.flows {
+		fr := FlowRecord{Spec: fp.spec, ID: fp.id, Failed: fp.failed, Path: fp.path, Cost: fp.cost, Evals: fp.evals}
+		if !fp.failed && fp.hi > fp.lo {
+			fr.Steps = make([]migration.StepRecord, fp.hi-fp.lo)
+			for j := range fr.Steps {
+				fr.Steps[j] = pl.steps[fp.lo+j].Record()
+			}
+		}
+		r.Flows[i] = fr
+	}
+	return r
+}
+
+// PlanOf rebuilds the plan of ev from its record, for Apply. It checks
+// that the record fits the event and the graph — the event's ID, one
+// flow per spec, flow IDs in minting order, paths joining their flows'
+// endpoints — and nothing about the network: Apply finds out whether the
+// network still matches, victim by victim.
+func (p *Planner) PlanOf(ev *Event, r *PlanRecord) (*Plan, error) {
+	if r.Event != ev.ID {
+		return nil, fmt.Errorf("%v: plan is of event %d", ev, int64(r.Event))
+	}
+	if len(r.Flows) != len(ev.Specs) {
+		return nil, fmt.Errorf("%v: plan has %d flows for %d specs", ev, len(r.Flows), len(ev.Specs))
+	}
+	g := p.mig.Network().Graph()
+	n := 0
+	for i := range r.Flows {
+		n += len(r.Flows[i].Steps)
+	}
+	pl := &Plan{event: ev, base: r.Base, next: r.Next, flows: make([]flowPlan, 0, len(r.Flows)), steps: make([]migration.Step, 0, n)}
+	cursor := r.Base
+	mint := func(id flow.ID) error {
+		if id < cursor {
+			return fmt.Errorf("%v: plan mints flow %d behind %d", ev, int64(id), int64(cursor))
+		}
+		cursor = id + 1
+		return nil
+	}
+	for i, fr := range r.Flows {
+		if fr.Spec != i {
+			return nil, fmt.Errorf("%v: plan flow %d is for spec %d", ev, i, fr.Spec)
+		}
+		fp := flowPlan{spec: i, id: fr.ID, failed: fr.Failed, path: fr.Path, cost: fr.Cost, evals: fr.Evals}
+		pl.Evals += fr.Evals
+		if fr.Failed {
+			pl.failed++
+			pl.flows = append(pl.flows, fp)
+			continue
+		}
+		spec := ev.Specs[i]
+		if err := mint(fr.ID); err != nil {
+			return nil, err
+		}
+		if !joins(g, fr.Path, spec.Src, spec.Dst) {
+			return nil, fmt.Errorf("%v: plan path of spec %d does not join %d to %d", ev, i, spec.Src, spec.Dst)
+		}
+		fp.lo = len(pl.steps)
+		for _, sr := range fr.Steps {
+			if sr.From.IsZero() || !sameEnds(g, sr.From, sr.To) || sr.Split && !sameEnds(g, sr.From, sr.To2) {
+				return nil, fmt.Errorf("%v: plan moves flow %d between paths of different endpoints", ev, int64(sr.Victim))
+			}
+			if sr.Split {
+				for _, id := range sr.IDs {
+					if err := mint(id); err != nil {
+						return nil, err
+					}
+				}
+			}
+			pl.steps = append(pl.steps, migration.StepOf(sr))
+		}
+		fp.hi = len(pl.steps)
+		pl.Admittable++
+		pl.Cost += fr.Cost
+		pl.flows = append(pl.flows, fp)
+	}
+	if r.Next < cursor {
+		return nil, fmt.Errorf("%v: plan ends at flow ID %d behind %d", ev, int64(r.Next), int64(cursor))
+	}
+	pl.Feasible = pl.failed == 0
+	return pl, nil
+}
+
+// joins reports whether path runs from src to dst.
+func joins(g *topology.Graph, path routing.Path, src, dst topology.NodeID) bool {
+	n := path.Len()
+	return n > 0 && g.Link(path.Link(0)).From == src && g.Link(path.Link(n-1)).To == dst
+}
+
+// sameEnds reports whether b is a path between a's endpoints.
+func sameEnds(g *topology.Graph, a, b routing.Path) bool {
+	return joins(g, b, g.Link(a.Link(0)).From, g.Link(a.Link(a.Len()-1)).To)
+}
+
 // ProbeStats counts the cost probes a Planner has run.
 type ProbeStats struct {
 	// Probes is the number of probes.

@@ -261,6 +261,57 @@ func runProbeOracle(t *testing.T, seed int64, ops int) {
 // itoa formats n for failure messages.
 func itoa(n int64) string { return strconv.FormatInt(n, 10) }
 
+// loadedFatTree builds one seed's world of
+// TestPlanApplyMatchesExecuteOnFatTree: a k = 4 fat-tree loaded to about
+// 75 % with 20-200 Mbps background flows, the planner configuration cfg
+// (two-splittable migration on, the given desired-path policy), a
+// planner over it, and 12 events of 3-12 flows of 50-400 Mbps.
+func loadedFatTree(t *testing.T, seed int64, policy migration.DesiredPolicy) (*netstate.Network, func(*migration.Planner), *Planner, []*Event) {
+	t.Helper()
+	cfg := func(m *migration.Planner) {
+		m.SetAllowSplit(true)
+		m.SetDesiredPolicy(policy)
+	}
+	ft, err := topology.NewFatTree(4, topology.Gbps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := netstate.New(ft.Graph(), routing.NewFatTreeProvider(ft), routing.NewRandomFit(seed))
+	hosts := ft.Hosts()
+	rng := rand.New(rand.NewSource(seed))
+	spec := func(ev flow.EventID, lo, hi int) flow.Spec {
+		src := hosts[rng.Intn(len(hosts))]
+		dst := hosts[rng.Intn(len(hosts))]
+		for dst == src {
+			dst = hosts[rng.Intn(len(hosts))]
+		}
+		return flow.Spec{Src: src, Dst: dst, Demand: topology.Bandwidth(lo+rng.Intn(hi-lo)) * topology.Mbps, Size: 1 << 20, Event: ev}
+	}
+	for net.Utilization() < 0.75 {
+		f, err := net.AddFlow(spec(flow.NoEvent, 20, 200))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := net.PlaceBest(f); err != nil {
+			if err := net.Remove(f); err != nil {
+				t.Fatal(err)
+			}
+			break
+		}
+	}
+	mig := migration.NewPlanner(net, 0)
+	cfg(mig)
+	var events []*Event
+	for id := flow.EventID(1); id <= 12; id++ {
+		specs := make([]flow.Spec, 3+rng.Intn(10))
+		for i := range specs {
+			specs[i] = spec(id, 50, 400)
+		}
+		events = append(events, NewEvent(id, "fat-tree", 0, specs))
+	}
+	return net, cfg, NewPlanner(mig, FailSkip), events
+}
+
 // TestPlanApplyMatchesExecuteOnFatTree holds ProbePlan and Apply to
 // Execute on a fork where migrations are common: a k = 4 fat-tree loaded
 // to about 75 %, events of 3-12 flows, two-splittable migration on, and
@@ -271,47 +322,9 @@ func TestPlanApplyMatchesExecuteOnFatTree(t *testing.T) {
 	for _, policy := range []migration.DesiredPolicy{migration.DesiredHash, migration.DesiredWidest} {
 		totalMoves, totalSplits := 0, 0
 		for seed := int64(1); seed <= 6; seed++ {
-			cfg := func(m *migration.Planner) {
-				m.SetAllowSplit(true)
-				m.SetDesiredPolicy(policy)
-			}
-			ft, err := topology.NewFatTree(4, topology.Gbps)
-			if err != nil {
-				t.Fatal(err)
-			}
-			net := netstate.New(ft.Graph(), routing.NewFatTreeProvider(ft), routing.NewRandomFit(seed))
-			hosts := ft.Hosts()
-			rng := rand.New(rand.NewSource(seed))
-			spec := func(ev flow.EventID, lo, hi int) flow.Spec {
-				src := hosts[rng.Intn(len(hosts))]
-				dst := hosts[rng.Intn(len(hosts))]
-				for dst == src {
-					dst = hosts[rng.Intn(len(hosts))]
-				}
-				return flow.Spec{Src: src, Dst: dst, Demand: topology.Bandwidth(lo+rng.Intn(hi-lo)) * topology.Mbps, Size: 1 << 20, Event: ev}
-			}
-			for net.Utilization() < 0.75 {
-				f, err := net.AddFlow(spec(flow.NoEvent, 20, 200))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := net.PlaceBest(f); err != nil {
-					if err := net.Remove(f); err != nil {
-						t.Fatal(err)
-					}
-					break
-				}
-			}
-			mig := migration.NewPlanner(net, 0)
-			cfg(mig)
-			p := NewPlanner(mig, FailSkip)
+			net, cfg, p, events := loadedFatTree(t, seed, policy)
 			moves, splits := 0, 0
-			for id := flow.EventID(1); id <= 12; id++ {
-				specs := make([]flow.Spec, 3+rng.Intn(10))
-				for i := range specs {
-					specs[i] = spec(id, 50, 400)
-				}
-				ev := NewEvent(id, "fat-tree", 0, specs)
+			for _, ev := range events {
 				before := captureLive(net)
 				pl, err := p.ProbePlan(ev)
 				if err != nil {
@@ -319,7 +332,7 @@ func TestPlanApplyMatchesExecuteOnFatTree(t *testing.T) {
 				}
 				before.requireEqual(t, captureLive(net), "Planner.ProbePlan")
 				fork, res := forkExecute(t, net, cfg, ev)
-				what := "policy " + itoa(int64(policy)) + " seed " + itoa(seed) + " ev" + itoa(int64(id))
+				what := "policy " + itoa(int64(policy)) + " seed " + itoa(seed) + " ev" + itoa(int64(ev.ID))
 				requirePlanIs(t, pl, res, what)
 				if _, err := p.Apply(pl); err != nil {
 					t.Fatalf("%s: apply: %v", what, err)

@@ -70,6 +70,21 @@ func goldenWALRecords() []*wal.Record {
 		{Type: wal.TypeMeta, ID: wal.ID{VT: 900, Seq: 100}, Rounds: 9, Meta: &goldenMeta},
 		{Type: wal.TypeFault, ID: wal.ID{VT: 3000, Seq: 10}, Rounds: 5, Fault: &wal.FaultRecord{
 			Action: "link-down", Link: 40, RepairEventID: 1 << 40}},
+		{Type: wal.TypeRound, ID: wal.ID{VT: 3500, Seq: 11}, Rounds: 5, Round: &wal.RoundRecord{
+			DecisionEvals: 9, Probes: 3, SchedulerDraws: 4, SelectorDraws: 300,
+			Candidates:  []obs.ProbeOutcome{{Event: 43, CostBps: 5e8, Evals: 6, Admittable: 2}, {Event: 44, Evals: 1, Admittable: 1}},
+			CoScheduled: []obs.CoSchedule{{Probe: obs.ProbeOutcome{Event: 44, Evals: 2, Admittable: 1}, AloneAdmittable: 1, Committed: true}},
+			Lanes: []wal.LanePlan{
+				{Event: 43, Base: 20, Next: 24, Flows: []wal.FlowPlan{
+					{Spec: 0, ID: 20, Path: []int32{2, 9, 17}, CostBps: 5e8, Evals: 5, Steps: []wal.StepPlan{
+						{Victim: 7, From: []int32{2, 9, 18}, To: []int32{2, 10, 19}},
+						{Victim: 8, From: []int32{2, 9, 17}, To: []int32{2, 11, 20}, Split: true,
+							To2: []int32{2, 12, 21}, DemandsBps: [2]int64{3e8, 2e8}, IDs: [2]int64{21, 22}},
+					}},
+					{Spec: 1, ID: 23, Failed: true, Evals: 1},
+				}},
+				{Event: 44, Base: 24, Next: 25, Flows: []wal.FlowPlan{{Spec: 0, ID: 24, Path: []int32{0, 1}, Evals: 2}}},
+			}}},
 	}
 }
 
@@ -113,6 +128,7 @@ func TestFormatGoldenWAL(t *testing.T) {
 		walGolden("event-span", recs[2], "52000000536b001b020900000000000000c409000000000000040000000000000002000000002c00000000000000077370616e6e65640100000000000100000007000000000000000000000000000000030015cd7da8ac31e717"),
 		walGolden("meta", recs[3], "85000000ecbeb555016400000000000000840300000000000009000000000000007b22666f726d6174223a312c227363686564756c6572223a22702d6c6d7466222c2273656564223a372c226b223a342c227574696c223a302e352c2277617465726d61726b223a343039362c227461626c6573223a302c227368617264223a322c22736861726473223a347d"),
 		walGolden("fault", recs[4], "590000006b966091030a00000000000000b80b00000000000005000000000000007b22616374696f6e223a226c696e6b2d646f776e222c226c696e6b223a34302c227265706169725f6576656e745f6964223a313039393531313632373737367d"),
+		walGolden("round", recs[5], "7c0000007f9fc9b4040b00000000000000ac0d0000000000000500000000000000090304ac02022b80cab5ee0106022c000101012c0002010101022b1418020014000302091180cab5ee010502070302091203020a1300080302091103020b140103020c1580c6868f018084af5f1516011701000001002c181901001800020001000200"),
 	})
 }
 

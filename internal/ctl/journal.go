@@ -39,8 +39,15 @@ type journal struct {
 	seq       int64 // last appended sequence
 	dirty     bool  // appended since the last commit
 	ckptEvery int
-	sinceCkpt int
+	sinceCkpt int   // input records appended since the last checkpoint
 	err       error // sticky: the first durable write that failed
+
+	// rounds holds a leader's round records not logged yet, oldest first.
+	// Nothing waits on one, so none is sequenced alone: the next input
+	// record is appended behind them and its commit makes them durable
+	// and publishes them (Close logs what is left). A checkpoint that
+	// rotates covers them and drops them.
+	rounds []*wal.Record
 
 	met   *obs.WALMetrics
 	rmet  *obs.ReplMetrics
@@ -151,14 +158,20 @@ func (j *journal) replay(thaw func(*wal.Checkpoint) error, fold func(*wal.Record
 		info.CheckpointSeq = ckpt.ID.Seq
 		j.met.CheckpointSeq.Set(ckpt.ID.Seq)
 	}
-	ri, err := j.log.Replay(afterSeq, fold)
+	ri, err := j.log.Replay(afterSeq, func(rec *wal.Record) error {
+		if rec.Type == wal.TypeRound {
+			info.ReplayedRounds++
+		}
+		return fold(rec)
+	})
 	if err != nil {
 		return nil, err
 	}
-	info.ReplayedRecords = ri.Records
+	info.ReplayedRecords = ri.Records - info.ReplayedRounds
 	info.Recovered = info.Recovered || ri.Records > 0
 	info.LastSeq = j.log.LastSeq()
-	j.met.Replayed.Add(int64(ri.Records))
+	j.met.Replayed.Add(int64(info.ReplayedRecords))
+	j.met.ReplayedRounds.Add(int64(info.ReplayedRounds))
 	return info, nil
 }
 
@@ -195,6 +208,10 @@ func (j *journal) setRole(role string) {
 	j.rmet.Role.Set(roleCode[role])
 }
 
+// leads reports whether the loop logs its rounds: only a leader with an
+// open log does.
+func (j *journal) leads() bool { return j != nil && j.role == roleLeader }
+
 // folding reports whether the engine may only advance through the
 // replicated fold. True exactly while following: the leader stamps each
 // record with its round count at admission, and the follower
@@ -221,13 +238,36 @@ func (j *journal) writable() (Response, bool) {
 	return Response{OK: false, Error: err.Error(), NotLeader: info}, false
 }
 
-// append logs one record under the next sequence number and stages its
-// frame for replication; the frame is published only at commit, so a
-// follower never holds records the leader could lose. After a failure
-// it does nothing — the record may be half-written and every later ack
-// would rest on it — and the next commit says so.
+// logRound holds a leader's round record until the next input record is
+// appended (see rounds); a failed journal keeps none.
+func (j *journal) logRound(rec *wal.Record) {
+	if j.err == nil {
+		j.rounds = append(j.rounds, rec)
+	}
+}
+
+// append logs one record under the next sequence number — an input on
+// the leader behind the round records held for it — and stages its frame
+// for replication; the frame is published only at commit, so a follower
+// never holds records the leader could lose. After a failure it does
+// nothing — the record may be half-written and every later ack would
+// rest on it — and the next commit says so.
 func (j *journal) append(rec *wal.Record) {
 	if j == nil || j.err != nil {
+		return
+	}
+	for i, r := range j.rounds {
+		j.rounds[i] = nil
+		j.write(r)
+	}
+	j.rounds = j.rounds[:0]
+	j.write(rec)
+}
+
+// write appends one record; the checkpoint cadence counts input records
+// only.
+func (j *journal) write(rec *wal.Record) {
+	if j.err != nil {
 		return
 	}
 	rec.ID.Seq = j.seq + 1
@@ -238,7 +278,9 @@ func (j *journal) append(rec *wal.Record) {
 	frame := j.w.LastFrame()
 	j.seq = rec.ID.Seq
 	j.dirty = true
-	j.sinceCkpt++
+	if rec.Type != wal.TypeRound {
+		j.sinceCkpt++
+	}
 	j.met.Appends.Inc()
 	j.met.Bytes.Add(int64(len(frame)))
 	j.met.LastSeq.Set(j.seq)
@@ -276,9 +318,9 @@ func (j *journal) commit() error {
 	return nil
 }
 
-// checkpointDue runs the automatic cadence. A follower checkpoints only
-// on the leader's announcement, keeping both logs rotating at identical
-// sequences.
+// checkpointDue runs the automatic cadence, which counts input records
+// only. A follower checkpoints only on the leader's announcement, keeping
+// both logs rotating at identical sequences.
 func (j *journal) checkpointDue() bool {
 	return j != nil && j.err == nil && j.ckptEvery > 0 && j.sinceCkpt >= j.ckptEvery && j.role != roleFollower
 }
@@ -305,6 +347,9 @@ func (j *journal) checkpoint(state []byte, vt, rounds int64) error {
 	}
 	j.setWriter(w)
 	j.sinceCkpt = 0
+	// The checkpoint holds what the held round records would redo.
+	clear(j.rounds)
+	j.rounds = j.rounds[:0]
 	j.met.Checkpoints.Inc()
 	j.met.CheckpointSeq.Set(id.Seq)
 	if j.role == roleLeader {
@@ -495,13 +540,14 @@ func (j *journal) announced(seq int64) error {
 	return nil
 }
 
-// promote flips a follower to leader: stop the stream, fold the backlog
-// and drain the cascade to quiescence, persist the bumped term — the
-// fence that deposes the old leader — and only then serve writes. The
-// drain is bounded by the fold cap, not log length: the follower folded
+// promote flips a follower to leader: stop the stream, fold the backlog,
+// persist the bumped term — the fence that deposes the old leader — and
+// drain the cascade to quiescence as the leader, logging its rounds as
+// the old leader would have, and only then serve writes. The drain is
+// bounded by the fold cap, not log length: the follower folded
 // continuously behind its acks, so only the unfolded backlog and the
 // not-yet-executed tail of admitted work remain.
-func (j *journal) promote(drain func() error) Response {
+func (j *journal) promote(fold, drain func() error) Response {
 	if j == nil {
 		return Response{OK: false, Error: noWALError}
 	}
@@ -516,7 +562,7 @@ func (j *journal) promote(drain func() error) Response {
 	}
 	started := time.Now()
 	j.stopFollowing()
-	if err := drain(); err != nil {
+	if err := fold(); err != nil {
 		return Response{OK: false, Error: fmt.Sprintf("ctl: promote drain: %v", err)}
 	}
 	newTerm := max(j.term, j.leaderTerm.Load()) + 1
@@ -526,6 +572,9 @@ func (j *journal) promote(drain func() error) Response {
 	j.term = newTerm
 	j.rmet.Term.Set(int64(newTerm))
 	j.setRole(roleLeader)
+	if err := drain(); err != nil {
+		return Response{OK: false, Error: fmt.Sprintf("ctl: promote drain: %v", err)}
+	}
 	elapsed := time.Since(started)
 	j.rmet.Promotions.Inc()
 	j.rmet.Failover.Observe(elapsed.Nanoseconds())
@@ -589,13 +638,23 @@ func (j *journal) stop() {
 	j.wg.Wait()
 }
 
-// close flushes and closes the log once the loop has exited, so
-// everything appended is durable before the process goes away.
+// close logs the held round records, then flushes and closes the log
+// once the loop has exited, so everything appended is durable before the
+// process goes away.
 func (j *journal) close() error {
 	if j == nil {
 		return nil
 	}
-	return j.w.Close()
+	failed := j.err != nil
+	for _, r := range j.rounds {
+		j.write(r)
+	}
+	j.rounds = nil
+	err := j.w.Close()
+	if !failed && j.err != nil {
+		err = j.err
+	}
+	return err
 }
 
 // stopped reports whether following has ended: promotion, or the server

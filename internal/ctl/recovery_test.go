@@ -202,7 +202,7 @@ func playChunk(t *testing.T, client *Client, ch walChunk) {
 // copyDir snapshots a WAL directory into dst, byte for byte. Taken at a
 // quiesced chunk boundary this is exactly the on-disk image a kill -9
 // would leave behind.
-func copyDir(t *testing.T, src, dst string) {
+func copyDir(t testing.TB, src, dst string) {
 	t.Helper()
 	entries, err := os.ReadDir(src)
 	if err != nil {
@@ -251,7 +251,7 @@ func captureDigest(t *testing.T, srv *Server, client *Client) runDigest {
 	st.ProbeColdPlans, st.ProbeIncrementalReplans = 0, 0
 	st.CodecV2Conns, st.FramesV2 = 0, 0
 	st.WALAppends, st.WALCheckpoints, st.WALCheckpointSeq = 0, 0, 0
-	st.WALReplayed, st.WALRecoveryMs = 0, 0
+	st.WALReplayed, st.WALReplayedRounds, st.WALRecoveryMs = 0, 0, 0
 	// Wall-clock latency is explicitly non-deterministic and process-
 	// local: a recovered server re-times only the work it redid.
 	st.LatencyE2EP50Ns, st.LatencyE2EP95Ns, st.LatencyE2EP99Ns, st.LatencyE2EP999Ns = 0, 0, 0, 0
@@ -566,8 +566,8 @@ func TestRecoveryFoldEquivalenceAtEveryPrefix(t *testing.T) {
 			if recF.LastSeq != p {
 				t.Fatalf("fold recovery saw last seq %d, want %d", recF.LastSeq, p)
 			}
-			if recF.ReplayedRecords != int(p) {
-				t.Errorf("fold recovery replayed %d records, want %d", recF.ReplayedRecords, p)
+			if recF.ReplayedRecords+recF.ReplayedRounds != int(p) {
+				t.Errorf("fold recovery replayed %d records and %d rounds, want %d", recF.ReplayedRecords, recF.ReplayedRounds, p)
 			}
 			df := captureDigest(t, srvF, clientF)
 			if df.Stats.WALLastSeq != p {
@@ -591,8 +591,8 @@ func TestRecoveryFoldEquivalenceAtEveryPrefix(t *testing.T) {
 			if recC.CheckpointSeq != best.seq {
 				t.Errorf("checkpoint recovery started from seq %d, want %d", recC.CheckpointSeq, best.seq)
 			}
-			if recC.ReplayedRecords != int(p-best.seq) {
-				t.Errorf("checkpoint recovery replayed %d records, want %d", recC.ReplayedRecords, p-best.seq)
+			if recC.ReplayedRecords+recC.ReplayedRounds != int(p-best.seq) {
+				t.Errorf("checkpoint recovery replayed %d records and %d rounds, want %d", recC.ReplayedRecords, recC.ReplayedRounds, p-best.seq)
 			}
 			dc := captureDigest(t, srvC, clientC)
 			diffDigest(t, df, dc)

@@ -42,6 +42,9 @@ type Server struct {
 	ingest      *obs.IngestMetrics
 	utilScratch []float64
 
+	// replay backs the plans of a logged round applyRound rebuilds.
+	replay replayScratch
+
 	// Latency span pipeline: the recorder is state-loop confined (like
 	// the engine it instruments); stage records go out through a bounded
 	// async sink so a slow span consumer can never backpressure the loop.
@@ -710,7 +713,7 @@ func (s *Server) handleRequest(req Request) Response {
 		return Response{OK: false, Error: noWALError}
 
 	case OpReplPromote:
-		return s.journal.promote(s.drain)
+		return s.journal.promote(s.foldAll, s.drain)
 
 	default:
 		return Response{OK: false, Error: fmt.Sprintf("%v: unknown op %q", ErrBadRequest, req.Op)}

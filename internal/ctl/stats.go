@@ -76,13 +76,14 @@ type Stats struct {
 	FramesV2     int64 `json:"frames_v2" metric:"netupdate_ingest_frames_v2_total"`
 	// WAL / recovery telemetry (all zero when the daemon runs without a
 	// write-ahead log).
-	WALEnabled       bool  `json:"wal_enabled,omitempty" metric:"netupdate_wal_info"`
-	WALLastSeq       int64 `json:"wal_last_seq,omitempty" metric:"netupdate_wal_last_seq"`
-	WALCheckpointSeq int64 `json:"wal_checkpoint_seq,omitempty" metric:"netupdate_wal_checkpoint_seq"`
-	WALAppends       int64 `json:"wal_appends,omitempty" metric:"netupdate_wal_appends_total"`
-	WALCheckpoints   int64 `json:"wal_checkpoints,omitempty" metric:"netupdate_wal_checkpoints_total"`
-	WALReplayed      int64 `json:"wal_replayed,omitempty" metric:"netupdate_wal_replayed_records"`
-	WALRecoveryMs    int64 `json:"wal_recovery_ms,omitempty" metric:"netupdate_wal_recovery_ms"`
+	WALEnabled        bool  `json:"wal_enabled,omitempty" metric:"netupdate_wal_info"`
+	WALLastSeq        int64 `json:"wal_last_seq,omitempty" metric:"netupdate_wal_last_seq"`
+	WALCheckpointSeq  int64 `json:"wal_checkpoint_seq,omitempty" metric:"netupdate_wal_checkpoint_seq"`
+	WALAppends        int64 `json:"wal_appends,omitempty" metric:"netupdate_wal_appends_total"`
+	WALCheckpoints    int64 `json:"wal_checkpoints,omitempty" metric:"netupdate_wal_checkpoints_total"`
+	WALReplayed       int64 `json:"wal_replayed,omitempty" metric:"netupdate_wal_replayed_records"`
+	WALReplayedRounds int64 `json:"wal_replayed_rounds,omitempty" metric:"netupdate_wal_replayed_rounds"`
+	WALRecoveryMs     int64 `json:"wal_recovery_ms,omitempty" metric:"netupdate_wal_recovery_ms"`
 	// Latency pipeline percentiles (wall-clock nanoseconds, explicitly
 	// non-deterministic): end-to-end submit→completion, plus the
 	// overload breakdown of where the time went (time-in-queue =

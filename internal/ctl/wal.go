@@ -15,6 +15,21 @@ package ctl
 // divergence (ErrReplayDiverged): the binary, seed or world differs
 // from the one that wrote the log, and continuing would fabricate
 // history.
+//
+// Determinism makes re-planning give the right answer; it does not make
+// it cheap, and planning is most of what a round costs. So a leader also
+// logs the outcome of every round whose decision carried a plan (lmtf,
+// p-lmtf, reorder) and was costly to make (sim.logEvalsPerFlow): a round
+// record holding the decision's trace fields, each lane's applied plan
+// and the RNG positions after the round. Recovery and the follower fold apply such a record through the
+// engine's own round body (sim.Engine.ApplyRound) instead of deciding
+// the round again; every victim is resolved by ID, so a plan that no
+// longer fits is a divergence too. A round record is a memo, not an
+// input: a round the log has no record of (a crash tail, a FIFO run, a
+// log an older build wrote) is planned again as before. Nothing waits on
+// one — it is held until the next input record is appended and made
+// durable by that record's commit (or at Close), and the checkpoint
+// cadence counts input records only.
 
 import (
 	"bytes"
@@ -38,8 +53,8 @@ import (
 )
 
 // DefaultCheckpointEvery is the automatic checkpoint cadence: a
-// checkpoint is taken after this many WAL records have been appended
-// since the last one.
+// checkpoint is taken after this many input records (events and faults)
+// have been appended since the last one.
 const DefaultCheckpointEvery = 4096
 
 // ErrReplayDiverged reports that replaying the WAL reproduced different
@@ -60,7 +75,7 @@ type WALConfig struct {
 	// different world. Nil derives a minimal meta from the server.
 	Meta *wal.Meta
 	// CheckpointEvery is the automatic checkpoint cadence in appended
-	// records; 0 means DefaultCheckpointEvery, negative disables
+	// input records; 0 means DefaultCheckpointEvery, negative disables
 	// automatic checkpoints (ForceCheckpoint still works).
 	CheckpointEvery int
 
@@ -79,8 +94,12 @@ type RecoveryInfo struct {
 	// CheckpointSeq is the sequence covered by the restored checkpoint
 	// (0 when none existed).
 	CheckpointSeq int64
-	// ReplayedRecords is the number of log records re-admitted.
+	// ReplayedRecords is the number of input records (events and
+	// faults) re-admitted.
 	ReplayedRecords int
+	// ReplayedRounds is the number of logged rounds applied instead of
+	// re-planned.
+	ReplayedRounds int
 	// LastSeq is the log's last sequence after recovery.
 	LastSeq int64
 	// Elapsed is the wall-clock time recovery took.
@@ -176,6 +195,13 @@ func (s *Server) initWAL(cfg WALConfig, rc ReplicationConfig) (*RecoveryInfo, er
 	// Either way the instantaneous gauges are refreshed: a scrape between
 	// recovery and the first round must already see the continuous
 	// world, not zeros.
+	//
+	// The drain's rounds are the ones the crashed leader ran past the end
+	// of its log, so they are logged as its were: held for the next input
+	// record. Rounds re-planned inside the replay lie between records and
+	// stay unlogged.
+	s.journal = j
+	s.engine.SetRoundLog(s.logRound)
 	if cfg.followerBoot {
 		s.refreshGauges()
 	} else if err := s.drain(); err != nil {
@@ -188,7 +214,6 @@ func (s *Server) initWAL(cfg WALConfig, rc ReplicationConfig) (*RecoveryInfo, er
 	info.Elapsed = time.Since(started)
 	j.met.RecoveryMs.Set(info.Elapsed.Milliseconds())
 
-	s.journal = j
 	j.wg.Add(1)
 	go j.heartbeats()
 	return info, nil
@@ -233,7 +258,7 @@ func (s *Server) buildCheckpoint() *checkpointDoc {
 		NextID:  s.nextID,
 		Done:    s.done.ordered(),
 		Engine:  s.engine.ExportState(),
-		Network: snapshot.Capture(net),
+		Network: snapshot.CaptureIDs(net),
 		Metrics: s.registry.Restorable(),
 	}
 	for _, ev := range s.engine.QueueEvents() {
@@ -251,12 +276,7 @@ func (s *Server) buildCheckpoint() *checkpointDoc {
 		}
 		doc.Queue = append(doc.Queue, qe)
 	}
-	if rc, ok := s.sched.(rngCarrier); ok {
-		doc.RNG.Scheduler = rc.RNGDraws()
-	}
-	if rc, ok := net.Selector().(rngCarrier); ok {
-		doc.RNG.Selector = rc.RNGDraws()
-	}
+	doc.RNG.Scheduler, doc.RNG.Selector = s.rngDraws()
 	return doc
 }
 
@@ -324,12 +344,7 @@ func (s *Server) restoreCheckpoint(ckpt *wal.Checkpoint) error {
 		return fmt.Errorf("ctl: restoring metrics: %w", err)
 	}
 
-	if rc, ok := s.sched.(rngCarrier); ok {
-		rc.RestoreRNG(doc.RNG.Scheduler)
-	}
-	if rc, ok := net.Selector().(rngCarrier); ok {
-		rc.RestoreRNG(doc.RNG.Selector)
-	}
+	s.restoreRNG(doc.RNG.Scheduler, doc.RNG.Selector)
 	return nil
 }
 
@@ -429,19 +444,22 @@ func (s *Server) refreshGauges() {
 }
 
 // replayRecord folds one log record during crash recovery or on a
-// follower: step the engine to the record's round stamp, check the
-// logical clock, and apply the record through admit / inject — the same
-// functions a live request goes through, so the fold that defines what
-// the state must be exists once.
+// follower: step the engine to the record's round stamp, re-planning any
+// round the log holds no record of, check the logical clock, and apply
+// the record — an input through admit / inject, the same functions a
+// live request goes through, a logged round through the engine's own
+// round body — so the fold that defines what the state must be exists
+// once.
 func (s *Server) replayRecord(rec *wal.Record) error {
 	if err := s.stepUntil(rec.Rounds); err != nil {
 		return fmt.Errorf("ctl: replay round: %w", err)
 	}
 	// A stall short of the stamp means the replayed world has less work
-	// than the recorded one did.
-	if got := s.engine.Rounds(); got < rec.Rounds {
-		return fmt.Errorf("%w: engine stalled at round %d short of recorded round %d",
-			ErrReplayDiverged, got, rec.Rounds)
+	// than the recorded one did; a round past it, a logged round applied
+	// twice or out of order.
+	if got := s.engine.Rounds(); got != rec.Rounds {
+		return fmt.Errorf("%w: record seq %d stamped round %d, engine at round %d",
+			ErrReplayDiverged, rec.ID.Seq, rec.Rounds, got)
 	}
 	if vt := int64(s.engine.Clock()); vt != rec.ID.VT {
 		return fmt.Errorf("%w: record seq %d stamped vt=%d, engine at vt=%d",
@@ -467,6 +485,9 @@ func (s *Server) replayRecord(rec *wal.Record) error {
 				ErrReplayDiverged, rec.ID.Seq, repairID, rec.Fault.RepairEventID)
 		}
 		return nil
+
+	case wal.TypeRound:
+		return s.applyRound(rec)
 
 	default:
 		return fmt.Errorf("%w: record seq %d has unexpected type %d",
@@ -516,7 +537,8 @@ const quiescence = math.MaxInt64
 
 // drain folds any backlog and runs the queue dry — what recovery and
 // promotion do before they serve — and refreshes the gauges from where
-// that left the world.
+// that left the world. A leader logs the rounds it runs dry; a promotion
+// folds first and drains once it leads.
 func (s *Server) drain() error {
 	err := s.foldAll()
 	if err == nil {

@@ -42,13 +42,17 @@ func (s *CountedSource) Seed(seed int64) {
 // Draws returns the number of values drawn since the last (re)seed.
 func (s *CountedSource) Draws() int64 { return s.n }
 
-// Restore reseeds the source with its original seed and burns draws
-// values, leaving the stream positioned exactly where a source that
-// made draws live draws would be.
+// Restore positions the stream exactly where a source that made draws
+// live draws would be: it burns the draws between its own position and
+// draws, reseeding with its original seed first only when draws lies
+// behind it. Restoring once per logged round thus costs the draws that
+// round made, not the run's.
 func (s *CountedSource) Restore(draws int64) {
-	s.src.Seed(s.seed)
-	s.n = 0
-	for i := int64(0); i < draws; i++ {
+	if draws < s.n {
+		s.src.Seed(s.seed)
+		s.n = 0
+	}
+	for s.n < draws {
 		s.Int63()
 	}
 }

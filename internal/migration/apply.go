@@ -40,10 +40,12 @@ func (p *Planner) Admit(f *flow.Flow) (*Result, error) {
 // Apply carries out an admission planned for f (Plan) on the network, in
 // planned order: each victim is rerouted, or withdrawn and replaced by
 // its two split children (registered with their planned IDs), and then f
-// is placed on a.Path. f must be registered and unplaced. Apply plans
-// nothing: when the network no longer matches the plan — a victim moved
-// (ErrStalePlan) or a reservation does not fit — everything it applied is
-// reverted and the error returned. res is overwritten with the applied
+// is placed on a.Path. f must be registered and unplaced. Every victim is
+// resolved by its ID, so a step rebuilt from a record applies like the
+// planned one. Apply plans nothing: when the network no longer matches
+// the plan — a victim is unknown or moved (ErrStalePlan) or a reservation
+// does not fit — everything it applied is reverted and the error
+// returned. res is overwritten with the applied
 // admission; its Evals are the plan's.
 func (p *Planner) Apply(f *flow.Flow, a *Admission, res *Result) error {
 	*res = Result{Flow: f, Evals: a.Evals}
@@ -53,13 +55,10 @@ func (p *Planner) Apply(f *flow.Flow, a *Admission, res *Result) error {
 	reg := p.net.Registry()
 	for i := range a.Steps {
 		st := &a.Steps[i]
-		victim := st.victim
-		if st.minted {
-			var err error
-			if victim, err = reg.Get(st.victimID); err != nil {
-				p.rollback(res)
-				return fmt.Errorf("admit %v: %w", f, err)
-			}
+		victim, err := reg.Get(st.victimID)
+		if err != nil {
+			p.rollback(res)
+			return fmt.Errorf("admit %v: %w", f, err)
 		}
 		if !victim.Placed() || !victim.Path().Equal(st.from) {
 			p.rollback(res)

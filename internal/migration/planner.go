@@ -124,18 +124,41 @@ type Admission struct {
 // Step is one planned migration: a victim moved From -> To, or, when
 // split, withdrawn and replaced by two children on To and To2.
 type Step struct {
-	// victim is the migrated flow; minted marks one the plan itself
-	// minted (a split child of an earlier admission), which Apply finds
-	// by victimID once it is registered.
+	// victim is the migrated flow as planning saw it (nil in a step
+	// rebuilt from a record); Apply resolves the victim by victimID.
 	victim   *flow.Flow
 	victimID flow.ID
-	minted   bool
 	from, to routing.Path
 	// A split's second path, its children's demands and their IDs.
 	split   bool
 	to2     routing.Path
 	demands [2]topology.Bandwidth
 	ids     [2]flow.ID
+}
+
+// StepRecord is a Step as plain data: what a log keeps of a planned
+// migration so the step can be applied again without planning it.
+type StepRecord struct {
+	Victim   flow.ID
+	From, To routing.Path
+	// Split, To2, Demands and IDs describe a split: the second child's
+	// path, both children's demands and their flow IDs.
+	Split   bool
+	To2     routing.Path
+	Demands [2]topology.Bandwidth
+	IDs     [2]flow.ID
+}
+
+// Record returns the step as plain data.
+func (s *Step) Record() StepRecord {
+	return StepRecord{Victim: s.victimID, From: s.from, To: s.to,
+		Split: s.split, To2: s.to2, Demands: s.demands, IDs: s.ids}
+}
+
+// StepOf rebuilds a step from its record.
+func StepOf(r StepRecord) Step {
+	return Step{victimID: r.Victim, from: r.From, to: r.To,
+		split: r.Split, to2: r.To2, demands: r.Demands, ids: r.IDs}
 }
 
 // VictimID returns the migrated flow's ID.
@@ -301,7 +324,7 @@ func (p *Planner) freeCapacity(v *netstate.View, f *flow.Flow, desired routing.P
 				continue
 			}
 			a.Steps = append(a.Steps, Step{
-				victim: victim, victimID: victim.ID, minted: v.Minted(victim),
+				victim: victim, victimID: victim.ID,
 				from: oldPath, to: newPath,
 			})
 			a.MigratedTraffic += victim.Demand

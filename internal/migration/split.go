@@ -141,7 +141,7 @@ scan:
 		return false
 	}
 	a.Steps = append(a.Steps, Step{
-		victim: victim, victimID: victim.ID, minted: v.Minted(victim),
+		victim: victim, victimID: victim.ID,
 		from: old, to: options[best].path,
 		split: true, to2: options[second].path,
 		demands: [2]topology.Bandwidth{d1, d2},

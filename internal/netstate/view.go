@@ -130,9 +130,9 @@ func (v *View) Mint(spec flow.Spec) *flow.Flow {
 	return f
 }
 
-// Minted reports whether f is a flow the plan minted rather than one of
-// the registry's.
-func (v *View) Minted(f *flow.Flow) bool {
+// isMinted reports whether f is a flow the plan minted rather than one
+// of the registry's.
+func (v *View) isMinted(f *flow.Flow) bool {
 	i := int(f.ID - v.base)
 	return i >= 0 && i < len(v.minted) && v.minted[i].f == f
 }
@@ -151,7 +151,7 @@ func (v *View) PathOf(f *flow.Flow) routing.Path {
 // slot returns the view's record of f, or nil when f is a registry flow
 // the plan has not touched.
 func (v *View) slot(f *flow.Flow) *placement {
-	if v.Minted(f) {
+	if v.isMinted(f) {
 		return &v.minted[f.ID-v.base]
 	}
 	if v.mask&(1<<(uint64(f.ID)&63)) == 0 {

@@ -597,8 +597,9 @@ type WALMetrics struct {
 	CheckpointSeq *Gauge   `metric:"netupdate_wal_checkpoint_seq,max" help:"Log sequence covered by the newest checkpoint."`
 	LastSeq       *Gauge   `metric:"netupdate_wal_last_seq,max" help:"Sequence number of the last appended WAL record."`
 
-	Replayed   *Counter `metric:"netupdate_wal_replayed_records" help:"Records replayed from the log during the last recovery."`
-	RecoveryMs *Gauge   `metric:"netupdate_wal_recovery_ms,max" help:"Wall-clock milliseconds the last recovery took."`
+	Replayed       *Counter `metric:"netupdate_wal_replayed_records" help:"Input records (events and faults) replayed from the log during the last recovery."`
+	ReplayedRounds *Counter `metric:"netupdate_wal_replayed_rounds" help:"Logged scheduling rounds the last recovery applied from the log instead of planning them again."`
+	RecoveryMs     *Gauge   `metric:"netupdate_wal_recovery_ms,max" help:"Wall-clock milliseconds the last recovery took."`
 
 	// Info carries the writer's sync policy; its presence marks a
 	// registry whose server runs with a WAL.

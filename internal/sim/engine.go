@@ -59,6 +59,9 @@ type Engine struct {
 	// curRound accumulates the round record being built (obs enabled
 	// only); runLane appends its claim and span to it.
 	curRound *obs.RoundRecord
+	// roundLog receives the outcome of each round that applied a plan
+	// (nil = none kept); see SetRoundLog.
+	roundLog func(*RoundLog)
 }
 
 // NewEngine builds an engine. The planner owns the (pre-filled) network;
@@ -277,72 +280,221 @@ func (e *Engine) drainReleases() {
 	e.processReleases(1<<62 - 1)
 }
 
-// runRound performs one scheduling round.
+// runRound performs one scheduling round: the scheduler decides it and
+// execRound carries it out.
 func (e *Engine) runRound() error {
+	probes := e.planner.ProbeStats().Probes
 	decision, err := e.scheduler.Pick(e.queue, e.planner)
 	if err != nil {
 		return fmt.Errorf("sim: scheduling: %w", err)
 	}
-	e.collector.DecisionEvals += decision.Evals
-	e.addPlanTime(e.cfg.planTime(decision.Evals))
+	r := round{
+		evals:   decision.Evals,
+		head:    decision.Head,
+		plan:    decision.Plan,
+		offered: decision.Opportunistic,
+		log:     e.roundLog != nil && decision.Plan != nil && decision.Evals >= logEvalsPerFlow*len(decision.Head.Specs),
+	}
+	if e.obs != nil || e.spans != nil || r.log {
+		r.candidates = probeOutcomes(decision.Probes)
+	}
+	if err := e.execRound(&r); err != nil {
+		return err
+	}
+	if r.log {
+		e.roundLog(&RoundLog{
+			Round:         e.rounds,
+			Start:         r.start,
+			DecisionEvals: decision.Evals,
+			Probes:        e.planner.ProbeStats().Probes - probes,
+			Candidates:    r.candidates,
+			CoScheduled:   r.outcomes,
+			Lanes:         r.lanes,
+		})
+	}
+	return nil
+}
+
+// logEvalsPerFlow is the planning work, in feasibility evaluations per
+// flow of the head event, from which a round's decision is worth
+// logging. Below it the decision is cheap to make again — small events
+// on a fabric with room (gateway_mix: a median between 16 and 32) — and
+// logging and applying the round would cost about what re-planning it
+// saves; events that must migrate traffic clear it (paper_plan: 96 % of
+// rounds).
+const logEvalsPerFlow = 64
+
+// RoundLog is one executed round's outcome, enough to execute the round
+// again without deciding it: its number and start clock, the decision's
+// trace fields and planning work, and the plan each lane applied.
+type RoundLog struct {
+	Round int64
+	Start time.Duration
+	// DecisionEvals is the planning work of the decision; Probes counts
+	// the probes it and the co-schedule checks ran.
+	DecisionEvals int
+	Probes        int
+	// Candidates are the decision's probes (recorded only while a
+	// tracer is attached); CoScheduled the co-schedule checks after the
+	// head, in order.
+	Candidates  []obs.ProbeOutcome
+	CoScheduled []obs.CoSchedule
+	// Lanes holds the applied plans: the head's, then each committed
+	// co-schedule's in order.
+	Lanes []core.PlanRecord
+}
+
+// SetRoundLog registers fn to receive the outcome of every round whose
+// decision carried a plan and cost at least logEvalsPerFlow evaluations
+// per head flow (nil detaches) — what a log keeps so that ApplyRound can
+// execute the round again without planning it.
+func (e *Engine) SetRoundLog(fn func(*RoundLog)) { e.roundLog = fn }
+
+// ApplyRound executes a logged round: the same round body as a decided
+// one, with the decision, the co-schedule checks and the plans read from
+// lr instead of made. It fails when lr is not the engine's next round, a
+// lane's event is not queued, or a plan does not fit its event or no
+// longer matches the network; after a failure past the checks (a plan
+// that does not apply) the engine is unusable.
+func (e *Engine) ApplyRound(lr *RoundLog) error {
+	if err := e.applyDueFaults(); err != nil {
+		return err
+	}
+	if lr.Round != e.rounds+1 || lr.Start != e.clock {
+		return fmt.Errorf("sim: logged round %d starts at %v, engine is at round %d, %v",
+			lr.Round, lr.Start, e.rounds+1, e.clock)
+	}
+	var committed []int64
+	for _, co := range lr.CoScheduled {
+		if co.Committed {
+			committed = append(committed, co.Probe.Event)
+		}
+	}
+	if len(lr.Lanes) != 1+len(committed) {
+		return fmt.Errorf("sim: logged round %d has %d lanes for %d committed co-schedules",
+			lr.Round, len(lr.Lanes), len(committed))
+	}
+	plans := make([]*core.Plan, len(lr.Lanes))
+	for i := range lr.Lanes {
+		rec := &lr.Lanes[i]
+		if i > 0 && int64(rec.Event) != committed[i-1] {
+			return fmt.Errorf("sim: logged round %d commits event %d with the plan of %d",
+				lr.Round, committed[i-1], int64(rec.Event))
+		}
+		ev := e.queued(rec.Event)
+		if ev == nil {
+			return fmt.Errorf("sim: logged round %d runs event %d, which is not queued", lr.Round, int64(rec.Event))
+		}
+		pl, err := e.planner.PlanOf(ev, rec)
+		if err != nil {
+			return fmt.Errorf("sim: logged round %d: %w", lr.Round, err)
+		}
+		plans[i] = pl
+	}
+	return e.execRound(&round{
+		evals:      lr.DecisionEvals,
+		probes:     lr.Probes,
+		candidates: lr.Candidates,
+		head:       plans[0].Event(),
+		plan:       plans[0],
+		checks:     lr.CoScheduled,
+		logged:     plans[1:],
+	})
+}
+
+// queued returns the queued event with the given ID, or nil.
+func (e *Engine) queued(id flow.EventID) *core.Event {
+	for i := range e.queue.Len() {
+		if ev := e.queue.At(i); ev.ID == id {
+			return ev
+		}
+	}
+	return nil
+}
+
+// round is one scheduling round as execRound carries it out: decided
+// (offered holds the co-schedule candidates, each probed again once the
+// lanes before it have run) or logged (checks and logged hold the
+// checks' outcomes and the committed co-schedules' plans).
+type round struct {
+	evals      int
+	candidates []obs.ProbeOutcome
+	head       *core.Event
+	plan       *core.Plan
+
+	offered []sched.Candidate
+
+	// probes counts a logged round's probes, which the planner does not
+	// run again.
+	probes int
+	checks []obs.CoSchedule
+	logged []*core.Plan
+
+	// log makes a decided round keep its lanes' plans; outcomes collects
+	// the co-schedule checks when the round is logged or traced.
+	log      bool
+	lanes    []core.PlanRecord
+	outcomes []obs.CoSchedule
+	start    time.Duration
+}
+
+// execRound is the one round body: plan-time and probe accounting, the
+// head's lane, the co-schedule checks and their lanes, the barrier and
+// the trace record.
+func (e *Engine) execRound(r *round) error {
+	e.collector.DecisionEvals += r.evals
+	e.addPlanTime(e.cfg.planTime(r.evals))
 
 	e.rounds++
 	if e.obs != nil {
-		rr := &obs.RoundRecord{
+		e.curRound = &obs.RoundRecord{
 			Round:         e.rounds,
 			QueueDepth:    e.queue.Len(),
-			Head:          int64(decision.Head.ID),
-			DecisionEvals: decision.Evals,
+			Head:          int64(r.head.ID),
+			DecisionEvals: r.evals,
+			Candidates:    r.candidates,
 		}
-		if len(decision.Probes) > 0 {
-			rr.Candidates = make([]obs.ProbeOutcome, len(decision.Probes))
-			for i, p := range decision.Probes {
-				rr.Candidates[i] = obs.ProbeOutcome{
-					Event:      int64(p.Event.ID),
-					CostBps:    int64(p.Cost),
-					Evals:      p.Evals,
-					Admittable: p.Admittable,
-				}
-			}
-		}
-		e.curRound = rr
 	}
 
 	roundStart := e.clock
 	roundEnd := roundStart
+	r.start = roundStart
 
 	if e.spans != nil {
-		for _, p := range decision.Probes {
-			e.spans.Probed(int64(p.Event.ID), e.rounds, int64(roundStart))
+		for _, p := range r.candidates {
+			e.spans.Probed(p.Event, e.rounds, int64(roundStart))
 		}
 	}
 
-	end, err := e.runLane(decision.Head, decision.Plan, roundStart)
+	end, err := e.runLane(r.head, r.plan, roundStart)
 	if err != nil {
 		return err
 	}
-	if end > roundEnd {
-		roundEnd = end
+	roundEnd = max(roundEnd, end)
+	if r.log {
+		r.lanes = append(r.lanes, r.plan.Record())
 	}
 
 	// Opportunistic co-scheduling (P-LMTF): in arrival order, commit any
-	// candidate whose admission is not degraded by what this round has
+	// candidate whose admittability is unchanged on top of the lanes
 	// already committed — running together must not interfere (flows that
 	// fail either way, e.g. on saturated access links, do not block it).
-	// A committed candidate applies the plan of this post-head probe.
-	for _, cand := range decision.Opportunistic {
-		pl, err := e.planner.ProbePlan(cand.Event)
-		if err != nil {
-			return fmt.Errorf("sim: opportunistic probe of %v: %w", cand.Event, err)
-		}
-		e.collector.DecisionEvals += pl.Evals
-		e.addPlanTime(e.cfg.planTime(pl.Evals))
-		if e.spans != nil {
-			e.spans.Probed(int64(cand.Event.ID), e.rounds, int64(roundStart))
-		}
-		committed := pl.Admittable >= cand.AloneAdmittable
-		if rr := e.curRound; rr != nil {
-			rr.CoScheduled = append(rr.CoScheduled, obs.CoSchedule{
+	// A committed candidate applies the plan of this post-head probe; a
+	// logged round reads the check and the committed plan instead.
+	for i := range len(r.offered) + len(r.checks) {
+		var co obs.CoSchedule
+		var pl *core.Plan
+		if r.checks != nil {
+			if co = r.checks[i]; co.Committed {
+				pl, r.logged = r.logged[0], r.logged[1:]
+			}
+		} else {
+			cand := r.offered[i]
+			pl, err = e.planner.ProbePlan(cand.Event)
+			if err != nil {
+				return fmt.Errorf("sim: opportunistic probe of %v: %w", cand.Event, err)
+			}
+			co = obs.CoSchedule{
 				Probe: obs.ProbeOutcome{
 					Event:      int64(cand.Event.ID),
 					CostBps:    int64(pl.Cost),
@@ -350,29 +502,58 @@ func (e *Engine) runRound() error {
 					Admittable: pl.Admittable,
 				},
 				AloneAdmittable: cand.AloneAdmittable,
-				Committed:       committed,
-			})
+				Committed:       pl.Admittable >= cand.AloneAdmittable,
+			}
 		}
-		if !committed {
+		e.collector.DecisionEvals += co.Probe.Evals
+		e.addPlanTime(e.cfg.planTime(co.Probe.Evals))
+		if e.spans != nil {
+			e.spans.Probed(co.Probe.Event, e.rounds, int64(roundStart))
+		}
+		if e.curRound != nil || r.log {
+			r.outcomes = append(r.outcomes, co)
+		}
+		if !co.Committed {
 			continue
 		}
-		end, err := e.runLane(cand.Event, pl, roundStart)
+		end, err := e.runLane(pl.Event(), pl, roundStart)
 		if err != nil {
 			return err
 		}
-		if end > roundEnd {
-			roundEnd = end
+		roundEnd = max(roundEnd, end)
+		if r.log {
+			r.lanes = append(r.lanes, pl.Record())
 		}
 	}
 
 	e.advanceTo(roundEnd)
+	e.probeBase.Probes += r.probes
 	e.syncProbeStats()
 	if rr := e.curRound; rr != nil {
+		rr.CoScheduled = r.outcomes
 		rr.EndVT = int64(roundEnd)
 		e.obs.Round(int64(roundStart), rr)
 		e.curRound = nil
 	}
 	return nil
+}
+
+// probeOutcomes converts a decision's probe records for the trace and
+// the round log (nil when the scheduler recorded none).
+func probeOutcomes(probes []sched.ProbeRecord) []obs.ProbeOutcome {
+	if len(probes) == 0 {
+		return nil
+	}
+	out := make([]obs.ProbeOutcome, len(probes))
+	for i, p := range probes {
+		out[i] = obs.ProbeOutcome{
+			Event:      int64(p.Event.ID),
+			CostBps:    int64(p.Cost),
+			Evals:      p.Evals,
+			Admittable: p.Admittable,
+		}
+	}
+	return out
 }
 
 // addPlanTime charges simulated planning time to the collector and the

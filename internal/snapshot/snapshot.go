@@ -42,6 +42,8 @@ type Link struct {
 
 // Flow is one serialized flow, placed or not.
 type Flow struct {
+	// ID is the flow's registry ID (see Snapshot.NextID).
+	ID        int64 `json:"id,omitempty"`
 	Src       int   `json:"src"`
 	Dst       int   `json:"dst"`
 	DemandBps int64 `json:"demand_bps"`
@@ -57,15 +59,34 @@ type Snapshot struct {
 	Nodes   []Node `json:"nodes"`
 	Links   []Link `json:"links"`
 	Flows   []Flow `json:"flows"`
+	// NextID is the registry's flow-ID counter. When set, Populate gives
+	// every flow its captured ID and leaves the counter here, so the
+	// restored world mints the IDs the captured one would have — what a
+	// logged plan, which names flows by ID, applies against. A snapshot
+	// without it (written before IDs were kept) renumbers its flows in
+	// order.
+	NextID int64 `json:"next_id,omitempty"`
 	// DownLinks lists currently failed links by index, so a restored
 	// world routes around the same failures the captured one did.
 	DownLinks []int `json:"down_links,omitempty"`
 }
 
 // Capture serializes the network's graph and flows.
-func Capture(net *netstate.Network) *Snapshot {
+func Capture(net *netstate.Network) *Snapshot { return capture(net, false) }
+
+// CaptureIDs is Capture that also keeps each flow's ID and the
+// registry's ID counter, so Populate restores a world that mints the IDs
+// the captured one would have. A checkpoint captures this way; a plain
+// snapshot, compared across worlds whose flows are numbered apart, does
+// not.
+func CaptureIDs(net *netstate.Network) *Snapshot { return capture(net, true) }
+
+func capture(net *netstate.Network, ids bool) *Snapshot {
 	g := net.Graph()
 	snap := &Snapshot{Version: FormatVersion}
+	if ids {
+		snap.NextID = int64(net.Registry().NextID())
+	}
 	for _, n := range g.Nodes() {
 		snap.Nodes = append(snap.Nodes, Node{Kind: int(n.Kind), Name: n.Name})
 	}
@@ -87,6 +108,9 @@ func Capture(net *netstate.Network) *Snapshot {
 			DemandBps: int64(f.Demand),
 			SizeBytes: f.Size,
 			Event:     int64(f.Event),
+		}
+		if ids {
+			sf.ID = int64(f.ID)
 		}
 		if f.Placed() {
 			path := f.Path()
@@ -180,8 +204,16 @@ func Populate(net *netstate.Network, s *Snapshot) ([]*flow.Flow, error) {
 		}
 		g.SetLinkDown(topology.LinkID(dl), true)
 	}
+	reg := net.Registry()
 	flows := make([]*flow.Flow, 0, len(s.Flows))
 	for i, sf := range s.Flows {
+		if s.NextID > 0 {
+			if id := flow.ID(sf.ID); id >= reg.NextID() && id < flow.ID(s.NextID) {
+				reg.SkipTo(id)
+			} else {
+				return nil, fmt.Errorf("%w: flow %d has ID %d, counter at %d of %d", ErrBadSnapshot, i, sf.ID, int64(reg.NextID()), s.NextID)
+			}
+		}
 		f, err := net.AddFlow(flow.Spec{
 			Src:    topology.NodeID(sf.Src),
 			Dst:    topology.NodeID(sf.Dst),
@@ -210,6 +242,9 @@ func Populate(net *netstate.Network, s *Snapshot) ([]*flow.Flow, error) {
 		if err := net.Place(f, path); err != nil {
 			return nil, fmt.Errorf("%w: flow %d placement: %v", ErrBadSnapshot, i, err)
 		}
+	}
+	if s.NextID > 0 {
+		reg.SkipTo(flow.ID(s.NextID))
 	}
 	return flows, nil
 }

@@ -148,3 +148,43 @@ func TestRestoreRejectsOverbookedSnapshot(t *testing.T) {
 		t.Errorf("Restore error = %v, want ErrBadSnapshot (congestion)", err)
 	}
 }
+
+// TestCaptureIDsKeepsIDs: a snapshot taken with CaptureIDs restores every
+// flow under its ID and the registry's counter where it stood, across the
+// gaps removed flows leave; an ID out of order is refused.
+func TestCaptureIDsKeepsIDs(t *testing.T) {
+	net := loadedNetwork(t)
+	all := net.Registry().All()
+	for _, f := range []*flow.Flow{all[0], all[len(all)/2]} {
+		if err := net.Remove(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hosts := net.Graph().NodesOfKind(topology.KindHost)
+	if _, err := net.AddFlow(flow.Spec{Src: hosts[0], Dst: hosts[1], Demand: topology.Mbps}); err != nil {
+		t.Fatal(err)
+	}
+	snap := CaptureIDs(net)
+	restored, err := Restore(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := restored.Registry().NextID(), net.Registry().NextID(); got != want {
+		t.Errorf("restored ID counter %d, want %d", got, want)
+	}
+	orig, rest := net.Registry().All(), restored.Registry().All()
+	if len(orig) != len(rest) {
+		t.Fatalf("restored %d flows, want %d", len(rest), len(orig))
+	}
+	for i := range orig {
+		if orig[i].ID != rest[i].ID || orig[i].Placed() != rest[i].Placed() {
+			t.Fatalf("flow %d restored as %d (placed %v), want %d (placed %v)",
+				i, rest[i].ID, rest[i].Placed(), orig[i].ID, orig[i].Placed())
+		}
+	}
+
+	snap.Flows[1].ID, snap.Flows[2].ID = snap.Flows[2].ID, snap.Flows[1].ID
+	if _, err := Restore(snap); !errors.Is(err, ErrBadSnapshot) {
+		t.Errorf("restore with IDs out of order: %v, want ErrBadSnapshot", err)
+	}
+}

@@ -27,9 +27,10 @@ import (
 //	body
 //
 // Event bodies are dense binary — they are the hot path, appended once
-// per admitted event under the ingest pipeline. Meta and fault bodies
-// are JSON: they are rare (one meta per segment, one fault per operator
-// action) and benefit from being self-describing.
+// per admitted event under the ingest pipeline. Round bodies are varint
+// binary (round.go): one per planned round, holding every lane's plan.
+// Meta and fault bodies are JSON: they are rare (one meta per segment,
+// one fault per operator action) and benefit from being self-describing.
 //
 // Event body:
 //
@@ -46,8 +47,8 @@ const (
 
 	// maxFramePayload (16 MiB) bounds an envelope so a corrupt length
 	// prefix cannot drive a giant allocation. Log payloads are small (a
-	// meta record or one event's flows); the largest envelopes are the
-	// replication stream's checkpoint snapshots.
+	// meta record, one event's flows or one round's plans); the largest
+	// envelopes are the replication stream's checkpoint snapshots.
 	maxFramePayload = 1 << 24
 
 	eventFlagRetry = 1 << 0
@@ -182,6 +183,11 @@ func AppendFrame(dst []byte, rec *Record) ([]byte, error) {
 			return dst, err
 		}
 		dst = append(dst, body...)
+	case TypeRound:
+		if rec.Round == nil {
+			return dst, fmt.Errorf("wal: round record without round payload")
+		}
+		dst = appendRoundBody(dst, rec.Round)
 	default:
 		return dst, fmt.Errorf("wal: unknown record type %d", rec.Type)
 	}
@@ -219,6 +225,12 @@ func DecodePayload(payload []byte) (*Record, error) {
 			return nil, fmt.Errorf("%w: bad fault body: %v", ErrCorrupt, err)
 		}
 		rec.Fault = f
+	case TypeRound:
+		r, err := decodeRoundBody(body)
+		if err != nil {
+			return nil, err
+		}
+		rec.Round = r
 	default:
 		return nil, fmt.Errorf("%w: unknown record type %d", ErrCorrupt, rec.Type)
 	}

@@ -10,7 +10,8 @@ import (
 // FuzzWALDecode throws arbitrary byte streams at the frame decoder. The
 // decoder must never panic, never allocate unboundedly, and classify
 // every outcome as a clean EOF, a torn tail, or typed corruption. Valid
-// frames must survive a re-encode round trip.
+// frames must survive a re-encode round trip, and a round record's
+// bytes too.
 func FuzzWALDecode(f *testing.F) {
 	// Seed corpus: valid frames of each record type, a multi-record
 	// stream, plus truncated and bit-flipped variants.
@@ -33,9 +34,14 @@ func FuzzWALDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	rnd, err := AppendFrame(nil, testRound())
+	if err != nil {
+		f.Fatal(err)
+	}
 	stream = append(stream, meta...)
 	stream = append(stream, ev...)
 	stream = append(stream, flt...)
+	stream = append(stream, rnd...)
 
 	f.Add(meta)
 	f.Add(ev)
@@ -51,6 +57,17 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add(flipped2)
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0}) // huge length prefix
+	f.Add(rnd)
+	// Round payloads cut short under a valid CRC: the body decoder, not
+	// the envelope, must refuse them.
+	payload := rnd[frameHeaderSize:]
+	for _, n := range []int{recHeaderSize + 1, (recHeaderSize + len(payload)) / 2, len(payload) - 1} {
+		cut, err := AppendEnvelope(nil, payload[:n])
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(cut)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
@@ -78,6 +95,10 @@ func FuzzWALDecode(f *testing.F) {
 			}
 			if rec2.Type != rec.Type || rec2.ID != rec.ID || rec2.Rounds != rec.Rounds {
 				t.Fatalf("round trip changed header: %+v vs %+v", rec, rec2)
+			}
+			// A round body is canonical: it encodes again to its bytes.
+			if rec.Type == TypeRound && !bytes.Equal(buf, s) {
+				t.Fatalf("round record re-encodes to other bytes")
 			}
 		}
 	})

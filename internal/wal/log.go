@@ -260,8 +260,9 @@ func readSegment(path string, off int64, fn func(end int64, frame []byte, rec *R
 	}
 }
 
-// Replay re-reads the log in order and hands each event/fault record
-// on disk with seq > afterSeq to fn, stopping on the first fn error.
+// Replay re-reads the log in order and hands each event, fault and round
+// record on disk with seq > afterSeq to fn, stopping on the first fn
+// error.
 // Meta records are skipped (Open already validated them). The torn tail
 // of the last segment, if any, is ignored and reported. Records missing
 // between afterSeq and the oldest segment fail with ErrCorrupt, unless

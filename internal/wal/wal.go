@@ -129,6 +129,11 @@ const (
 	TypeEvent Type = 2
 	// TypeFault records one applied fault injection.
 	TypeFault Type = 3
+	// TypeRound records the outcome of one executed scheduling round
+	// whose decision carried a plan worth logging (RoundRecord). Unlike
+	// the others it is not an input: replay applies it instead of
+	// re-planning the round.
+	TypeRound Type = 4
 )
 
 // Meta describes the deterministic world a log folds over. Recovery
@@ -210,12 +215,14 @@ type Record struct {
 	// ID is the logical-clock stamp. For meta records Seq is the
 	// segment's sequence base (the last seq covered before the segment).
 	ID ID `json:"id"`
-	// Rounds is the engine's completed-round count at admission: replay
-	// steps the engine to exactly this round before applying the record,
-	// which reproduces the live interleaving of rounds and admissions.
+	// Rounds is the engine's completed-round count at admission (for a
+	// round record, before the round): replay steps the engine to exactly
+	// this round before applying the record, which reproduces the live
+	// interleaving of rounds and admissions.
 	Rounds int64 `json:"rounds"`
 
 	Meta  *Meta        `json:"meta,omitempty"`
 	Event *EventRecord `json:"event,omitempty"`
 	Fault *FaultRecord `json:"fault,omitempty"`
+	Round *RoundRecord `json:"round,omitempty"`
 }

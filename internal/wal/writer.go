@@ -65,7 +65,9 @@ func (w *Writer) LastFrame() []byte { return w.buf }
 
 // Append encodes rec and buffers it. rec.ID.Seq must be exactly
 // lastSeq+1 (meta records, which carry the segment base, are exempt).
-// Under SyncAlways the record is flushed and fsynced immediately.
+// Under SyncAlways an input record is flushed and fsynced immediately; a
+// round record (TypeRound) is a memo nothing waits on, so it is never
+// synced on its own under any policy: the next commit makes it durable.
 func (w *Writer) Append(rec *Record) error {
 	if rec.Type != TypeMeta && rec.ID.Seq != w.lastSeq+1 {
 		return fmt.Errorf("%w: append seq %d after %d", ErrSeq, rec.ID.Seq, w.lastSeq)
@@ -83,7 +85,7 @@ func (w *Writer) Append(rec *Record) error {
 		w.lastSeq = rec.ID.Seq
 	}
 	w.dirty = true
-	if w.policy == SyncAlways {
+	if w.policy == SyncAlways && rec.Type != TypeRound {
 		return w.Commit()
 	}
 	return nil
